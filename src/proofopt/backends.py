@@ -16,13 +16,13 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import requests
 
 from . import lexer, prompting
-from .errors import BackendCrash, BackendTimeout, BackendUnavailable, ConfigError
+from .errors import BackendUnavailable, ConfigError
 
 API_KEY_ENV = "PROOFOPT_API_KEY"
 
@@ -104,8 +104,9 @@ register_diagnostic_format(
     r"^[^:\n]*:(?P<line>\d+):(?P<column>\d+): (?P<severity>error|warning|info): (?P<message>.*)$"
 )
 
+LINT_DIRECTIVE = "set_option linter.unusedTactic true in\n"
 HEARTBEAT_DIRECTIVE = "set_option Elab.async false in\n#count_heartbeats in\n"
-_HEARTBEAT_LINE = re.compile(r"(\d+)")
+_HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
 
 
 def parse_diagnostics(output: str) -> tuple[Diagnostic, ...]:
@@ -206,14 +207,18 @@ class SubprocessVerifier(Verifier):
 
     The command template takes {file} and {timeout} placeholders. A proof is
     valid iff the process exits zero and emits no error diagnostics.
+    Diagnostics come back at lines of the source: the checker reports lines
+    of the file, so the lines of any prepended directive are subtracted, and
+    a line inside the directives is reported as line 1.
     """
 
     def _verify(self, source, want_heartbeats, lint):
         text = source
         if lint:
-            text = "set_option linter.unusedTactic true in\n" + text
+            text = LINT_DIRECTIVE + text
         if want_heartbeats:
             text = HEARTBEAT_DIRECTIVE + text
+        offset = text.count("\n", 0, len(text) - len(source))
         start = time.monotonic()
         with tempfile.NamedTemporaryFile("w", suffix=".lean", delete=False) as handle:
             handle.write(text)
@@ -236,7 +241,10 @@ class SubprocessVerifier(Verifier):
                     wall_time=time.monotonic() - start,
                 )
             elapsed = time.monotonic() - start
-            diagnostics = parse_diagnostics(proc.stdout + "\n" + proc.stderr)
+            diagnostics = tuple(
+                replace(d, line=max(1, d.line - offset))
+                for d in parse_diagnostics(proc.stdout + "\n" + proc.stderr)
+            )
             errors = [d for d in diagnostics if d.severity == "error"]
             if proc.returncode != 0 and not diagnostics:
                 crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)
@@ -255,12 +263,8 @@ class SubprocessVerifier(Verifier):
 
     @staticmethod
     def _parse_heartbeats(stdout: str) -> int | None:
-        for line in stdout.splitlines():
-            if "heartbeat" in line.lower():
-                m = _HEARTBEAT_LINE.search(line)
-                if m:
-                    return int(m.group(1))
-        return None
+        m = _HEARTBEAT_COUNT.search(stdout)
+        return int(m.group(1)) if m else None
 
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"

@@ -21,14 +21,6 @@ class EmptyDataset(ProofOptError):
     """An aggregate was requested over zero records."""
 
 
-class BackendTimeout(ProofOptError):
-    """A backend call exceeded its configured time budget."""
-
-
-class BackendCrash(ProofOptError):
-    """A backend process died abnormally."""
-
-
 class BackendUnavailable(ProofOptError):
     """A remote backend could not be reached after the configured retries."""
 

@@ -3,22 +3,14 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .backends import Verifier
+from .backends import Verdict, Verifier
 from .errors import NotValidInput
 from .records import ProofRecord
 
 _NOOP_DIAGNOSTIC = re.compile(r"'(?P<tactic>[^']+)' tactic does nothing")
 
 COMBINATOR = "<;>"
-
-
-@dataclass
-class LintPlan:
-    target: ProofRecord
-    removable_spans: list[tuple[int, int, str]] = field(default_factory=list)
-    rounds: int = 0
 
 
 def _delete_span(lines: list[str], line_no: int, column: int, tactic: str) -> bool:
@@ -48,12 +40,17 @@ def _delete_span(lines: list[str], line_no: int, column: int, tactic: str) -> bo
     return True
 
 
-def lint_once(record: ProofRecord, verifier: Verifier) -> tuple[ProofRecord, int]:
+def lint_once(
+    record: ProofRecord, verifier: Verifier, verdict: Verdict | None = None
+) -> tuple[ProofRecord, int]:
     """One lint round: collect do-nothing diagnostics and delete each span.
 
-    The edited proof is not guaranteed valid; the fixpoint loop re-verifies.
+    ``verdict`` is the record's check with the lint option on, when the
+    caller has already made it; otherwise the round makes that check. The
+    edited proof is not guaranteed valid; the fixpoint loop re-verifies.
     """
-    verdict = verifier.verify(record.full_source, lint=True)
+    if verdict is None:
+        verdict = verifier.verify(record.full_source, lint=True)
     if not verdict.ok:
         raise NotValidInput(f"proof {record.id!r} does not verify before linting")
     spans = []
@@ -79,15 +76,19 @@ def lint_once(record: ProofRecord, verifier: Verifier) -> tuple[ProofRecord, int
 def lint_fixpoint(record: ProofRecord, verifier: Verifier, max_rounds: int = 10) -> ProofRecord:
     """Repeat lint rounds until nothing is removed or the bound is hit.
 
-    If a round's edits break the proof, that whole round is reverted and the
-    loop stops, so the result always verifies.
+    Each round makes one check, with the lint option on: the check of a
+    round's edit decides whether the edit is kept, and its diagnostics drive
+    the next round. If a round's edits break the proof, that whole round is
+    reverted and the loop stops, so the result always verifies.
     """
     current = record
+    verdict = None
     for _ in range(max_rounds):
-        edited, removed = lint_once(current, verifier)
+        edited, removed = lint_once(current, verifier, verdict)
         if removed == 0:
             break
-        if not verifier.verify(edited.full_source).ok:
+        verdict = verifier.verify(edited.full_source, lint=True)
+        if not verdict.ok:
             break
         current = edited
     return current

@@ -4,12 +4,15 @@ Each iteration samples k candidate rewrites, verifies them, and adopts the
 shortest valid one that strictly beats the current score. A repair stage can
 kick in after an iteration where nothing verified; repaired proofs are
 linted and adopted only if strictly shorter, since repairs tend to come
-back longer than what they replace.
+back longer than what they replace. Within one proof's loop every check goes
+through a VerdictMemo, so a text with a valid or invalid verdict is not sent
+to the checker again with the same flags.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -107,6 +110,35 @@ def iteration_from_json(obj: dict) -> IterationRecord:
     )
 
 
+class VerdictMemo:
+    """Remembers the conclusive verdicts of the checks made for one proof.
+
+    It stands in front of a Verifier with the same ``verify`` signature and
+    keys on (source, want_heartbeats, lint). Only VALID and INVALID verdicts
+    are kept, so a timeout or crash is checked again when next asked for. A
+    hit neither calls the verifier nor takes one of its admission slots.
+    Every proof has its own statement, so checks never repeat across proofs
+    and one memo per proof needs no size limit.
+    """
+
+    def __init__(self, verifier: Verifier):
+        self.verifier = verifier
+        self.cfg = verifier.cfg
+        self._lock = threading.Lock()
+        self._verdicts: dict[tuple[str, bool, bool], Verdict] = {}
+
+    def verify(self, source: str, want_heartbeats: bool = False, lint: bool = False) -> Verdict:
+        key = (source, want_heartbeats, lint)
+        with self._lock:
+            verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self.verifier.verify(source, want_heartbeats, lint)
+            if verdict.status in (VerdictStatus.VALID, VerdictStatus.INVALID):
+                with self._lock:
+                    self._verdicts[key] = verdict
+        return verdict
+
+
 def score_source(source: str, measure: Measure, verifier: Verifier) -> int | None:
     """Complexity of a statement-plus-proof under the chosen measure."""
     if measure is Measure.TOKEN_LENGTH:
@@ -115,17 +147,21 @@ def score_source(source: str, measure: Measure, verifier: Verifier) -> int | Non
     return verdict.heartbeats
 
 
+def _check(text: str, verifier: Verifier, measure: Measure) -> tuple[Verdict, int | None]:
+    """Verdict and score of a text from a single check; heartbeats are asked
+    for only when they are the measure."""
+    verdict = verifier.verify(text, want_heartbeats=measure is Measure.HEARTBEATS)
+    if measure is Measure.TOKEN_LENGTH:
+        return verdict, lexer.proof_length(text)
+    return verdict, verdict.heartbeats
+
+
 def _verify_candidates(
     candidates: list[str], verifier: Verifier, measure: Measure
 ) -> list[tuple[Verdict, int | None]]:
     def check(text: str) -> tuple[Verdict, int | None]:
-        want_hb = measure is Measure.HEARTBEATS
-        verdict = verifier.verify(text, want_heartbeats=want_hb)
-        if not verdict.ok:
-            return verdict, None
-        if measure is Measure.TOKEN_LENGTH:
-            return verdict, lexer.proof_length(text)
-        return verdict, verdict.heartbeats
+        verdict, score = _check(text, verifier, measure)
+        return verdict, score if verdict.ok else None
 
     if not candidates:
         return []
@@ -147,8 +183,8 @@ def shorten_iteration(
     candidate scores strictly below it."""
     if temperature is None:
         temperature = simplifier.cfg.temperature
-    score_before = score_source(record.full_source, measure, verifier)
-    if score_before is None or not verifier.verify(record.full_source).ok:
+    verdict, score_before = _check(record.full_source, verifier, measure)
+    if score_before is None or not verdict.ok:
         itrec = IterationRecord(
             index=index,
             k_requested=k,
@@ -220,21 +256,26 @@ def _repair_stage(
     stage = RepairStage()
     best = record
     best_score = current_score
-    failed = [c for c in itrec.candidates if c.status != VerdictStatus.VALID.value]
-    for cand in failed[:budget]:
-        verdict = verifier.verify(cand.text)
-        report = format_error_report(cand.text, verdict.diagnostics) or "proof failed to verify"
+    # A text sampled more than once is repaired once, in first-seen order.
+    failed = list(
+        dict.fromkeys(c.text for c in itrec.candidates if c.status != VerdictStatus.VALID.value)
+    )
+    for text in failed[:budget]:
+        # the candidate's own check, asked for again to get its diagnostics
+        verdict, _ = _check(text, verifier, measure)
+        report = format_error_report(text, verdict.diagnostics) or "proof failed to verify"
         report, truncated = truncate_error_report(report, REPAIR_REPORT_LIMIT)
         stage.truncated_reports += int(truncated)
         try:
-            failed_record = ProofRecord.from_source(cand.text, id=record.id)
+            failed_record = ProofRecord.from_source(text, id=record.id)
             statement, failed_proof = failed_record.statement, failed_record.proof
         except ValueError:
-            statement, failed_proof = record.statement, cand.text
+            statement, failed_proof = record.statement, text
         fixes = repairer.repair(statement, failed_proof, report)
         for fix in fixes:
             stage.attempted += 1
-            fix_verdict = verifier.verify(fix)
+            # with the lint option on, this is also the first lint round's check
+            fix_verdict = verifier.verify(fix, lint=True)
             entry = {"status": fix_verdict.status.value, "score": None, "linted_score": None}
             if fix_verdict.ok:
                 stage.valid += 1
@@ -268,10 +309,12 @@ def shorten_loop(
     ``schedule`` is a list of (k, temperature) pairs. ``on_iteration`` is
     called with each finished IterationRecord, which is how partial traces
     get persisted. ``resume_from`` replays already-finished iterations
-    instead of recomputing them.
+    instead of recomputing them. Every check goes through one VerdictMemo
+    for this proof.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
+    verifier = VerdictMemo(verifier)
     trace = ShorteningTrace(proof_id=record.id, measure=measure.value)
     current = record
     done = 0

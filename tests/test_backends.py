@@ -1,5 +1,6 @@
 import os
 import stat
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,6 +24,8 @@ from proofopt.backends import (
     truncate_error_report,
 )
 from proofopt.errors import BackendUnavailable, ConfigError
+from proofopt.linter import lint_fixpoint
+from proofopt.records import ProofRecord
 
 from conftest import mock_cfg
 
@@ -202,6 +205,56 @@ def test_subprocess_verifier_heartbeats_and_lint_wrappers(tmp_path):
     verdict = verifier.verify("t := by rfl", want_heartbeats=True)
     assert verdict.heartbeats == 4200
     assert verifier.verify("t := by rfl").heartbeats is None
+
+
+# Flags `skip` lines under the lint option at their line in the checked file,
+# the way Lean does, and reports heartbeats under #count_heartbeats.
+_LINE_CHECKER = """\
+if grep -q unusedTactic "$1"; then
+  grep -n '^  skip$' "$1" | while IFS=: read -r n rest; do
+    echo "$1:$n:2: warning: 'skip' tactic does nothing"
+  done
+  echo "$1:1:0: info: linter enabled"
+fi
+if grep -q count_heartbeats "$1"; then
+  echo "$1:2:0: info: Used 4711 heartbeats, which is less than the current maximum of 200000"
+fi
+exit 0
+"""
+
+
+def _line_checker_verifier(tmp_path) -> SubprocessVerifier:
+    command = _fake_checker(tmp_path, _LINE_CHECKER)
+    return SubprocessVerifier(
+        BackendConfig(kind="subprocess_verifier", command_template=f"{command} {{file}}")
+    )
+
+
+def test_subprocess_verifier_reports_source_lines(tmp_path):
+    verifier = _line_checker_verifier(tmp_path)
+    source = "theorem t : 1 = 1 := by\n  skip\n  rfl"
+    for want_heartbeats in (False, True):
+        verdict = verifier.verify(source, want_heartbeats=want_heartbeats, lint=True)
+        lines = {d.message: d.line for d in verdict.diagnostics}
+        assert lines["'skip' tactic does nothing"] == 2
+        # a position inside the prepended directives is reported as line 1
+        assert lines["linter enabled"] == 1
+
+
+def test_subprocess_verifier_heartbeats_ignore_digits_in_path(tmp_path, monkeypatch):
+    digit_dir = tmp_path / "run7"
+    digit_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(digit_dir))
+    verifier = _line_checker_verifier(tmp_path)
+    assert verifier.verify("t := by rfl", want_heartbeats=True).heartbeats == 4711
+    assert SubprocessVerifier._parse_heartbeats("used 12 HEARTBEATS") == 12
+    assert SubprocessVerifier._parse_heartbeats("/tmp/x9.lean:1:0: info: done") is None
+
+
+def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):
+    verifier = _line_checker_verifier(tmp_path)
+    start = ProofRecord(id="t", statement="theorem t : 1 = 1", proof="  skip\n  rfl")
+    assert lint_fixpoint(start, verifier).proof == "  rfl"
 
 
 class _Response:

@@ -79,6 +79,18 @@ def test_fixpoint_reverts_breaking_round():
     assert verifier.verify(linted.full_source).ok
 
 
+def test_fixpoint_one_check_per_round():
+    # first check flags `skip`; the edit's check finds nothing left to remove
+    verifier = make_verifier()
+    linted = lint_fixpoint(record("  skip\n  rfl"), verifier)
+    assert linted.proof == "  rfl"
+    assert verifier.calls == 2
+    # a breaking round is rolled back after its single check
+    verifier = make_verifier(noop_tactics=["rfl"], require_token="rfl")
+    lint_fixpoint(record("  rfl"), verifier)
+    assert verifier.calls == 2
+
+
 def test_fixpoint_round_bound():
     verifier = make_verifier()
     calls_before = verifier.calls

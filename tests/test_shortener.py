@@ -1,11 +1,16 @@
+import hashlib
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from proofopt.backends import MockRepairer, MockSimplifier, MockVerifier, VerdictStatus
+from proofopt.backends import MockRepairer, MockSimplifier, MockVerifier, Verdict, VerdictStatus
 from proofopt.errors import ParseFailure
 from proofopt.records import Measure, ProofRecord
 from proofopt.shortener import (
+    VerdictMemo,
     decompose,
     iteration_from_json,
     score_source,
@@ -81,6 +86,17 @@ def test_duplicate_candidates_verified_once():
     assert itrec.k_requested == 16
 
 
+def test_heartbeats_incumbent_scored_and_checked_once():
+    verifier = MockVerifier(mock_cfg(heartbeats_per_token=10))
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
+    start = record("  norm_num\n  ring")
+    _, itrec = shorten_iteration(start, 3, simplifier, verifier, Measure.HEARTBEATS)
+    # one heartbeats check of the incumbent, one of the single unique candidate
+    assert verifier.calls == 2
+    assert itrec.score_before == 20
+    assert itrec.score_after == 10
+
+
 def test_loop_monotone_and_resumable():
     schedule = [(4, 1.0), (4, 1.0), (2, 0.5)]
     verifier = MockVerifier(mock_cfg())
@@ -144,6 +160,30 @@ def test_repair_stage_adopts_shorter():
     assert trace.final_source.endswith("rfl")
     assert trace.iterations[0].score_after == 1
     assert verifier.verify(trace.final_source).ok
+
+
+def test_repair_stage_repairs_each_failed_text_once():
+    repaired = []
+
+    class SpyRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report, n, temperature):
+            repaired.append(failed_proof)
+            return super()._repair(statement, failed_proof, error_report, n, temperature)
+
+    verifier = MockVerifier(mock_cfg(fail_token="zeta"))
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
+    repairer = SpyRepairer(mock_cfg(mode="longer", padding=1))
+    trace = shorten_loop(
+        record("  norm_num\n  ring"),
+        [(4, 1.0)],
+        simplifier,
+        verifier,
+        repairer=repairer,
+        repair_budget=4,
+    )
+    assert len(trace.iterations[0].candidates) == 4
+    assert repaired == ["  zeta"]
+    assert trace.iterations[0].repair.attempted == 1
 
 
 def test_repair_not_triggered_when_any_candidate_valid():
@@ -214,3 +254,134 @@ def test_shorten_file_passes_dependency_context():
     assert "lemma helper" in contexts["main"]
     assert ":= by sorry" in contexts["main"]
     assert "rfl" not in contexts["main"]  # statements only, never proofs
+
+
+# --- verdict memo -------------------------------------------------------------
+
+MEMO_PROOF = "\n".join(
+    "  " + tactic
+    for tactic in [
+        "skip",
+        "norm_num",
+        "ring",
+        "simp <;> skip",
+        "linarith",
+        "key",
+        "nlinarith",
+        "skip",
+        "positivity",
+        "omega",
+        "exact h",
+        "skip",
+    ]
+)
+
+
+def _memo_scenario(mode, seed, measure):
+    """A seeded loop that repairs, lints and rescores along the way."""
+    verifier = MockVerifier(mock_cfg(require_token="key", noop_tactics=["skip"]))
+    simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=seed, drop_probability=0.6))
+    repairer = MockRepairer(mock_cfg(mode=mode, proof_body="key\n  skip\n  ring", padding=2))
+    start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
+    trace = shorten_loop(
+        start,
+        [(4, 1.0), (4, 0.8), (4, 0.5)],
+        simplifier,
+        verifier,
+        measure,
+        repairer=repairer,
+        repair_budget=3,
+    )
+    return trace, verifier
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_memo_checks_each_key_once(monkeypatch, measure):
+    keys = []
+    original = VerdictMemo.verify
+
+    def recording(self, source, want_heartbeats=False, lint=False):
+        keys.append((source, want_heartbeats, lint))
+        return original(self, source, want_heartbeats, lint)
+
+    monkeypatch.setattr(VerdictMemo, "verify", recording)
+    trace, verifier = _memo_scenario("shorter", 12, measure)
+    assert any(it.repair is not None and it.repair.adopted is not None for it in trace.iterations)
+    assert verifier.calls == len(set(keys))
+    assert len(keys) > len(set(keys))  # repeats were asked for and answered
+
+
+def test_memo_asks_again_after_timeout():
+    class FlakyVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats, lint):
+            if self.calls == 0:
+                self.calls += 1
+                return Verdict(VerdictStatus.TIMEOUT)
+            return super()._verify(source, want_heartbeats, lint)
+
+    verifier = FlakyVerifier(mock_cfg())
+    memo = VerdictMemo(verifier)
+    assert memo.cfg is verifier.cfg
+    assert memo.verify("t := by rfl").status is VerdictStatus.TIMEOUT
+    assert memo.verify("t := by rfl").ok
+    assert memo.verify("t := by rfl").ok
+    assert verifier.calls == 2
+    # the flags are part of the key
+    memo.verify("t := by rfl", lint=True)
+    memo.verify("t := by rfl", want_heartbeats=True)
+    assert verifier.calls == 4
+
+
+def test_memo_keeps_every_verdict_under_concurrent_use():
+    class CountingVerifier(MockVerifier):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.keys = []
+            self._keys_lock = threading.Lock()
+
+        def _verify(self, source, want_heartbeats, lint):
+            with self._keys_lock:
+                self.keys.append((source, want_heartbeats, lint))
+            return super()._verify(source, want_heartbeats, lint)
+
+    verifier = CountingVerifier(mock_cfg(max_parallel=8))
+    memo = VerdictMemo(verifier)
+    texts = [f"t := by\n  tac{i}" + ("\n  FAIL" if i % 3 == 0 else "") for i in range(60)]
+    requests = [(text, bool(r % 2)) for text in texts for r in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            verdicts = list(
+                pool.map(
+                    lambda req: memo.verify(req[0], want_heartbeats=req[1]), requests, timeout=30
+                )
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert [v.ok for v in verdicts] == ["FAIL" not in text for text, _ in requests]
+    first_pass = len(verifier.keys)
+    assert len(set(verifier.keys)) == 2 * len(texts)
+    for text, want_heartbeats in requests:
+        memo.verify(text, want_heartbeats=want_heartbeats)
+    assert len(verifier.keys) == first_pass  # every verdict was kept
+
+
+# sha256 of json.dumps(trace.to_json()) for each _memo_scenario, recorded
+# before checks were remembered. None of these loops samples a failed text
+# twice, so deduplication before repair leaves them alone too.
+MOCK_TRACE_DIGESTS = {
+    ("shorter", 12, "length"): "0e9da659942e23db351dae9209e53f07c283bf9d41ffc605cffc31af30a64514",
+    ("shorter", 12, "heartbeats"): "082b97a78a7b9a323730d5e0edb9bac7a588cf88c36a477ff4e75d1a060af1d9",
+    ("longer", 32, "length"): "a83047f643e7718202b89e04a9f2e3f455dd95be506e5882b43800f09e23e8f1",
+    ("longer", 32, "heartbeats"): "c2339f2bc4779d7dac363935db8e3dd1669e2ab084a8f4a6487939558cfcb9e0",
+    ("delete_flagged", 12, "length"): "a11ca66a5863135ea6c46f3ff202c80fd09fce4e7387c79f199542127167f7ac",
+    ("delete_flagged", 12, "heartbeats"): "d1af02721f145e1bff5c38ca2f6b38d1b384258fcc57b58e25f4ec44c35a1662",
+}
+
+
+@pytest.mark.parametrize("mode,seed,measure", list(MOCK_TRACE_DIGESTS))
+def test_memo_leaves_mock_traces_unchanged(mode, seed, measure):
+    trace, _ = _memo_scenario(mode, seed, Measure(measure))
+    blob = json.dumps(trace.to_json()).encode()
+    assert hashlib.sha256(blob).hexdigest() == MOCK_TRACE_DIGESTS[(mode, seed, measure)]
