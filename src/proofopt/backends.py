@@ -91,40 +91,26 @@ class BackendConfig:
         return cls(**obj)
 
 
-# Registered diagnostic line formats for subprocess checkers. Each regex
-# needs named groups line, column, severity, message.
-DIAGNOSTIC_FORMATS: list[re.Pattern] = []
-
-
-def register_diagnostic_format(pattern: str) -> None:
-    DIAGNOSTIC_FORMATS.append(re.compile(pattern))
-
-
-register_diagnostic_format(
+# A checker diagnostic line: file:line:column: severity: message.
+_DIAGNOSTIC = re.compile(
     r"^[^:\n]*:(?P<line>\d+):(?P<column>\d+): (?P<severity>error|warning|info): (?P<message>.*)$"
 )
-
 LINT_DIRECTIVE = "set_option linter.unusedTactic true in\n"
 HEARTBEAT_DIRECTIVE = "set_option Elab.async false in\n#count_heartbeats in\n"
 _HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
 
 
 def parse_diagnostics(output: str) -> tuple[Diagnostic, ...]:
-    found = []
-    for line in output.splitlines():
-        for pattern in DIAGNOSTIC_FORMATS:
-            m = pattern.match(line)
-            if m:
-                found.append(
-                    Diagnostic(
-                        severity=m.group("severity"),
-                        line=int(m.group("line")),
-                        column=int(m.group("column")),
-                        message=m.group("message"),
-                    )
-                )
-                break
-    return tuple(found)
+    return tuple(
+        Diagnostic(
+            severity=m.group("severity"),
+            line=int(m.group("line")),
+            column=int(m.group("column")),
+            message=m.group("message"),
+        )
+        for m in map(_DIAGNOSTIC.match, output.splitlines())
+        if m
+    )
 
 
 _FENCE = re.compile(r"```lean4?\n(.*?)```", re.DOTALL)
@@ -194,11 +180,13 @@ class Verifier:
         self.cfg = cfg
         self.admission = _Admission(cfg.max_parallel)
 
-    def verify(self, source: str, want_heartbeats: bool = False, lint: bool = False) -> Verdict:
+    def verify(self, source: str, want_heartbeats: bool = False) -> Verdict:
+        """Check a source with the unused-tactic linter on. The lint option
+        only adds warnings, so it never changes a verdict's status."""
         with self.admission:
-            return self._verify(source, want_heartbeats, lint)
+            return self._verify(source, want_heartbeats)
 
-    def _verify(self, source, want_heartbeats, lint) -> Verdict:
+    def _verify(self, source, want_heartbeats) -> Verdict:
         raise NotImplementedError
 
 
@@ -206,16 +194,15 @@ class SubprocessVerifier(Verifier):
     """Runs a checker command on a temp file holding the source.
 
     The command template takes {file} and {timeout} placeholders. A proof is
-    valid iff the process exits zero and emits no error diagnostics.
-    Diagnostics come back at lines of the source: the checker reports lines
-    of the file, so the lines of any prepended directive are subtracted, and
-    a line inside the directives is reported as line 1.
+    valid iff the process exits zero and emits no error diagnostics. The
+    lint directive is always prepended, the heartbeat directive when asked
+    for. Diagnostics come back at lines of the source: the checker reports
+    lines of the file, so the lines of the prepended directives are
+    subtracted, and a line inside the directives is reported as line 1.
     """
 
-    def _verify(self, source, want_heartbeats, lint):
-        text = source
-        if lint:
-            text = LINT_DIRECTIVE + text
+    def _verify(self, source, want_heartbeats):
+        text = LINT_DIRECTIVE + source
         if want_heartbeats:
             text = HEARTBEAT_DIRECTIVE + text
         offset = text.count("\n", 0, len(text) - len(source))
@@ -276,7 +263,7 @@ class MockVerifier(Verifier):
     Rules, all configurable through BackendConfig.options:
       fail_token      proof is invalid iff this token occurs (default FAIL)
       require_token   when set, proof must also contain this token to be valid
-      noop_tactics    tokens reported as do-nothing tactics under lint
+      noop_tactics    tokens reported as do-nothing tactics (default none)
       heartbeats_per_token  heartbeat count is tokens * this factor
       timeout_token   presence forces a timeout verdict
     """
@@ -291,7 +278,7 @@ class MockVerifier(Verifier):
         self.timeout_token = opts.get("timeout_token")
         self.calls = 0
 
-    def _verify(self, source, want_heartbeats, lint):
+    def _verify(self, source, want_heartbeats):
         self.calls += 1
         try:
             body = lexer.strip_comments(lexer.strip_statement(source))
@@ -313,8 +300,7 @@ class MockVerifier(Verifier):
         if self.require_token and self.require_token not in flat:
             status = VerdictStatus.INVALID
             diagnostics.append(Diagnostic("error", 1, 0, f"missing '{self.require_token}'"))
-        if lint:
-            diagnostics.extend(self._lint_diagnostics(source))
+        diagnostics.extend(self._lint_diagnostics(source))
         heartbeats = None
         if want_heartbeats:
             heartbeats = len(flat) * self.heartbeats_per_token

@@ -25,7 +25,8 @@ from .errors import (
     NotValidInput,
     ZeroOriginal,
 )
-from .estimators import SampleSet, dataset_aggregate, effective_scores, min_at_k, red_at_k
+# min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
+from .estimators import SampleSet, min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
 from .records import Measure, ProofRecord, read_jsonl, write_jsonl
 from .shortener import ShorteningTrace, iteration_from_json, shorten_loop
@@ -143,14 +144,22 @@ def _trace_path(workdir: Path, proof_id: str) -> Path:
 
 
 def _load_partial(path: Path, limit: int):
+    """Iterations already persisted at path. The file is cut back to its last
+    complete record, so that the next record appended starts a line."""
     if not path.exists():
         return None
     done = []
-    for line in path.read_text().splitlines():
-        try:
-            done.append(iteration_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError):
-            break  # interrupted mid-write; redo from here
+    complete = 0
+    with path.open("r+b") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break  # interrupted mid-write; redo from here
+            try:
+                done.append(iteration_from_json(json.loads(line)))
+            except (ValueError, KeyError):
+                break
+            complete += len(line)
+        handle.truncate(complete)
     return done[:limit] or None
 
 
@@ -266,18 +275,11 @@ def estimate(input, ks, output):
         _fail(EXIT_INPUT, str(exc))
     if not rows:
         _fail(EXIT_CONFIG, "empty input")
-    sets = _sample_sets(rows)
-    out = []
-    for k in sorted(ks):
-        try:
-            per_proof = [
-                (min_at_k(effective_scores(s), k), red_at_k(s, k)) for s in sets
-            ]
-            mean_min, mean_red = dataset_aggregate(per_proof)
-        except (InvalidK, ZeroOriginal) as exc:
-            _fail(EXIT_INPUT, str(exc))
-        out.append({"k": k, "min_at_k": mean_min, "red_at_k": mean_red})
-    write_jsonl(output, out)
+    try:
+        table = reports.atk_table(_sample_sets(rows), sorted(ks))
+    except (InvalidK, ZeroOriginal) as exc:
+        _fail(EXIT_INPUT, str(exc))
+    write_jsonl(output, table)
 
 
 @main.group()

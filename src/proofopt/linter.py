@@ -45,12 +45,12 @@ def lint_once(
 ) -> tuple[ProofRecord, int]:
     """One lint round: collect do-nothing diagnostics and delete each span.
 
-    ``verdict`` is the record's check with the lint option on, when the
-    caller has already made it; otherwise the round makes that check. The
-    edited proof is not guaranteed valid; the fixpoint loop re-verifies.
+    ``verdict`` is the record's check, when the caller has already made it;
+    otherwise the round makes that check. The edited proof is not guaranteed
+    valid; the fixpoint loop re-verifies.
     """
     if verdict is None:
-        verdict = verifier.verify(record.full_source, lint=True)
+        verdict = verifier.verify(record.full_source)
     if not verdict.ok:
         raise NotValidInput(f"proof {record.id!r} does not verify before linting")
     spans = []
@@ -76,10 +76,10 @@ def lint_once(
 def lint_fixpoint(record: ProofRecord, verifier: Verifier, max_rounds: int = 10) -> ProofRecord:
     """Repeat lint rounds until nothing is removed or the bound is hit.
 
-    Each round makes one check, with the lint option on: the check of a
-    round's edit decides whether the edit is kept, and its diagnostics drive
-    the next round. If a round's edits break the proof, that whole round is
-    reverted and the loop stops, so the result always verifies.
+    Each round makes one check: the check of a round's edit decides whether
+    the edit is kept, and its diagnostics drive the next round. If a round's
+    edits break the proof, that whole round is reverted and the loop stops,
+    so the result always verifies.
     """
     current = record
     verdict = None
@@ -87,7 +87,7 @@ def lint_fixpoint(record: ProofRecord, verifier: Verifier, max_rounds: int = 10)
         edited, removed = lint_once(current, verifier, verdict)
         if removed == 0:
             break
-        verdict = verifier.verify(edited.full_source, lint=True)
+        verdict = verifier.verify(edited.full_source)
         if not verdict.ok:
             break
         current = edited

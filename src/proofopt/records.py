@@ -3,25 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
 class Measure(str, Enum):
-    """Complexity measure attached to a score."""
+    """Complexity measure a proof is scored by."""
 
     TOKEN_LENGTH = "length"
     HEARTBEATS = "heartbeats"
-
-
-@dataclass(frozen=True)
-class ComplexityScore:
-    measure: Measure
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("complexity score must be nonnegative")
 
 
 PROOF_DELIMITER = ":= by"
@@ -39,7 +29,6 @@ class ProofRecord:
     statement: str
     proof: str
     source_tag: str = ""
-    score: ComplexityScore | None = None
 
     @property
     def full_source(self) -> str:

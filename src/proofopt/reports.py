@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backends import VerdictStatus
 from .errors import EmptyDataset, InvalidK
 from .estimators import SampleSet, dataset_aggregate, effective_scores, min_at_k, red_at_k
 from .shortener import ShorteningTrace
@@ -116,7 +117,9 @@ def repair_accounting(traces: list[ShorteningTrace]) -> dict:
     for trace in traces:
         for itrec in trace.iterations:
             row["simplify_attempted"] += itrec.k_requested
-            row["simplify_valid"] += sum(1 for c in itrec.candidates if c.status == "valid")
+            row["simplify_valid"] += sum(
+                1 for c in itrec.candidates if c.status is VerdictStatus.VALID
+            )
             stage = itrec.repair
             if stage is None:
                 continue
@@ -124,7 +127,9 @@ def repair_accounting(traces: list[ShorteningTrace]) -> dict:
             row["repair_valid"] += stage.valid
             best = itrec.score_before
             valid_scores = [
-                c.score for c in itrec.candidates if c.status == "valid" and c.score is not None
+                c.score
+                for c in itrec.candidates
+                if c.status is VerdictStatus.VALID and c.score is not None
             ]
             if valid_scores:
                 best = min(best, min(valid_scores))

@@ -6,7 +6,7 @@ kick in after an iteration where nothing verified; repaired proofs are
 linted and adopted only if strictly shorter, since repairs tend to come
 back longer than what they replace. Within one proof's loop every check goes
 through a VerdictMemo, so a text with a valid or invalid verdict is not sent
-to the checker again with the same flags.
+to the checker again.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ REPAIR_REPORT_LIMIT = 6000
 @dataclass
 class CandidateResult:
     text: str
-    status: str
+    status: VerdictStatus
     score: int | None = None
 
 
@@ -100,7 +100,10 @@ def iteration_from_json(obj: dict) -> IterationRecord:
         index=obj["index"],
         k_requested=obj["k_requested"],
         temperature=obj["temperature"],
-        candidates=[CandidateResult(**c) for c in obj["candidates"]],
+        candidates=[
+            CandidateResult(c["text"], VerdictStatus(c["status"]), c.get("score"))
+            for c in obj["candidates"]
+        ],
         adopted=obj.get("adopted"),
         score_before=obj["score_before"],
         score_after=obj["score_after"],
@@ -113,51 +116,48 @@ def iteration_from_json(obj: dict) -> IterationRecord:
 class VerdictMemo:
     """Remembers the conclusive verdicts of the checks made for one proof.
 
-    It stands in front of a Verifier with the same ``verify`` signature and
-    keys on (source, want_heartbeats, lint). Only VALID and INVALID verdicts
-    are kept, so a timeout or crash is checked again when next asked for. A
-    hit neither calls the verifier nor takes one of its admission slots.
-    Every proof has its own statement, so checks never repeat across proofs
-    and one memo per proof needs no size limit.
+    It stands in front of a Verifier, asks for heartbeats on every check or
+    on none, as the measure needs, and keys on the source alone. Only VALID
+    and INVALID verdicts are kept, so a timeout or crash is checked again
+    when next asked for. A hit neither calls the verifier nor takes one of
+    its admission slots. Every proof has its own statement, so checks never
+    repeat across proofs and one memo per proof needs no size limit.
     """
 
-    def __init__(self, verifier: Verifier):
+    def __init__(self, verifier: Verifier, measure: Measure = Measure.TOKEN_LENGTH):
         self.verifier = verifier
         self.cfg = verifier.cfg
+        self.want_heartbeats = measure is Measure.HEARTBEATS
         self._lock = threading.Lock()
-        self._verdicts: dict[tuple[str, bool, bool], Verdict] = {}
+        self._verdicts: dict[str, Verdict] = {}
 
-    def verify(self, source: str, want_heartbeats: bool = False, lint: bool = False) -> Verdict:
-        key = (source, want_heartbeats, lint)
+    def verify(self, source: str) -> Verdict:
         with self._lock:
-            verdict = self._verdicts.get(key)
+            verdict = self._verdicts.get(source)
         if verdict is None:
-            verdict = self.verifier.verify(source, want_heartbeats, lint)
+            verdict = self.verifier.verify(source, self.want_heartbeats)
             if verdict.status in (VerdictStatus.VALID, VerdictStatus.INVALID):
                 with self._lock:
-                    self._verdicts[key] = verdict
+                    self._verdicts[source] = verdict
         return verdict
 
 
-def score_source(source: str, measure: Measure, verifier: Verifier) -> int | None:
-    """Complexity of a statement-plus-proof under the chosen measure."""
-    if measure is Measure.TOKEN_LENGTH:
-        return lexer.proof_length(source)
-    verdict = verifier.verify(source, want_heartbeats=True)
-    return verdict.heartbeats
+def _memo(verifier: Verifier | VerdictMemo, measure: Measure) -> VerdictMemo:
+    if isinstance(verifier, VerdictMemo):
+        return verifier
+    return VerdictMemo(verifier, measure)
 
 
-def _check(text: str, verifier: Verifier, measure: Measure) -> tuple[Verdict, int | None]:
-    """Verdict and score of a text from a single check; heartbeats are asked
-    for only when they are the measure."""
-    verdict = verifier.verify(text, want_heartbeats=measure is Measure.HEARTBEATS)
+def _check(text: str, memo: VerdictMemo, measure: Measure) -> tuple[Verdict, int | None]:
+    """Verdict and score of a statement-plus-proof under the measure."""
+    verdict = memo.verify(text)
     if measure is Measure.TOKEN_LENGTH:
         return verdict, lexer.proof_length(text)
     return verdict, verdict.heartbeats
 
 
 def _verify_candidates(
-    candidates: list[str], verifier: Verifier, measure: Measure
+    candidates: list[str], verifier: VerdictMemo, measure: Measure
 ) -> list[tuple[Verdict, int | None]]:
     def check(text: str) -> tuple[Verdict, int | None]:
         verdict, score = _check(text, verifier, measure)
@@ -183,6 +183,7 @@ def shorten_iteration(
     candidate scores strictly below it."""
     if temperature is None:
         temperature = simplifier.cfg.temperature
+    verifier = _memo(verifier, measure)
     verdict, score_before = _check(record.full_source, verifier, measure)
     if score_before is None or not verdict.ok:
         itrec = IterationRecord(
@@ -212,12 +213,12 @@ def shorten_iteration(
     results = []
     for text in raw:
         verdict, score = checked[seen[text]]
-        results.append(CandidateResult(text=text, status=verdict.status.value, score=score))
+        results.append(CandidateResult(text=text, status=verdict.status, score=score))
 
     adopted = None
     best_score = score_before
     for i, cand in enumerate(results):
-        if cand.status == VerdictStatus.VALID.value and cand.score is not None:
+        if cand.status is VerdictStatus.VALID and cand.score is not None:
             if cand.score < best_score:
                 best_score = cand.score
                 adopted = i
@@ -249,16 +250,18 @@ def _repair_stage(
     current_score: int,
     itrec: IterationRecord,
     repairer: Repairer,
-    verifier: Verifier,
+    verifier: VerdictMemo,
     measure: Measure,
     budget: int,
-) -> tuple[ProofRecord, RepairStage]:
+) -> tuple[ProofRecord, int, RepairStage]:
+    """Repair the iteration's failed candidates. Returns the record to carry
+    on with, its score and the stage's record."""
     stage = RepairStage()
     best = record
     best_score = current_score
     # A text sampled more than once is repaired once, in first-seen order.
     failed = list(
-        dict.fromkeys(c.text for c in itrec.candidates if c.status != VerdictStatus.VALID.value)
+        dict.fromkeys(c.text for c in itrec.candidates if c.status is not VerdictStatus.VALID)
     )
     for text in failed[:budget]:
         # the candidate's own check, asked for again to get its diagnostics
@@ -274,22 +277,21 @@ def _repair_stage(
         fixes = repairer.repair(statement, failed_proof, report)
         for fix in fixes:
             stage.attempted += 1
-            # with the lint option on, this is also the first lint round's check
-            fix_verdict = verifier.verify(fix, lint=True)
+            # this check is also the first lint round's
+            fix_verdict, raw_score = _check(fix, verifier, measure)
             entry = {"status": fix_verdict.status.value, "score": None, "linted_score": None}
             if fix_verdict.ok:
                 stage.valid += 1
-                raw_score = score_source(fix, measure, verifier)
                 entry["score"] = raw_score
                 linted = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
-                linted_score = score_source(linted.full_source, measure, verifier)
+                _, linted_score = _check(linted.full_source, verifier, measure)
                 entry["linted_score"] = linted_score
                 if linted_score is not None and linted_score < best_score:
                     best = linted
                     best_score = linted_score
                     stage.adopted = stage.attempted - 1
             stage.candidates.append(entry)
-    return best, stage
+    return best, best_score, stage
 
 
 def shorten_loop(
@@ -314,7 +316,7 @@ def shorten_loop(
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
-    verifier = VerdictMemo(verifier)
+    verifier = _memo(verifier, measure)
     trace = ShorteningTrace(proof_id=record.id, measure=measure.value)
     current = record
     done = 0
@@ -339,18 +341,13 @@ def shorten_loop(
             context=context,
         )
         no_valid = itrec.candidates and all(
-            c.status != VerdictStatus.VALID.value for c in itrec.candidates
+            c.status is not VerdictStatus.VALID for c in itrec.candidates
         )
         if repairer is not None and no_valid:
-            current, stage = _repair_stage(
+            current, itrec.score_after, itrec.repair = _repair_stage(
                 current, itrec.score_after, itrec, repairer, verifier, measure, repair_budget
             )
-            itrec.repair = stage
-            if stage.adopted is not None:
-                new_score = score_source(current.full_source, measure, verifier)
-                if new_score is not None:
-                    itrec.score_after = new_score
-                itrec.source_after = current.full_source
+            itrec.source_after = current.full_source
         trace.iterations.append(itrec)
         if on_iteration is not None:
             on_iteration(itrec)

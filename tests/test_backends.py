@@ -104,7 +104,7 @@ def test_mock_verifier_require_token():
 
 def test_mock_verifier_lint_and_heartbeats():
     verifier = MockVerifier(mock_cfg(noop_tactics=["skip"], heartbeats_per_token=10))
-    verdict = verifier.verify("t := by\n  skip\n  rfl", want_heartbeats=True, lint=True)
+    verdict = verifier.verify("t := by\n  skip\n  rfl", want_heartbeats=True)
     assert verdict.ok
     assert verdict.heartbeats == 20  # two proof-body tokens, statement not counted
     noops = [d for d in verdict.diagnostics if "does nothing" in d.message]
@@ -234,7 +234,7 @@ def test_subprocess_verifier_reports_source_lines(tmp_path):
     verifier = _line_checker_verifier(tmp_path)
     source = "theorem t : 1 = 1 := by\n  skip\n  rfl"
     for want_heartbeats in (False, True):
-        verdict = verifier.verify(source, want_heartbeats=want_heartbeats, lint=True)
+        verdict = verifier.verify(source, want_heartbeats=want_heartbeats)
         lines = {d.message: d.line for d in verdict.diagnostics}
         assert lines["'skip' tactic does nothing"] == 2
         # a position inside the prepended directives is reported as line 1
@@ -349,9 +349,9 @@ def test_admission_limits_concurrency():
 
     original = verifier._verify
 
-    def slow_verify(source, want_heartbeats, lint):
+    def slow_verify(source, want_heartbeats):
         barrier.wait()
-        return original(source, want_heartbeats, lint)
+        return original(source, want_heartbeats)
 
     verifier._verify = slow_verify
     with ThreadPoolExecutor(max_workers=12) as pool:

@@ -149,6 +149,29 @@ def test_shorten_resume_after_interrupt(runner, tmp_path):
     assert trace_file.read_text().splitlines() == lines
 
 
+def test_shorten_resume_after_torn_write(runner, tmp_path):
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    workdir = tmp_path / "wd"
+    args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0
+    trace_file = workdir / "traces" / "p1.jsonl"
+    uninterrupted = trace_file.read_bytes()
+
+    # a kill partway through writing p1's second record leaves half a line
+    first, second = uninterrupted.splitlines(keepends=True)
+    trace_file.write_bytes(first + second[: len(second) // 2])
+
+    resumed = runner.invoke(main, args)
+    assert resumed.exit_code == 0
+    assert resumed.output == full.output
+    assert trace_file.read_bytes() == uninterrupted
+    # a further resume finds every record complete and leaves the file alone
+    assert runner.invoke(main, args).output == full.output
+    assert trace_file.read_bytes() == uninterrupted
+
+
 def test_shorten_empty_input_is_config_error(runner, tmp_path):
     config = write_config(tmp_path)
     empty = write_jsonl_file(tmp_path, "empty.jsonl", [])

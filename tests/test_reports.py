@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from proofopt.backends import VerdictStatus
 from proofopt.errors import EmptyDataset, InvalidK
 from proofopt.estimators import SampleSet, effective_scores, min_at_k
 from proofopt.reports import (
@@ -92,10 +93,10 @@ def _trace_with_repair():
         k_requested=4,
         temperature=1.0,
         candidates=[
-            CandidateResult(text="a", status="valid", score=9),
-            CandidateResult(text="b", status="invalid"),
-            CandidateResult(text="c", status="invalid"),
-            CandidateResult(text="d", status="timeout"),
+            CandidateResult(text="a", status=VerdictStatus.VALID, score=9),
+            CandidateResult(text="b", status=VerdictStatus.INVALID),
+            CandidateResult(text="c", status=VerdictStatus.INVALID),
+            CandidateResult(text="d", status=VerdictStatus.TIMEOUT),
         ],
         adopted=0,
         score_before=12,

@@ -11,9 +11,9 @@ from proofopt.errors import ParseFailure
 from proofopt.records import Measure, ProofRecord
 from proofopt.shortener import (
     VerdictMemo,
+    _check,
     decompose,
     iteration_from_json,
-    score_source,
     shorten_file,
     shorten_iteration,
     shorten_loop,
@@ -26,11 +26,15 @@ def record(proof: str, id: str = "t") -> ProofRecord:
     return ProofRecord(id=id, statement="theorem t : 1 = 1", proof=proof)
 
 
-def test_score_source_by_measure():
-    verifier = MockVerifier(mock_cfg(heartbeats_per_token=5))
+def test_memo_scores_by_measure():
+    verifier = MockVerifier(mock_cfg(heartbeats_per_token=5, noop_tactics=["simp"]))
     source = "t := by\n  rfl\n  simp"
-    assert score_source(source, Measure.TOKEN_LENGTH, verifier) == 2
-    assert score_source(source, Measure.HEARTBEATS, verifier) == 10
+    assert _check(source, VerdictMemo(verifier), Measure.TOKEN_LENGTH)[1] == 2
+    verdict, score = _check(source, VerdictMemo(verifier, Measure.HEARTBEATS), Measure.HEARTBEATS)
+    assert score == 10
+    # every check is linted, whatever the measure
+    assert [d.message for d in verdict.diagnostics] == ["'simp' tactic does nothing"]
+    assert verifier.calls == 2
 
 
 def test_iteration_adopts_strictly_shorter():
@@ -61,7 +65,7 @@ def test_iteration_ignores_invalid_candidates():
     after, itrec = shorten_iteration(start, 2, simplifier, verifier)
     assert itrec.adopted is None
     assert after.full_source == start.full_source
-    assert all(c.status == "invalid" for c in itrec.candidates)
+    assert all(c.status is VerdictStatus.INVALID for c in itrec.candidates)
 
 
 def test_iteration_skips_nonverifying_input():
@@ -297,27 +301,27 @@ def _memo_scenario(mode, seed, measure):
 
 @pytest.mark.parametrize("measure", list(Measure))
 def test_memo_checks_each_key_once(monkeypatch, measure):
-    keys = []
+    texts = []
     original = VerdictMemo.verify
 
-    def recording(self, source, want_heartbeats=False, lint=False):
-        keys.append((source, want_heartbeats, lint))
-        return original(self, source, want_heartbeats, lint)
+    def recording(self, source):
+        texts.append(source)
+        return original(self, source)
 
     monkeypatch.setattr(VerdictMemo, "verify", recording)
     trace, verifier = _memo_scenario("shorter", 12, measure)
     assert any(it.repair is not None and it.repair.adopted is not None for it in trace.iterations)
-    assert verifier.calls == len(set(keys))
-    assert len(keys) > len(set(keys))  # repeats were asked for and answered
+    assert verifier.calls == len(set(texts))
+    assert len(texts) > len(set(texts))  # repeats were asked for and answered
 
 
 def test_memo_asks_again_after_timeout():
     class FlakyVerifier(MockVerifier):
-        def _verify(self, source, want_heartbeats, lint):
+        def _verify(self, source, want_heartbeats):
             if self.calls == 0:
                 self.calls += 1
                 return Verdict(VerdictStatus.TIMEOUT)
-            return super()._verify(source, want_heartbeats, lint)
+            return super()._verify(source, want_heartbeats)
 
     verifier = FlakyVerifier(mock_cfg())
     memo = VerdictMemo(verifier)
@@ -326,10 +330,6 @@ def test_memo_asks_again_after_timeout():
     assert memo.verify("t := by rfl").ok
     assert memo.verify("t := by rfl").ok
     assert verifier.calls == 2
-    # the flags are part of the key
-    memo.verify("t := by rfl", lint=True)
-    memo.verify("t := by rfl", want_heartbeats=True)
-    assert verifier.calls == 4
 
 
 def test_memo_keeps_every_verdict_under_concurrent_use():
@@ -339,31 +339,27 @@ def test_memo_keeps_every_verdict_under_concurrent_use():
             self.keys = []
             self._keys_lock = threading.Lock()
 
-        def _verify(self, source, want_heartbeats, lint):
+        def _verify(self, source, want_heartbeats):
             with self._keys_lock:
-                self.keys.append((source, want_heartbeats, lint))
-            return super()._verify(source, want_heartbeats, lint)
+                self.keys.append(source)
+            return super()._verify(source, want_heartbeats)
 
     verifier = CountingVerifier(mock_cfg(max_parallel=8))
     memo = VerdictMemo(verifier)
     texts = [f"t := by\n  tac{i}" + ("\n  FAIL" if i % 3 == 0 else "") for i in range(60)]
-    requests = [(text, bool(r % 2)) for text in texts for r in range(6)]
+    requests = [text for text in texts for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=16) as pool:
-            verdicts = list(
-                pool.map(
-                    lambda req: memo.verify(req[0], want_heartbeats=req[1]), requests, timeout=30
-                )
-            )
+            verdicts = list(pool.map(memo.verify, requests, timeout=30))
     finally:
         sys.setswitchinterval(interval)
-    assert [v.ok for v in verdicts] == ["FAIL" not in text for text, _ in requests]
+    assert [v.ok for v in verdicts] == ["FAIL" not in text for text in requests]
     first_pass = len(verifier.keys)
-    assert len(set(verifier.keys)) == 2 * len(texts)
-    for text, want_heartbeats in requests:
-        memo.verify(text, want_heartbeats=want_heartbeats)
+    assert len(set(verifier.keys)) == len(texts)
+    for text in requests:
+        memo.verify(text)
     assert len(verifier.keys) == first_pass  # every verdict was kept
 
 

@@ -95,7 +95,7 @@ class StatementVerifier(Verifier):
         super().__init__(BackendConfig(kind="mock"))
         self.probes = []
 
-    def _verify(self, source, want_heartbeats, lint):
+    def _verify(self, source, want_heartbeats):
         self.probes.append(source)
         if "SLOW" in source:
             return Verdict(VerdictStatus.TIMEOUT)
