@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import requests
-
 from . import lexer, prompting
 from .errors import BackendUnavailable, ConfigError
 
@@ -266,6 +264,9 @@ class MockVerifier(Verifier):
       noop_tactics    tokens reported as do-nothing tactics (default none)
       heartbeats_per_token  heartbeat count is tokens * this factor
       timeout_token   presence forces a timeout verdict
+
+    ``calls`` counts the checks made, under a lock, so it is exact when
+    checks run concurrently.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -277,9 +278,11 @@ class MockVerifier(Verifier):
         self.heartbeats_per_token = int(opts.get("heartbeats_per_token", 100))
         self.timeout_token = opts.get("timeout_token")
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def _verify(self, source, want_heartbeats):
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         try:
             body = lexer.strip_comments(lexer.strip_statement(source))
         except Exception:
@@ -387,6 +390,9 @@ class HttpCompletionClient:
         self.cfg = cfg
 
     def complete(self, prompt: str, n: int, temperature: float | None) -> list[str]:
+        # imported here, so that processes which make no request never load it
+        import requests
+
         payload = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import lexer
@@ -117,11 +117,16 @@ class VerdictMemo:
     """Remembers the conclusive verdicts of the checks made for one proof.
 
     It stands in front of a Verifier, asks for heartbeats on every check or
-    on none, as the measure needs, and keys on the source alone. Only VALID
-    and INVALID verdicts are kept, so a timeout or crash is checked again
-    when next asked for. A hit neither calls the verifier nor takes one of
-    its admission slots. Every proof has its own statement, so checks never
-    repeat across proofs and one memo per proof needs no size limit.
+    on none, as the measure needs, and keys on the source alone. Each text
+    has one Future: the first caller registers it and runs the check, and a
+    concurrent caller for the same text waits on it and gets the same
+    verdict, so concurrent requests never check one text twice. Only VALID
+    and INVALID verdicts are kept; a timeout, a crash or an exception is
+    delivered to everyone waiting and its entry dropped, so the text is
+    checked again when next asked for. A hit neither calls the verifier nor
+    takes one of its admission slots. Every proof has its own statement, so
+    checks never repeat across proofs and one memo per proof needs no size
+    limit.
     """
 
     def __init__(self, verifier: Verifier, measure: Measure = Measure.TOKEN_LENGTH):
@@ -129,17 +134,30 @@ class VerdictMemo:
         self.cfg = verifier.cfg
         self.want_heartbeats = measure is Measure.HEARTBEATS
         self._lock = threading.Lock()
-        self._verdicts: dict[str, Verdict] = {}
+        self._verdicts: dict[str, Future] = {}
 
     def verify(self, source: str) -> Verdict:
         with self._lock:
-            verdict = self._verdicts.get(source)
-        if verdict is None:
+            future = self._verdicts.get(source)
+            owner = future is None
+            if owner:
+                future = self._verdicts[source] = Future()
+        if not owner:
+            return future.result()
+        try:
             verdict = self.verifier.verify(source, self.want_heartbeats)
-            if verdict.status in (VerdictStatus.VALID, VerdictStatus.INVALID):
-                with self._lock:
-                    self._verdicts[source] = verdict
+        except BaseException as exc:
+            self._forget(source)
+            future.set_exception(exc)
+            raise
+        if verdict.status not in (VerdictStatus.VALID, VerdictStatus.INVALID):
+            self._forget(source)
+        future.set_result(verdict)
         return verdict
+
+    def _forget(self, source: str) -> None:
+        with self._lock:
+            del self._verdicts[source]
 
 
 def _memo(verifier: Verifier | VerdictMemo, measure: Measure) -> VerdictMemo:
@@ -156,6 +174,11 @@ def _check(text: str, memo: VerdictMemo, measure: Measure) -> tuple[Verdict, int
     return verdict, verdict.heartbeats
 
 
+def _check_pool(verifier: VerdictMemo) -> ThreadPoolExecutor:
+    """A pool as wide as the verifier admits checks at once."""
+    return ThreadPoolExecutor(max_workers=max(1, verifier.cfg.max_parallel))
+
+
 def _verify_candidates(
     candidates: list[str], verifier: VerdictMemo, measure: Measure
 ) -> list[tuple[Verdict, int | None]]:
@@ -165,7 +188,7 @@ def _verify_candidates(
 
     if not candidates:
         return []
-    with ThreadPoolExecutor(max_workers=max(1, verifier.cfg.max_parallel)) as pool:
+    with _check_pool(verifier) as pool:
         return list(pool.map(check, candidates))
 
 
@@ -255,42 +278,58 @@ def _repair_stage(
     budget: int,
 ) -> tuple[ProofRecord, int, RepairStage]:
     """Repair the iteration's failed candidates. Returns the record to carry
-    on with, its score and the stage's record."""
-    stage = RepairStage()
-    best = record
-    best_score = current_score
-    # A text sampled more than once is repaired once, in first-seen order.
-    failed = list(
-        dict.fromkeys(c.text for c in itrec.candidates if c.status is not VerdictStatus.VALID)
-    )
-    for text in failed[:budget]:
+    on with, its score and the stage's record.
+
+    Failed texts are repaired concurrently, as many at once as the verifier
+    admits checks; their results are folded in input order, so the stage's
+    record does not depend on which repair finished first."""
+
+    def repair_one(text: str) -> tuple[bool, list[tuple[dict, ProofRecord | None]]]:
         # the candidate's own check, asked for again to get its diagnostics
         verdict, _ = _check(text, verifier, measure)
         report = format_error_report(text, verdict.diagnostics) or "proof failed to verify"
         report, truncated = truncate_error_report(report, REPAIR_REPORT_LIMIT)
-        stage.truncated_reports += int(truncated)
         try:
             failed_record = ProofRecord.from_source(text, id=record.id)
             statement, failed_proof = failed_record.statement, failed_record.proof
         except ValueError:
             statement, failed_proof = record.statement, text
-        fixes = repairer.repair(statement, failed_proof, report)
-        for fix in fixes:
-            stage.attempted += 1
+        fixes = []
+        for fix in repairer.repair(statement, failed_proof, report):
             # this check is also the first lint round's
             fix_verdict, raw_score = _check(fix, verifier, measure)
             entry = {"status": fix_verdict.status.value, "score": None, "linted_score": None}
+            linted = None
             if fix_verdict.ok:
-                stage.valid += 1
                 entry["score"] = raw_score
                 linted = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
-                _, linted_score = _check(linted.full_source, verifier, measure)
-                entry["linted_score"] = linted_score
-                if linted_score is not None and linted_score < best_score:
-                    best = linted
-                    best_score = linted_score
-                    stage.adopted = stage.attempted - 1
+                _, entry["linted_score"] = _check(linted.full_source, verifier, measure)
+            fixes.append((entry, linted))
+        return truncated, fixes
+
+    # A text sampled more than once is repaired once, in first-seen order.
+    failed = list(
+        dict.fromkeys(c.text for c in itrec.candidates if c.status is not VerdictStatus.VALID)
+    )
+    with _check_pool(verifier) as pool:
+        repaired = list(pool.map(repair_one, failed[:budget]))
+
+    stage = RepairStage()
+    best = record
+    best_score = current_score
+    for truncated, fixes in repaired:
+        stage.truncated_reports += int(truncated)
+        for entry, linted in fixes:
+            stage.attempted += 1
             stage.candidates.append(entry)
+            if linted is None:
+                continue
+            stage.valid += 1
+            linted_score = entry["linted_score"]
+            if linted_score is not None and linted_score < best_score:
+                best = linted
+                best_score = linted_score
+                stage.adopted = stage.attempted - 1
     return best, best_score, stage
 
 

@@ -197,6 +197,29 @@ def test_shorten_backend_outage_exit_code(runner, tmp_path, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_shorten_repairer_outage_exit_code(runner, tmp_path, monkeypatch):
+    def dead_post(*args, **kwargs):
+        raise requests.ConnectionError("no route to host")
+
+    monkeypatch.setattr(requests, "post", dead_post)
+    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+    # every candidate fails, so the outage is met in the repair stage's threads
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "mock", "options": {"mode": "constant", "proof_body": "FAIL"}},
+            "repairer": {"kind": "http_repairer", "endpoint_url": "http://gone", "retries": 2},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", "--repair", "on", proofs])
+    assert result.exit_code == 3
+    assert "http://gone unreachable" in result.output
+    assert result.exc_info[0] is SystemExit
+    assert "Traceback" not in result.output
+
+
 SAMPLES = [
     {"id": "s1", "original": 40, "scores": [10, 50, 20], "valid": [True, True, False]},
     {"id": "s2", "original": 30, "scores": [5, 7, 30], "valid": [True, True, True]},

@@ -2,12 +2,13 @@ import hashlib
 import json
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from proofopt.backends import MockRepairer, MockSimplifier, MockVerifier, Verdict, VerdictStatus
-from proofopt.errors import ParseFailure
+from proofopt.errors import BackendUnavailable, ParseFailure
 from proofopt.records import Measure, ProofRecord
 from proofopt.shortener import (
     VerdictMemo,
@@ -190,6 +191,70 @@ def test_repair_stage_repairs_each_failed_text_once():
     assert trace.iterations[0].repair.attempted == 1
 
 
+REPAIR_PROOF = "\n".join(
+    "  " + tactic
+    for tactic in [
+        "skip", "norm_num", "key", "ring", "skip", "simp", "linarith", "skip", "omega", "exact h"
+    ]
+)
+
+
+class KeyRepairer(MockRepairer):
+    """Appends the required token to the failed proof, so every fix verifies
+    and scores by what the failed text kept."""
+
+    def _repair(self, statement, failed_proof, error_report, n, temperature):
+        return [statement + " := by\n" + failed_proof.rstrip("\n") + "\n  key"] * n
+
+
+def _repair_scenario(repairer, max_parallel, schedule=((4, 1.0), (4, 0.8)), budget=3):
+    # seed 9 fails all four first-round candidates, with three distinct
+    # texts whose fixes lint to 2, 1 and 5 tokens
+    verifier = MockVerifier(
+        mock_cfg(require_token="key", noop_tactics=["skip"], max_parallel=max_parallel)
+    )
+    simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=9, drop_probability=0.75))
+    start = ProofRecord(id="o", statement="theorem o : 1 = 1", proof=REPAIR_PROOF)
+    return shorten_loop(
+        start, list(schedule), simplifier, verifier, repairer=repairer, repair_budget=budget
+    )
+
+
+def test_repair_stage_folds_in_input_order():
+    serial = _repair_scenario(KeyRepairer(mock_cfg()), max_parallel=1)
+    stages = [it.repair for it in serial.iterations]
+    assert stages[0] is not None and len({c["linted_score"] for c in stages[0].candidates}) == 3
+    firsts = {
+        ProofRecord.from_source(it.candidates[0].text, id="o").proof
+        for it in serial.iterations
+        if it.repair is not None
+    }
+
+    class SlowFirstRepairer(KeyRepairer):
+        def _repair(self, statement, failed_proof, error_report, n, temperature):
+            if failed_proof in firsts:
+                time.sleep(0.3)
+            return super()._repair(statement, failed_proof, error_report, n, temperature)
+
+    concurrent = _repair_scenario(SlowFirstRepairer(mock_cfg()), max_parallel=2)
+    assert [it.repair for it in concurrent.iterations] == stages
+    assert json.dumps(concurrent.to_json()) == json.dumps(serial.to_json())
+
+
+def test_repair_stage_repairs_concurrently():
+    barrier = threading.Barrier(2, timeout=5)
+
+    class MeetingRepairer(KeyRepairer):
+        def _repair(self, statement, failed_proof, error_report, n, temperature):
+            barrier.wait()  # breaks unless a second repair is in flight
+            return super()._repair(statement, failed_proof, error_report, n, temperature)
+
+    trace = _repair_scenario(
+        MeetingRepairer(mock_cfg()), max_parallel=2, schedule=[(4, 1.0)], budget=2
+    )
+    assert trace.iterations[0].repair.attempted == 2
+
+
 def test_repair_not_triggered_when_any_candidate_valid():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
@@ -357,10 +422,69 @@ def test_memo_keeps_every_verdict_under_concurrent_use():
         sys.setswitchinterval(interval)
     assert [v.ok for v in verdicts] == ["FAIL" not in text for text in requests]
     first_pass = len(verifier.keys)
-    assert len(set(verifier.keys)) == len(texts)
+    assert len(verifier.keys) == len(texts)
     for text in requests:
         memo.verify(text)
     assert len(verifier.keys) == first_pass  # every verdict was kept
+
+
+class BlockedVerifier(MockVerifier):
+    """Holds every check until released, then answers or raises."""
+
+    def __init__(self, cfg, error=None):
+        super().__init__(cfg)
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.error = error
+
+    def _verify(self, source, want_heartbeats):
+        self.started.set()
+        assert self.release.wait(5)
+        verdict = super()._verify(source, want_heartbeats)
+        if self.error is not None:
+            raise self.error
+        return verdict
+
+
+def _ask_during_check(memo, verifier, text):
+    """Futures of two requests for one text, the second made while the
+    first one's check is held."""
+    asking = threading.Event()
+
+    def second():
+        asking.set()
+        return memo.verify(text)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(memo.verify, text)
+        assert verifier.started.wait(5)
+        later = pool.submit(second)
+        assert asking.wait(5)
+        time.sleep(0.2)  # time to wait on the check in flight, or to start another
+        verifier.release.set()
+    return first, later
+
+
+def test_memo_shares_a_check_in_flight():
+    verifier = BlockedVerifier(mock_cfg(max_parallel=2))
+    memo = VerdictMemo(verifier)
+    first, later = _ask_during_check(memo, verifier, "t := by rfl")
+    assert first.result().ok
+    assert later.result() is first.result()
+    assert verifier.calls == 1
+
+
+def test_memo_delivers_a_failed_check_to_every_waiter():
+    verifier = BlockedVerifier(mock_cfg(max_parallel=2), error=BackendUnavailable("down"))
+    memo = VerdictMemo(verifier)
+    first, later = _ask_during_check(memo, verifier, "t := by rfl")
+    for future in (first, later):
+        with pytest.raises(BackendUnavailable):
+            future.result()
+    assert verifier.calls == 1
+    verifier.error = None
+    assert memo.verify("t := by rfl").ok  # the failure was not kept
+    assert verifier.calls == 2
 
 
 # sha256 of json.dumps(trace.to_json()) for each _memo_scenario, recorded
