@@ -8,6 +8,7 @@ max_parallel admission, so callers may fan out freely.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import re
@@ -18,6 +19,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from urllib.parse import unquote, urlsplit
 
 from . import lexer, prompting
 from .errors import BackendUnavailable, ConfigError
@@ -199,6 +201,15 @@ class SubprocessVerifier(Verifier):
     subtracted, and a line inside the directives is reported as line 1.
     """
 
+    def __init__(self, cfg: BackendConfig):
+        super().__init__(cfg)
+        try:
+            self._argv = shlex.split(cfg.command_template)
+        except ValueError as exc:
+            raise ConfigError(f"command_template cannot be split: {exc}") from None
+        if not any("{file}" in part for part in self._argv):
+            raise ConfigError("command_template needs a {file} placeholder")
+
     def _verify(self, source, want_heartbeats):
         text = LINT_DIRECTIVE + source
         if want_heartbeats:
@@ -211,7 +222,7 @@ class SubprocessVerifier(Verifier):
         try:
             command = [
                 part.replace("{file}", path).replace("{timeout}", str(self.cfg.timeout))
-                for part in shlex.split(self.cfg.command_template)
+                for part in self._argv
             ]
             try:
                 proc = subprocess.run(
@@ -331,20 +342,26 @@ class MockVerifier(Verifier):
 class Generator:
     """Shared machinery for simplifier and repairer backends."""
 
+    client: HttpCompletionClient | None = None  # set by the HTTP backends
+
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
         self.admission = _Admission(cfg.max_parallel)
+        # counted under a lock: the repair stage calls one repairer from several threads
         self.dropped_completions = 0
+        self._dropped_lock = threading.Lock()
 
     def _extract_all(self, completions: list[str]) -> list[str]:
-        candidates = []
-        for completion in completions:
-            block = extract_code_block(completion)
-            if block is None:
-                self.dropped_completions += 1
-            else:
-                candidates.append(block)
+        blocks = [extract_code_block(completion) for completion in completions]
+        candidates = [block for block in blocks if block is not None]
+        with self._dropped_lock:
+            self.dropped_completions += len(blocks) - len(candidates)
         return candidates
+
+    def close(self) -> None:
+        """Close the connections an HTTP backend keeps for reuse."""
+        if self.client is not None:
+            self.client.close()
 
 
 class Simplifier(Generator):
@@ -383,15 +400,97 @@ class Repairer(Generator):
         raise NotImplementedError
 
 
+def _completions(reply: bytes) -> list[str] | None:
+    """The message contents of a chat-completion reply body, or None when
+    the body does not hold a string at every choices[*].message.content."""
+    try:
+        contents = [choice["message"]["content"] for choice in json.loads(reply)["choices"]]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return contents if all(isinstance(c, str) for c in contents) else None
+
+
+def _retry_after(value: str | None, default: float) -> float:
+    """Seconds named by an integer Retry-After header, else default (for a
+    date, say, or no header)."""
+    value = (value or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else default
+
+
+def _route(url: str, timeout: float):
+    """How to reach url: (connect, request target, extra headers).
+
+    connect() returns an unopened connection. A proxy that http_proxy or
+    https_proxy names, and no_proxy does not exempt the host from, is
+    spoken to in plain HTTP: an http request goes to it in absolute form,
+    an https one through a CONNECT tunnel. TLS checks certificates against
+    the default CA store (SSL_CERT_FILE and SSL_CERT_DIR override it).
+    """
+    import base64
+    import http.client
+    import ssl
+    import urllib.request
+
+    parts = urlsplit(url)
+    https = parts.scheme == "https"
+    address = (parts.hostname, parts.port or (443 if https else 80))
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    headers: dict = {}
+    tunnel = None
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(parts.hostname):
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if via.username:
+            credentials = f"{unquote(via.username)}:{unquote(via.password or '')}".encode()
+            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode()
+        if https:
+            tunnel, headers = (address, headers), {}
+        else:
+            target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+        address = (via.hostname, via.port or 80)
+    context = ssl.create_default_context() if https else None
+
+    def connect():
+        if not https:
+            return http.client.HTTPConnection(*address, timeout=timeout)
+        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+        if tunnel is not None:
+            conn.set_tunnel(*tunnel[0], headers=tunnel[1])
+        return conn
+
+    return connect, target, headers
+
+
 class HttpCompletionClient:
-    """Chat-completion endpoint client with retry on transport failures."""
+    """Chat-completion endpoint client over keep-alive connections.
+
+    Idle connections are kept for reuse, at most ``max_parallel`` of them,
+    the most requests the generator's admission lets through at once. A
+    connection that raises is closed. A request that fails on a reused
+    connection before a reply arrives (the server closed it while it was
+    idle) is sent once more, at once, on a new connection, without spending
+    a retry; a timeout is not sent again. Transport errors, 429 and 5xx
+    replies and 2xx replies without completions are retried with doubling
+    backoff, a 429 waiting the integer seconds of its Retry-After instead;
+    other replies of status 300 and up are not retried.
+    """
 
     def __init__(self, cfg: BackendConfig):
+        try:
+            parts = urlsplit(cfg.endpoint_url)
+            parts.port  # raises on a port that is not a number
+        except ValueError as exc:
+            raise ConfigError(f"endpoint_url {cfg.endpoint_url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"{cfg.kind} needs an http or https endpoint_url")
         self.cfg = cfg
+        self._idle: list = []
+        self._lock = threading.Lock()
+        self._route = None  # (connect, target, headers), worked out on the first request
 
     def complete(self, prompt: str, n: int, temperature: float | None) -> list[str]:
         # imported here, so that processes which make no request never load it
-        import requests
+        import http.client
 
         payload = {
             "model": self.cfg.model,
@@ -400,38 +499,85 @@ class HttpCompletionClient:
             "top_p": self.cfg.top_p,
             "n": n,
         }
-        headers = {}
+        body = json.dumps(payload).encode()
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         delay = 1.0
         last_error: Exception | None = None
         for attempt in range(self.cfg.retries):
+            wait = delay
             try:
-                response = requests.post(
-                    self.cfg.endpoint_url,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.cfg.timeout,
-                )
-                if response.status_code >= 500:
-                    raise requests.RequestException(f"server error {response.status_code}")
-                if response.status_code >= 400:
+                status, retry_after, reply = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+            else:
+                if 200 <= status < 300:
+                    contents = _completions(reply)
+                    if contents is not None:
+                        return contents
+                    last_error = BackendUnavailable(f"status {status} reply without completions")
+                elif status == 429 or status >= 500:
+                    last_error = BackendUnavailable(f"server answered with status {status}")
+                    if status == 429:
+                        wait = _retry_after(retry_after, delay)
+                else:
                     # the request itself is bad; retrying cannot help
                     raise BackendUnavailable(
                         f"endpoint {self.cfg.endpoint_url} rejected the request "
-                        f"with status {response.status_code}"
+                        f"with status {status}"
                     )
-                body = response.json()
-                return [choice["message"]["content"] for choice in body["choices"]]
-            except requests.RequestException as exc:
-                last_error = exc
-                if attempt + 1 < self.cfg.retries:
-                    time.sleep(delay)
-                    delay *= 2
+            if attempt + 1 < self.cfg.retries:
+                time.sleep(wait)
+                delay *= 2
         raise BackendUnavailable(
             f"endpoint {self.cfg.endpoint_url} unreachable after {self.cfg.retries} attempts"
         ) from last_error
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, str | None, bytes]:
+        """One POST of body; returns the reply's status, Retry-After header
+        and body."""
+        import http.client
+
+        with self._lock:
+            if self._route is None:
+                self._route = _route(self.cfg.endpoint_url, self.cfg.timeout)
+            connect, target, route_headers = self._route
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = connect()
+        headers = {**route_headers, **headers}
+        try:
+            try:
+                conn.request("POST", target, body, headers)
+                response = conn.getresponse()
+            except (OSError, http.client.HTTPException) as exc:
+                if not reused or isinstance(exc, TimeoutError):
+                    raise
+                conn.close()
+                conn = connect()
+                conn.request("POST", target, body, headers)
+                response = conn.getresponse()
+            reply = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            keep = not response.will_close and len(self._idle) < self.cfg.max_parallel
+            if keep:
+                self._idle.append(conn)
+        if not keep:
+            conn.close()
+        return response.status, response.getheader("Retry-After"), reply
 
 
 class HttpSimplifier(Simplifier):
@@ -552,8 +698,6 @@ class MockRepairer(Repairer):
 
 def make_verifier(cfg: BackendConfig) -> Verifier:
     if cfg.kind == "subprocess_verifier":
-        if not cfg.command_template:
-            raise ConfigError("subprocess verifier needs a command_template")
         return SubprocessVerifier(cfg)
     if cfg.kind == "mock":
         return MockVerifier(cfg)
@@ -562,8 +706,6 @@ def make_verifier(cfg: BackendConfig) -> Verifier:
 
 def make_simplifier(cfg: BackendConfig) -> Simplifier:
     if cfg.kind == "http_simplifier":
-        if not cfg.endpoint_url:
-            raise ConfigError("http simplifier needs an endpoint_url")
         return HttpSimplifier(cfg)
     if cfg.kind == "mock":
         return MockSimplifier(cfg)
@@ -572,8 +714,6 @@ def make_simplifier(cfg: BackendConfig) -> Simplifier:
 
 def make_repairer(cfg: BackendConfig) -> Repairer:
     if cfg.kind == "http_repairer":
-        if not cfg.endpoint_url:
-            raise ConfigError("http repairer needs an endpoint_url")
         return HttpRepairer(cfg)
     if cfg.kind == "mock":
         return MockRepairer(cfg)

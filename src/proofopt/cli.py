@@ -231,6 +231,10 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
             traces = [run_one(r) for r in records]
     except BackendUnavailable as exc:
         _fail(EXIT_BACKEND, f"backend outage, partial traces persisted: {exc}")
+    finally:
+        simplifier.close()
+        if repairer is not None:
+            repairer.close()
 
     befores, afters = [], []
     for trace in traces:

@@ -8,9 +8,10 @@ for many independent k-sample draws.
 
 from __future__ import annotations
 
+import math
+import operator
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EmptyDataset, InvalidK, ZeroOriginal
 
@@ -43,39 +44,35 @@ def effective_scores(samples: SampleSet) -> list[int]:
     return [min(orig, score) if valid else orig for score, valid in samples.candidates]
 
 
-def _subset_max_weights(n: int, k: int) -> np.ndarray:
+def _subset_max_weights(n: int, k: int) -> list[float]:
     """Weight of the i-th smallest sample in the subset-maximum average.
 
     Returns w[i] = C(i-1, k-1) / C(n, k) for i = 1..n. Each weight is built
     from its neighbor by a single factor ratio; no large binomials are ever
     formed, so this stays finite for any n, k.
     """
-    weights = np.zeros(n)
-    if k == n:
-        weights[-1] = 1.0
-        return weights
-    # w_n = k/n, and w_i = w_{i+1} * (i-k+1)/i going down to i = k.
-    i = np.arange(k, n, dtype=float)  # i = k .. n-1
-    ratios = (i - k + 1.0) / i
-    tail = np.cumprod(ratios[::-1])[::-1]
-    weights[k - 1 : n - 1] = (k / n) * tail
+    weights = [0.0] * n
     weights[n - 1] = k / n
+    # w_n = k/n, and w_i = w_{i+1} * (i-k+1)/i going down to i = k.
+    tail = 1.0
+    for i in range(n - 1, k - 1, -1):
+        tail *= (i - k + 1.0) / i
+        weights[i - 1] = (k / n) * tail
     return weights
 
 
 def max_at_k(values, k: int) -> float:
     """Unbiased estimate of the expected maximum of k random samples."""
-    x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
+    x = sorted(map(float, values))
+    n = len(x)
     if not 1 <= k <= n:
         raise InvalidK(f"k={k} outside 1..{n}")
-    return float(np.dot(_subset_max_weights(n, k), x))
+    return math.fsum(map(operator.mul, _subset_max_weights(n, k), x))
 
 
 def min_at_k(values, k: int) -> float:
     """Unbiased estimate of the expected minimum of k random samples."""
-    x = np.asarray(values, dtype=float)
-    return -max_at_k(-x, k)
+    return -max_at_k([-float(v) for v in values], k)
 
 
 def red_at_k(samples: SampleSet, k: int) -> float:
@@ -92,4 +89,4 @@ def dataset_aggregate(per_proof) -> tuple[float, float]:
         raise EmptyDataset("no per-proof values to aggregate")
     mins = [m for m, _ in pairs]
     reds = [r for _, r in pairs]
-    return float(np.mean(mins)), float(np.mean(reds))
+    return statistics.fmean(mins), statistics.fmean(reds)

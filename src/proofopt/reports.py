@@ -4,9 +4,8 @@ repair-stage accounting, all serializable to CSV."""
 from __future__ import annotations
 
 import csv
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .backends import VerdictStatus
 from .errors import EmptyDataset, InvalidK
@@ -39,18 +38,21 @@ class CorpusStats:
 def corpus_stats(scores) -> CorpusStats:
     """Five-number summary plus mean. Quartiles use linear interpolation
     between closest ranks; that convention is part of the output contract."""
-    values = np.asarray(list(scores), dtype=float)
-    if values.size == 0:
+    values = [float(s) for s in scores]
+    if not values:
         raise EmptyDataset("no scores")
-    q1, median, q3 = np.percentile(values, [25, 50, 75], method="linear")
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return CorpusStats(
-        n=int(values.size),
-        min=int(values.min()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        max=int(values.max()),
-        mean=float(values.mean()),
+        n=len(values),
+        min=int(min(values)),
+        q1=q1,
+        median=median,
+        q3=q3,
+        max=int(max(values)),
+        mean=statistics.fmean(values),
     )
 
 

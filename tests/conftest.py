@@ -1,4 +1,8 @@
+import json
+import socket
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,8 @@ TESTS_DIR = Path(__file__).parent
 DATA_DIR = TESTS_DIR / "data"
 
 sys.path.insert(0, str(TESTS_DIR))
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy")
 
 
 def mock_cfg(**options) -> BackendConfig:
@@ -23,3 +29,94 @@ def data_dir() -> Path:
 
 def read_fixture(name: str) -> str:
     return (DATA_DIR / name).read_text()
+
+
+def choices(*texts) -> dict:
+    return {"choices": [{"message": {"content": t}} for t in texts]}
+
+
+HANG_UP = "hang up"  # a scripted reply: close the connection without answering
+
+
+class _EndpointHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    timeout = 10
+
+    def _record(self, payload):
+        with self.server.lock:
+            self.server.requests.append(
+                {
+                    "line": self.requestline,
+                    "headers": dict(self.headers),
+                    "payload": payload,
+                    "client_port": self.client_address[1],
+                }
+            )
+
+    def do_CONNECT(self):
+        """As a proxy, refuse every tunnel: the request is only recorded."""
+        self._record(None)
+        self.send_error(403)
+
+    def do_POST(self):
+        server = self.server
+        self._record(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        with server.lock:
+            reply = server.replies.pop(0) if len(server.replies) > 1 else server.replies[0]
+        if reply == HANG_UP:
+            self.close_connection = True
+            return
+        status, content, headers = reply
+        data = content if isinstance(content, bytes) else json.dumps(content).encode()
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        # no "Connection: close" is sent, so the client takes the connection for open
+        self.close_connection = server.drop_after_reply
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def endpoint(no_proxy_env):
+    """A chat-completion endpoint on 127.0.0.1 that answers from a script.
+
+    ``replies`` holds (status, body, headers) tuples or HANG_UP, used in
+    order, the last one for every later request; ``requests`` records what
+    arrived; ``drop_after_reply`` closes each connection after its reply.
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EndpointHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.requests = []
+    server.replies = [(200, choices("```lean4\nt := by\n  rfl\n```"), {})]
+    server.drop_after_reply = False
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def dead_url(no_proxy_env):
+    """An endpoint URL on 127.0.0.1 that refuses connections: its port is
+    bound and never listened on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}/v1/chat/completions"

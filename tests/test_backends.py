@@ -1,15 +1,16 @@
 import os
 import stat
+import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import requests
 
 from proofopt import backends
 from proofopt.backends import (
     BackendConfig,
+    HttpCompletionClient,
     MockRepairer,
     MockSimplifier,
     MockVerifier,
@@ -27,7 +28,7 @@ from proofopt.errors import BackendUnavailable, ConfigError
 from proofopt.linter import lint_fixpoint
 from proofopt.records import ProofRecord
 
-from conftest import mock_cfg
+from conftest import HANG_UP, choices, mock_cfg
 
 
 def test_config_validation():
@@ -257,90 +258,174 @@ def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):
     assert lint_fixpoint(start, verifier).proof == "  rfl"
 
 
-class _Response:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self._payload
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr(backends.time, "sleep", slept.append)
+    return slept
 
 
-def _choices(*texts):
-    return {"choices": [{"message": {"content": t}} for t in texts]}
+@pytest.fixture
+def make_client():
+    """HttpCompletionClient factory; the clients are closed after the test."""
+    clients = []
+
+    def make(url, **fields):
+        clients.append(
+            HttpCompletionClient(BackendConfig(kind="http_simplifier", endpoint_url=url, **fields))
+        )
+        return clients[-1]
+
+    yield make
+    for client in clients:
+        client.close()
 
 
-def test_http_simplifier_retries_then_succeeds(monkeypatch):
-    calls = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append(json)
-        if len(calls) < 3:
-            raise requests.ConnectionError("down")
-        return _Response(payload=_choices("```lean4\nt := by\n  rfl\n```", "no fence"))
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+def test_http_simplifier_retries_then_succeeds(endpoint, sleeps, monkeypatch):
+    endpoint.replies = [
+        HANG_UP,
+        HANG_UP,
+        (200, choices("```lean4\nt := by\n  rfl\n```", "no fence"), {}),
+    ]
     monkeypatch.setenv(backends.API_KEY_ENV, "sekrit")
     simplifier = make_simplifier(
-        BackendConfig(kind="http_simplifier", endpoint_url="http://api", model="m", retries=3)
+        BackendConfig(kind="http_simplifier", endpoint_url=endpoint.url, model="m", retries=3)
     )
     out = simplifier.simplify("theorem t : 1 = 1 := by\n  norm_num", 2, temperature=0.7)
+    simplifier.close()
     assert out == ["t := by\n  rfl"]
     assert simplifier.dropped_completions == 1
+    calls = [r["payload"] for r in endpoint.requests]
     assert len(calls) == 3
     assert calls[-1]["n"] == 2 and calls[-1]["temperature"] == 0.7
+    assert endpoint.requests[-1]["headers"]["Authorization"] == "Bearer sekrit"
+    assert sleeps == [1.0, 2.0]
 
 
-def test_http_client_gives_up_after_retries(monkeypatch):
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return _Response(status_code=503)
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+def test_http_client_gives_up_after_retries(endpoint, sleeps):
+    endpoint.replies = [(503, {}, {})]
     simplifier = make_simplifier(
-        BackendConfig(kind="http_simplifier", endpoint_url="http://api", retries=2)
+        BackendConfig(kind="http_simplifier", endpoint_url=endpoint.url, retries=2)
     )
     with pytest.raises(BackendUnavailable):
         simplifier.simplify("t := by rfl", 1)
+    simplifier.close()
+    assert len(endpoint.requests) == 2
 
 
-def test_http_client_does_not_retry_client_errors(monkeypatch):
-    calls = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append(1)
-        return _Response(status_code=400)
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+def test_http_client_does_not_retry_client_errors(endpoint, sleeps):
+    endpoint.replies = [(400, {}, {})]
     simplifier = make_simplifier(
-        BackendConfig(kind="http_simplifier", endpoint_url="http://api", retries=3)
+        BackendConfig(kind="http_simplifier", endpoint_url=endpoint.url, retries=3)
     )
     with pytest.raises(BackendUnavailable):
         simplifier.simplify("t := by rfl", 1)
-    assert len(calls) == 1  # a 4xx is the caller's fault, retrying cannot help
+    simplifier.close()
+    assert len(endpoint.requests) == 1  # a 4xx is the caller's fault, retrying cannot help
 
 
-def test_http_repairer_renders_report(monkeypatch):
-    prompts = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        prompts.append(json["messages"][0]["content"])
-        return _Response(payload=_choices("```lean4\nt := by\n  rfl\n```"))
-
-    monkeypatch.setattr(requests, "post", fake_post)
+def test_http_repairer_renders_report(endpoint):
     repairer = make_repairer(
-        BackendConfig(kind="http_repairer", endpoint_url="http://api", retries=1)
+        BackendConfig(kind="http_repairer", endpoint_url=endpoint.url, retries=1)
     )
     out = repairer.repair("theorem t : 1 = 1", "  bad", "boom goes the proof")
+    repairer.close()
     assert out == ["t := by\n  rfl"]
+    prompts = [r["payload"]["messages"][0]["content"] for r in endpoint.requests]
     assert "boom goes the proof" in prompts[0]
     assert "theorem t : 1 = 1" in prompts[0]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{}, {"choices": [{"message": {"content": None}}]}, {"choices": [{"text": "x"}]}, b"not json"],
+    ids=["empty", "null-content", "no-message", "not-json"],
+)
+def test_http_client_retries_a_reply_without_completions(endpoint, sleeps, body, make_client):
+    endpoint.replies = [(200, body, {})]
+    client = make_client(endpoint.url, retries=2)
+    with pytest.raises(BackendUnavailable):
+        client.complete("p", 1, None)
+    assert len(endpoint.requests) == 2
+    assert sleeps == [1.0]
+
+
+@pytest.mark.parametrize(
+    "headers, slept",
+    [
+        ({"Retry-After": "7"}, [7]),
+        ({}, [1.0]),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, [1.0]),
+        ({"Retry-After": "\u00b2"}, [1.0]),
+    ],
+    ids=["seconds", "absent", "date", "superscript"],
+)
+def test_http_client_backs_off_on_429(endpoint, sleeps, headers, slept, make_client):
+    endpoint.replies = [(429, {}, headers), (200, choices("done"), {})]
+    client = make_client(endpoint.url, retries=3)
+    assert client.complete("p", 1, None) == ["done"]
+    assert len(endpoint.requests) == 2
+    assert sleeps == slept
+
+
+def test_http_client_reuses_its_connection(endpoint, sleeps, make_client):
+    client = make_client(endpoint.url)
+    for _ in range(3):
+        client.complete("p", 1, None)
+    assert len({r["client_port"] for r in endpoint.requests}) == 1
+
+
+def test_http_client_resends_on_a_stale_connection(endpoint, sleeps, make_client):
+    """The server closes each connection after its reply, so the second
+    request meets a dead kept-alive connection: it goes out again on a new
+    one at once, without spending the single attempt."""
+    endpoint.drop_after_reply = True
+    client = make_client(endpoint.url, retries=1)
+    assert client.complete("p", 1, None) == ["```lean4\nt := by\n  rfl\n```"]
+    assert client.complete("p", 1, None) == ["```lean4\nt := by\n  rfl\n```"]
+    assert sleeps == []
+    assert len({r["client_port"] for r in endpoint.requests}) == 2
+
+
+def test_http_client_uses_the_environment_proxy(endpoint, monkeypatch, make_client):
+    monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{endpoint.server_address[1]}")
+    target = "http://api.example.invalid/v1/chat/completions"
+    client = make_client(target)
+    client.complete("p", 1, None)
+    assert endpoint.requests[0]["line"] == f"POST {target} HTTP/1.1"
+    assert endpoint.requests[0]["headers"]["Host"] == "api.example.invalid"
+    # no_proxy exempts a host: the request goes straight to it, in origin form
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    client = make_client(endpoint.url)
+    client.complete("p", 1, None)
+    assert endpoint.requests[1]["line"] == "POST /v1/chat/completions HTTP/1.1"
+    # https goes through a CONNECT tunnel, which carries the proxy's credentials
+    monkeypatch.setenv("https_proxy", f"http://user:pw@127.0.0.1:{endpoint.server_address[1]}")
+    client = make_client("https://api.example.invalid/v1", retries=1)
+    with pytest.raises(BackendUnavailable):  # the fixture refuses every tunnel
+        client.complete("p", 1, None)
+    assert endpoint.requests[2]["line"] == "CONNECT api.example.invalid:443 HTTP/1.0"
+    assert endpoint.requests[2]["headers"]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="
+
+
+@pytest.mark.parametrize("url", ["", "api/v1", "ftp://host/v1", "http://host:port/v1"])
+def test_http_backends_reject_a_malformed_endpoint_url(url):
+    with pytest.raises(ConfigError):
+        make_simplifier(BackendConfig(kind="http_simplifier", endpoint_url=url))
+
+
+def test_generator_counts_dropped_completions_exactly():
+    generator = MockSimplifier(mock_cfg())
+    unfenced = ["no fence here"] * 50
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(generator._extract_all, unfenced) for _ in range(400)]
+            assert all(f.result(timeout=30) == [] for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert generator.dropped_completions == 400 * 50
 
 
 def test_admission_limits_concurrency():

@@ -1,8 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-import requests
 from click.testing import CliRunner
 
 from proofopt import backends
@@ -179,17 +181,13 @@ def test_shorten_empty_input_is_config_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_shorten_backend_outage_exit_code(runner, tmp_path, monkeypatch):
-    def dead_post(*args, **kwargs):
-        raise requests.ConnectionError("no route to host")
-
-    monkeypatch.setattr(requests, "post", dead_post)
+def test_shorten_backend_outage_exit_code(runner, tmp_path, monkeypatch, dead_url):
     monkeypatch.setattr(backends.time, "sleep", lambda s: None)
     config = write_config(
         tmp_path,
         backends={
             "verifier": {"kind": "mock"},
-            "simplifier": {"kind": "http_simplifier", "endpoint_url": "http://gone", "retries": 2},
+            "simplifier": {"kind": "http_simplifier", "endpoint_url": dead_url, "retries": 2},
         },
     )
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
@@ -197,11 +195,7 @@ def test_shorten_backend_outage_exit_code(runner, tmp_path, monkeypatch):
     assert result.exit_code == 3
 
 
-def test_shorten_repairer_outage_exit_code(runner, tmp_path, monkeypatch):
-    def dead_post(*args, **kwargs):
-        raise requests.ConnectionError("no route to host")
-
-    monkeypatch.setattr(requests, "post", dead_post)
+def test_shorten_repairer_outage_exit_code(runner, tmp_path, monkeypatch, dead_url):
     monkeypatch.setattr(backends.time, "sleep", lambda s: None)
     # every candidate fails, so the outage is met in the repair stage's threads
     config = write_config(
@@ -209,15 +203,63 @@ def test_shorten_repairer_outage_exit_code(runner, tmp_path, monkeypatch):
         backends={
             "verifier": {"kind": "mock"},
             "simplifier": {"kind": "mock", "options": {"mode": "constant", "proof_body": "FAIL"}},
-            "repairer": {"kind": "http_repairer", "endpoint_url": "http://gone", "retries": 2},
+            "repairer": {"kind": "http_repairer", "endpoint_url": dead_url, "retries": 2},
         },
     )
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
     result = runner.invoke(main, ["--config", config, "shorten", "--repair", "on", proofs])
     assert result.exit_code == 3
-    assert "http://gone unreachable" in result.output
+    assert f"{dead_url} unreachable" in result.output
     assert result.exc_info[0] is SystemExit
     assert "Traceback" not in result.output
+
+
+def test_shorten_reply_without_completions_exit_code(runner, tmp_path, monkeypatch, endpoint):
+    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+    endpoint.replies = [(200, {}, {})]
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "http_simplifier", "endpoint_url": endpoint.url, "retries": 2},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 3
+    assert result.exc_info[0] is SystemExit
+
+
+@pytest.mark.parametrize("template", ["lean '{file}", "true"], ids=["unbalanced-quote", "no-file"])
+def test_shorten_rejects_a_bad_command_template(runner, tmp_path, template):
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "subprocess_verifier", "command_template": template},
+            "simplifier": {"kind": "mock"},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 2
+    assert "command_template" in result.output
+    assert result.exc_info[0] is SystemExit
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """Start-up cost: the CLI module loads no array library and no HTTP
+    client until a command needs one."""
+    src = Path(backends.__file__).parents[1]  # the proofopt under test
+    code = (
+        "import sys, proofopt.cli; "
+        "print(sorted({'numpy', 'requests', 'http.client'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 SAMPLES = [
