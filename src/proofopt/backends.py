@@ -1,16 +1,15 @@
-"""Verifier, simplifier, and repairer backends.
+"""Verifier, simplifier, and repairer backends, one class per role.
 
-Three families: subprocess proof checkers, HTTP completion endpoints, and
-deterministic mocks for tests and dry runs. Every backend enforces its own
+The make_* factories build a role's backend from its config's kind: a
+subprocess checker, a chat-completion endpoint, or for kind mock the
+deterministic mocks of proofopt.mocks. Every backend enforces its own
 max_parallel admission, so callers may fan out freely.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import random
 import re
 import shlex
 import subprocess
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from urllib.parse import unquote, urlsplit
 
-from . import lexer, prompting
+from . import prompting
 from .errors import BackendUnavailable, ConfigError
 
 API_KEY_ENV = "PROOFOPT_API_KEY"
@@ -60,7 +59,7 @@ class Verdict:
 
 @dataclass
 class BackendConfig:
-    kind: str  # subprocess_verifier | http_simplifier | http_repairer | mock
+    kind: str  # a key of _BACKENDS, or mock
     command_template: str = ""
     endpoint_url: str = ""
     model: str = ""
@@ -68,7 +67,6 @@ class BackendConfig:
     max_parallel: int = 4
     temperature: float = 1.0
     top_p: float = 0.95
-    prompt_template_id: str = ""
     retries: int = 3
     options: dict = field(default_factory=dict)
 
@@ -182,12 +180,10 @@ class Verifier:
 
     def verify(self, source: str, want_heartbeats: bool = False) -> Verdict:
         """Check a source with the unused-tactic linter on. The lint option
-        only adds warnings, so it never changes a verdict's status."""
+        only adds warnings, so it never changes a verdict's status. A
+        subclass checks in _verify(source, want_heartbeats)."""
         with self.admission:
             return self._verify(source, want_heartbeats)
-
-    def _verify(self, source, want_heartbeats) -> Verdict:
-        raise NotImplementedError
 
 
 class SubprocessVerifier(Verifier):
@@ -263,93 +259,21 @@ class SubprocessVerifier(Verifier):
         return int(m.group(1)) if m else None
 
 
-_NOOP_MESSAGE = "'{}' tactic does nothing"
-
-
-class MockVerifier(Verifier):
-    """Deterministic verifier for tests.
-
-    Rules, all configurable through BackendConfig.options:
-      fail_token      proof is invalid iff this token occurs (default FAIL)
-      require_token   when set, proof must also contain this token to be valid
-      noop_tactics    tokens reported as do-nothing tactics (default none)
-      heartbeats_per_token  heartbeat count is tokens * this factor
-      timeout_token   presence forces a timeout verdict
-
-    ``calls`` counts the checks made, under a lock, so it is exact when
-    checks run concurrently.
-    """
-
-    def __init__(self, cfg: BackendConfig):
-        super().__init__(cfg)
-        opts = cfg.options
-        self.fail_token = opts.get("fail_token", "FAIL")
-        self.require_token = opts.get("require_token")
-        self.noop_tactics = frozenset(opts.get("noop_tactics", ()))
-        self.heartbeats_per_token = int(opts.get("heartbeats_per_token", 100))
-        self.timeout_token = opts.get("timeout_token")
-        self.calls = 0
-        self._calls_lock = threading.Lock()
-
-    def _verify(self, source, want_heartbeats):
-        with self._calls_lock:
-            self.calls += 1
-        try:
-            body = lexer.strip_comments(lexer.strip_statement(source))
-        except Exception:
-            return Verdict(
-                VerdictStatus.INVALID,
-                diagnostics=(Diagnostic("error", 1, 0, "no proof body"),),
-            )
-        token_lines = lexer.lex(body)
-        flat = [t for line in token_lines for t in line if t]
-        if self.timeout_token and self.timeout_token in flat:
-            return Verdict(VerdictStatus.TIMEOUT)
-        diagnostics = []
-        status = VerdictStatus.VALID
-        if self.fail_token in flat:
-            status = VerdictStatus.INVALID
-            line, col = self._locate(source, self.fail_token)
-            diagnostics.append(Diagnostic("error", line, col, f"unknown identifier '{self.fail_token}'"))
-        if self.require_token and self.require_token not in flat:
-            status = VerdictStatus.INVALID
-            diagnostics.append(Diagnostic("error", 1, 0, f"missing '{self.require_token}'"))
-        diagnostics.extend(self._lint_diagnostics(source))
-        heartbeats = None
-        if want_heartbeats:
-            heartbeats = len(flat) * self.heartbeats_per_token
-        return Verdict(status, diagnostics=tuple(diagnostics), heartbeats=heartbeats)
-
-    @staticmethod
-    def _locate(source: str, token: str) -> tuple[int, int]:
-        for number, text in enumerate(source.splitlines(), start=1):
-            col = text.find(token)
-            if col != -1:
-                return number, col
-        return 1, 0
-
-    def _lint_diagnostics(self, source: str):
-        found = []
-        for number, text in enumerate(source.splitlines(), start=1):
-            for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_']*", text):
-                if m.group(0) in self.noop_tactics:
-                    found.append(
-                        Diagnostic("warning", number, m.start(), _NOOP_MESSAGE.format(m.group(0)))
-                    )
-        return found
-
-
 class Generator:
     """Shared machinery for simplifier and repairer backends."""
 
-    client: HttpCompletionClient | None = None  # set by the HTTP backends
-
-    def __init__(self, cfg: BackendConfig):
+    def __init__(self, cfg: BackendConfig, client: HttpCompletionClient | None = None):
         self.cfg = cfg
+        self.client = client
         self.admission = _Admission(cfg.max_parallel)
         # counted under a lock: the repair stage calls one repairer from several threads
         self.dropped_completions = 0
         self._dropped_lock = threading.Lock()
+
+    def _sample(self, prompt: str, n: int, temperature: float | None) -> list[str]:
+        """The code blocks of n completions of prompt; completions without
+        one are dropped and counted."""
+        return self._extract_all(self.client.complete(prompt, n, temperature))
 
     def _extract_all(self, completions: list[str]) -> list[str]:
         blocks = [extract_code_block(completion) for completion in completions]
@@ -359,7 +283,7 @@ class Generator:
         return candidates
 
     def close(self) -> None:
-        """Close the connections an HTTP backend keeps for reuse."""
+        """Close the connections the completion client keeps for reuse."""
         if self.client is not None:
             self.client.close()
 
@@ -379,7 +303,8 @@ class Simplifier(Generator):
             return self._simplify(source, k, temperature, context)
 
     def _simplify(self, source, k, temperature, context) -> list[str]:
-        raise NotImplementedError
+        shown = f"{context}\n\n{source}" if context else source
+        return self._sample(prompting.render("simplify", statement=shown), k, temperature)
 
 
 class Repairer(Generator):
@@ -397,7 +322,13 @@ class Repairer(Generator):
             return self._repair(statement, failed_proof, error_report, n, temperature)
 
     def _repair(self, statement, failed_proof, error_report, n, temperature) -> list[str]:
-        raise NotImplementedError
+        prompt = prompting.render(
+            "repair",
+            formal_statement=statement,
+            lean_proof=failed_proof,
+            error_message_for_prev_round=error_report,
+        )
+        return self._sample(prompt, n, temperature)
 
 
 def _completions(reply: bytes) -> list[str] | None:
@@ -410,11 +341,11 @@ def _completions(reply: bytes) -> list[str] | None:
     return contents if all(isinstance(c, str) for c in contents) else None
 
 
-def _retry_after(value: str | None, default: float) -> float:
-    """Seconds named by an integer Retry-After header, else default (for a
-    date, say, or no header)."""
+def _retry_after(value: str | None, default: float, cap: float) -> float:
+    """Seconds named by an integer Retry-After header, at most cap, else
+    default (for a date, say, or no header)."""
     value = (value or "").strip()
-    return int(value) if value.isascii() and value.isdigit() else default
+    return min(int(value), cap) if value.isascii() and value.isdigit() else default
 
 
 def _route(url: str, timeout: float):
@@ -471,8 +402,9 @@ class HttpCompletionClient:
     idle) is sent once more, at once, on a new connection, without spending
     a retry; a timeout is not sent again. Transport errors, 429 and 5xx
     replies and 2xx replies without completions are retried with doubling
-    backoff, a 429 waiting the integer seconds of its Retry-After instead;
-    other replies of status 300 and up are not retried.
+    backoff, a 429 waiting the integer seconds of its Retry-After instead,
+    but no longer than the backend's timeout; other replies of status 300
+    and up are not retried.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -521,7 +453,7 @@ class HttpCompletionClient:
                 elif status == 429 or status >= 500:
                     last_error = BackendUnavailable(f"server answered with status {status}")
                     if status == 429:
-                        wait = _retry_after(retry_after, delay)
+                        wait = _retry_after(retry_after, delay, self.cfg.timeout)
                 else:
                     # the request itself is bad; retrying cannot help
                     raise BackendUnavailable(
@@ -580,141 +512,34 @@ class HttpCompletionClient:
         return response.status, response.getheader("Retry-After"), reply
 
 
-class HttpSimplifier(Simplifier):
-    def __init__(self, cfg: BackendConfig):
-        super().__init__(cfg)
-        self.client = HttpCompletionClient(cfg)
-
-    def _simplify(self, source, k, temperature, context):
-        shown = f"{context}\n\n{source}" if context else source
-        prompt = prompting.render(self.cfg.prompt_template_id or "simplify", statement=shown)
-        return self._extract_all(self.client.complete(prompt, k, temperature))
+_BACKENDS = {
+    # kind: (role, how to build it)
+    "subprocess_verifier": ("verifier", SubprocessVerifier),
+    "http_simplifier": ("simplifier", lambda cfg: Simplifier(cfg, HttpCompletionClient(cfg))),
+    "http_repairer": ("repairer", lambda cfg: Repairer(cfg, HttpCompletionClient(cfg))),
+}
 
 
-class HttpRepairer(Repairer):
-    def __init__(self, cfg: BackendConfig):
-        super().__init__(cfg)
-        self.client = HttpCompletionClient(cfg)
+def _make(role: str, cfg: BackendConfig):
+    """The backend for a role that cfg.kind names. Kind mock builds the
+    role's mock, from a module loaded only then."""
+    if cfg.kind == "mock":
+        from . import mocks
 
-    def _repair(self, statement, failed_proof, error_report, n, temperature):
-        prompt = prompting.render(
-            self.cfg.prompt_template_id or "repair",
-            formal_statement=statement,
-            lean_proof=failed_proof,
-            error_message_for_prev_round=error_report,
-        )
-        if temperature is None:
-            temperature = self.cfg.temperature
-        return self._extract_all(self.client.complete(prompt, n, temperature))
-
-
-def _seeded_rng(*parts) -> random.Random:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-class MockSimplifier(Simplifier):
-    """Deterministic candidate generator for tests.
-
-    Modes (options["mode"]):
-      strip_noops   delete lines whose stripped text is in options["noop_lines"]
-      drop_lines    per-candidate seeded random deletion of proof lines
-      echo          return the input unchanged
-      constant      always return options["proof_body"] as the proof
-    The seeded modes derive their randomness from (seed, source, temperature,
-    candidate index) only, so runs and resumed runs agree.
-    """
-
-    def __init__(self, cfg: BackendConfig):
-        super().__init__(cfg)
-        opts = cfg.options
-        self.mode = opts.get("mode", "echo")
-        self.seed = opts.get("seed", 0)
-        self.noop_lines = tuple(opts.get("noop_lines", ()))
-        self.proof_body = opts.get("proof_body", "rfl")
-        self.drop_probability = float(opts.get("drop_probability", 0.35))
-
-    def _simplify(self, source, k, temperature, context):
-        head, sep, proof = source.partition(":= by")
-        if not sep:
-            return []
-        out = []
-        for index in range(k):
-            out.append(self._candidate(head, proof, temperature, index))
-        return out
-
-    def _candidate(self, head, proof, temperature, index) -> str:
-        lines = proof.strip("\n").splitlines()
-        if self.mode == "strip_noops":
-            kept = [l for l in lines if l.strip() not in self.noop_lines]
-            return head + ":= by\n" + "\n".join(kept)
-        if self.mode == "constant":
-            return head + ":= by\n  " + self.proof_body
-        if self.mode == "drop_lines":
-            rng = _seeded_rng(self.seed, head, proof, temperature, index)
-            kept = [l for l in lines if not (l.strip() and rng.random() < self.drop_probability)]
-            if not kept:
-                kept = lines[:1]
-            return head + ":= by\n" + "\n".join(kept)
-        return head + ":= by\n" + "\n".join(lines)
-
-
-class MockRepairer(Repairer):
-    """Deterministic repairer for tests.
-
-    Modes: delete_flagged (drop lines named in <error> blocks), shorter
-    (return options["proof_body"]), longer (append options["padding"] copies
-    of a no-op line).
-    """
-
-    def __init__(self, cfg: BackendConfig):
-        super().__init__(cfg)
-        opts = cfg.options
-        self.mode = opts.get("mode", "delete_flagged")
-        self.proof_body = opts.get("proof_body", "rfl")
-        self.padding = int(opts.get("padding", 8))
-
-    def _repair(self, statement, failed_proof, error_report, n, temperature):
-        if self.mode == "shorter":
-            fixed = statement + " := by\n  " + self.proof_body
-        elif self.mode == "longer":
-            pad = "\n".join("  skip" for _ in range(self.padding))
-            fixed = statement + " := by\n" + failed_proof.rstrip("\n") + "\n" + pad
-        else:
-            flagged = self._flagged_lines(error_report)
-            kept = [l for l in failed_proof.splitlines() if l not in flagged]
-            fixed = statement + " := by\n" + "\n".join(kept)
-        return [fixed] * n
-
-    @staticmethod
-    def _flagged_lines(error_report: str) -> set[str]:
-        lines = error_report.splitlines()
-        flagged = set()
-        for i, text in enumerate(lines):
-            if text == "<error>" and i > 0:
-                flagged.add(lines[i - 1])
-        return flagged
+        return getattr(mocks, "Mock" + role.capitalize())(cfg)
+    kind_role, build = _BACKENDS.get(cfg.kind, (None, None))
+    if kind_role != role:
+        raise ConfigError(f"not a {role} kind: {cfg.kind!r}")
+    return build(cfg)
 
 
 def make_verifier(cfg: BackendConfig) -> Verifier:
-    if cfg.kind == "subprocess_verifier":
-        return SubprocessVerifier(cfg)
-    if cfg.kind == "mock":
-        return MockVerifier(cfg)
-    raise ConfigError(f"not a verifier kind: {cfg.kind!r}")
+    return _make("verifier", cfg)
 
 
 def make_simplifier(cfg: BackendConfig) -> Simplifier:
-    if cfg.kind == "http_simplifier":
-        return HttpSimplifier(cfg)
-    if cfg.kind == "mock":
-        return MockSimplifier(cfg)
-    raise ConfigError(f"not a simplifier kind: {cfg.kind!r}")
+    return _make("simplifier", cfg)
 
 
 def make_repairer(cfg: BackendConfig) -> Repairer:
-    if cfg.kind == "http_repairer":
-        return HttpRepairer(cfg)
-    if cfg.kind == "mock":
-        return MockRepairer(cfg)
-    raise ConfigError(f"not a repairer kind: {cfg.kind!r}")
+    return _make("repairer", cfg)

@@ -1,7 +1,8 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Exit codes: 0 success, 1 input error, 2 configuration error, 3 backend
-failure (partial output already persisted).
+failure (partial output already persisted). _Main.invoke maps the toolkit's
+errors to them for every command.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from .config import RunConfig, parse_schedule
 from .errors import (
     BackendUnavailable,
     ConfigError,
-    EmptyDataset,
-    InvalidK,
+    MalformedInput,
     NoProofDelimiter,
-    NotValidInput,
-    ZeroOriginal,
+    ProofOptError,
 )
 # min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
 from .estimators import SampleSet, min_at_k, red_at_k  # noqa: F401
@@ -31,47 +30,43 @@ from .linter import lint_fixpoint
 from .records import Measure, ProofRecord, read_jsonl, write_jsonl
 from .shortener import ShorteningTrace, iteration_from_json, shorten_loop
 
-EXIT_INPUT = 1
-EXIT_CONFIG = 2
-EXIT_BACKEND = 3
 
+class _Main(click.Group):
+    """The command group. A toolkit error raised by any command ends the
+    process here: ConfigError with exit 2, BackendUnavailable with exit 3,
+    any other ProofOptError with exit 1."""
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ProofOptError as exc:
+            code, message = 1, str(exc)
+            if isinstance(exc, ConfigError):
+                code = 2
+            elif isinstance(exc, BackendUnavailable):
+                code, message = 3, f"backend outage, partial traces persisted: {exc}"
+            click.echo(f"error: {message}", err=True)
+            sys.exit(code)
 
 
 def _load_config(ctx) -> RunConfig:
     params = ctx.obj
-    try:
-        cfg = RunConfig.load(params["config"]) if params["config"] else RunConfig()
-        if params["seed"] is not None:
-            cfg.seed = params["seed"]
-        if params["workers"] is not None:
-            cfg.parallel_workers = params["workers"]
-        if params["workdir"] is not None:
-            cfg.workdir = Path(params["workdir"])
-        cfg.apply_seed()
-        return cfg
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    cfg = RunConfig.load(params["config"]) if params["config"] else RunConfig()
+    if params["seed"] is not None:
+        cfg.seed = params["seed"]
+    if params["workers"] is not None:
+        cfg.parallel_workers = params["workers"]
+    if params["workdir"] is not None:
+        cfg.workdir = Path(params["workdir"])
+    cfg.apply_seed()
+    return cfg
 
 
 def _read_records(path_or_stream) -> list[ProofRecord]:
-    try:
-        rows = read_jsonl(path_or_stream)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    records = []
-    for i, row in enumerate(rows):
-        try:
-            records.append(ProofRecord.from_json(row))
-        except (KeyError, TypeError) as exc:
-            _fail(EXIT_INPUT, f"record {row.get('id', i)!r}: missing field {exc}")
-    return records
+    return [ProofRecord.from_json(row) for row in read_jsonl(path_or_stream)]
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=None)
@@ -121,17 +116,11 @@ def length(files):
 def lint(ctx, input, output, rounds):
     """Remove do-nothing tactics from each proof until a fixpoint."""
     cfg = _load_config(ctx)
-    try:
-        verifier = make_verifier(cfg.backend("verifier"))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    verifier = make_verifier(cfg.backend("verifier"))
     records = _read_records(input)
     out = []
     for record in records:
-        try:
-            linted = lint_fixpoint(record, verifier, max_rounds=rounds)
-        except NotValidInput as exc:
-            _fail(EXIT_INPUT, str(exc))
+        linted = lint_fixpoint(record, verifier, max_rounds=rounds)
         row = linted.to_json()
         row["length"] = lexer.proof_length(linted.full_source)
         out.append(row)
@@ -179,18 +168,14 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
         cfg.measure = Measure(measure_name)
     if repair_flag:
         cfg.repair = repair_flag == "on"
-    try:
-        schedule = parse_schedule(schedule_spec or cfg.schedule)
-        verifier_cfg = cfg.backend("verifier")
-        simplifier_cfg = cfg.backend("simplifier")
-        repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
-        verifier = make_verifier(verifier_cfg)
-        simplifier = make_simplifier(simplifier_cfg)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    simplifier_cfg = cfg.backend("simplifier")
+    schedule = parse_schedule(schedule_spec or cfg.schedule, simplifier_cfg.temperature)
+    repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
+    verifier = make_verifier(cfg.backend("verifier"))
+    simplifier = make_simplifier(simplifier_cfg)
     records = _read_records(input)
     if not records:
-        _fail(EXIT_CONFIG, "empty input")
+        raise ConfigError("empty input")
     if cfg.workdir:
         (cfg.workdir / "traces").mkdir(parents=True, exist_ok=True)
 
@@ -229,8 +214,6 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
                 traces = list(pool.map(run_one, records))
         else:
             traces = [run_one(r) for r in records]
-    except BackendUnavailable as exc:
-        _fail(EXIT_BACKEND, f"backend outage, partial traces persisted: {exc}")
     finally:
         simplifier.close()
         if repairer is not None:
@@ -263,7 +246,7 @@ def _sample_sets(rows) -> list[SampleSet]:
             candidates = tuple(zip(row["scores"], row["valid"], strict=True))
             sets.append(SampleSet(original_score=row["original"], candidates=candidates))
         except (KeyError, ValueError) as exc:
-            _fail(EXIT_INPUT, f"sample record {row.get('id', i)!r}: {exc}")
+            raise MalformedInput(f"sample record {row.get('id', i)!r}: {exc}") from None
     return sets
 
 
@@ -273,17 +256,10 @@ def _sample_sets(rows) -> list[SampleSet]:
 @click.option("-o", "--output", type=click.File("w"), default="-")
 def estimate(input, ks, output):
     """Dataset-mean min@k and red@k from per-proof sample files."""
-    try:
-        rows = read_jsonl(input)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    rows = read_jsonl(input)
     if not rows:
-        _fail(EXIT_CONFIG, "empty input")
-    try:
-        table = reports.atk_table(_sample_sets(rows), sorted(ks))
-    except (InvalidK, ZeroOriginal) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    write_jsonl(output, table)
+        raise ConfigError("empty input")
+    write_jsonl(output, reports.atk_table(_sample_sets(rows), sorted(ks)))
 
 
 @main.group()
@@ -302,23 +278,16 @@ def dataset_build(seeds, results, ancestry, iteration, output):
     from .backends import Verdict, VerdictStatus
 
     seed_records = _read_records(seeds)
-    try:
-        result_rows = read_jsonl(results)
-        ancestry_rows = read_jsonl(ancestry) if ancestry else []
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
     iteration_results = {}
-    for row in result_rows:
+    for row in read_jsonl(results):
         record = ProofRecord.from_json(row)
         verdict = Verdict(VerdictStatus.VALID) if row.get("valid") else None
         iteration_results[record.id] = (record, verdict)
+    ancestry_rows = read_jsonl(ancestry) if ancestry else []
     ancestors = {row["id"]: ProofRecord.from_json(row["ancestor"]) for row in ancestry_rows}
-    try:
-        pairs = training_data.build_expit_dataset(
-            seed_records, iteration_results, ancestors, origin_iteration=iteration
-        )
-    except Exception as exc:
-        _fail(EXIT_INPUT, str(exc))
+    pairs = training_data.build_expit_dataset(
+        seed_records, iteration_results, ancestors, origin_iteration=iteration
+    )
     write_jsonl(
         output,
         (
@@ -340,10 +309,7 @@ def dataset_build(seeds, results, ancestry, iteration, output):
 def dataset_filter_trivial(ctx, input, output):
     """Drop theorems the automation cascade proves on its own."""
     cfg = _load_config(ctx)
-    try:
-        verifier = make_verifier(cfg.backend("verifier"))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    verifier = make_verifier(cfg.backend("verifier"))
     records = _read_records(input)
     kept, discarded = training_data.filter_trivial(records, verifier)
     write_jsonl(output, (r.to_json() for r in kept))
@@ -355,12 +321,8 @@ def dataset_filter_trivial(ctx, input, output):
 @click.option("-o", "--output", type=click.File("w"), default="-")
 def dataset_emit_sft(input, output):
     """Serialize simplification pairs as prompt/completion records."""
-    try:
-        rows = read_jsonl(input)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
     pairs = []
-    for row in rows:
+    for row in read_jsonl(input):
         try:
             pairs.append(
                 training_data.SimplificationPair(
@@ -371,7 +333,7 @@ def dataset_emit_sft(input, output):
                 )
             )
         except KeyError as exc:
-            _fail(EXIT_INPUT, f"pair record missing field {exc}")
+            raise MalformedInput(f"pair record missing field {exc}") from None
     write_jsonl(output, training_data.emit_sft_records(pairs))
 
 
@@ -385,12 +347,8 @@ def dataset_emit_sft(input, output):
 )
 def reward(input, output, literal_sign):
     """Group-relative rewards and advantages for candidate simplifications."""
-    try:
-        rows = read_jsonl(input)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
     out = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(read_jsonl(input)):
         try:
             original = ProofRecord.from_json(row)
             candidates = [
@@ -405,13 +363,10 @@ def reward(input, output, literal_sign):
                 for j, c in enumerate(row["candidates"])
             ]
         except (KeyError, TypeError) as exc:
-            _fail(EXIT_INPUT, f"reward record {row.get('id', i)!r}: {exc}")
-        try:
-            group = training_data.compute_rewards(
-                original, candidates, positive_shortening=not literal_sign
-            )
-        except ZeroOriginal as exc:
-            _fail(EXIT_INPUT, str(exc))
+            raise MalformedInput(f"reward record {row.get('id', i)!r}: {exc}") from None
+        group = training_data.compute_rewards(
+            original, candidates, positive_shortening=not literal_sign
+        )
         out.append(
             {
                 "id": group.prompt_id,
@@ -443,12 +398,9 @@ def reward(input, output, literal_sign):
 @click.option("-o", "--output", type=click.File("w"), default="-")
 def report(input, kind, ks, csv_path, gnuplot_path, output):
     """Aggregate statistics over scores, samples, traces, or timings."""
-    try:
-        rows = read_jsonl(input)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    rows = read_jsonl(input)
     if not rows:
-        _fail(EXIT_CONFIG, "empty input")
+        raise ConfigError("empty input")
     try:
         if kind == "corpus":
             scores = [
@@ -460,7 +412,7 @@ def report(input, kind, ks, csv_path, gnuplot_path, output):
             table = [reports.corpus_stats(scores).as_row()]
         elif kind == "atk":
             if not ks:
-                _fail(EXIT_CONFIG, "--kind atk needs at least one -k")
+                raise ConfigError("--kind atk needs at least one -k")
             table = reports.atk_table(_sample_sets(rows), sorted(ks))
         elif kind == "repair":
             traces = _traces_from_rows(rows)
@@ -469,8 +421,8 @@ def report(input, kind, ks, csv_path, gnuplot_path, output):
             timings = [(row["time_orig"], row["time_new"]) for row in rows]
             rep = reports.speedup_report(timings)
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
-    except (KeyError, ValueError, EmptyDataset, InvalidK, NoProofDelimiter) as exc:
-        _fail(EXIT_INPUT, f"bad report input: {exc}")
+    except (KeyError, ValueError) as exc:
+        raise MalformedInput(f"bad report input: {exc}") from None
     if csv_path:
         reports.write_csv([t for t in table if len(t) == len(table[0])], csv_path)
         if gnuplot_path:

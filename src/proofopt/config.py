@@ -56,6 +56,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, raw: dict) -> "RunConfig":
+        unknown = set(raw) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
         backends = {
             name: BackendConfig.from_json(obj)
             for name, obj in raw.get("backends", {}).items()

@@ -43,3 +43,8 @@ class ParseFailure(ProofOptError):
 
 class ConfigError(ProofOptError):
     """A run or backend configuration is malformed."""
+
+
+class MalformedInput(ProofOptError, ValueError):
+    """An input file holds a line that is not JSON or a record that lacks a
+    field."""

@@ -25,17 +25,11 @@ def load_template(template_id: str) -> str:
 
 
 def render(template_id: str, **fields: str) -> str:
+    """The template with each placeholder replaced by its field's value. The
+    values are not searched for placeholders, so their braces stay as they
+    are."""
     text = load_template(template_id)
-    for name, value in fields.items():
-        text = text.replace("{" + name + "}", value)
-    leftover = _PLACEHOLDER.findall(text)
-    # Placeholders surviving substitution mean the caller passed the wrong
-    # field set for this template.
-    unfilled = [name for name in leftover if name in _known_placeholders(template_id)]
-    if unfilled:
-        raise TemplateMissing(f"template {template_id!r} is missing fields: {unfilled}")
-    return text
-
-
-def _known_placeholders(template_id: str) -> set[str]:
-    return set(_PLACEHOLDER.findall(load_template(template_id)))
+    missing = sorted(set(_PLACEHOLDER.findall(text)) - set(fields))
+    if missing:
+        raise TemplateMissing(f"template {template_id!r} is missing fields: {missing}")
+    return _PLACEHOLDER.sub(lambda m: fields[m.group(1)], text)

@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import MalformedInput
+
 
 class Measure(str, Enum):
     """Complexity measure a proof is scored by."""
@@ -52,12 +54,15 @@ class ProofRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProofRecord":
-        return cls(
-            id=str(obj["id"]),
-            statement=obj["statement"],
-            proof=obj["proof"],
-            source_tag=obj.get("source_tag", ""),
-        )
+        try:
+            return cls(
+                id=str(obj["id"]),
+                statement=obj["statement"],
+                proof=obj["proof"],
+                source_tag=obj.get("source_tag", ""),
+            )
+        except (KeyError, TypeError) as exc:
+            raise MalformedInput(f"bad proof record {str(obj)[:60]} ({exc!r})") from None
 
 
 def read_jsonl(stream) -> list[dict]:
@@ -70,7 +75,7 @@ def read_jsonl(stream) -> list[dict]:
         try:
             out.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: malformed JSON ({exc})") from exc
+            raise MalformedInput(f"line {lineno}: malformed JSON ({exc})") from exc
     return out
 
 

@@ -26,9 +26,9 @@ from .backends import (
     format_error_report,
     truncate_error_report,
 )
-from .errors import ParseFailure
+from .errors import NoProofDelimiter, ParseFailure
 from .linter import lint_fixpoint
-from .records import Measure, ProofRecord
+from .records import PROOF_DELIMITER, Measure, ProofRecord
 
 REPAIR_REPORT_LIMIT = 6000
 
@@ -169,9 +169,12 @@ def _memo(verifier: Verifier | VerdictMemo, measure: Measure) -> VerdictMemo:
 def _check(text: str, memo: VerdictMemo, measure: Measure) -> tuple[Verdict, int | None]:
     """Verdict and score of a statement-plus-proof under the measure."""
     verdict = memo.verify(text)
-    if measure is Measure.TOKEN_LENGTH:
+    if measure is Measure.HEARTBEATS:
+        return verdict, verdict.heartbeats
+    try:
         return verdict, lexer.proof_length(text)
-    return verdict, verdict.heartbeats
+    except NoProofDelimiter:  # a completion that holds no proof body has no length
+        return verdict, None
 
 
 def _check_pool(verifier: VerdictMemo) -> ThreadPoolExecutor:
@@ -241,8 +244,9 @@ def shorten_iteration(
     adopted = None
     best_score = score_before
     for i, cand in enumerate(results):
+        # a text without ':= by' (a term-mode proof) cannot become the next record
         if cand.status is VerdictStatus.VALID and cand.score is not None:
-            if cand.score < best_score:
+            if cand.score < best_score and PROOF_DELIMITER in cand.text:
                 best_score = cand.score
                 adopted = i
 
@@ -302,6 +306,7 @@ def _repair_stage(
             linted = None
             if fix_verdict.ok:
                 entry["score"] = raw_score
+            if fix_verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
                 linted = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
                 _, entry["linted_score"] = _check(linted.full_source, verifier, measure)
             fixes.append((entry, linted))
@@ -322,7 +327,7 @@ def _repair_stage(
         for entry, linted in fixes:
             stage.attempted += 1
             stage.candidates.append(entry)
-            if linted is None:
+            if entry["status"] != VerdictStatus.VALID.value:
                 continue
             stage.valid += 1
             linted_score = entry["linted_score"]
@@ -395,7 +400,21 @@ def shorten_loop(
 
 # --- file-level decomposition -------------------------------------------------
 
-_DECLARATION = re.compile(r"^(theorem|lemma)\s+(\S+)", re.MULTILINE)
+_DECLARATIONS = (
+    "theorem lemma def abbrev instance example structure inductive class axiom opaque".split()
+)
+_COMMANDS = "notation macro syntax namespace section end open variable universe set_option attribute"
+# The start of a top-level command at the beginning of a line: a declaration
+# with its `set_option … in` and `open … in` lines, attributes and
+# modifiers, or another command.
+_COMMAND = re.compile(
+    r"^(?:(?:set_option|open)\b[^\n]*\bin\n)*(?:@\[[^\]\n]*\]\s*)*"
+    r"(?:(?:private|protected|noncomputable|partial|unsafe|nonrec|scoped|local)\s+)*"
+    rf"(?P<keyword>{'|'.join(_DECLARATIONS + _COMMANDS.split())}|#\w+)\b"
+    r"[ \t]*(?P<name>[^\s:({\[]*)",
+    re.MULTILINE,
+)
+_SHORTENED = ("theorem", "lemma")
 
 
 @dataclass
@@ -403,6 +422,7 @@ class DecompositionUnit:
     name: str
     text: str  # full declaration text, statement and proof
     depends_on: list[str] = field(default_factory=list)
+    keyword: str = "theorem"  # the declaration's keyword, or the command
 
 
 @dataclass
@@ -414,30 +434,36 @@ class DecompositionPlan:
         replacements = replacements or {}
         parts = [self.header] if self.header else []
         for unit in self.units:
-            parts.append(replacements.get(unit.name, unit.text))
+            shortened = replacements.get(unit.name) if unit.keyword in _SHORTENED else None
+            parts.append(shortened or unit.text)
         return "\n".join(p.rstrip() + "\n" for p in parts)
 
 
 def decompose(file_text: str) -> DecompositionPlan:
-    """Split a Lean file at top-level theorem/lemma declarations and record
-    which units mention which others."""
-    matches = list(_DECLARATION.finditer(file_text))
-    if not matches:
+    """Split a Lean file into a header and a unit per top-level command from
+    the first declaration on, and record which theorem and lemma units
+    mention which others."""
+    matches = list(_COMMAND.finditer(file_text))
+    if not any(m.group("keyword") in _SHORTENED for m in matches):
         raise ParseFailure("no top-level theorem or lemma declarations found")
+    matches = matches[
+        next(i for i, m in enumerate(matches) if m.group("keyword") in _DECLARATIONS) :
+    ]
     header = file_text[: matches[0].start()].rstrip()
     units = []
     for i, m in enumerate(matches):
         end = matches[i + 1].start() if i + 1 < len(matches) else len(file_text)
-        units.append(DecompositionUnit(name=m.group(2), text=file_text[m.start() : end].rstrip()))
-    names = {u.name for u in units}
-    for unit in units:
+        text = file_text[m.start() : end].rstrip()
+        units.append(DecompositionUnit(m.group("name"), text, keyword=m.group("keyword")))
+    shortenable = [u for u in units if u.keyword in _SHORTENED]
+    for unit in shortenable:
         try:
             body = lexer.strip_comments(lexer.strip_statement(unit.text))
         except Exception:
             body = ""
         tokens = {t for line in lexer.lex(body) for t in line}
         unit.depends_on = [
-            other.name for other in units if other.name != unit.name and other.name in tokens
+            other.name for other in shortenable if other.name != unit.name and other.name in tokens
         ]
     return DecompositionPlan(header=header, units=units)
 
@@ -457,7 +483,8 @@ def shorten_file(
     measure: Measure = Measure.TOKEN_LENGTH,
     repairer: Repairer | None = None,
 ) -> tuple[str, dict[str, ShorteningTrace]]:
-    """Shorten each declaration of a file independently and reassemble.
+    """Shorten each theorem and lemma of a file independently and
+    reassemble; every other command keeps its text.
 
     The prompt for a unit carries the statements (never the proofs) of the
     units it depends on, in declaration order. A unit that cannot be
@@ -470,6 +497,8 @@ def shorten_file(
     replacements: dict[str, str] = {}
     traces: dict[str, ShorteningTrace] = {}
     for unit in plan.units:
+        if unit.keyword not in _SHORTENED:
+            continue
         try:
             record = ProofRecord.from_source(unit.text, id=unit.name)
         except ValueError:

@@ -15,14 +15,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import (
-    MockRepairer,
-    MockSimplifier,
-    MockVerifier,
-    Verdict,
-    VerdictStatus,
-    extract_code_block,
-)
+from proofopt.backends import Verdict, VerdictStatus, extract_code_block
 from proofopt.estimators import (
     SampleSet,
     dataset_aggregate,
@@ -32,6 +25,7 @@ from proofopt.estimators import (
     red_at_k,
 )
 from proofopt.linter import lint_fixpoint
+from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import ProofRecord
 from proofopt.reports import atk_table, corpus_stats
 from proofopt.shortener import shorten_loop

@@ -11,9 +11,6 @@ from proofopt import backends
 from proofopt.backends import (
     BackendConfig,
     HttpCompletionClient,
-    MockRepairer,
-    MockSimplifier,
-    MockVerifier,
     SubprocessVerifier,
     VerdictStatus,
     extract_code_block,
@@ -26,6 +23,7 @@ from proofopt.backends import (
 )
 from proofopt.errors import BackendUnavailable, ConfigError
 from proofopt.linter import lint_fixpoint
+from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import ProofRecord
 
 from conftest import HANG_UP, choices, mock_cfg
@@ -357,8 +355,9 @@ def test_http_client_retries_a_reply_without_completions(endpoint, sleeps, body,
         ({}, [1.0]),
         ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, [1.0]),
         ({"Retry-After": "\u00b2"}, [1.0]),
+        ({"Retry-After": "86400"}, [60.0]),  # capped at the backend's timeout
     ],
-    ids=["seconds", "absent", "date", "superscript"],
+    ids=["seconds", "absent", "date", "superscript", "capped"],
 )
 def test_http_client_backs_off_on_429(endpoint, sleeps, headers, slept, make_client):
     endpoint.replies = [(429, {}, headers), (200, choices("done"), {})]

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from proofopt import backends
+from proofopt import backends, prompting
 from proofopt.cli import main
+from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
+from proofopt.records import ProofRecord, read_jsonl
 
 
 @pytest.fixture
@@ -73,6 +75,14 @@ def test_length_rejects_malformed_jsonl(runner, tmp_path):
     path.write_text('{"id": "x"\n')
     result = runner.invoke(main, ["length", str(path)])
     assert result.exit_code == 1
+
+
+def test_malformed_input_is_a_toolkit_error():
+    assert issubclass(MalformedInput, ProofOptError) and issubclass(MalformedInput, ValueError)
+    with pytest.raises(MalformedInput, match="line 2"):
+        read_jsonl(['{"id": 1}\n', '{"id"\n'])
+    with pytest.raises(MalformedInput, match="proof"):
+        ProofRecord.from_json({"id": "x", "statement": "theorem x : 1 = 1"})
 
 
 def test_lint_command(runner, tmp_path):
@@ -174,6 +184,50 @@ def test_shorten_resume_after_torn_write(runner, tmp_path):
     assert trace_file.read_bytes() == uninterrupted
 
 
+def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "mock", "temperature": 0.3, "options": {"mode": "drop_lines"}},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    args = ["--config", config, "shorten", "--schedule", "2x1,2x1@1.5", proofs]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert [r["temperature"] for r in rows if "summary" not in r] == [0.3, 1.5]
+
+
+def test_unknown_run_config_key_exit_code(runner, tmp_path):
+    config = write_config(tmp_path, repair_budjet=1)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 2
+    assert "repair_budjet" in result.output
+
+
+def test_shorten_toolkit_error_exits_without_traceback(runner, tmp_path, monkeypatch, dead_url):
+    def missing(template_id):
+        raise TemplateMissing(f"no prompt template named {template_id!r}")
+
+    monkeypatch.setattr(prompting, "load_template", missing)
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "http_simplifier", "endpoint_url": dead_url},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 1
+    assert "no prompt template named 'simplify'" in result.output
+    assert result.exc_info[0] is SystemExit
+    assert "Traceback" not in result.output
+
+
 def test_shorten_empty_input_is_config_error(runner, tmp_path):
     config = write_config(tmp_path)
     empty = write_jsonl_file(tmp_path, "empty.jsonl", [])
@@ -260,6 +314,33 @@ def test_cli_import_loads_no_heavy_modules():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_mocks_load_only_for_a_mock_config(tmp_path):
+    """proofopt.mocks is imported by a config that names kind mock, and by
+    nothing else."""
+    src = Path(backends.__file__).parents[1]
+    checker = {"kind": "subprocess_verifier", "command_template": "true {file}"}
+    real = write_config(tmp_path, backends={"verifier": checker})
+    mock = str(Path(real).with_name("mock.json"))
+    Path(mock).write_text(json.dumps({"backends": {"verifier": {"kind": "mock"}}}))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code = (
+        "import sys, proofopt.cli as cli\n"
+        "loaded = ['proofopt.mocks' in sys.modules]\n"
+        "for config in sys.argv[2:]:\n"
+        "    cli.main(['--config', config, 'lint', sys.argv[1]], standalone_mode=False)\n"
+        "    loaded.append('proofopt.mocks' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(empty), real, mock],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[False, False, True]"
 
 
 SAMPLES = [

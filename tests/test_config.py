@@ -52,6 +52,11 @@ def test_runconfig_rejects_bad_json(tmp_path):
         RunConfig.from_json({"parallel_workers": 0})
 
 
+def test_runconfig_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="repair_budjet"):
+        RunConfig.from_json({"repair_budjet": 1})
+
+
 def test_apply_seed_only_fills_gaps():
     cfg = RunConfig.from_json(
         {

@@ -1,9 +1,9 @@
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import MockVerifier
 from proofopt.errors import NotValidInput
 from proofopt.linter import lint_fixpoint, lint_once
+from proofopt.mocks import MockVerifier
 from proofopt.records import ProofRecord
 
 from conftest import mock_cfg

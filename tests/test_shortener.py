@@ -7,8 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from proofopt.backends import MockRepairer, MockSimplifier, MockVerifier, Verdict, VerdictStatus
+from proofopt.backends import Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable, ParseFailure
+from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import Measure, ProofRecord
 from proofopt.shortener import (
     VerdictMemo,
@@ -67,6 +68,37 @@ def test_iteration_ignores_invalid_candidates():
     assert itrec.adopted is None
     assert after.full_source == start.full_source
     assert all(c.status is VerdictStatus.INVALID for c in itrec.candidates)
+
+
+class TermModeSimplifier(MockSimplifier):
+    """Returns a term-mode proof: it has ':=' but no ':= by'."""
+
+    def _simplify(self, source, k, temperature, context):
+        return ["theorem t : 1 = 1 := rfl"] * k
+
+
+def test_iteration_never_adopts_a_term_mode_candidate():
+    start = record("  skip\n  rfl")
+    simplifier = TermModeSimplifier(mock_cfg())
+    after, itrec = shorten_iteration(start, 2, simplifier, MockVerifier(mock_cfg()))
+    # it verifies and scores lower, through the lexer's ':=' fallback
+    assert itrec.candidates[0].status is VerdictStatus.VALID
+    assert itrec.candidates[0].score < itrec.score_before
+    assert itrec.adopted is None
+    assert after == start
+
+
+def test_iteration_survives_a_candidate_without_a_proof_body():
+    class BareSimplifier(MockSimplifier):
+        def _simplify(self, source, k, temperature, context):
+            return ["  rfl"] * k  # tactics only, no statement
+
+    start = record("  skip\n  rfl")
+    simplifier = BareSimplifier(mock_cfg())
+    after, itrec = shorten_iteration(start, 2, simplifier, MockVerifier(mock_cfg()))
+    assert [c.status for c in itrec.candidates] == [VerdictStatus.INVALID] * 2
+    assert [c.score for c in itrec.candidates] == [None, None]
+    assert after == start
 
 
 def test_iteration_skips_nonverifying_input():
@@ -165,6 +197,24 @@ def test_repair_stage_adopts_shorter():
     assert trace.final_source.endswith("rfl")
     assert trace.iterations[0].score_after == 1
     assert verifier.verify(trace.final_source).ok
+
+
+def test_repair_stage_never_adopts_a_term_mode_fix():
+    class TermModeRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report, n, temperature):
+            return [statement + " := rfl"] * n
+
+    verifier = MockVerifier(mock_cfg(fail_token="zeta"))
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
+    start = record("  norm_num\n  ring")
+    trace = shorten_loop(
+        start, [(2, 1.0)], simplifier, verifier, repairer=TermModeRepairer(mock_cfg())
+    )
+    stage = trace.iterations[0].repair
+    assert stage.candidates == [{"status": "valid", "score": 1, "linted_score": None}]
+    assert stage.valid == 1
+    assert stage.adopted is None
+    assert trace.final_source == start.full_source
 
 
 def test_repair_stage_repairs_each_failed_text_once():
@@ -305,6 +355,53 @@ def test_shorten_file_rewrites_units_in_place():
     assert rewritten.startswith("import Mathlib")
     # the rewritten file still decomposes into the same unit names
     assert [u.name for u in decompose(rewritten).units] == ["helper", "main"]
+
+
+DECLARATIONS_FILE = """import Mathlib
+
+theorem a : 1 = 1 := by
+  skip
+  rfl
+
+def helper : Nat := 1
+
+@[simp] theorem b : 2 = 2 := by
+  skip
+  rfl
+
+private lemma c : 3 = 3 := by
+  skip
+  rfl
+"""
+
+
+def test_shorten_file_keeps_every_declaration():
+    verifier = MockVerifier(mock_cfg())
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
+    rewritten, traces = shorten_file(DECLARATIONS_FILE, [(1, 1.0)], simplifier, verifier)
+    assert rewritten == DECLARATIONS_FILE.replace("  skip\n", "")
+    assert set(traces) == {"a", "b", "c"}  # the def is kept as it is, not shortened
+    plan = decompose(DECLARATIONS_FILE)
+    assert [(u.keyword, u.name) for u in plan.units] == [
+        ("theorem", "a"), ("def", "helper"), ("theorem", "b"), ("lemma", "c"),
+    ]
+
+
+def test_decompose_splits_at_commands_after_the_first_declaration():
+    text = (
+        "import Mathlib\nopen Real\n\nnamespace A\n\n"
+        "set_option maxHeartbeats 400 in\n@[simp]\n"
+        "protected theorem x (n : ℕ) : n = n := by\n  rfl\n\n"
+        "end A\n\ninstance : Inhabited ℕ := ⟨0⟩\n\n#eval 1\n"
+    )
+    plan = decompose(text)
+    assert plan.header == "import Mathlib\nopen Real\n\nnamespace A"
+    assert [(u.keyword, u.name) for u in plan.units] == [
+        ("theorem", "x"), ("end", "A"), ("instance", ""), ("#eval", "1"),
+    ]
+    assert plan.units[0].text.startswith("set_option maxHeartbeats 400 in\n@[simp]\n")
+    assert plan.units[0].text.endswith("  rfl")
+    assert plan.reassemble() == text
 
 
 def test_shorten_file_passes_dependency_context():
