@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from urllib.parse import unquote, urlsplit
+from urllib.parse import urlsplit
 
 from . import prompting
 from .errors import BackendUnavailable, ConfigError
@@ -95,6 +95,7 @@ _DIAGNOSTIC = re.compile(
 )
 LINT_DIRECTIVE = "set_option linter.unusedTactic true in\n"
 HEARTBEAT_DIRECTIVE = "set_option Elab.async false in\n#count_heartbeats in\n"
+_SORRY_WARNING = "declaration uses 'sorry'"
 _HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
 
 
@@ -190,11 +191,12 @@ class SubprocessVerifier(Verifier):
     """Runs a checker command on a temp file holding the source.
 
     The command template takes {file} and {timeout} placeholders. A proof is
-    valid iff the process exits zero and emits no error diagnostics. The
-    lint directive is always prepended, the heartbeat directive when asked
-    for. Diagnostics come back at lines of the source: the checker reports
-    lines of the file, so the lines of the prepended directives are
-    subtracted, and a line inside the directives is reported as line 1.
+    valid iff the process exits zero and emits neither an error diagnostic
+    nor the warning that a declaration uses sorry. The lint directive is
+    always prepended, the heartbeat directive when asked for. Diagnostics
+    come back at lines of the source: the checker reports lines of the
+    file, so the lines of the prepended directives are subtracted, and a
+    line inside the directives is reported as line 1.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -237,7 +239,11 @@ class SubprocessVerifier(Verifier):
                 replace(d, line=max(1, d.line - offset))
                 for d in parse_diagnostics(proc.stdout + "\n" + proc.stderr)
             )
-            errors = [d for d in diagnostics if d.severity == "error"]
+            # Lean passes a proof that uses sorry (or admit) with only this warning
+            errors = [
+                d for d in diagnostics
+                if d.severity == "error" or d.message.startswith(_SORRY_WARNING)
+            ]
             if proc.returncode != 0 and not diagnostics:
                 crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)
                 return Verdict(VerdictStatus.CRASH, diagnostics=crash_info, wall_time=elapsed)
@@ -281,11 +287,6 @@ class Generator:
         with self._dropped_lock:
             self.dropped_completions += len(blocks) - len(candidates)
         return candidates
-
-    def close(self) -> None:
-        """Close the connections the completion client keeps for reuse."""
-        if self.client is not None:
-            self.client.close()
 
 
 class Simplifier(Generator):
@@ -348,63 +349,29 @@ def _retry_after(value: str | None, default: float, cap: float) -> float:
     return min(int(value), cap) if value.isascii() and value.isdigit() else default
 
 
-def _route(url: str, timeout: float):
-    """How to reach url: (connect, request target, extra headers).
-
-    connect() returns an unopened connection. A proxy that http_proxy or
-    https_proxy names, and no_proxy does not exempt the host from, is
-    spoken to in plain HTTP: an http request goes to it in absolute form,
-    an https one through a CONNECT tunnel. TLS checks certificates against
-    the default CA store (SSL_CERT_FILE and SSL_CERT_DIR override it).
-    """
-    import base64
-    import http.client
-    import ssl
+def _opener():
+    """A urllib opener that takes its proxies from the environment and
+    follows no redirect: a 3xx reply raises HTTPError like a 4xx."""
     import urllib.request
 
-    parts = urlsplit(url)
-    https = parts.scheme == "https"
-    address = (parts.hostname, parts.port or (443 if https else 80))
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    headers: dict = {}
-    tunnel = None
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and not urllib.request.proxy_bypass(parts.hostname):
-        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        if via.username:
-            credentials = f"{unquote(via.username)}:{unquote(via.password or '')}".encode()
-            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode()
-        if https:
-            tunnel, headers = (address, headers), {}
-        else:
-            target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
-        address = (via.hostname, via.port or 80)
-    context = ssl.create_default_context() if https else None
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
 
-    def connect():
-        if not https:
-            return http.client.HTTPConnection(*address, timeout=timeout)
-        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
-        if tunnel is not None:
-            conn.set_tunnel(*tunnel[0], headers=tunnel[1])
-        return conn
-
-    return connect, target, headers
+    return urllib.request.build_opener(RefuseRedirects)
 
 
 class HttpCompletionClient:
-    """Chat-completion endpoint client over keep-alive connections.
+    """Chat-completion endpoint client over urllib.request.
 
-    Idle connections are kept for reuse, at most ``max_parallel`` of them,
-    the most requests the generator's admission lets through at once. A
-    connection that raises is closed. A request that fails on a reused
-    connection before a reply arrives (the server closed it while it was
-    idle) is sent once more, at once, on a new connection, without spending
-    a retry; a timeout is not sent again. Transport errors, 429 and 5xx
-    replies and 2xx replies without completions are retried with doubling
-    backoff, a 429 waiting the integer seconds of its Retry-After instead,
-    but no longer than the backend's timeout; other replies of status 300
-    and up are not retried.
+    Each request goes out on a new connection. As urllib does it, a proxy
+    comes from http_proxy, https_proxy and no_proxy, and TLS checks
+    certificates against the default CA store (SSL_CERT_FILE and
+    SSL_CERT_DIR override it). Transport errors, 429 and 5xx replies and 2xx
+    replies without completions are retried with doubling backoff, a 429
+    waiting the integer seconds of its Retry-After instead, but no longer
+    than the backend's timeout; other replies of status 300 and up, a
+    redirect too, are not retried.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -416,14 +383,16 @@ class HttpCompletionClient:
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"{cfg.kind} needs an http or https endpoint_url")
         self.cfg = cfg
-        self._idle: list = []
-        self._lock = threading.Lock()
-        self._route = None  # (connect, target, headers), worked out on the first request
+        self._opener = None  # built on the first request
 
     def complete(self, prompt: str, n: int, temperature: float | None) -> list[str]:
-        # imported here, so that processes which make no request never load it
+        # imported here, so that processes which make no request never load them
         import http.client
+        import urllib.error
+        import urllib.request
 
+        if self._opener is None:
+            self._opener = _opener()
         payload = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -440,76 +409,37 @@ class HttpCompletionClient:
         last_error: Exception | None = None
         for attempt in range(self.cfg.retries):
             wait = delay
+            # a new Request for each attempt: the proxy handler rewrites the one it is given
+            request = urllib.request.Request(self.cfg.endpoint_url, body, headers, method="POST")
             try:
-                status, retry_after, reply = self._post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-            else:
-                if 200 <= status < 300:
-                    contents = _completions(reply)
-                    if contents is not None:
-                        return contents
-                    last_error = BackendUnavailable(f"status {status} reply without completions")
-                elif status == 429 or status >= 500:
-                    last_error = BackendUnavailable(f"server answered with status {status}")
-                    if status == 429:
-                        wait = _retry_after(retry_after, delay, self.cfg.timeout)
-                else:
+                with self._opener.open(request, timeout=self.cfg.timeout) as response:
+                    reply = response.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code != 429 and exc.code < 500:
                     # the request itself is bad; retrying cannot help
                     raise BackendUnavailable(
                         f"endpoint {self.cfg.endpoint_url} rejected the request "
-                        f"with status {status}"
-                    )
+                        f"with status {exc.code}"
+                    ) from None
+                last_error = exc
+                if exc.code == 429:
+                    wait = _retry_after(exc.headers.get("Retry-After"), delay, self.cfg.timeout)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+            else:
+                contents = _completions(reply)
+                if contents is not None:
+                    return contents
+                last_error = BackendUnavailable(
+                    f"status {response.status} reply without completions"
+                )
             if attempt + 1 < self.cfg.retries:
                 time.sleep(wait)
                 delay *= 2
         raise BackendUnavailable(
             f"endpoint {self.cfg.endpoint_url} unreachable after {self.cfg.retries} attempts"
         ) from last_error
-
-    def close(self) -> None:
-        """Close the idle connections."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
-
-    def _post(self, body: bytes, headers: dict) -> tuple[int, str | None, bytes]:
-        """One POST of body; returns the reply's status, Retry-After header
-        and body."""
-        import http.client
-
-        with self._lock:
-            if self._route is None:
-                self._route = _route(self.cfg.endpoint_url, self.cfg.timeout)
-            connect, target, route_headers = self._route
-            conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
-        if conn is None:
-            conn = connect()
-        headers = {**route_headers, **headers}
-        try:
-            try:
-                conn.request("POST", target, body, headers)
-                response = conn.getresponse()
-            except (OSError, http.client.HTTPException) as exc:
-                if not reused or isinstance(exc, TimeoutError):
-                    raise
-                conn.close()
-                conn = connect()
-                conn.request("POST", target, body, headers)
-                response = conn.getresponse()
-            reply = response.read()
-        except BaseException:
-            conn.close()
-            raise
-        with self._lock:
-            keep = not response.will_close and len(self._idle) < self.cfg.max_parallel
-            if keep:
-                self._idle.append(conn)
-        if not keep:
-            conn.close()
-        return response.status, response.getheader("Retry-After"), reply
 
 
 _BACKENDS = {

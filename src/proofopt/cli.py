@@ -208,16 +208,11 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
             if cfg.workdir:
                 handle.close()
 
-    try:
-        if cfg.parallel_workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.parallel_workers) as pool:
-                traces = list(pool.map(run_one, records))
-        else:
-            traces = [run_one(r) for r in records]
-    finally:
-        simplifier.close()
-        if repairer is not None:
-            repairer.close()
+    if cfg.parallel_workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.parallel_workers) as pool:
+            traces = list(pool.map(run_one, records))
+    else:
+        traces = [run_one(r) for r in records]
 
     befores, afters = [], []
     for trace in traces:
@@ -284,7 +279,10 @@ def dataset_build(seeds, results, ancestry, iteration, output):
         verdict = Verdict(VerdictStatus.VALID) if row.get("valid") else None
         iteration_results[record.id] = (record, verdict)
     ancestry_rows = read_jsonl(ancestry) if ancestry else []
-    ancestors = {row["id"]: ProofRecord.from_json(row["ancestor"]) for row in ancestry_rows}
+    try:
+        ancestors = {row["id"]: ProofRecord.from_json(row["ancestor"]) for row in ancestry_rows}
+    except KeyError as exc:
+        raise MalformedInput(f"ancestry record missing field {exc}") from None
     pairs = training_data.build_expit_dataset(
         seed_records, iteration_results, ancestors, origin_iteration=iteration
     )
@@ -362,11 +360,11 @@ def reward(input, output, literal_sign):
                 )
                 for j, c in enumerate(row["candidates"])
             ]
-        except (KeyError, TypeError) as exc:
+            group = training_data.compute_rewards(
+                original, candidates, positive_shortening=not literal_sign
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"reward record {row.get('id', i)!r}: {exc}") from None
-        group = training_data.compute_rewards(
-            original, candidates, positive_shortening=not literal_sign
-        )
         out.append(
             {
                 "id": group.prompt_id,

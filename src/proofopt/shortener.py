@@ -430,11 +430,13 @@ class DecompositionPlan:
     header: str  # imports, options, macros before the first declaration
     units: list[DecompositionUnit]
 
-    def reassemble(self, replacements: dict[str, str] | None = None) -> str:
+    def reassemble(self, replacements: dict[int, str] | None = None) -> str:
+        """The file again, with each theorem or lemma unit whose position in
+        ``units`` is a key of replacements replaced by its value."""
         replacements = replacements or {}
         parts = [self.header] if self.header else []
-        for unit in self.units:
-            shortened = replacements.get(unit.name) if unit.keyword in _SHORTENED else None
+        for i, unit in enumerate(self.units):
+            shortened = replacements.get(i) if unit.keyword in _SHORTENED else None
             parts.append(shortened or unit.text)
         return "\n".join(p.rstrip() + "\n" for p in parts)
 
@@ -482,21 +484,23 @@ def shorten_file(
     verifier: Verifier,
     measure: Measure = Measure.TOKEN_LENGTH,
     repairer: Repairer | None = None,
-) -> tuple[str, dict[str, ShorteningTrace]]:
+) -> tuple[str, dict[int, ShorteningTrace]]:
     """Shorten each theorem and lemma of a file independently and
     reassemble; every other command keeps its text.
 
     The prompt for a unit carries the statements (never the proofs) of the
     units it depends on, in declaration order. A unit that cannot be
     shortened, or cannot even be parsed into statement and proof, keeps its
-    original text.
+    original text. Replacements and traces are keyed by the unit's position
+    in the file's decomposition, so same-named theorems in different
+    namespaces stay apart.
     """
     plan = decompose(file_text)
     order = {u.name: i for i, u in enumerate(plan.units)}
     by_name = {u.name: u for u in plan.units}
-    replacements: dict[str, str] = {}
-    traces: dict[str, ShorteningTrace] = {}
-    for unit in plan.units:
+    replacements: dict[int, str] = {}
+    traces: dict[int, ShorteningTrace] = {}
+    for position, unit in enumerate(plan.units):
         if unit.keyword not in _SHORTENED:
             continue
         try:
@@ -510,8 +514,8 @@ def shorten_file(
         trace = shorten_loop(
             record, schedule, simplifier, verifier, measure, repairer=repairer, context=context
         )
-        traces[unit.name] = trace
+        traces[position] = trace
         final = trace.final_source
         if final is not None and final != record.full_source:
-            replacements[unit.name] = final
+            replacements[position] = final
     return plan.reassemble(replacements), traces

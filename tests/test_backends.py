@@ -175,6 +175,18 @@ def test_subprocess_verifier_diagnostics(tmp_path):
     assert verdict.diagnostics[0].message == "unsolved goals"
 
 
+def test_subprocess_verifier_rejects_a_sorry(tmp_path):
+    command = _fake_checker(tmp_path, "echo \"$1:3:2: warning: declaration uses 'sorry'\"\nexit 0\n")
+    verifier = SubprocessVerifier(
+        BackendConfig(kind="subprocess_verifier", command_template=f"{command} {{file}}")
+    )
+    verdict = verifier.verify("theorem t : 1 = 2 := by\n  sorry")
+    assert verdict.status is VerdictStatus.INVALID
+    assert [(d.severity, d.line, d.message) for d in verdict.diagnostics] == [
+        ("warning", 2, "declaration uses 'sorry'")
+    ]
+
+
 def test_subprocess_verifier_timeout(tmp_path):
     command = _fake_checker(tmp_path, "sleep 5\n")
     verifier = SubprocessVerifier(
@@ -265,18 +277,12 @@ def sleeps(monkeypatch):
 
 @pytest.fixture
 def make_client():
-    """HttpCompletionClient factory; the clients are closed after the test."""
-    clients = []
+    """HttpCompletionClient factory."""
 
     def make(url, **fields):
-        clients.append(
-            HttpCompletionClient(BackendConfig(kind="http_simplifier", endpoint_url=url, **fields))
-        )
-        return clients[-1]
+        return HttpCompletionClient(BackendConfig(kind="http_simplifier", endpoint_url=url, **fields))
 
-    yield make
-    for client in clients:
-        client.close()
+    return make
 
 
 def test_http_simplifier_retries_then_succeeds(endpoint, sleeps, monkeypatch):
@@ -290,7 +296,6 @@ def test_http_simplifier_retries_then_succeeds(endpoint, sleeps, monkeypatch):
         BackendConfig(kind="http_simplifier", endpoint_url=endpoint.url, model="m", retries=3)
     )
     out = simplifier.simplify("theorem t : 1 = 1 := by\n  norm_num", 2, temperature=0.7)
-    simplifier.close()
     assert out == ["t := by\n  rfl"]
     assert simplifier.dropped_completions == 1
     calls = [r["payload"] for r in endpoint.requests]
@@ -307,7 +312,6 @@ def test_http_client_gives_up_after_retries(endpoint, sleeps):
     )
     with pytest.raises(BackendUnavailable):
         simplifier.simplify("t := by rfl", 1)
-    simplifier.close()
     assert len(endpoint.requests) == 2
 
 
@@ -318,7 +322,6 @@ def test_http_client_does_not_retry_client_errors(endpoint, sleeps):
     )
     with pytest.raises(BackendUnavailable):
         simplifier.simplify("t := by rfl", 1)
-    simplifier.close()
     assert len(endpoint.requests) == 1  # a 4xx is the caller's fault, retrying cannot help
 
 
@@ -327,7 +330,6 @@ def test_http_repairer_renders_report(endpoint):
         BackendConfig(kind="http_repairer", endpoint_url=endpoint.url, retries=1)
     )
     out = repairer.repair("theorem t : 1 = 1", "  bad", "boom goes the proof")
-    repairer.close()
     assert out == ["t := by\n  rfl"]
     prompts = [r["payload"]["messages"][0]["content"] for r in endpoint.requests]
     assert "boom goes the proof" in prompts[0]
@@ -367,17 +369,19 @@ def test_http_client_backs_off_on_429(endpoint, sleeps, headers, slept, make_cli
     assert sleeps == slept
 
 
-def test_http_client_reuses_its_connection(endpoint, sleeps, make_client):
-    client = make_client(endpoint.url)
-    for _ in range(3):
+def test_http_client_does_not_follow_redirects(endpoint, sleeps, make_client):
+    endpoint.replies = [(302, {}, {"Location": endpoint.url + "/elsewhere"})]
+    client = make_client(endpoint.url, retries=3)
+    with pytest.raises(BackendUnavailable):
         client.complete("p", 1, None)
-    assert len({r["client_port"] for r in endpoint.requests}) == 1
+    assert len(endpoint.requests) == 1
+    assert sleeps == []
 
 
 def test_http_client_resends_on_a_stale_connection(endpoint, sleeps, make_client):
-    """The server closes each connection after its reply, so the second
-    request meets a dead kept-alive connection: it goes out again on a new
-    one at once, without spending the single attempt."""
+    """The server closes each connection after its reply without saying so.
+    Each request goes out on a new connection, so the second one costs no
+    retry either."""
     endpoint.drop_after_reply = True
     client = make_client(endpoint.url, retries=1)
     assert client.complete("p", 1, None) == ["```lean4\nt := by\n  rfl\n```"]

@@ -466,6 +466,32 @@ def test_reward_command(runner, tmp_path):
     assert json.loads(literal.output)["entries"][0]["reward"] == pytest.approx(-0.5)
 
 
+def test_reward_rejects_a_group_without_candidates(runner, tmp_path):
+    row = {"id": "g", "statement": "theorem g : 1 = 1", "proof": long_proof(10), "candidates": []}
+    groups = write_jsonl_file(tmp_path, "groups.jsonl", [row])
+    result = runner.invoke(main, ["reward", groups])
+    assert result.exit_code == 1
+    assert result.exc_info[0] is SystemExit
+    assert result.output.startswith("error: reward record 'g'")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("missing", ["ancestor", "id"])
+def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missing):
+    record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [record])
+    results = write_jsonl_file(tmp_path, "results.jsonl", [{**record, "valid": True}])
+    row = {"id": "a", "ancestor": record}
+    del row[missing]
+    ancestry = write_jsonl_file(tmp_path, "ancestry.jsonl", [row])
+    result = runner.invoke(
+        main, ["dataset", "build", "--seeds", seeds, "--results", results, "--ancestry", ancestry]
+    )
+    assert result.exit_code == 1
+    assert result.exc_info[0] is SystemExit
+    assert result.output == f"error: ancestry record missing field '{missing}'\n"
+
+
 def test_report_corpus_and_csv(runner, tmp_path):
     scores = write_jsonl_file(tmp_path, "scores.jsonl", [{"score": s} for s in (5, 1, 9, 3)])
     csv_path = tmp_path / "stats.csv"

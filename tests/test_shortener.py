@@ -351,7 +351,7 @@ def test_shorten_file_rewrites_units_in_place():
     simplifier = MockSimplifier(mock_cfg(mode="strip_noops", noop_lines=["skip"]))
     rewritten, traces = shorten_file(FILE_TEXT, [(2, 1.0)], simplifier, verifier)
     assert "skip" not in rewritten
-    assert set(traces) == {"helper", "main"}
+    assert {i: t.proof_id for i, t in traces.items()} == {0: "helper", 1: "main"}
     assert rewritten.startswith("import Mathlib")
     # the rewritten file still decomposes into the same unit names
     assert [u.name for u in decompose(rewritten).units] == ["helper", "main"]
@@ -380,11 +380,37 @@ def test_shorten_file_keeps_every_declaration():
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     rewritten, traces = shorten_file(DECLARATIONS_FILE, [(1, 1.0)], simplifier, verifier)
     assert rewritten == DECLARATIONS_FILE.replace("  skip\n", "")
-    assert set(traces) == {"a", "b", "c"}  # the def is kept as it is, not shortened
+    # the def is kept as it is, not shortened
+    assert {i: t.proof_id for i, t in traces.items()} == {0: "a", 2: "b", 3: "c"}
     plan = decompose(DECLARATIONS_FILE)
     assert [(u.keyword, u.name) for u in plan.units] == [
         ("theorem", "a"), ("def", "helper"), ("theorem", "b"), ("lemma", "c"),
     ]
+
+
+NAMESPACED_FILE = """namespace A
+
+theorem foo : 1 = 1 := by skip; rfl
+
+end A
+
+namespace B
+
+theorem foo : 2 = 2 := by skip; skip; rfl
+
+end B
+"""
+
+
+def test_shorten_file_keeps_same_named_theorems_apart():
+    verifier = MockVerifier(mock_cfg())
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
+    rewritten, traces = shorten_file(NAMESPACED_FILE, [(1, 1.0)], simplifier, verifier)
+    assert rewritten == (
+        NAMESPACED_FILE.replace("by skip; rfl", "by\n  rfl")
+        .replace("by skip; skip; rfl", "by\n  rfl")
+    )
+    assert {i: t.proof_id for i, t in traces.items()} == {0: "foo", 3: "foo"}
 
 
 def test_decompose_splits_at_commands_after_the_first_declaration():
