@@ -57,6 +57,10 @@ class Verdict:
         return self.status is VerdictStatus.VALID
 
 
+# What a JSON value must be to fill a BackendConfig field of each annotated type.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict}
+
+
 @dataclass
 class BackendConfig:
     kind: str  # a key of _BACKENDS, or mock
@@ -79,13 +83,19 @@ class BackendConfig:
             raise ConfigError("top_p must be in (0, 1]")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BackendConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+    def from_json(cls, obj) -> "BackendConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a backend config is a JSON object, not {obj!r}")
+        fields = cls.__dataclass_fields__
+        unknown = set(obj) - set(fields)
         if unknown:
             raise ConfigError(f"unknown backend config keys: {sorted(unknown)}")
         if "kind" not in obj:
             raise ConfigError("backend config needs a 'kind'")
+        for name, value in obj.items():
+            kind = fields[name].type
+            if not isinstance(value, _JSON_TYPES[kind]):
+                raise ConfigError(f"backend config {name} must be {kind}, not {value!r}")
         return cls(**obj)
 
 
@@ -95,7 +105,7 @@ _DIAGNOSTIC = re.compile(
 )
 LINT_DIRECTIVE = "set_option linter.unusedTactic true in\n"
 HEARTBEAT_DIRECTIVE = "set_option Elab.async false in\n#count_heartbeats in\n"
-_SORRY_WARNING = "declaration uses 'sorry'"
+SORRY_WARNING = "declaration uses 'sorry'"
 _HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
 
 
@@ -242,7 +252,7 @@ class SubprocessVerifier(Verifier):
             # Lean passes a proof that uses sorry (or admit) with only this warning
             errors = [
                 d for d in diagnostics
-                if d.severity == "error" or d.message.startswith(_SORRY_WARNING)
+                if d.severity == "error" or d.message.startswith(SORRY_WARNING)
             ]
             if proc.returncode != 0 and not diagnostics:
                 crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)

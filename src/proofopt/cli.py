@@ -1,29 +1,24 @@
 """Command-line entry point wiring the pipeline stages together.
 
-Exit codes: 0 success, 1 input error, 2 configuration error, 3 backend
-failure (partial output already persisted). _Main.invoke maps the toolkit's
-errors to them for every command.
+Exit codes: 0 success, 1 input error, 2 usage or configuration error, 3
+backend failure (partial output already persisted). main maps the toolkit's
+errors to them for every command. Each command imports the modules only it
+uses, so a process loads no more than its command runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import click
-
-from . import lexer, reports, training_data
-from .backends import make_repairer, make_simplifier, make_verifier
+from . import lexer
+from .backends import Verdict, VerdictStatus, make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
-from .errors import (
-    BackendUnavailable,
-    ConfigError,
-    MalformedInput,
-    NoProofDelimiter,
-    ProofOptError,
-)
+from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
+from .errors import NoProofDelimiter
 # min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
 from .estimators import SampleSet, min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
@@ -31,55 +26,74 @@ from .records import Measure, ProofRecord, read_jsonl, write_jsonl
 from .shortener import ShorteningTrace, iteration_from_json, shorten_loop
 
 
-class _Main(click.Group):
-    """The command group. A toolkit error raised by any command ends the
-    process here: ConfigError with exit 2, BackendUnavailable with exit 3,
-    any other ProofOptError with exit 1."""
-
-    def invoke(self, ctx):
+def _readable_file(name: str) -> str:
+    """A file that opens for reading, or - for stdin; checked while parsing."""
+    if name != "-":
         try:
-            return super().invoke(ctx)
-        except ProofOptError as exc:
-            code, message = 1, str(exc)
-            if isinstance(exc, ConfigError):
-                code = 2
-            elif isinstance(exc, BackendUnavailable):
-                code, message = 3, f"backend outage, partial traces persisted: {exc}"
-            click.echo(f"error: {message}", err=True)
-            sys.exit(code)
+            open(name).close()
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(f"cannot open {name!r}: {exc.strerror}") from None
+    return name
 
 
-def _load_config(ctx) -> RunConfig:
-    params = ctx.obj
-    cfg = RunConfig.load(params["config"]) if params["config"] else RunConfig()
-    if params["seed"] is not None:
-        cfg.seed = params["seed"]
-    if params["workers"] is not None:
-        cfg.parallel_workers = params["workers"]
-    if params["workdir"] is not None:
-        cfg.workdir = Path(params["workdir"])
+def _file_path(name: str) -> str:
+    if Path(name).is_dir():
+        raise argparse.ArgumentTypeError(f"{name!r} is a directory")
+    return name
+
+
+def _dir_path(name: str) -> str:
+    if Path(name).is_file():
+        raise argparse.ArgumentTypeError(f"{name!r} is a file")
+    return name
+
+
+class _Output:
+    """A command's -o FILE, or stdout for -. The file is opened at the first
+    write, so a command that fails before writing leaves it as it was."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self._file = None
+
+    def write(self, text: str) -> None:
+        if self._file is None:
+            try:
+                self._file = sys.stdout if self.name == "-" else open(self.name, "w")
+            except OSError as exc:
+                raise ProofOptError(f"cannot write {self.name}: {exc.strerror}") from None
+        self._file.write(text)
+
+    def close(self) -> None:
+        if self._file is not None and self.name != "-":
+            self._file.close()
+
+
+def _load_config(args) -> RunConfig:
+    cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.workers is not None:
+        cfg.parallel_workers = args.workers
+    if args.workdir is not None:
+        cfg.workdir = Path(args.workdir)
     cfg.apply_seed()
     return cfg
 
 
-def _read_records(path_or_stream) -> list[ProofRecord]:
-    return [ProofRecord.from_json(row) for row in read_jsonl(path_or_stream)]
+def _rows(name: str) -> list[dict]:
+    """The JSONL rows of a file, or of stdin for -."""
+    if name == "-":
+        return read_jsonl(sys.stdin)
+    with open(name) as handle:
+        return read_jsonl(handle)
 
 
-@click.group(cls=_Main)
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--workdir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
-def main(ctx, config, seed, workers, workdir):
-    """Proof shortening toolkit."""
-    ctx.obj = {"config": config, "seed": seed, "workers": workers, "workdir": workdir}
+def _read_records(name: str) -> list[ProofRecord]:
+    return [ProofRecord.from_json(row) for row in _rows(name)]
 
 
-@main.command()
-@click.argument("files", nargs=-1, type=click.Path(exists=True, dir_okay=False))
-def length(files):
+def length(args):
     """Token length of each input proof.
 
     With file arguments, .jsonl files are read as proof records and anything
@@ -89,42 +103,32 @@ def length(files):
 
     def emit(label: str, source: str):
         try:
-            click.echo(f"{label}\t{lexer.proof_length(source)}")
+            print(f"{label}\t{lexer.proof_length(source)}")
         except NoProofDelimiter:
-            click.echo(f"warning: {label}: no proof delimiter", err=True)
-            click.echo(f"{label}\t{lexer.SENTINEL_LENGTH}")
+            print(f"warning: {label}: no proof delimiter", file=sys.stderr)
+            print(f"{label}\t{lexer.SENTINEL_LENGTH}")
 
-    if not files:
-        for record in _read_records(sys.stdin):
-            emit(record.id, record.full_source)
-        return
-    for name in files:
+    for name in args.files or ["-"]:
         path = Path(name)
-        if path.suffix == ".jsonl":
-            with path.open() as handle:
-                for record in _read_records(handle):
-                    emit(record.id, record.full_source)
+        if name == "-" or path.suffix == ".jsonl":
+            for record in _read_records(name):
+                emit(record.id, record.full_source)
         else:
             emit(str(path), path.read_text())
 
 
-@main.command()
-@click.argument("input", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w"), default="-")
-@click.option("--rounds", type=int, default=10, show_default=True)
-@click.pass_context
-def lint(ctx, input, output, rounds):
+def lint(args):
     """Remove do-nothing tactics from each proof until a fixpoint."""
-    cfg = _load_config(ctx)
+    cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
-    records = _read_records(input)
+    records = _read_records(args.input)
     out = []
     for record in records:
-        linted = lint_fixpoint(record, verifier, max_rounds=rounds)
+        linted = lint_fixpoint(record, verifier, max_rounds=args.rounds)
         row = linted.to_json()
         row["length"] = lexer.proof_length(linted.full_source)
         out.append(row)
-    write_jsonl(output, out)
+    write_jsonl(args.output, out)
 
 
 def _trace_path(workdir: Path, proof_id: str) -> Path:
@@ -133,47 +137,38 @@ def _trace_path(workdir: Path, proof_id: str) -> Path:
 
 
 def _load_partial(path: Path, limit: int):
-    """Iterations already persisted at path. The file is cut back to its last
-    complete record, so that the next record appended starts a line."""
+    """The first limit iterations persisted at path. The file is cut back to
+    the records kept, so that the next record appended starts a line."""
     if not path.exists():
         return None
     done = []
-    complete = 0
+    kept = 0
     with path.open("r+b") as handle:
         for line in handle:
-            if not line.endswith(b"\n"):
-                break  # interrupted mid-write; redo from here
+            if len(done) == limit or not line.endswith(b"\n"):
+                break  # past the schedule, or interrupted mid-write; redo from here
             try:
                 done.append(iteration_from_json(json.loads(line)))
             except (ValueError, KeyError):
                 break
-            complete += len(line)
-        handle.truncate(complete)
-    return done[:limit] or None
+            kept += len(line)
+        handle.truncate(kept)
+    return done or None
 
 
-@main.command()
-@click.argument("input", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w"), default="-")
-@click.option("--schedule", "schedule_spec", default=None, help="e.g. 64x6,1024x2@1.5")
-@click.option(
-    "--measure", "measure_name", type=click.Choice(["length", "heartbeats"]), default=None
-)
-@click.option("--repair", "repair_flag", type=click.Choice(["on", "off"]), default=None)
-@click.pass_context
-def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
+def shorten(args):
     """Iteratively shorten each input proof; stream traces plus a summary."""
-    cfg = _load_config(ctx)
-    if measure_name:
-        cfg.measure = Measure(measure_name)
-    if repair_flag:
-        cfg.repair = repair_flag == "on"
+    cfg = _load_config(args)
+    if args.measure:
+        cfg.measure = Measure(args.measure)
+    if args.repair:
+        cfg.repair = args.repair == "on"
     simplifier_cfg = cfg.backend("simplifier")
-    schedule = parse_schedule(schedule_spec or cfg.schedule, simplifier_cfg.temperature)
+    schedule = parse_schedule(args.schedule or cfg.schedule, simplifier_cfg.temperature)
     repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
     verifier = make_verifier(cfg.backend("verifier"))
     simplifier = make_simplifier(simplifier_cfg)
-    records = _read_records(input)
+    records = _read_records(args.input)
     if not records:
         raise ConfigError("empty input")
     if cfg.workdir:
@@ -185,8 +180,7 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
         if cfg.workdir:
             path = _trace_path(cfg.workdir, record.id)
             resume = _load_partial(path, len(schedule))
-            mode = "a" if resume else "w"
-            handle = path.open(mode)
+            handle = path.open("a" if resume else "w")
 
             def sink(itrec):
                 handle.write(json.dumps(itrec.to_json(), ensure_ascii=False) + "\n")
@@ -194,15 +188,8 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
 
         try:
             return shorten_loop(
-                record,
-                schedule,
-                simplifier,
-                verifier,
-                cfg.measure,
-                repairer=repairer,
-                repair_budget=cfg.repair_budget,
-                on_iteration=sink,
-                resume_from=resume,
+                record, schedule, simplifier, verifier, cfg.measure, repairer=repairer,
+                repair_budget=cfg.repair_budget, on_iteration=sink, resume_from=resume,
             )
         finally:
             if cfg.workdir:
@@ -218,7 +205,7 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
     for trace in traces:
         for itrec in trace.iterations:
             row = {"proof_id": trace.proof_id, **itrec.to_json()}
-            output.write(json.dumps(row, ensure_ascii=False) + "\n")
+            args.output.write(json.dumps(row, ensure_ascii=False) + "\n")
         befores.append(trace.iterations[0].score_before)
         afters.append(trace.iterations[-1].score_after)
     reductions = [1 - a / b for a, b in zip(afters, befores) if b > 0]
@@ -231,7 +218,7 @@ def shorten(ctx, input, output, schedule_spec, measure_name, repair_flag):
             "mean_reduction": sum(reductions) / len(reductions) if reductions else 0.0,
         }
     }
-    output.write(json.dumps(summary, ensure_ascii=False) + "\n")
+    args.output.write(json.dumps(summary, ensure_ascii=False) + "\n")
 
 
 def _sample_sets(rows) -> list[SampleSet]:
@@ -245,108 +232,63 @@ def _sample_sets(rows) -> list[SampleSet]:
     return sets
 
 
-@main.command()
-@click.argument("input", type=click.File("r"))
-@click.option("-k", "ks", type=int, multiple=True, required=True)
-@click.option("-o", "--output", type=click.File("w"), default="-")
-def estimate(input, ks, output):
+def estimate(args):
     """Dataset-mean min@k and red@k from per-proof sample files."""
-    rows = read_jsonl(input)
+    from . import reports
+
+    rows = _rows(args.input)
     if not rows:
         raise ConfigError("empty input")
-    write_jsonl(output, reports.atk_table(_sample_sets(rows), sorted(ks)))
+    write_jsonl(args.output, reports.atk_table(_sample_sets(rows), sorted(args.ks)))
 
 
-@main.group()
-def dataset():
-    """Build and serialize training datasets."""
-
-
-@dataset.command("build")
-@click.option("--seeds", type=click.File("r"), required=True)
-@click.option("--results", type=click.File("r"), required=True)
-@click.option("--ancestry", type=click.File("r"), default=None)
-@click.option("--iteration", type=int, default=0)
-@click.option("-o", "--output", type=click.File("w"), default="-")
-def dataset_build(seeds, results, ancestry, iteration, output):
+def dataset_build(args):
     """Pair seed proofs with their verified best simplifications."""
-    from .backends import Verdict, VerdictStatus
+    from . import training_data
 
-    seed_records = _read_records(seeds)
+    seed_records = _read_records(args.seeds)
     iteration_results = {}
-    for row in read_jsonl(results):
+    for row in _rows(args.results):
         record = ProofRecord.from_json(row)
         verdict = Verdict(VerdictStatus.VALID) if row.get("valid") else None
         iteration_results[record.id] = (record, verdict)
-    ancestry_rows = read_jsonl(ancestry) if ancestry else []
+    ancestry_rows = _rows(args.ancestry) if args.ancestry else []
     try:
         ancestors = {row["id"]: ProofRecord.from_json(row["ancestor"]) for row in ancestry_rows}
     except KeyError as exc:
         raise MalformedInput(f"ancestry record missing field {exc}") from None
     pairs = training_data.build_expit_dataset(
-        seed_records, iteration_results, ancestors, origin_iteration=iteration
+        seed_records, iteration_results, ancestors, origin_iteration=args.iteration
     )
-    write_jsonl(
-        output,
-        (
-            {
-                "input": p.input_proof.to_json(),
-                "output": p.output_proof.to_json(),
-                "iteration": p.origin_iteration,
-                "transitive": p.transitive,
-            }
-            for p in pairs
-        ),
-    )
+    write_jsonl(args.output, (p.to_json() for p in pairs))
 
 
-@dataset.command("filter-trivial")
-@click.argument("input", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w"), default="-")
-@click.pass_context
-def dataset_filter_trivial(ctx, input, output):
+def dataset_filter_trivial(args):
     """Drop theorems the automation cascade proves on its own."""
-    cfg = _load_config(ctx)
+    from . import training_data
+
+    cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
-    records = _read_records(input)
+    records = _read_records(args.input)
     kept, discarded = training_data.filter_trivial(records, verifier)
-    write_jsonl(output, (r.to_json() for r in kept))
-    click.echo(f"kept {len(kept)} discarded {len(discarded)}", err=True)
+    write_jsonl(args.output, (r.to_json() for r in kept))
+    print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 
 
-@dataset.command("emit-sft")
-@click.argument("input", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w"), default="-")
-def dataset_emit_sft(input, output):
+def dataset_emit_sft(args):
     """Serialize simplification pairs as prompt/completion records."""
-    pairs = []
-    for row in read_jsonl(input):
-        try:
-            pairs.append(
-                training_data.SimplificationPair(
-                    input_proof=ProofRecord.from_json(row["input"]),
-                    output_proof=ProofRecord.from_json(row["output"]),
-                    origin_iteration=row.get("iteration", 0),
-                    transitive=row.get("transitive", False),
-                )
-            )
-        except KeyError as exc:
-            raise MalformedInput(f"pair record missing field {exc}") from None
-    write_jsonl(output, training_data.emit_sft_records(pairs))
+    from . import training_data
+
+    pairs = [training_data.SimplificationPair.from_json(row) for row in _rows(args.input)]
+    write_jsonl(args.output, training_data.emit_sft_records(pairs))
 
 
-@main.command()
-@click.argument("input", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w"), default="-")
-@click.option(
-    "--literal-sign",
-    is_flag=True,
-    help="use the raw (new - old)/old delta instead of positive shortening",
-)
-def reward(input, output, literal_sign):
+def reward(args):
     """Group-relative rewards and advantages for candidate simplifications."""
+    from . import training_data
+
     out = []
-    for i, row in enumerate(read_jsonl(input)):
+    for i, row in enumerate(_rows(args.input)):
         try:
             original = ProofRecord.from_json(row)
             candidates = [
@@ -361,46 +303,23 @@ def reward(input, output, literal_sign):
                 for j, c in enumerate(row["candidates"])
             ]
             group = training_data.compute_rewards(
-                original, candidates, positive_shortening=not literal_sign
+                original, candidates, positive_shortening=not args.literal_sign
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"reward record {row.get('id', i)!r}: {exc}") from None
-        out.append(
-            {
-                "id": group.prompt_id,
-                "group_size": group.group_size,
-                "entries": [
-                    {
-                        "reward": e.reward,
-                        "advantage": e.advantage,
-                        "valid": e.valid,
-                        "omit": e.omit,
-                    }
-                    for e in group.entries
-                ],
-            }
-        )
-    write_jsonl(output, out)
+        out.append(group.to_json())
+    write_jsonl(args.output, out)
 
 
-@main.command()
-@click.argument("input", type=click.File("r"))
-@click.option(
-    "--kind",
-    type=click.Choice(["corpus", "atk", "repair", "speedup"]),
-    required=True,
-)
-@click.option("-k", "ks", type=int, multiple=True, help="k values for --kind atk")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--gnuplot", "gnuplot_path", type=click.Path(dir_okay=False), default=None)
-@click.option("-o", "--output", type=click.File("w"), default="-")
-def report(input, kind, ks, csv_path, gnuplot_path, output):
+def report(args):
     """Aggregate statistics over scores, samples, traces, or timings."""
-    rows = read_jsonl(input)
+    from . import reports
+
+    rows = _rows(args.input)
     if not rows:
         raise ConfigError("empty input")
     try:
-        if kind == "corpus":
+        if args.kind == "corpus":
             scores = [
                 row["score"]
                 if "score" in row
@@ -408,11 +327,11 @@ def report(input, kind, ks, csv_path, gnuplot_path, output):
                 for row in rows
             ]
             table = [reports.corpus_stats(scores).as_row()]
-        elif kind == "atk":
-            if not ks:
+        elif args.kind == "atk":
+            if not args.ks:
                 raise ConfigError("--kind atk needs at least one -k")
-            table = reports.atk_table(_sample_sets(rows), sorted(ks))
-        elif kind == "repair":
+            table = reports.atk_table(_sample_sets(rows), sorted(args.ks))
+        elif args.kind == "repair":
             traces = _traces_from_rows(rows)
             table = [reports.repair_accounting(traces)]
         else:
@@ -421,11 +340,11 @@ def report(input, kind, ks, csv_path, gnuplot_path, output):
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
     except (KeyError, ValueError) as exc:
         raise MalformedInput(f"bad report input: {exc}") from None
-    if csv_path:
-        reports.write_csv([t for t in table if len(t) == len(table[0])], csv_path)
-        if gnuplot_path:
-            reports.write_gnuplot_stub(csv_path, gnuplot_path)
-    write_jsonl(output, table)
+    if args.csv:
+        reports.write_csv([t for t in table if len(t) == len(table[0])], args.csv)
+        if args.gnuplot:
+            reports.write_gnuplot_stub(args.csv, args.gnuplot)
+    write_jsonl(args.output, table)
 
 
 def _traces_from_rows(rows) -> list[ShorteningTrace]:
@@ -437,6 +356,83 @@ def _traces_from_rows(rows) -> list[ShorteningTrace]:
         trace = by_proof.setdefault(proof_id, ShorteningTrace(proof_id=proof_id, measure=""))
         trace.iterations.append(iteration_from_json(row))
     return list(by_proof.values())
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="proofopt", description="Proof shortening toolkit.", allow_abbrev=False
+    )
+    parser.add_argument("--config", type=_readable_file)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--workdir", type=_dir_path)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, run, name=None, io=True):
+        """A subcommand calling run(args), with io an INPUT file and -o."""
+        doc = run.__doc__
+        sub = group.add_parser(
+            name or run.__name__, help=doc.splitlines()[0], description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        if io:
+            sub.add_argument("input", metavar="INPUT", type=_readable_file)
+            sub.add_argument("-o", "--output", metavar="FILE", type=_Output, default="-")
+        return sub
+
+    sub = command(commands, length, io=False)
+    sub.add_argument("files", nargs="*", metavar="FILE", type=_readable_file)
+    sub = command(commands, lint)
+    sub.add_argument("--rounds", type=int, default=10, help="(default: 10)")
+    sub = command(commands, shorten)
+    sub.add_argument("--schedule", help="e.g. 64x6,1024x2@1.5")
+    sub.add_argument("--measure", choices=["length", "heartbeats"])
+    sub.add_argument("--repair", choices=["on", "off"])
+    sub = command(commands, estimate)
+    sub.add_argument("-k", dest="ks", type=int, action="append", required=True)
+    dataset = commands.add_parser(
+        "dataset", help="Build and serialize training datasets.", allow_abbrev=False
+    ).add_subparsers(metavar="COMMAND", required=True)
+    sub = command(dataset, dataset_build, "build", io=False)
+    sub.add_argument("-o", "--output", metavar="FILE", type=_Output, default="-")
+    sub.add_argument("--seeds", type=_readable_file, required=True)
+    sub.add_argument("--results", type=_readable_file, required=True)
+    sub.add_argument("--ancestry", type=_readable_file)
+    sub.add_argument("--iteration", type=int, default=0)
+    command(dataset, dataset_filter_trivial, "filter-trivial")
+    command(dataset, dataset_emit_sft, "emit-sft")
+    sub = command(commands, reward)
+    sub.add_argument("--literal-sign", action="store_true",
+                     help="use the raw (new - old)/old delta instead of positive shortening")
+    sub = command(commands, report)
+    sub.add_argument("--kind", choices=["corpus", "atk", "repair", "speedup"], required=True)
+    sub.add_argument("-k", dest="ks", type=int, action="append", help="k values for --kind atk")
+    sub.add_argument("--csv", type=_file_path)
+    sub.add_argument("--gnuplot", type=_file_path)
+    return parser
+
+
+def main(argv=None, standalone_mode=True) -> None:
+    """Run one command; on an error, print one line to stderr and raise
+    SystemExit(code). standalone_mode has no effect: bench/run.py's traced
+    mode passes standalone_mode=False, as click's main accepted it."""
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+    except ProofOptError as exc:
+        code, message = 1, str(exc)
+        if isinstance(exc, ConfigError):
+            code = 2
+        elif isinstance(exc, BackendUnavailable):
+            code, message = 3, f"backend outage, partial traces persisted: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(code) from None
+    except BrokenPipeError:  # the reader of stdout left, as `| head` does: stop quietly
+        sys.stdout = None  # nothing is left to flush at exit
+        raise SystemExit(1) from None
+    finally:
+        if hasattr(args, "output"):
+            args.output.close()
 
 
 if __name__ == "__main__":

@@ -55,30 +55,33 @@ class RunConfig:
         return cls.from_json(raw)
 
     @classmethod
-    def from_json(cls, raw: dict) -> "RunConfig":
+    def from_json(cls, raw) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a run config is a JSON object, not {raw!r}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-        backends = {
-            name: BackendConfig.from_json(obj)
-            for name, obj in raw.get("backends", {}).items()
-        }
+        backends = raw.get("backends", {})
+        if not isinstance(backends, dict):
+            raise ConfigError(f"backends must be an object of named backends, not {backends!r}")
         try:
             measure = Measure(raw.get("measure", "length"))
         except ValueError as exc:
             raise ConfigError(f"unknown measure {raw.get('measure')!r}") from exc
         cfg = cls(
-            backends=backends,
-            schedule=raw.get("schedule", "4x2"),
+            backends={name: BackendConfig.from_json(obj) for name, obj in backends.items()},
+            schedule=_str(raw, "schedule", "4x2"),
             measure=measure,
-            parallel_workers=int(raw.get("parallel_workers", 1)),
-            seed=int(raw.get("seed", 0)),
-            workdir=Path(raw["workdir"]) if raw.get("workdir") else None,
+            parallel_workers=_int(raw, "parallel_workers", 1),
+            seed=_int(raw, "seed", 0),
+            workdir=Path(_str(raw, "workdir", "")) if raw.get("workdir") else None,
             repair=bool(raw.get("repair", False)),
-            repair_budget=int(raw.get("repair_budget", 4)),
+            repair_budget=_int(raw, "repair_budget", 4),
         )
         if cfg.parallel_workers < 1:
             raise ConfigError("parallel_workers must be at least 1")
+        if cfg.repair_budget < 0:
+            raise ConfigError("repair_budget must not be negative")
         return cfg
 
     def backend(self, name: str) -> BackendConfig:
@@ -91,3 +94,20 @@ class RunConfig:
         for cfg in self.backends.values():
             if cfg.kind == "mock" and "seed" not in cfg.options:
                 cfg.options["seed"] = self.seed
+
+
+def _int(raw: dict, key: str, default: int) -> int:
+    """raw[key], or default when absent, as an int; int() decides, so "2"
+    is taken as 2."""
+    value = raw.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, not {value!r}") from None
+
+
+def _str(raw: dict, key: str, default: str) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, not {value!r}")
+    return value

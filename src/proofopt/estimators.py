@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
 from dataclasses import dataclass
 
 from .errors import EmptyDataset, InvalidK, ZeroOriginal
@@ -89,4 +88,4 @@ def dataset_aggregate(per_proof) -> tuple[float, float]:
         raise EmptyDataset("no per-proof values to aggregate")
     mins = [m for m, _ in pairs]
     reds = [r for _, r in pairs]
-    return statistics.fmean(mins), statistics.fmean(reds)
+    return math.fsum(mins) / len(mins), math.fsum(reds) / len(reds)

@@ -10,10 +10,11 @@ import re
 import threading
 
 from . import lexer
-from .backends import BackendConfig, Diagnostic, Verdict, VerdictStatus
+from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus
 from .backends import Repairer, Simplifier, Verifier
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"
+_SORRY_TOKENS = frozenset({"sorry", "admit"})
 
 
 class MockVerifier(Verifier):
@@ -25,6 +26,8 @@ class MockVerifier(Verifier):
       noop_tactics    tokens reported as do-nothing tactics (default none)
       heartbeats_per_token  heartbeat count is tokens * this factor
       timeout_token   presence forces a timeout verdict
+    A sorry or admit token makes the proof invalid with the warning that
+    Lean gives such a declaration, as the subprocess verifier reads it.
 
     ``calls`` counts the checks made, under a lock, so it is exact when
     checks run concurrently.
@@ -64,6 +67,9 @@ class MockVerifier(Verifier):
         if self.require_token and self.require_token not in flat:
             status = VerdictStatus.INVALID
             diagnostics.append(Diagnostic("error", 1, 0, f"missing '{self.require_token}'"))
+        if not _SORRY_TOKENS.isdisjoint(flat):
+            status = VerdictStatus.INVALID
+            diagnostics.append(Diagnostic("warning", 1, 0, SORRY_WARNING))
         diagnostics.extend(self._lint_diagnostics(source))
         heartbeats = None
         if want_heartbeats:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from . import lexer, prompting
 from .backends import Verdict, VerdictStatus, Verifier
-from .errors import MissingVerdict, ZeroOriginal
+from .errors import MalformedInput, MissingVerdict, ZeroOriginal
 from .records import ProofRecord
 
 LENGTH_RATIO = 0.8
@@ -40,6 +40,26 @@ class SimplificationPair:
     output_proof: ProofRecord
     origin_iteration: int
     transitive: bool = False
+
+    def to_json(self) -> dict:
+        return {
+            "input": self.input_proof.to_json(),
+            "output": self.output_proof.to_json(),
+            "iteration": self.origin_iteration,
+            "transitive": self.transitive,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SimplificationPair":
+        try:
+            return cls(
+                input_proof=ProofRecord.from_json(obj["input"]),
+                output_proof=ProofRecord.from_json(obj["output"]),
+                origin_iteration=obj.get("iteration", 0),
+                transitive=obj.get("transitive", False),
+            )
+        except KeyError as exc:
+            raise MalformedInput(f"pair record missing field {exc}") from None
 
 
 def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) -> bool:
@@ -116,6 +136,13 @@ class RewardGroup:
     @property
     def group_size(self) -> int:
         return len(self.entries)
+
+    def to_json(self) -> dict:
+        entries = [
+            {"reward": e.reward, "advantage": e.advantage, "valid": e.valid, "omit": e.omit}
+            for e in self.entries
+        ]
+        return {"id": self.prompt_id, "group_size": self.group_size, "entries": entries}
 
 
 def compute_rewards(

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import socket
 import sys
 import threading
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -15,6 +18,38 @@ DATA_DIR = TESTS_DIR / "data"
 sys.path.insert(0, str(TESTS_DIR))
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy")
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str
+    exc_info: tuple | None
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process: stdin reads ``input``, stdout
+    and stderr are captured together in ``output``, and the exit code comes
+    from a SystemExit, or is 1 for any other exception."""
+
+    def invoke(self, main, args, input=None) -> CliResult:
+        output = io.StringIO()
+        exit_code, exc_info = 0, None
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(contextlib.redirect_stdout(output))
+            stack.enter_context(contextlib.redirect_stderr(output))
+            stdin, sys.stdin = sys.stdin, io.StringIO(input or "")
+            stack.callback(setattr, sys, "stdin", stdin)
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                exc_info = sys.exc_info()
+                code = exc.code
+                exit_code = code if isinstance(code, int) else 0 if code is None else 1
+            except Exception:
+                exc_info = sys.exc_info()
+                exit_code = 1
+        return CliResult(exit_code, output.getvalue(), exc_info)
 
 
 def mock_cfg(**options) -> BackendConfig:

@@ -95,6 +95,15 @@ def test_mock_verifier_rules():
     assert verifier.calls == 4
 
 
+@pytest.mark.parametrize("token", ["sorry", "admit"])
+def test_mock_verifier_rejects_a_sorry(token):
+    verdict = MockVerifier(mock_cfg()).verify(f"theorem t : 1 = 2 := by\n  {token}")
+    assert verdict.status is VerdictStatus.INVALID
+    assert [(d.severity, d.message) for d in verdict.diagnostics] == [
+        ("warning", "declaration uses 'sorry'")
+    ]
+
+
 def test_mock_verifier_require_token():
     verifier = MockVerifier(mock_cfg(require_token="rfl"))
     assert verifier.verify("t := by\n  rfl").ok

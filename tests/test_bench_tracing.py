@@ -6,9 +6,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from proofopt.cli import main
+
+from conftest import CliRunner
 
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 

@@ -5,12 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from proofopt import backends, prompting
 from proofopt.cli import main
 from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
 from proofopt.records import ProofRecord, read_jsonl
+
+from conftest import CliRunner
 
 
 @pytest.fixture
@@ -184,6 +185,24 @@ def test_shorten_resume_after_torn_write(runner, tmp_path):
     assert trace_file.read_bytes() == uninterrupted
 
 
+def test_shorten_resume_with_a_shorter_schedule_trims_the_traces(runner, tmp_path):
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+
+    def run(workdir, schedule):
+        args = ["--config", config, "--workdir", str(tmp_path / workdir), "shorten", proofs]
+        result = runner.invoke(main, [*args, "--schedule", schedule])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    run("wd", "2x4")
+    resumed = run("wd", "2x2")
+    assert resumed == run("fresh", "2x2")
+    for proof in PROOFS:
+        name = f"traces/{proof['id']}.jsonl"
+        assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
+
+
 def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
     config = write_config(
         tmp_path,
@@ -206,6 +225,22 @@ def test_unknown_run_config_key_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["--config", config, "shorten", proofs])
     assert result.exit_code == 2
     assert "repair_budjet" in result.output
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"parallel_workers": "x"},
+        {"backends": {"verifier": {"kind": "mock", "timeout": "abc"}}},
+    ],
+    ids=["run-config", "backend-config"],
+)
+def test_config_value_of_the_wrong_type_exit_code(runner, tmp_path, overrides):
+    config = write_config(tmp_path, **overrides)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "lint", proofs])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
 
 
 def test_shorten_toolkit_error_exits_without_traceback(runner, tmp_path, monkeypatch, dead_url):
@@ -300,20 +335,71 @@ def test_shorten_rejects_a_bad_command_template(runner, tmp_path, template):
     assert result.exc_info[0] is SystemExit
 
 
+HEAVY_MODULES = {
+    "numpy", "requests", "http.client", "click", "statistics", "decimal", "fractions", "csv",
+    "proofopt.reports", "proofopt.training_data",
+}
+
+
 def test_cli_import_loads_no_heavy_modules():
-    """Start-up cost: the CLI module loads no array library and no HTTP
-    client until a command needs one."""
+    """Start-up cost: the CLI module loads no array library, no HTTP client,
+    no argument library from outside the standard library, and none of the
+    modules that only the dataset and report commands use."""
     src = Path(backends.__file__).parents[1]  # the proofopt under test
-    code = (
-        "import sys, proofopt.cli; "
-        "print(sorted({'numpy', 'requests', 'http.client'} & set(sys.modules)))"
-    )
+    code = f"import sys, proofopt.cli; print(sorted({HEAVY_MODULES!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_click(tmp_path):
+    """The runtime needs nothing outside the standard library: with click
+    made unimportable, `length` and a mock `shorten` still run."""
+    src = Path(backends.__file__).parents[1]
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    code = (
+        "import sys\n"
+        "class NoClick:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'click':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoClick())\n"
+        "from proofopt.cli import main\n"
+        "main(sys.argv[1:])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    for argv, lines in ((["length", proofs], 2), (["--config", config, "shorten", proofs], 5)):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.splitlines()) == lines
+
+
+def test_closed_stdout_ends_the_command_quietly(tmp_path):
+    """A reader that leaves early, as `proofopt length big.jsonl | head -1`
+    does, ends the command with exit 1 and no traceback."""
+    src = Path(backends.__file__).parents[1]
+    rows = [{**PROOFS[0], "id": f"{'p' * 100}{i}"} for i in range(2000)]
+    proofs = write_jsonl_file(tmp_path, "big.jsonl", rows)  # 200 kB of output
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "proofopt.cli", "length", proofs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == ""
 
 
 def test_mocks_load_only_for_a_mock_config(tmp_path):
@@ -553,6 +639,37 @@ def test_report_empty_input(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_missing_config_file_rejected_by_click(runner):
-    result = runner.invoke(main, ["--config", "/does/not/exist.json", "length"])
-    assert result.exit_code != 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bogus", "length"],
+        ["frobnicate"],
+        ["shorten", "{proofs}", "--measure", "bogus"],
+        ["estimate", "{samples}"],
+        ["--config", "/does/not/exist.json", "length"],
+        ["lint", "/does/not/exist.jsonl"],
+    ],
+    ids=["unknown-option", "unknown-command", "bad-choice", "missing-k", "missing-config",
+         "missing-input"],
+)
+def test_usage_error_exits_2(runner, tmp_path, argv):
+    files = {
+        "proofs": write_jsonl_file(tmp_path, "in.jsonl", PROOFS),
+        "samples": write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES),
+    }
+    result = runner.invoke(main, [arg.format(**files) for arg in argv])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
+def test_failed_command_leaves_its_output_file_alone(runner, tmp_path):
+    config = write_config(tmp_path, repair_budjet=1)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text("kept\n")
+    fresh = tmp_path / "fresh.jsonl"
+    for output in (existing, fresh):
+        result = runner.invoke(main, ["--config", config, "shorten", proofs, "-o", str(output)])
+        assert result.exit_code == 2
+    assert existing.read_text() == "kept\n"
+    assert not fresh.exists()

@@ -52,6 +52,30 @@ def test_runconfig_rejects_bad_json(tmp_path):
         RunConfig.from_json({"parallel_workers": 0})
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1, 2],
+        {"parallel_workers": "x"},
+        {"seed": None},
+        {"schedule": 4},
+        {"workdir": ["a"]},
+        {"repair_budget": -1},
+        {"backends": ["verifier"]},
+        {"backends": {"verifier": "mock"}},
+        {"backends": {"verifier": {"kind": "mock", "timeout": "abc"}}},
+        {"backends": {"verifier": {"kind": "mock", "max_parallel": 2.5}}},
+        {"backends": {"verifier": {"kind": "mock", "options": []}}},
+    ],
+    ids=["top-level-list", "workers-text", "seed-null", "schedule-number", "workdir-list",
+         "negative-repair-budget", "backends-list", "backend-text", "timeout-text",
+         "max-parallel-float", "options-list"],
+)
+def test_runconfig_rejects_values_of_the_wrong_type(raw):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json(raw)
+
+
 def test_runconfig_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="repair_budjet"):
         RunConfig.from_json({"repair_budjet": 1})

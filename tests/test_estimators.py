@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,16 @@ def test_dataset_aggregate():
     assert mean_red == pytest.approx(0.3)
     with pytest.raises(EmptyDataset):
         dataset_aggregate([])
+
+
+def test_dataset_aggregate_matches_fmean_exactly():
+    rng = random.Random(11)
+    for n in (1, 2, 7, 100, 1001):
+        pairs = [(rng.uniform(0, 1e4) * rng.random() ** 4, rng.random()) for _ in range(n)]
+        assert dataset_aggregate(pairs) == (
+            statistics.fmean(m for m, _ in pairs),
+            statistics.fmean(r for _, r in pairs),
+        )
 
 
 def test_accepts_numpy_arrays():
