@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from . import prompting
 from .errors import BackendUnavailable, ConfigError
@@ -359,50 +359,236 @@ def _retry_after(value: str | None, default: float, cap: float) -> float:
     return min(int(value), cap) if value.isascii() and value.isdigit() else default
 
 
-def _opener():
-    """A urllib opener that takes its proxies from the environment and
-    follows no redirect: a 3xx reply raises HTTPError like a 4xx."""
-    import urllib.request
+class _BadReply(Exception):
+    """A reply that does not parse as HTTP/1.1; retried like a dropped connection."""
 
-    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None
 
-    return urllib.request.build_opener(RefuseRedirects)
+_MAX_LINE = 65536  # longest status, header or chunk-size line read
+_MAX_HEADERS = 100
+
+
+def _env_proxy(scheme: str) -> str | None:
+    """The environment's <scheme>_proxy value, chosen as urllib.request's
+    getproxies_environment chooses it: a variable of any case counts, a
+    lowercase one wins (and unsets the proxy when empty), and HTTP_PROXY is
+    ignored when REQUEST_METHOD is set, as a CGI server may fill it from a
+    client's Proxy header."""
+    key = scheme + "_proxy"
+    value = None
+    for name, setting in os.environ.items():
+        if setting and name.lower() == key:
+            value = setting
+    if scheme == "http" and "REQUEST_METHOD" in os.environ:
+        value = None
+    for name, setting in os.environ.items():
+        if name[-6:] == "_proxy" and name.lower() == key:
+            value = setting or None
+    return value
+
+
+def _proxy_bypassed(hostport: str) -> bool:
+    """Whether no_proxy exempts a host or host:port from the proxy, as
+    urllib.request's proxy_bypass_environment decides: no_proxy is * or a
+    comma list of hosts, host:port pairs and domains, a domain covering its
+    subdomains and a leading dot ignored."""
+    no_proxy = _env_proxy("no")
+    if no_proxy is None:
+        return False
+    if no_proxy == "*":
+        return True
+    hostport = hostport.lower()
+    m = re.fullmatch(r"(.*):[0-9]*", hostport, re.DOTALL)
+    host = m.group(1) if m else hostport
+    for name in no_proxy.split(","):
+        name = name.strip()
+        if not name:
+            continue
+        name = name.lstrip(".").lower()
+        if name in (host, hostport) or host.endswith("." + name) or hostport.endswith("." + name):
+            return True
+    return False
+
+
+def _readline(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _BadReply(f"a reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+_STATUS_LINE = re.compile(rb"HTTP/[0-9.]+ +([1-9][0-9][0-9])(?:[ \r\n]|$)")
+
+
+def _read_head(reader) -> tuple[int, dict[str, str]]:
+    """The status and headers (names lowercased) of one reply head."""
+    line = _readline(reader)
+    m = _STATUS_LINE.match(line)
+    if m is None:
+        raise _BadReply(f"bad status line {line[:80]!r}")
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _readline(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return int(m.group(1)), headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise _BadReply(f"bad header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    raise _BadReply(f"more than {_MAX_HEADERS} headers")
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise _BadReply(f"connection closed {size - len(data)} bytes before the end of the body")
+    return data
+
+
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
+
+
+def _read_body(reader, headers: dict[str, str]) -> bytes:
+    """A reply body framed by chunked transfer coding, by Content-Length,
+    or else by the server closing the connection."""
+    if headers.get("transfer-encoding", "").rsplit(",", 1)[-1].strip().lower() == "chunked":
+        chunks = []
+        while True:
+            line = _readline(reader)
+            m = _CHUNK_SIZE.fullmatch(line)
+            if m is None:
+                raise _BadReply(f"bad chunk size line {line[:80]!r}")
+            size = int(m.group(1), 16)
+            if size == 0:
+                # trailer fields up to the blank line; a server may close instead
+                while _readline(reader) not in (b"\r\n", b"\n", b""):
+                    pass
+                return b"".join(chunks)
+            chunks.append(_read_exactly(reader, size))
+            _readline(reader)  # the CRLF that ends the chunk
+    if "content-length" in headers:
+        length = headers["content-length"]
+        if not (length.isascii() and length.isdigit()):
+            raise _BadReply(f"bad Content-Length {length!r}")
+        return _read_exactly(reader, int(length))
+    return reader.read()
 
 
 class HttpCompletionClient:
-    """Chat-completion endpoint client over urllib.request.
+    """Chat-completion endpoint client on stdlib sockets.
 
-    Each request goes out on a new connection. As urllib does it, a proxy
-    comes from http_proxy, https_proxy and no_proxy, and TLS checks
-    certificates against the default CA store (SSL_CERT_FILE and
-    SSL_CERT_DIR override it). Transport errors, 429 and 5xx replies and 2xx
-    replies without completions are retried with doubling backoff, a 429
-    waiting the integer seconds of its Retry-After instead, but no longer
-    than the backend's timeout; other replies of status 300 and up, a
-    redirect too, are not retried.
+    Each request is one HTTP/1.1 POST on a new connection that the server
+    closes after its reply. A proxy comes from http_proxy, https_proxy and
+    no_proxy as urllib.request takes it (all_proxy is not used): an http
+    request goes to the proxy with the absolute URL as its target, an https
+    one through a CONNECT tunnel, either carrying the proxy URL's
+    credentials. TLS is loaded only for an https hop and checks
+    certificates against the default CA store. Transport errors, 429 and
+    5xx replies and 2xx replies without completions are retried with
+    doubling backoff, a 429 waiting the integer seconds of its Retry-After
+    instead, but no longer than the backend's timeout; other replies of
+    status 300 and up, a redirect too, are not retried.
     """
 
     def __init__(self, cfg: BackendConfig):
+        url = cfg.endpoint_url
         try:
-            parts = urlsplit(cfg.endpoint_url)
-            parts.port  # raises on a port that is not a number
+            parts = urlsplit(url)
+            port = parts.port  # raises on a port that is not a number
         except ValueError as exc:
-            raise ConfigError(f"endpoint_url {cfg.endpoint_url!r}: {exc}") from None
+            raise ConfigError(f"endpoint_url {url!r}: {exc}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"{cfg.kind} needs an http or https endpoint_url")
+        if not url.isascii() or any(c.isspace() for c in url):
+            raise ConfigError(f"endpoint_url {url!r} must be ASCII without spaces")
         self.cfg = cfg
-        self._opener = None  # built on the first request
+        self._https = parts.scheme == "https"
+        hostport = parts.netloc.rpartition("@")[2]
+        self._host_header = hostport
+        self._endpoint = (parts.hostname, port or (443 if self._https else 80))
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._hop = self._endpoint  # where the socket connects
+        self._tls_name = parts.hostname if self._https else None  # the name TLS checks
+        self._via_connect = False  # whether the hop is a proxy that tunnels to the endpoint
+        self._proxy_headers = {}
+        proxy = _env_proxy(parts.scheme)
+        if proxy is not None and not _proxy_bypassed(hostport):
+            self._use_proxy(proxy, url.partition("#")[0])
+
+    def _use_proxy(self, proxy: str, absolute_url: str) -> None:
+        """Route requests through a proxy URL or bare host:port. As with
+        urllib, an http request reaches an https proxy over TLS."""
+        try:
+            parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
+            port = parts.port
+        except ValueError as exc:
+            raise ConfigError(f"proxy {proxy!r}: {exc}") from None
+        if not parts.hostname:
+            raise ConfigError(f"proxy {proxy!r} names no host")
+        proxy_tls = not self._https and parts.scheme == "https"
+        self._hop = (parts.hostname, port or (443 if self._https or proxy_tls else 80))
+        if parts.username and parts.password:
+            import base64
+
+            credentials = f"{unquote(parts.username)}:{unquote(parts.password)}".encode()
+            self._proxy_headers["Proxy-Authorization"] = (
+                "Basic " + base64.b64encode(credentials).decode("ascii")
+            )
+        if self._https:
+            self._via_connect = True
+        else:
+            self._target = absolute_url
+            self._tls_name = parts.hostname if proxy_tls else None
+
+    def _connect(self):
+        """A connection to send the request target on: to the endpoint, to
+        an http proxy, or through a proxy's CONNECT tunnel to an https
+        endpoint. Where the hop's scheme is https, TLS from the default
+        context checks the certificate and hostname against the default CA
+        store (SSL_CERT_FILE and SSL_CERT_DIR override it)."""
+        import socket
+
+        sock = socket.create_connection(self._hop, timeout=self.cfg.timeout)
+        try:
+            if self._via_connect:
+                self._tunnel(sock)
+            if self._tls_name is None:
+                return sock
+            import ssl  # loaded only for an https hop
+
+            return ssl.create_default_context().wrap_socket(sock, server_hostname=self._tls_name)
+        except BaseException:
+            sock.close()
+            raise
+
+    def _tunnel(self, sock) -> None:
+        host, port = self._endpoint
+        authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+        head = [f"CONNECT {authority} HTTP/1.0"]
+        head += [f"{name}: {value}" for name, value in self._proxy_headers.items()]
+        sock.sendall("\r\n".join([*head, "", ""]).encode("latin-1"))
+        with sock.makefile("rb") as reader:
+            status, _ = _read_head(reader)
+        if status != 200:
+            raise ConnectionError(f"proxy refused the tunnel with status {status}")
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, dict[str, str], bytes]:
+        """Status, headers and body of the reply to one POST; the body is
+        read only for a 2xx status."""
+        head = [f"POST {self._target} HTTP/1.1", f"Host: {self._host_header}"]
+        if not self._via_connect:  # a proxy's credentials go to the proxy alone
+            headers = {**headers, **self._proxy_headers}
+        head += [f"{name}: {value}" for name, value in headers.items()]
+        head += [f"Content-Length: {len(body)}", "Connection: close", "", ""]
+        with self._connect() as sock:
+            sock.sendall("\r\n".join(head).encode("latin-1") + body)
+            with sock.makefile("rb") as reader:
+                status, reply_headers = _read_head(reader)
+                while status < 200:  # interim replies such as 100 Continue
+                    status, reply_headers = _read_head(reader)
+                reply = _read_body(reader, reply_headers) if status < 300 else b""
+        return status, reply_headers, reply
 
     def complete(self, prompt: str, n: int, temperature: float | None) -> list[str]:
-        # imported here, so that processes which make no request never load them
-        import http.client
-        import urllib.error
-        import urllib.request
-
-        if self._opener is None:
-            self._opener = _opener()
         payload = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -414,36 +600,33 @@ class HttpCompletionClient:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
+            if not (api_key.isascii() and api_key.isprintable()):
+                raise ConfigError(f"{API_KEY_ENV} must be printable ASCII")
             headers["Authorization"] = f"Bearer {api_key}"
         delay = 1.0
         last_error: Exception | None = None
         for attempt in range(self.cfg.retries):
             wait = delay
-            # a new Request for each attempt: the proxy handler rewrites the one it is given
-            request = urllib.request.Request(self.cfg.endpoint_url, body, headers, method="POST")
             try:
-                with self._opener.open(request, timeout=self.cfg.timeout) as response:
-                    reply = response.read()
-            except urllib.error.HTTPError as exc:
-                exc.close()
-                if exc.code != 429 and exc.code < 500:
+                status, reply_headers, reply = self._post(body, headers)
+            except (OSError, _BadReply) as exc:
+                last_error = exc
+            else:
+                if status == 429 or status >= 500:
+                    last_error = BackendUnavailable(f"status {status} reply")
+                    if status == 429:
+                        wait = _retry_after(reply_headers.get("retry-after"), delay, self.cfg.timeout)
+                elif status >= 300:
                     # the request itself is bad; retrying cannot help
                     raise BackendUnavailable(
                         f"endpoint {self.cfg.endpoint_url} rejected the request "
-                        f"with status {exc.code}"
-                    ) from None
-                last_error = exc
-                if exc.code == 429:
-                    wait = _retry_after(exc.headers.get("Retry-After"), delay, self.cfg.timeout)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-            else:
-                contents = _completions(reply)
-                if contents is not None:
-                    return contents
-                last_error = BackendUnavailable(
-                    f"status {response.status} reply without completions"
-                )
+                        f"with status {status}"
+                    )
+                else:
+                    contents = _completions(reply)
+                    if contents is not None:
+                        return contents
+                    last_error = BackendUnavailable(f"status {status} reply without completions")
             if attempt + 1 < self.cfg.retries:
                 time.sleep(wait)
                 delay *= 2

@@ -77,6 +77,7 @@ def _load_config(args) -> RunConfig:
         cfg.parallel_workers = args.workers
     if args.workdir is not None:
         cfg.workdir = Path(args.workdir)
+    cfg.check()
     cfg.apply_seed()
     return cfg
 

@@ -75,14 +75,19 @@ class RunConfig:
             parallel_workers=_int(raw, "parallel_workers", 1),
             seed=_int(raw, "seed", 0),
             workdir=Path(_str(raw, "workdir", "")) if raw.get("workdir") else None,
-            repair=bool(raw.get("repair", False)),
+            repair=_bool(raw, "repair", False),
             repair_budget=_int(raw, "repair_budget", 4),
         )
-        if cfg.parallel_workers < 1:
-            raise ConfigError("parallel_workers must be at least 1")
-        if cfg.repair_budget < 0:
-            raise ConfigError("repair_budget must not be negative")
+        cfg.check()
         return cfg
+
+    def check(self) -> None:
+        """Raise ConfigError for a value out of range. The CLI runs it again
+        after its command-line overrides."""
+        if self.parallel_workers < 1:
+            raise ConfigError("parallel_workers must be at least 1")
+        if self.repair_budget < 0:
+            raise ConfigError("repair_budget must not be negative")
 
     def backend(self, name: str) -> BackendConfig:
         if name not in self.backends:
@@ -104,6 +109,13 @@ def _int(raw: dict, key: str, default: int) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, not {value!r}") from None
+
+
+def _bool(raw: dict, key: str, default: bool) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
 
 
 def _str(raw: dict, key: str, default: str) -> str:

@@ -101,6 +101,10 @@ class _EndpointHandler(BaseHTTPRequestHandler):
         if reply == HANG_UP:
             self.close_connection = True
             return
+        if isinstance(reply, bytes):  # a whole reply, written as it is
+            self.wfile.write(reply)
+            self.close_connection = True
+            return
         status, content, headers = reply
         data = content if isinstance(content, bytes) else json.dumps(content).encode()
         self.send_response(status)
@@ -127,8 +131,9 @@ def no_proxy_env(monkeypatch):
 def endpoint(no_proxy_env):
     """A chat-completion endpoint on 127.0.0.1 that answers from a script.
 
-    ``replies`` holds (status, body, headers) tuples or HANG_UP, used in
-    order, the last one for every later request; ``requests`` records what
+    ``replies`` holds (status, body, headers) tuples, HANG_UP, or the bytes
+    of a whole reply written before the connection closes, used in order,
+    the last one for every later request; ``requests`` records what
     arrived; ``drop_after_reply`` closes each connection after its reply.
     """
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EndpointHandler)

@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 import sys
@@ -420,7 +421,136 @@ def test_http_client_uses_the_environment_proxy(endpoint, monkeypatch, make_clie
     assert endpoint.requests[2]["headers"]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="
 
 
-@pytest.mark.parametrize("url", ["", "api/v1", "ftp://host/v1", "http://host:port/v1"])
+PROXY_ENVIRONMENTS = [
+    {},
+    {"http_proxy": "http://lower:1"},
+    {"HTTP_PROXY": "http://upper:2"},
+    {"HTTP_PROXY": "http://upper:2", "http_proxy": "http://lower:1"},
+    {"http_proxy": "http://lower:1", "HTTP_PROXY": "http://upper:2"},
+    {"HTTP_PROXY": "http://upper:2", "http_proxy": ""},
+    {"HTTP_PROXY": "http://upper:2", "REQUEST_METHOD": "GET"},
+    {"http_proxy": "http://lower:1", "REQUEST_METHOD": "POST"},
+    {"HTTPS_PROXY": "http://upper:3", "REQUEST_METHOD": "GET"},
+    {"all_proxy": "http://all:4", "ALL_PROXY": "http://all:5"},
+    {"http_proxy": "p:8", "https_proxy": "http://u:pw@s:9", "no_proxy": "*"},
+    {"https_proxy": "s:9", "no_proxy": "example.com"},
+    {"http_proxy": "p:8", "NO_PROXY": ".Example.COM, 127.0.0.1:8080"},
+    {"http_proxy": "p:8", "no_proxy": "localhost,,x.internal:1,[::1]"},
+    {"http_proxy": "p:8", "no_proxy": "."},
+    {"http_proxy": "p:8", "NO_PROXY": "example.com", "no_proxy": ""},
+]
+PROXY_HOSTS = [
+    "example.com", "api.example.com", "EXAMPLE.com:8080", "notexample.com", "127.0.0.1",
+    "127.0.0.1:8080", "127.0.0.1:80", "localhost:1", "x.internal:1", "x.internal:2",
+    "[::1]:8080", "host.",
+]
+
+
+@pytest.mark.parametrize("environment", PROXY_ENVIRONMENTS, ids=range(len(PROXY_ENVIRONMENTS)))
+def test_proxy_selection_matches_urllib(no_proxy_env, monkeypatch, environment):
+    """The proxy and no_proxy rules are urllib.request's, which is the
+    reference here and is loaded by nothing else."""
+    import urllib.request
+
+    monkeypatch.delenv("REQUEST_METHOD", raising=False)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    proxies = urllib.request.getproxies_environment()
+    for scheme in ("http", "https"):
+        assert backends._env_proxy(scheme) == proxies.get(scheme)
+    assert backends._env_proxy("no") == proxies.get("no")
+    for host in PROXY_HOSTS:
+        assert backends._proxy_bypassed(host) == urllib.request.proxy_bypass_environment(host)
+
+
+BODY = json.dumps(choices("first", "second")).encode()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + f"{20:x};ext=1\r\n".encode() + BODY[:20] + b"\r\n"
+        + f"{len(BODY) - 20:X}\r\n".encode() + BODY[20:] + b"\r\n"
+        + b"0\r\nX-Trailer: 1\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + BODY,
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n\r\n" + BODY,
+    ],
+    ids=["chunked", "until-close", "after-100-continue"],
+)
+def test_http_client_reads_replies_without_a_length(endpoint, sleeps, reply, make_client):
+    endpoint.replies = [reply]
+    assert make_client(endpoint.url, retries=1).complete("p", 2, None) == ["first", "second"]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1f4\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n" + BODY,
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n" + BODY,
+        b"ICY 200 OK\r\n\r\n" + BODY,
+    ],
+    ids=["cut-short", "chunk-cut-short", "negative-length", "negative-chunk", "not-http"],
+)
+def test_http_client_retries_a_broken_reply(endpoint, sleeps, reply, make_client):
+    """A reply that breaks HTTP framing is a transport failure: retried,
+    never a traceback."""
+    endpoint.replies = [reply, (200, choices("done"), {})]
+    assert make_client(endpoint.url, retries=2).complete("p", 1, None) == ["done"]
+    assert len(endpoint.requests) == 2
+    assert sleeps == [1.0]
+
+
+@pytest.mark.parametrize("via_proxy", [False, True], ids=["https-endpoint", "https-proxy"])
+def test_https_to_a_plain_http_server_fails_after_retries(
+    endpoint, sleeps, monkeypatch, make_client, via_proxy
+):
+    """An https hop, to the endpoint or (as urllib has it) to the proxy of
+    an http request, is wrapped in TLS from ssl.create_default_context,
+    which checks certificates and hostnames; a plain HTTP server fails the
+    handshake on every attempt."""
+    import ssl
+
+    contexts = []
+    default_context = ssl.create_default_context
+
+    def spy():
+        contexts.append(default_context())
+        return contexts[-1]
+
+    monkeypatch.setattr(ssl, "create_default_context", spy)
+    url = endpoint.url.replace("http://", "https://")
+    if via_proxy:
+        monkeypatch.setenv("http_proxy", f"https://127.0.0.1:{endpoint.server_address[1]}")
+        url = "http://api.example.invalid/v1"
+    client = make_client(url, retries=2, timeout=0.5)
+    with pytest.raises(BackendUnavailable, match="after 2 attempts"):
+        client.complete("p", 1, None)
+    assert sleeps == [1.0]
+    assert len(contexts) == 2
+    assert all(c.verify_mode == ssl.CERT_REQUIRED and c.check_hostname for c in contexts)
+    assert endpoint.requests == []
+
+
+def test_http_client_rejects_a_malformed_proxy(no_proxy_env, monkeypatch, make_client):
+    for proxy in ("http://:3128", "http://proxy:port"):
+        monkeypatch.setenv("https_proxy", proxy)
+        with pytest.raises(ConfigError, match="proxy"):
+            make_client("https://api.example.invalid/v1")
+
+
+def test_http_client_refuses_an_api_key_that_would_split_a_header(endpoint, make_client, monkeypatch):
+    monkeypatch.setenv(backends.API_KEY_ENV, "sekrit\r\nX-Injected: 1")
+    with pytest.raises(ConfigError, match=backends.API_KEY_ENV):
+        make_client(endpoint.url).complete("p", 1, None)
+    assert endpoint.requests == []
+
+
+@pytest.mark.parametrize(
+    "url", ["", "api/v1", "ftp://host/v1", "http://host:port/v1", "http://host/v 1"]
+)
 def test_http_backends_reject_a_malformed_endpoint_url(url):
     with pytest.raises(ConfigError):
         make_simplifier(BackendConfig(kind="http_simplifier", endpoint_url=url))

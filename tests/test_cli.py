@@ -243,6 +243,16 @@ def test_config_value_of_the_wrong_type_exit_code(runner, tmp_path, overrides):
     assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_exit_code(runner, tmp_path, workers):
+    """--workers is checked as parallel_workers in the config is."""
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "--workers", workers, "shorten", proofs])
+    assert result.exit_code == 2
+    assert result.output == "error: parallel_workers must be at least 1\n"
+
+
 def test_shorten_toolkit_error_exits_without_traceback(runner, tmp_path, monkeypatch, dead_url):
     def missing(template_id):
         raise TemplateMissing(f"no prompt template named {template_id!r}")
@@ -353,6 +363,27 @@ def test_cli_import_loads_no_heavy_modules():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_http_request_loads_no_tls_or_urllib(endpoint):
+    """Footprint: a completion request to an http:// endpoint loads neither
+    TLS nor urllib's client and e-mail stack."""
+    src = Path(backends.__file__).parents[1]
+    code = (
+        "import sys\n"
+        "from proofopt.backends import BackendConfig, HttpCompletionClient\n"
+        "cfg = BackendConfig(kind='http_simplifier', endpoint_url=sys.argv[1], retries=1)\n"
+        "assert HttpCompletionClient(cfg).complete('p', 1, None)\n"
+        "print(sorted({'ssl', 'email', 'http.client', 'urllib.request'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, endpoint.url], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert len(endpoint.requests) == 1
 
 
 def test_cli_runs_without_click(tmp_path):

@@ -76,6 +76,19 @@ def test_runconfig_rejects_values_of_the_wrong_type(raw):
         RunConfig.from_json(raw)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_runconfig_repair_takes_a_json_boolean(value):
+    """Only JSON true and false are taken, so a "false" string cannot turn repair on."""
+    with pytest.raises(ConfigError, match="repair must be true or false"):
+        RunConfig.from_json({"repair": value})
+
+
+def test_runconfig_repair_flag():
+    assert RunConfig.from_json({}).repair is False
+    assert RunConfig.from_json({"repair": False}).repair is False
+    assert RunConfig.from_json({"repair": True}).repair is True
+
+
 def test_runconfig_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="repair_budjet"):
         RunConfig.from_json({"repair_budjet": 1})
