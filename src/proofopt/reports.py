@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .backends import VerdictStatus
 from .errors import EmptyDataset, InvalidK
 from .estimators import SampleSet, dataset_aggregate, effective_scores, min_at_k, red_at_k
-from .shortener import ShorteningTrace
+from .shortener import SKIPPED_NOTE, ShorteningTrace
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ def speedup_report(timings) -> SpeedupReport:
 def repair_accounting(traces: list[ShorteningTrace]) -> dict:
     """Stage counts across traces: simplification attempts and successes,
     repair attempts and successes, and how many repairs beat the best
-    simplification before and after linting."""
+    simplification before and after linting. An iteration skipped because
+    its input does not verify made no simplification request."""
     row = {
         "simplify_attempted": 0,
         "simplify_valid": 0,
@@ -118,7 +119,8 @@ def repair_accounting(traces: list[ShorteningTrace]) -> dict:
     }
     for trace in traces:
         for itrec in trace.iterations:
-            row["simplify_attempted"] += itrec.k_requested
+            if itrec.note != SKIPPED_NOTE:
+                row["simplify_attempted"] += itrec.k_requested
             row["simplify_valid"] += sum(
                 1 for c in itrec.candidates if c.status is VerdictStatus.VALID
             )

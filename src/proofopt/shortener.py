@@ -1,12 +1,13 @@
 """Iterative best-of-k proof shortening.
 
-Each iteration samples k candidate rewrites, verifies them, and adopts the
-shortest valid one that strictly beats the current score. A repair stage can
-kick in after an iteration where nothing verified; repaired proofs are
-linted and adopted only if strictly shorter, since repairs tend to come
-back longer than what they replace. Within one proof's loop every check goes
-through a VerdictMemo, so a text with a valid or invalid verdict is not sent
-to the checker again.
+Each iteration samples k candidate rewrites, verifies them, and adopts one
+by a single acceptance rule (``_adopt``): the lowest-scored tactic proof that
+verifies and strictly beats the current score. A repair stage can kick in
+after an iteration where nothing verified; repaired proofs are linted and
+judged by the same rule, since repairs tend to come back longer than what
+they replace. Within one proof's loop every check goes through a
+VerdictMemo, so a text with a valid or invalid verdict is not sent to the
+checker again.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linter import lint_fixpoint
 from .records import PROOF_DELIMITER, Measure, ProofRecord
 
 REPAIR_REPORT_LIMIT = 6000
+SKIPPED_NOTE = "skipped: input does not verify"
 
 
 @dataclass
@@ -177,22 +179,25 @@ def _check(text: str, memo: VerdictMemo, measure: Measure) -> tuple[Verdict, int
         return verdict, None
 
 
-def _check_pool(verifier: VerdictMemo) -> ThreadPoolExecutor:
-    """A pool as wide as the verifier admits checks at once."""
-    return ThreadPoolExecutor(max_workers=max(1, verifier.cfg.max_parallel))
+def _fan_out(fn, items: list, verifier: VerdictMemo) -> list:
+    """fn over items, as many at once as the verifier admits checks, with
+    the results in input order."""
+    with ThreadPoolExecutor(max_workers=max(1, verifier.cfg.max_parallel)) as pool:
+        return list(pool.map(fn, items))
 
 
-def _verify_candidates(
-    candidates: list[str], verifier: VerdictMemo, measure: Measure
-) -> list[tuple[Verdict, int | None]]:
-    def check(text: str) -> tuple[Verdict, int | None]:
-        verdict, score = _check(text, verifier, measure)
-        return verdict, score if verdict.ok else None
+def _adopt(best_score: int, entries: list[CandidateResult]) -> int | None:
+    """The acceptance rule: the index of the entry to adopt, or None.
 
-    if not candidates:
-        return []
-    with _check_pool(verifier) as pool:
-        return list(pool.map(check, candidates))
+    An entry qualifies when it verifies, has a score, splits at ':= by' (a
+    term-mode proof cannot become the next record) and scores strictly below
+    best_score. The lowest score wins, and the lowest index among ties."""
+    adopted = None
+    for i, entry in enumerate(entries):
+        scored = entry.status is VerdictStatus.VALID and entry.score is not None
+        if scored and entry.score < best_score and PROOF_DELIMITER in entry.text:
+            best_score, adopted = entry.score, i
+    return adopted
 
 
 def shorten_iteration(
@@ -205,8 +210,8 @@ def shorten_iteration(
     index: int = 0,
     context: str = "",
 ) -> tuple[ProofRecord, IterationRecord]:
-    """One best-of-k round. Keeps the input record untouched unless a valid
-    candidate scores strictly below it."""
+    """One best-of-k round. Keeps the input record untouched unless a
+    candidate passes the acceptance rule."""
     if temperature is None:
         temperature = simplifier.cfg.temperature
     verifier = _memo(verifier, measure)
@@ -221,39 +226,24 @@ def shorten_iteration(
             score_before=score_before or 0,
             score_after=score_before or 0,
             source_after=record.full_source,
-            note="skipped: input does not verify",
+            note=SKIPPED_NOTE,
         )
         return record, itrec
+
+    def scored(text: str) -> tuple[VerdictStatus, int | None]:
+        verdict, score = _check(text, verifier, measure)
+        return verdict.status, score if verdict.ok else None
 
     raw = simplifier.simplify(record.full_source, k, temperature=temperature, context=context)
     # Identical candidate texts are verified once; @k accounting still uses
     # the requested k.
-    seen: dict[str, int] = {}
-    unique: list[str] = []
-    for text in raw:
-        if text not in seen:
-            seen[text] = len(unique)
-            unique.append(text)
-    checked = _verify_candidates(unique, verifier, measure)
+    unique = list(dict.fromkeys(raw))
+    checked = dict(zip(unique, _fan_out(scored, unique, verifier)))
+    results = [CandidateResult(text, *checked[text]) for text in raw]
 
-    results = []
-    for text in raw:
-        verdict, score = checked[seen[text]]
-        results.append(CandidateResult(text=text, status=verdict.status, score=score))
-
-    adopted = None
-    best_score = score_before
-    for i, cand in enumerate(results):
-        # a text without ':= by' (a term-mode proof) cannot become the next record
-        if cand.status is VerdictStatus.VALID and cand.score is not None:
-            if cand.score < best_score and PROOF_DELIMITER in cand.text:
-                best_score = cand.score
-                adopted = i
-
-    if adopted is None:
-        after = record
-        score_after = score_before
-    else:
+    adopted = _adopt(score_before, results)
+    after, score_after = record, score_before
+    if adopted is not None:
         after = ProofRecord.from_source(
             results[adopted].text, id=record.id, source_tag=record.source_tag
         )
@@ -275,23 +265,28 @@ def shorten_iteration(
 def _repair_stage(
     record: ProofRecord,
     current_score: int,
-    itrec: IterationRecord,
+    candidates: list[CandidateResult],
     repairer: Repairer,
     verifier: VerdictMemo,
     measure: Measure,
     budget: int,
 ) -> tuple[ProofRecord, int, RepairStage]:
-    """Repair the iteration's failed candidates. Returns the record to carry
+    """Repair an iteration's failed candidates. Returns the record to carry
     on with, its score and the stage's record.
 
     Failed texts are repaired concurrently, as many at once as the verifier
     admits checks; their results are folded in input order, so the stage's
-    record does not depend on which repair finished first."""
+    record does not depend on which repair finished first. A fix is judged
+    by the acceptance rule on its linted text and score."""
 
-    def repair_one(text: str) -> tuple[bool, list[tuple[dict, ProofRecord | None]]]:
-        # the candidate's own check, asked for again to get its diagnostics
-        verdict, _ = _check(text, verifier, measure)
-        report = format_error_report(text, verdict.diagnostics) or "proof failed to verify"
+    def repair_one(failed: tuple[str, VerdictStatus]) -> tuple[bool, list]:
+        text, status = failed
+        # The memo keeps an invalid text's verdict, so its diagnostics cost no
+        # check; a timeout or a crash was dropped and is not checked again.
+        diagnostics = ()
+        if status is VerdictStatus.INVALID:
+            diagnostics = verifier.verify(text).diagnostics
+        report = format_error_report(text, diagnostics) or "proof failed to verify"
         report, truncated = truncate_error_report(report, REPAIR_REPORT_LIMIT)
         try:
             failed_record = ProofRecord.from_source(text, id=record.id)
@@ -301,41 +296,37 @@ def _repair_stage(
         fixes = []
         for fix in repairer.repair(statement, failed_proof, report):
             # this check is also the first lint round's
-            fix_verdict, raw_score = _check(fix, verifier, measure)
-            entry = {"status": fix_verdict.status.value, "score": None, "linted_score": None}
-            linted = None
-            if fix_verdict.ok:
-                entry["score"] = raw_score
-            if fix_verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
-                linted = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
-                _, entry["linted_score"] = _check(linted.full_source, verifier, measure)
+            verdict, raw_score = _check(fix, verifier, measure)
+            linted = CandidateResult(fix, verdict.status)
+            if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
+                linted_record = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
+                source = linted_record.full_source
+                _, linted_score = _check(source, verifier, measure)
+                linted = CandidateResult(source, verdict.status, linted_score)
+            entry = {
+                "status": verdict.status.value,
+                "score": raw_score if verdict.ok else None,
+                "linted_score": linted.score,
+            }
             fixes.append((entry, linted))
         return truncated, fixes
 
     # A text sampled more than once is repaired once, in first-seen order.
-    failed = list(
-        dict.fromkeys(c.text for c in itrec.candidates if c.status is not VerdictStatus.VALID)
-    )
-    with _check_pool(verifier) as pool:
-        repaired = list(pool.map(repair_one, failed[:budget]))
-
+    failed = [(c.text, c.status) for c in candidates if c.status is not VerdictStatus.VALID]
     stage = RepairStage()
-    best = record
-    best_score = current_score
-    for truncated, fixes in repaired:
+    linted = []
+    for truncated, fixes in _fan_out(repair_one, list(dict.fromkeys(failed))[:budget], verifier):
         stage.truncated_reports += int(truncated)
-        for entry, linted in fixes:
+        for entry, fix in fixes:
             stage.attempted += 1
+            stage.valid += fix.status is VerdictStatus.VALID
             stage.candidates.append(entry)
-            if entry["status"] != VerdictStatus.VALID.value:
-                continue
-            stage.valid += 1
-            linted_score = entry["linted_score"]
-            if linted_score is not None and linted_score < best_score:
-                best = linted
-                best_score = linted_score
-                stage.adopted = stage.attempted - 1
-    return best, best_score, stage
+            linted.append(fix)
+    stage.adopted = _adopt(current_score, linted)
+    if stage.adopted is None:
+        return record, current_score, stage
+    best = linted[stage.adopted]
+    return ProofRecord.from_source(best.text, id=record.id), best.score, stage
 
 
 def shorten_loop(
@@ -389,7 +380,8 @@ def shorten_loop(
         )
         if repairer is not None and no_valid:
             current, itrec.score_after, itrec.repair = _repair_stage(
-                current, itrec.score_after, itrec, repairer, verifier, measure, repair_budget
+                current, itrec.score_after, itrec.candidates, repairer, verifier, measure,
+                repair_budget,
             )
             itrec.source_after = current.full_source
         trace.iterations.append(itrec)

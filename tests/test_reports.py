@@ -15,7 +15,17 @@ from proofopt.reports import (
     write_csv,
     write_gnuplot_stub,
 )
-from proofopt.shortener import CandidateResult, IterationRecord, RepairStage, ShorteningTrace
+from proofopt.mocks import MockSimplifier, MockVerifier
+from proofopt.records import ProofRecord
+from proofopt.shortener import (
+    CandidateResult,
+    IterationRecord,
+    RepairStage,
+    ShorteningTrace,
+    shorten_loop,
+)
+
+from conftest import mock_cfg
 
 
 def sorted_quartiles(values):
@@ -124,6 +134,15 @@ def test_repair_accounting():
     # the best simplification scored 9; the repair hit 8 raw and 7 linted
     assert row["repair_shorter_before_lint"] == 1
     assert row["repair_shorter_after_lint"] == 1
+
+
+def test_repair_accounting_counts_no_attempts_for_skipped_iterations():
+    start = ProofRecord(id="p", statement="theorem p : 1 = 1", proof="  FAIL")
+    simplifier = MockSimplifier(mock_cfg(mode="constant"))
+    skipped = shorten_loop(start, [(4, 1.0), (4, 1.0)], simplifier, MockVerifier(mock_cfg()))
+    assert all(it.note.startswith("skipped") for it in skipped.iterations)
+    row = repair_accounting([skipped, _trace_with_repair()])
+    assert row["simplify_attempted"] == 4
 
 
 def test_csv_round_trip(tmp_path):

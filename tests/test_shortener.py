@@ -10,7 +10,7 @@ import pytest
 from proofopt.backends import Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable, ParseFailure
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
-from proofopt.records import Measure, ProofRecord
+from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord
 from proofopt.shortener import (
     VerdictMemo,
     _check,
@@ -239,6 +239,78 @@ def test_repair_stage_repairs_each_failed_text_once():
     assert len(trace.iterations[0].candidates) == 4
     assert repaired == ["  zeta"]
     assert trace.iterations[0].repair.attempted == 1
+
+
+def test_repair_stage_does_not_recheck_a_timed_out_candidate():
+    checked, reports = [], []
+
+    class SpyVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            checked.append(source)
+            return super()._verify(source, want_heartbeats)
+
+    class SpyRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report, n, temperature):
+            reports.append(error_report)
+            return super()._repair(statement, failed_proof, error_report, n, temperature)
+
+    verifier = SpyVerifier(mock_cfg(timeout_token="slow"))
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="slow"))
+    repairer = SpyRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
+    trace = shorten_loop(
+        record("  norm_num\n  ring"), [(2, 1.0)], simplifier, verifier, repairer=repairer,
+        repair_budget=2,
+    )
+    timed_out = trace.iterations[0].candidates[0]
+    assert timed_out.status is VerdictStatus.TIMEOUT
+    assert checked.count(timed_out.text) == 1
+    assert reports == ["proof failed to verify"]
+    assert trace.iterations[0].repair.adopted == 0
+    assert verifier.calls == 3  # the incumbent, the timed-out candidate and the fix
+
+
+def _reference_adoption(best, entries):
+    """The lowest index among the smallest scores below best, over
+    (eligible, score) pairs."""
+    below = [(score, i) for i, (eligible, score) in enumerate(entries) if eligible and score < best]
+    return min(below)[1] if below else None
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_acceptance_rule_recomputed_from_traces(measure):
+    iteration_adoptions = repair_adoptions = 0
+    for mode in ("shorter", "longer", "delete_flagged"):
+        for seed in range(8):
+            trace, verifier = _memo_scenario(mode, seed, measure)
+            rescore = VerdictMemo(verifier, measure)
+            source = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF).full_source
+            for it in trace.iterations:
+                assert it.score_before == _check(source, rescore, measure)[1]
+                entries = [
+                    (c.status is VerdictStatus.VALID and c.score is not None
+                     and PROOF_DELIMITER in c.text, c.score)
+                    for c in it.candidates
+                ]
+                assert it.adopted == _reference_adoption(it.score_before, entries)
+                score, after = it.score_before, source
+                if it.adopted is not None:
+                    iteration_adoptions += 1
+                    score = it.candidates[it.adopted].score
+                    after = ProofRecord.from_source(it.candidates[it.adopted].text).full_source
+                if it.repair is not None:
+                    fixes = [
+                        (c["status"] == "valid" and c["linted_score"] is not None, c["linted_score"])
+                        for c in it.repair.candidates
+                    ]
+                    assert it.repair.adopted == _reference_adoption(score, fixes)
+                    if it.repair.adopted is not None:
+                        repair_adoptions += 1
+                        score = it.repair.candidates[it.repair.adopted]["linted_score"]
+                        after = it.source_after  # the linted text is not in the trace
+                assert (it.score_after, it.source_after) == (score, after)
+                assert _check(it.source_after, rescore, measure)[1] == it.score_after
+                source = it.source_after
+    assert iteration_adoptions and repair_adoptions
 
 
 REPAIR_PROOF = "\n".join(
