@@ -8,6 +8,7 @@ max_parallel admission, so callers may fan out freely.
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from urllib.parse import unquote, urlsplit
 
 from . import prompting
 from .errors import BackendUnavailable, ConfigError
+from .records import typed_field
 
 API_KEY_ENV = "PROOFOPT_API_KEY"
 
@@ -57,10 +59,6 @@ class Verdict:
         return self.status is VerdictStatus.VALID
 
 
-# What a JSON value must be to fill a BackendConfig field of each annotated type.
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict}
-
-
 @dataclass
 class BackendConfig:
     kind: str  # a key of _BACKENDS, or mock
@@ -84,19 +82,14 @@ class BackendConfig:
 
     @classmethod
     def from_json(cls, obj) -> "BackendConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"a backend config is a JSON object, not {obj!r}")
+        typed_field(obj, "kind", str, "backend config", ConfigError)
         fields = cls.__dataclass_fields__
         unknown = set(obj) - set(fields)
         if unknown:
             raise ConfigError(f"unknown backend config keys: {sorted(unknown)}")
-        if "kind" not in obj:
-            raise ConfigError("backend config needs a 'kind'")
-        for name, value in obj.items():
-            kind = fields[name].type
-            if not isinstance(value, _JSON_TYPES[kind]):
-                raise ConfigError(f"backend config {name} must be {kind}, not {value!r}")
-        return cls(**obj)
+        # Each field's annotation names the builtin type its JSON value must have.
+        kinds = {name: getattr(builtins, f.type) for name, f in fields.items()}
+        return cls(**{k: typed_field(obj, k, kinds[k], "backend config", ConfigError) for k in obj})
 
 
 # A checker diagnostic line: file:line:column: severity: message.
@@ -346,10 +339,11 @@ def _completions(reply: bytes) -> list[str] | None:
     """The message contents of a chat-completion reply body, or None when
     the body does not hold a string at every choices[*].message.content."""
     try:
-        contents = [choice["message"]["content"] for choice in json.loads(reply)["choices"]]
-    except (ValueError, KeyError, TypeError):
+        choices = typed_field(json.loads(reply), "choices", list, "reply")
+        return [typed_field(typed_field(c, "message", dict, "choice"), "content", str, "message")
+                for c in choices]
+    except ValueError:  # not JSON, or a MalformedInput from typed_field
         return None
-    return contents if all(isinstance(c, str) for c in contents) else None
 
 
 def _retry_after(value: str | None, default: float, cap: float) -> float:

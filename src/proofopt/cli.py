@@ -1,9 +1,9 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Exit codes: 0 success, 1 input error, 2 usage or configuration error, 3
-backend failure (partial output already persisted). main maps the toolkit's
-errors to them for every command. Each command imports the modules only it
-uses, so a process loads no more than its command runs.
+backend failure (partial output already persisted). Only reports and
+training_data are imported per command: bench/tracing.py patches names from
+shortener, linter, backends and concurrent.futures here, so those always load.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import NoProofDelimiter
 # min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
 from .estimators import SampleSet, min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
-from .records import Measure, ProofRecord, read_jsonl, write_jsonl
+from .records import Measure, ProofRecord, read_jsonl, typed_field, write_jsonl
 from .shortener import ShorteningTrace, iteration_from_json, shorten_loop
 
 
@@ -225,11 +225,14 @@ def shorten(args):
 def _sample_sets(rows) -> list[SampleSet]:
     sets = []
     for i, row in enumerate(rows):
+        what = f"sample record {typed_field(row, 'id', (str, int), 'sample record', default=i)!r}"
+        original = typed_field(row, "original", int, what)
+        scores = typed_field(row, "scores", list[int], what)
+        valid = typed_field(row, "valid", list[bool], what)
         try:
-            candidates = tuple(zip(row["scores"], row["valid"], strict=True))
-            sets.append(SampleSet(original_score=row["original"], candidates=candidates))
-        except (KeyError, ValueError) as exc:
-            raise MalformedInput(f"sample record {row.get('id', i)!r}: {exc}") from None
+            sets.append(SampleSet(original, tuple(zip(scores, valid, strict=True))))
+        except ValueError as exc:
+            raise MalformedInput(f"{what}: {exc}") from None
     return sets
 
 
@@ -251,13 +254,13 @@ def dataset_build(args):
     iteration_results = {}
     for row in _rows(args.results):
         record = ProofRecord.from_json(row)
-        verdict = Verdict(VerdictStatus.VALID) if row.get("valid") else None
-        iteration_results[record.id] = (record, verdict)
-    ancestry_rows = _rows(args.ancestry) if args.ancestry else []
-    try:
-        ancestors = {row["id"]: ProofRecord.from_json(row["ancestor"]) for row in ancestry_rows}
-    except KeyError as exc:
-        raise MalformedInput(f"ancestry record missing field {exc}") from None
+        valid = typed_field(row, "valid", bool, f"result record {record.id!r}", default=False)
+        iteration_results[record.id] = (record, Verdict(VerdictStatus.VALID) if valid else None)
+    ancestors = {
+        str(typed_field(row, "id", (str, int), "ancestry record")):
+            ProofRecord.from_json(typed_field(row, "ancestor", dict, "ancestry record"))
+        for row in (_rows(args.ancestry) if args.ancestry else [])
+    }
     pairs = training_data.build_expit_dataset(
         seed_records, iteration_results, ancestors, origin_iteration=args.iteration
     )
@@ -289,25 +292,21 @@ def reward(args):
     from . import training_data
 
     out = []
-    for i, row in enumerate(_rows(args.input)):
+    for row in _rows(args.input):
+        original = ProofRecord.from_json(row)
+        what = f"reward record {original.id!r}"
+        candidates = []
+        for j, c in enumerate(typed_field(row, "candidates", list, what)):
+            cand = f"{what} candidate {j}"
+            statement = typed_field(c, "statement", str, cand, default=original.statement)
+            proof = ProofRecord(f"{original.id}#{j}", statement, typed_field(c, "proof", str, cand))
+            candidates.append((proof, typed_field(c, "valid", bool, cand)))
         try:
-            original = ProofRecord.from_json(row)
-            candidates = [
-                (
-                    ProofRecord(
-                        id=f"{original.id}#{j}",
-                        statement=c.get("statement", original.statement),
-                        proof=c["proof"],
-                    ),
-                    bool(c["valid"]),
-                )
-                for j, c in enumerate(row["candidates"])
-            ]
             group = training_data.compute_rewards(
                 original, candidates, positive_shortening=not args.literal_sign
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"reward record {row.get('id', i)!r}: {exc}") from None
+        except ValueError as exc:
+            raise MalformedInput(f"{what}: {exc}") from None
         out.append(group.to_json())
     write_jsonl(args.output, out)
 
@@ -321,12 +320,12 @@ def report(args):
         raise ConfigError("empty input")
     try:
         if args.kind == "corpus":
-            scores = [
-                row["score"]
-                if "score" in row
-                else lexer.proof_length(ProofRecord.from_json(row).full_source)
-                for row in rows
-            ]
+            scores = []
+            for i, row in enumerate(rows):
+                score = typed_field(row, "score", float, f"corpus record {i}", default=None)
+                if score is None:
+                    score = lexer.proof_length(ProofRecord.from_json(row).full_source)
+                scores.append(score)
             table = [reports.corpus_stats(scores).as_row()]
         elif args.kind == "atk":
             if not args.ks:
@@ -336,7 +335,11 @@ def report(args):
             traces = _traces_from_rows(rows)
             table = [reports.repair_accounting(traces)]
         else:
-            timings = [(row["time_orig"], row["time_new"]) for row in rows]
+            timings = [
+                (typed_field(row, "time_orig", float, f"speedup record {i}"),
+                 typed_field(row, "time_new", float, f"speedup record {i}"))
+                for i, row in enumerate(rows)
+            ]
             rep = reports.speedup_report(timings)
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
     except (KeyError, ValueError) as exc:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .backends import BackendConfig
 from .errors import ConfigError
-from .records import Measure
+from .records import Measure, typed_field
 
 _SCHEDULE_ENTRY = re.compile(r"^(\d+)x(\d+)(?:@([0-9.]+))?$")
 
@@ -56,27 +56,27 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, raw) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"a run config is a JSON object, not {raw!r}")
+        def get(key, kind, default):
+            return typed_field(raw, key, kind, "run config", ConfigError, default)
+
+        backends = get("backends", dict, {})
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-        backends = raw.get("backends", {})
-        if not isinstance(backends, dict):
-            raise ConfigError(f"backends must be an object of named backends, not {backends!r}")
         try:
-            measure = Measure(raw.get("measure", "length"))
+            measure = Measure(get("measure", str, cls.measure))
         except ValueError as exc:
-            raise ConfigError(f"unknown measure {raw.get('measure')!r}") from exc
+            raise ConfigError(f"unknown measure {raw['measure']!r}") from exc
+        workdir = get("workdir", str, "")
         cfg = cls(
             backends={name: BackendConfig.from_json(obj) for name, obj in backends.items()},
-            schedule=_str(raw, "schedule", "4x2"),
+            schedule=get("schedule", str, cls.schedule),
             measure=measure,
-            parallel_workers=_int(raw, "parallel_workers", 1),
-            seed=_int(raw, "seed", 0),
-            workdir=Path(_str(raw, "workdir", "")) if raw.get("workdir") else None,
-            repair=_bool(raw, "repair", False),
-            repair_budget=_int(raw, "repair_budget", 4),
+            parallel_workers=get("parallel_workers", int, cls.parallel_workers),
+            seed=get("seed", int, cls.seed),
+            workdir=Path(workdir) if workdir else None,
+            repair=get("repair", bool, cls.repair),
+            repair_budget=get("repair_budget", int, cls.repair_budget),
         )
         cfg.check()
         return cfg
@@ -100,26 +100,3 @@ class RunConfig:
             if cfg.kind == "mock" and "seed" not in cfg.options:
                 cfg.options["seed"] = self.seed
 
-
-def _int(raw: dict, key: str, default: int) -> int:
-    """raw[key], or default when absent, as an int; int() decides, so "2"
-    is taken as 2."""
-    value = raw.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, not {value!r}") from None
-
-
-def _bool(raw: dict, key: str, default: bool) -> bool:
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, not {value!r}")
-    return value
-
-
-def _str(raw: dict, key: str, default: str) -> str:
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, not {value!r}")
-    return value

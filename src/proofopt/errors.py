@@ -46,5 +46,5 @@ class ConfigError(ProofOptError):
 
 
 class MalformedInput(ProofOptError, ValueError):
-    """An input file holds a line that is not JSON or a record that lacks a
-    field."""
+    """An input file holds a line that is not JSON or a record whose field is
+    missing or of the wrong type."""

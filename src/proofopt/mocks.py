@@ -12,9 +12,15 @@ import threading
 from . import lexer
 from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus
 from .backends import Repairer, Simplifier, Verifier
+from .errors import ConfigError
+from .records import typed_field
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"
 _SORRY_TOKENS = frozenset({"sorry", "admit"})
+
+
+def _option(cfg: BackendConfig, key: str, kind, default):
+    return typed_field(cfg.options, key, kind, "mock options", ConfigError, default)
 
 
 class MockVerifier(Verifier):
@@ -35,12 +41,11 @@ class MockVerifier(Verifier):
 
     def __init__(self, cfg: BackendConfig):
         super().__init__(cfg)
-        opts = cfg.options
-        self.fail_token = opts.get("fail_token", "FAIL")
-        self.require_token = opts.get("require_token")
-        self.noop_tactics = frozenset(opts.get("noop_tactics", ()))
-        self.heartbeats_per_token = int(opts.get("heartbeats_per_token", 100))
-        self.timeout_token = opts.get("timeout_token")
+        self.fail_token = _option(cfg, "fail_token", str, "FAIL")
+        self.require_token = _option(cfg, "require_token", str, None)
+        self.noop_tactics = frozenset(_option(cfg, "noop_tactics", list[str], []))
+        self.heartbeats_per_token = _option(cfg, "heartbeats_per_token", int, 100)
+        self.timeout_token = _option(cfg, "timeout_token", str, None)
         self.calls = 0
         self._calls_lock = threading.Lock()
 
@@ -114,12 +119,11 @@ class MockSimplifier(Simplifier):
 
     def __init__(self, cfg: BackendConfig):
         super().__init__(cfg)
-        opts = cfg.options
-        self.mode = opts.get("mode", "echo")
-        self.seed = opts.get("seed", 0)
-        self.noop_lines = tuple(opts.get("noop_lines", ()))
-        self.proof_body = opts.get("proof_body", "rfl")
-        self.drop_probability = float(opts.get("drop_probability", 0.35))
+        self.mode = _option(cfg, "mode", str, "echo")
+        self.seed = _option(cfg, "seed", int, 0)
+        self.noop_lines = tuple(_option(cfg, "noop_lines", list[str], []))
+        self.proof_body = _option(cfg, "proof_body", str, "rfl")
+        self.drop_probability = _option(cfg, "drop_probability", float, 0.35)
 
     def _simplify(self, source, k, temperature, context):
         head, sep, proof = source.partition(":= by")
@@ -156,10 +160,9 @@ class MockRepairer(Repairer):
 
     def __init__(self, cfg: BackendConfig):
         super().__init__(cfg)
-        opts = cfg.options
-        self.mode = opts.get("mode", "delete_flagged")
-        self.proof_body = opts.get("proof_body", "rfl")
-        self.padding = int(opts.get("padding", 8))
+        self.mode = _option(cfg, "mode", str, "delete_flagged")
+        self.proof_body = _option(cfg, "proof_body", str, "rfl")
+        self.padding = _option(cfg, "padding", int, 8)
 
     def _repair(self, statement, failed_proof, error_report, n, temperature):
         if self.mode == "shorter":

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import MalformedInput
@@ -45,24 +46,18 @@ class ProofRecord:
         return cls(id=id, statement=head.rstrip(), proof=tail.strip("\n"), source_tag=source_tag)
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "proof": self.proof,
-            "source_tag": self.source_tag,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ProofRecord":
-        try:
-            return cls(
-                id=str(obj["id"]),
-                statement=obj["statement"],
-                proof=obj["proof"],
-                source_tag=obj.get("source_tag", ""),
-            )
-        except (KeyError, TypeError) as exc:
-            raise MalformedInput(f"bad proof record {str(obj)[:60]} ({exc!r})") from None
+    def from_json(cls, obj) -> "ProofRecord":
+        id = str(typed_field(obj, "id", (str, int), "proof record"))
+        what = f"proof record {id!r}"
+        return cls(
+            id=id,
+            statement=typed_field(obj, "statement", str, what),
+            proof=typed_field(obj, "proof", str, what),
+            source_tag=typed_field(obj, "source_tag", str, what, default=""),
+        )
 
 
 def read_jsonl(stream) -> list[dict]:
@@ -77,6 +72,45 @@ def read_jsonl(stream) -> list[dict]:
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"line {lineno}: malformed JSON ({exc})") from exc
     return out
+
+
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               list: "a list", dict: "a JSON object"}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is_kind(value, k) for k in kind)
+    if isinstance(kind, types.GenericAlias):  # list[T]
+        return isinstance(value, list) and all(_is_kind(v, kind.__args__[0]) for v in value)
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_kind_name, kind))
+    if isinstance(kind, types.GenericAlias):
+        return f"a list with each item {_kind_name(kind.__args__[0])}"
+    return _KIND_NAMES[kind]
+
+
+def typed_field(obj, key: str, kind, what: str, error=MalformedInput, default=_REQUIRED):
+    """obj[key] if it is a JSON value of kind (str, int, float, bool, list,
+    dict, a tuple of them, or list[T]), default if key is absent; else raise
+    error naming what, key and value. A bool is never a number, an int
+    counts as a float, and nothing is coerced."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, not {obj!r:.60}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"{what} missing field {key!r}")
+        return default
+    value = obj[key]
+    if not _is_kind(value, kind):
+        raise error(f"{what} {key} must be {_kind_name(kind)}, not {value!r:.60}")
+    return value
 
 
 def write_jsonl(stream, objects) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .backends import VerdictStatus
 from .errors import EmptyDataset, InvalidK
@@ -24,15 +24,7 @@ class CorpusStats:
     mean: float
 
     def as_row(self) -> dict:
-        return {
-            "n": self.n,
-            "min": self.min,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.max,
-            "mean": self.mean,
-        }
+        return asdict(self)
 
 
 def corpus_stats(scores) -> CorpusStats:

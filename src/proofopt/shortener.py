@@ -79,11 +79,7 @@ class ShorteningTrace:
         return self.iterations[-1].source_after if self.iterations else None
 
     def to_json(self) -> dict:
-        return {
-            "proof_id": self.proof_id,
-            "measure": self.measure,
-            "iterations": [it.to_json() for it in self.iterations],
-        }
+        return asdict(self)
 
 
 def iteration_from_json(obj: dict) -> IterationRecord:

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 from . import lexer, prompting
 from .backends import Verdict, VerdictStatus, Verifier
-from .errors import MalformedInput, MissingVerdict, ZeroOriginal
-from .records import ProofRecord
+from .errors import MissingVerdict, ZeroOriginal
+from .records import ProofRecord, typed_field
 
 LENGTH_RATIO = 0.8
 
@@ -50,16 +50,13 @@ class SimplificationPair:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SimplificationPair":
-        try:
-            return cls(
-                input_proof=ProofRecord.from_json(obj["input"]),
-                output_proof=ProofRecord.from_json(obj["output"]),
-                origin_iteration=obj.get("iteration", 0),
-                transitive=obj.get("transitive", False),
-            )
-        except KeyError as exc:
-            raise MalformedInput(f"pair record missing field {exc}") from None
+    def from_json(cls, obj) -> "SimplificationPair":
+        return cls(
+            input_proof=ProofRecord.from_json(typed_field(obj, "input", dict, "pair record")),
+            output_proof=ProofRecord.from_json(typed_field(obj, "output", dict, "pair record")),
+            origin_iteration=typed_field(obj, "iteration", int, "pair record", default=0),
+            transitive=typed_field(obj, "transitive", bool, "pair record", default=False),
+        )
 
 
 def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) -> bool:

@@ -609,6 +609,77 @@ def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missin
     assert result.output == f"error: ancestry record missing field '{missing}'\n"
 
 
+SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
+SAMPLE = {"id": "s", "original": 9, "scores": [1, 2], "valid": [True, False]}
+GROUP = {**SEED, "candidates": [{"proof": long_proof(4), "valid": True}]}
+MOCK_VERIFIER = {"kind": "mock", "options": {"noop_tactics": ["skip"]}}
+
+# (command, config overrides or the one input row it reads, exit code): a value
+# of the wrong JSON type is never coerced. Configs exit 2, input rows exit 1.
+WRONG_TYPES = [
+    pytest.param("config", {"parallel_workers": 2.7}, 2, id="workers-float"),
+    pytest.param("config", {"seed": True}, 2, id="seed-bool"),
+    pytest.param("config", {"repair_budget": "3"}, 2, id="repair-budget-text"),
+    pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "max_parallel": True}}}, 2,
+                 id="max-parallel-bool"),
+    pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "timeout": True}}}, 2,
+                 id="timeout-bool"),
+    pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "options": {
+        "heartbeats_per_token": "5"}}}}, 2, id="mock-option-text"),
+    pytest.param("estimate", {**SAMPLE, "scores": 5}, 1, id="estimate-scores-number"),
+    pytest.param("estimate", {**SAMPLE, "scores": ["x", 2]}, 1, id="estimate-score-text"),
+    pytest.param("estimate", {**SAMPLE, "scores": [2.5, 2]}, 1, id="estimate-score-float"),
+    pytest.param("estimate", {**SAMPLE, "scores": [True, 2]}, 1, id="estimate-score-bool"),
+    pytest.param("estimate", {**SAMPLE, "original": "9"}, 1, id="estimate-original-text"),
+    pytest.param("estimate", {**SAMPLE, "valid": 5}, 1, id="estimate-valid-number"),
+    pytest.param("estimate", {**SAMPLE, "valid": ["yes", False]}, 1, id="estimate-valid-text"),
+    pytest.param("atk", {**SAMPLE, "scores": 5}, 1, id="atk-scores-number"),
+    pytest.param("atk", {**SAMPLE, "valid": ["yes", False]}, 1, id="atk-valid-text"),
+    pytest.param("reward", {**GROUP, "candidates": [{"proof": long_proof(4), "valid": "false"}]}, 1,
+                 id="reward-valid-text"),
+    pytest.param("reward", {**GROUP, "candidates": [{"proof": 4, "valid": True}]}, 1,
+                 id="reward-proof-number"),
+    pytest.param("dataset build", {**SEED, "proof": long_proof(4), "valid": "no"}, 1,
+                 id="build-valid-text"),
+    pytest.param("length", {**SEED, "proof": None}, 1, id="length-proof-null"),
+    pytest.param("length", {**SEED, "statement": 5}, 1, id="length-statement-number"),
+    pytest.param("length", {**SEED, "source_tag": 1}, 1, id="length-source-tag-number"),
+    pytest.param("length", {**SEED, "id": None}, 1, id="length-id-null"),
+    pytest.param("speedup", {"time_orig": "1", "time_new": 2}, 1, id="speedup-time-text"),
+    pytest.param("speedup", {"time_orig": 1, "time_new": True}, 1, id="speedup-time-bool"),
+    pytest.param("corpus", {"score": None}, 1, id="corpus-score-null"),
+]
+
+
+def wrong_type_argv(tmp_path, command, data) -> list[str]:
+    if command == "config":
+        proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+        return ["--config", write_config(tmp_path, **data), "lint", proofs]
+    rows = write_jsonl_file(tmp_path, "in.jsonl", [data])
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
+    return {
+        "length": ["length", rows],
+        "estimate": ["estimate", rows, "-k", "1"],
+        "atk": ["report", "--kind", "atk", rows, "-k", "1"],
+        "speedup": ["report", "--kind", "speedup", rows],
+        "corpus": ["report", "--kind", "corpus", rows],
+        "reward": ["reward", rows],
+        "dataset build": ["dataset", "build", "--seeds", seeds, "--results", rows],
+    }[command]
+
+
+@pytest.mark.parametrize("command,data,code", WRONG_TYPES)
+def test_a_value_of_the_wrong_type_exits_with_one_error_line(runner, tmp_path, command, data, code):
+    result = runner.invoke(main, wrong_type_argv(tmp_path, command, data))
+    assert result.exit_code == code, result.output
+    assert result.exc_info[0] is SystemExit
+    assert "Traceback" not in result.output
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ")
+    if "id" in data:  # the error names the row
+        assert repr(data["id"]) in line
+
+
 def test_report_corpus_and_csv(runner, tmp_path):
     scores = write_jsonl_file(tmp_path, "scores.jsonl", [{"score": s} for s in (5, 1, 9, 3)])
     csv_path = tmp_path / "stats.csv"
