@@ -361,46 +361,18 @@ _MAX_LINE = 65536  # longest status, header or chunk-size line read
 _MAX_HEADERS = 100
 
 
-def _env_proxy(scheme: str) -> str | None:
-    """The environment's <scheme>_proxy value, chosen as urllib.request's
-    getproxies_environment chooses it: a variable of any case counts, a
-    lowercase one wins (and unsets the proxy when empty), and HTTP_PROXY is
-    ignored when REQUEST_METHOD is set, as a CGI server may fill it from a
-    client's Proxy header."""
-    key = scheme + "_proxy"
-    value = None
-    for name, setting in os.environ.items():
-        if setting and name.lower() == key:
-            value = setting
-    if scheme == "http" and "REQUEST_METHOD" in os.environ:
-        value = None
-    for name, setting in os.environ.items():
-        if name[-6:] == "_proxy" and name.lower() == key:
-            value = setting or None
-    return value
+def _env_proxy(scheme: str, hostport: str) -> str | None:
+    """The proxy that urllib.request's environment rules choose for a
+    <scheme> request to hostport, or None."""
+    # checked first, so that a direct request never loads urllib.request and ssl
+    if not any(value and name.lower() == scheme + "_proxy" for name, value in os.environ.items()):
+        return None
+    import urllib.request
 
-
-def _proxy_bypassed(hostport: str) -> bool:
-    """Whether no_proxy exempts a host or host:port from the proxy, as
-    urllib.request's proxy_bypass_environment decides: no_proxy is * or a
-    comma list of hosts, host:port pairs and domains, a domain covering its
-    subdomains and a leading dot ignored."""
-    no_proxy = _env_proxy("no")
-    if no_proxy is None:
-        return False
-    if no_proxy == "*":
-        return True
-    hostport = hostport.lower()
-    m = re.fullmatch(r"(.*):[0-9]*", hostport, re.DOTALL)
-    host = m.group(1) if m else hostport
-    for name in no_proxy.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        name = name.lstrip(".").lower()
-        if name in (host, hostport) or host.endswith("." + name) or hostport.endswith("." + name):
-            return True
-    return False
+    proxies = urllib.request.getproxies_environment()
+    if urllib.request.proxy_bypass_environment(hostport, proxies):
+        return None
+    return proxies.get(scheme)
 
 
 def _readline(reader) -> bytes:
@@ -475,8 +447,8 @@ class HttpCompletionClient:
     no_proxy as urllib.request takes it (all_proxy is not used): an http
     request goes to the proxy with the absolute URL as its target, an https
     one through a CONNECT tunnel, either carrying the proxy URL's
-    credentials. TLS is loaded only for an https hop and checks
-    certificates against the default CA store. Transport errors, 429 and
+    credentials. TLS wraps only an https hop and checks certificates
+    against the default CA store. Transport errors, 429 and
     5xx replies and 2xx replies without completions are retried with
     doubling backoff, a 429 waiting the integer seconds of its Retry-After
     instead, but no longer than the backend's timeout; other replies of
@@ -504,8 +476,8 @@ class HttpCompletionClient:
         self._tls_name = parts.hostname if self._https else None  # the name TLS checks
         self._via_connect = False  # whether the hop is a proxy that tunnels to the endpoint
         self._proxy_headers = {}
-        proxy = _env_proxy(parts.scheme)
-        if proxy is not None and not _proxy_bypassed(hostport):
+        proxy = _env_proxy(parts.scheme, hostport)
+        if proxy is not None:
             self._use_proxy(proxy, url.partition("#")[0])
 
     def _use_proxy(self, proxy: str, absolute_url: str) -> None:

@@ -150,7 +150,7 @@ def _load_partial(path: Path, limit: int):
                 break  # past the schedule, or interrupted mid-write; redo from here
             try:
                 done.append(iteration_from_json(json.loads(line)))
-            except (ValueError, KeyError):
+            except ValueError:  # not JSON, or not an iteration record
                 break
             kept += len(line)
         handle.truncate(kept)
@@ -342,7 +342,7 @@ def report(args):
             ]
             rep = reports.speedup_report(timings)
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedInput(f"bad report input: {exc}") from None
     if args.csv:
         reports.write_csv([t for t in table if len(t) == len(table[0])], args.csv)
@@ -353,10 +353,10 @@ def report(args):
 
 def _traces_from_rows(rows) -> list[ShorteningTrace]:
     by_proof: dict[str, ShorteningTrace] = {}
-    for row in rows:
+    for i, row in enumerate(rows):
+        proof_id = typed_field(row, "proof_id", str, f"trace row {i}", default="")
         if "summary" in row:
             continue
-        proof_id = row.get("proof_id", "")
         trace = by_proof.setdefault(proof_id, ShorteningTrace(proof_id=proof_id, measure=""))
         trace.iterations.append(iteration_from_json(row))
     return list(by_proof.values())

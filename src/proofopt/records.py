@@ -76,7 +76,7 @@ def read_jsonl(stream) -> list[dict]:
 
 _REQUIRED = object()
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-               list: "a list", dict: "a JSON object"}
+               list: "a list", dict: "a JSON object", type(None): "null"}
 
 
 def _is_kind(value, kind) -> bool:
@@ -98,9 +98,9 @@ def _kind_name(kind) -> str:
 
 def typed_field(obj, key: str, kind, what: str, error=MalformedInput, default=_REQUIRED):
     """obj[key] if it is a JSON value of kind (str, int, float, bool, list,
-    dict, a tuple of them, or list[T]), default if key is absent; else raise
-    error naming what, key and value. A bool is never a number, an int
-    counts as a float, and nothing is coerced."""
+    dict, type(None) for null, a tuple of them, or list[T]), default if key
+    is absent; else raise error naming what, key and value. A bool is never
+    a number, an int counts as a float, and nothing is coerced."""
     if not isinstance(obj, dict):
         raise error(f"{what} must be a JSON object, not {obj!r:.60}")
     if key not in obj:

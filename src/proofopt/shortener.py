@@ -29,7 +29,7 @@ from .backends import (
 )
 from .errors import NoProofDelimiter, ParseFailure
 from .linter import lint_fixpoint
-from .records import PROOF_DELIMITER, Measure, ProofRecord
+from .records import PROOF_DELIMITER, Measure, ProofRecord, typed_field
 
 REPAIR_REPORT_LIMIT = 6000
 SKIPPED_NOTE = "skipped: input does not verify"
@@ -82,32 +82,49 @@ class ShorteningTrace:
         return asdict(self)
 
 
-def iteration_from_json(obj: dict) -> IterationRecord:
-    """Rebuild a persisted iteration record (inverse of to_json)."""
-    repair = obj.get("repair")
-    stage = None
-    if repair is not None:
-        stage = RepairStage(
-            attempted=repair["attempted"],
-            valid=repair["valid"],
-            truncated_reports=repair.get("truncated_reports", 0),
-            candidates=list(repair.get("candidates", [])),
-            adopted=repair.get("adopted"),
-        )
+_INT_OR_NULL = (int, type(None))
+
+
+def _repair_from_json(obj) -> RepairStage:
+    what = "iteration record repair"
+    entries = typed_field(obj, "candidates", list, what, default=[])
+    for j, entry in enumerate(entries):
+        fix = f"{what} candidate {j}"
+        VerdictStatus(typed_field(entry, "status", str, fix))
+        typed_field(entry, "score", _INT_OR_NULL, fix, default=None)
+        typed_field(entry, "linted_score", _INT_OR_NULL, fix, default=None)
+    return RepairStage(
+        attempted=typed_field(obj, "attempted", int, what),
+        valid=typed_field(obj, "valid", int, what),
+        truncated_reports=typed_field(obj, "truncated_reports", int, what, default=0),
+        candidates=list(entries),
+        adopted=typed_field(obj, "adopted", _INT_OR_NULL, what, default=None),
+    )
+
+
+def iteration_from_json(obj) -> IterationRecord:
+    """Rebuild a persisted iteration record (inverse of to_json). A field
+    missing or of the wrong type raises MalformedInput, an unknown status
+    ValueError."""
+    what = "iteration record"
+    candidates = []
+    for j, c in enumerate(typed_field(obj, "candidates", list, what)):
+        cand = f"{what} candidate {j}"
+        status = VerdictStatus(typed_field(c, "status", str, cand))
+        score = typed_field(c, "score", _INT_OR_NULL, cand, default=None)
+        candidates.append(CandidateResult(typed_field(c, "text", str, cand), status, score))
+    repair = typed_field(obj, "repair", (dict, type(None)), what, default=None)
     return IterationRecord(
-        index=obj["index"],
-        k_requested=obj["k_requested"],
-        temperature=obj["temperature"],
-        candidates=[
-            CandidateResult(c["text"], VerdictStatus(c["status"]), c.get("score"))
-            for c in obj["candidates"]
-        ],
-        adopted=obj.get("adopted"),
-        score_before=obj["score_before"],
-        score_after=obj["score_after"],
-        source_after=obj["source_after"],
-        note=obj.get("note", ""),
-        repair=stage,
+        index=typed_field(obj, "index", int, what),
+        k_requested=typed_field(obj, "k_requested", int, what),
+        temperature=typed_field(obj, "temperature", float, what),
+        candidates=candidates,
+        adopted=typed_field(obj, "adopted", _INT_OR_NULL, what, default=None),
+        score_before=typed_field(obj, "score_before", int, what),
+        score_after=typed_field(obj, "score_after", int, what),
+        source_after=typed_field(obj, "source_after", str, what),
+        note=typed_field(obj, "note", str, what, default=""),
+        repair=None if repair is None else _repair_from_json(repair),
     )
 
 

@@ -97,16 +97,13 @@ def build_expit_dataset(
 
 
 def filter_trivial(
-    theorems: list[ProofRecord],
-    verifier: Verifier,
-    auto_proof: str = "AUTO",
-    macro_text: str = AUTO_MACRO,
+    theorems: list[ProofRecord], verifier: Verifier
 ) -> tuple[list[ProofRecord], list[ProofRecord]]:
     """Partition theorems by whether the automation cascade alone proves
     them. Timeouts and crashes count as kept: not provable within budget."""
     kept, discarded = [], []
     for theorem in theorems:
-        probe = f"{macro_text}\n\n{theorem.statement} := by\n  {auto_proof}"
+        probe = f"{AUTO_MACRO}\n\n{theorem.statement} := by\n  AUTO"
         verdict = verifier.verify(probe)
         if verdict.status is VerdictStatus.VALID:
             discarded.append(theorem)
@@ -176,14 +173,14 @@ def compute_rewards(
     return group
 
 
-def emit_sft_records(pairs: list[SimplificationPair], template_id: str = "simplify"):
+def emit_sft_records(pairs: list[SimplificationPair]):
     """Yield JSON-ready supervised records, one per pair.
 
     Sources are carried verbatim in the metadata so a consumer can recover
     both sides without re-parsing the prompt.
     """
     for pair in pairs:
-        prompt = prompting.render(template_id, statement=pair.input_proof.full_source)
+        prompt = prompting.render("simplify", statement=pair.input_proof.full_source)
         completion = f"```lean4\n{pair.output_proof.full_source}\n```"
         yield {
             "prompt": prompt,

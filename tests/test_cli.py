@@ -386,6 +386,14 @@ def test_http_request_loads_no_tls_or_urllib(endpoint):
     assert len(endpoint.requests) == 1
 
 
+def test_http_request_with_only_no_proxy_loads_no_tls_or_urllib(endpoint, monkeypatch):
+    """Footprint: no_proxy alone, in either case, is no proxy variable of
+    the request's scheme, so the guard still keeps urllib and TLS unloaded."""
+    monkeypatch.setenv("NO_PROXY", "example.com")
+    monkeypatch.setenv("no_proxy", "example.com")
+    test_http_request_loads_no_tls_or_urllib(endpoint)
+
+
 def test_cli_runs_without_click(tmp_path):
     """The runtime needs nothing outside the standard library: with click
     made unimportable, `length` and a mock `shorten` still run."""
@@ -613,6 +621,8 @@ SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
 SAMPLE = {"id": "s", "original": 9, "scores": [1, 2], "valid": [True, False]}
 GROUP = {**SEED, "candidates": [{"proof": long_proof(4), "valid": True}]}
 MOCK_VERIFIER = {"kind": "mock", "options": {"noop_tactics": ["skip"]}}
+ITERATION = {"index": 0, "k_requested": 1, "temperature": 1.0, "candidates": [], "adopted": None,
+             "score_before": 9, "score_after": 9, "source_after": "theorem a : 1 = 1 := by\n  rfl"}
 
 # (command, config overrides or the one input row it reads, exit code): a value
 # of the wrong JSON type is never coerced. Configs exit 2, input rows exit 1.
@@ -648,6 +658,7 @@ WRONG_TYPES = [
     pytest.param("speedup", {"time_orig": "1", "time_new": 2}, 1, id="speedup-time-text"),
     pytest.param("speedup", {"time_orig": 1, "time_new": True}, 1, id="speedup-time-bool"),
     pytest.param("corpus", {"score": None}, 1, id="corpus-score-null"),
+    pytest.param("repair", {**ITERATION, "proof_id": 5}, 1, id="repair-proof-id-number"),
 ]
 
 
@@ -663,6 +674,7 @@ def wrong_type_argv(tmp_path, command, data) -> list[str]:
         "atk": ["report", "--kind", "atk", rows, "-k", "1"],
         "speedup": ["report", "--kind", "speedup", rows],
         "corpus": ["report", "--kind", "corpus", rows],
+        "repair": ["report", "--kind", "repair", rows],
         "reward": ["reward", rows],
         "dataset build": ["dataset", "build", "--seeds", seeds, "--results", rows],
     }[command]
@@ -723,6 +735,47 @@ def test_report_repair_reads_traces(runner, tmp_path):
     assert result.exit_code == 0
     row = json.loads(result.output)
     assert row["simplify_attempted"] == 16  # 2 proofs x 2 iterations x k=4
+
+
+# Ways to spoil a good trace line so that it no longer reads as an iteration record.
+BAD_TRACE_LINES = [
+    pytest.param(lambda row: {**row, "candidates": 5}, id="candidates-number"),
+    pytest.param(lambda row: 7, id="not-an-object"),
+    pytest.param(lambda row: {**row, "candidates": [{**row["candidates"][0], "text": 5}]},
+                 id="candidate-text-number"),
+    pytest.param(lambda row: {**row, "k_requested": "4"}, id="k-text"),
+    pytest.param(lambda row: {**row, "repair": {"attempted": 1, "valid": 0, "candidates": [
+        {"status": "invalid", "score": "x", "linted_score": None}]}}, id="repair-score-text"),
+]
+
+
+@pytest.mark.parametrize("spoil", BAD_TRACE_LINES)
+def test_report_repair_rejects_a_malformed_trace_line(runner, tmp_path, spoil):
+    row = json.loads(shorten_output(runner, tmp_path).splitlines()[0])
+    traces = write_jsonl_file(tmp_path, "traces.jsonl", [spoil(row)])
+    result = runner.invoke(main, ["report", traces, "--kind", "repair"])
+    assert result.exit_code == 1, result.output
+    assert result.exc_info[0] is SystemExit
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("spoil", BAD_TRACE_LINES)
+def test_shorten_resume_redoes_a_malformed_trace_line(runner, tmp_path, spoil):
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    workdir = tmp_path / "wd"
+    args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
+    full = runner.invoke(main, args)
+    trace_file = workdir / "traces" / "p1.jsonl"
+    uninterrupted = trace_file.read_text()
+    first, second = uninterrupted.splitlines(keepends=True)
+    trace_file.write_text(json.dumps(spoil(json.loads(first))) + "\n" + second)
+
+    resumed = runner.invoke(main, args)
+    assert resumed.exit_code == 0, resumed.output
+    assert resumed.output == full.output
+    assert trace_file.read_text() == uninterrupted
 
 
 def test_report_speedup(runner, tmp_path):
