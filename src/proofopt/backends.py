@@ -312,27 +312,21 @@ class Simplifier(Generator):
 
 
 class Repairer(Generator):
-    def repair(
-        self,
-        statement: str,
-        failed_proof: str,
-        error_report: str,
-        n: int = 1,
-        temperature: float | None = None,
-    ) -> list[str]:
+    def repair(self, statement: str, failed_proof: str, error_report: str) -> list[str]:
+        """One completion, at the backend's temperature, fixing failed_proof."""
         if not error_report:
             raise ValueError("repair needs a nonempty error report")
         with self.admission:
-            return self._repair(statement, failed_proof, error_report, n, temperature)
+            return self._repair(statement, failed_proof, error_report)
 
-    def _repair(self, statement, failed_proof, error_report, n, temperature) -> list[str]:
+    def _repair(self, statement, failed_proof, error_report) -> list[str]:
         prompt = prompting.render(
             "repair",
             formal_statement=statement,
             lean_proof=failed_proof,
             error_message_for_prev_round=error_report,
         )
-        return self._sample(prompt, n, temperature)
+        return self._sample(prompt, 1, None)
 
 
 def _completions(reply: bytes) -> list[str] | None:

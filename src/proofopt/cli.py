@@ -196,11 +196,8 @@ def shorten(args):
             if cfg.workdir:
                 handle.close()
 
-    if cfg.parallel_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel_workers) as pool:
-            traces = list(pool.map(run_one, records))
-    else:
-        traces = [run_one(r) for r in records]
+    with ThreadPoolExecutor(max_workers=cfg.parallel_workers) as pool:
+        traces = list(pool.map(run_one, records))
 
     befores, afters = [], []
     for trace in traces:
@@ -332,8 +329,12 @@ def report(args):
                 raise ConfigError("--kind atk needs at least one -k")
             table = reports.atk_table(_sample_sets(rows), sorted(args.ks))
         elif args.kind == "repair":
-            traces = _traces_from_rows(rows)
-            table = [reports.repair_accounting(traces)]
+            iterations = []
+            for i, row in enumerate(rows):
+                typed_field(row, "proof_id", str, f"trace row {i}", default="")
+                if "summary" not in row:
+                    iterations.append(iteration_from_json(row))
+            table = [reports.repair_accounting(iterations)]
         else:
             timings = [
                 (typed_field(row, "time_orig", float, f"speedup record {i}"),
@@ -349,17 +350,6 @@ def report(args):
         if args.gnuplot:
             reports.write_gnuplot_stub(args.csv, args.gnuplot)
     write_jsonl(args.output, table)
-
-
-def _traces_from_rows(rows) -> list[ShorteningTrace]:
-    by_proof: dict[str, ShorteningTrace] = {}
-    for i, row in enumerate(rows):
-        proof_id = typed_field(row, "proof_id", str, f"trace row {i}", default="")
-        if "summary" in row:
-            continue
-        trace = by_proof.setdefault(proof_id, ShorteningTrace(proof_id=proof_id, measure=""))
-        trace.iterations.append(iteration_from_json(row))
-    return list(by_proof.values())
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -164,7 +164,7 @@ class MockRepairer(Repairer):
         self.proof_body = _option(cfg, "proof_body", str, "rfl")
         self.padding = _option(cfg, "padding", int, 8)
 
-    def _repair(self, statement, failed_proof, error_report, n, temperature):
+    def _repair(self, statement, failed_proof, error_report):
         if self.mode == "shorter":
             fixed = statement + " := by\n  " + self.proof_body
         elif self.mode == "longer":
@@ -174,7 +174,7 @@ class MockRepairer(Repairer):
             flagged = self._flagged_lines(error_report)
             kept = [l for l in failed_proof.splitlines() if l not in flagged]
             fixed = statement + " := by\n" + "\n".join(kept)
-        return [fixed] * n
+        return [fixed]
 
     @staticmethod
     def _flagged_lines(error_report: str) -> set[str]:

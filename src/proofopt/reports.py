@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 from .backends import VerdictStatus
 from .errors import EmptyDataset, InvalidK
 from .estimators import SampleSet, dataset_aggregate, effective_scores, min_at_k, red_at_k
-from .shortener import SKIPPED_NOTE, ShorteningTrace
+from .shortener import SKIPPED_NOTE, IterationRecord
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,11 @@ def speedup_report(timings) -> SpeedupReport:
     )
 
 
-def repair_accounting(traces: list[ShorteningTrace]) -> dict:
-    """Stage counts across traces: simplification attempts and successes,
-    repair attempts and successes, and how many repairs beat the best
-    simplification before and after linting. An iteration skipped because
-    its input does not verify made no simplification request."""
+def repair_accounting(iterations: list[IterationRecord]) -> dict:
+    """Stage counts across iterations: simplification attempts and
+    successes, repair attempts and successes, and how many repairs beat the
+    best simplification before and after linting. An iteration skipped
+    because its input does not verify made no simplification request."""
     row = {
         "simplify_attempted": 0,
         "simplify_valid": 0,
@@ -109,31 +109,28 @@ def repair_accounting(traces: list[ShorteningTrace]) -> dict:
         "repair_shorter_before_lint": 0,
         "repair_shorter_after_lint": 0,
     }
-    for trace in traces:
-        for itrec in trace.iterations:
-            if itrec.note != SKIPPED_NOTE:
-                row["simplify_attempted"] += itrec.k_requested
-            row["simplify_valid"] += sum(
-                1 for c in itrec.candidates if c.status is VerdictStatus.VALID
-            )
-            stage = itrec.repair
-            if stage is None:
-                continue
-            row["repair_attempted"] += stage.attempted
-            row["repair_valid"] += stage.valid
-            best = itrec.score_before
-            valid_scores = [
-                c.score
-                for c in itrec.candidates
-                if c.status is VerdictStatus.VALID and c.score is not None
-            ]
-            if valid_scores:
-                best = min(best, min(valid_scores))
-            for cand in stage.candidates:
-                if cand.get("score") is not None and cand["score"] < best:
-                    row["repair_shorter_before_lint"] += 1
-                if cand.get("linted_score") is not None and cand["linted_score"] < best:
-                    row["repair_shorter_after_lint"] += 1
+    for itrec in iterations:
+        if itrec.note != SKIPPED_NOTE:
+            row["simplify_attempted"] += itrec.k_requested
+        row["simplify_valid"] += sum(c.status is VerdictStatus.VALID for c in itrec.candidates)
+        stage = itrec.repair
+        if stage is None:
+            continue
+        row["repair_attempted"] += stage.attempted
+        row["repair_valid"] += stage.valid
+        best = itrec.score_before
+        valid_scores = [
+            c.score
+            for c in itrec.candidates
+            if c.status is VerdictStatus.VALID and c.score is not None
+        ]
+        if valid_scores:
+            best = min(best, min(valid_scores))
+        for cand in stage.candidates:
+            if cand.get("score") is not None and cand["score"] < best:
+                row["repair_shorter_before_lint"] += 1
+            if cand.get("linted_score") is not None and cand["linted_score"] < best:
+                row["repair_shorter_after_lint"] += 1
     return row
 
 
@@ -144,11 +141,6 @@ def write_csv(rows: list[dict], path) -> None:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def read_csv(path) -> list[dict]:
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
 
 
 GNUPLOT_STUB = """# plot the @k scaling curve produced alongside this file

@@ -131,9 +131,10 @@ def iteration_from_json(obj) -> IterationRecord:
 class VerdictMemo:
     """Remembers the conclusive verdicts of the checks made for one proof.
 
-    It stands in front of a Verifier, asks for heartbeats on every check or
-    on none, as the measure needs, and keys on the source alone. Each text
-    has one Future: the first caller registers it and runs the check, and a
+    It stands in front of a Verifier and is the one holder of the measure:
+    it asks for heartbeats on every check or on none, scores under the
+    measure (``check``), and keys on the source alone. Each text has one
+    Future: the first caller registers it and runs the check, and a
     concurrent caller for the same text waits on it and gets the same
     verdict, so concurrent requests never check one text twice. Only VALID
     and INVALID verdicts are kept; a timeout, a crash or an exception is
@@ -174,22 +175,15 @@ class VerdictMemo:
         with self._lock:
             del self._verdicts[source]
 
-
-def _memo(verifier: Verifier | VerdictMemo, measure: Measure) -> VerdictMemo:
-    if isinstance(verifier, VerdictMemo):
-        return verifier
-    return VerdictMemo(verifier, measure)
-
-
-def _check(text: str, memo: VerdictMemo, measure: Measure) -> tuple[Verdict, int | None]:
-    """Verdict and score of a statement-plus-proof under the measure."""
-    verdict = memo.verify(text)
-    if measure is Measure.HEARTBEATS:
-        return verdict, verdict.heartbeats
-    try:
-        return verdict, lexer.proof_length(text)
-    except NoProofDelimiter:  # a completion that holds no proof body has no length
-        return verdict, None
+    def check(self, text: str) -> tuple[Verdict, int | None]:
+        """Verdict and score of a statement-plus-proof under the memo's measure."""
+        verdict = self.verify(text)
+        if self.want_heartbeats:
+            return verdict, verdict.heartbeats
+        try:
+            return verdict, lexer.proof_length(text)
+        except NoProofDelimiter:  # a completion that holds no proof body has no length
+            return verdict, None
 
 
 def _fan_out(fn, items: list, verifier: VerdictMemo) -> list:
@@ -217,34 +211,33 @@ def shorten_iteration(
     record: ProofRecord,
     k: int,
     simplifier: Simplifier,
-    verifier: Verifier,
-    measure: Measure = Measure.TOKEN_LENGTH,
+    verifier: VerdictMemo,
     temperature: float | None = None,
     index: int = 0,
     context: str = "",
 ) -> tuple[ProofRecord, IterationRecord]:
-    """One best-of-k round. Keeps the input record untouched unless a
-    candidate passes the acceptance rule."""
+    """One best-of-k round. Every check and score goes through the proof's
+    memo, which carries the measure. Keeps the input record untouched unless
+    a candidate passes the acceptance rule."""
     if temperature is None:
         temperature = simplifier.cfg.temperature
-    verifier = _memo(verifier, measure)
-    verdict, score_before = _check(record.full_source, verifier, measure)
+    verdict, score_before = verifier.check(record.full_source)
+    itrec = IterationRecord(
+        index=index,
+        k_requested=k,
+        temperature=temperature,
+        candidates=[],
+        adopted=None,
+        score_before=score_before or 0,
+        score_after=score_before or 0,
+        source_after=record.full_source,
+    )
     if score_before is None or not verdict.ok:
-        itrec = IterationRecord(
-            index=index,
-            k_requested=k,
-            temperature=temperature,
-            candidates=[],
-            adopted=None,
-            score_before=score_before or 0,
-            score_after=score_before or 0,
-            source_after=record.full_source,
-            note=SKIPPED_NOTE,
-        )
+        itrec.note = SKIPPED_NOTE
         return record, itrec
 
     def scored(text: str) -> tuple[VerdictStatus, int | None]:
-        verdict, score = _check(text, verifier, measure)
+        verdict, score = verifier.check(text)
         return verdict.status, score if verdict.ok else None
 
     raw = simplifier.simplify(record.full_source, k, temperature=temperature, context=context)
@@ -252,26 +245,13 @@ def shorten_iteration(
     # the requested k.
     unique = list(dict.fromkeys(raw))
     checked = dict(zip(unique, _fan_out(scored, unique, verifier)))
-    results = [CandidateResult(text, *checked[text]) for text in raw]
-
-    adopted = _adopt(score_before, results)
-    after, score_after = record, score_before
-    if adopted is not None:
-        after = ProofRecord.from_source(
-            results[adopted].text, id=record.id, source_tag=record.source_tag
-        )
-        score_after = results[adopted].score
-
-    itrec = IterationRecord(
-        index=index,
-        k_requested=k,
-        temperature=temperature,
-        candidates=results,
-        adopted=adopted,
-        score_before=score_before,
-        score_after=score_after,
-        source_after=after.full_source,
-    )
+    itrec.candidates = [CandidateResult(text, *checked[text]) for text in raw]
+    itrec.adopted = _adopt(score_before, itrec.candidates)
+    if itrec.adopted is None:
+        return record, itrec
+    best = itrec.candidates[itrec.adopted]
+    after = ProofRecord.from_source(best.text, id=record.id, source_tag=record.source_tag)
+    itrec.score_after, itrec.source_after = best.score, after.full_source
     return after, itrec
 
 
@@ -281,7 +261,6 @@ def _repair_stage(
     candidates: list[CandidateResult],
     repairer: Repairer,
     verifier: VerdictMemo,
-    measure: Measure,
     budget: int,
 ) -> tuple[ProofRecord, int, RepairStage]:
     """Repair an iteration's failed candidates. Returns the record to carry
@@ -309,12 +288,12 @@ def _repair_stage(
         fixes = []
         for fix in repairer.repair(statement, failed_proof, report):
             # this check is also the first lint round's
-            verdict, raw_score = _check(fix, verifier, measure)
+            verdict, raw_score = verifier.check(fix)
             linted = CandidateResult(fix, verdict.status)
             if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
                 linted_record = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
                 source = linted_record.full_source
-                _, linted_score = _check(source, verifier, measure)
+                _, linted_score = verifier.check(source)
                 linted = CandidateResult(source, verdict.status, linted_score)
             entry = {
                 "status": verdict.status.value,
@@ -359,12 +338,13 @@ def shorten_loop(
     ``schedule`` is a list of (k, temperature) pairs. ``on_iteration`` is
     called with each finished IterationRecord, which is how partial traces
     get persisted. ``resume_from`` replays already-finished iterations
-    instead of recomputing them. Every check goes through one VerdictMemo
-    for this proof.
+    instead of recomputing them. The loop builds one VerdictMemo for this
+    proof, which carries the measure: every check and score below goes
+    through it.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
-    verifier = _memo(verifier, measure)
+    memo = VerdictMemo(verifier, measure)
     trace = ShorteningTrace(proof_id=record.id, measure=measure.value)
     current = record
     done = 0
@@ -379,22 +359,14 @@ def shorten_loop(
         if index < done:
             continue
         current, itrec = shorten_iteration(
-            current,
-            k,
-            simplifier,
-            verifier,
-            measure,
-            temperature=temperature,
-            index=index,
-            context=context,
+            current, k, simplifier, memo, temperature=temperature, index=index, context=context
         )
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
         )
         if repairer is not None and no_valid:
             current, itrec.score_after, itrec.repair = _repair_stage(
-                current, itrec.score_after, itrec.candidates, repairer, verifier, measure,
-                repair_budget,
+                current, itrec.score_after, itrec.candidates, repairer, memo, repair_budget
             )
             itrec.source_after = current.full_source
         trace.iterations.append(itrec)

@@ -149,7 +149,7 @@ def test_mock_repairer_modes():
     fixed = delete.repair("t", "  bad\n  rfl", report)
     assert fixed == ["t := by\n  rfl"]
     shorter = MockRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
-    assert shorter.repair("t", "  x", report, n=2) == ["t := by\n  rfl"] * 2
+    assert shorter.repair("t", "  x", report) == ["t := by\n  rfl"]
     longer = MockRepairer(mock_cfg(mode="longer", padding=2))
     assert longer.repair("t", "  x", report)[0].count("skip") == 2
     with pytest.raises(ValueError):

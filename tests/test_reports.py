@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from proofopt.reports import (
     GNUPLOT_STUB,
     atk_table,
     corpus_stats,
-    read_csv,
     repair_accounting,
     speedup_report,
     write_csv,
@@ -21,7 +21,6 @@ from proofopt.shortener import (
     CandidateResult,
     IterationRecord,
     RepairStage,
-    ShorteningTrace,
     shorten_loop,
 )
 
@@ -97,8 +96,8 @@ def test_speedup_report():
         speedup_report([])
 
 
-def _trace_with_repair():
-    itrec = IterationRecord(
+def _iteration_with_repair():
+    return IterationRecord(
         index=0,
         k_requested=4,
         temperature=1.0,
@@ -122,11 +121,10 @@ def _trace_with_repair():
             adopted=0,
         ),
     )
-    return ShorteningTrace(proof_id="p", measure="length", iterations=[itrec])
 
 
 def test_repair_accounting():
-    row = repair_accounting([_trace_with_repair()])
+    row = repair_accounting([_iteration_with_repair()])
     assert row["simplify_attempted"] == 4
     assert row["simplify_valid"] == 1
     assert row["repair_attempted"] == 2
@@ -141,7 +139,7 @@ def test_repair_accounting_counts_no_attempts_for_skipped_iterations():
     simplifier = MockSimplifier(mock_cfg(mode="constant"))
     skipped = shorten_loop(start, [(4, 1.0), (4, 1.0)], simplifier, MockVerifier(mock_cfg()))
     assert all(it.note.startswith("skipped") for it in skipped.iterations)
-    row = repair_accounting([skipped, _trace_with_repair()])
+    row = repair_accounting(skipped.iterations + [_iteration_with_repair()])
     assert row["simplify_attempted"] == 4
 
 
@@ -149,7 +147,8 @@ def test_csv_round_trip(tmp_path):
     rows = [{"k": 1, "min_at_k": 3.5}, {"k": 2, "min_at_k": 2.25}]
     path = tmp_path / "table.csv"
     write_csv(rows, path)
-    back = read_csv(path)
+    with open(path, newline="") as handle:
+        back = list(csv.DictReader(handle))
     assert [(int(r["k"]), float(r["min_at_k"])) for r in back] == [(1, 3.5), (2, 2.25)]
     with pytest.raises(EmptyDataset):
         write_csv([], path)

@@ -13,7 +13,6 @@ from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord
 from proofopt.shortener import (
     VerdictMemo,
-    _check,
     decompose,
     iteration_from_json,
     shorten_file,
@@ -31,8 +30,8 @@ def record(proof: str, id: str = "t") -> ProofRecord:
 def test_memo_scores_by_measure():
     verifier = MockVerifier(mock_cfg(heartbeats_per_token=5, noop_tactics=["simp"]))
     source = "t := by\n  rfl\n  simp"
-    assert _check(source, VerdictMemo(verifier), Measure.TOKEN_LENGTH)[1] == 2
-    verdict, score = _check(source, VerdictMemo(verifier, Measure.HEARTBEATS), Measure.HEARTBEATS)
+    assert VerdictMemo(verifier).check(source)[1] == 2
+    verdict, score = VerdictMemo(verifier, Measure.HEARTBEATS).check(source)
     assert score == 10
     # every check is linted, whatever the measure
     assert [d.message for d in verdict.diagnostics] == ["'simp' tactic does nothing"]
@@ -43,7 +42,7 @@ def test_iteration_adopts_strictly_shorter():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring\n  rfl")
-    after, itrec = shorten_iteration(start, 3, simplifier, verifier)
+    after, itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier))
     assert itrec.adopted == 0  # tie-break picks the lowest index
     assert after.proof == "  rfl"
     assert itrec.score_after < itrec.score_before
@@ -54,7 +53,7 @@ def test_iteration_keeps_input_when_no_improvement():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="echo"))
     start = record("  rfl")
-    after, itrec = shorten_iteration(start, 4, simplifier, verifier)
+    after, itrec = shorten_iteration(start, 4, simplifier, VerdictMemo(verifier))
     assert itrec.adopted is None
     assert after.full_source == start.full_source
     assert itrec.score_after == itrec.score_before
@@ -64,7 +63,7 @@ def test_iteration_ignores_invalid_candidates():
     verifier = MockVerifier(mock_cfg(fail_token="rfl"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    after, itrec = shorten_iteration(start, 2, simplifier, verifier)
+    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
     assert itrec.adopted is None
     assert after.full_source == start.full_source
     assert all(c.status is VerdictStatus.INVALID for c in itrec.candidates)
@@ -80,7 +79,7 @@ class TermModeSimplifier(MockSimplifier):
 def test_iteration_never_adopts_a_term_mode_candidate():
     start = record("  skip\n  rfl")
     simplifier = TermModeSimplifier(mock_cfg())
-    after, itrec = shorten_iteration(start, 2, simplifier, MockVerifier(mock_cfg()))
+    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
     # it verifies and scores lower, through the lexer's ':=' fallback
     assert itrec.candidates[0].status is VerdictStatus.VALID
     assert itrec.candidates[0].score < itrec.score_before
@@ -95,7 +94,7 @@ def test_iteration_survives_a_candidate_without_a_proof_body():
 
     start = record("  skip\n  rfl")
     simplifier = BareSimplifier(mock_cfg())
-    after, itrec = shorten_iteration(start, 2, simplifier, MockVerifier(mock_cfg()))
+    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
     assert [c.status for c in itrec.candidates] == [VerdictStatus.INVALID] * 2
     assert [c.score for c in itrec.candidates] == [None, None]
     assert after == start
@@ -105,7 +104,7 @@ def test_iteration_skips_nonverifying_input():
     verifier = MockVerifier(mock_cfg(fail_token="FAIL"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  FAIL")
-    after, itrec = shorten_iteration(start, 2, simplifier, verifier)
+    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
     assert itrec.note == "skipped: input does not verify"
     assert itrec.candidates == []
     assert after.full_source == start.full_source
@@ -116,7 +115,7 @@ def test_duplicate_candidates_verified_once():
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
     calls_before = verifier.calls
-    _, itrec = shorten_iteration(start, 16, simplifier, verifier)
+    _, itrec = shorten_iteration(start, 16, simplifier, VerdictMemo(verifier))
     # precondition check plus one verification for the single unique text
     assert verifier.calls - calls_before == 2
     assert len(itrec.candidates) == 16
@@ -127,7 +126,7 @@ def test_heartbeats_incumbent_scored_and_checked_once():
     verifier = MockVerifier(mock_cfg(heartbeats_per_token=10))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    _, itrec = shorten_iteration(start, 3, simplifier, verifier, Measure.HEARTBEATS)
+    _, itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier, Measure.HEARTBEATS))
     # one heartbeats check of the incumbent, one of the single unique candidate
     assert verifier.calls == 2
     assert itrec.score_before == 20
@@ -201,8 +200,8 @@ def test_repair_stage_adopts_shorter():
 
 def test_repair_stage_never_adopts_a_term_mode_fix():
     class TermModeRepairer(MockRepairer):
-        def _repair(self, statement, failed_proof, error_report, n, temperature):
-            return [statement + " := rfl"] * n
+        def _repair(self, statement, failed_proof, error_report):
+            return [statement + " := rfl"]
 
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
@@ -221,9 +220,9 @@ def test_repair_stage_repairs_each_failed_text_once():
     repaired = []
 
     class SpyRepairer(MockRepairer):
-        def _repair(self, statement, failed_proof, error_report, n, temperature):
+        def _repair(self, statement, failed_proof, error_report):
             repaired.append(failed_proof)
-            return super()._repair(statement, failed_proof, error_report, n, temperature)
+            return super()._repair(statement, failed_proof, error_report)
 
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
@@ -250,9 +249,9 @@ def test_repair_stage_does_not_recheck_a_timed_out_candidate():
             return super()._verify(source, want_heartbeats)
 
     class SpyRepairer(MockRepairer):
-        def _repair(self, statement, failed_proof, error_report, n, temperature):
+        def _repair(self, statement, failed_proof, error_report):
             reports.append(error_report)
-            return super()._repair(statement, failed_proof, error_report, n, temperature)
+            return super()._repair(statement, failed_proof, error_report)
 
     verifier = SpyVerifier(mock_cfg(timeout_token="slow"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="slow"))
@@ -285,7 +284,7 @@ def test_acceptance_rule_recomputed_from_traces(measure):
             rescore = VerdictMemo(verifier, measure)
             source = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF).full_source
             for it in trace.iterations:
-                assert it.score_before == _check(source, rescore, measure)[1]
+                assert it.score_before == rescore.check(source)[1]
                 entries = [
                     (c.status is VerdictStatus.VALID and c.score is not None
                      and PROOF_DELIMITER in c.text, c.score)
@@ -308,7 +307,7 @@ def test_acceptance_rule_recomputed_from_traces(measure):
                         score = it.repair.candidates[it.repair.adopted]["linted_score"]
                         after = it.source_after  # the linted text is not in the trace
                 assert (it.score_after, it.source_after) == (score, after)
-                assert _check(it.source_after, rescore, measure)[1] == it.score_after
+                assert rescore.check(it.source_after)[1] == it.score_after
                 source = it.source_after
     assert iteration_adoptions and repair_adoptions
 
@@ -325,8 +324,8 @@ class KeyRepairer(MockRepairer):
     """Appends the required token to the failed proof, so every fix verifies
     and scores by what the failed text kept."""
 
-    def _repair(self, statement, failed_proof, error_report, n, temperature):
-        return [statement + " := by\n" + failed_proof.rstrip("\n") + "\n  key"] * n
+    def _repair(self, statement, failed_proof, error_report):
+        return [statement + " := by\n" + failed_proof.rstrip("\n") + "\n  key"]
 
 
 def _repair_scenario(repairer, max_parallel, schedule=((4, 1.0), (4, 0.8)), budget=3):
@@ -353,10 +352,10 @@ def test_repair_stage_folds_in_input_order():
     }
 
     class SlowFirstRepairer(KeyRepairer):
-        def _repair(self, statement, failed_proof, error_report, n, temperature):
+        def _repair(self, statement, failed_proof, error_report):
             if failed_proof in firsts:
                 time.sleep(0.3)
-            return super()._repair(statement, failed_proof, error_report, n, temperature)
+            return super()._repair(statement, failed_proof, error_report)
 
     concurrent = _repair_scenario(SlowFirstRepairer(mock_cfg()), max_parallel=2)
     assert [it.repair for it in concurrent.iterations] == stages
@@ -367,9 +366,9 @@ def test_repair_stage_repairs_concurrently():
     barrier = threading.Barrier(2, timeout=5)
 
     class MeetingRepairer(KeyRepairer):
-        def _repair(self, statement, failed_proof, error_report, n, temperature):
+        def _repair(self, statement, failed_proof, error_report):
             barrier.wait()  # breaks unless a second repair is in flight
-            return super()._repair(statement, failed_proof, error_report, n, temperature)
+            return super()._repair(statement, failed_proof, error_report)
 
     trace = _repair_scenario(
         MeetingRepairer(mock_cfg()), max_parallel=2, schedule=[(4, 1.0)], budget=2
