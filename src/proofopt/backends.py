@@ -77,6 +77,8 @@ class BackendConfig:
             raise ConfigError("timeout must be positive")
         if self.max_parallel < 1:
             raise ConfigError("max_parallel must be at least 1")
+        if self.retries < 1:
+            raise ConfigError("retries must be at least 1")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
 

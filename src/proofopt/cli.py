@@ -125,7 +125,7 @@ def lint(args):
     records = _read_records(args.input)
     out = []
     for record in records:
-        linted = lint_fixpoint(record, verifier, max_rounds=args.rounds)
+        linted = lint_fixpoint(record, verifier)
         row = linted.to_json()
         row["length"] = lexer.proof_length(linted.full_source)
         out.append(row)
@@ -166,14 +166,22 @@ def shorten(args):
         cfg.repair = args.repair == "on"
     simplifier_cfg = cfg.backend("simplifier")
     schedule = parse_schedule(args.schedule or cfg.schedule, simplifier_cfg.temperature)
-    repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
-    verifier = make_verifier(cfg.backend("verifier"))
-    simplifier = make_simplifier(simplifier_cfg)
     records = _read_records(args.input)
     if not records:
         raise ConfigError("empty input")
     if cfg.workdir:
+        owners = {}
+        for record in records:
+            path = _trace_path(cfg.workdir, record.id)
+            if path in owners:
+                raise MalformedInput(
+                    f"proof ids {owners[path]!r} and {record.id!r} share the trace file {path}"
+                )
+            owners[path] = record.id
         (cfg.workdir / "traces").mkdir(parents=True, exist_ok=True)
+    repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
+    verifier = make_verifier(cfg.backend("verifier"))
+    simplifier = make_simplifier(simplifier_cfg)
 
     def run_one(record: ProofRecord) -> ShorteningTrace:
         sink = None
@@ -376,8 +384,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command(commands, length, io=False)
     sub.add_argument("files", nargs="*", metavar="FILE", type=_readable_file)
-    sub = command(commands, lint)
-    sub.add_argument("--rounds", type=int, default=10, help="(default: 10)")
+    command(commands, lint)
     sub = command(commands, shorten)
     sub.add_argument("--schedule", help="e.g. 64x6,1024x2@1.5")
     sub.add_argument("--measure", choices=["length", "heartbeats"])

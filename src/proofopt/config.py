@@ -11,7 +11,7 @@ from .backends import BackendConfig
 from .errors import ConfigError
 from .records import Measure, typed_field
 
-_SCHEDULE_ENTRY = re.compile(r"^(\d+)x(\d+)(?:@([0-9.]+))?$")
+_SCHEDULE_ENTRY = re.compile(r"^(\d+)x(\d+)(?:@(\d+\.?\d*|\.\d+))?$")
 
 
 def parse_schedule(spec: str, default_temperature: float = 1.0) -> list[tuple[int, float]]:

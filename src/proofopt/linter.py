@@ -11,6 +11,7 @@ from .records import ProofRecord
 _NOOP_DIAGNOSTIC = re.compile(r"'(?P<tactic>[^']+)' tactic does nothing")
 
 COMBINATOR = "<;>"
+MAX_ROUNDS = 10
 
 
 def _delete_span(lines: list[str], line_no: int, column: int, tactic: str) -> bool:
@@ -73,8 +74,8 @@ def lint_once(
     return edited, removed
 
 
-def lint_fixpoint(record: ProofRecord, verifier: Verifier, max_rounds: int = 10) -> ProofRecord:
-    """Repeat lint rounds until nothing is removed or the bound is hit.
+def lint_fixpoint(record: ProofRecord, verifier: Verifier) -> ProofRecord:
+    """Repeat lint rounds until nothing is removed, at most MAX_ROUNDS.
 
     Each round makes one check: the check of a round's edit decides whether
     the edit is kept, and its diagnostics drive the next round. If a round's
@@ -83,7 +84,7 @@ def lint_fixpoint(record: ProofRecord, verifier: Verifier, max_rounds: int = 10)
     """
     current = record
     verdict = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         edited, removed = lint_once(current, verifier, verdict)
         if removed == 0:
             break

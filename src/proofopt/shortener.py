@@ -3,8 +3,8 @@
 Each iteration samples k candidate rewrites, verifies them, and adopts one
 by a single acceptance rule (``_adopt``): the lowest-scored tactic proof that
 verifies and strictly beats the current score. A repair stage can kick in
-after an iteration where nothing verified; repaired proofs are linted and
-judged by the same rule, since repairs tend to come back longer than what
+after an iteration where nothing verified; repaired proofs are linted,
+best-first, and judged by the same rule, since repairs tend to come back longer than what
 they replace. Within one proof's loop every check goes through a
 VerdictMemo, so a text with a valid or invalid verdict is not sent to the
 checker again.
@@ -28,7 +28,7 @@ from .backends import (
     truncate_error_report,
 )
 from .errors import NoProofDelimiter, ParseFailure
-from .linter import lint_fixpoint
+from .linter import lint_fixpoint, lint_once
 from .records import PROOF_DELIMITER, Measure, ProofRecord, typed_field
 
 REPAIR_REPORT_LIMIT = 6000
@@ -185,6 +185,12 @@ class VerdictMemo:
         except NoProofDelimiter:  # a completion that holds no proof body has no length
             return verdict, None
 
+    def score_bound(self, text: str) -> int:
+        """The least score a check of text can give: its length under the
+        length measure, which the check does not change, and 0 under
+        heartbeats, which only the check counts."""
+        return 0 if self.want_heartbeats else lexer.proof_length(text)
+
 
 def _fan_out(fn, items: list, verifier: VerdictMemo) -> list:
     """fn over items, as many at once as the verifier admits checks, with
@@ -268,8 +274,21 @@ def _repair_stage(
 
     Failed texts are repaired concurrently, as many at once as the verifier
     admits checks; their results are folded in input order, so the stage's
-    record does not depend on which repair finished first. A fix is judged
-    by the acceptance rule on its linted text and score."""
+    record does not depend on which repair finished first.
+
+    A fix is judged by the acceptance rule on its linted text and score, and
+    only the lowest can win, so fixes are linted best-first. A valid tactic
+    fix's bound is the memo's score_bound of its first lint round's edit,
+    which needs no check beyond the fix's own. The fixes of the least bound
+    are linted to their fixpoint together, until no unlinted fix's (bound,
+    index) is below the best linted (score, index). An unlinted fix is
+    never adopted, and its ``linted_score`` is its bound. This adopts what
+    linting every fix would whenever each lint reaches its fixpoint in one
+    round; a first edit that fails its check reverts to the fix, which
+    scores at least the bound. Lean's unused-tactic linter reports every
+    unused tactic of a declaration at once, so a second round needs a
+    removal that leaves another tactic unused. Under heartbeats every bound
+    is 0, and every fix is linted in one concurrent batch."""
 
     def repair_one(failed: tuple[str, VerdictStatus]) -> tuple[bool, list]:
         text, status = failed
@@ -289,36 +308,53 @@ def _repair_stage(
         for fix in repairer.repair(statement, failed_proof, report):
             # this check is also the first lint round's
             verdict, raw_score = verifier.check(fix)
-            linted = CandidateResult(fix, verdict.status)
-            if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
-                linted_record = lint_fixpoint(ProofRecord.from_source(fix, id=record.id), verifier)
-                source = linted_record.full_source
-                _, linted_score = verifier.check(source)
-                linted = CandidateResult(source, verdict.status, linted_score)
             entry = {
                 "status": verdict.status.value,
                 "score": raw_score if verdict.ok else None,
-                "linted_score": linted.score,
+                "linted_score": None,
             }
-            fixes.append((entry, linted))
+            if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
+                edit, _ = lint_once(ProofRecord.from_source(fix, id=record.id), verifier)
+                entry["linted_score"] = verifier.score_bound(edit.full_source)
+            fixes.append((entry, CandidateResult(fix, verdict.status)))
         return truncated, fixes
+
+    def lint(fix: CandidateResult) -> CandidateResult:
+        linted = lint_fixpoint(ProofRecord.from_source(fix.text, id=record.id), verifier)
+        _, score = verifier.check(linted.full_source)
+        return CandidateResult(linted.full_source, fix.status, score)
 
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in candidates if c.status is not VerdictStatus.VALID]
     stage = RepairStage()
-    linted = []
-    for truncated, fixes in _fan_out(repair_one, list(dict.fromkeys(failed))[:budget], verifier):
+    fixes = []
+    for truncated, repaired in _fan_out(repair_one, list(dict.fromkeys(failed))[:budget], verifier):
         stage.truncated_reports += int(truncated)
-        for entry, fix in fixes:
+        for entry, fix in repaired:
             stage.attempted += 1
             stage.valid += fix.status is VerdictStatus.VALID
             stage.candidates.append(entry)
-            linted.append(fix)
-    stage.adopted = _adopt(current_score, linted)
+            fixes.append(fix)
+    bounds = {
+        i: entry["linted_score"]
+        for i, entry in enumerate(stage.candidates)
+        if entry["linted_score"] is not None
+    }
+    best = (current_score, -1)
+    while bounds and min((b, i) for i, b in bounds.items()) < best:
+        least = min(bounds.values())
+        batch = [i for i, b in bounds.items() if b == least]
+        for i, linted in zip(batch, _fan_out(lint, [fixes[i] for i in batch], verifier)):
+            del bounds[i]
+            fixes[i] = linted
+            stage.candidates[i]["linted_score"] = linted.score
+            if linted.score is not None:
+                best = min(best, (linted.score, i))
+    stage.adopted = _adopt(current_score, fixes)
     if stage.adopted is None:
         return record, current_score, stage
-    best = linted[stage.adopted]
-    return ProofRecord.from_source(best.text, id=record.id), best.score, stage
+    best_fix = fixes[stage.adopted]
+    return ProofRecord.from_source(best_fix.text, id=record.id), best_fix.score, stage
 
 
 def shorten_loop(

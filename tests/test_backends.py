@@ -36,6 +36,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BackendConfig(kind="mock", max_parallel=0)
     with pytest.raises(ConfigError):
+        BackendConfig(kind="mock", retries=0)
+    with pytest.raises(ConfigError):
         BackendConfig(kind="mock", top_p=0)
 
 

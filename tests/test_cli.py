@@ -232,8 +232,9 @@ def test_unknown_run_config_key_exit_code(runner, tmp_path):
     [
         {"parallel_workers": "x"},
         {"backends": {"verifier": {"kind": "mock", "timeout": "abc"}}},
+        {"backends": {"verifier": {"kind": "mock", "retries": 0}}},
     ],
-    ids=["run-config", "backend-config"],
+    ids=["run-config", "backend-config", "retries-below-one"],
 )
 def test_config_value_of_the_wrong_type_exit_code(runner, tmp_path, overrides):
     config = write_config(tmp_path, **overrides)
@@ -241,6 +242,51 @@ def test_config_value_of_the_wrong_type_exit_code(runner, tmp_path, overrides):
     result = runner.invoke(main, ["--config", config, "lint", proofs])
     assert result.exit_code == 2
     assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags,overrides",
+    [(["--schedule", "2x1@1.2.3"], {}), (["--schedule", "2x1@."], {}), ([], {"schedule": "2x1@1..5"})],
+    ids=["flag-two-points", "flag-point-only", "config-double-point"],
+)
+def test_malformed_schedule_temperature_exit_code(runner, tmp_path, flags, overrides):
+    config = write_config(tmp_path, **overrides)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", *flags, proofs])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: bad schedule entry")
+    assert len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("ids", [["a b", "a_b"], ["p1", "p1"]], ids=["same-name", "repeated"])
+def test_shorten_ids_sharing_a_trace_file_exit_code(runner, tmp_path, monkeypatch, ids):
+    def unbuilt(cfg):
+        raise AssertionError("a backend was built")
+
+    for factory in ("make_verifier", "make_simplifier", "make_repairer"):
+        monkeypatch.setattr(f"proofopt.cli.{factory}", unbuilt)
+    config = write_config(tmp_path, repair=True)
+    rows = [dict(PROOFS[0], id=ids[0]), dict(PROOFS[1], id=ids[1])]
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", rows)
+    workdir = tmp_path / "wd"
+    result = runner.invoke(main, ["--config", config, "--workdir", str(workdir), "shorten", proofs])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
+    assert f"{ids[0]!r} and {ids[1]!r}" in result.output
+    assert not (workdir / "traces").exists()
+
+
+def test_shorten_same_ids_without_workdir(runner, tmp_path):
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [PROOFS[0], PROOFS[0]])
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 0, result.output
+
+
+def test_lint_takes_no_rounds_option(runner, tmp_path):
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    assert runner.invoke(main, ["--config", config, "lint", "--rounds", "0", proofs]).exit_code == 2
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -14,7 +14,10 @@ def test_parse_schedule():
     assert parse_schedule("8x1@0.2") == [(8, 0.2)]
 
 
-@pytest.mark.parametrize("bad", ["", "4", "x2", "4x0", "0x4", "4x2@", "4x2@hot", "4 x 2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "4", "x2", "4x0", "0x4", "4x2@", "4x2@hot", "4 x 2", "2x1@1.2.3", "2x1@.", "2x1@1..5"],
+)
 def test_parse_schedule_rejects(bad):
     with pytest.raises(ConfigError):
         parse_schedule(bad)

@@ -94,7 +94,7 @@ def test_fixpoint_one_check_per_round():
 def test_fixpoint_round_bound():
     verifier = make_verifier()
     calls_before = verifier.calls
-    lint_fixpoint(record("  rfl"), verifier, max_rounds=10)
+    lint_fixpoint(record("  rfl"), verifier)
     # nothing flagged: a single lint round, no re-verification needed
     assert verifier.calls - calls_before == 1
 

@@ -9,6 +9,7 @@ import pytest
 
 from proofopt.backends import Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable, ParseFailure
+from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord
 from proofopt.shortener import (
@@ -384,6 +385,136 @@ def test_repair_not_triggered_when_any_candidate_valid():
         record("  norm_num\n  ring"), [(2, 1.0)], simplifier, verifier, repairer=repairer
     )
     assert trace.iterations[0].repair is None
+
+
+class RecordingRepairer(MockRepairer):
+    """Remembers the fixes that inner returned for each failed proof."""
+
+    def __init__(self, inner):
+        super().__init__(mock_cfg())
+        self.inner = inner
+        self.fixes = {}
+
+    def _repair(self, statement, failed_proof, error_report):
+        fixes = self.inner._repair(statement, failed_proof, error_report)
+        self.fixes[(statement, failed_proof)] = fixes
+        return fixes
+
+
+class BodiesRepairer(MockRepairer):
+    """Returns one fix per proof body in options["bodies"]."""
+
+    def _repair(self, statement, failed_proof, error_report):
+        return [statement + " := by\n" + body for body in self.cfg.options["bodies"]]
+
+
+def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):
+    """Adopted index, score and source of an iteration's repair stage when
+    every valid tactic fix is linted to its fixpoint."""
+    memo = VerdictMemo(MockVerifier(verifier_cfg), measure)
+    failed = [c.text for c in itrec.candidates if c.status is not VerdictStatus.VALID]
+    linted = []
+    for text in list(dict.fromkeys(failed))[:budget]:
+        failed_record = ProofRecord.from_source(text)
+        for fix in fixes_of[(failed_record.statement, failed_record.proof)]:
+            verdict, _ = memo.check(fix)
+            if verdict.ok and PROOF_DELIMITER in fix:
+                fixed = lint_fixpoint(ProofRecord.from_source(fix), memo).full_source
+                linted.append((memo.check(fixed)[1], fixed))
+            else:
+                linted.append((None, None))
+    below = [(score, i) for i, (score, _) in enumerate(linted)
+             if score is not None and score < itrec.score_before]
+    if not below:
+        return None, itrec.score_before, source
+    score, i = min(below)
+    return i, score, ProofRecord.from_source(linted[i][1]).full_source
+
+
+EAGER_SCENARIOS = [
+    # (verifier options, simplifier options, repairer); these seeds fail
+    # every candidate of one to three iterations
+    *[
+        ({"require_token": "key", "noop_tactics": ["skip"]},
+         {"mode": "drop_lines", "seed": seed, "drop_probability": 0.75},
+         repairer)
+        for repairer in (
+            MockRepairer(mock_cfg(mode="shorter", proof_body="key\n  skip\n  ring")),
+            MockRepairer(mock_cfg(mode="longer", padding=2)),
+            KeyRepairer(mock_cfg()),
+        )
+        for seed in (1, 2, 17, 28, 36)
+    ],
+    # every first lint edit removes the required token and fails its check,
+    # so each linted fix reverts to its raw text, which scores above its bound
+    ({"require_token": "skip", "noop_tactics": ["skip"]},
+     {"mode": "constant", "proof_body": "FAIL"},
+     BodiesRepairer(mock_cfg(bodies=["  skip\n  skip\n  skip\n  a", "  skip\n  a\n  b",
+                                     "  a\n  b", "  skip\n  skip\n  a\n  b\n  c"]))),
+]
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_repair_stage_adopts_as_eager_linting_would(measure):
+    repaired = []  # per scenario, the repair stages and how many adopted
+    for verifier_options, simplifier_options, inner in EAGER_SCENARIOS:
+        verifier_cfg = mock_cfg(**verifier_options)
+        repairer = RecordingRepairer(inner)
+        start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
+        trace = shorten_loop(
+            start, [(4, 1.0), (4, 0.8), (4, 0.5)], MockSimplifier(mock_cfg(**simplifier_options)),
+            MockVerifier(verifier_cfg), measure, repairer=repairer, repair_budget=3,
+        )
+        source, stages, adopted = start.full_source, 0, 0
+        for it in trace.iterations:
+            if it.repair is not None:
+                expected = _eager_repair(it, source, repairer.fixes, verifier_cfg, measure, 3)
+                assert (it.repair.adopted, it.score_after, it.source_after) == expected
+                stages += 1
+                adopted += it.repair.adopted is not None
+            source = it.source_after
+        repaired.append((stages, adopted))
+    assert sum(s for s, _ in repaired) > 20 and sum(a for _, a in repaired) > 10
+    assert repaired[-1][1] > 0  # a fix whose first edit failed its check was adopted
+
+
+def _bounded_fixes_scenario(measure):
+    """Four valid fixes whose first lint edits keep 3, 1, 2 and 4 tokens, and
+    the texts the verifier was asked to check."""
+    checked = []
+
+    class SpyVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            checked.append(source)
+            return super()._verify(source, want_heartbeats)
+
+    bodies = ["  skip\n  a\n  b\n  c", "  skip\n  a", "  skip\n  a\n  b",
+              "  skip\n  skip\n  a\n  b\n  c\n  d"]
+    start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
+    trace = shorten_loop(
+        start, [(2, 1.0)], MockSimplifier(mock_cfg(mode="constant", proof_body="FAIL")),
+        SpyVerifier(mock_cfg(noop_tactics=["skip"])), measure,
+        repairer=BodiesRepairer(mock_cfg(bodies=bodies)),
+    )
+    itrec = trace.iterations[0]
+    known = {start.full_source, *(c.text for c in itrec.candidates)}
+    known.update(f"{start.statement} := by\n{body}" for body in bodies)
+    return itrec, [text for text in checked if text not in known]
+
+
+def test_repair_stage_lints_only_the_fix_that_can_win():
+    itrec, edits = _bounded_fixes_scenario(Measure.TOKEN_LENGTH)
+    assert edits == ["theorem g : 1 = 1 := by\n  a"]
+    assert itrec.repair.adopted == 1
+    assert itrec.score_after == 1
+    assert [c["linted_score"] for c in itrec.repair.candidates] == [3, 1, 2, 4]
+
+
+def test_repair_stage_lints_every_fix_under_heartbeats():
+    itrec, edits = _bounded_fixes_scenario(Measure.HEARTBEATS)
+    assert len(edits) == 4
+    assert itrec.repair.adopted == 1
+    assert [c["linted_score"] for c in itrec.repair.candidates] == [300, 100, 200, 400]
 
 
 FILE_TEXT = """import Mathlib
