@@ -219,17 +219,22 @@ class SubprocessVerifier(Verifier):
             text = HEARTBEAT_DIRECTIVE + text
         offset = text.count("\n", 0, len(text) - len(source))
         start = time.monotonic()
-        with tempfile.NamedTemporaryFile("w", suffix=".lean", delete=False) as handle:
-            handle.write(text)
-            path = handle.name
+        fd, path = tempfile.mkstemp(suffix=".lean")
         try:
+            try:
+                with open(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except UnicodeEncodeError as exc:  # a lone surrogate cannot reach the checker
+                error = Diagnostic("error", 1, 0, f"source is not UTF-8: {exc}")
+                return Verdict(VerdictStatus.INVALID, (error,), wall_time=time.monotonic() - start)
             command = [
                 part.replace("{file}", path).replace("{timeout}", str(self.cfg.timeout))
                 for part in self._argv
             ]
             try:
                 proc = subprocess.run(
-                    command, capture_output=True, text=True, timeout=self.cfg.timeout
+                    command, capture_output=True, timeout=self.cfg.timeout,
+                    encoding="utf-8", errors="replace",
                 )
             except subprocess.TimeoutExpired:
                 return Verdict(VerdictStatus.TIMEOUT, wall_time=time.monotonic() - start)
@@ -295,22 +300,15 @@ class Generator:
 
 
 class Simplifier(Generator):
-    def simplify(
-        self, source: str, k: int, temperature: float | None = None, context: str = ""
-    ) -> list[str]:
-        """Request k candidate rewrites of a statement-plus-proof.
-
-        ``context`` is extra prompt material (dependency statements) shown
-        to the model but never part of the returned candidates.
-        """
+    def simplify(self, source: str, k: int, temperature: float | None = None) -> list[str]:
+        """Request k candidate rewrites of a statement-plus-proof."""
         if k < 1:
             raise ValueError("k must be positive")
         with self.admission:
-            return self._simplify(source, k, temperature, context)
+            return self._simplify(source, k, temperature)
 
-    def _simplify(self, source, k, temperature, context) -> list[str]:
-        shown = f"{context}\n\n{source}" if context else source
-        return self._sample(prompting.render("simplify", statement=shown), k, temperature)
+    def _simplify(self, source, k, temperature) -> list[str]:
+        return self._sample(prompting.render("simplify", statement=source), k, temperature)
 
 
 class Repairer(Generator):

@@ -59,7 +59,9 @@ class _Output:
     def write(self, text: str) -> None:
         if self._file is None:
             try:
-                self._file = sys.stdout if self.name == "-" else open(self.name, "w")
+                self._file = (
+                    sys.stdout if self.name == "-" else open(self.name, "w", encoding="utf-8")
+                )
             except OSError as exc:
                 raise ProofOptError(f"cannot write {self.name}: {exc.strerror}") from None
         self._file.write(text)
@@ -82,12 +84,20 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _read_text(name: str, read):
+    """read(stream) over a UTF-8 file, or over stdin for -."""
+    try:
+        if name == "-":
+            return read(sys.stdin)
+        with open(name, encoding="utf-8") as handle:
+            return read(handle)
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{name}: not UTF-8 ({exc})") from None
+
+
 def _rows(name: str) -> list[dict]:
     """The JSONL rows of a file, or of stdin for -."""
-    if name == "-":
-        return read_jsonl(sys.stdin)
-    with open(name) as handle:
-        return read_jsonl(handle)
+    return _read_text(name, read_jsonl)
 
 
 def _read_records(name: str) -> list[ProofRecord]:
@@ -115,7 +125,7 @@ def length(args):
             for record in _read_records(name):
                 emit(record.id, record.full_source)
         else:
-            emit(str(path), path.read_text())
+            emit(str(path), _read_text(name, lambda handle: handle.read()))
 
 
 def lint(args):
@@ -189,7 +199,7 @@ def shorten(args):
         if cfg.workdir:
             path = _trace_path(cfg.workdir, record.id)
             resume = _load_partial(path, len(schedule))
-            handle = path.open("a" if resume else "w")
+            handle = path.open("a" if resume else "w", encoding="utf-8")
 
             def sink(itrec):
                 handle.write(json.dumps(itrec.to_json(), ensure_ascii=False) + "\n")
@@ -303,8 +313,8 @@ def reward(args):
         candidates = []
         for j, c in enumerate(typed_field(row, "candidates", list, what)):
             cand = f"{what} candidate {j}"
-            statement = typed_field(c, "statement", str, cand, default=original.statement)
-            proof = ProofRecord(f"{original.id}#{j}", statement, typed_field(c, "proof", str, cand))
+            body = typed_field(c, "proof", str, cand)
+            proof = ProofRecord(f"{original.id}#{j}", original.statement, body)
             candidates.append((proof, typed_field(c, "valid", bool, cand)))
         try:
             group = training_data.compute_rewards(

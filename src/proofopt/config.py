@@ -49,8 +49,8 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(raw)
 

@@ -37,10 +37,6 @@ class TemplateMissing(ProofOptError):
     """No prompt template is registered under the requested id."""
 
 
-class ParseFailure(ProofOptError):
-    """A source file could not be split into declarations."""
-
-
 class ConfigError(ProofOptError):
     """A run or backend configuration is malformed."""
 

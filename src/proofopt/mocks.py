@@ -125,7 +125,7 @@ class MockSimplifier(Simplifier):
         self.proof_body = _option(cfg, "proof_body", str, "rfl")
         self.drop_probability = _option(cfg, "drop_probability", float, 0.35)
 
-    def _simplify(self, source, k, temperature, context):
+    def _simplify(self, source, k, temperature):
         head, sep, proof = source.partition(":= by")
         if not sep:
             return []

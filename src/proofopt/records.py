@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import types
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -75,7 +76,7 @@ def read_jsonl(stream) -> list[dict]:
 
 
 _REQUIRED = object()
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+_KIND_NAMES = {str: "a UTF-8 string", int: "an integer", float: "a number", bool: "true or false",
                list: "a list", dict: "a JSON object", type(None): "null"}
 
 
@@ -84,6 +85,8 @@ def _is_kind(value, kind) -> bool:
         return any(_is_kind(value, k) for k in kind)
     if isinstance(kind, types.GenericAlias):  # list[T]
         return isinstance(value, list) and all(_is_kind(v, kind.__args__[0]) for v in value)
+    if kind is str:  # JSON decodes a lone surrogate escape, which UTF-8 cannot encode
+        return isinstance(value, str) and not re.search("[\ud800-\udfff]", value)
     accepted = (int, float) if kind is float else kind
     return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
 

@@ -137,7 +137,7 @@ def repair_accounting(iterations: list[IterationRecord]) -> dict:
 def write_csv(rows: list[dict], path) -> None:
     if not rows:
         raise EmptyDataset("nothing to write")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -154,5 +154,5 @@ plot '{csv}' using 1:2 with linespoints title 'min@k', \\
 
 
 def write_gnuplot_stub(csv_path, out_path) -> None:
-    with open(out_path, "w") as handle:
+    with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(GNUPLOT_STUB.format(csv=csv_path))

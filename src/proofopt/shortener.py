@@ -12,7 +12,6 @@ checker again.
 
 from __future__ import annotations
 
-import re
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,7 +26,7 @@ from .backends import (
     format_error_report,
     truncate_error_report,
 )
-from .errors import NoProofDelimiter, ParseFailure
+from .errors import NoProofDelimiter
 from .linter import lint_fixpoint, lint_once
 from .records import PROOF_DELIMITER, Measure, ProofRecord, typed_field
 
@@ -220,7 +219,6 @@ def shorten_iteration(
     verifier: VerdictMemo,
     temperature: float | None = None,
     index: int = 0,
-    context: str = "",
 ) -> tuple[ProofRecord, IterationRecord]:
     """One best-of-k round. Every check and score goes through the proof's
     memo, which carries the measure. Keeps the input record untouched unless
@@ -246,7 +244,7 @@ def shorten_iteration(
         verdict, score = verifier.check(text)
         return verdict.status, score if verdict.ok else None
 
-    raw = simplifier.simplify(record.full_source, k, temperature=temperature, context=context)
+    raw = simplifier.simplify(record.full_source, k, temperature=temperature)
     # Identical candidate texts are verified once; @k accounting still uses
     # the requested k.
     unique = list(dict.fromkeys(raw))
@@ -367,7 +365,6 @@ def shorten_loop(
     repair_budget: int = 4,
     on_iteration=None,
     resume_from: list[IterationRecord] | None = None,
-    context: str = "",
 ) -> ShorteningTrace:
     """Run the whole shortening schedule for one proof.
 
@@ -395,7 +392,7 @@ def shorten_loop(
         if index < done:
             continue
         current, itrec = shorten_iteration(
-            current, k, simplifier, memo, temperature=temperature, index=index, context=context
+            current, k, simplifier, memo, temperature=temperature, index=index
         )
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
@@ -410,125 +407,3 @@ def shorten_loop(
             on_iteration(itrec)
     return trace
 
-
-# --- file-level decomposition -------------------------------------------------
-
-_DECLARATIONS = (
-    "theorem lemma def abbrev instance example structure inductive class axiom opaque".split()
-)
-_COMMANDS = "notation macro syntax namespace section end open variable universe set_option attribute"
-# The start of a top-level command at the beginning of a line: a declaration
-# with its `set_option … in` and `open … in` lines, attributes and
-# modifiers, or another command.
-_COMMAND = re.compile(
-    r"^(?:(?:set_option|open)\b[^\n]*\bin\n)*(?:@\[[^\]\n]*\]\s*)*"
-    r"(?:(?:private|protected|noncomputable|partial|unsafe|nonrec|scoped|local)\s+)*"
-    rf"(?P<keyword>{'|'.join(_DECLARATIONS + _COMMANDS.split())}|#\w+)\b"
-    r"[ \t]*(?P<name>[^\s:({\[]*)",
-    re.MULTILINE,
-)
-_SHORTENED = ("theorem", "lemma")
-
-
-@dataclass
-class DecompositionUnit:
-    name: str
-    text: str  # full declaration text, statement and proof
-    depends_on: list[str] = field(default_factory=list)
-    keyword: str = "theorem"  # the declaration's keyword, or the command
-
-
-@dataclass
-class DecompositionPlan:
-    header: str  # imports, options, macros before the first declaration
-    units: list[DecompositionUnit]
-
-    def reassemble(self, replacements: dict[int, str] | None = None) -> str:
-        """The file again, with each theorem or lemma unit whose position in
-        ``units`` is a key of replacements replaced by its value."""
-        replacements = replacements or {}
-        parts = [self.header] if self.header else []
-        for i, unit in enumerate(self.units):
-            shortened = replacements.get(i) if unit.keyword in _SHORTENED else None
-            parts.append(shortened or unit.text)
-        return "\n".join(p.rstrip() + "\n" for p in parts)
-
-
-def decompose(file_text: str) -> DecompositionPlan:
-    """Split a Lean file into a header and a unit per top-level command from
-    the first declaration on, and record which theorem and lemma units
-    mention which others."""
-    matches = list(_COMMAND.finditer(file_text))
-    if not any(m.group("keyword") in _SHORTENED for m in matches):
-        raise ParseFailure("no top-level theorem or lemma declarations found")
-    matches = matches[
-        next(i for i, m in enumerate(matches) if m.group("keyword") in _DECLARATIONS) :
-    ]
-    header = file_text[: matches[0].start()].rstrip()
-    units = []
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(file_text)
-        text = file_text[m.start() : end].rstrip()
-        units.append(DecompositionUnit(m.group("name"), text, keyword=m.group("keyword")))
-    shortenable = [u for u in units if u.keyword in _SHORTENED]
-    for unit in shortenable:
-        try:
-            body = lexer.strip_comments(lexer.strip_statement(unit.text))
-        except Exception:
-            body = ""
-        tokens = {t for line in lexer.lex(body) for t in line}
-        unit.depends_on = [
-            other.name for other in shortenable if other.name != unit.name and other.name in tokens
-        ]
-    return DecompositionPlan(header=header, units=units)
-
-
-def _unit_statement(unit_text: str) -> str:
-    head, sep, _ = unit_text.partition(":= by")
-    if not sep:
-        head, sep, _ = unit_text.partition(":=")
-    return head.rstrip()
-
-
-def shorten_file(
-    file_text: str,
-    schedule: list[tuple[int, float]],
-    simplifier: Simplifier,
-    verifier: Verifier,
-    measure: Measure = Measure.TOKEN_LENGTH,
-    repairer: Repairer | None = None,
-) -> tuple[str, dict[int, ShorteningTrace]]:
-    """Shorten each theorem and lemma of a file independently and
-    reassemble; every other command keeps its text.
-
-    The prompt for a unit carries the statements (never the proofs) of the
-    units it depends on, in declaration order. A unit that cannot be
-    shortened, or cannot even be parsed into statement and proof, keeps its
-    original text. Replacements and traces are keyed by the unit's position
-    in the file's decomposition, so same-named theorems in different
-    namespaces stay apart.
-    """
-    plan = decompose(file_text)
-    order = {u.name: i for i, u in enumerate(plan.units)}
-    by_name = {u.name: u for u in plan.units}
-    replacements: dict[int, str] = {}
-    traces: dict[int, ShorteningTrace] = {}
-    for position, unit in enumerate(plan.units):
-        if unit.keyword not in _SHORTENED:
-            continue
-        try:
-            record = ProofRecord.from_source(unit.text, id=unit.name)
-        except ValueError:
-            continue
-        deps = sorted(unit.depends_on, key=order.get)
-        context = "\n\n".join(
-            _unit_statement(by_name[d].text) + " := by sorry" for d in deps
-        )
-        trace = shorten_loop(
-            record, schedule, simplifier, verifier, measure, repairer=repairer, context=context
-        )
-        traces[position] = trace
-        final = trace.final_source
-        if final is not None and final != record.full_source:
-            replacements[position] = final
-    return plan.reassemble(replacements), traces

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import stat
 import sys
 import tempfile
@@ -272,6 +273,38 @@ def test_subprocess_verifier_heartbeats_ignore_digits_in_path(tmp_path, monkeypa
     assert verifier.verify("t := by rfl", want_heartbeats=True).heartbeats == 4711
     assert SubprocessVerifier._parse_heartbeats("used 12 HEARTBEATS") == 12
     assert SubprocessVerifier._parse_heartbeats("/tmp/x9.lean:1:0: info: done") is None
+
+
+# Echoes the checked file's last line in an error diagnostic, as UTF-8 with a
+# byte that is not UTF-8 after it.
+_ECHO_CHECKER = """\
+import sys
+last = open(sys.argv[1], encoding="utf-8").read().splitlines()[-1].strip()
+sys.stdout.buffer.write(f"{sys.argv[1]}:2:0: error: {last} ".encode() + b"\\xff\\n")
+"""
+
+
+def _python_checker_verifier(tmp_path) -> SubprocessVerifier:
+    script = tmp_path / "checker.py"
+    script.write_text(_ECHO_CHECKER, encoding="utf-8")
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    return SubprocessVerifier(BackendConfig(kind="subprocess_verifier", command_template=command))
+
+
+def test_subprocess_verifier_checker_io_is_utf8(tmp_path):
+    verdict = _python_checker_verifier(tmp_path).verify("theorem t (n : ℕ) : n = n := by\n  rfl ⟨⟩")
+    assert verdict.status is VerdictStatus.INVALID
+    assert [d.message for d in verdict.diagnostics] == ["rfl ⟨⟩ �"]
+
+
+def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_path, monkeypatch):
+    checked_dir = tmp_path / "checked"
+    checked_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(checked_dir))
+    verdict = _python_checker_verifier(tmp_path).verify("theorem t : 1 = 1 := by\n  \ud800")
+    assert verdict.status is VerdictStatus.INVALID
+    assert "not UTF-8" in verdict.diagnostics[0].message
+    assert list(checked_dir.iterdir()) == []
 
 
 def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):

@@ -705,6 +705,11 @@ WRONG_TYPES = [
     pytest.param("speedup", {"time_orig": 1, "time_new": True}, 1, id="speedup-time-bool"),
     pytest.param("corpus", {"score": None}, 1, id="corpus-score-null"),
     pytest.param("repair", {**ITERATION, "proof_id": 5}, 1, id="repair-proof-id-number"),
+    # a lone surrogate escape is JSON that no UTF-8 text can hold
+    pytest.param("config", {"schedule": "\ud800"}, 2, id="schedule-surrogate"),
+    pytest.param("length", {**SEED, "proof": "  rfl \ud800"}, 1, id="length-proof-surrogate"),
+    pytest.param("reward", {**GROUP, "candidates": [{"proof": "\udfff", "valid": True}]}, 1,
+                 id="reward-proof-surrogate"),
 ]
 
 
@@ -736,6 +741,23 @@ def test_a_value_of_the_wrong_type_exits_with_one_error_line(runner, tmp_path, c
     assert line.startswith("error: ")
     if "id" in data:  # the error names the row
         assert repr(data["id"]) in line
+
+
+@pytest.mark.parametrize("command", ["config", "length", "lean", "estimate", "atk", "corpus",
+                                     "repair", "reward", "dataset build"])
+def test_an_input_that_is_not_utf8_exits_with_one_error_line(runner, tmp_path, command):
+    if command == "lean":
+        path = tmp_path / "t.lean"
+        argv = ["length", str(path)]
+    else:
+        argv = wrong_type_argv(tmp_path, command, {})
+        path = Path(argv[1] if command == "config" else tmp_path / "in.jsonl")
+    path.write_bytes(b'{"id": "\xff"}\n')
+    result = runner.invoke(main, argv)
+    assert result.exit_code == (2 if command == "config" else 1), result.output
+    assert result.exc_info[0] is SystemExit
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ") and "utf-8" in line.lower()
 
 
 def test_report_corpus_and_csv(runner, tmp_path):

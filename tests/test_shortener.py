@@ -8,15 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from proofopt.backends import Verdict, VerdictStatus
-from proofopt.errors import BackendUnavailable, ParseFailure
+from proofopt.errors import BackendUnavailable
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord
 from proofopt.shortener import (
     VerdictMemo,
-    decompose,
     iteration_from_json,
-    shorten_file,
     shorten_iteration,
     shorten_loop,
 )
@@ -73,7 +71,7 @@ def test_iteration_ignores_invalid_candidates():
 class TermModeSimplifier(MockSimplifier):
     """Returns a term-mode proof: it has ':=' but no ':= by'."""
 
-    def _simplify(self, source, k, temperature, context):
+    def _simplify(self, source, k, temperature):
         return ["theorem t : 1 = 1 := rfl"] * k
 
 
@@ -90,7 +88,7 @@ def test_iteration_never_adopts_a_term_mode_candidate():
 
 def test_iteration_survives_a_candidate_without_a_proof_body():
     class BareSimplifier(MockSimplifier):
-        def _simplify(self, source, k, temperature, context):
+        def _simplify(self, source, k, temperature):
             return ["  rfl"] * k  # tactics only, no statement
 
     start = record("  skip\n  rfl")
@@ -515,139 +513,6 @@ def test_repair_stage_lints_every_fix_under_heartbeats():
     assert len(edits) == 4
     assert itrec.repair.adopted == 1
     assert [c["linted_score"] for c in itrec.repair.candidates] == [300, 100, 200, 400]
-
-
-FILE_TEXT = """import Mathlib
-
-lemma helper (n : ℕ) : n = n := by
-  skip
-  rfl
-
-theorem main (n : ℕ) : n = n := by
-  have h := helper n
-  skip
-  exact h
-"""
-
-
-def test_decompose_units_and_dependencies():
-    plan = decompose(FILE_TEXT)
-    assert plan.header == "import Mathlib"
-    assert [u.name for u in plan.units] == ["helper", "main"]
-    assert plan.units[0].depends_on == []
-    assert plan.units[1].depends_on == ["helper"]
-
-
-def test_decompose_requires_declarations():
-    with pytest.raises(ParseFailure):
-        decompose("import Mathlib\n\n#eval 1\n")
-
-
-def test_reassemble_identity():
-    plan = decompose(FILE_TEXT)
-    assert decompose(plan.reassemble()).units[1].text == plan.units[1].text
-
-
-def test_shorten_file_rewrites_units_in_place():
-    verifier = MockVerifier(mock_cfg())
-    simplifier = MockSimplifier(mock_cfg(mode="strip_noops", noop_lines=["skip"]))
-    rewritten, traces = shorten_file(FILE_TEXT, [(2, 1.0)], simplifier, verifier)
-    assert "skip" not in rewritten
-    assert {i: t.proof_id for i, t in traces.items()} == {0: "helper", 1: "main"}
-    assert rewritten.startswith("import Mathlib")
-    # the rewritten file still decomposes into the same unit names
-    assert [u.name for u in decompose(rewritten).units] == ["helper", "main"]
-
-
-DECLARATIONS_FILE = """import Mathlib
-
-theorem a : 1 = 1 := by
-  skip
-  rfl
-
-def helper : Nat := 1
-
-@[simp] theorem b : 2 = 2 := by
-  skip
-  rfl
-
-private lemma c : 3 = 3 := by
-  skip
-  rfl
-"""
-
-
-def test_shorten_file_keeps_every_declaration():
-    verifier = MockVerifier(mock_cfg())
-    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
-    rewritten, traces = shorten_file(DECLARATIONS_FILE, [(1, 1.0)], simplifier, verifier)
-    assert rewritten == DECLARATIONS_FILE.replace("  skip\n", "")
-    # the def is kept as it is, not shortened
-    assert {i: t.proof_id for i, t in traces.items()} == {0: "a", 2: "b", 3: "c"}
-    plan = decompose(DECLARATIONS_FILE)
-    assert [(u.keyword, u.name) for u in plan.units] == [
-        ("theorem", "a"), ("def", "helper"), ("theorem", "b"), ("lemma", "c"),
-    ]
-
-
-NAMESPACED_FILE = """namespace A
-
-theorem foo : 1 = 1 := by skip; rfl
-
-end A
-
-namespace B
-
-theorem foo : 2 = 2 := by skip; skip; rfl
-
-end B
-"""
-
-
-def test_shorten_file_keeps_same_named_theorems_apart():
-    verifier = MockVerifier(mock_cfg())
-    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
-    rewritten, traces = shorten_file(NAMESPACED_FILE, [(1, 1.0)], simplifier, verifier)
-    assert rewritten == (
-        NAMESPACED_FILE.replace("by skip; rfl", "by\n  rfl")
-        .replace("by skip; skip; rfl", "by\n  rfl")
-    )
-    assert {i: t.proof_id for i, t in traces.items()} == {0: "foo", 3: "foo"}
-
-
-def test_decompose_splits_at_commands_after_the_first_declaration():
-    text = (
-        "import Mathlib\nopen Real\n\nnamespace A\n\n"
-        "set_option maxHeartbeats 400 in\n@[simp]\n"
-        "protected theorem x (n : ℕ) : n = n := by\n  rfl\n\n"
-        "end A\n\ninstance : Inhabited ℕ := ⟨0⟩\n\n#eval 1\n"
-    )
-    plan = decompose(text)
-    assert plan.header == "import Mathlib\nopen Real\n\nnamespace A"
-    assert [(u.keyword, u.name) for u in plan.units] == [
-        ("theorem", "x"), ("end", "A"), ("instance", ""), ("#eval", "1"),
-    ]
-    assert plan.units[0].text.startswith("set_option maxHeartbeats 400 in\n@[simp]\n")
-    assert plan.units[0].text.endswith("  rfl")
-    assert plan.reassemble() == text
-
-
-def test_shorten_file_passes_dependency_context():
-    captured = []
-
-    class SpySimplifier(MockSimplifier):
-        def _simplify(self, source, k, temperature, context):
-            captured.append((source, context))
-            return super()._simplify(source, k, temperature, context)
-
-    verifier = MockVerifier(mock_cfg())
-    simplifier = SpySimplifier(mock_cfg(mode="echo"))
-    shorten_file(FILE_TEXT, [(1, 1.0)], simplifier, verifier)
-    contexts = {src.splitlines()[0].split()[1]: ctx for src, ctx in captured}
-    assert contexts["helper"] == ""
-    assert "lemma helper" in contexts["main"]
-    assert ":= by sorry" in contexts["main"]
-    assert "rfl" not in contexts["main"]  # statements only, never proofs
 
 
 # --- verdict memo -------------------------------------------------------------
