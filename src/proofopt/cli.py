@@ -48,6 +48,15 @@ def _dir_path(name: str) -> str:
     return name
 
 
+def _writing(name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), which writes the file name; an OSError ends the
+    command with one error line."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise ProofOptError(f"cannot write {name}: {exc.strerror}") from None
+
+
 class _Output:
     """A command's -o FILE, or stdout for -. The file is opened at the first
     write, so a command that fails before writing leaves it as it was."""
@@ -58,12 +67,10 @@ class _Output:
 
     def write(self, text: str) -> None:
         if self._file is None:
-            try:
-                self._file = (
-                    sys.stdout if self.name == "-" else open(self.name, "w", encoding="utf-8")
-                )
-            except OSError as exc:
-                raise ProofOptError(f"cannot write {self.name}: {exc.strerror}") from None
+            self._file = (
+                sys.stdout if self.name == "-"
+                else _writing(self.name, open, self.name, "w", encoding="utf-8")
+            )
         self._file.write(text)
 
     def close(self) -> None:
@@ -188,7 +195,8 @@ def shorten(args):
                     f"proof ids {owners[path]!r} and {record.id!r} share the trace file {path}"
                 )
             owners[path] = record.id
-        (cfg.workdir / "traces").mkdir(parents=True, exist_ok=True)
+        traces = cfg.workdir / "traces"
+        _writing(traces, traces.mkdir, parents=True, exist_ok=True)
     repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
     verifier = make_verifier(cfg.backend("verifier"))
     simplifier = make_simplifier(simplifier_cfg)
@@ -198,8 +206,8 @@ def shorten(args):
         resume = None
         if cfg.workdir:
             path = _trace_path(cfg.workdir, record.id)
-            resume = _load_partial(path, len(schedule))
-            handle = path.open("a" if resume else "w", encoding="utf-8")
+            resume = _writing(path, _load_partial, path, len(schedule))
+            handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
 
             def sink(itrec):
                 handle.write(json.dumps(itrec.to_json(), ensure_ascii=False) + "\n")
@@ -364,9 +372,10 @@ def report(args):
     except ValueError as exc:
         raise MalformedInput(f"bad report input: {exc}") from None
     if args.csv:
-        reports.write_csv([t for t in table if len(t) == len(table[0])], args.csv)
+        rows = [t for t in table if len(t) == len(table[0])]
+        _writing(args.csv, reports.write_csv, rows, args.csv)
         if args.gnuplot:
-            reports.write_gnuplot_stub(args.csv, args.gnuplot)
+            _writing(args.gnuplot, reports.write_gnuplot_stub, args.csv, args.gnuplot)
     write_jsonl(args.output, table)
 
 
@@ -427,6 +436,12 @@ def main(argv=None, standalone_mode=True) -> None:
     """Run one command; on an error, print one line to stderr and raise
     SystemExit(code). standalone_mode has no effect: bench/run.py's traced
     mode passes standalone_mode=False, as click's main accepted it."""
+    # stdin and stdout are UTF-8, as every file is. A stream without
+    # reconfigure (a test's StringIO) is left as it is, and so is one already
+    # UTF-8, which cannot be reconfigured once read from.
+    for stream in (sys.stdin, sys.stdout):
+        if hasattr(stream, "reconfigure") and stream.encoding.lower() not in ("utf-8", "utf8"):
+            stream.reconfigure(encoding="utf-8")
     args = _parser().parse_args(argv)
     try:
         args.run(args)

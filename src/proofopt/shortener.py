@@ -212,6 +212,18 @@ def _adopt(best_score: int, entries: list[CandidateResult]) -> int | None:
     return adopted
 
 
+def _adopt_into(itrec: IterationRecord, entries: list[CandidateResult]) -> int | None:
+    """Apply the acceptance rule against itrec's incumbent score: the
+    winner's score and normalised text become itrec's score_after and
+    source_after. Returns the winner's index, or None."""
+    adopted = _adopt(itrec.score_after, entries)
+    if adopted is not None:
+        winner = entries[adopted]
+        itrec.score_after = winner.score
+        itrec.source_after = ProofRecord.from_source(winner.text).full_source
+    return adopted
+
+
 def shorten_iteration(
     record: ProofRecord,
     k: int,
@@ -219,10 +231,10 @@ def shorten_iteration(
     verifier: VerdictMemo,
     temperature: float | None = None,
     index: int = 0,
-) -> tuple[ProofRecord, IterationRecord]:
-    """One best-of-k round. Every check and score goes through the proof's
-    memo, which carries the measure. Keeps the input record untouched unless
-    a candidate passes the acceptance rule."""
+) -> IterationRecord:
+    """One best-of-k round from record. Every check and score goes through
+    the proof's memo, which carries the measure. The round's source_after is
+    the record's text unless a candidate passes the acceptance rule."""
     if temperature is None:
         temperature = simplifier.cfg.temperature
     verdict, score_before = verifier.check(record.full_source)
@@ -238,7 +250,7 @@ def shorten_iteration(
     )
     if score_before is None or not verdict.ok:
         itrec.note = SKIPPED_NOTE
-        return record, itrec
+        return itrec
 
     def scored(text: str) -> tuple[VerdictStatus, int | None]:
         verdict, score = verifier.check(text)
@@ -250,25 +262,19 @@ def shorten_iteration(
     unique = list(dict.fromkeys(raw))
     checked = dict(zip(unique, _fan_out(scored, unique, verifier)))
     itrec.candidates = [CandidateResult(text, *checked[text]) for text in raw]
-    itrec.adopted = _adopt(score_before, itrec.candidates)
-    if itrec.adopted is None:
-        return record, itrec
-    best = itrec.candidates[itrec.adopted]
-    after = ProofRecord.from_source(best.text, id=record.id, source_tag=record.source_tag)
-    itrec.score_after, itrec.source_after = best.score, after.full_source
-    return after, itrec
+    itrec.adopted = _adopt_into(itrec, itrec.candidates)
+    return itrec
 
 
 def _repair_stage(
     record: ProofRecord,
-    current_score: int,
-    candidates: list[CandidateResult],
+    itrec: IterationRecord,
     repairer: Repairer,
     verifier: VerdictMemo,
     budget: int,
-) -> tuple[ProofRecord, int, RepairStage]:
-    """Repair an iteration's failed candidates. Returns the record to carry
-    on with, its score and the stage's record.
+) -> RepairStage:
+    """Repair the failed candidates of itrec, the iteration from record, and
+    adopt a fix into itrec by the acceptance rule. Returns the stage's record.
 
     Failed texts are repaired concurrently, as many at once as the verifier
     admits checks; their results are folded in input order, so the stage's
@@ -277,9 +283,9 @@ def _repair_stage(
     A fix is judged by the acceptance rule on its linted text and score, and
     only the lowest can win, so fixes are linted best-first. A valid tactic
     fix's bound is the memo's score_bound of its first lint round's edit,
-    which needs no check beyond the fix's own. The fixes of the least bound
-    are linted to their fixpoint together, until no unlinted fix's (bound,
-    index) is below the best linted (score, index). An unlinted fix is
+    which needs no check beyond the fix's own. An unlinted fix stands in
+    with its bound as its score; while the rule's winner is one, the fixes
+    of its bound are linted to their fixpoint together. An unlinted fix is
     never adopted, and its ``linted_score`` is its bound. This adopts what
     linting every fix would whenever each lint reaches its fixpoint in one
     round; a first edit that fails its check reverts to the fix, which
@@ -314,7 +320,7 @@ def _repair_stage(
             if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
                 edit, _ = lint_once(ProofRecord.from_source(fix, id=record.id), verifier)
                 entry["linted_score"] = verifier.score_bound(edit.full_source)
-            fixes.append((entry, CandidateResult(fix, verdict.status)))
+            fixes.append((entry, CandidateResult(fix, verdict.status, entry["linted_score"])))
         return truncated, fixes
 
     def lint(fix: CandidateResult) -> CandidateResult:
@@ -323,7 +329,7 @@ def _repair_stage(
         return CandidateResult(linted.full_source, fix.status, score)
 
     # A text sampled more than once is repaired once, in first-seen order.
-    failed = [(c.text, c.status) for c in candidates if c.status is not VerdictStatus.VALID]
+    failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
     stage = RepairStage()
     fixes = []
     for truncated, repaired in _fan_out(repair_one, list(dict.fromkeys(failed))[:budget], verifier):
@@ -333,26 +339,15 @@ def _repair_stage(
             stage.valid += fix.status is VerdictStatus.VALID
             stage.candidates.append(entry)
             fixes.append(fix)
-    bounds = {
-        i: entry["linted_score"]
-        for i, entry in enumerate(stage.candidates)
-        if entry["linted_score"] is not None
-    }
-    best = (current_score, -1)
-    while bounds and min((b, i) for i, b in bounds.items()) < best:
-        least = min(bounds.values())
-        batch = [i for i, b in bounds.items() if b == least]
+    unlinted = [i for i, fix in enumerate(fixes) if fix.score is not None]
+    while (winner := _adopt(itrec.score_after, fixes)) in unlinted:
+        batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
+        unlinted = [i for i in unlinted if i not in batch]
         for i, linted in zip(batch, _fan_out(lint, [fixes[i] for i in batch], verifier)):
-            del bounds[i]
             fixes[i] = linted
             stage.candidates[i]["linted_score"] = linted.score
-            if linted.score is not None:
-                best = min(best, (linted.score, i))
-    stage.adopted = _adopt(current_score, fixes)
-    if stage.adopted is None:
-        return record, current_score, stage
-    best_fix = fixes[stage.adopted]
-    return ProofRecord.from_source(best_fix.text, id=record.id), best_fix.score, stage
+    stage.adopted = _adopt_into(itrec, fixes)
+    return stage
 
 
 def shorten_loop(
@@ -370,8 +365,10 @@ def shorten_loop(
 
     ``schedule`` is a list of (k, temperature) pairs. ``on_iteration`` is
     called with each finished IterationRecord, which is how partial traces
-    get persisted. ``resume_from`` replays already-finished iterations
-    instead of recomputing them. The loop builds one VerdictMemo for this
+    get persisted. ``resume_from`` holds iterations already finished, kept
+    as they are. Every iteration starts from ProofRecord.from_source of the
+    last source_after, or of the input for the first, so a resumed run goes
+    on as an uninterrupted one. The loop builds one VerdictMemo for this
     proof, which carries the measure: every check and score below goes
     through it.
     """
@@ -379,31 +376,19 @@ def shorten_loop(
         raise ValueError("schedule must be nonempty")
     memo = VerdictMemo(verifier, measure)
     trace = ShorteningTrace(proof_id=record.id, measure=measure.value)
-    current = record
-    done = 0
-    if resume_from:
-        trace.iterations.extend(resume_from)
-        done = len(resume_from)
-        last = resume_from[-1]
-        current = ProofRecord.from_source(
-            last.source_after, id=record.id, source_tag=record.source_tag
-        )
-    for index, (k, temperature) in enumerate(schedule):
-        if index < done:
-            continue
-        current, itrec = shorten_iteration(
+    trace.iterations.extend(resume_from or [])
+    for index in range(len(trace.iterations), len(schedule)):
+        k, temperature = schedule[index]
+        current = ProofRecord.from_source(trace.final_source or record.full_source, id=record.id)
+        itrec = shorten_iteration(
             current, k, simplifier, memo, temperature=temperature, index=index
         )
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
         )
         if repairer is not None and no_valid:
-            current, itrec.score_after, itrec.repair = _repair_stage(
-                current, itrec.score_after, itrec.candidates, repairer, memo, repair_budget
-            )
-            itrec.source_after = current.full_source
+            itrec.repair = _repair_stage(current, itrec, repairer, memo, repair_budget)
         trace.iterations.append(itrec)
         if on_iteration is not None:
             on_iteration(itrec)
     return trace
-

@@ -162,6 +162,37 @@ def test_shorten_resume_after_interrupt(runner, tmp_path):
     assert trace_file.read_text().splitlines() == lines
 
 
+def test_shorten_resume_of_an_unnormalised_record_is_byte_identical(runner, tmp_path):
+    """Every iteration, the first too, starts from the incumbent as
+    `statement := by\nproof`, so a resume checks and records the same text
+    as an uninterrupted run, though the input has a trailing space and a
+    leading blank line."""
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "mock", "options": {"mode": "echo"}},
+        },
+        schedule="1x2",
+    )
+    row = {"id": "a", "statement": "theorem a : 1 = 1 ", "proof": "\n  norm_num\n  rfl"}
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    workdir = tmp_path / "wd"
+    args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0, full.output
+    trace_file = workdir / "traces" / "a.jsonl"
+    uninterrupted = trace_file.read_bytes()
+    first, _ = uninterrupted.splitlines(keepends=True)
+    assert json.loads(first)["source_after"] == "theorem a : 1 = 1 := by\n  norm_num\n  rfl"
+
+    trace_file.write_bytes(first)
+    resumed = runner.invoke(main, args)
+    assert resumed.exit_code == 0, resumed.output
+    assert resumed.output == full.output
+    assert trace_file.read_bytes() == uninterrupted
+
+
 def test_shorten_resume_after_torn_write(runner, tmp_path):
     config = write_config(tmp_path)
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
@@ -758,6 +789,56 @@ def test_an_input_that_is_not_utf8_exits_with_one_error_line(runner, tmp_path, c
     assert result.exc_info[0] is SystemExit
     [line] = result.output.splitlines()
     assert line.startswith("error: ") and "utf-8" in line.lower()
+
+
+def failing_write(tmp_path, case) -> tuple[list, Path]:
+    """The argv of a command whose write of a file fails, and that file."""
+    samples = write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES)
+    report = ["report", samples, "--kind", "atk", "-k", "1", "--csv"]
+    missing = tmp_path / "missing"
+    if case == "csv":
+        return [*report, str(missing / "a.csv")], missing / "a.csv"
+    if case == "gnuplot":
+        gnuplot = missing / "a.gp"
+        return [*report, str(tmp_path / "a.csv"), "--gnuplot", str(gnuplot)], gnuplot
+    workdir = tmp_path / "wd"
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    argv = ["--config", write_config(tmp_path), "--workdir", str(workdir), "shorten", proofs]
+    if case == "traces-is-a-file":
+        target = workdir / "traces"
+        workdir.mkdir()
+        target.write_text("")
+    else:
+        target = workdir / "traces" / "p2.jsonl"
+        target.mkdir(parents=True)
+    return argv, target
+
+
+@pytest.mark.parametrize("case", ["csv", "gnuplot", "traces-is-a-file", "trace-is-a-directory"])
+def test_a_write_that_fails_exits_with_one_error_line(runner, tmp_path, case):
+    argv, target = failing_write(tmp_path, case)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert result.exc_info[0] is SystemExit
+    [line] = result.output.splitlines()
+    assert line.startswith(f"error: cannot write {target}: ")
+
+
+def test_stdin_and_stdout_are_utf8_whatever_the_stream_encoding(tmp_path):
+    src = Path(backends.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}",
+           "PYTHONIOENCODING": "ascii"}
+    row = {**PROOFS[0], "id": "ℕ"}
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    cli = [sys.executable, "-m", "proofopt.cli"]
+    out = subprocess.run([*cli, "length", proofs], capture_output=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ℕ\t11\n".encode()
+    raw = (json.dumps(row, ensure_ascii=False) + "\n").encode()
+    out = subprocess.run([*cli, "report", "-", "--kind", "corpus"], input=raw,
+                         capture_output=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["max"] == 11
 
 
 def test_report_corpus_and_csv(runner, tmp_path):

@@ -41,9 +41,9 @@ def test_iteration_adopts_strictly_shorter():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring\n  rfl")
-    after, itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier))
+    itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier))
     assert itrec.adopted == 0  # tie-break picks the lowest index
-    assert after.proof == "  rfl"
+    assert itrec.source_after == "theorem t : 1 = 1 := by\n  rfl"
     assert itrec.score_after < itrec.score_before
     assert itrec.score_after == 1
 
@@ -52,9 +52,9 @@ def test_iteration_keeps_input_when_no_improvement():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="echo"))
     start = record("  rfl")
-    after, itrec = shorten_iteration(start, 4, simplifier, VerdictMemo(verifier))
+    itrec = shorten_iteration(start, 4, simplifier, VerdictMemo(verifier))
     assert itrec.adopted is None
-    assert after.full_source == start.full_source
+    assert itrec.source_after == start.full_source
     assert itrec.score_after == itrec.score_before
 
 
@@ -62,9 +62,9 @@ def test_iteration_ignores_invalid_candidates():
     verifier = MockVerifier(mock_cfg(fail_token="rfl"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
+    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
     assert itrec.adopted is None
-    assert after.full_source == start.full_source
+    assert itrec.source_after == start.full_source
     assert all(c.status is VerdictStatus.INVALID for c in itrec.candidates)
 
 
@@ -78,12 +78,12 @@ class TermModeSimplifier(MockSimplifier):
 def test_iteration_never_adopts_a_term_mode_candidate():
     start = record("  skip\n  rfl")
     simplifier = TermModeSimplifier(mock_cfg())
-    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
+    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
     # it verifies and scores lower, through the lexer's ':=' fallback
     assert itrec.candidates[0].status is VerdictStatus.VALID
     assert itrec.candidates[0].score < itrec.score_before
     assert itrec.adopted is None
-    assert after == start
+    assert itrec.source_after == start.full_source
 
 
 def test_iteration_survives_a_candidate_without_a_proof_body():
@@ -93,20 +93,20 @@ def test_iteration_survives_a_candidate_without_a_proof_body():
 
     start = record("  skip\n  rfl")
     simplifier = BareSimplifier(mock_cfg())
-    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
+    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
     assert [c.status for c in itrec.candidates] == [VerdictStatus.INVALID] * 2
     assert [c.score for c in itrec.candidates] == [None, None]
-    assert after == start
+    assert itrec.source_after == start.full_source
 
 
 def test_iteration_skips_nonverifying_input():
     verifier = MockVerifier(mock_cfg(fail_token="FAIL"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  FAIL")
-    after, itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
+    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
     assert itrec.note == "skipped: input does not verify"
     assert itrec.candidates == []
-    assert after.full_source == start.full_source
+    assert itrec.source_after == start.full_source
 
 
 def test_duplicate_candidates_verified_once():
@@ -114,7 +114,7 @@ def test_duplicate_candidates_verified_once():
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
     calls_before = verifier.calls
-    _, itrec = shorten_iteration(start, 16, simplifier, VerdictMemo(verifier))
+    itrec = shorten_iteration(start, 16, simplifier, VerdictMemo(verifier))
     # precondition check plus one verification for the single unique text
     assert verifier.calls - calls_before == 2
     assert len(itrec.candidates) == 16
@@ -125,7 +125,7 @@ def test_heartbeats_incumbent_scored_and_checked_once():
     verifier = MockVerifier(mock_cfg(heartbeats_per_token=10))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    _, itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier, Measure.HEARTBEATS))
+    itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier, Measure.HEARTBEATS))
     # one heartbeats check of the incumbent, one of the single unique candidate
     assert verifier.calls == 2
     assert itrec.score_before == 20
