@@ -156,6 +156,18 @@ def format_error_report(source: str, diagnostics) -> str:
     return "\n".join(out)
 
 
+def judge(diagnostics, clean_exit: bool = True, heartbeats: int | None = None) -> Verdict:
+    """The verdict of a check that ran to its end: INVALID when the checker
+    did not exit cleanly, reported an error, or warned at any severity that
+    a declaration uses sorry (Lean passes a proof that uses sorry or admit
+    with only that warning); VALID otherwise."""
+    failed = not clean_exit or any(
+        d.severity == "error" or d.message.startswith(SORRY_WARNING) for d in diagnostics
+    )
+    status = VerdictStatus.INVALID if failed else VerdictStatus.VALID
+    return Verdict(status, tuple(diagnostics), heartbeats)
+
+
 class _Admission:
     """Counting gate that also records the highest concurrency it saw."""
 
@@ -187,21 +199,24 @@ class Verifier:
     def verify(self, source: str, want_heartbeats: bool = False) -> Verdict:
         """Check a source with the unused-tactic linter on. The lint option
         only adds warnings, so it never changes a verdict's status. A
-        subclass checks in _verify(source, want_heartbeats)."""
+        subclass checks in _verify(source, want_heartbeats); the verdict
+        carries the wall time of that call, measured inside admission."""
         with self.admission:
-            return self._verify(source, want_heartbeats)
+            start = time.monotonic()
+            verdict = self._verify(source, want_heartbeats)
+            return replace(verdict, wall_time=time.monotonic() - start)
 
 
 class SubprocessVerifier(Verifier):
     """Runs a checker command on a temp file holding the source.
 
-    The command template takes {file} and {timeout} placeholders. A proof is
-    valid iff the process exits zero and emits neither an error diagnostic
-    nor the warning that a declaration uses sorry. The lint directive is
-    always prepended, the heartbeat directive when asked for. Diagnostics
-    come back at lines of the source: the checker reports lines of the
-    file, so the lines of the prepended directives are subtracted, and a
-    line inside the directives is reported as line 1.
+    The command template takes {file} and {timeout} placeholders. A run
+    that exits nonzero without diagnostics is a crash; judge() decides
+    every other run that ends, with a zero exit as the clean one. The lint
+    directive is always prepended, the heartbeat directive when asked for.
+    Diagnostics come back at lines of the source: the checker reports lines
+    of the file, so the lines of the prepended directives are subtracted,
+    and a line inside the directives is reported as line 1.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -218,15 +233,14 @@ class SubprocessVerifier(Verifier):
         if want_heartbeats:
             text = HEARTBEAT_DIRECTIVE + text
         offset = text.count("\n", 0, len(text) - len(source))
-        start = time.monotonic()
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate cannot reach the checker
+            return judge((Diagnostic("error", 1, 0, f"source is not UTF-8: {exc}"),))
         fd, path = tempfile.mkstemp(suffix=".lean")
         try:
-            try:
-                with open(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            except UnicodeEncodeError as exc:  # a lone surrogate cannot reach the checker
-                error = Diagnostic("error", 1, 0, f"source is not UTF-8: {exc}")
-                return Verdict(VerdictStatus.INVALID, (error,), wall_time=time.monotonic() - start)
+            with open(fd, "wb") as handle:
+                handle.write(data)
             command = [
                 part.replace("{file}", path).replace("{timeout}", str(self.cfg.timeout))
                 for part in self._argv
@@ -237,37 +251,20 @@ class SubprocessVerifier(Verifier):
                     encoding="utf-8", errors="replace",
                 )
             except subprocess.TimeoutExpired:
-                return Verdict(VerdictStatus.TIMEOUT, wall_time=time.monotonic() - start)
+                return Verdict(VerdictStatus.TIMEOUT)
             except OSError as exc:
-                return Verdict(
-                    VerdictStatus.CRASH,
-                    diagnostics=(Diagnostic("error", 1, 0, str(exc)),),
-                    wall_time=time.monotonic() - start,
-                )
-            elapsed = time.monotonic() - start
-            diagnostics = tuple(
-                replace(d, line=max(1, d.line - offset))
-                for d in parse_diagnostics(proc.stdout + "\n" + proc.stderr)
-            )
-            # Lean passes a proof that uses sorry (or admit) with only this warning
-            errors = [
-                d for d in diagnostics
-                if d.severity == "error" or d.message.startswith(SORRY_WARNING)
-            ]
-            if proc.returncode != 0 and not diagnostics:
-                crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)
-                return Verdict(VerdictStatus.CRASH, diagnostics=crash_info, wall_time=elapsed)
-            status = (
-                VerdictStatus.VALID
-                if proc.returncode == 0 and not errors
-                else VerdictStatus.INVALID
-            )
-            heartbeats = None
-            if want_heartbeats and status in (VerdictStatus.VALID, VerdictStatus.INVALID):
-                heartbeats = self._parse_heartbeats(proc.stdout)
-            return Verdict(status, diagnostics=diagnostics, heartbeats=heartbeats, wall_time=elapsed)
+                return Verdict(VerdictStatus.CRASH, (Diagnostic("error", 1, 0, str(exc)),))
         finally:
             os.unlink(path)
+        diagnostics = tuple(
+            replace(d, line=max(1, d.line - offset))
+            for d in parse_diagnostics(proc.stdout + "\n" + proc.stderr)
+        )
+        if proc.returncode != 0 and not diagnostics:
+            crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)
+            return Verdict(VerdictStatus.CRASH, crash_info)
+        heartbeats = self._parse_heartbeats(proc.stdout) if want_heartbeats else None
+        return judge(diagnostics, proc.returncode == 0, heartbeats)
 
     @staticmethod
     def _parse_heartbeats(stdout: str) -> int | None:

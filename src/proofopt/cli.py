@@ -57,6 +57,25 @@ def _writing(name, fn, *args, **kwargs):
         raise ProofOptError(f"cannot write {name}: {exc.strerror}") from None
 
 
+def _claim(names) -> None:
+    """Open each named file for writing before any is written, emptying
+    none: a file that is absent is created. When one cannot be opened, the
+    files created here are removed and the command ends with one error
+    line, so it leaves every file as it was."""
+    created = []
+    try:
+        for name in names:
+            try:
+                open(name, "x").close()
+                created.append(name)
+            except FileExistsError:
+                open(name, "a").close()
+    except OSError as exc:
+        for path in created:
+            Path(path).unlink()
+        raise ProofOptError(f"cannot write {name}: {exc.strerror}") from None
+
+
 class _Output:
     """A command's -o FILE, or stdout for -. The file is opened at the first
     write, so a command that fails before writing leaves it as it was."""
@@ -154,21 +173,27 @@ def _trace_path(workdir: Path, proof_id: str) -> Path:
     return workdir / "traces" / f"{safe}.jsonl"
 
 
-def _load_partial(path: Path, limit: int):
-    """The first limit iterations persisted at path. The file is cut back to
-    the records kept, so that the next record appended starts a line."""
+def _load_partial(path: Path, schedule):
+    """The iterations persisted at path that the schedule would make: each
+    kept record's index, k and temperature are those of its position. The
+    file is cut back to the records kept, so that the next record appended
+    starts a line."""
     if not path.exists():
         return None
     done = []
     kept = 0
     with path.open("r+b") as handle:
         for line in handle:
-            if len(done) == limit or not line.endswith(b"\n"):
+            if len(done) == len(schedule) or not line.endswith(b"\n"):
                 break  # past the schedule, or interrupted mid-write; redo from here
             try:
-                done.append(iteration_from_json(json.loads(line)))
+                itrec = iteration_from_json(json.loads(line))
             except ValueError:  # not JSON, or not an iteration record
                 break
+            k, temperature = schedule[len(done)]
+            if (itrec.index, itrec.k_requested, itrec.temperature) != (len(done), k, temperature):
+                break  # made under another schedule
+            done.append(itrec)
             kept += len(line)
         handle.truncate(kept)
     return done or None
@@ -206,7 +231,7 @@ def shorten(args):
         resume = None
         if cfg.workdir:
             path = _trace_path(cfg.workdir, record.id)
-            resume = _writing(path, _load_partial, path, len(schedule))
+            resume = _writing(path, _load_partial, path, schedule)
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
 
             def sink(itrec):
@@ -371,6 +396,9 @@ def report(args):
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
     except ValueError as exc:
         raise MalformedInput(f"bad report input: {exc}") from None
+    # the files written: --gnuplot only with --csv, and -o unless it is stdout
+    _claim(name for name in (args.csv, args.csv and args.gnuplot, args.output.name)
+           if name and name != "-")
     if args.csv:
         rows = [t for t in table if len(t) == len(table[0])]
         _writing(args.csv, reports.write_csv, rows, args.csv)

@@ -10,7 +10,7 @@ import re
 import threading
 
 from . import lexer
-from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus
+from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus, judge
 from .backends import Repairer, Simplifier, Verifier
 from .errors import ConfigError
 from .records import typed_field
@@ -32,8 +32,9 @@ class MockVerifier(Verifier):
       noop_tactics    tokens reported as do-nothing tactics (default none)
       heartbeats_per_token  heartbeat count is tokens * this factor
       timeout_token   presence forces a timeout verdict
-    A sorry or admit token makes the proof invalid with the warning that
-    Lean gives such a declaration, as the subprocess verifier reads it.
+    A sorry or admit token adds the warning that Lean gives such a
+    declaration. backends.judge turns the diagnostics into the verdict, as
+    it does for the subprocess verifier.
 
     ``calls`` counts the checks made, under a lock, so it is exact when
     checks run concurrently.
@@ -55,31 +56,22 @@ class MockVerifier(Verifier):
         try:
             body = lexer.strip_comments(lexer.strip_statement(source))
         except Exception:
-            return Verdict(
-                VerdictStatus.INVALID,
-                diagnostics=(Diagnostic("error", 1, 0, "no proof body"),),
-            )
+            return judge((Diagnostic("error", 1, 0, "no proof body"),))
         token_lines = lexer.lex(body)
         flat = [t for line in token_lines for t in line if t]
         if self.timeout_token and self.timeout_token in flat:
             return Verdict(VerdictStatus.TIMEOUT)
         diagnostics = []
-        status = VerdictStatus.VALID
         if self.fail_token in flat:
-            status = VerdictStatus.INVALID
             line, col = self._locate(source, self.fail_token)
             diagnostics.append(Diagnostic("error", line, col, f"unknown identifier '{self.fail_token}'"))
         if self.require_token and self.require_token not in flat:
-            status = VerdictStatus.INVALID
             diagnostics.append(Diagnostic("error", 1, 0, f"missing '{self.require_token}'"))
         if not _SORRY_TOKENS.isdisjoint(flat):
-            status = VerdictStatus.INVALID
             diagnostics.append(Diagnostic("warning", 1, 0, SORRY_WARNING))
         diagnostics.extend(self._lint_diagnostics(source))
-        heartbeats = None
-        if want_heartbeats:
-            heartbeats = len(flat) * self.heartbeats_per_token
-        return Verdict(status, diagnostics=tuple(diagnostics), heartbeats=heartbeats)
+        heartbeats = len(flat) * self.heartbeats_per_token if want_heartbeats else None
+        return judge(diagnostics, heartbeats=heartbeats)
 
     @staticmethod
     def _locate(source: str, token: str) -> tuple[int, int]:

@@ -143,7 +143,10 @@ def endpoint(no_proxy_env):
     server.replies = [(200, choices("```lean4\nt := by\n  rfl\n```"), {})]
     server.drop_after_reply = False
     server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so that shutdown() returns at once at teardown
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield server

@@ -11,12 +11,15 @@ import pytest
 
 from proofopt import backends
 from proofopt.backends import (
+    SORRY_WARNING,
     BackendConfig,
+    Diagnostic,
     HttpCompletionClient,
     SubprocessVerifier,
     VerdictStatus,
     extract_code_block,
     format_error_report,
+    judge,
     make_repairer,
     make_simplifier,
     make_verifier,
@@ -86,6 +89,33 @@ def test_format_error_report_marks_lines():
     lines = report.splitlines()
     i = lines.index("  bad_tactic")
     assert lines[i + 1 : i + 4] == ["<error>", "unknown tactic", "</error>"]
+
+
+_LINT = Diagnostic("warning", 2, 2, "'skip' tactic does nothing")
+
+
+@pytest.mark.parametrize(
+    "diagnostics, clean_exit, status",
+    [
+        ((Diagnostic("error", 2, 2, "unknown tactic"), _LINT), True, VerdictStatus.INVALID),
+        ((Diagnostic("warning", 1, 0, SORRY_WARNING),), True, VerdictStatus.INVALID),
+        ((Diagnostic("info", 1, 0, SORRY_WARNING),), True, VerdictStatus.INVALID),
+        ((_LINT, Diagnostic("info", 1, 0, "linter enabled")), True, VerdictStatus.VALID),
+        ((_LINT,), False, VerdictStatus.INVALID),
+    ],
+    ids=["error", "sorry-warning", "sorry-info", "lint-only", "unclean-exit-warnings-only"],
+)
+def test_judge_decides_a_finished_check(diagnostics, clean_exit, status):
+    verdict = judge(list(diagnostics), clean_exit, heartbeats=7)
+    assert verdict.status is status
+    assert verdict.diagnostics == diagnostics
+    assert verdict.heartbeats == 7
+
+
+def test_mock_verdict_carries_its_wall_time():
+    verifier = MockVerifier(mock_cfg(fail_token="FAIL"))
+    for source in ("t := by\n  rfl", "t := by\n  FAIL", "no delimiter"):
+        assert verifier.verify(source).wall_time > 0
 
 
 def test_mock_verifier_rules():

@@ -234,6 +234,33 @@ def test_shorten_resume_with_a_shorter_schedule_trims_the_traces(runner, tmp_pat
         assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
 
 
+def test_shorten_resume_under_a_changed_schedule_redoes_the_iterations_that_differ(
+    runner, tmp_path
+):
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+
+    def run(workdir, schedule):
+        args = ["--config", config, "--workdir", str(tmp_path / workdir), "shorten", proofs]
+        result = runner.invoke(main, [*args, "--schedule", schedule])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    run("wd", "2x2")
+    resumed = run("wd", "5x2@0.5")
+    rows = [json.loads(line) for line in resumed.splitlines()]
+    assert {(r["k_requested"], r["temperature"]) for r in rows if "summary" not in r} == {(5, 0.5)}
+    assert resumed == run("fresh", "5x2@0.5")
+    for proof in PROOFS:
+        name = f"traces/{proof['id']}.jsonl"
+        assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
+    # a schedule that keeps the first iteration reuses it and redoes the second
+    run("wd", "5x1@0.5,3x1@0.5")
+    lines = (tmp_path / "wd" / "traces" / "p1.jsonl").read_text().splitlines()
+    assert [json.loads(line)["k_requested"] for line in lines] == [5, 3]
+    assert lines[0] == (tmp_path / "fresh" / "traces" / "p1.jsonl").read_text().splitlines()[0]
+
+
 def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
     config = write_config(
         tmp_path,
@@ -822,6 +849,32 @@ def test_a_write_that_fails_exits_with_one_error_line(runner, tmp_path, case):
     assert result.exc_info[0] is SystemExit
     [line] = result.output.splitlines()
     assert line.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("csv_before", [None, "old,table\n"], ids=["absent", "present"])
+@pytest.mark.parametrize("failing", ["gnuplot", "output"])
+def test_a_report_that_fails_to_write_leaves_every_output_file_as_it_was(
+    runner, tmp_path, csv_before, failing
+):
+    samples = write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES)
+    csv_path, gnuplot, output = tmp_path / "a.csv", tmp_path / "a.gp", tmp_path / "out.jsonl"
+    if csv_before is not None:
+        csv_path.write_text(csv_before)
+    missing = tmp_path / "missing" / "x"
+    if failing == "gnuplot":
+        gnuplot = missing
+    else:
+        output = missing
+    argv = ["report", samples, "--kind", "atk", "-k", "1", "--csv", str(csv_path),
+            "--gnuplot", str(gnuplot), "-o", str(output)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"error: cannot write {missing}: ")
+    # no file was created, and a.csv, when it was there, is as it was
+    kept = ["a.csv", "samples.jsonl"] if csv_before else ["samples.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
+    if csv_before:
+        assert csv_path.read_text() == csv_before
 
 
 def test_stdin_and_stdout_are_utf8_whatever_the_stream_encoding(tmp_path):
