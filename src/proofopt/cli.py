@@ -154,18 +154,28 @@ def length(args):
             emit(str(path), _read_text(name, lambda handle: handle.read()))
 
 
+def _pool_map(fn, items: list, width: int) -> list:
+    """fn over items on a pool of width threads, never more than there are
+    items, with the results in input order. No items start no pool."""
+    if not items:
+        return []
+    with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def lint(args):
     """Remove do-nothing tactics from each proof until a fixpoint."""
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
     records = _read_records(args.input)
-    out = []
-    for record in records:
+
+    def lint_one(record: ProofRecord) -> dict:
         linted = lint_fixpoint(record, verifier)
         row = linted.to_json()
         row["length"] = lexer.proof_length(linted.full_source)
-        out.append(row)
-    write_jsonl(args.output, out)
+        return row
+
+    write_jsonl(args.output, _pool_map(lint_one, records, verifier.cfg.max_parallel))
 
 
 def _trace_path(workdir: Path, proof_id: str) -> Path:
@@ -247,8 +257,10 @@ def shorten(args):
             if cfg.workdir:
                 handle.close()
 
-    with ThreadPoolExecutor(max_workers=cfg.parallel_workers) as pool:
-        traces = list(pool.map(run_one, records))
+    # A proof mostly waits on one backend at a time, so one proof per backend
+    # slot keeps every slot busy; admission alone limits the calls in flight.
+    slots = [verifier, simplifier] + ([repairer] if repairer else [])
+    traces = _pool_map(run_one, records, sum(backend.cfg.max_parallel for backend in slots))
 
     befores, afters = [], []
     for trace in traces:
@@ -322,7 +334,10 @@ def dataset_filter_trivial(args):
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
     records = _read_records(args.input)
-    kept, discarded = training_data.filter_trivial(records, verifier)
+    width = verifier.cfg.max_parallel
+    kept, discarded = training_data.filter_trivial(
+        records, verifier, lambda fn, items: _pool_map(fn, items, width)
+    )
     write_jsonl(args.output, (r.to_json() for r in kept))
     print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 
@@ -396,9 +411,8 @@ def report(args):
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
     except ValueError as exc:
         raise MalformedInput(f"bad report input: {exc}") from None
-    # the files written: --gnuplot only with --csv, and -o unless it is stdout
-    _claim(name for name in (args.csv, args.csv and args.gnuplot, args.output.name)
-           if name and name != "-")
+    # the files written: -o unless it is stdout (--gnuplot comes only with --csv)
+    _claim(name for name in (args.csv, args.gnuplot, args.output.name) if name and name != "-")
     if args.csv:
         rows = [t for t in table if len(t) == len(table[0])]
         _writing(args.csv, reports.write_csv, rows, args.csv)
@@ -413,7 +427,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=_readable_file)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
+    parser.add_argument("--workers", type=int,
+                        help="deprecated and ignored: each backend's max_parallel sets the width")
     parser.add_argument("--workdir", type=_dir_path)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
@@ -470,7 +485,10 @@ def main(argv=None, standalone_mode=True) -> None:
     for stream in (sys.stdin, sys.stdout):
         if hasattr(stream, "reconfigure") and stream.encoding.lower() not in ("utf-8", "utf8"):
             stream.reconfigure(encoding="utf-8")
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "gnuplot", None) and not args.csv:
+        parser.error("--gnuplot needs --csv: the stub plots the csv file")
     try:
         args.run(args)
     except ProofOptError as exc:

@@ -40,7 +40,7 @@ class RunConfig:
     backends: dict[str, BackendConfig] = field(default_factory=dict)
     schedule: str = "4x2"
     measure: Measure = Measure.TOKEN_LENGTH
-    parallel_workers: int = 1
+    parallel_workers: int = 1  # deprecated: range-checked, then read by nothing
     seed: int = 0
     workdir: Path | None = None
     repair: bool = False

@@ -97,18 +97,20 @@ def build_expit_dataset(
 
 
 def filter_trivial(
-    theorems: list[ProofRecord], verifier: Verifier
+    theorems: list[ProofRecord], verifier: Verifier, map_in_order=map
 ) -> tuple[list[ProofRecord], list[ProofRecord]]:
-    """Partition theorems by whether the automation cascade alone proves
-    them. Timeouts and crashes count as kept: not provable within budget."""
-    kept, discarded = [], []
-    for theorem in theorems:
+    """Partition theorems, each in input order, by whether the automation
+    cascade alone proves them. Timeouts and crashes count as kept: not
+    provable within budget. map_in_order(fn, theorems) makes the checks and
+    yields their results in input order; the CLI passes a thread pool's."""
+
+    def trivial(theorem: ProofRecord) -> bool:
         probe = f"{AUTO_MACRO}\n\n{theorem.statement} := by\n  AUTO"
-        verdict = verifier.verify(probe)
-        if verdict.status is VerdictStatus.VALID:
-            discarded.append(theorem)
-        else:
-            kept.append(theorem)
+        return verifier.verify(probe).status is VerdictStatus.VALID
+
+    kept, discarded = [], []
+    for theorem, proved in zip(theorems, map_in_order(trivial, theorems)):
+        (discarded if proved else kept).append(theorem)
     return kept, discarded
 
 

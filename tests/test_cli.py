@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from proofopt import backends, prompting
+from proofopt import backends, cli, prompting
 from proofopt.cli import main
 from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
+from proofopt.mocks import MockSimplifier, MockVerifier
 from proofopt.records import ProofRecord, read_jsonl
 
 from conftest import CliRunner
@@ -119,10 +122,183 @@ def test_shorten_deterministic(runner, tmp_path):
     assert summary["mean_after"] <= summary["mean_before"]
 
 
+TACTICS = ["skip", "norm_num", "key", "ring", "skip", "simp", "rfl"]
+MORE_PROOFS = [
+    {"id": f"q{i}", "statement": f"theorem q{i} : {i} = {i}",
+     "proof": "\n".join(f"  {t}" for t in TACTICS[i % 3:] + TACTICS[:i // 2])}
+    for i in range(1, 7)
+]
+
+
+def slotted_config(tmp_path, max_parallel, **options) -> str:
+    """write_config with every backend at max_parallel slots, and each
+    role's mock options from options when given."""
+    defaults = {
+        "verifier": {"noop_tactics": ["skip"]},
+        "simplifier": {"mode": "drop_lines"},
+        "repairer": {"mode": "delete_flagged"},
+    }
+    backends = {
+        role: {"kind": "mock", "max_parallel": max_parallel, "options": options.get(role, default)}
+        for role, default in defaults.items()
+    }
+    return write_config(tmp_path, backends=backends)
+
+
 def test_shorten_worker_pool_same_output(runner, tmp_path):
-    serial = shorten_output(runner, tmp_path)
-    parallel = shorten_output(runner, tmp_path, "--workers", "4")
-    assert serial == parallel
+    """Stdout and every trace file are the same whether the backends run one
+    call at a time or four, so that two proofs run at once or all six."""
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", MORE_PROOFS)
+    # candidates that drop the line `key` fail, so some iterations repair
+    options = {
+        "verifier": {"require_token": "key", "noop_tactics": ["skip"]},
+        "simplifier": {"mode": "drop_lines", "drop_probability": 0.85},
+        "repairer": {"mode": "shorter", "proof_body": "key\n  skip\n  ring"},
+    }
+    runs = []
+    for max_parallel in (1, 4):
+        config = slotted_config(tmp_path, max_parallel, **options)
+        workdir = tmp_path / f"wd{max_parallel}"
+        result = runner.invoke(main, ["--config", config, "--workdir", str(workdir),
+                                      "shorten", "--repair", "on", proofs])
+        assert result.exit_code == 0, result.output
+        traces = {p.name: p.read_text() for p in sorted((workdir / "traces").iterdir())}
+        runs.append((result.output, traces))
+    assert len(runs[0][1]) == len(MORE_PROOFS)
+    assert runs[0] == runs[1]
+    rows = [json.loads(line) for line in runs[0][0].splitlines()]
+    assert sum(1 for row in rows if row.get("repair")) >= 2  # the repair stage ran
+
+
+class GatedSimplifier(MockSimplifier):
+    """Holds its first request until another proof's check is seen."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.lock = threading.Lock()
+        self.held = None  # the statement of the held request
+        self.other_checked = threading.Event()
+        self.released_by_check = None
+
+    def _simplify(self, source, k, temperature):
+        head = source.partition(":= by")[0]
+        with self.lock:
+            first = self.held is None
+            if first:
+                self.held = head
+        if first:
+            self.released_by_check = self.other_checked.wait(3)
+        return super()._simplify(source, k, temperature)
+
+
+def test_shorten_checks_one_proof_while_another_waits_on_its_generator(
+    runner, tmp_path, monkeypatch
+):
+    config = slotted_config(tmp_path, 1)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    simplifier = None
+
+    def gated(cfg):
+        nonlocal simplifier
+        simplifier = GatedSimplifier(cfg)
+        return simplifier
+
+    class SignallingVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            with simplifier.lock:
+                held = simplifier.held
+            if held is not None and held.strip() not in source:
+                simplifier.other_checked.set()
+            return super()._verify(source, want_heartbeats)
+
+    monkeypatch.setattr("proofopt.cli.make_simplifier", gated)
+    monkeypatch.setattr("proofopt.cli.make_verifier", SignallingVerifier)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 0, result.output
+    assert simplifier.released_by_check
+
+
+@pytest.mark.parametrize(
+    "records,max_parallel,repair,widest",
+    [(6, 1, "off", 2), (6, 1, "on", 3), (3, 4, "off", 3)],
+    ids=["6-records-1+1", "6-records-1+1+1", "3-records-4+4"],
+)
+def test_shorten_runs_as_many_proofs_as_slots_or_records(
+    runner, tmp_path, monkeypatch, records, max_parallel, repair, widest
+):
+    config = slotted_config(tmp_path, max_parallel)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", MORE_PROOFS[:records])
+    lock = threading.Lock()
+    running = peak = 0
+    loop = cli.shorten_loop
+
+    def counted(*args, **kwargs):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        try:
+            time.sleep(0.2)  # time for every pool thread to start a proof
+            return loop(*args, **kwargs)
+        finally:
+            with lock:
+                running -= 1
+
+    monkeypatch.setattr(cli, "shorten_loop", counted)
+    result = runner.invoke(main, ["--config", config, "shorten", "--repair", repair, proofs])
+    assert result.exit_code == 0, result.output
+    assert peak == widest
+
+
+class SlowVerifier(MockVerifier):
+    """Takes 50 ms a check, and proves no odd-numbered theorem by automation."""
+
+    def _verify(self, source, want_heartbeats):
+        time.sleep(0.05)
+        if "AUTO" in source and int(source.split("theorem q")[1][0]) % 2:
+            return backends.Verdict(backends.VerdictStatus.INVALID)
+        return super()._verify(source, want_heartbeats)
+
+
+@pytest.mark.parametrize(
+    "command,ids",
+    [(["lint"], ["q1", "q2", "q3", "q4", "q5", "q6"]),
+     (["dataset", "filter-trivial"], ["q1", "q3", "q5"])],
+    ids=["lint", "filter-trivial"],
+)
+def test_lint_and_filter_trivial_use_every_verifier_slot(
+    runner, tmp_path, monkeypatch, command, ids
+):
+    config = slotted_config(tmp_path, 2)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", MORE_PROOFS)
+    verifiers = []
+
+    def slow(cfg):
+        verifiers.append(SlowVerifier(cfg))
+        return verifiers[-1]
+
+    monkeypatch.setattr("proofopt.cli.make_verifier", slow)
+    result = runner.invoke(main, ["--config", config, *command, proofs])
+    assert result.exit_code == 0, result.output
+    assert verifiers[0].admission.max_observed == 2
+    rows = [json.loads(line) for line in result.output.splitlines() if line.startswith("{")]
+    assert [row["id"] for row in rows] == ids  # in input order
+
+
+@pytest.mark.parametrize("command", [["lint"], ["dataset", "filter-trivial"]])
+def test_lint_and_filter_trivial_of_an_empty_input_start_no_pool(
+    runner, tmp_path, monkeypatch, command
+):
+    config = slotted_config(tmp_path, 2)
+    empty = write_jsonl_file(tmp_path, "empty.jsonl", [])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    result = runner.invoke(main, ["--config", config, *command, empty])
+    assert result.exit_code == 0, result.output
+    assert not [line for line in result.output.splitlines() if line.startswith("{")]
 
 
 def test_shorten_respects_schedule_and_seed_flags(runner, tmp_path):
@@ -1005,18 +1181,24 @@ def test_report_empty_input(runner, tmp_path):
         ["estimate", "{samples}"],
         ["--config", "/does/not/exist.json", "length"],
         ["lint", "/does/not/exist.jsonl"],
+        ["report", "{samples}", "--kind", "atk", "-k", "1", "--gnuplot", "{gnuplot}"],
     ],
     ids=["unknown-option", "unknown-command", "bad-choice", "missing-k", "missing-config",
-         "missing-input"],
+         "missing-input", "gnuplot-without-csv"],
 )
 def test_usage_error_exits_2(runner, tmp_path, argv):
     files = {
         "proofs": write_jsonl_file(tmp_path, "in.jsonl", PROOFS),
         "samples": write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES),
+        "gnuplot": str(tmp_path / "a.gp"),
     }
     result = runner.invoke(main, [arg.format(**files) for arg in argv])
     assert result.exit_code == 2
     assert "Traceback" not in result.output
+    [error] = [line for line in result.output.splitlines() if "error:" in line]
+    if "--gnuplot" in argv:
+        assert "--gnuplot" in error and "--csv" in error
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "samples.jsonl"]
 
 
 def test_failed_command_leaves_its_output_file_alone(runner, tmp_path):
