@@ -8,7 +8,6 @@ max_parallel admission, so callers may fan out freely.
 
 from __future__ import annotations
 
-import builtins
 import json
 import os
 import re
@@ -81,17 +80,6 @@ class BackendConfig:
             raise ConfigError("retries must be at least 1")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
-
-    @classmethod
-    def from_json(cls, obj) -> "BackendConfig":
-        typed_field(obj, "kind", str, "backend config", ConfigError)
-        fields = cls.__dataclass_fields__
-        unknown = set(obj) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown backend config keys: {sorted(unknown)}")
-        # Each field's annotation names the builtin type its JSON value must have.
-        kinds = {name: getattr(builtins, f.type) for name, f in fields.items()}
-        return cls(**{k: typed_field(obj, k, kinds[k], "backend config", ConfigError) for k in obj})
 
 
 # A checker diagnostic line: file:line:column: severity: message.

@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor stays importable here: bench/tracing.py patches it in this module.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 from . import lexer
@@ -23,7 +24,7 @@ from .errors import NoProofDelimiter
 from .estimators import SampleSet, min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
 from .records import Measure, ProofRecord, read_jsonl, typed_field, write_jsonl
-from .shortener import ShorteningTrace, iteration_from_json, shorten_loop
+from .shortener import ShorteningTrace, iteration_from_json, map_in_order, shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -104,7 +105,7 @@ def _load_config(args) -> RunConfig:
     if args.workers is not None:
         cfg.parallel_workers = args.workers
     if args.workdir is not None:
-        cfg.workdir = Path(args.workdir)
+        cfg.workdir = args.workdir
     cfg.check()
     cfg.apply_seed()
     return cfg
@@ -154,15 +155,6 @@ def length(args):
             emit(str(path), _read_text(name, lambda handle: handle.read()))
 
 
-def _pool_map(fn, items: list, width: int) -> list:
-    """fn over items on a pool of width threads, never more than there are
-    items, with the results in input order. No items start no pool."""
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def lint(args):
     """Remove do-nothing tactics from each proof until a fixpoint."""
     cfg = _load_config(args)
@@ -175,7 +167,7 @@ def lint(args):
         row["length"] = lexer.proof_length(linted.full_source)
         return row
 
-    write_jsonl(args.output, _pool_map(lint_one, records, verifier.cfg.max_parallel))
+    write_jsonl(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
 
 
 def _trace_path(workdir: Path, proof_id: str) -> Path:
@@ -221,16 +213,17 @@ def shorten(args):
     records = _read_records(args.input)
     if not records:
         raise ConfigError("empty input")
-    if cfg.workdir:
+    workdir = Path(cfg.workdir) if cfg.workdir else None
+    if workdir:
         owners = {}
         for record in records:
-            path = _trace_path(cfg.workdir, record.id)
+            path = _trace_path(workdir, record.id)
             if path in owners:
                 raise MalformedInput(
                     f"proof ids {owners[path]!r} and {record.id!r} share the trace file {path}"
                 )
             owners[path] = record.id
-        traces = cfg.workdir / "traces"
+        traces = workdir / "traces"
         _writing(traces, traces.mkdir, parents=True, exist_ok=True)
     repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
     verifier = make_verifier(cfg.backend("verifier"))
@@ -239,8 +232,8 @@ def shorten(args):
     def run_one(record: ProofRecord) -> ShorteningTrace:
         sink = None
         resume = None
-        if cfg.workdir:
-            path = _trace_path(cfg.workdir, record.id)
+        if workdir:
+            path = _trace_path(workdir, record.id)
             resume = _writing(path, _load_partial, path, schedule)
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
 
@@ -254,13 +247,13 @@ def shorten(args):
                 repair_budget=cfg.repair_budget, on_iteration=sink, resume_from=resume,
             )
         finally:
-            if cfg.workdir:
+            if workdir:
                 handle.close()
 
     # A proof mostly waits on one backend at a time, so one proof per backend
     # slot keeps every slot busy; admission alone limits the calls in flight.
     slots = [verifier, simplifier] + ([repairer] if repairer else [])
-    traces = _pool_map(run_one, records, sum(backend.cfg.max_parallel for backend in slots))
+    traces = map_in_order(run_one, records, sum(backend.cfg.max_parallel for backend in slots))
 
     befores, afters = [], []
     for trace in traces:
@@ -314,8 +307,9 @@ def dataset_build(args):
     iteration_results = {}
     for row in _rows(args.results):
         record = ProofRecord.from_json(row)
-        valid = typed_field(row, "valid", bool, f"result record {record.id!r}", default=False)
-        iteration_results[record.id] = (record, Verdict(VerdictStatus.VALID) if valid else None)
+        valid = typed_field(row, "valid", bool, f"result record {record.id!r}", default=None)
+        status = VerdictStatus.VALID if valid else VerdictStatus.INVALID
+        iteration_results[record.id] = (record, None if valid is None else Verdict(status))
     ancestors = {
         str(typed_field(row, "id", (str, int), "ancestry record")):
             ProofRecord.from_json(typed_field(row, "ancestor", dict, "ancestry record"))
@@ -333,11 +327,7 @@ def dataset_filter_trivial(args):
 
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
-    records = _read_records(args.input)
-    width = verifier.cfg.max_parallel
-    kept, discarded = training_data.filter_trivial(
-        records, verifier, lambda fn, items: _pool_map(fn, items, width)
-    )
+    kept, discarded = training_data.filter_trivial(_read_records(args.input), verifier)
     write_jsonl(args.output, (r.to_json() for r in kept))
     print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 

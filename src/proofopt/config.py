@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .backends import BackendConfig
 from .errors import ConfigError
-from .records import Measure, typed_field
+from .records import Measure, from_json
 
 _SCHEDULE_ENTRY = re.compile(r"^(\d+)x(\d+)(?:@(\d+\.?\d*|\.\d+))?$")
 
@@ -42,7 +42,7 @@ class RunConfig:
     measure: Measure = Measure.TOKEN_LENGTH
     parallel_workers: int = 1  # deprecated: range-checked, then read by nothing
     seed: int = 0
-    workdir: Path | None = None
+    workdir: str = ""  # none when empty
     repair: bool = False
     repair_budget: int = 4
 
@@ -56,28 +56,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, raw) -> "RunConfig":
-        def get(key, kind, default):
-            return typed_field(raw, key, kind, "run config", ConfigError, default)
-
-        backends = get("backends", dict, {})
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-        try:
-            measure = Measure(get("measure", str, cls.measure))
-        except ValueError as exc:
-            raise ConfigError(f"unknown measure {raw['measure']!r}") from exc
-        workdir = get("workdir", str, "")
-        cfg = cls(
-            backends={name: BackendConfig.from_json(obj) for name, obj in backends.items()},
-            schedule=get("schedule", str, cls.schedule),
-            measure=measure,
-            parallel_workers=get("parallel_workers", int, cls.parallel_workers),
-            seed=get("seed", int, cls.seed),
-            workdir=Path(workdir) if workdir else None,
-            repair=get("repair", bool, cls.repair),
-            repair_budget=get("repair_budget", int, cls.repair_budget),
-        )
+        cfg = from_json(cls, raw, "run config", ConfigError, strict=True)
         cfg.check()
         return cfg
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import types
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 
 from .errors import MalformedInput
@@ -52,13 +54,7 @@ class ProofRecord:
     @classmethod
     def from_json(cls, obj) -> "ProofRecord":
         id = str(typed_field(obj, "id", (str, int), "proof record"))
-        what = f"proof record {id!r}"
-        return cls(
-            id=id,
-            statement=typed_field(obj, "statement", str, what),
-            proof=typed_field(obj, "proof", str, what),
-            source_tag=typed_field(obj, "source_tag", str, what, default=""),
-        )
+        return from_json(cls, {**obj, "id": id}, f"proof record {id!r}")
 
 
 def read_jsonl(stream) -> list[dict]:
@@ -80,11 +76,25 @@ _KIND_NAMES = {str: "a UTF-8 string", int: "an integer", float: "a number", bool
                list: "a list", dict: "a JSON object", type(None): "null"}
 
 
+def _kinds(kind) -> tuple:
+    """The alternatives of a tuple of kinds or of a union X | Y."""
+    return kind if isinstance(kind, tuple) else typing.get_args(kind)
+
+
+def _outer(kind):
+    """The class of kind without its arguments: list for list[T], and dict
+    for a dataclass, which a JSON object holds."""
+    kind = typing.get_origin(kind) or kind
+    return dict if is_dataclass(kind) else kind
+
+
 def _is_kind(value, kind) -> bool:
-    if isinstance(kind, tuple):
-        return any(_is_kind(value, k) for k in kind)
-    if isinstance(kind, types.GenericAlias):  # list[T]
-        return isinstance(value, list) and all(_is_kind(v, kind.__args__[0]) for v in value)
+    """Whether value, at its top level, is a JSON value of kind."""
+    if isinstance(kind, (tuple, types.UnionType)):
+        return any(_is_kind(value, k) for k in _kinds(kind))
+    kind = _outer(kind)
+    if issubclass(kind, Enum):
+        return any(_is_kind(value, type(m.value)) and value == m.value for m in kind)
     if kind is str:  # JSON decodes a lone surrogate escape, which UTF-8 cannot encode
         return isinstance(value, str) and not re.search("[\ud800-\udfff]", value)
     accepted = (int, float) if kind is float else kind
@@ -92,28 +102,75 @@ def _is_kind(value, kind) -> bool:
 
 
 def _kind_name(kind) -> str:
-    if isinstance(kind, tuple):
-        return " or ".join(map(_kind_name, kind))
-    if isinstance(kind, types.GenericAlias):
-        return f"a list with each item {_kind_name(kind.__args__[0])}"
+    if isinstance(kind, (tuple, types.UnionType)):
+        return " or ".join(map(_kind_name, _kinds(kind)))
+    kind = _outer(kind)
+    if issubclass(kind, Enum):
+        return " or ".join(repr(m.value) for m in kind)
     return _KIND_NAMES[kind]
 
 
+def _decode(value, kind, what: str, error, strict: bool):
+    """value read as kind (see from_json), or raise error naming what and value."""
+    if not _is_kind(value, kind):
+        raise error(f"{what} must be {_kind_name(kind)}, not {value!r:.60}")
+    if isinstance(kind, (tuple, types.UnionType)):
+        kind = next(k for k in _kinds(kind) if _is_kind(value, k))
+    args = typing.get_args(kind)
+    if isinstance(value, list) and args:  # list[T]
+        return [_decode(v, args[0], f"{what}[{i}]", error, strict) for i, v in enumerate(value)]
+    if isinstance(value, dict) and args:  # dict[str, T]
+        return {_decode(k, args[0], f"{what} key", error, strict):
+                _decode(v, args[1], f"{what} {k}", error, strict) for k, v in value.items()}
+    if is_dataclass(kind):
+        return from_json(kind, value, what, error, strict)
+    return kind(value) if issubclass(kind, Enum) else value
+
+
 def typed_field(obj, key: str, kind, what: str, error=MalformedInput, default=_REQUIRED):
-    """obj[key] if it is a JSON value of kind (str, int, float, bool, list,
-    dict, type(None) for null, a tuple of them, or list[T]), default if key
-    is absent; else raise error naming what, key and value. A bool is never
-    a number, an int counts as a float, and nothing is coerced."""
+    """obj[key] read as kind, default if key is absent; else raise error
+    naming what, key and value. kind is a type hint that from_json reads, or
+    a tuple of them such as (str, int)."""
     if not isinstance(obj, dict):
         raise error(f"{what} must be a JSON object, not {obj!r:.60}")
     if key not in obj:
         if default is _REQUIRED:
             raise error(f"{what} missing field {key!r}")
         return default
-    value = obj[key]
-    if not _is_kind(value, kind):
-        raise error(f"{what} {key} must be {_kind_name(kind)}, not {value!r:.60}")
-    return value
+    return _decode(obj[key], kind, f"{what} {key}", error, strict=False)
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type hint, required) of each field of dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def from_json(cls, obj, what: str, error=MalformedInput, strict=False):
+    """The dataclass cls built from the JSON object obj, each field read at
+    its type hint; raise error naming what for the first value that does not
+    fit. A hint is str, int, float, bool, list, dict, X | None, list[T],
+    dict[str, T], an Enum (read by value) or a dataclass (read by this
+    function). Nothing is coerced: a bool is never a number, an int counts
+    as a float, and a string holding a lone surrogate is not a string. A
+    field with a default may be absent. With strict, a key that names no
+    field is an error, at every level; without it, such keys are ignored."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, not {obj!r:.60}")
+    spec = _fields(cls)
+    if strict and (unknown := obj.keys() - {name for name, _, _ in spec}):
+        raise error(f"{what} has unknown keys: {sorted(unknown)}")
+    values = {}
+    for name, hint, required in spec:
+        if name in obj:
+            values[name] = _decode(obj[name], hint, f"{what} {name}", error, strict)
+        elif required:
+            raise error(f"{what} missing field {name!r}")
+    return cls(**values)
 
 
 def write_jsonl(stream, objects) -> None:

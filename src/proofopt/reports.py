@@ -127,9 +127,9 @@ def repair_accounting(iterations: list[IterationRecord]) -> dict:
         if valid_scores:
             best = min(best, min(valid_scores))
         for cand in stage.candidates:
-            if cand.get("score") is not None and cand["score"] < best:
+            if cand.score is not None and cand.score < best:
                 row["repair_shorter_before_lint"] += 1
-            if cand.get("linted_score") is not None and cand["linted_score"] < best:
+            if cand.linted_score is not None and cand.linted_score < best:
                 row["repair_shorter_after_lint"] += 1
     return row
 

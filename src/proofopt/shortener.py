@@ -28,7 +28,7 @@ from .backends import (
 )
 from .errors import NoProofDelimiter
 from .linter import lint_fixpoint, lint_once
-from .records import PROOF_DELIMITER, Measure, ProofRecord, typed_field
+from .records import PROOF_DELIMITER, Measure, ProofRecord, from_json
 
 REPAIR_REPORT_LIMIT = 6000
 SKIPPED_NOTE = "skipped: input does not verify"
@@ -42,11 +42,22 @@ class CandidateResult:
 
 
 @dataclass
+class RepairEntry:
+    """One fix of a repair stage, as its trace records it. linted_score is
+    the fix's score after linting, or its bound when it was not linted, and
+    None for a fix that cannot be adopted (invalid, or not a tactic proof)."""
+
+    status: VerdictStatus
+    score: int | None = None
+    linted_score: int | None = None
+
+
+@dataclass
 class RepairStage:
     attempted: int = 0
     valid: int = 0
     truncated_reports: int = 0
-    candidates: list[dict] = field(default_factory=list)
+    candidates: list[RepairEntry] = field(default_factory=list)
     adopted: int | None = None
 
 
@@ -81,50 +92,11 @@ class ShorteningTrace:
         return asdict(self)
 
 
-_INT_OR_NULL = (int, type(None))
-
-
-def _repair_from_json(obj) -> RepairStage:
-    what = "iteration record repair"
-    entries = typed_field(obj, "candidates", list, what, default=[])
-    for j, entry in enumerate(entries):
-        fix = f"{what} candidate {j}"
-        VerdictStatus(typed_field(entry, "status", str, fix))
-        typed_field(entry, "score", _INT_OR_NULL, fix, default=None)
-        typed_field(entry, "linted_score", _INT_OR_NULL, fix, default=None)
-    return RepairStage(
-        attempted=typed_field(obj, "attempted", int, what),
-        valid=typed_field(obj, "valid", int, what),
-        truncated_reports=typed_field(obj, "truncated_reports", int, what, default=0),
-        candidates=list(entries),
-        adopted=typed_field(obj, "adopted", _INT_OR_NULL, what, default=None),
-    )
-
-
 def iteration_from_json(obj) -> IterationRecord:
     """Rebuild a persisted iteration record (inverse of to_json). A field
-    missing or of the wrong type raises MalformedInput, an unknown status
-    ValueError."""
-    what = "iteration record"
-    candidates = []
-    for j, c in enumerate(typed_field(obj, "candidates", list, what)):
-        cand = f"{what} candidate {j}"
-        status = VerdictStatus(typed_field(c, "status", str, cand))
-        score = typed_field(c, "score", _INT_OR_NULL, cand, default=None)
-        candidates.append(CandidateResult(typed_field(c, "text", str, cand), status, score))
-    repair = typed_field(obj, "repair", (dict, type(None)), what, default=None)
-    return IterationRecord(
-        index=typed_field(obj, "index", int, what),
-        k_requested=typed_field(obj, "k_requested", int, what),
-        temperature=typed_field(obj, "temperature", float, what),
-        candidates=candidates,
-        adopted=typed_field(obj, "adopted", _INT_OR_NULL, what, default=None),
-        score_before=typed_field(obj, "score_before", int, what),
-        score_after=typed_field(obj, "score_after", int, what),
-        source_after=typed_field(obj, "source_after", str, what),
-        note=typed_field(obj, "note", str, what, default=""),
-        repair=None if repair is None else _repair_from_json(repair),
-    )
+    missing or of the wrong type, or an unknown status, raises
+    MalformedInput; keys that name no field are ignored."""
+    return from_json(IterationRecord, obj, "iteration record")
 
 
 class VerdictMemo:
@@ -191,10 +163,12 @@ class VerdictMemo:
         return 0 if self.want_heartbeats else lexer.proof_length(text)
 
 
-def _fan_out(fn, items: list, verifier: VerdictMemo) -> list:
-    """fn over items, as many at once as the verifier admits checks, with
-    the results in input order."""
-    with ThreadPoolExecutor(max_workers=max(1, verifier.cfg.max_parallel)) as pool:
+def map_in_order(fn, items: list, width: int) -> list:
+    """fn over items on a pool of width threads, never more than there are
+    items, with the results in input order. No items start no pool."""
+    if not items:
+        return []
+    with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -260,7 +234,7 @@ def shorten_iteration(
     # Identical candidate texts are verified once; @k accounting still uses
     # the requested k.
     unique = list(dict.fromkeys(raw))
-    checked = dict(zip(unique, _fan_out(scored, unique, verifier)))
+    checked = dict(zip(unique, map_in_order(scored, unique, verifier.cfg.max_parallel)))
     itrec.candidates = [CandidateResult(text, *checked[text]) for text in raw]
     itrec.adopted = _adopt_into(itrec, itrec.candidates)
     return itrec
@@ -312,15 +286,11 @@ def _repair_stage(
         for fix in repairer.repair(statement, failed_proof, report):
             # this check is also the first lint round's
             verdict, raw_score = verifier.check(fix)
-            entry = {
-                "status": verdict.status.value,
-                "score": raw_score if verdict.ok else None,
-                "linted_score": None,
-            }
+            entry = RepairEntry(verdict.status, raw_score if verdict.ok else None)
             if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
                 edit, _ = lint_once(ProofRecord.from_source(fix, id=record.id), verifier)
-                entry["linted_score"] = verifier.score_bound(edit.full_source)
-            fixes.append((entry, CandidateResult(fix, verdict.status, entry["linted_score"])))
+                entry.linted_score = verifier.score_bound(edit.full_source)
+            fixes.append((entry, CandidateResult(fix, verdict.status, entry.linted_score)))
         return truncated, fixes
 
     def lint(fix: CandidateResult) -> CandidateResult:
@@ -330,9 +300,11 @@ def _repair_stage(
 
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
+    failed = list(dict.fromkeys(failed))[:budget]
     stage = RepairStage()
     fixes = []
-    for truncated, repaired in _fan_out(repair_one, list(dict.fromkeys(failed))[:budget], verifier):
+    width = verifier.cfg.max_parallel
+    for truncated, repaired in map_in_order(repair_one, failed, width):
         stage.truncated_reports += int(truncated)
         for entry, fix in repaired:
             stage.attempted += 1
@@ -343,9 +315,9 @@ def _repair_stage(
     while (winner := _adopt(itrec.score_after, fixes)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
-        for i, linted in zip(batch, _fan_out(lint, [fixes[i] for i in batch], verifier)):
+        for i, linted in zip(batch, map_in_order(lint, [fixes[i] for i in batch], width)):
             fixes[i] = linted
-            stage.candidates[i]["linted_score"] = linted.score
+            stage.candidates[i].linted_score = linted.score
     stage.adopted = _adopt_into(itrec, fixes)
     return stage
 

@@ -9,6 +9,7 @@ from . import lexer, prompting
 from .backends import Verdict, VerdictStatus, Verifier
 from .errors import MissingVerdict, ZeroOriginal
 from .records import ProofRecord, typed_field
+from .shortener import map_in_order
 
 LENGTH_RATIO = 0.8
 
@@ -97,19 +98,19 @@ def build_expit_dataset(
 
 
 def filter_trivial(
-    theorems: list[ProofRecord], verifier: Verifier, map_in_order=map
+    theorems: list[ProofRecord], verifier: Verifier
 ) -> tuple[list[ProofRecord], list[ProofRecord]]:
     """Partition theorems, each in input order, by whether the automation
-    cascade alone proves them. Timeouts and crashes count as kept: not
-    provable within budget. map_in_order(fn, theorems) makes the checks and
-    yields their results in input order; the CLI passes a thread pool's."""
+    cascade alone proves them, checking as many at once as the verifier
+    admits. Timeouts and crashes count as kept: not provable within budget."""
 
     def trivial(theorem: ProofRecord) -> bool:
         probe = f"{AUTO_MACRO}\n\n{theorem.statement} := by\n  AUTO"
         return verifier.verify(probe).status is VerdictStatus.VALID
 
     kept, discarded = [], []
-    for theorem, proved in zip(theorems, map_in_order(trivial, theorems)):
+    proven = map_in_order(trivial, theorems, verifier.cfg.max_parallel)
+    for theorem, proved in zip(theorems, proven):
         (discarded if proved else kept).append(theorem)
     return kept, discarded
 

@@ -29,7 +29,7 @@ from proofopt.backends import (
 from proofopt.errors import BackendUnavailable, ConfigError
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
-from proofopt.records import ProofRecord
+from proofopt.records import ProofRecord, from_json
 
 from conftest import HANG_UP, choices, mock_cfg
 
@@ -46,10 +46,10 @@ def test_config_validation():
 
 
 def test_config_from_json_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        BackendConfig.from_json({"kind": "mock", "frobnicate": 1})
-    with pytest.raises(ConfigError):
-        BackendConfig.from_json({"timeout": 5})
+    with pytest.raises(ConfigError, match="frobnicate"):
+        from_json(BackendConfig, {"kind": "mock", "frobnicate": 1}, "backend", ConfigError, True)
+    with pytest.raises(ConfigError, match="missing field 'kind'"):
+        from_json(BackendConfig, {"timeout": 5}, "backend", ConfigError, True)
 
 
 def test_factories_reject_wrong_kinds():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from proofopt import backends, cli, prompting
+from proofopt import backends, cli, prompting, shortener
 from proofopt.cli import main
 from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
 from proofopt.mocks import MockSimplifier, MockVerifier
@@ -295,7 +295,7 @@ def test_lint_and_filter_trivial_of_an_empty_input_start_no_pool(
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(shortener, "ThreadPoolExecutor", no_pool)
     result = runner.invoke(main, ["--config", config, *command, empty])
     assert result.exit_code == 0, result.output
     assert not [line for line in result.output.splitlines() if line.startswith("{")]
@@ -830,6 +830,21 @@ def test_dataset_build_requires_verdict(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "flag,message", [({"valid": False}, "did not verify"), ({}, "has no verdict")],
+    ids=["false", "absent"],
+)
+def test_dataset_build_tells_a_failed_result_from_one_without_a_flag(
+    runner, tmp_path, flag, message
+):
+    record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [record])
+    results = write_jsonl_file(tmp_path, "results.jsonl", [{**record, **flag}])
+    result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
+    assert result.exit_code == 1
+    assert result.output == f"error: candidate for 'a' {message}\n"
+
+
 def test_dataset_filter_trivial(runner, tmp_path):
     proofs = write_jsonl_file(tmp_path, "thms.jsonl", PROOFS)
     easy = write_config(tmp_path, backends={"verifier": {"kind": "mock"}})
@@ -916,6 +931,8 @@ WRONG_TYPES = [
                  id="timeout-bool"),
     pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "options": {
         "heartbeats_per_token": "5"}}}}, 2, id="mock-option-text"),
+    pytest.param("config", {"measure": "pages"}, 2, id="measure-unknown"),
+    pytest.param("config", {"backends": {"verifier": None}}, 2, id="backend-null"),
     pytest.param("estimate", {**SAMPLE, "scores": 5}, 1, id="estimate-scores-number"),
     pytest.param("estimate", {**SAMPLE, "scores": ["x", 2]}, 1, id="estimate-score-text"),
     pytest.param("estimate", {**SAMPLE, "scores": [2.5, 2]}, 1, id="estimate-score-float"),
@@ -1124,6 +1141,12 @@ BAD_TRACE_LINES = [
     pytest.param(lambda row: {**row, "k_requested": "4"}, id="k-text"),
     pytest.param(lambda row: {**row, "repair": {"attempted": 1, "valid": 0, "candidates": [
         {"status": "invalid", "score": "x", "linted_score": None}]}}, id="repair-score-text"),
+    pytest.param(lambda row: {**row, "candidates": [{**row["candidates"][0], "status": "great"}]},
+                 id="candidate-status-unknown"),
+    pytest.param(lambda row: {**row, "repair": {"attempted": 1, "valid": 0, "candidates": [
+        {"score": None, "linted_score": None}]}}, id="repair-entry-no-status"),
+    pytest.param(lambda row: {**row, "repair": []}, id="repair-list"),
+    pytest.param(lambda row: {**row, "adopted": "0"}, id="adopted-text"),
 ]
 
 

@@ -20,6 +20,7 @@ from proofopt.records import ProofRecord
 from proofopt.shortener import (
     CandidateResult,
     IterationRecord,
+    RepairEntry,
     RepairStage,
     shorten_loop,
 )
@@ -115,8 +116,8 @@ def _iteration_with_repair():
             attempted=2,
             valid=1,
             candidates=[
-                {"status": "valid", "score": 8, "linted_score": 7},
-                {"status": "invalid", "score": None, "linted_score": None},
+                RepairEntry(VerdictStatus.VALID, score=8, linted_score=7),
+                RepairEntry(VerdictStatus.INVALID),
             ],
             adopted=0,
         ),

@@ -6,6 +6,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofopt.backends import Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable
@@ -13,6 +15,10 @@ from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord
 from proofopt.shortener import (
+    CandidateResult,
+    IterationRecord,
+    RepairEntry,
+    RepairStage,
     VerdictMemo,
     iteration_from_json,
     shorten_iteration,
@@ -166,6 +172,29 @@ def test_iteration_record_round_trip():
     assert iteration_from_json(json.loads(json.dumps(itrec.to_json()))) == itrec
 
 
+# text that UTF-8 can hold: no lone surrogates
+TEXTS = st.text(st.characters(exclude_categories=("Cs",)), max_size=20)
+SCORES = st.none() | st.integers()
+STATUSES = st.sampled_from(VerdictStatus)
+REPAIR_STAGES = st.builds(
+    RepairStage, st.integers(), st.integers(), st.integers(),
+    st.lists(st.builds(RepairEntry, STATUSES, SCORES, SCORES), max_size=3), SCORES,
+)
+ITERATIONS = st.builds(
+    IterationRecord, st.integers(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.builds(CandidateResult, TEXTS, STATUSES, SCORES), max_size=3), SCORES,
+    st.integers(), st.integers(), TEXTS, TEXTS, st.none() | REPAIR_STAGES,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ITERATIONS)
+def test_iteration_record_round_trips_with_any_repair_stage(itrec):
+    line = json.dumps(itrec.to_json(), ensure_ascii=False)
+    assert iteration_from_json(json.loads(line)) == itrec
+
+
 def test_repair_stage_guard_rejects_longer():
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
@@ -209,7 +238,7 @@ def test_repair_stage_never_adopts_a_term_mode_fix():
         start, [(2, 1.0)], simplifier, verifier, repairer=TermModeRepairer(mock_cfg())
     )
     stage = trace.iterations[0].repair
-    assert stage.candidates == [{"status": "valid", "score": 1, "linted_score": None}]
+    assert stage.candidates == [RepairEntry(VerdictStatus.VALID, 1, None)]
     assert stage.valid == 1
     assert stage.adopted is None
     assert trace.final_source == start.full_source
@@ -297,13 +326,13 @@ def test_acceptance_rule_recomputed_from_traces(measure):
                     after = ProofRecord.from_source(it.candidates[it.adopted].text).full_source
                 if it.repair is not None:
                     fixes = [
-                        (c["status"] == "valid" and c["linted_score"] is not None, c["linted_score"])
+                        (c.status is VerdictStatus.VALID and c.linted_score is not None, c.linted_score)
                         for c in it.repair.candidates
                     ]
                     assert it.repair.adopted == _reference_adoption(score, fixes)
                     if it.repair.adopted is not None:
                         repair_adoptions += 1
-                        score = it.repair.candidates[it.repair.adopted]["linted_score"]
+                        score = it.repair.candidates[it.repair.adopted].linted_score
                         after = it.source_after  # the linted text is not in the trace
                 assert (it.score_after, it.source_after) == (score, after)
                 assert rescore.check(it.source_after)[1] == it.score_after
@@ -343,7 +372,7 @@ def _repair_scenario(repairer, max_parallel, schedule=((4, 1.0), (4, 0.8)), budg
 def test_repair_stage_folds_in_input_order():
     serial = _repair_scenario(KeyRepairer(mock_cfg()), max_parallel=1)
     stages = [it.repair for it in serial.iterations]
-    assert stages[0] is not None and len({c["linted_score"] for c in stages[0].candidates}) == 3
+    assert stages[0] is not None and len({c.linted_score for c in stages[0].candidates}) == 3
     firsts = {
         ProofRecord.from_source(it.candidates[0].text, id="o").proof
         for it in serial.iterations
@@ -505,14 +534,14 @@ def test_repair_stage_lints_only_the_fix_that_can_win():
     assert edits == ["theorem g : 1 = 1 := by\n  a"]
     assert itrec.repair.adopted == 1
     assert itrec.score_after == 1
-    assert [c["linted_score"] for c in itrec.repair.candidates] == [3, 1, 2, 4]
+    assert [c.linted_score for c in itrec.repair.candidates] == [3, 1, 2, 4]
 
 
 def test_repair_stage_lints_every_fix_under_heartbeats():
     itrec, edits = _bounded_fixes_scenario(Measure.HEARTBEATS)
     assert len(edits) == 4
     assert itrec.repair.adopted == 1
-    assert [c["linted_score"] for c in itrec.repair.candidates] == [300, 100, 200, 400]
+    assert [c.linted_score for c in itrec.repair.candidates] == [300, 100, 200, 400]
 
 
 # --- verdict memo -------------------------------------------------------------
