@@ -58,6 +58,11 @@ class Verdict:
         return self.status is VerdictStatus.VALID
 
 
+# The longest timeout, in seconds, that every wait takes: subprocess.run's poll()
+# counts milliseconds in a C int, a lock or socket takes threading.TIMEOUT_MAX.
+_TIMEOUT_MAX = min(2**31 // 1000, int(threading.TIMEOUT_MAX))
+
+
 @dataclass
 class BackendConfig:
     kind: str  # a key of _BACKENDS, or mock
@@ -72,8 +77,8 @@ class BackendConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
+        if not 0 < self.timeout <= _TIMEOUT_MAX:
+            raise ConfigError(f"timeout must be positive and at most {_TIMEOUT_MAX} seconds")
         if self.max_parallel < 1:
             raise ConfigError("max_parallel must be at least 1")
         if self.retries < 1:

@@ -1,14 +1,20 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Exit codes: 0 success, 1 input error, 2 usage or configuration error, 3
-backend failure (partial output already persisted). Only reports and
+backend failure (partial traces already persisted). Only reports and
 training_data are imported per command: bench/tracing.py patches names from
 shortener, linter, backends and concurrent.futures here, so those always load.
+
+Before a command runs, main claims every file it writes (-o unless it is -,
+--csv, --gnuplot), so an unwritable one fails before any backend call; when
+the command does not finish, the files the claim created are removed. Rows
+reach stdout or -o through one writer, this module's write_jsonl.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 # ThreadPoolExecutor stays importable here: bench/tracing.py patches it in this module.
@@ -58,44 +64,31 @@ def _writing(name, fn, *args, **kwargs):
         raise ProofOptError(f"cannot write {name}: {exc.strerror}") from None
 
 
-def _claim(names) -> None:
-    """Open each named file for writing before any is written, emptying
-    none: a file that is absent is created. When one cannot be opened, the
-    files created here are removed and the command ends with one error
-    line, so it leaves every file as it was."""
-    created = []
-    try:
-        for name in names:
+def _claim(names, created: list) -> None:
+    """Check that each named output file can be written, emptying none: an
+    absent file is created and its path appended to created, an existing
+    regular file is opened for append. Another existing path (a FIFO,
+    /dev/null) is not opened, so the reader of a pipe sees no early end.
+    None, for an option not given, names no file."""
+    for name in filter(None, names):
+        try:
             try:
                 open(name, "x").close()
-                created.append(name)
+                created.append(Path(name))
             except FileExistsError:
-                open(name, "a").close()
-    except OSError as exc:
-        for path in created:
-            Path(path).unlink()
-        raise ProofOptError(f"cannot write {name}: {exc.strerror}") from None
+                if not (Path(name).is_fifo() or Path(name).is_char_device()):
+                    open(name, "a").close()
+        except OSError as exc:
+            raise ProofOptError(f"cannot write {name}: {exc.strerror}") from None
 
 
-class _Output:
-    """A command's -o FILE, or stdout for -. The file is opened at the first
-    write, so a command that fails before writing leaves it as it was."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._file = None
-
-    def write(self, text: str) -> None:
-        if self._file is None:
-            self._file = (
-                sys.stdout if self.name == "-"
-                else _writing(self.name, open, self.name, "w", encoding="utf-8")
-            )
-        self._file.write(text)
-
-    def close(self) -> None:
-        if self._file is not None and self.name != "-":
-            self._file.close()
+def _write_rows(name: str, rows) -> None:
+    """Write rows as JSON lines to stdout for -, else to the file name,
+    which main has claimed; the file is emptied only here."""
+    if name == "-":
+        return write_jsonl(sys.stdout, rows)
+    with _writing(name, open, name, "w", encoding="utf-8") as handle:
+        write_jsonl(handle, rows)
 
 
 def _load_config(args) -> RunConfig:
@@ -167,7 +160,7 @@ def lint(args):
         row["length"] = lexer.proof_length(linted.full_source)
         return row
 
-    write_jsonl(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
+    _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
 
 
 def _trace_path(workdir: Path, proof_id: str) -> Path:
@@ -255,13 +248,8 @@ def shorten(args):
     slots = [verifier, simplifier] + ([repairer] if repairer else [])
     traces = map_in_order(run_one, records, sum(backend.cfg.max_parallel for backend in slots))
 
-    befores, afters = [], []
-    for trace in traces:
-        for itrec in trace.iterations:
-            row = {"proof_id": trace.proof_id, **itrec.to_json()}
-            args.output.write(json.dumps(row, ensure_ascii=False) + "\n")
-        befores.append(trace.iterations[0].score_before)
-        afters.append(trace.iterations[-1].score_after)
+    befores = [trace.iterations[0].score_before for trace in traces]
+    afters = [trace.iterations[-1].score_after for trace in traces]
     reductions = [1 - a / b for a, b in zip(afters, befores) if b > 0]
     summary = {
         "summary": {
@@ -272,13 +260,15 @@ def shorten(args):
             "mean_reduction": sum(reductions) / len(reductions) if reductions else 0.0,
         }
     }
-    args.output.write(json.dumps(summary, ensure_ascii=False) + "\n")
+    rows = ({"proof_id": trace.proof_id, **itrec.to_json()}
+            for trace in traces for itrec in trace.iterations)
+    _write_rows(args.output, itertools.chain(rows, [summary]))
 
 
 def _sample_sets(rows) -> list[SampleSet]:
     sets = []
     for i, row in enumerate(rows):
-        what = f"sample record {typed_field(row, 'id', (str, int), 'sample record', default=i)!r}"
+        what = f"sample record {typed_field(row, 'id', str | int, 'sample record', default=i)!r}"
         original = typed_field(row, "original", int, what)
         scores = typed_field(row, "scores", list[int], what)
         valid = typed_field(row, "valid", list[bool], what)
@@ -287,16 +277,6 @@ def _sample_sets(rows) -> list[SampleSet]:
         except ValueError as exc:
             raise MalformedInput(f"{what}: {exc}") from None
     return sets
-
-
-def estimate(args):
-    """Dataset-mean min@k and red@k from per-proof sample files."""
-    from . import reports
-
-    rows = _rows(args.input)
-    if not rows:
-        raise ConfigError("empty input")
-    write_jsonl(args.output, reports.atk_table(_sample_sets(rows), sorted(args.ks)))
 
 
 def dataset_build(args):
@@ -311,14 +291,14 @@ def dataset_build(args):
         status = VerdictStatus.VALID if valid else VerdictStatus.INVALID
         iteration_results[record.id] = (record, None if valid is None else Verdict(status))
     ancestors = {
-        str(typed_field(row, "id", (str, int), "ancestry record")):
+        str(typed_field(row, "id", str | int, "ancestry record")):
             ProofRecord.from_json(typed_field(row, "ancestor", dict, "ancestry record"))
         for row in (_rows(args.ancestry) if args.ancestry else [])
     }
     pairs = training_data.build_expit_dataset(
         seed_records, iteration_results, ancestors, origin_iteration=args.iteration
     )
-    write_jsonl(args.output, (p.to_json() for p in pairs))
+    _write_rows(args.output, (p.to_json() for p in pairs))
 
 
 def dataset_filter_trivial(args):
@@ -328,7 +308,7 @@ def dataset_filter_trivial(args):
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
     kept, discarded = training_data.filter_trivial(_read_records(args.input), verifier)
-    write_jsonl(args.output, (r.to_json() for r in kept))
+    _write_rows(args.output, (r.to_json() for r in kept))
     print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 
 
@@ -337,7 +317,7 @@ def dataset_emit_sft(args):
     from . import training_data
 
     pairs = [training_data.SimplificationPair.from_json(row) for row in _rows(args.input)]
-    write_jsonl(args.output, training_data.emit_sft_records(pairs))
+    _write_rows(args.output, training_data.emit_sft_records(pairs))
 
 
 def reward(args):
@@ -361,7 +341,7 @@ def reward(args):
         except ValueError as exc:
             raise MalformedInput(f"{what}: {exc}") from None
         out.append(group.to_json())
-    write_jsonl(args.output, out)
+    _write_rows(args.output, out)
 
 
 def report(args):
@@ -399,16 +379,14 @@ def report(args):
             ]
             rep = reports.speedup_report(timings)
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a malformed row, or one out of float range
         raise MalformedInput(f"bad report input: {exc}") from None
-    # the files written: -o unless it is stdout (--gnuplot comes only with --csv)
-    _claim(name for name in (args.csv, args.gnuplot, args.output.name) if name and name != "-")
     if args.csv:
         rows = [t for t in table if len(t) == len(table[0])]
         _writing(args.csv, reports.write_csv, rows, args.csv)
         if args.gnuplot:
             _writing(args.gnuplot, reports.write_gnuplot_stub, args.csv, args.gnuplot)
-    write_jsonl(args.output, table)
+    _write_rows(args.output, table)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -422,16 +400,17 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", type=_dir_path)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def command(group, run, name=None, io=True):
-        """A subcommand calling run(args), with io an INPUT file and -o."""
-        doc = run.__doc__
+    def command(group, run, name=None, io=True, doc=None):
+        """A subcommand calling run(args), with io an INPUT file and -o; doc,
+        run's docstring by default, gives its help."""
+        doc = doc or run.__doc__
         sub = group.add_parser(
             name or run.__name__, help=doc.splitlines()[0], description=doc, allow_abbrev=False
         )
         sub.set_defaults(run=run)
         if io:
             sub.add_argument("input", metavar="INPUT", type=_readable_file)
-            sub.add_argument("-o", "--output", metavar="FILE", type=_Output, default="-")
+            sub.add_argument("-o", "--output", metavar="FILE", default="-")
         return sub
 
     sub = command(commands, length, io=False)
@@ -441,13 +420,15 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--schedule", help="e.g. 64x6,1024x2@1.5")
     sub.add_argument("--measure", choices=["length", "heartbeats"])
     sub.add_argument("--repair", choices=["on", "off"])
-    sub = command(commands, estimate)
+    sub = command(commands, report, "estimate", doc="Dataset-mean min@k and red@k from per-proof"
+                  " sample files.\n\nThe same as report --kind atk, without --csv.")
+    sub.set_defaults(kind="atk", csv=None, gnuplot=None)
     sub.add_argument("-k", dest="ks", type=int, action="append", required=True)
     dataset = commands.add_parser(
         "dataset", help="Build and serialize training datasets.", allow_abbrev=False
     ).add_subparsers(metavar="COMMAND", required=True)
     sub = command(dataset, dataset_build, "build", io=False)
-    sub.add_argument("-o", "--output", metavar="FILE", type=_Output, default="-")
+    sub.add_argument("-o", "--output", metavar="FILE", default="-")
     sub.add_argument("--seeds", type=_readable_file, required=True)
     sub.add_argument("--results", type=_readable_file, required=True)
     sub.add_argument("--ancestry", type=_readable_file)
@@ -479,8 +460,15 @@ def main(argv=None, standalone_mode=True) -> None:
     args = parser.parse_args(argv)
     if getattr(args, "gnuplot", None) and not args.csv:
         parser.error("--gnuplot needs --csv: the stub plots the csv file")
+    # the files the command writes: --csv, --gnuplot, and -o unless it is stdout
+    outputs = [getattr(args, "csv", None), getattr(args, "gnuplot", None)]
+    if getattr(args, "output", "-") != "-":
+        outputs.append(args.output)
+    created = []
     try:
+        _claim(outputs, created)
         args.run(args)
+        created.clear()  # the command finished: the files it created stay
     except ProofOptError as exc:
         code, message = 1, str(exc)
         if isinstance(exc, ConfigError):
@@ -493,8 +481,8 @@ def main(argv=None, standalone_mode=True) -> None:
         sys.stdout = None  # nothing is left to flush at exit
         raise SystemExit(1) from None
     finally:
-        if hasattr(args, "output"):
-            args.output.close()
+        for path in created:
+            path.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

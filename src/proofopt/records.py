@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import types
 import typing
@@ -53,7 +54,7 @@ class ProofRecord:
 
     @classmethod
     def from_json(cls, obj) -> "ProofRecord":
-        id = str(typed_field(obj, "id", (str, int), "proof record"))
+        id = str(typed_field(obj, "id", str | int, "proof record"))
         return from_json(cls, {**obj, "id": id}, f"proof record {id!r}")
 
 
@@ -76,11 +77,6 @@ _KIND_NAMES = {str: "a UTF-8 string", int: "an integer", float: "a number", bool
                list: "a list", dict: "a JSON object", type(None): "null"}
 
 
-def _kinds(kind) -> tuple:
-    """The alternatives of a tuple of kinds or of a union X | Y."""
-    return kind if isinstance(kind, tuple) else typing.get_args(kind)
-
-
 def _outer(kind):
     """The class of kind without its arguments: list for list[T], and dict
     for a dataclass, which a JSON object holds."""
@@ -90,20 +86,22 @@ def _outer(kind):
 
 def _is_kind(value, kind) -> bool:
     """Whether value, at its top level, is a JSON value of kind."""
-    if isinstance(kind, (tuple, types.UnionType)):
-        return any(_is_kind(value, k) for k in _kinds(kind))
+    if isinstance(kind, types.UnionType):
+        return any(_is_kind(value, k) for k in typing.get_args(kind))
     kind = _outer(kind)
     if issubclass(kind, Enum):
         return any(_is_kind(value, type(m.value)) and value == m.value for m in kind)
     if kind is str:  # JSON decodes a lone surrogate escape, which UTF-8 cannot encode
         return isinstance(value, str) and not re.search("[\ud800-\udfff]", value)
+    if isinstance(value, float) and not math.isfinite(value):  # NaN, Infinity, 1e309
+        return False
     accepted = (int, float) if kind is float else kind
     return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
 
 
 def _kind_name(kind) -> str:
-    if isinstance(kind, (tuple, types.UnionType)):
-        return " or ".join(map(_kind_name, _kinds(kind)))
+    if isinstance(kind, types.UnionType):
+        return " or ".join(map(_kind_name, typing.get_args(kind)))
     kind = _outer(kind)
     if issubclass(kind, Enum):
         return " or ".join(repr(m.value) for m in kind)
@@ -114,8 +112,8 @@ def _decode(value, kind, what: str, error, strict: bool):
     """value read as kind (see from_json), or raise error naming what and value."""
     if not _is_kind(value, kind):
         raise error(f"{what} must be {_kind_name(kind)}, not {value!r:.60}")
-    if isinstance(kind, (tuple, types.UnionType)):
-        kind = next(k for k in _kinds(kind) if _is_kind(value, k))
+    if isinstance(kind, types.UnionType):
+        kind = next(k for k in typing.get_args(kind) if _is_kind(value, k))
     args = typing.get_args(kind)
     if isinstance(value, list) and args:  # list[T]
         return [_decode(v, args[0], f"{what}[{i}]", error, strict) for i, v in enumerate(value)]
@@ -129,8 +127,8 @@ def _decode(value, kind, what: str, error, strict: bool):
 
 def typed_field(obj, key: str, kind, what: str, error=MalformedInput, default=_REQUIRED):
     """obj[key] read as kind, default if key is absent; else raise error
-    naming what, key and value. kind is a type hint that from_json reads, or
-    a tuple of them such as (str, int)."""
+    naming what, key and value. kind is a type hint that from_json reads,
+    such as str | int."""
     if not isinstance(obj, dict):
         raise error(f"{what} must be a JSON object, not {obj!r:.60}")
     if key not in obj:
@@ -156,9 +154,10 @@ def from_json(cls, obj, what: str, error=MalformedInput, strict=False):
     fit. A hint is str, int, float, bool, list, dict, X | None, list[T],
     dict[str, T], an Enum (read by value) or a dataclass (read by this
     function). Nothing is coerced: a bool is never a number, an int counts
-    as a float, and a string holding a lone surrogate is not a string. A
-    field with a default may be absent. With strict, a key that names no
-    field is an error, at every level; without it, such keys are ignored."""
+    as a float, NaN and the infinities are no number, and a string holding
+    a lone surrogate is not a string. A field with a default may be absent.
+    With strict, a key that names no field is an error, at every level;
+    without it, such keys are ignored."""
     if not isinstance(obj, dict):
         raise error(f"{what} must be a JSON object, not {obj!r:.60}")
     spec = _fields(cls)

@@ -4,6 +4,7 @@ repair-stage accounting, all serializable to CSV."""
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import asdict, dataclass
 
@@ -37,6 +38,8 @@ def corpus_stats(scores) -> CorpusStats:
         q1 = median = q3 = values[0]
     else:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if not all(map(math.isfinite, (q1, median, q3))):  # scores near the float range overflow
+        raise ValueError("quartiles of the scores overflow a float")
     return CorpusStats(
         n=len(values),
         min=int(min(values)),
@@ -85,7 +88,10 @@ def speedup_report(timings) -> SpeedupReport:
     for time_orig, time_new in timings:
         if time_orig <= 0 or time_new <= 0:
             raise ValueError("timings must be positive")
-        entries.append((time_orig, time_new, time_orig / time_new))
+        ratio = time_orig / time_new
+        if not math.isfinite(ratio):
+            raise ValueError(f"speedup ratio {ratio} is not finite")
+        entries.append((time_orig, time_new, ratio))
     if not entries:
         raise EmptyDataset("no timings")
     ratios = [r for _, _, r in entries]

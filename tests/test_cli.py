@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -609,6 +610,23 @@ def test_shorten_reply_without_completions_exit_code(runner, tmp_path, monkeypat
     assert result.exc_info[0] is SystemExit
 
 
+@pytest.mark.parametrize("timeout", [float("inf"), 1e10], ids=["infinite", "over-the-wait-limit"])
+def test_shorten_with_an_http_timeout_out_of_range_exits_2(runner, tmp_path, dead_url, timeout):
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "http_simplifier", "endpoint_url": dead_url, "timeout": timeout},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 2, result.output
+    assert result.exc_info[0] is SystemExit
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ") and "timeout" in line
+
+
 @pytest.mark.parametrize("template", ["lean '{file}", "true"], ids=["unbalanced-quote", "no-file"])
 def test_shorten_rejects_a_bad_command_template(runner, tmp_path, template):
     config = write_config(
@@ -916,6 +934,7 @@ SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
 SAMPLE = {"id": "s", "original": 9, "scores": [1, 2], "valid": [True, False]}
 GROUP = {**SEED, "candidates": [{"proof": long_proof(4), "valid": True}]}
 MOCK_VERIFIER = {"kind": "mock", "options": {"noop_tactics": ["skip"]}}
+TRUE_CHECKER = {"kind": "subprocess_verifier", "command_template": "true {file}"}
 ITERATION = {"index": 0, "k_requested": 1, "temperature": 1.0, "candidates": [], "adopted": None,
              "score_before": 9, "score_after": 9, "source_after": "theorem a : 1 = 1 := by\n  rfl"}
 
@@ -961,6 +980,18 @@ WRONG_TYPES = [
     pytest.param("length", {**SEED, "proof": "  rfl \ud800"}, 1, id="length-proof-surrogate"),
     pytest.param("reward", {**GROUP, "candidates": [{"proof": "\udfff", "valid": True}]}, 1,
                  id="reward-proof-surrogate"),
+    # JSON has no NaN or infinity, and a number out of float range ends in an error line
+    pytest.param("config", {"backends": {"verifier": {**TRUE_CHECKER, "timeout": float("nan")}}},
+                 2, id="timeout-nan"),
+    pytest.param("config", {"backends": {"verifier": {**TRUE_CHECKER, "timeout": 1e10}}},
+                 2, id="timeout-over-the-wait-limit"),
+    pytest.param("speedup", {"time_orig": float("nan"), "time_new": 1}, 1, id="speedup-time-nan"),
+    pytest.param("speedup", {"time_orig": 1e308, "time_new": 1e-308}, 1,
+                 id="speedup-ratio-infinite"),
+    pytest.param("corpus", [{"score": 1e308}, {"score": 1e308}], 1, id="corpus-mean-overflow"),
+    pytest.param("corpus", [{"score": 1e308}, {"score": 1}], 1, id="corpus-median-overflow"),
+    pytest.param("estimate", {"original": 10**400, "scores": [1, 2], "valid": [True, False]}, 1,
+                 id="estimate-original-overflow"),
 ]
 
 
@@ -968,7 +999,7 @@ def wrong_type_argv(tmp_path, command, data) -> list[str]:
     if command == "config":
         proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
         return ["--config", write_config(tmp_path, **data), "lint", proofs]
-    rows = write_jsonl_file(tmp_path, "in.jsonl", [data])
+    rows = write_jsonl_file(tmp_path, "in.jsonl", data if isinstance(data, list) else [data])
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
     return {
         "length": ["length", rows],
@@ -1235,3 +1266,124 @@ def test_failed_command_leaves_its_output_file_alone(runner, tmp_path):
         assert result.exit_code == 2
     assert existing.read_text() == "kept\n"
     assert not fresh.exists()
+
+
+def output_commands(parser=None, prefix=()) -> list[str]:
+    """Every subcommand that takes -o, read from the CLI's parser."""
+    found = []
+    for action in (parser or cli._parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += output_commands(sub, (*prefix, name))
+        elif "-o" in action.option_strings:
+            found.append(" ".join(prefix))
+    return found
+
+
+def output_argv(tmp_path, command) -> list[str]:
+    """A command line on which command succeeds, its -o not yet given."""
+    config = ["--config", write_config(tmp_path)]
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    samples = write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES)
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
+    results = write_jsonl_file(tmp_path, "results.jsonl",
+                               [{**SEED, "proof": long_proof(4), "valid": True}])
+    pairs = write_jsonl_file(tmp_path, "pairs.jsonl",
+                             [{"input": SEED, "output": {**SEED, "proof": long_proof(4)}}])
+    groups = write_jsonl_file(tmp_path, "groups.jsonl", [GROUP])
+    return {
+        "lint": [*config, "lint", proofs],
+        "shorten": [*config, "shorten", proofs],
+        "estimate": ["estimate", samples, "-k", "1"],
+        "dataset build": ["dataset", "build", "--seeds", seeds, "--results", results],
+        "dataset filter-trivial": [*config, "dataset", "filter-trivial", proofs],
+        "dataset emit-sft": ["dataset", "emit-sft", pairs],
+        "reward": ["reward", groups],
+        "report": ["report", samples, "--kind", "atk", "-k", "1", "--csv",
+                   str(tmp_path / "a.csv"), "--gnuplot", str(tmp_path / "a.gp")],
+    }[command]
+
+
+class RaisingSimplifier(MockSimplifier):
+    def _simplify(self, source, k, temperature):
+        raise AssertionError("a generator was called")
+
+
+@pytest.mark.parametrize("command", output_commands())
+def test_an_unwritable_output_fails_before_the_command_does_any_work(
+    runner, tmp_path, monkeypatch, command
+):
+    verifiers = []
+
+    def counted(cfg):
+        verifiers.append(MockVerifier(cfg))
+        return verifiers[-1]
+
+    monkeypatch.setattr(cli, "make_verifier", counted)
+    monkeypatch.setattr(cli, "make_simplifier", RaisingSimplifier)
+    argv = output_argv(tmp_path, command)
+    files = sorted(tmp_path.iterdir())
+    missing = tmp_path / "missing" / "x.jsonl"
+    result = runner.invoke(main, [*argv, "-o", str(missing)])
+    assert result.exit_code == 1, result.output
+    [line] = result.output.splitlines()
+    assert line.startswith(f"error: cannot write {missing}: ")
+    assert sorted(tmp_path.iterdir()) == files
+    assert sum(v.calls for v in verifiers) == 0
+
+    # with a writable -o, the same command line does its work
+    monkeypatch.setattr(cli, "make_simplifier", backends.make_simplifier)
+    output = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [*argv, "-o", str(output)])
+    assert result.exit_code == 0, result.output
+    assert output.is_file()
+    if "--config" in argv:
+        assert sum(v.calls for v in verifiers) > 0
+
+
+def test_a_backend_outage_removes_only_the_output_file_the_command_created(
+    runner, tmp_path, monkeypatch, dead_url
+):
+    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "mock"},
+            "simplifier": {"kind": "http_simplifier", "endpoint_url": dead_url, "retries": 2},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text("kept\n")
+    fresh = tmp_path / "fresh.jsonl"
+    for output in (existing, fresh):
+        result = runner.invoke(main, ["--config", config, "shorten", proofs, "-o", str(output)])
+        assert result.exit_code == 3, result.output
+    assert existing.read_text() == "kept\n"
+    assert not fresh.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_an_output_to_a_named_pipe_reaches_its_reader(tmp_path):
+    """A FIFO is not opened before the command writes, so its reader sees
+    no early end of file."""
+    src = Path(backends.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    samples = write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as handle:
+            got.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    out = subprocess.run(
+        [sys.executable, "-m", "proofopt.cli", "estimate", samples, "-k", "1", "-o", str(fifo)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    reader.join(10)
+    assert [json.loads(line)["k"] for line in got[0].splitlines()] == [1]

@@ -69,10 +69,15 @@ def test_runconfig_rejects_bad_json(tmp_path):
         {"backends": {"verifier": {"kind": "mock", "timeout": "abc"}}},
         {"backends": {"verifier": {"kind": "mock", "max_parallel": 2.5}}},
         {"backends": {"verifier": {"kind": "mock", "options": []}}},
+        {"backends": {"verifier": {"kind": "mock", "timeout": float("nan")}}},
+        {"backends": {"verifier": {"kind": "mock", "timeout": float("inf")}}},
+        {"backends": {"verifier": {"kind": "mock", "temperature": float("-inf")}}},
+        {"backends": {"verifier": {"kind": "mock", "timeout": 1e10}}},
     ],
     ids=["top-level-list", "workers-text", "seed-null", "schedule-number", "workdir-list",
          "negative-repair-budget", "backends-list", "backend-text", "timeout-text",
-         "max-parallel-float", "options-list"],
+         "max-parallel-float", "options-list", "timeout-nan", "timeout-infinite",
+         "temperature-infinite", "timeout-over-the-wait-limit"],
 )
 def test_runconfig_rejects_values_of_the_wrong_type(raw):
     with pytest.raises(ConfigError):
