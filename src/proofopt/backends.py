@@ -16,13 +16,14 @@ import subprocess
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from urllib.parse import unquote, urlsplit
 
-from . import prompting
-from .errors import BackendUnavailable, ConfigError
-from .records import typed_field
+from . import lexer, prompting
+from .errors import BackendUnavailable, ConfigError, NoProofDelimiter
+from .records import Measure, typed_field
 
 API_KEY_ENV = "PROOFOPT_API_KEY"
 
@@ -198,6 +199,71 @@ class Verifier:
             start = time.monotonic()
             verdict = self._verify(source, want_heartbeats)
             return replace(verdict, wall_time=time.monotonic() - start)
+
+
+class VerdictMemo:
+    """Remembers the conclusive verdicts of the checks made for one proof.
+
+    It is the one caller of Verifier.verify: every command checks through
+    memos, one per proof in shorten and one per record in lint and
+    filter-trivial. It is the one holder of the measure: it asks for
+    heartbeats on every check or on none, scores under the measure
+    (``check``), and keys on the source alone. Each text has one Future:
+    the first caller registers it and runs the check, and a concurrent
+    caller for the same text waits on it and gets the same verdict, so
+    concurrent requests never check one text twice. Only VALID and INVALID
+    verdicts are kept; a timeout, a crash or an exception is delivered to
+    everyone waiting and its entry dropped, so the text is checked again
+    when next asked for. A hit neither calls the verifier nor takes one of
+    its admission slots. Every proof has its own statement, so checks never
+    repeat across proofs and one memo per proof needs no size limit.
+    """
+
+    def __init__(self, verifier: Verifier, measure: Measure = Measure.TOKEN_LENGTH):
+        self.verifier = verifier
+        self.cfg = verifier.cfg
+        self.want_heartbeats = measure is Measure.HEARTBEATS
+        self._lock = threading.Lock()
+        self._verdicts: dict[str, Future] = {}
+
+    def verify(self, source: str) -> Verdict:
+        with self._lock:
+            future = self._verdicts.get(source)
+            owner = future is None
+            if owner:
+                future = self._verdicts[source] = Future()
+        if not owner:
+            return future.result()
+        try:
+            verdict = self.verifier.verify(source, self.want_heartbeats)
+        except BaseException as exc:
+            self._forget(source)
+            future.set_exception(exc)
+            raise
+        if verdict.status not in (VerdictStatus.VALID, VerdictStatus.INVALID):
+            self._forget(source)
+        future.set_result(verdict)
+        return verdict
+
+    def _forget(self, source: str) -> None:
+        with self._lock:
+            del self._verdicts[source]
+
+    def check(self, text: str) -> tuple[Verdict, int | None]:
+        """Verdict and score of a statement-plus-proof under the memo's measure."""
+        verdict = self.verify(text)
+        if self.want_heartbeats:
+            return verdict, verdict.heartbeats
+        try:
+            return verdict, lexer.proof_length(text)
+        except NoProofDelimiter:  # a completion that holds no proof body has no length
+            return verdict, None
+
+    def score_bound(self, text: str) -> int:
+        """The least score a check of text can give: its length under the
+        length measure, which the check does not change, and 0 under
+        heartbeats, which only the check counts."""
+        return 0 if self.want_heartbeats else lexer.proof_length(text)
 
 
 class SubprocessVerifier(Verifier):

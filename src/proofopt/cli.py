@@ -22,7 +22,8 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 from . import lexer
-from .backends import Verdict, VerdictStatus, make_repairer, make_simplifier, make_verifier
+from .backends import Verdict, VerdictMemo, VerdictStatus
+from .backends import make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
 from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
 from .errors import NoProofDelimiter
@@ -155,7 +156,7 @@ def lint(args):
     records = _read_records(args.input)
 
     def lint_one(record: ProofRecord) -> dict:
-        linted = lint_fixpoint(record, verifier)
+        linted = lint_fixpoint(record, VerdictMemo(verifier))
         row = linted.to_json()
         row["length"] = lexer.proof_length(linted.full_source)
         return row
@@ -231,7 +232,7 @@ def shorten(args):
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
 
             def sink(itrec):
-                handle.write(json.dumps(itrec.to_json(), ensure_ascii=False) + "\n")
+                write_jsonl(handle, [itrec.to_json()])
                 handle.flush()
 
         try:

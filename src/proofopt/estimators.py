@@ -27,6 +27,10 @@ class SampleSet:
             raise ValueError("a sample set needs at least one candidate")
         if self.original_score < 0 or any(s < 0 for s, _ in self.candidates):
             raise ValueError("scores must be nonnegative")
+        try:  # the one score that can overflow: every other is clipped or reverts to it
+            float(self.original_score)
+        except OverflowError:
+            raise ValueError("the original score does not fit in a float") from None
 
     @property
     def n(self) -> int:

@@ -1,10 +1,11 @@
-"""Dead-tactic removal driven by the checker's unused-tactic diagnostics."""
+"""Dead-tactic removal driven by the checker's unused-tactic diagnostics,
+checked through the caller's VerdictMemo."""
 
 from __future__ import annotations
 
 import re
 
-from .backends import Verdict, Verifier
+from .backends import VerdictMemo
 from .errors import NotValidInput
 from .records import ProofRecord
 
@@ -41,17 +42,12 @@ def _delete_span(lines: list[str], line_no: int, column: int, tactic: str) -> bo
     return True
 
 
-def lint_once(
-    record: ProofRecord, verifier: Verifier, verdict: Verdict | None = None
-) -> tuple[ProofRecord, int]:
+def lint_once(record: ProofRecord, memo: VerdictMemo) -> tuple[ProofRecord, int]:
     """One lint round: collect do-nothing diagnostics and delete each span.
 
-    ``verdict`` is the record's check, when the caller has already made it;
-    otherwise the round makes that check. The edited proof is not guaranteed
-    valid; the fixpoint loop re-verifies.
+    The edited proof is not guaranteed valid; the fixpoint loop re-verifies.
     """
-    if verdict is None:
-        verdict = verifier.verify(record.full_source)
+    verdict = memo.verify(record.full_source)
     if not verdict.ok:
         raise NotValidInput(f"proof {record.id!r} does not verify before linting")
     spans = []
@@ -74,22 +70,18 @@ def lint_once(
     return edited, removed
 
 
-def lint_fixpoint(record: ProofRecord, verifier: Verifier) -> ProofRecord:
+def lint_fixpoint(record: ProofRecord, memo: VerdictMemo) -> ProofRecord:
     """Repeat lint rounds until nothing is removed, at most MAX_ROUNDS.
 
     Each round makes one check: the check of a round's edit decides whether
-    the edit is kept, and its diagnostics drive the next round. If a round's
-    edits break the proof, that whole round is reverted and the loop stops,
-    so the result always verifies.
+    the edit is kept, and the next round's check of it is a memo hit. If a
+    round's edits break the proof, that whole round is reverted and the loop
+    stops, so the result always verifies.
     """
     current = record
-    verdict = None
     for _ in range(MAX_ROUNDS):
-        edited, removed = lint_once(current, verifier, verdict)
-        if removed == 0:
-            break
-        verdict = verifier.verify(edited.full_source)
-        if not verdict.ok:
+        edited, removed = lint_once(current, memo)
+        if removed == 0 or not memo.verify(edited.full_source).ok:
             break
         current = edited
     return current

@@ -12,7 +12,7 @@ import threading
 from . import lexer
 from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus, judge
 from .backends import Repairer, Simplifier, Verifier
-from .errors import ConfigError
+from .errors import ConfigError, NoProofDelimiter
 from .records import typed_field
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"
@@ -55,7 +55,7 @@ class MockVerifier(Verifier):
             self.calls += 1
         try:
             body = lexer.strip_comments(lexer.strip_statement(source))
-        except Exception:
+        except NoProofDelimiter:
             return judge((Diagnostic("error", 1, 0, "no proof body"),))
         token_lines = lexer.lex(body)
         flat = [t for line in token_lines for t in line if t]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lexer, prompting
-from .backends import Verdict, VerdictStatus, Verifier
+from .backends import Verdict, VerdictMemo, VerdictStatus, Verifier
 from .errors import MissingVerdict, ZeroOriginal
 from .records import ProofRecord, typed_field
 from .shortener import map_in_order
@@ -102,11 +102,12 @@ def filter_trivial(
 ) -> tuple[list[ProofRecord], list[ProofRecord]]:
     """Partition theorems, each in input order, by whether the automation
     cascade alone proves them, checking as many at once as the verifier
-    admits. Timeouts and crashes count as kept: not provable within budget."""
+    admits, each through its own VerdictMemo. Timeouts and crashes count as
+    kept: not provable within budget."""
 
     def trivial(theorem: ProofRecord) -> bool:
         probe = f"{AUTO_MACRO}\n\n{theorem.statement} := by\n  AUTO"
-        return verifier.verify(probe).status is VerdictStatus.VALID
+        return VerdictMemo(verifier).verify(probe).ok
 
     kept, discarded = [], []
     proven = map_in_order(trivial, theorems, verifier.cfg.max_parallel)

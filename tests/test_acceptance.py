@@ -15,7 +15,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import Verdict, VerdictStatus, extract_code_block
+from proofopt.backends import Verdict, VerdictMemo, VerdictStatus, extract_code_block
 from proofopt.estimators import (
     SampleSet,
     dataset_aggregate,
@@ -232,10 +232,10 @@ def test_criterion_linter():
             for _ in range(rng.randint(1, 6)):
                 lines.insert(rng.randrange(len(lines) + 1), "  " + rng.choice(noops))
             record = ProofRecord(id=f"l{i}", statement=f"theorem l{i} : 1 = 1", proof="\n".join(lines))
-            linted = lint_fixpoint(record, verifier)
+            linted = lint_fixpoint(record, VerdictMemo(verifier))
             tokens = {t for line in lexer.lex(linted.proof) for t in line}
             assert not tokens & set(noops)
-            assert lint_fixpoint(linted, verifier).full_source == linted.full_source
+            assert lint_fixpoint(linted, VerdictMemo(verifier)).full_source == linted.full_source
             assert lexer.proof_length(linted.full_source) <= lexer.proof_length(record.full_source)
 
 

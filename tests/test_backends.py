@@ -16,6 +16,7 @@ from proofopt.backends import (
     Diagnostic,
     HttpCompletionClient,
     SubprocessVerifier,
+    VerdictMemo,
     VerdictStatus,
     extract_code_block,
     format_error_report,
@@ -340,7 +341,7 @@ def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_pa
 def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):
     verifier = _line_checker_verifier(tmp_path)
     start = ProofRecord(id="t", statement="theorem t : 1 = 1", proof="  skip\n  rfl")
-    assert lint_fixpoint(start, verifier).proof == "  rfl"
+    assert lint_fixpoint(start, VerdictMemo(verifier)).proof == "  rfl"
 
 
 @pytest.fixture

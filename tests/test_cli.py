@@ -302,6 +302,52 @@ def test_lint_and_filter_trivial_of_an_empty_input_start_no_pool(
     assert not [line for line in result.output.splitlines() if line.startswith("{")]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["lint"], ["shorten", "--repair", "on"], ["dataset", "filter-trivial"]],
+    ids=["lint", "shorten-repair", "filter-trivial"],
+)
+def test_every_check_goes_through_a_verdict_memo(runner, tmp_path, monkeypatch, command):
+    """VerdictMemo.verify is the one caller of Verifier.verify: a check made
+    outside a memo's call, on any thread, is recorded."""
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", MORE_PROOFS)
+    # candidates that drop the line `key` fail, and their repairs lint away `skip`
+    config = slotted_config(tmp_path, 2, **{
+        "verifier": {"require_token": "key", "noop_tactics": ["skip"]},
+        "simplifier": {"mode": "drop_lines", "drop_probability": 0.85},
+        "repairer": {"mode": "shorter", "proof_body": "key\n  skip\n  ring"},
+    })
+    in_memo = threading.local()
+    checks, stray, fixpoints = [], [], []
+    memo_verify = backends.VerdictMemo.verify
+    verifier_verify = backends.Verifier.verify
+    lint_fixpoint = shortener.lint_fixpoint
+
+    def through_memo(self, source):
+        in_memo.on = True
+        try:
+            return memo_verify(self, source)
+        finally:
+            in_memo.on = False
+
+    def check(self, source, *args, **kwargs):
+        (checks if getattr(in_memo, "on", False) else stray).append(source)
+        return verifier_verify(self, source, *args, **kwargs)
+
+    def counted_fixpoint(*args, **kwargs):
+        fixpoints.append(args[0].id)
+        return lint_fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(backends.VerdictMemo, "verify", through_memo)
+    monkeypatch.setattr(backends.Verifier, "verify", check)
+    monkeypatch.setattr(shortener, "lint_fixpoint", counted_fixpoint)
+    result = runner.invoke(main, ["--config", config, *command, proofs])
+    assert result.exit_code == 0, result.output
+    assert checks and not stray
+    if "shorten" in command:
+        assert fixpoints  # the repair stage linted a fix
+
+
 def test_shorten_respects_schedule_and_seed_flags(runner, tmp_path):
     config = write_config(tmp_path)
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
@@ -990,8 +1036,8 @@ WRONG_TYPES = [
                  id="speedup-ratio-infinite"),
     pytest.param("corpus", [{"score": 1e308}, {"score": 1e308}], 1, id="corpus-mean-overflow"),
     pytest.param("corpus", [{"score": 1e308}, {"score": 1}], 1, id="corpus-median-overflow"),
-    pytest.param("estimate", {"original": 10**400, "scores": [1, 2], "valid": [True, False]}, 1,
-                 id="estimate-original-overflow"),
+    pytest.param("estimate", {"id": "s", "original": 10**400, "scores": [1, 2],
+                              "valid": [True, False]}, 1, id="estimate-original-overflow"),
 ]
 
 

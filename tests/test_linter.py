@@ -1,6 +1,7 @@
 import pytest
 
 from proofopt import lexer
+from proofopt.backends import VerdictMemo
 from proofopt.errors import NotValidInput
 from proofopt.linter import lint_fixpoint, lint_once
 from proofopt.mocks import MockVerifier
@@ -20,23 +21,23 @@ def record(proof: str) -> ProofRecord:
 
 def test_removes_flagged_tactic_lines():
     verifier = make_verifier()
-    linted, removed = lint_once(record("  skip\n  rfl"), verifier)
+    linted, removed = lint_once(record("  skip\n  rfl"), VerdictMemo(verifier))
     assert removed == 1
     assert linted.proof == "  rfl"
 
 
 def test_removes_multiple_per_round():
     verifier = make_verifier()
-    linted, removed = lint_once(record("  skip\n  rfl\n  ring_nf"), verifier)
+    linted, removed = lint_once(record("  skip\n  rfl\n  ring_nf"), VerdictMemo(verifier))
     assert removed == 2
     assert linted.proof == "  rfl"
 
 
 def test_combinator_removed_with_tactic():
     verifier = make_verifier()
-    linted, _ = lint_once(record("  rfl <;> skip"), verifier)
+    linted, _ = lint_once(record("  rfl <;> skip"), VerdictMemo(verifier))
     assert linted.proof == "  rfl"
-    linted, _ = lint_once(record("  skip <;> rfl"), verifier)
+    linted, _ = lint_once(record("  skip <;> rfl"), VerdictMemo(verifier))
     assert "<;>" not in linted.proof
     assert "rfl" in linted.proof
 
@@ -44,12 +45,13 @@ def test_combinator_removed_with_tactic():
 def test_rejects_invalid_input():
     verifier = make_verifier()
     with pytest.raises(NotValidInput):
-        lint_once(record("  FAIL"), verifier)
+        lint_once(record("  FAIL"), VerdictMemo(verifier))
 
 
 def test_fixpoint_removes_everything_flagged():
     verifier = make_verifier()
-    linted = lint_fixpoint(record("  skip\n  skip <;> skip\n  rfl\n  ring_nf"), verifier)
+    start = record("  skip\n  skip <;> skip\n  rfl\n  ring_nf")
+    linted = lint_fixpoint(start, VerdictMemo(verifier))
     assert "skip" not in linted.proof
     assert "ring_nf" not in linted.proof
     assert verifier.verify(linted.full_source).ok
@@ -57,15 +59,15 @@ def test_fixpoint_removes_everything_flagged():
 
 def test_fixpoint_idempotent():
     verifier = make_verifier()
-    once = lint_fixpoint(record("  skip\n  rfl"), verifier)
-    twice = lint_fixpoint(once, verifier)
+    once = lint_fixpoint(record("  skip\n  rfl"), VerdictMemo(verifier))
+    twice = lint_fixpoint(once, VerdictMemo(verifier))
     assert once.full_source == twice.full_source
 
 
 def test_fixpoint_never_lengthens():
     verifier = make_verifier()
     start = record("  skip\n  rfl <;> skip\n  ring_nf")
-    linted = lint_fixpoint(start, verifier)
+    linted = lint_fixpoint(start, VerdictMemo(verifier))
     assert lexer.proof_length(linted.full_source) <= lexer.proof_length(start.full_source)
 
 
@@ -74,7 +76,7 @@ def test_fixpoint_reverts_breaking_round():
     # the proof and the round must roll back
     verifier = make_verifier(noop_tactics=["rfl"], require_token="rfl")
     start = record("  rfl")
-    linted = lint_fixpoint(start, verifier)
+    linted = lint_fixpoint(start, VerdictMemo(verifier))
     assert linted.proof == "  rfl"
     assert verifier.verify(linted.full_source).ok
 
@@ -82,19 +84,19 @@ def test_fixpoint_reverts_breaking_round():
 def test_fixpoint_one_check_per_round():
     # first check flags `skip`; the edit's check finds nothing left to remove
     verifier = make_verifier()
-    linted = lint_fixpoint(record("  skip\n  rfl"), verifier)
+    linted = lint_fixpoint(record("  skip\n  rfl"), VerdictMemo(verifier))
     assert linted.proof == "  rfl"
     assert verifier.calls == 2
     # a breaking round is rolled back after its single check
     verifier = make_verifier(noop_tactics=["rfl"], require_token="rfl")
-    lint_fixpoint(record("  rfl"), verifier)
+    lint_fixpoint(record("  rfl"), VerdictMemo(verifier))
     assert verifier.calls == 2
 
 
 def test_fixpoint_round_bound():
     verifier = make_verifier()
     calls_before = verifier.calls
-    lint_fixpoint(record("  rfl"), verifier)
+    lint_fixpoint(record("  rfl"), VerdictMemo(verifier))
     # nothing flagged: a single lint round, no re-verification needed
     assert verifier.calls - calls_before == 1
 
