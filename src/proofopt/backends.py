@@ -17,13 +17,13 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from enum import Enum
 from urllib.parse import unquote, urlsplit
 
 from . import lexer, prompting
 from .errors import BackendUnavailable, ConfigError, NoProofDelimiter
-from .records import Measure, typed_field
+from .records import Measure, from_json
 
 API_KEY_ENV = "PROOFOPT_API_KEY"
 
@@ -385,15 +385,20 @@ class Repairer(Generator):
         return self._sample(prompt, 1, None)
 
 
+# What the client reads of a chat-completion reply body: choices[*].message.content.
+_Message = make_dataclass("_Message", [("content", str)])
+_Choice = make_dataclass("_Choice", [("message", _Message)])
+_Reply = make_dataclass("_Reply", [("choices", list[_Choice])])
+
+
 def _completions(reply: bytes) -> list[str] | None:
     """The message contents of a chat-completion reply body, or None when
     the body does not hold a string at every choices[*].message.content."""
     try:
-        choices = typed_field(json.loads(reply), "choices", list, "reply")
-        return [typed_field(typed_field(c, "message", dict, "choice"), "content", str, "message")
-                for c in choices]
-    except ValueError:  # not JSON, or a MalformedInput from typed_field
+        choices = from_json(_Reply, json.loads(reply), "reply").choices
+    except ValueError:  # not JSON, or a MalformedInput from from_json
         return None
+    return [choice.message.content for choice in choices]
 
 
 def _retry_after(value: str | None, default: float, cap: float) -> float:
@@ -502,7 +507,8 @@ class HttpCompletionClient:
     5xx replies and 2xx replies without completions are retried with
     doubling backoff, a 429 waiting the integer seconds of its Retry-After
     instead, but no longer than the backend's timeout; other replies of
-    status 300 and up, a redirect too, are not retried.
+    status 300 and up, a redirect too, are not retried. The API key is read
+    from the environment, and checked, when the client is built.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -516,6 +522,10 @@ class HttpCompletionClient:
             raise ConfigError(f"{cfg.kind} needs an http or https endpoint_url")
         if not url.isascii() or any(c.isspace() for c in url):
             raise ConfigError(f"endpoint_url {url!r} must be ASCII without spaces")
+        api_key = os.environ.get(API_KEY_ENV)
+        if api_key and not (api_key.isascii() and api_key.isprintable()):
+            raise ConfigError(f"{API_KEY_ENV} must be printable ASCII")
+        self._auth = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self.cfg = cfg
         self._https = parts.scheme == "https"
         hostport = parts.netloc.rpartition("@")[2]
@@ -613,12 +623,7 @@ class HttpCompletionClient:
             "n": n,
         }
         body = json.dumps(payload).encode()
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            if not (api_key.isascii() and api_key.isprintable()):
-                raise ConfigError(f"{API_KEY_ENV} must be printable ASCII")
-            headers["Authorization"] = f"Bearer {api_key}"
+        headers = {"Content-Type": "application/json", **self._auth}
         delay = 1.0
         last_error: Exception | None = None
         for attempt in range(self.cfg.retries):

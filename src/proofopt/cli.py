@@ -19,19 +19,20 @@ import json
 import sys
 # ThreadPoolExecutor stays importable here: bench/tracing.py patches it in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import lexer
-from .backends import Verdict, VerdictMemo, VerdictStatus
-from .backends import make_repairer, make_simplifier, make_verifier
+from .backends import VerdictMemo, make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
 from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
 from .errors import NoProofDelimiter
 # min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
-from .estimators import SampleSet, min_at_k, red_at_k  # noqa: F401
+from .estimators import min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
-from .records import Measure, ProofRecord, read_jsonl, typed_field, write_jsonl
-from .shortener import ShorteningTrace, iteration_from_json, map_in_order, shorten_loop
+from .records import Measure, ProofRecord, from_json, read_jsonl, write_jsonl
+from .shortener import SKIPPED_NOTE, ShorteningTrace, iteration_from_json, map_in_order
+from .shortener import shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -125,6 +126,23 @@ def _read_records(name: str) -> list[ProofRecord]:
     return [ProofRecord.from_json(row) for row in _rows(name)]
 
 
+def _indexed(cls, rows, what: str) -> list:
+    """Each row read as cls, named in an error by its id, else its index."""
+    return [from_json(cls, row, what, index=i) for i, row in enumerate(rows)]
+
+
+def _by_id(cls, name: str, what: str) -> dict:
+    """The rows of a file read as cls, by id in file order; an id given
+    twice is an input error."""
+    out = {}
+    for row in _rows(name):
+        row = from_json(cls, row, what)
+        if row.id in out:
+            raise MalformedInput(f"{name}: id {row.id!r} is given twice")
+        out[row.id] = row
+    return out
+
+
 def length(args):
     """Token length of each input proof.
 
@@ -150,16 +168,20 @@ def length(args):
 
 
 def lint(args):
-    """Remove do-nothing tactics from each proof until a fixpoint."""
+    """Remove do-nothing tactics from each proof until a fixpoint.
+
+    A proof that does not verify is written unchanged, with a note."""
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
     records = _read_records(args.input)
 
     def lint_one(record: ProofRecord) -> dict:
-        linted = lint_fixpoint(record, VerdictMemo(verifier))
-        row = linted.to_json()
-        row["length"] = lexer.proof_length(linted.full_source)
-        return row
+        memo = VerdictMemo(verifier)
+        # lint_fixpoint's first check is this one again, a memo hit
+        ok = memo.verify(record.full_source).ok
+        linted = lint_fixpoint(record, memo) if ok else record
+        row = {**linted.to_json(), "length": lexer.proof_length(linted.full_source)}
+        return row if ok else {**row, "note": SKIPPED_NOTE}
 
     _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
 
@@ -266,40 +288,24 @@ def shorten(args):
     _write_rows(args.output, itertools.chain(rows, [summary]))
 
 
-def _sample_sets(rows) -> list[SampleSet]:
-    sets = []
-    for i, row in enumerate(rows):
-        what = f"sample record {typed_field(row, 'id', str | int, 'sample record', default=i)!r}"
-        original = typed_field(row, "original", int, what)
-        scores = typed_field(row, "scores", list[int], what)
-        valid = typed_field(row, "valid", list[bool], what)
-        try:
-            sets.append(SampleSet(original, tuple(zip(scores, valid, strict=True))))
-        except ValueError as exc:
-            raise MalformedInput(f"{what}: {exc}") from None
-    return sets
-
-
 def dataset_build(args):
     """Pair seed proofs with their verified best simplifications."""
     from . import training_data
 
-    seed_records = _read_records(args.seeds)
-    iteration_results = {}
-    for row in _rows(args.results):
-        record = ProofRecord.from_json(row)
-        valid = typed_field(row, "valid", bool, f"result record {record.id!r}", default=None)
-        status = VerdictStatus.VALID if valid else VerdictStatus.INVALID
-        iteration_results[record.id] = (record, None if valid is None else Verdict(status))
-    ancestors = {
-        str(typed_field(row, "id", str | int, "ancestry record")):
-            ProofRecord.from_json(typed_field(row, "ancestor", dict, "ancestry record"))
-        for row in (_rows(args.ancestry) if args.ancestry else [])
-    }
+    seeds = _by_id(ProofRecord, args.seeds, "proof record")
+    results = _by_id(training_data.ResultRow, args.results, "result record")
+    ancestry = {}
+    if args.ancestry:
+        ancestry = _by_id(training_data.AncestryRow, args.ancestry, "ancestry record")
     pairs = training_data.build_expit_dataset(
-        seed_records, iteration_results, ancestors, origin_iteration=args.iteration
+        list(seeds.values()),
+        # a pair holds the candidate as a proof record, without its flag
+        {id: (ProofRecord(id, r.statement, r.proof, r.source_tag), r.valid)
+         for id, r in results.items()},
+        {id: row.ancestor for id, row in ancestry.items()},
+        origin_iteration=args.iteration,
     )
-    _write_rows(args.output, (p.to_json() for p in pairs))
+    _write_rows(args.output, map(asdict, pairs))
 
 
 def dataset_filter_trivial(args):
@@ -317,7 +323,9 @@ def dataset_emit_sft(args):
     """Serialize simplification pairs as prompt/completion records."""
     from . import training_data
 
-    pairs = [training_data.SimplificationPair.from_json(row) for row in _rows(args.input)]
+    pairs = [
+        from_json(training_data.SimplificationPair, row, "pair record") for row in _rows(args.input)
+    ]
     _write_rows(args.output, training_data.emit_sft_records(pairs))
 
 
@@ -327,20 +335,17 @@ def reward(args):
 
     out = []
     for row in _rows(args.input):
-        original = ProofRecord.from_json(row)
-        what = f"reward record {original.id!r}"
-        candidates = []
-        for j, c in enumerate(typed_field(row, "candidates", list, what)):
-            cand = f"{what} candidate {j}"
-            body = typed_field(c, "proof", str, cand)
-            proof = ProofRecord(f"{original.id}#{j}", original.statement, body)
-            candidates.append((proof, typed_field(c, "valid", bool, cand)))
+        original = from_json(training_data.RewardRow, row, "reward record")
+        candidates = [
+            (ProofRecord(f"{original.id}#{j}", original.statement, c.proof), c.valid)
+            for j, c in enumerate(original.candidates)
+        ]
         try:
             group = training_data.compute_rewards(
                 original, candidates, positive_shortening=not args.literal_sign
             )
         except ValueError as exc:
-            raise MalformedInput(f"{what}: {exc}") from None
+            raise MalformedInput(f"reward record {original.id!r}: {exc}") from None
         out.append(group.to_json())
     _write_rows(args.output, out)
 
@@ -354,31 +359,28 @@ def report(args):
         raise ConfigError("empty input")
     try:
         if args.kind == "corpus":
-            scores = []
-            for i, row in enumerate(rows):
-                score = typed_field(row, "score", float, f"corpus record {i}", default=None)
-                if score is None:
-                    score = lexer.proof_length(ProofRecord.from_json(row).full_source)
-                scores.append(score)
+            scores = [
+                lexer.proof_length(ProofRecord.from_json(row).full_source)
+                if scored.score is None else scored.score
+                for row, scored in zip(rows, _indexed(reports.CorpusRow, rows, "corpus record"))
+            ]
             table = [reports.corpus_stats(scores).as_row()]
         elif args.kind == "atk":
             if not args.ks:
                 raise ConfigError("--kind atk needs at least one -k")
-            table = reports.atk_table(_sample_sets(rows), sorted(args.ks))
+            samples = [row.samples for row in _indexed(reports.SampleRow, rows, "sample record")]
+            table = reports.atk_table(samples, sorted(args.ks))
         elif args.kind == "repair":
-            iterations = []
-            for i, row in enumerate(rows):
-                typed_field(row, "proof_id", str, f"trace row {i}", default="")
-                if "summary" not in row:
-                    iterations.append(iteration_from_json(row))
+            # the summary row that ends shorten's output holds no iteration
+            iterations = [
+                from_json(reports.TraceRow, row, "trace row", index=i)
+                for i, row in enumerate(rows)
+                if not isinstance(row, dict) or "summary" not in row
+            ]
             table = [reports.repair_accounting(iterations)]
         else:
-            timings = [
-                (typed_field(row, "time_orig", float, f"speedup record {i}"),
-                 typed_field(row, "time_new", float, f"speedup record {i}"))
-                for i, row in enumerate(rows)
-            ]
-            rep = reports.speedup_report(timings)
+            timings = _indexed(reports.SpeedupRow, rows, "speedup record")
+            rep = reports.speedup_report(map(astuple, timings))
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
     except (ValueError, ArithmeticError) as exc:  # a malformed row, or one out of float range
         raise MalformedInput(f"bad report input: {exc}") from None

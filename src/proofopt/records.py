@@ -54,8 +54,7 @@ class ProofRecord:
 
     @classmethod
     def from_json(cls, obj) -> "ProofRecord":
-        id = str(typed_field(obj, "id", str | int, "proof record"))
-        return from_json(cls, {**obj, "id": id}, f"proof record {id!r}")
+        return from_json(cls, obj, "proof record")
 
 
 def read_jsonl(stream) -> list[dict]:
@@ -72,7 +71,6 @@ def read_jsonl(stream) -> list[dict]:
     return out
 
 
-_REQUIRED = object()
 _KIND_NAMES = {str: "a UTF-8 string", int: "an integer", float: "a number", bool: "true or false",
                list: "a list", dict: "a JSON object", type(None): "null"}
 
@@ -125,19 +123,6 @@ def _decode(value, kind, what: str, error, strict: bool):
     return kind(value) if issubclass(kind, Enum) else value
 
 
-def typed_field(obj, key: str, kind, what: str, error=MalformedInput, default=_REQUIRED):
-    """obj[key] read as kind, default if key is absent; else raise error
-    naming what, key and value. kind is a type hint that from_json reads,
-    such as str | int."""
-    if not isinstance(obj, dict):
-        raise error(f"{what} must be a JSON object, not {obj!r:.60}")
-    if key not in obj:
-        if default is _REQUIRED:
-            raise error(f"{what} missing field {key!r}")
-        return default
-    return _decode(obj[key], kind, f"{what} {key}", error, strict=False)
-
-
 @functools.cache
 def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
     """(name, type hint, required) of each field of dataclass cls."""
@@ -148,28 +133,39 @@ def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
     )
 
 
-def from_json(cls, obj, what: str, error=MalformedInput, strict=False):
+def from_json(cls, obj, what: str, error=MalformedInput, strict=False, index=None):
     """The dataclass cls built from the JSON object obj, each field read at
     its type hint; raise error naming what for the first value that does not
     fit. A hint is str, int, float, bool, list, dict, X | None, list[T],
     dict[str, T], an Enum (read by value) or a dataclass (read by this
     function). Nothing is coerced: a bool is never a number, an int counts
     as a float, NaN and the infinities are no number, and a string holding
-    a lone surrogate is not a string. A field with a default may be absent.
-    With strict, a key that names no field is an error, at every level;
-    without it, such keys are ignored."""
+    a lone surrogate is not a string. A field with a default may be absent,
+    and only the hint says what it may hold: ``bool = None`` is never null.
+    A field named id, a string or an integer, is stored as a string and
+    names the row in every later error, as ``what 'id'``; until then an
+    error names it ``what index`` when an index is given. A ValueError from
+    ``__post_init__`` is raised as error too. With strict, a key that names
+    no field is an error, at every level; without it, such keys are ignored."""
+    name = what if index is None else f"{what} {index}"
     if not isinstance(obj, dict):
-        raise error(f"{what} must be a JSON object, not {obj!r:.60}")
+        raise error(f"{name} must be a JSON object, not {obj!r:.60}")
     spec = _fields(cls)
-    if strict and (unknown := obj.keys() - {name for name, _, _ in spec}):
-        raise error(f"{what} has unknown keys: {sorted(unknown)}")
+    if strict and (unknown := obj.keys() - {key for key, _, _ in spec}):
+        raise error(f"{name} has unknown keys: {sorted(unknown)}")
     values = {}
-    for name, hint, required in spec:
-        if name in obj:
-            values[name] = _decode(obj[name], hint, f"{what} {name}", error, strict)
+    for key, hint, required in spec:
+        if key == "id" and key in obj:
+            values[key] = str(_decode(obj[key], str | int, f"{name} id", error, strict))
+            name = f"{what} {values[key]!r}"
+        elif key in obj:
+            values[key] = _decode(obj[key], hint, f"{name} {key}", error, strict)
         elif required:
-            raise error(f"{what} missing field {name!r}")
-    return cls(**values)
+            raise error(f"{name} missing field {key!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise error(f"{name}: {exc}") from None
 
 
 def write_jsonl(stream, objects) -> None:

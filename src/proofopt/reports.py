@@ -14,6 +14,34 @@ from .estimators import SampleSet, dataset_aggregate, effective_scores, min_at_k
 from .shortener import SKIPPED_NOTE, IterationRecord
 
 
+# The input row of each report kind, read by records.from_json.
+@dataclass
+class CorpusRow:
+    score: float = None  # without a score the row is a proof record, scored by its length
+
+
+@dataclass(kw_only=True)
+class SampleRow:
+    id: str = None
+    original: int
+    scores: list[int]
+    valid: list[bool]
+
+    def __post_init__(self):  # from_json names the row in a ValueError from SampleSet
+        self.samples = SampleSet(self.original, tuple(zip(self.scores, self.valid, strict=True)))
+
+
+@dataclass
+class SpeedupRow:
+    time_orig: float
+    time_new: float
+
+
+@dataclass
+class TraceRow(IterationRecord):  # an iteration row of shorten's output
+    proof_id: str = ""
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     n: int

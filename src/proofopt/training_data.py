@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lexer, prompting
-from .backends import Verdict, VerdictMemo, VerdictStatus, Verifier
+from .backends import VerdictMemo, Verifier
 from .errors import MissingVerdict, ZeroOriginal
-from .records import ProofRecord, typed_field
+from .records import ProofRecord
 from .shortener import map_in_order
 
 LENGTH_RATIO = 0.8
@@ -35,29 +35,36 @@ AUTO_MACRO = """macro "AUTO" : tactic =>
        try aesop))"""
 
 
+# The rows of dataset build, dataset emit-sft and reward, read by
+# records.from_json; asdict writes a SimplificationPair.
 @dataclass(frozen=True)
 class SimplificationPair:
-    input_proof: ProofRecord
-    output_proof: ProofRecord
-    origin_iteration: int
+    input: ProofRecord
+    output: ProofRecord
+    iteration: int = 0
     transitive: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "input": self.input_proof.to_json(),
-            "output": self.output_proof.to_json(),
-            "iteration": self.origin_iteration,
-            "transitive": self.transitive,
-        }
 
-    @classmethod
-    def from_json(cls, obj) -> "SimplificationPair":
-        return cls(
-            input_proof=ProofRecord.from_json(typed_field(obj, "input", dict, "pair record")),
-            output_proof=ProofRecord.from_json(typed_field(obj, "output", dict, "pair record")),
-            origin_iteration=typed_field(obj, "iteration", int, "pair record", default=0),
-            transitive=typed_field(obj, "transitive", bool, "pair record", default=False),
-        )
+@dataclass
+class ResultRow(ProofRecord):  # a seed's best candidate
+    valid: bool = None  # absent when it was not checked
+
+
+@dataclass
+class AncestryRow:  # ancestor precedes id, so an error names no row
+    ancestor: ProofRecord
+    id: str
+
+
+@dataclass
+class RewardCandidate:
+    proof: str
+    valid: bool
+
+
+@dataclass(kw_only=True)
+class RewardRow(ProofRecord):
+    candidates: list[RewardCandidate]
 
 
 def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) -> bool:
@@ -69,23 +76,24 @@ def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) ->
 
 def build_expit_dataset(
     seed_proofs: list[ProofRecord],
-    iteration_results: dict[str, tuple[ProofRecord, Verdict | None]],
+    iteration_results: dict[str, tuple[ProofRecord, bool | None]],
     ancestry: dict[str, ProofRecord] | None = None,
     origin_iteration: int = 0,
 ) -> list[SimplificationPair]:
     """Emit (input, output) pairs for proofs whose best candidate passed the
     length filter, plus a transitive pair against the original ancestor when
-    the input was itself the product of an earlier round.
+    the input was itself the product of an earlier round. Each result is the
+    best candidate and whether it verified, None when it was not checked.
     """
     ancestry = ancestry or {}
     pairs = []
     for proof in seed_proofs:
         if proof.id not in iteration_results:
             continue
-        best, verdict = iteration_results[proof.id]
-        if verdict is None:
+        best, valid = iteration_results[proof.id]
+        if valid is None:
             raise MissingVerdict(f"candidate for {proof.id!r} has no verdict")
-        if verdict.status is not VerdictStatus.VALID:
+        if not valid:
             raise MissingVerdict(f"candidate for {proof.id!r} did not verify")
         if not passes_length_filter(proof, best):
             continue
@@ -184,17 +192,17 @@ def emit_sft_records(pairs: list[SimplificationPair]):
     both sides without re-parsing the prompt.
     """
     for pair in pairs:
-        prompt = prompting.render("simplify", statement=pair.input_proof.full_source)
-        completion = f"```lean4\n{pair.output_proof.full_source}\n```"
+        prompt = prompting.render("simplify", statement=pair.input.full_source)
+        completion = f"```lean4\n{pair.output.full_source}\n```"
         yield {
             "prompt": prompt,
             "completion": completion,
             "meta": {
-                "input_id": pair.input_proof.id,
-                "output_id": pair.output_proof.id,
-                "iteration": pair.origin_iteration,
+                "input_id": pair.input.id,
+                "output_id": pair.output.id,
+                "iteration": pair.iteration,
                 "transitive": pair.transitive,
-                "input_source": pair.input_proof.full_source,
-                "output_source": pair.output_proof.full_source,
+                "input_source": pair.input.full_source,
+                "output_source": pair.output.full_source,
             },
         }

@@ -15,7 +15,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import Verdict, VerdictMemo, VerdictStatus, extract_code_block
+from proofopt.backends import VerdictMemo, extract_code_block
 from proofopt.estimators import (
     SampleSet,
     dataset_aggregate,
@@ -282,7 +282,7 @@ def test_criterion_expit_dataset():
             seeds.append(seed)
             short = "\n".join("  rfl" for _ in range(rng.randint(1, 30)))
             best = ProofRecord(id=f"d{i}'", statement=seed.statement, proof=short)
-            results[seed.id] = (best, Verdict(VerdictStatus.VALID))
+            results[seed.id] = (best, True)
             if rng.random() < 0.4:
                 ancestry[seed.id] = ProofRecord(
                     id=f"d{i}~", statement=seed.statement, proof=long + "\n  ring\n  ring"
@@ -290,14 +290,14 @@ def test_criterion_expit_dataset():
         pairs = build_expit_dataset(seeds, results, ancestry)
 
         for pair in pairs:
-            len_in = reference_proof_length(pair.input_proof.full_source)
-            len_out = reference_proof_length(pair.output_proof.full_source)
+            len_in = reference_proof_length(pair.input.full_source)
+            len_out = reference_proof_length(pair.output.full_source)
             assert len_out <= LENGTH_RATIO * len_in
-            _, verdict = results[pair.output_proof.id.rstrip("'")]
-            assert verdict.status is VerdictStatus.VALID
+            _, valid = results[pair.output.id.rstrip("'")]
+            assert valid is True
 
-        direct = {p.input_proof.id for p in pairs if not p.transitive}
-        transitive = {p.input_proof.id.rstrip("~") for p in pairs if p.transitive}
+        direct = {p.input.id for p in pairs if not p.transitive}
+        transitive = {p.input.id.rstrip("~") for p in pairs if p.transitive}
         for seed in seeds:
             best, _ = results[seed.id]
             qualifies = (
@@ -316,10 +316,10 @@ def test_criterion_expit_dataset():
 
         for pair, record in zip(pairs, emit_sft_records(pairs)):
             serialized = json.loads(json.dumps(record, ensure_ascii=False))
-            assert serialized["meta"]["input_source"] == pair.input_proof.full_source
-            assert serialized["meta"]["output_source"] == pair.output_proof.full_source
-            assert extract_code_block(serialized["completion"]) == pair.output_proof.full_source
-            assert pair.input_proof.full_source in serialized["prompt"]
+            assert serialized["meta"]["input_source"] == pair.input.full_source
+            assert serialized["meta"]["output_source"] == pair.output.full_source
+            assert extract_code_block(serialized["completion"]) == pair.output.full_source
+            assert pair.input.full_source in serialized["prompt"]
 
 
 # --- 8. reward groups ---------------------------------------------------------

@@ -100,6 +100,29 @@ def test_lint_command(runner, tmp_path):
     assert rows[0]["length"] == 10
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_lint_writes_a_record_that_does_not_verify_unchanged_with_a_note(
+    runner, tmp_path, to_file
+):
+    verifier = {"kind": "mock", "options": {"noop_tactics": ["skip"], "require_token": "norm_num"}}
+    config = write_config(tmp_path, backends={"verifier": verifier})
+    records = [
+        {"id": "a", "statement": "theorem a : 1 = 1", "proof": "  norm_num\n  skip"},
+        {"id": "b", "statement": "theorem b : 1 = 1", "proof": "  rfl\n  skip"},
+        {"id": "c", "statement": "theorem c : 2 = 2", "proof": "  skip\n  norm_num"},
+    ]
+    argv = ["--config", config, "lint", write_jsonl_file(tmp_path, "in.jsonl", records)]
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, argv + (["-o", str(out)] if to_file else []))
+    assert result.exit_code == 0, result.output
+    written = out.read_text() if to_file else result.output
+    rows = [json.loads(line) for line in written.splitlines()]
+    assert [row["id"] for row in rows] == ["a", "b", "c"]
+    assert [row["proof"] for row in rows] == ["  norm_num", "  rfl\n  skip", "  norm_num"]
+    assert rows[1]["note"] == shortener.SKIPPED_NOTE
+    assert "note" not in rows[0] and "note" not in rows[2]
+
+
 def test_lint_needs_verifier_config(runner, tmp_path):
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
     result = runner.invoke(main, ["lint", proofs])
@@ -640,6 +663,26 @@ def test_shorten_repairer_outage_exit_code(runner, tmp_path, monkeypatch, dead_u
     assert "Traceback" not in result.output
 
 
+def test_a_malformed_api_key_exits_2_before_any_backend_call(
+    runner, tmp_path, monkeypatch, endpoint
+):
+    monkeypatch.setenv(backends.API_KEY_ENV, "sekrit\r\nX-Injected: 1")
+    log = tmp_path / "checks.log"
+    checker = f"sh -c 'echo {{file}} >> {log}'"
+    config = write_config(
+        tmp_path,
+        backends={
+            "verifier": {"kind": "subprocess_verifier", "command_template": checker},
+            "simplifier": {"kind": "http_simplifier", "endpoint_url": endpoint.url},
+        },
+    )
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 2
+    assert result.output == f"error: {backends.API_KEY_ENV} must be printable ASCII\n"
+    assert not log.exists() and endpoint.requests == []
+
+
 def test_shorten_reply_without_completions_exit_code(runner, tmp_path, monkeypatch, endpoint):
     monkeypatch.setattr(backends.time, "sleep", lambda s: None)
     endpoint.replies = [(200, {}, {})]
@@ -960,6 +1003,22 @@ def test_reward_rejects_a_group_without_candidates(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("option", ["--seeds", "--results", "--ancestry"])
+def test_dataset_build_refuses_an_id_given_twice(runner, tmp_path, option):
+    record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
+    result_row = {**record, "proof": long_proof(4), "valid": True}
+    ancestry_row = {"id": "a", "ancestor": record}
+    rows = {"--seeds": [record], "--results": [result_row], "--ancestry": [ancestry_row]}
+    rows[option] = rows[option] * 2
+    argv = ["dataset", "build"]
+    for name, file_rows in rows.items():
+        argv += [name, write_jsonl_file(tmp_path, name.strip("-") + ".jsonl", file_rows)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ") and "'a'" in line and option.strip("-") + ".jsonl" in line
+
+
 @pytest.mark.parametrize("missing", ["ancestor", "id"])
 def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missing):
     record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
@@ -979,6 +1038,8 @@ def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missin
 SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
 SAMPLE = {"id": "s", "original": 9, "scores": [1, 2], "valid": [True, False]}
 GROUP = {**SEED, "candidates": [{"proof": long_proof(4), "valid": True}]}
+PAIR = {"input": SEED, "output": {**SEED, "proof": long_proof(4)}, "iteration": 0,
+        "transitive": False}
 MOCK_VERIFIER = {"kind": "mock", "options": {"noop_tactics": ["skip"]}}
 TRUE_CHECKER = {"kind": "subprocess_verifier", "command_template": "true {file}"}
 ITERATION = {"index": 0, "k_requested": 1, "temperature": 1.0, "candidates": [], "adopted": None,
@@ -1011,6 +1072,13 @@ WRONG_TYPES = [
                  id="reward-valid-text"),
     pytest.param("reward", {**GROUP, "candidates": [{"proof": 4, "valid": True}]}, 1,
                  id="reward-proof-number"),
+    pytest.param("reward", {**GROUP, "candidates": [5]}, 1, id="reward-candidate-number"),
+    pytest.param("emit-sft", {**PAIR, "iteration": "0"}, 1, id="emit-sft-iteration-text"),
+    pytest.param("emit-sft", {**PAIR, "transitive": "no"}, 1, id="emit-sft-transitive-text"),
+    pytest.param("emit-sft", {**PAIR, "input": 5}, 1, id="emit-sft-input-number"),
+    pytest.param("ancestry", {"id": None, "ancestor": SEED}, 1, id="ancestry-id-null"),
+    # ancestor is read before id, so an ancestry error names no row: this row has no id
+    pytest.param("ancestry", {"ancestor": 5}, 1, id="ancestry-ancestor-number"),
     pytest.param("dataset build", {**SEED, "proof": long_proof(4), "valid": "no"}, 1,
                  id="build-valid-text"),
     pytest.param("length", {**SEED, "proof": None}, 1, id="length-proof-null"),
@@ -1056,6 +1124,8 @@ def wrong_type_argv(tmp_path, command, data) -> list[str]:
         "repair": ["report", "--kind", "repair", rows],
         "reward": ["reward", rows],
         "dataset build": ["dataset", "build", "--seeds", seeds, "--results", rows],
+        "emit-sft": ["dataset", "emit-sft", rows],
+        "ancestry": ["dataset", "build", "--seeds", seeds, "--results", seeds, "--ancestry", rows],
     }[command]
 
 

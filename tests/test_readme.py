@@ -1,0 +1,37 @@
+"""The README's examples hold. Its fenced snippets are extracted and run: a
+plain doctest of README.md would read each closing fence as expected output."""
+
+import doctest
+import json
+import re
+from pathlib import Path
+
+from proofopt.config import RunConfig
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def snippets(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+
+
+def test_readme_config_reads_as_a_run_config():
+    [block] = snippets("json")
+    cfg = RunConfig.from_json(json.loads(block))
+    assert sorted(cfg.backends) == ["repairer", "simplifier", "verifier"]
+    assert cfg.backend("verifier").max_parallel == 8
+
+
+def test_readme_python_examples_give_the_values_they_show():
+    doctests, statements = [], []
+    for block in snippets("python"):
+        (doctests if block.startswith(">>>") else statements).append(block)
+    assert len(doctests) == 1 and len(statements) == 1
+    test = doctest.DocTestParser().get_doctest(doctests[0], {}, "README", "README.md", 0)
+    assert doctest.DocTestRunner().run(test) == (0, 2)  # the import and the call, no failure
+    # the last line is an expression and a comment with the start of its value
+    *setup, last = statements[0].strip().splitlines()
+    expression, _, shown = last.partition("#")
+    scope = {}
+    exec("\n".join(setup), scope)
+    assert repr(eval(expression, scope)).startswith(shown.strip().rstrip("."))

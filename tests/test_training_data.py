@@ -31,8 +31,7 @@ def rec(id, proof):
     return ProofRecord(id=id, statement=f"theorem {id} : 1 = 1", proof=proof)
 
 
-VALID = Verdict(VerdictStatus.VALID)
-INVALID = Verdict(VerdictStatus.INVALID)
+VALID, INVALID = True, False  # a result's valid flag
 
 
 def proof_of_length(id, n):
@@ -53,7 +52,7 @@ def test_build_dataset_filters_and_pairs():
         "b": (proof_of_length("b'", 9), VALID),  # misses the ratio, dropped
     }
     pairs = build_expit_dataset(seeds, results)
-    assert [(p.input_proof.id, p.output_proof.id) for p in pairs] == [("a", "a'")]
+    assert [(p.input.id, p.output.id) for p in pairs] == [("a", "a'")]
     assert not pairs[0].transitive
 
 
@@ -72,7 +71,7 @@ def test_build_dataset_transitive_pairs():
     pairs = build_expit_dataset([seed], {"a": (best, VALID)}, {"a": ancestor})
     assert len(pairs) == 2
     assert pairs[1].transitive
-    assert pairs[1].input_proof is ancestor
+    assert pairs[1].input is ancestor
     # no transitive pair when the "ancestor" is just the seed itself
     pairs = build_expit_dataset([seed], {"a": (best, VALID)}, {"a": seed})
     assert len(pairs) == 1
@@ -179,17 +178,17 @@ def test_rewards_random_groups_sum_to_zero():
 
 def test_emit_sft_round_trip():
     pair = SimplificationPair(
-        input_proof=proof_of_length("a", 10),
-        output_proof=proof_of_length("b", 4),
-        origin_iteration=2,
+        input=proof_of_length("a", 10),
+        output=proof_of_length("b", 4),
+        iteration=2,
         transitive=True,
     )
     (record,) = list(emit_sft_records([pair]))
-    assert pair.input_proof.full_source in record["prompt"]
-    assert extract_code_block(record["completion"]) == pair.output_proof.full_source
+    assert pair.input.full_source in record["prompt"]
+    assert extract_code_block(record["completion"]) == pair.output.full_source
     meta = json.loads(json.dumps(record["meta"]))
-    assert meta["input_source"] == pair.input_proof.full_source
-    assert meta["output_source"] == pair.output_proof.full_source
+    assert meta["input_source"] == pair.input.full_source
+    assert meta["output_source"] == pair.output.full_source
     assert meta["iteration"] == 2 and meta["transitive"]
 
 
