@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import lexer
-from .backends import VerdictMemo, make_repairer, make_simplifier, make_verifier
+from .backends import VerdictMemo, VerdictStatus, make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
 from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
 from .errors import NoProofDelimiter
@@ -131,15 +131,32 @@ def _indexed(cls, rows, what: str) -> list:
     return [from_json(cls, row, what, index=i) for i, row in enumerate(rows)]
 
 
-def _by_id(cls, name: str, what: str) -> dict:
-    """The rows of a file read as cls, by id in file order; an id given
-    twice is an input error."""
+def _records_by_id(name: str, what: str) -> dict[str, ProofRecord]:
+    """The proof records of a file by id, in file order; an id given twice
+    is an input error."""
     out = {}
     for row in _rows(name):
-        row = from_json(cls, row, what)
-        if row.id in out:
-            raise MalformedInput(f"{name}: id {row.id!r} is given twice")
-        out[row.id] = row
+        record = from_json(ProofRecord, row, what)
+        if record.id in out:
+            raise MalformedInput(f"{name}: id {record.id!r} is given twice")
+        out[record.id] = record
+    return out
+
+
+def _trace_rows(rows: list, named: bool = False) -> list:
+    """The iteration rows among rows, shorten's output, each read as
+    reports.TraceRow and named in an error by its index; the summary row
+    that ends the output is skipped. With named, a row without a proof_id
+    is an input error."""
+    from . import reports
+
+    out = []
+    for i, row in enumerate(rows):
+        if isinstance(row, dict) and "summary" in row:
+            continue
+        out.append(from_json(reports.TraceRow, row, "trace row", index=i))
+        if named and out[-1].proof_id is None:
+            raise MalformedInput(f"trace row {i} has no proof_id")
     return out
 
 
@@ -289,21 +306,31 @@ def shorten(args):
 
 
 def dataset_build(args):
-    """Pair seed proofs with their verified best simplifications."""
+    """Pair seed proofs with the shortenings that shorten adopted for them."""
     from . import training_data
 
-    seeds = _by_id(ProofRecord, args.seeds, "proof record")
-    results = _by_id(training_data.ResultRow, args.results, "result record")
-    ancestry = {}
-    if args.ancestry:
-        ancestry = _by_id(training_data.AncestryRow, args.ancestry, "ancestry record")
+    seeds = _records_by_id(args.seeds, "proof record")
+    runs = {}  # proof id -> iteration index -> row
+    for row in _trace_rows(_rows(args.results), named=True):
+        iterations = runs.setdefault(row.proof_id, {})
+        if row.index in iterations:
+            raise MalformedInput(
+                f"{args.results}: proof {row.proof_id!r} iteration {row.index} is given twice"
+            )
+        iterations[row.index] = row
+    # A proof's result is its last source_after, once an iteration adopted a
+    # checked candidate or repair: only that lowers score_after.
+    results = {}
+    for proof_id, iterations in runs.items():
+        if any(row.score_after < row.score_before for row in iterations.values()):
+            source = iterations[max(iterations)].source_after
+            try:
+                results[proof_id] = ProofRecord.from_source(source, id=proof_id)
+            except ValueError as exc:
+                raise MalformedInput(str(exc)) from None
+    ancestry = _records_by_id(args.ancestry, "ancestry record") if args.ancestry else {}
     pairs = training_data.build_expit_dataset(
-        list(seeds.values()),
-        # a pair holds the candidate as a proof record, without its flag
-        {id: (ProofRecord(id, r.statement, r.proof, r.source_tag), r.valid)
-         for id, r in results.items()},
-        {id: row.ancestor for id, row in ancestry.items()},
-        origin_iteration=args.iteration,
+        list(seeds.values()), results, ancestry, origin_iteration=args.iteration
     )
     _write_rows(args.output, map(asdict, pairs))
 
@@ -330,24 +357,20 @@ def dataset_emit_sft(args):
 
 
 def reward(args):
-    """Group-relative rewards and advantages for candidate simplifications."""
+    """Group-relative rewards of each iteration's candidates in shorten's output."""
     from . import training_data
 
-    out = []
-    for row in _rows(args.input):
-        original = from_json(training_data.RewardRow, row, "reward record")
-        candidates = [
-            (ProofRecord(f"{original.id}#{j}", original.statement, c.proof), c.valid)
-            for j, c in enumerate(original.candidates)
-        ]
-        try:
-            group = training_data.compute_rewards(
-                original, candidates, positive_shortening=not args.literal_sign
-            )
-        except ValueError as exc:
-            raise MalformedInput(f"reward record {original.id!r}: {exc}") from None
-        out.append(group.to_json())
-    _write_rows(args.output, out)
+    groups = [
+        training_data.compute_rewards(
+            row.score_before,
+            [(c.score, c.status is VerdictStatus.VALID) for c in row.candidates],
+            positive_shortening=not args.literal_sign,
+            group_id=f"{row.proof_id}#{row.index}",
+        )
+        for row in _trace_rows(_rows(args.input), named=True)
+        if row.candidates  # a skipped iteration sampled nothing
+    ]
+    _write_rows(args.output, map(asdict, groups))
 
 
 def report(args):
@@ -359,11 +382,13 @@ def report(args):
         raise ConfigError("empty input")
     try:
         if args.kind == "corpus":
-            scores = [
-                lexer.proof_length(ProofRecord.from_json(row).full_source)
-                if scored.score is None else scored.score
-                for row, scored in zip(rows, _indexed(reports.CorpusRow, rows, "corpus record"))
-            ]
+            scores = []
+            for i, row in enumerate(rows):
+                score = from_json(reports.CorpusRow, row, "corpus record", index=i).score
+                if score is None:
+                    record = from_json(ProofRecord, row, "corpus record", index=i)
+                    score = lexer.proof_length(record.full_source)
+                scores.append(score)
             table = [reports.corpus_stats(scores).as_row()]
         elif args.kind == "atk":
             if not args.ks:
@@ -371,13 +396,7 @@ def report(args):
             samples = [row.samples for row in _indexed(reports.SampleRow, rows, "sample record")]
             table = reports.atk_table(samples, sorted(args.ks))
         elif args.kind == "repair":
-            # the summary row that ends shorten's output holds no iteration
-            iterations = [
-                from_json(reports.TraceRow, row, "trace row", index=i)
-                for i, row in enumerate(rows)
-                if not isinstance(row, dict) or "summary" not in row
-            ]
-            table = [reports.repair_accounting(iterations)]
+            table = [reports.repair_accounting(_trace_rows(rows))]
         else:
             timings = _indexed(reports.SpeedupRow, rows, "speedup record")
             rep = reports.speedup_report(map(astuple, timings))

@@ -29,10 +29,6 @@ class NotValidInput(ProofOptError):
     """An operation that requires a valid proof was given an invalid one."""
 
 
-class MissingVerdict(ProofOptError):
-    """A candidate proof lacks the verification verdict required here."""
-
-
 class TemplateMissing(ProofOptError):
     """No prompt template is registered under the requested id."""
 

@@ -39,7 +39,7 @@ class SpeedupRow:
 
 @dataclass
 class TraceRow(IterationRecord):  # an iteration row of shorten's output
-    proof_id: str = ""
+    proof_id: str = None  # absent from a trace file's rows
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@ and group-relative reward computation for an external trainer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lexer, prompting
 from .backends import VerdictMemo, Verifier
-from .errors import MissingVerdict, ZeroOriginal
+from .errors import ZeroOriginal
 from .records import ProofRecord
 from .shortener import map_in_order
 
@@ -35,36 +35,14 @@ AUTO_MACRO = """macro "AUTO" : tactic =>
        try aesop))"""
 
 
-# The rows of dataset build, dataset emit-sft and reward, read by
-# records.from_json; asdict writes a SimplificationPair.
+# The row of dataset build and dataset emit-sft: asdict writes it and
+# records.from_json reads it back.
 @dataclass(frozen=True)
 class SimplificationPair:
     input: ProofRecord
     output: ProofRecord
     iteration: int = 0
     transitive: bool = False
-
-
-@dataclass
-class ResultRow(ProofRecord):  # a seed's best candidate
-    valid: bool = None  # absent when it was not checked
-
-
-@dataclass
-class AncestryRow:  # ancestor precedes id, so an error names no row
-    ancestor: ProofRecord
-    id: str
-
-
-@dataclass
-class RewardCandidate:
-    proof: str
-    valid: bool
-
-
-@dataclass(kw_only=True)
-class RewardRow(ProofRecord):
-    candidates: list[RewardCandidate]
 
 
 def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) -> bool:
@@ -76,26 +54,20 @@ def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) ->
 
 def build_expit_dataset(
     seed_proofs: list[ProofRecord],
-    iteration_results: dict[str, tuple[ProofRecord, bool | None]],
+    results: dict[str, ProofRecord],
     ancestry: dict[str, ProofRecord] | None = None,
     origin_iteration: int = 0,
 ) -> list[SimplificationPair]:
-    """Emit (input, output) pairs for proofs whose best candidate passed the
+    """Emit (input, output) pairs for seeds whose verified result passed the
     length filter, plus a transitive pair against the original ancestor when
-    the input was itself the product of an earlier round. Each result is the
-    best candidate and whether it verified, None when it was not checked.
+    the input was itself the product of an earlier round. results and
+    ancestry are keyed by seed id; a seed without a result makes no pair.
     """
     ancestry = ancestry or {}
     pairs = []
     for proof in seed_proofs:
-        if proof.id not in iteration_results:
-            continue
-        best, valid = iteration_results[proof.id]
-        if valid is None:
-            raise MissingVerdict(f"candidate for {proof.id!r} has no verdict")
-        if not valid:
-            raise MissingVerdict(f"candidate for {proof.id!r} did not verify")
-        if not passes_length_filter(proof, best):
+        best = results.get(proof.id)
+        if best is None or not passes_length_filter(proof, best):
             continue
         pairs.append(SimplificationPair(proof, best, origin_iteration))
         ancestor = ancestry.get(proof.id)
@@ -124,65 +96,55 @@ def filter_trivial(
     return kept, discarded
 
 
+# A reward row, written by asdict.
 @dataclass
 class RewardEntry:
-    proof: ProofRecord
+    reward: float
+    advantage: float
     valid: bool
-    reward: float = 0.0
-    advantage: float = 0.0
-    omit: bool = False
+    omit: bool
 
 
 @dataclass
 class RewardGroup:
-    prompt_id: str
-    original: ProofRecord
-    entries: list[RewardEntry] = field(default_factory=list)
-
-    @property
-    def group_size(self) -> int:
-        return len(self.entries)
-
-    def to_json(self) -> dict:
-        entries = [
-            {"reward": e.reward, "advantage": e.advantage, "valid": e.valid, "omit": e.omit}
-            for e in self.entries
-        ]
-        return {"id": self.prompt_id, "group_size": self.group_size, "entries": entries}
+    id: str
+    group_size: int
+    entries: list[RewardEntry]
 
 
 def compute_rewards(
-    original: ProofRecord,
-    candidates: list[tuple[ProofRecord, bool]],
+    original_length: int,
+    candidates: list[tuple[int | None, bool]],
     positive_shortening: bool = True,
+    group_id: str = "",
 ) -> RewardGroup:
-    """Length-based rewards with a group-mean baseline.
+    """Length-based rewards with a group-mean baseline, for candidates given
+    as (score, valid) pairs against an original of score original_length.
 
-    A candidate earns (|x| - |y|) / |x| when it verifies and is no longer
-    than the original, else 0. ``positive_shortening=False`` flips the sign
-    to (|y| - |x|) / |x| for trainers that expect the raw delta. Advantages
-    are mean-baselined with no variance normalization; entries whose
-    advantage comes out exactly zero are flagged for omission.
+    A candidate earns (|x| - |y|) / |x| when it verifies, has a score and is
+    no longer than the original, else 0. ``positive_shortening=False`` flips
+    the sign to (|y| - |x|) / |x| for trainers that expect the raw delta.
+    Advantages are mean-baselined with no variance normalization; entries
+    whose advantage comes out exactly zero are flagged for omission.
     """
     if not candidates:
-        raise ValueError("reward group needs at least one candidate")
-    len_x = lexer.proof_length(original.full_source)
-    if len_x == 0:
-        raise ZeroOriginal("cannot compute relative rewards for a zero-length original")
+        raise ValueError(f"reward group {group_id!r} needs at least one candidate")
+    if original_length == 0:
+        raise ZeroOriginal(
+            f"reward group {group_id!r}: cannot compute relative rewards for a zero-length original"
+        )
     sign = 1.0 if positive_shortening else -1.0
-    group = RewardGroup(prompt_id=original.id, original=original)
-    for proof, valid in candidates:
-        entry = RewardEntry(proof=proof, valid=valid)
-        if valid:
-            len_y = lexer.proof_length(proof.full_source)
-            if len_y <= len_x:
-                entry.reward = sign * (len_x - len_y) / len_x
-        group.entries.append(entry)
-    mean = sum(e.reward for e in group.entries) / len(group.entries)
-    for entry in group.entries:
-        entry.advantage = entry.reward - mean
-        entry.omit = entry.advantage == 0.0
-    return group
+    rewards = [
+        sign * (original_length - score) / original_length
+        if valid and score is not None and score <= original_length else 0.0
+        for score, valid in candidates
+    ]
+    mean = sum(rewards) / len(rewards)
+    entries = [
+        RewardEntry(reward, reward - mean, valid, reward - mean == 0.0)
+        for reward, (_, valid) in zip(rewards, candidates)
+    ]
+    return RewardGroup(group_id, len(entries), entries)
 
 
 def emit_sft_records(pairs: list[SimplificationPair]):

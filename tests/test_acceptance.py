@@ -282,7 +282,7 @@ def test_criterion_expit_dataset():
             seeds.append(seed)
             short = "\n".join("  rfl" for _ in range(rng.randint(1, 30)))
             best = ProofRecord(id=f"d{i}'", statement=seed.statement, proof=short)
-            results[seed.id] = (best, True)
+            results[seed.id] = best
             if rng.random() < 0.4:
                 ancestry[seed.id] = ProofRecord(
                     id=f"d{i}~", statement=seed.statement, proof=long + "\n  ring\n  ring"
@@ -293,13 +293,12 @@ def test_criterion_expit_dataset():
             len_in = reference_proof_length(pair.input.full_source)
             len_out = reference_proof_length(pair.output.full_source)
             assert len_out <= LENGTH_RATIO * len_in
-            _, valid = results[pair.output.id.rstrip("'")]
-            assert valid is True
+            assert results[pair.output.id.rstrip("'")] is pair.output
 
         direct = {p.input.id for p in pairs if not p.transitive}
         transitive = {p.input.id.rstrip("~") for p in pairs if p.transitive}
         for seed in seeds:
-            best, _ = results[seed.id]
+            best = results[seed.id]
             qualifies = (
                 reference_proof_length(best.full_source)
                 <= LENGTH_RATIO * reference_proof_length(seed.full_source)
@@ -330,26 +329,12 @@ def test_criterion_reward_groups():
         rng = random.Random(8)
         for _ in range(1000):
             orig_len = rng.randint(1, 50)
-            original = ProofRecord(
-                id="g", statement="theorem g : 1 = 1",
-                proof="\n".join("  rfl" for _ in range(orig_len)),
-            )
-            candidates = []
-            for j in range(rng.randint(1, 10)):
-                cand_len = rng.randint(1, 70)
-                candidates.append(
-                    (
-                        ProofRecord(
-                            id=f"g{j}", statement=original.statement,
-                            proof="\n".join("  rfl" for _ in range(cand_len)),
-                        ),
-                        rng.random() < 0.6,
-                    )
-                )
-            group = compute_rewards(original, candidates)
+            candidates = [
+                (rng.randint(1, 70), rng.random() < 0.6) for _ in range(rng.randint(1, 10))
+            ]
+            group = compute_rewards(orig_len, candidates)
             assert abs(math.fsum(e.advantage for e in group.entries)) < 1e-12
-            for entry, (cand, valid) in zip(group.entries, candidates):
-                cand_len = lexer.proof_length(cand.full_source)
+            for entry, (cand_len, valid) in zip(group.entries, candidates):
                 if not valid or cand_len > orig_len:
                     assert entry.reward == 0.0
                 else:

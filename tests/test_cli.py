@@ -890,28 +890,49 @@ def long_proof(n):
     return "\n".join("  rfl" for _ in range(n))
 
 
+def trace_row(proof_id, before, after, index=0) -> dict:
+    """An iteration row of shorten's output for proof_id, whose proof of
+    before rfl lines met one valid candidate of after lines, adopted when
+    it is shorter."""
+    statement = f"theorem {proof_id} : 1 = 1"
+    text = f"{statement} := by\n{long_proof(after)}"
+    adopted = 0 if after < before else None
+    return {
+        "proof_id": proof_id, "index": index, "k_requested": 1, "temperature": 1.0,
+        "candidates": [{"text": text, "status": "valid", "score": after}], "adopted": adopted,
+        "score_before": before, "score_after": min(before, after),
+        "source_after": text if adopted == 0 else f"{statement} := by\n{long_proof(before)}",
+    }
+
+
 def test_dataset_pipeline(runner, tmp_path):
     seeds = write_jsonl_file(
         tmp_path,
         "seeds.jsonl",
         [
             {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)},
-            {"id": "b", "statement": "theorem b : 2 = 2", "proof": long_proof(10)},
+            {"id": "b", "statement": "theorem b : 1 = 1", "proof": long_proof(10)},
         ],
     )
-    results = write_jsonl_file(
-        tmp_path,
-        "results.jsonl",
-        [
-            {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(4), "valid": True},
-            {"id": "b", "statement": "theorem b : 2 = 2", "proof": long_proof(9), "valid": True},
-        ],
-    )
+    # a's second iteration adopts nothing: its result is still the first's
+    rows = [trace_row("a", 10, 4), trace_row("a", 4, 6, index=1), trace_row("b", 10, 9)]
+    results = write_jsonl_file(tmp_path, "results.jsonl", rows + [{"summary": {"count": 2}}])
     build = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
-    assert build.exit_code == 0
+    assert build.exit_code == 0, build.output
     pairs = [json.loads(line) for line in build.output.splitlines()]
     assert len(pairs) == 1  # b misses the ratio gate
     assert pairs[0]["input"]["id"] == "a"
+    assert pairs[0]["output"] == {"id": "a", "statement": "theorem a : 1 = 1",
+                                  "proof": long_proof(4), "source_tag": ""}
+
+    # the earlier round's seeds are the ancestry: a's ancestor makes a transitive pair
+    earlier = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(30)}
+    ancestry = write_jsonl_file(tmp_path, "round0.jsonl", [earlier])
+    argv = ["dataset", "build", "--seeds", seeds, "--results", results, "--ancestry", ancestry]
+    transitive = [json.loads(line) for line in runner.invoke(main, argv).output.splitlines()]
+    assert transitive[0] == pairs[0]
+    assert transitive[1] == {"input": {**earlier, "source_tag": ""}, "output": pairs[0]["output"],
+                             "iteration": 0, "transitive": True}
 
     pairs_file = tmp_path / "pairs.jsonl"
     pairs_file.write_text(build.output)
@@ -923,33 +944,26 @@ def test_dataset_pipeline(runner, tmp_path):
 
 
 def test_dataset_build_requires_verdict(runner, tmp_path):
-    seeds = write_jsonl_file(
-        tmp_path,
-        "seeds.jsonl",
-        [{"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}],
-    )
-    results = write_jsonl_file(
-        tmp_path,
-        "results.jsonl",
-        [{"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(4), "valid": False}],
-    )
+    """A candidate that did not verify is never adopted, so a proof whose
+    candidates all failed makes no pair, however short they were. Its
+    source_after is shorten's input, here 60% of the seed's length, which
+    is no result either."""
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
+    row = trace_row("a", 6, 6)
+    row["candidates"] = [{"text": f"theorem a : 1 = 1 := by\n{long_proof(4)}", "status": "invalid"}]
+    results = write_jsonl_file(tmp_path, "results.jsonl", [row])
     result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
-    assert result.exit_code == 1
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
 
 
-@pytest.mark.parametrize(
-    "flag,message", [({"valid": False}, "did not verify"), ({}, "has no verdict")],
-    ids=["false", "absent"],
-)
-def test_dataset_build_tells_a_failed_result_from_one_without_a_flag(
-    runner, tmp_path, flag, message
-):
-    record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
-    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [record])
-    results = write_jsonl_file(tmp_path, "results.jsonl", [{**record, **flag}])
+def test_dataset_build_rejects_an_adopted_result_without_a_tactic_block(runner, tmp_path):
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
+    row = {**trace_row("a", 10, 4), "source_after": "theorem a : 1 = 1 := rfl"}
+    results = write_jsonl_file(tmp_path, "results.jsonl", [row])
     result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
     assert result.exit_code == 1
-    assert result.output == f"error: candidate for 'a' {message}\n"
+    assert result.output == "error: record 'a': source has no ':= by' delimiter\n"
 
 
 def test_dataset_filter_trivial(runner, tmp_path):
@@ -969,46 +983,58 @@ def test_dataset_filter_trivial(runner, tmp_path):
 
 
 def test_reward_command(runner, tmp_path):
-    rows = [
-        {
-            "id": "g",
-            "statement": "theorem g : 1 = 1",
-            "proof": long_proof(10),
-            "candidates": [
-                {"proof": long_proof(5), "valid": True},
-                {"proof": long_proof(20), "valid": True},
-                {"proof": long_proof(2), "valid": False},
-            ],
-        }
+    row = trace_row("g", 10, 5)
+    row["candidates"] += [
+        {"text": f"theorem g : 1 = 1 := by\n{long_proof(20)}", "status": "valid", "score": 20},
+        {"text": f"theorem g : 1 = 1 := by\n{long_proof(2)}", "status": "invalid"},
     ]
-    groups = write_jsonl_file(tmp_path, "groups.jsonl", rows)
+    groups = write_jsonl_file(tmp_path, "groups.jsonl", [row, {"summary": {"count": 1}}])
     result = runner.invoke(main, ["reward", groups])
-    assert result.exit_code == 0
+    assert result.exit_code == 0, result.output
     group = json.loads(result.output)
+    assert (group["id"], group["group_size"]) == ("g#0", 3)
     rewards = [e["reward"] for e in group["entries"]]
     assert rewards == pytest.approx([0.5, 0.0, 0.0])
+    assert [e["valid"] for e in group["entries"]] == [True, True, False]
     assert sum(e["advantage"] for e in group["entries"]) == pytest.approx(0.0, abs=1e-12)
 
     literal = runner.invoke(main, ["reward", groups, "--literal-sign"])
     assert json.loads(literal.output)["entries"][0]["reward"] == pytest.approx(-0.5)
 
 
-def test_reward_rejects_a_group_without_candidates(runner, tmp_path):
-    row = {"id": "g", "statement": "theorem g : 1 = 1", "proof": long_proof(10), "candidates": []}
+def test_reward_makes_no_group_of_an_iteration_without_candidates(runner, tmp_path):
+    row = {**trace_row("g", 10, 10), "candidates": [], "note": shortener.SKIPPED_NOTE}
     groups = write_jsonl_file(tmp_path, "groups.jsonl", [row])
     result = runner.invoke(main, ["reward", groups])
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+
+
+def test_reward_names_a_group_whose_original_has_no_length(runner, tmp_path):
+    groups = write_jsonl_file(tmp_path, "groups.jsonl", [trace_row("g", 0, 0, index=2)])
+    result = runner.invoke(main, ["reward", groups])
     assert result.exit_code == 1
-    assert result.exc_info[0] is SystemExit
-    assert result.output.startswith("error: reward record 'g'")
-    assert "Traceback" not in result.output
+    [line] = result.output.splitlines()
+    assert line.startswith("error: reward group 'g#2': ")
+
+
+@pytest.mark.parametrize("command", ["reward", "dataset build"])
+def test_a_training_data_command_rejects_a_row_without_proof_id(runner, tmp_path, command):
+    row = trace_row("a", 10, 4)
+    del row["proof_id"]
+    rows = write_jsonl_file(tmp_path, "rows.jsonl", [{"summary": {}}, row])
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
+    argv = {"reward": ["reward", rows],
+            "dataset build": ["dataset", "build", "--seeds", seeds, "--results", rows]}[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.output == "error: trace row 1 has no proof_id\n"
 
 
 @pytest.mark.parametrize("option", ["--seeds", "--results", "--ancestry"])
 def test_dataset_build_refuses_an_id_given_twice(runner, tmp_path, option):
     record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
-    result_row = {**record, "proof": long_proof(4), "valid": True}
-    ancestry_row = {"id": "a", "ancestor": record}
-    rows = {"--seeds": [record], "--results": [result_row], "--ancestry": [ancestry_row]}
+    rows = {"--seeds": [record], "--results": [trace_row("a", 10, 4)], "--ancestry": [record]}
     rows[option] = rows[option] * 2
     argv = ["dataset", "build"]
     for name, file_rows in rows.items():
@@ -1019,12 +1045,12 @@ def test_dataset_build_refuses_an_id_given_twice(runner, tmp_path, option):
     assert line.startswith("error: ") and "'a'" in line and option.strip("-") + ".jsonl" in line
 
 
-@pytest.mark.parametrize("missing", ["ancestor", "id"])
+@pytest.mark.parametrize("missing", ["proof", "id"])
 def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missing):
     record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [record])
-    results = write_jsonl_file(tmp_path, "results.jsonl", [{**record, "valid": True}])
-    row = {"id": "a", "ancestor": record}
+    results = write_jsonl_file(tmp_path, "results.jsonl", [trace_row("a", 10, 4)])
+    row = dict(record)
     del row[missing]
     ancestry = write_jsonl_file(tmp_path, "ancestry.jsonl", [row])
     result = runner.invoke(
@@ -1032,18 +1058,20 @@ def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missin
     )
     assert result.exit_code == 1
     assert result.exc_info[0] is SystemExit
-    assert result.output == f"error: ancestry record missing field '{missing}'\n"
+    named = "ancestry record" if missing == "id" else "ancestry record 'a'"
+    assert result.output == f"error: {named} missing field '{missing}'\n"
 
 
 SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
 SAMPLE = {"id": "s", "original": 9, "scores": [1, 2], "valid": [True, False]}
-GROUP = {**SEED, "candidates": [{"proof": long_proof(4), "valid": True}]}
 PAIR = {"input": SEED, "output": {**SEED, "proof": long_proof(4)}, "iteration": 0,
         "transitive": False}
 MOCK_VERIFIER = {"kind": "mock", "options": {"noop_tactics": ["skip"]}}
 TRUE_CHECKER = {"kind": "subprocess_verifier", "command_template": "true {file}"}
 ITERATION = {"index": 0, "k_requested": 1, "temperature": 1.0, "candidates": [], "adopted": None,
              "score_before": 9, "score_after": 9, "source_after": "theorem a : 1 = 1 := by\n  rfl"}
+GROUP = trace_row("a", 10, 4)  # a row of shorten's output, read by reward and dataset build
+[CANDIDATE] = GROUP["candidates"]
 
 # (command, config overrides or the one input row it reads, exit code): a value
 # of the wrong JSON type is never coerced. Configs exit 2, input rows exit 1.
@@ -1068,18 +1096,19 @@ WRONG_TYPES = [
     pytest.param("estimate", {**SAMPLE, "valid": ["yes", False]}, 1, id="estimate-valid-text"),
     pytest.param("atk", {**SAMPLE, "scores": 5}, 1, id="atk-scores-number"),
     pytest.param("atk", {**SAMPLE, "valid": ["yes", False]}, 1, id="atk-valid-text"),
-    pytest.param("reward", {**GROUP, "candidates": [{"proof": long_proof(4), "valid": "false"}]}, 1,
+    # a candidate is valid by its status, a verdict's name
+    pytest.param("reward", {**GROUP, "candidates": [{**CANDIDATE, "status": "false"}]}, 1,
                  id="reward-valid-text"),
-    pytest.param("reward", {**GROUP, "candidates": [{"proof": 4, "valid": True}]}, 1,
+    pytest.param("reward", {**GROUP, "candidates": [{"text": 4, "status": "valid"}]}, 1,
                  id="reward-proof-number"),
     pytest.param("reward", {**GROUP, "candidates": [5]}, 1, id="reward-candidate-number"),
     pytest.param("emit-sft", {**PAIR, "iteration": "0"}, 1, id="emit-sft-iteration-text"),
     pytest.param("emit-sft", {**PAIR, "transitive": "no"}, 1, id="emit-sft-transitive-text"),
     pytest.param("emit-sft", {**PAIR, "input": 5}, 1, id="emit-sft-input-number"),
-    pytest.param("ancestry", {"id": None, "ancestor": SEED}, 1, id="ancestry-id-null"),
-    # ancestor is read before id, so an ancestry error names no row: this row has no id
-    pytest.param("ancestry", {"ancestor": 5}, 1, id="ancestry-ancestor-number"),
-    pytest.param("dataset build", {**SEED, "proof": long_proof(4), "valid": "no"}, 1,
+    pytest.param("ancestry", {**SEED, "id": None}, 1, id="ancestry-id-null"),
+    # an ancestry row is the ancestor's proof record
+    pytest.param("ancestry", [5], 1, id="ancestry-ancestor-number"),
+    pytest.param("dataset build", {**GROUP, "candidates": [{**CANDIDATE, "status": "no"}]}, 1,
                  id="build-valid-text"),
     pytest.param("length", {**SEED, "proof": None}, 1, id="length-proof-null"),
     pytest.param("length", {**SEED, "statement": 5}, 1, id="length-statement-number"),
@@ -1092,7 +1121,7 @@ WRONG_TYPES = [
     # a lone surrogate escape is JSON that no UTF-8 text can hold
     pytest.param("config", {"schedule": "\ud800"}, 2, id="schedule-surrogate"),
     pytest.param("length", {**SEED, "proof": "  rfl \ud800"}, 1, id="length-proof-surrogate"),
-    pytest.param("reward", {**GROUP, "candidates": [{"proof": "\udfff", "valid": True}]}, 1,
+    pytest.param("reward", {**GROUP, "candidates": [{"text": "\udfff", "status": "valid"}]}, 1,
                  id="reward-proof-surrogate"),
     # JSON has no NaN or infinity, and a number out of float range ends in an error line
     pytest.param("config", {"backends": {"verifier": {**TRUE_CHECKER, "timeout": float("nan")}}},
@@ -1115,6 +1144,7 @@ def wrong_type_argv(tmp_path, command, data) -> list[str]:
         return ["--config", write_config(tmp_path, **data), "lint", proofs]
     rows = write_jsonl_file(tmp_path, "in.jsonl", data if isinstance(data, list) else [data])
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
+    results = write_jsonl_file(tmp_path, "results.jsonl", [GROUP])
     return {
         "length": ["length", rows],
         "estimate": ["estimate", rows, "-k", "1"],
@@ -1125,7 +1155,8 @@ def wrong_type_argv(tmp_path, command, data) -> list[str]:
         "reward": ["reward", rows],
         "dataset build": ["dataset", "build", "--seeds", seeds, "--results", rows],
         "emit-sft": ["dataset", "emit-sft", rows],
-        "ancestry": ["dataset", "build", "--seeds", seeds, "--results", seeds, "--ancestry", rows],
+        "ancestry": ["dataset", "build", "--seeds", seeds, "--results", results,
+                     "--ancestry", rows],
     }[command]
 
 
@@ -1251,6 +1282,17 @@ def test_report_corpus_accepts_proof_records(runner, tmp_path):
     result = runner.invoke(main, ["report", proofs, "--kind", "corpus"])
     assert result.exit_code == 0
     assert json.loads(result.output)["max"] == 11
+
+
+@pytest.mark.parametrize("row,named", [
+    ({"proof": "x"}, "corpus record 1 missing field 'id'"),
+    ({"id": "b", "proof": "x"}, "corpus record 'b' missing field 'statement'"),
+], ids=["by-index", "by-id"])
+def test_report_corpus_names_a_bad_proof_record(runner, tmp_path, row, named):
+    rows = write_jsonl_file(tmp_path, "in.jsonl", [{"score": 3}, row])
+    result = runner.invoke(main, ["report", rows, "--kind", "corpus"])
+    assert result.exit_code == 1
+    assert result.output == f"error: bad report input: {named}\n"
 
 
 def test_report_atk_with_gnuplot(runner, tmp_path):
@@ -1402,11 +1444,9 @@ def output_argv(tmp_path, command) -> list[str]:
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
     samples = write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES)
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
-    results = write_jsonl_file(tmp_path, "results.jsonl",
-                               [{**SEED, "proof": long_proof(4), "valid": True}])
+    results = write_jsonl_file(tmp_path, "results.jsonl", [GROUP])
     pairs = write_jsonl_file(tmp_path, "pairs.jsonl",
                              [{"input": SEED, "output": {**SEED, "proof": long_proof(4)}}])
-    groups = write_jsonl_file(tmp_path, "groups.jsonl", [GROUP])
     return {
         "lint": [*config, "lint", proofs],
         "shorten": [*config, "shorten", proofs],
@@ -1414,7 +1454,7 @@ def output_argv(tmp_path, command) -> list[str]:
         "dataset build": ["dataset", "build", "--seeds", seeds, "--results", results],
         "dataset filter-trivial": [*config, "dataset", "filter-trivial", proofs],
         "dataset emit-sft": ["dataset", "emit-sft", pairs],
-        "reward": ["reward", groups],
+        "reward": ["reward", results],
         "report": ["report", samples, "--kind", "atk", "-k", "1", "--csv",
                    str(tmp_path / "a.csv"), "--gnuplot", str(tmp_path / "a.gp")],
     }[command]

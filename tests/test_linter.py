@@ -1,7 +1,7 @@
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import VerdictMemo
+from proofopt.backends import Diagnostic, VerdictMemo, judge
 from proofopt.errors import NotValidInput
 from proofopt.linter import lint_fixpoint, lint_once
 from proofopt.mocks import MockVerifier
@@ -108,3 +108,15 @@ def test_stale_diagnostic_position_is_skipped():
     lines = ["  rfl"]
     assert _delete_span(lines, 1, 2, "skip") is False
     assert lines == ["  rfl"]
+
+
+@pytest.mark.parametrize("line,column", [(2, 0), (9, 2)], ids=["wrong-column", "past-the-end"])
+def test_lint_once_skips_a_diagnostic_whose_position_does_not_hold_the_tactic(line, column):
+    class StaleVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            return judge([Diagnostic("warning", line, column, "'skip' tactic does nothing")])
+
+    start = record("  skip\n  rfl")  # skip is at line 2, column 2
+    linted, removed = lint_once(start, VerdictMemo(StaleVerifier(mock_cfg())))
+    assert removed == 0
+    assert linted.full_source == start.full_source

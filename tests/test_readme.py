@@ -4,8 +4,10 @@ plain doctest of README.md would read each closing fence as expected output."""
 import doctest
 import json
 import re
+import shlex
 from pathlib import Path
 
+from proofopt import cli
 from proofopt.config import RunConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -35,3 +37,23 @@ def test_readme_python_examples_give_the_values_they_show():
     scope = {}
     exec("\n".join(setup), scope)
     assert repr(eval(expression, scope)).startswith(shown.strip().rstrip("."))
+
+
+OUTPUT_OPTIONS = {"-o", "--output", "--csv", "--gnuplot"}
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    """Every proofopt command line of the README's sh blocks parses, in a
+    directory holding an empty file of each name the lines read, so a
+    renamed or removed flag or command fails here."""
+    lines = "\n".join(snippets("sh")).replace("\\\n", " ").replace("|", "\n")
+    commands = [shlex.split(line)[1:] for line in lines.splitlines()
+                if line.strip().startswith("proofopt ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        for option, value in zip(["", *argv], argv):
+            if value.endswith((".json", ".jsonl")) and option not in OUTPUT_OPTIONS:
+                Path(value).touch()
+    for argv in commands:
+        assert callable(cli._parser().parse_args(argv).run), argv

@@ -244,6 +244,32 @@ def test_repair_stage_never_adopts_a_term_mode_fix():
     assert trace.final_source == start.full_source
 
 
+@pytest.mark.parametrize("text", ["zeta", "theorem t : 1 = 1 := zeta"], ids=["bare", "term"])
+def test_repair_stage_repairs_a_failed_candidate_without_a_tactic_block(text):
+    """A failed candidate that does not split at ':= by' is repaired with
+    the record's statement and its whole text as the failed proof."""
+    asked = []
+
+    class SpyRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report):
+            asked.append((statement, failed_proof))
+            return super()._repair(statement, failed_proof, error_report)
+
+    class FixedSimplifier(MockSimplifier):
+        def _simplify(self, source, k, temperature):
+            return [text] * k
+
+    start = record("  norm_num\n  ring")
+    verifier = MockVerifier(mock_cfg(fail_token="zeta"))
+    repairer = SpyRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
+    trace = shorten_loop(start, [(2, 1.0)], FixedSimplifier(mock_cfg()), verifier,
+                         repairer=repairer)
+    assert [c.status for c in trace.iterations[0].candidates] == [VerdictStatus.INVALID] * 2
+    assert asked == [(start.statement, text)]
+    assert trace.iterations[0].repair.adopted == 0
+    assert trace.final_source == f"{start.statement} := by\n  rfl"
+
+
 def test_repair_stage_repairs_each_failed_text_once():
     repaired = []
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,9 @@ from proofopt.backends import (
     Verifier,
     extract_code_block,
 )
-from proofopt.errors import MissingVerdict, ZeroOriginal
-from proofopt.records import ProofRecord
+from proofopt.errors import ZeroOriginal
+from proofopt.cli import main
+from proofopt.records import ProofRecord, read_jsonl, write_jsonl
 from proofopt.training_data import (
     AUTO_MACRO,
     LENGTH_RATIO,
@@ -26,12 +28,12 @@ from proofopt.training_data import (
     passes_length_filter,
 )
 
+from conftest import CliRunner
+from lexer_oracle import reference_proof_length
+
 
 def rec(id, proof):
     return ProofRecord(id=id, statement=f"theorem {id} : 1 = 1", proof=proof)
-
-
-VALID, INVALID = True, False  # a result's valid flag
 
 
 def proof_of_length(id, n):
@@ -46,34 +48,26 @@ def test_length_filter_boundary_is_inclusive():
 
 
 def test_build_dataset_filters_and_pairs():
-    seeds = [proof_of_length("a", 10), proof_of_length("b", 10)]
+    seeds = [proof_of_length("a", 10), proof_of_length("b", 10), proof_of_length("c", 10)]
     results = {
-        "a": (proof_of_length("a'", 4), VALID),
-        "b": (proof_of_length("b'", 9), VALID),  # misses the ratio, dropped
-    }
+        "a": proof_of_length("a'", 4),
+        "b": proof_of_length("b'", 9),  # misses the ratio, dropped
+    }  # c has no result: nothing was adopted for it
     pairs = build_expit_dataset(seeds, results)
     assert [(p.input.id, p.output.id) for p in pairs] == [("a", "a'")]
     assert not pairs[0].transitive
-
-
-def test_build_dataset_requires_verdicts():
-    seeds = [proof_of_length("a", 10)]
-    with pytest.raises(MissingVerdict):
-        build_expit_dataset(seeds, {"a": (proof_of_length("a'", 4), None)})
-    with pytest.raises(MissingVerdict):
-        build_expit_dataset(seeds, {"a": (proof_of_length("a'", 4), INVALID)})
 
 
 def test_build_dataset_transitive_pairs():
     seed = proof_of_length("a", 10)
     ancestor = proof_of_length("a", 30)
     best = proof_of_length("a'", 4)
-    pairs = build_expit_dataset([seed], {"a": (best, VALID)}, {"a": ancestor})
+    pairs = build_expit_dataset([seed], {"a": best}, {"a": ancestor})
     assert len(pairs) == 2
     assert pairs[1].transitive
     assert pairs[1].input is ancestor
     # no transitive pair when the "ancestor" is just the seed itself
-    pairs = build_expit_dataset([seed], {"a": (best, VALID)}, {"a": seed})
+    pairs = build_expit_dataset([seed], {"a": best}, {"a": seed})
     assert len(pairs) == 1
 
 
@@ -81,9 +75,9 @@ def test_build_dataset_transitive_pair_also_ratio_checked():
     seed = proof_of_length("a", 10)
     ancestor = proof_of_length("a", 11)
     best = proof_of_length("a'", 9)  # 9 <= 0.8*11 fails, 9 <= 0.8*10 fails too
-    assert build_expit_dataset([seed], {"a": (best, VALID)}, {"a": ancestor}) == []
+    assert build_expit_dataset([seed], {"a": best}, {"a": ancestor}) == []
     best = proof_of_length("a'", 8)  # passes both
-    assert len(build_expit_dataset([seed], {"a": (best, VALID)}, {"a": ancestor})) == 2
+    assert len(build_expit_dataset([seed], {"a": best}, {"a": ancestor})) == 2
 
 
 class StatementVerifier(Verifier):
@@ -119,60 +113,54 @@ def test_filter_trivial():
 
 
 def test_rewards_basic():
-    original = proof_of_length("x", 10)
     candidates = [
-        (proof_of_length("c0", 5), True),   # reward 0.5
-        (proof_of_length("c1", 5), False),  # invalid: 0
-        (proof_of_length("c2", 15), True),  # longer: 0
-        (proof_of_length("c3", 10), True),  # equal length: 0
+        (5, True),   # reward 0.5
+        (5, False),  # invalid: 0
+        (15, True),  # longer: 0
+        (10, True),  # equal length: 0
+        (None, True),  # no score, so no length: 0
     ]
-    group = compute_rewards(original, candidates)
+    group = compute_rewards(10, candidates, group_id="x#0")
+    assert (group.id, group.group_size) == ("x#0", 5)
     rewards = [e.reward for e in group.entries]
-    assert rewards == pytest.approx([0.5, 0.0, 0.0, 0.0])
+    assert rewards == pytest.approx([0.5, 0.0, 0.0, 0.0, 0.0])
     advantages = [e.advantage for e in group.entries]
-    assert advantages == pytest.approx([0.375, -0.125, -0.125, -0.125])
+    assert advantages == pytest.approx([0.4, -0.1, -0.1, -0.1, -0.1])
     assert sum(advantages) == pytest.approx(0.0, abs=1e-12)
+    assert [e.valid for e in group.entries] == [True, False, True, True, True]
     assert not any(e.omit for e in group.entries)
 
 
 def test_rewards_sign_convention_switch():
-    original = proof_of_length("x", 10)
-    candidates = [(proof_of_length("c0", 5), True)]
-    positive = compute_rewards(original, candidates).entries[0].reward
-    literal = compute_rewards(original, candidates, positive_shortening=False).entries[0].reward
+    positive = compute_rewards(10, [(5, True)]).entries[0].reward
+    literal = compute_rewards(10, [(5, True)], positive_shortening=False).entries[0].reward
     assert positive == pytest.approx(0.5)
     assert literal == pytest.approx(-0.5)
 
 
 def test_rewards_zero_advantage_flag():
-    original = proof_of_length("x", 10)
     # every candidate identical: all advantages are exactly zero
-    group = compute_rewards(original, [(proof_of_length("c", 5), True)] * 3)
+    group = compute_rewards(10, [(5, True)] * 3)
     assert all(e.advantage == 0.0 for e in group.entries)
     assert all(e.omit for e in group.entries)
-    mixed = compute_rewards(
-        original, [(proof_of_length("c", 5), True), (proof_of_length("d", 20), True)]
-    )
+    mixed = compute_rewards(10, [(5, True), (20, True)])
     assert [e.omit for e in mixed.entries] == [False, False]
 
 
 def test_rewards_zero_original():
-    empty = ProofRecord(id="z", statement="theorem z : 1 = 1", proof="")
-    with pytest.raises(ZeroOriginal):
-        compute_rewards(empty, [(proof_of_length("c", 1), True)])
+    with pytest.raises(ZeroOriginal, match="'z#0'"):
+        compute_rewards(0, [(1, True)], group_id="z#0")
     with pytest.raises(ValueError):
-        compute_rewards(proof_of_length("x", 3), [])
+        compute_rewards(3, [])
 
 
 def test_rewards_random_groups_sum_to_zero():
     rng = random.Random(17)
     for _ in range(200):
-        original = proof_of_length("x", rng.randint(1, 40))
         candidates = [
-            (proof_of_length(f"c{i}", rng.randint(1, 60)), rng.random() < 0.6)
-            for i in range(rng.randint(1, 12))
+            (rng.randint(1, 60), rng.random() < 0.6) for _ in range(rng.randint(1, 12))
         ]
-        group = compute_rewards(original, candidates)
+        group = compute_rewards(rng.randint(1, 40), candidates)
         assert math.fsum(e.advantage for e in group.entries) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -194,3 +182,135 @@ def test_emit_sft_round_trip():
 
 def test_ratio_constant():
     assert LENGTH_RATIO == 0.8
+
+
+# --- reward and dataset build over a mock shorten run -------------------------
+
+SHORTEN_CONFIG = {
+    "backends": {
+        "verifier": {"kind": "mock",
+                     "options": {"noop_tactics": ["skip"], "require_token": "norm_num"}},
+        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "drop_probability": 0.6}},
+        "repairer": {"kind": "mock",
+                     "options": {"mode": "shorter", "proof_body": "norm_num\n  skip"}},
+    },
+    "schedule": "3x3",
+    "seed": 5,
+}
+
+
+def shorten_seeds() -> list[ProofRecord]:
+    """Proofs that shrink, one already minimal (flat), one whose best
+    shortening misses the length filter (wide), and one that does not
+    verify (bad): the mock verifier requires norm_num."""
+    seeds = []
+    for i in range(6):
+        lines = ["  skip", "  have h : 1 = 1 := rfl", "  norm_num"]
+        lines += [f"  simp only [h, Nat.add_comm] at h{j}" for j in range(i)] + ["  exact h"]
+        seeds.append(rec(f"s{i}", "\n".join(lines)))
+    wide = "  norm_num [Nat.add_comm, Nat.mul_comm, Nat.add_assoc, Nat.mul_assoc]\n  rfl"
+    return seeds + [rec("flat", "  norm_num"), rec("wide", wide), rec("bad", "  simp\n  rfl")]
+
+
+def run_cli(argv) -> list[dict]:
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    return [json.loads(line) for line in result.output.splitlines()]
+
+
+def shorten_rows(tmp_path, seeds, config) -> str:
+    """The file of a seeded mock shorten run's output over seeds, repair on."""
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with open(tmp_path / "seeds.jsonl", "w") as handle:
+        write_jsonl(handle, [s.to_json() for s in seeds])
+    run_cli(["--config", str(tmp_path / "config.json"), "shorten", str(tmp_path / "seeds.jsonl"),
+             "--repair", "on", "-o", str(tmp_path / "out.jsonl")])
+    return str(tmp_path / "out.jsonl")
+
+
+def former_rewards(source: str, candidates: list[dict], sign: float) -> list[float]:
+    """The rewards that reward gave when its rows were hand-built: the
+    iteration's input as the group's proof, and each candidate as its proof
+    body with a valid flag, here the trace's verdict, both measured by the
+    lexer."""
+    original = ProofRecord.from_source(source)
+    len_x = lexer.proof_length(original.full_source)
+    rewards = []
+    for candidate in candidates:
+        body = ProofRecord.from_source(candidate["text"]).proof
+        len_y = lexer.proof_length(f"{original.statement} := by\n{body}")
+        valid = candidate["status"] == "valid"
+        rewards.append(sign * (len_x - len_y) / len_x if valid and len_y <= len_x else 0.0)
+    return rewards
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["positive", "literal-sign"])
+def test_reward_over_shorten_output_matches_the_former_rewards(tmp_path, literal):
+    seeds = shorten_seeds()
+    out = shorten_rows(tmp_path, seeds, SHORTEN_CONFIG)
+    rows = [row for row in read_jsonl(Path(out).read_text().splitlines()) if "summary" not in row]
+    groups = run_cli(["reward", out] + ["--literal-sign"] * literal)
+    sampled = [row for row in rows if row["candidates"]]
+    assert len(sampled) < len(rows)  # bad's iterations were skipped: no group
+    assert [g["id"] for g in groups] == [f"{r['proof_id']}#{r['index']}" for r in sampled]
+    inputs = {}  # each iteration starts from the last one's source_after
+    for seed in seeds:
+        inputs[seed.id, 0] = seed.full_source
+    for row in rows:
+        inputs[row["proof_id"], row["index"] + 1] = row["source_after"]
+    repaired = 0
+    for group, row in zip(groups, sampled):
+        entries = group["entries"]
+        assert group["group_size"] == len(entries) == len(row["candidates"])
+        assert abs(math.fsum(e["advantage"] for e in entries)) < 1e-12
+        expected = former_rewards(inputs[row["proof_id"], row["index"]], row["candidates"],
+                                  -1.0 if literal else 1.0)
+        assert [e["reward"] for e in entries] == expected
+        assert [e["valid"] for e in entries] == [c["status"] == "valid" for c in row["candidates"]]
+        assert [e["omit"] for e in entries] == [e["advantage"] == 0.0 for e in entries]
+        repaired += row["repair"] is not None
+    assert repaired and any(e["reward"] for g in groups for e in g["entries"])
+
+
+def test_dataset_build_over_shorten_output_pairs_each_adopted_result_that_passes_the_filter(
+    tmp_path,
+):
+    seeds = shorten_seeds()
+    out = shorten_rows(tmp_path, seeds, SHORTEN_CONFIG)
+    rows = [row for row in read_jsonl(Path(out).read_text().splitlines()) if "summary" not in row]
+    pairs = run_cli(["dataset", "build", "--seeds", str(tmp_path / "seeds.jsonl"),
+                     "--results", out])
+    expected, adopted = {}, set()
+    for seed in seeds:
+        own = [row for row in rows if row["proof_id"] == seed.id]
+        final = own[-1]["source_after"]
+        if any(row["score_after"] < row["score_before"] for row in own):
+            adopted.add(seed.id)
+            if reference_proof_length(final) <= LENGTH_RATIO * reference_proof_length(
+                seed.full_source
+            ):
+                expected[seed.id] = final
+    got = {p["input"]["id"]: ProofRecord.from_json(p["output"]).full_source for p in pairs}
+    assert got == expected
+    seed_rows = {s.id: s.to_json() for s in seeds}
+    assert all(p["input"] == seed_rows[p["input"]["id"]] for p in pairs)
+    # some adopted results miss the filter, and some proofs adopted nothing,
+    # among them one shortened only by a repair
+    assert set(expected) < adopted < {s.id for s in seeds}
+    assert any(row["repair"] and row["repair"]["adopted"] is not None
+               and row["proof_id"] in expected for row in rows)
+
+
+def test_candidates_that_hold_sorry_earn_nothing_and_pair_nothing(tmp_path):
+    config = json.loads(json.dumps(SHORTEN_CONFIG))
+    backends = config["backends"]
+    # shorter than every seed, and verified but for its sorry
+    backends["simplifier"]["options"] = {"mode": "constant", "proof_body": "norm_num\n  sorry"}
+    backends["repairer"]["options"] = {"mode": "longer"}  # keeps the sorry
+    out = shorten_rows(tmp_path, shorten_seeds(), config)
+    groups = run_cli(["reward", out])
+    assert groups and all(e["reward"] == 0.0 and not e["valid"]
+                          for g in groups for e in g["entries"])
+    pairs = run_cli(["dataset", "build", "--seeds", str(tmp_path / "seeds.jsonl"),
+                     "--results", out])
+    assert pairs == []
