@@ -31,8 +31,8 @@ from .errors import NoProofDelimiter
 from .estimators import min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
 from .records import Measure, ProofRecord, from_json, read_jsonl, write_jsonl
-from .shortener import SKIPPED_NOTE, ShorteningTrace, iteration_from_json, map_in_order
-from .shortener import shorten_loop
+from .shortener import SKIPPED_NOTE, CandidateResult, IterationRecord, ShorteningTrace
+from .shortener import admissible, map_in_order, shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -122,25 +122,9 @@ def _rows(name: str) -> list[dict]:
     return _read_text(name, read_jsonl)
 
 
-def _read_records(name: str) -> list[ProofRecord]:
-    return [ProofRecord.from_json(row) for row in _rows(name)]
-
-
-def _indexed(cls, rows, what: str) -> list:
+def _read(rows: list, cls=ProofRecord, what: str = "proof record") -> list:
     """Each row read as cls, named in an error by its id, else its index."""
     return [from_json(cls, row, what, index=i) for i, row in enumerate(rows)]
-
-
-def _records_by_id(name: str, what: str) -> dict[str, ProofRecord]:
-    """The proof records of a file by id, in file order; an id given twice
-    is an input error."""
-    out = {}
-    for row in _rows(name):
-        record = from_json(ProofRecord, row, what)
-        if record.id in out:
-            raise MalformedInput(f"{name}: id {record.id!r} is given twice")
-        out[record.id] = record
-    return out
 
 
 def _trace_rows(rows: list, named: bool = False) -> list:
@@ -178,7 +162,7 @@ def length(args):
     for name in args.files or ["-"]:
         path = Path(name)
         if name == "-" or path.suffix == ".jsonl":
-            for record in _read_records(name):
+            for record in _read(_rows(name)):
                 emit(record.id, record.full_source)
         else:
             emit(str(path), _read_text(name, lambda handle: handle.read()))
@@ -190,7 +174,7 @@ def lint(args):
     A proof that does not verify is written unchanged, with a note."""
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
-    records = _read_records(args.input)
+    records = _read(_rows(args.input))
 
     def lint_one(record: ProofRecord) -> dict:
         memo = VerdictMemo(verifier)
@@ -222,7 +206,7 @@ def _load_partial(path: Path, schedule):
             if len(done) == len(schedule) or not line.endswith(b"\n"):
                 break  # past the schedule, or interrupted mid-write; redo from here
             try:
-                itrec = iteration_from_json(json.loads(line))
+                itrec = from_json(IterationRecord, json.loads(line), "iteration record")
             except ValueError:  # not JSON, or not an iteration record
                 break
             k, temperature = schedule[len(done)]
@@ -243,7 +227,7 @@ def shorten(args):
         cfg.repair = args.repair == "on"
     simplifier_cfg = cfg.backend("simplifier")
     schedule = parse_schedule(args.schedule or cfg.schedule, simplifier_cfg.temperature)
-    records = _read_records(args.input)
+    records = _read(_rows(args.input))
     if not records:
         raise ConfigError("empty input")
     workdir = Path(cfg.workdir) if cfg.workdir else None
@@ -309,7 +293,15 @@ def dataset_build(args):
     """Pair seed proofs with the shortenings that shorten adopted for them."""
     from . import training_data
 
-    seeds = _records_by_id(args.seeds, "proof record")
+    def by_id(name: str, what: str) -> dict[str, ProofRecord]:
+        out = {}
+        for record in _read(_rows(name), what=what):
+            if record.id in out:
+                raise MalformedInput(f"{name}: id {record.id!r} is given twice")
+            out[record.id] = record
+        return out
+
+    seeds = by_id(args.seeds, "proof record")
     runs = {}  # proof id -> iteration index -> row
     for row in _trace_rows(_rows(args.results), named=True):
         iterations = runs.setdefault(row.proof_id, {})
@@ -319,16 +311,21 @@ def dataset_build(args):
             )
         iterations[row.index] = row
     # A proof's result is its last source_after, once an iteration adopted a
-    # checked candidate or repair: only that lowers score_after.
+    # checked candidate or repair: only that lowers score_after. An adopted
+    # result verified, and adoption keeps the statement, so the result must
+    # be admissible against its seed.
     results = {}
     for proof_id, iterations in runs.items():
         if any(row.score_after < row.score_before for row in iterations.values()):
-            source = iterations[max(iterations)].source_after
-            try:
-                results[proof_id] = ProofRecord.from_source(source, id=proof_id)
-            except ValueError as exc:
-                raise MalformedInput(str(exc)) from None
-    ancestry = _records_by_id(args.ancestry, "ancestry record") if args.ancestry else {}
+            last = iterations[max(iterations)]
+            result = ProofRecord.from_source(last.source_after, id=proof_id)
+            adopted = CandidateResult(last.source_after, VerdictStatus.VALID, last.score_after)
+            if proof_id in seeds and not admissible(adopted, seeds[proof_id].statement):
+                raise MalformedInput(
+                    f"proof {proof_id!r}: its result's statement differs from its seed's"
+                )
+            results[proof_id] = result
+    ancestry = by_id(args.ancestry, "ancestry record") if args.ancestry else {}
     pairs = training_data.build_expit_dataset(
         list(seeds.values()), results, ancestry, origin_iteration=args.iteration
     )
@@ -341,7 +338,7 @@ def dataset_filter_trivial(args):
 
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
-    kept, discarded = training_data.filter_trivial(_read_records(args.input), verifier)
+    kept, discarded = training_data.filter_trivial(_read(_rows(args.input)), verifier)
     _write_rows(args.output, (r.to_json() for r in kept))
     print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 
@@ -350,9 +347,7 @@ def dataset_emit_sft(args):
     """Serialize simplification pairs as prompt/completion records."""
     from . import training_data
 
-    pairs = [
-        from_json(training_data.SimplificationPair, row, "pair record") for row in _rows(args.input)
-    ]
+    pairs = _read(_rows(args.input), training_data.SimplificationPair, "pair record")
     _write_rows(args.output, training_data.emit_sft_records(pairs))
 
 
@@ -363,7 +358,9 @@ def reward(args):
     groups = [
         training_data.compute_rewards(
             row.score_before,
-            [(c.score, c.status is VerdictStatus.VALID) for c in row.candidates],
+            row.candidates,
+            # the incumbent's statement: adoption keeps it
+            ProofRecord.from_source(row.source_after, id=row.proof_id).statement,
             positive_shortening=not args.literal_sign,
             group_id=f"{row.proof_id}#{row.index}",
         )
@@ -393,12 +390,12 @@ def report(args):
         elif args.kind == "atk":
             if not args.ks:
                 raise ConfigError("--kind atk needs at least one -k")
-            samples = [row.samples for row in _indexed(reports.SampleRow, rows, "sample record")]
+            samples = [row.samples for row in _read(rows, reports.SampleRow, "sample record")]
             table = reports.atk_table(samples, sorted(args.ks))
         elif args.kind == "repair":
             table = [reports.repair_accounting(_trace_rows(rows))]
         else:
-            timings = _indexed(reports.SpeedupRow, rows, "speedup record")
+            timings = _read(rows, reports.SpeedupRow, "speedup record")
             rep = reports.speedup_report(map(astuple, timings))
             table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
     except (ValueError, ArithmeticError) as exc:  # a malformed row, or one out of float range

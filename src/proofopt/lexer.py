@@ -90,6 +90,11 @@ def lex(text: str) -> list[list[str]]:
     return lines
 
 
+def tokens(text: str) -> list[str]:
+    """The tokens of text without its comments, in order, empty ones dropped."""
+    return [token for line in lex(strip_comments(text)) for token in line if token]
+
+
 def proof_length(statement_and_proof: str) -> int:
     """Token count of the proof body of a statement-plus-proof text.
 

@@ -52,11 +52,9 @@ class MockVerifier(Verifier):
         with self._calls_lock:
             self.calls += 1
         try:
-            body = lexer.strip_comments(lexer.strip_statement(source))
+            flat = lexer.tokens(lexer.strip_statement(source))
         except NoProofDelimiter:
             return judge((Diagnostic("error", 1, 0, "no proof body"),))
-        token_lines = lexer.lex(body)
-        flat = [t for line in token_lines for t in line if t]
         opts = self.options
         if opts.timeout_token and opts.timeout_token in flat:
             return Verdict(VerdictStatus.TIMEOUT)
@@ -96,7 +94,6 @@ class MockVerifier(Verifier):
 class SimplifierOptions:
     mode: str = "echo"
     seed: int = 0
-    noop_lines: list[str] = field(default_factory=list)
     proof_body: str = "rfl"
     drop_probability: float = 0.35
 
@@ -110,7 +107,6 @@ class MockSimplifier(Simplifier):
     """Deterministic candidate generator for tests.
 
     Modes (options.mode):
-      strip_noops   delete lines whose stripped text is in options.noop_lines
       drop_lines    per-candidate seeded random deletion of proof lines
       echo          return the input unchanged
       constant      always return options.proof_body as the proof
@@ -134,9 +130,6 @@ class MockSimplifier(Simplifier):
     def _candidate(self, head, proof, temperature, index) -> str:
         lines = proof.strip("\n").splitlines()
         opts = self.options
-        if opts.mode == "strip_noops":
-            kept = [l for l in lines if l.strip() not in opts.noop_lines]
-            return head + ":= by\n" + "\n".join(kept)
         if opts.mode == "constant":
             return head + ":= by\n  " + opts.proof_body
         if opts.mode == "drop_lines":

@@ -43,10 +43,11 @@ class ProofRecord:
 
     @classmethod
     def from_source(cls, source: str, id: str = "", source_tag: str = "") -> "ProofRecord":
-        """Split a statement-plus-proof text at the first ':= by'."""
+        """Split a statement-plus-proof text at the first ':= by'; a text
+        without one is MalformedInput, a ValueError."""
         head, sep, tail = source.partition(PROOF_DELIMITER)
         if not sep:
-            raise ValueError(f"record {id!r}: source has no '{PROOF_DELIMITER}' delimiter")
+            raise MalformedInput(f"record {id!r}: source has no '{PROOF_DELIMITER}' delimiter")
         return cls(id=id, statement=head.rstrip(), proof=tail.strip("\n"), source_tag=source_tag)
 
     def to_json(self) -> dict:

@@ -1,8 +1,8 @@
 """Iterative best-of-k proof shortening.
 
 Each iteration samples k candidate rewrites, verifies them, and adopts one
-by a single acceptance rule (``_adopt``): the lowest-scored tactic proof that
-verifies and strictly beats the current score. A repair stage can kick in
+by a single acceptance rule (``_adopt``): the lowest-scored ``admissible``
+entry that strictly beats the current score. A repair stage can kick in
 after an iteration where nothing verified; repaired proofs are linted,
 best-first, and judged by the same rule, since repairs tend to come back longer than what
 they replace. Within one proof's loop every check goes through a
@@ -15,6 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
+from . import lexer
 from .backends import (
     Repairer,
     Simplifier,
@@ -25,7 +26,7 @@ from .backends import (
     truncate_error_report,
 )
 from .linter import lint_fixpoint, lint_once
-from .records import PROOF_DELIMITER, Measure, ProofRecord, from_json
+from .records import PROOF_DELIMITER, Measure, ProofRecord
 
 REPAIR_REPORT_LIMIT = 6000
 SKIPPED_NOTE = "skipped: input does not verify"
@@ -42,7 +43,7 @@ class CandidateResult:
 class RepairEntry:
     """One fix of a repair stage, as its trace records it. linted_score is
     the fix's score after linting, or its bound when it was not linted, and
-    None for a fix that cannot be adopted (invalid, or not a tactic proof)."""
+    None for a fix that is not admissible."""
 
     status: VerdictStatus
     score: int | None = None
@@ -89,13 +90,6 @@ class ShorteningTrace:
         return asdict(self)
 
 
-def iteration_from_json(obj) -> IterationRecord:
-    """Rebuild a persisted iteration record (inverse of to_json). A field
-    missing or of the wrong type, or an unknown status, raises
-    MalformedInput; keys that name no field are ignored."""
-    return from_json(IterationRecord, obj, "iteration record")
-
-
 def map_in_order(fn, items: list, width: int) -> list:
     """fn over items on a pool of width threads, never more than there are
     items, with the results in input order. No items start no pool."""
@@ -105,25 +99,32 @@ def map_in_order(fn, items: list, width: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _adopt(best_score: int, entries: list[CandidateResult]) -> int | None:
-    """The acceptance rule: the index of the entry to adopt, or None.
+def admissible(entry: CandidateResult, statement: str) -> bool:
+    """Whether entry may replace an incumbent proving statement, the one rule
+    of adoption, the repair lint gate, reward and dataset build: it verifies,
+    has a score, splits at ':= by' (a term-mode proof cannot become the next
+    record), and its statement has the incumbent's tokens (lexer.tokens)."""
+    head, delimiter, _ = entry.text.partition(PROOF_DELIMITER)
+    scored = entry.status is VerdictStatus.VALID and entry.score is not None
+    return scored and bool(delimiter) and lexer.tokens(head) == lexer.tokens(statement)
 
-    An entry qualifies when it verifies, has a score, splits at ':= by' (a
-    term-mode proof cannot become the next record) and scores strictly below
-    best_score. The lowest score wins, and the lowest index among ties."""
+
+def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:
+    """The acceptance rule: the index of the lowest-scored admissible entry
+    scoring strictly below best_score, the lowest index among ties; or None."""
     adopted = None
     for i, entry in enumerate(entries):
-        scored = entry.status is VerdictStatus.VALID and entry.score is not None
-        if scored and entry.score < best_score and PROOF_DELIMITER in entry.text:
+        if admissible(entry, statement) and entry.score < best_score:
             best_score, adopted = entry.score, i
     return adopted
 
 
 def _adopt_into(itrec: IterationRecord, entries: list[CandidateResult]) -> int | None:
-    """Apply the acceptance rule against itrec's incumbent score: the
-    winner's score and normalised text become itrec's score_after and
-    source_after. Returns the winner's index, or None."""
-    adopted = _adopt(itrec.score_after, entries)
+    """Apply the acceptance rule against itrec's incumbent, still its
+    source_after: the winner's score and normalised text become itrec's
+    score_after and source_after. Returns the winner's index, or None."""
+    statement = ProofRecord.from_source(itrec.source_after).statement
+    adopted = _adopt(itrec.score_after, entries, statement)
     if adopted is not None:
         winner = entries[adopted]
         itrec.score_after = winner.score
@@ -188,7 +189,7 @@ def _repair_stage(
     record does not depend on which repair finished first.
 
     A fix is judged by the acceptance rule on its linted text and score, and
-    only the lowest can win, so fixes are linted best-first. A valid tactic
+    only the lowest can win, so fixes are linted best-first. An admissible
     fix's bound is the memo's score_bound of its first lint round's edit,
     which needs no check beyond the fix's own. An unlinted fix stands in
     with its bound as its score; while the rule's winner is one, the fixes
@@ -220,7 +221,7 @@ def _repair_stage(
             # this check is also the first lint round's
             verdict, raw_score = verifier.check(fix)
             entry = RepairEntry(verdict.status, raw_score if verdict.ok else None)
-            if verdict.ok and PROOF_DELIMITER in fix:  # only a tactic proof is adopted
+            if admissible(CandidateResult(fix, verdict.status, raw_score), record.statement):
                 edit, _ = lint_once(ProofRecord.from_source(fix, id=record.id), verifier)
                 entry.linted_score = verifier.score_bound(edit.full_source)
             fixes.append((entry, CandidateResult(fix, verdict.status, entry.linted_score)))
@@ -245,7 +246,7 @@ def _repair_stage(
             stage.candidates.append(entry)
             fixes.append(fix)
     unlinted = [i for i, fix in enumerate(fixes) if fix.score is not None]
-    while (winner := _adopt(itrec.score_after, fixes)) in unlinted:
+    while (winner := _adopt(itrec.score_after, fixes, record.statement)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
         for i, linted in zip(batch, map_in_order(lint, [fixes[i] for i in batch], width)):

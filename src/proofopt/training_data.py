@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lexer, prompting
-from .backends import VerdictMemo, Verifier
+from .backends import VerdictMemo, VerdictStatus, Verifier
 from .errors import ZeroOriginal
 from .records import ProofRecord
-from .shortener import map_in_order
+from .shortener import CandidateResult, admissible, map_in_order
 
 LENGTH_RATIO = 0.8
 
@@ -114,15 +114,17 @@ class RewardGroup:
 
 def compute_rewards(
     original_length: int,
-    candidates: list[tuple[int | None, bool]],
+    candidates: list[CandidateResult],
+    statement: str,
     positive_shortening: bool = True,
     group_id: str = "",
 ) -> RewardGroup:
-    """Length-based rewards with a group-mean baseline, for candidates given
-    as (score, valid) pairs against an original of score original_length.
+    """Length-based rewards with a group-mean baseline, for an iteration's
+    candidates against an original of score original_length proving statement.
 
-    A candidate earns (|x| - |y|) / |x| when it verifies, has a score and is
-    no longer than the original, else 0. ``positive_shortening=False`` flips
+    A candidate earns (|x| - |y|) / |x| when it is admissible against
+    statement and no longer than the original, else 0; its valid flag is its
+    verdict. ``positive_shortening=False`` flips
     the sign to (|y| - |x|) / |x| for trainers that expect the raw delta.
     Advantages are mean-baselined with no variance normalization; entries
     whose advantage comes out exactly zero are flagged for omission.
@@ -135,14 +137,14 @@ def compute_rewards(
         )
     sign = 1.0 if positive_shortening else -1.0
     rewards = [
-        sign * (original_length - score) / original_length
-        if valid and score is not None and score <= original_length else 0.0
-        for score, valid in candidates
+        sign * (original_length - c.score) / original_length
+        if admissible(c, statement) and c.score <= original_length else 0.0
+        for c in candidates
     ]
     mean = sum(rewards) / len(rewards)
     entries = [
-        RewardEntry(reward, reward - mean, valid, reward - mean == 0.0)
-        for reward, (_, valid) in zip(rewards, candidates)
+        RewardEntry(reward, reward - mean, c.status is VerdictStatus.VALID, reward - mean == 0.0)
+        for reward, c in zip(rewards, candidates)
     ]
     return RewardGroup(group_id, len(entries), entries)
 

@@ -15,7 +15,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import VerdictMemo, extract_code_block
+from proofopt.backends import VerdictMemo, VerdictStatus, extract_code_block
 from proofopt.estimators import (
     SampleSet,
     dataset_aggregate,
@@ -28,7 +28,7 @@ from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import ProofRecord
 from proofopt.reports import atk_table, corpus_stats
-from proofopt.shortener import shorten_loop
+from proofopt.shortener import CandidateResult, shorten_loop
 from proofopt.training_data import (
     LENGTH_RATIO,
     build_expit_dataset,
@@ -184,9 +184,19 @@ def _synthetic_corpus(rng, size=50):
     return corpus
 
 
-def _run_corpus(corpus, seed):
+class StatementRewritingSimplifier(MockSimplifier):
+    """Replaces every third candidate with the shortest valid proof of
+    another statement, which the acceptance rule must never adopt."""
+
+    def _simplify(self, source, k, temperature):
+        out = super()._simplify(source, k, temperature)
+        return [("theorem other : True := by\n  anchor" if i % 3 == 0 else text)
+                for i, text in enumerate(out)]
+
+
+def _run_corpus(corpus, seed, simplifier_cls=MockSimplifier):
     verifier = MockVerifier(mock_cfg(require_token="anchor"))
-    simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=seed, drop_probability=0.5))
+    simplifier = simplifier_cls(mock_cfg(mode="drop_lines", seed=seed, drop_probability=0.5))
     schedule = [(4, 1.0), (4, 1.0), (2, 0.5)]
     return [shorten_loop(r, schedule, simplifier, verifier) for r in corpus]
 
@@ -216,6 +226,16 @@ def test_criterion_shortening_invariants():
         first = json.dumps([t.to_json() for t in traces], sort_keys=True)
         second = json.dumps([t.to_json() for t in again], sort_keys=True)
         assert first == second
+
+        # a simplifier that rewrites statements: the rewrites are valid and
+        # shortest, but every proof keeps its statement
+        rewritten = _run_corpus(corpus, seed=11, simplifier_cls=StatementRewritingSimplifier)
+        for record, trace in zip(corpus, rewritten):
+            for itrec in trace.iterations:
+                assert ProofRecord.from_source(itrec.source_after).statement == record.statement
+                assert all(c.status == "valid" and c.score == 1 for c in itrec.candidates[::3])
+            assert verifier.verify(trace.final_source).ok
+        assert any(it.adopted is not None for t in rewritten for it in t.iterations)
 
 
 # --- 5. linter ----------------------------------------------------------------
@@ -332,7 +352,12 @@ def test_criterion_reward_groups():
             candidates = [
                 (rng.randint(1, 70), rng.random() < 0.6) for _ in range(rng.randint(1, 10))
             ]
-            group = compute_rewards(orig_len, candidates)
+            results = [
+                CandidateResult("theorem r : 1 = 1 := by\n  rfl",
+                                VerdictStatus.VALID if valid else VerdictStatus.INVALID, cand_len)
+                for cand_len, valid in candidates
+            ]
+            group = compute_rewards(orig_len, results, "theorem r : 1 = 1")
             assert abs(math.fsum(e.advantage for e in group.entries)) < 1e-12
             for entry, (cand_len, valid) in zip(group.entries, candidates):
                 if not valid or cand_len > orig_len:

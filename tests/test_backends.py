@@ -167,8 +167,6 @@ def test_mock_simplifier_determinism():
 
 def test_mock_simplifier_modes():
     source = "t := by\n  skip\n  rfl"
-    strip = MockSimplifier(mock_cfg(mode="strip_noops", noop_lines=["skip"]))
-    assert strip.simplify(source, 1) == ["t := by\n  rfl"]
     const = MockSimplifier(mock_cfg(mode="constant", proof_body="simp"))
     assert const.simplify(source, 2) == ["t := by\n  simp"] * 2
     echo = MockSimplifier(mock_cfg(mode="echo"))

@@ -966,6 +966,16 @@ def test_dataset_build_rejects_an_adopted_result_without_a_tactic_block(runner, 
     assert result.output == "error: record 'a': source has no ':= by' delimiter\n"
 
 
+def test_dataset_build_rejects_an_adopted_result_that_proves_another_statement(runner, tmp_path):
+    seed = {"id": "a", "statement": "theorem a : 2 + 2 = 4", "proof": long_proof(10)}
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [seed])
+    row = {**trace_row("a", 10, 1), "source_after": "theorem z : True := by trivial"}
+    results = write_jsonl_file(tmp_path, "results.jsonl", [row])
+    result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
+    assert result.exit_code == 1
+    assert result.output == "error: proof 'a': its result's statement differs from its seed's\n"
+
+
 def test_dataset_filter_trivial(runner, tmp_path):
     proofs = write_jsonl_file(tmp_path, "thms.jsonl", PROOFS)
     easy = write_config(tmp_path, backends={"verifier": {"kind": "mock"}})
@@ -1000,6 +1010,28 @@ def test_reward_command(runner, tmp_path):
 
     literal = runner.invoke(main, ["reward", groups, "--literal-sign"])
     assert json.loads(literal.output)["entries"][0]["reward"] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("text", ["theorem g : 1 = 1 := rfl", "theorem z : True := by\n  trivial"],
+                         ids=["term-mode", "another-statement"])
+def test_reward_pays_nothing_for_a_candidate_that_shorten_would_not_adopt(runner, tmp_path, text):
+    """A valid candidate scored far below the original earns 0 when it is
+    not admissible: a term-mode proof, or a proof of another statement."""
+    row = trace_row("g", 10, 10)
+    row["candidates"] = [{"text": text, "status": "valid", "score": 1}]
+    groups = write_jsonl_file(tmp_path, "groups.jsonl", [row])
+    result = runner.invoke(main, ["reward", groups])
+    assert result.exit_code == 0, result.output
+    [entry] = json.loads(result.output)["entries"]
+    assert (entry["reward"], entry["valid"]) == (0.0, True)
+
+
+def test_reward_rejects_a_row_whose_source_after_has_no_tactic_block(runner, tmp_path):
+    row = {**trace_row("g", 10, 5), "source_after": "theorem g : 1 = 1 := rfl"}
+    groups = write_jsonl_file(tmp_path, "groups.jsonl", [row])
+    result = runner.invoke(main, ["reward", groups])
+    assert result.exit_code == 1
+    assert result.output == "error: record 'g': source has no ':= by' delimiter\n"
 
 
 def test_reward_makes_no_group_of_an_iteration_without_candidates(runner, tmp_path):
@@ -1047,19 +1079,22 @@ def test_dataset_build_refuses_an_id_given_twice(runner, tmp_path, option):
 
 @pytest.mark.parametrize("missing", ["proof", "id"])
 def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missing):
+    """The second row of --ancestry, and then of --seeds, lacks a field: the
+    error names the row by its id, or else by its index."""
     record = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
-    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [record])
-    results = write_jsonl_file(tmp_path, "results.jsonl", [trace_row("a", 10, 4)])
-    row = dict(record)
+    row = {**record, "id": "b"}
     del row[missing]
-    ancestry = write_jsonl_file(tmp_path, "ancestry.jsonl", [row])
-    result = runner.invoke(
-        main, ["dataset", "build", "--seeds", seeds, "--results", results, "--ancestry", ancestry]
-    )
-    assert result.exit_code == 1
-    assert result.exc_info[0] is SystemExit
-    named = "ancestry record" if missing == "id" else "ancestry record 'a'"
-    assert result.output == f"error: {named} missing field '{missing}'\n"
+    files = {"--seeds": [record], "--results": [trace_row("a", 10, 4)], "--ancestry": [record]}
+    for option, what in [("--ancestry", "ancestry record"), ("--seeds", "proof record")]:
+        argv = ["dataset", "build"]
+        for name, rows in files.items():
+            rows = rows + [row] if name == option else rows
+            argv += [name, write_jsonl_file(tmp_path, name.strip("-") + ".jsonl", rows)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert result.exc_info[0] is SystemExit
+        named = f"{what} 1" if missing == "id" else f"{what} 'b'"
+        assert result.output == f"error: {named} missing field '{missing}'\n"
 
 
 SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}

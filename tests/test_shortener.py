@@ -13,14 +13,13 @@ from proofopt.backends import Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
-from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord
+from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord, from_json
 from proofopt.shortener import (
     CandidateResult,
     IterationRecord,
     RepairEntry,
     RepairStage,
     VerdictMemo,
-    iteration_from_json,
     shorten_iteration,
     shorten_loop,
 )
@@ -90,6 +89,35 @@ def test_iteration_never_adopts_a_term_mode_candidate():
     assert itrec.candidates[0].score < itrec.score_before
     assert itrec.adopted is None
     assert itrec.source_after == start.full_source
+
+
+@pytest.mark.parametrize("statement,adopted", [
+    ("theorem foo : True", None),
+    ("theorem foo (x : Nat) : x + 0 = x", 0),
+    ("theorem  foo (x : Nat) : -- the claim\n    x + 0 = x", 0),
+    ("theorem foo /- renamed? no -/ (x : Nat) : x + 0 = x", 0),
+], ids=["rewritten", "same", "whitespace-and-line-comment", "block-comment"])
+def test_loop_adopts_only_a_candidate_that_proves_the_incumbents_statement(statement, adopted):
+    """A candidate proves the incumbent's statement when the two lex to the
+    same tokens: an edit of whitespace or comments passes, and a candidate
+    that proves another statement is never adopted, however short it is."""
+
+    class RewritingSimplifier(MockSimplifier):
+        def _simplify(self, source, k, temperature):
+            return [f"{statement} := by\n  trivial"] * k
+
+    start = ProofRecord(id="foo", statement="theorem foo (x : Nat) : x + 0 = x",
+                        proof="  induction x\n  rfl\n  simp")
+    trace = shorten_loop(start, [(2, 1.0)], RewritingSimplifier(mock_cfg()),
+                         MockVerifier(mock_cfg()))
+    itrec = trace.iterations[0]
+    assert [c.status for c in itrec.candidates] == [VerdictStatus.VALID] * 2
+    assert itrec.candidates[0].score < itrec.score_before
+    assert itrec.adopted == adopted
+    if adopted is None:
+        assert trace.final_source == start.full_source
+    else:
+        assert trace.final_source == f"{statement} := by\n  trivial"
 
 
 def test_iteration_survives_a_candidate_without_a_proof_body():
@@ -169,7 +197,7 @@ def test_iteration_record_round_trip():
     simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=1))
     trace = shorten_loop(record("  a\n  b\n  c"), [(3, 1.0)], simplifier, verifier)
     itrec = trace.iterations[0]
-    assert iteration_from_json(json.loads(json.dumps(itrec.to_json()))) == itrec
+    assert from_json(IterationRecord, json.loads(json.dumps(itrec.to_json())), "row") == itrec
 
 
 # text that UTF-8 can hold: no lone surrogates
@@ -192,7 +220,7 @@ ITERATIONS = st.builds(
 @given(ITERATIONS)
 def test_iteration_record_round_trips_with_any_repair_stage(itrec):
     line = json.dumps(itrec.to_json(), ensure_ascii=False)
-    assert iteration_from_json(json.loads(line)) == itrec
+    assert from_json(IterationRecord, json.loads(line), "row") == itrec
 
 
 def test_repair_stage_guard_rejects_longer():
@@ -240,6 +268,23 @@ def test_repair_stage_never_adopts_a_term_mode_fix():
     stage = trace.iterations[0].repair
     assert stage.candidates == [RepairEntry(VerdictStatus.VALID, 1, None)]
     assert stage.valid == 1
+    assert stage.adopted is None
+    assert trace.final_source == start.full_source
+
+
+def test_repair_stage_never_lints_or_adopts_a_fix_that_rewrites_the_statement():
+    class RewritingRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report):
+            return ["theorem t : True := by\n  trivial"]
+
+    verifier = MockVerifier(mock_cfg(fail_token="zeta"))
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
+    start = record("  norm_num\n  ring")
+    trace = shorten_loop(
+        start, [(2, 1.0)], simplifier, verifier, repairer=RewritingRepairer(mock_cfg())
+    )
+    stage = trace.iterations[0].repair
+    assert stage.candidates == [RepairEntry(VerdictStatus.VALID, 1, None)]
     assert stage.adopted is None
     assert trace.final_source == start.full_source
 

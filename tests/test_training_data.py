@@ -17,6 +17,8 @@ from proofopt.backends import (
 from proofopt.errors import ZeroOriginal
 from proofopt.cli import main
 from proofopt.records import ProofRecord, read_jsonl, write_jsonl
+from proofopt.mocks import MockSimplifier
+from proofopt.shortener import CandidateResult, _adopt
 from proofopt.training_data import (
     AUTO_MACRO,
     LENGTH_RATIO,
@@ -112,15 +114,24 @@ def test_filter_trivial():
         assert probe.rstrip().endswith("AUTO")
 
 
+STATEMENT = "theorem x : 1 = 1"
+
+
+def scored(score, valid=True) -> CandidateResult:
+    """A tactic proof of STATEMENT with score score and the verdict valid."""
+    status = VerdictStatus.VALID if valid else VerdictStatus.INVALID
+    return CandidateResult(f"{STATEMENT} := by\n  rfl", status, score)
+
+
 def test_rewards_basic():
     candidates = [
-        (5, True),   # reward 0.5
-        (5, False),  # invalid: 0
-        (15, True),  # longer: 0
-        (10, True),  # equal length: 0
-        (None, True),  # no score, so no length: 0
+        scored(5),   # reward 0.5
+        scored(5, False),  # invalid: 0
+        scored(15),  # longer: 0
+        scored(10),  # equal length: 0
+        scored(None),  # no score, so no length: 0
     ]
-    group = compute_rewards(10, candidates, group_id="x#0")
+    group = compute_rewards(10, candidates, STATEMENT, group_id="x#0")
     assert (group.id, group.group_size) == ("x#0", 5)
     rewards = [e.reward for e in group.entries]
     assert rewards == pytest.approx([0.5, 0.0, 0.0, 0.0, 0.0])
@@ -132,35 +143,35 @@ def test_rewards_basic():
 
 
 def test_rewards_sign_convention_switch():
-    positive = compute_rewards(10, [(5, True)]).entries[0].reward
-    literal = compute_rewards(10, [(5, True)], positive_shortening=False).entries[0].reward
+    positive = compute_rewards(10, [scored(5)], STATEMENT).entries[0].reward
+    literal = compute_rewards(10, [scored(5)], STATEMENT, positive_shortening=False)
     assert positive == pytest.approx(0.5)
-    assert literal == pytest.approx(-0.5)
+    assert literal.entries[0].reward == pytest.approx(-0.5)
 
 
 def test_rewards_zero_advantage_flag():
     # every candidate identical: all advantages are exactly zero
-    group = compute_rewards(10, [(5, True)] * 3)
+    group = compute_rewards(10, [scored(5)] * 3, STATEMENT)
     assert all(e.advantage == 0.0 for e in group.entries)
     assert all(e.omit for e in group.entries)
-    mixed = compute_rewards(10, [(5, True), (20, True)])
+    mixed = compute_rewards(10, [scored(5), scored(20)], STATEMENT)
     assert [e.omit for e in mixed.entries] == [False, False]
 
 
 def test_rewards_zero_original():
     with pytest.raises(ZeroOriginal, match="'z#0'"):
-        compute_rewards(0, [(1, True)], group_id="z#0")
+        compute_rewards(0, [scored(1)], STATEMENT, group_id="z#0")
     with pytest.raises(ValueError):
-        compute_rewards(3, [])
+        compute_rewards(3, [], STATEMENT)
 
 
 def test_rewards_random_groups_sum_to_zero():
     rng = random.Random(17)
     for _ in range(200):
         candidates = [
-            (rng.randint(1, 60), rng.random() < 0.6) for _ in range(rng.randint(1, 12))
+            scored(rng.randint(1, 60), rng.random() < 0.6) for _ in range(rng.randint(1, 12))
         ]
-        group = compute_rewards(rng.randint(1, 40), candidates)
+        group = compute_rewards(rng.randint(1, 40), candidates, STATEMENT)
         assert math.fsum(e.advantage for e in group.entries) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -299,6 +310,39 @@ def test_dataset_build_over_shorten_output_pairs_each_adopted_result_that_passes
     assert set(expected) < adopted < {s.id for s in seeds}
     assert any(row["repair"] and row["repair"]["adopted"] is not None
                and row["proof_id"] in expected for row in rows)
+
+
+def test_reward_pays_exactly_the_candidates_that_shorten_could_adopt(tmp_path, monkeypatch):
+    """Over a seeded mock shorten run with repair on, whose simplifier also
+    rewrites statements and gives term-mode proofs, a candidate's reward is
+    nonzero exactly when the acceptance rule adopts it alone against its
+    row's score_before and statement."""
+    simplify = MockSimplifier._simplify
+
+    def rewriting(self, source, k, temperature):
+        out = simplify(self, source, k, temperature)
+        # each still verifies exactly when the candidate it replaces does
+        out[0] = "theorem other : True := by" + out[0].partition(":= by")[2]
+        out[1] = out[1].replace(":= by", ":=", 1)
+        return out
+
+    monkeypatch.setattr(MockSimplifier, "_simplify", rewriting)
+    out = shorten_rows(tmp_path, shorten_seeds(), SHORTEN_CONFIG)
+    rows = [row for row in read_jsonl(Path(out).read_text().splitlines()) if "summary" not in row]
+    sampled = [row for row in rows if row["candidates"]]
+    groups = run_cli(["reward", out])
+    assert len(groups) == len(sampled)
+    paid = refused = 0
+    for group, row in zip(groups, sampled):
+        statement = ProofRecord.from_source(row["source_after"]).statement
+        for entry, c in zip(group["entries"], row["candidates"]):
+            candidate = CandidateResult(c["text"], VerdictStatus(c["status"]), c.get("score"))
+            adopted = _adopt(row["score_before"], [candidate], statement) == 0
+            assert (entry["reward"] != 0.0) == adopted
+            paid += adopted
+            refused += entry["valid"] and c["score"] < row["score_before"] and not adopted
+    # rows that repaired, rewards paid, and valid shorter candidates refused
+    assert any(row["repair"] for row in rows) and paid and refused
 
 
 def test_candidates_that_hold_sorry_earn_nothing_and_pair_nothing(tmp_path):
