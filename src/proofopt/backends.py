@@ -88,7 +88,7 @@ class BackendConfig:
             raise ConfigError("top_p must be in (0, 1]")
 
 
-# A checker diagnostic line: file:line:column: severity: message.
+# The line that starts a checker message: file:line:column: severity: message.
 _DIAGNOSTIC = re.compile(
     r"^[^:\n]*:(?P<line>\d+):(?P<column>\d+): (?P<severity>error|warning|info): (?P<message>.*)$"
 )
@@ -99,15 +99,20 @@ _HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
 
 
 def parse_diagnostics(output: str) -> tuple[Diagnostic, ...]:
+    """The checker messages in output. A message starts at a line
+    'file:line:col: severity: text', and each later line that starts none
+    continues it, as the goals under Lean's 'unsolved goals' do; a message's
+    trailing blank lines are dropped, and so is every line before the first."""
+    found = []  # (match, the message's lines)
+    for text in output.splitlines():
+        if m := _DIAGNOSTIC.match(text):
+            found.append((m, [m["message"]]))
+        elif found:
+            found[-1][1].append(text)
     return tuple(
-        Diagnostic(
-            severity=m.group("severity"),
-            line=int(m.group("line")),
-            column=int(m.group("column")),
-            message=m.group("message"),
-        )
-        for m in map(_DIAGNOSTIC.match, output.splitlines())
-        if m
+        Diagnostic(m["severity"], int(m["line"]), int(m["column"]),
+                   re.sub(r"\n\s*\Z", "", "\n".join(lines)))
+        for m, lines in found
     )
 
 
@@ -273,9 +278,11 @@ class SubprocessVerifier(Verifier):
     that exits nonzero without diagnostics is a crash; judge() decides
     every other run that ends, with a zero exit as the clean one. The lint
     directive is always prepended, the heartbeat directive when asked for.
-    Diagnostics come back at lines of the source: the checker reports lines
-    of the file, so the lines of the prepended directives are subtracted,
-    and a line inside the directives is reported as line 1.
+    stdout and stderr are parsed apart, so a stderr line never continues a
+    stdout message. Diagnostics come back at lines of the source: the
+    checker reports lines of the file, so the lines of the prepended
+    directives are subtracted, and a line inside the directives is
+    reported as line 1.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -317,7 +324,7 @@ class SubprocessVerifier(Verifier):
             os.unlink(path)
         diagnostics = tuple(
             replace(d, line=max(1, d.line - offset))
-            for d in parse_diagnostics(proc.stdout + "\n" + proc.stderr)
+            for d in parse_diagnostics(proc.stdout) + parse_diagnostics(proc.stderr)
         )
         if proc.returncode != 0 and not diagnostics:
             crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)

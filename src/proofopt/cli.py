@@ -8,7 +8,7 @@ shortener, linter, backends and concurrent.futures here, so those always load.
 Before a command runs, main claims every file it writes (-o unless it is -,
 --csv, --gnuplot), so an unwritable one fails before any backend call; when
 the command does not finish, the files the claim created are removed. Rows
-reach stdout or -o through one writer, this module's write_jsonl.
+reach stdout, -o and trace files through one writer, records.write_jsonl.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import json
 import sys
 # ThreadPoolExecutor stays importable here: bench/tracing.py patches it in this module.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 from . import lexer
-from .backends import VerdictMemo, VerdictStatus, make_repairer, make_simplifier, make_verifier
+from .backends import VerdictMemo, make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
 from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
 from .errors import NoProofDelimiter
@@ -31,8 +31,7 @@ from .errors import NoProofDelimiter
 from .estimators import min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
 from .records import Measure, ProofRecord, from_json, read_jsonl, write_jsonl
-from .shortener import SKIPPED_NOTE, CandidateResult, IterationRecord, ShorteningTrace
-from .shortener import admissible, map_in_order, shorten_loop
+from .shortener import SKIPPED_NOTE, IterationRecord, ShorteningTrace, map_in_order, shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -95,13 +94,9 @@ def _write_rows(name: str, rows) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.parallel_workers = args.workers
-    if args.workdir is not None:
-        cfg.workdir = args.workdir
-    cfg.check()
+    overrides = {"seed": args.seed, "parallel_workers": args.workers, "workdir": args.workdir}
+    # replace builds a new config, so RunConfig checks the overridden values
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     cfg.apply_seed()
     return cfg
 
@@ -181,7 +176,7 @@ def lint(args):
         # lint_fixpoint's first check is this one again, a memo hit
         ok = memo.verify(record.full_source).ok
         linted = lint_fixpoint(record, memo) if ok else record
-        row = {**linted.to_json(), "length": lexer.proof_length(linted.full_source)}
+        row = {**asdict(linted), "length": lexer.proof_length(linted.full_source)}
         return row if ok else {**row, "note": SKIPPED_NOTE}
 
     _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
@@ -255,7 +250,7 @@ def shorten(args):
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
 
             def sink(itrec):
-                write_jsonl(handle, [itrec.to_json()])
+                write_jsonl(handle, [itrec])
                 handle.flush()
 
         try:
@@ -284,7 +279,7 @@ def shorten(args):
             "mean_reduction": sum(reductions) / len(reductions) if reductions else 0.0,
         }
     }
-    rows = ({"proof_id": trace.proof_id, **itrec.to_json()}
+    rows = ({"proof_id": trace.proof_id, **asdict(itrec)}
             for trace in traces for itrec in trace.iterations)
     _write_rows(args.output, itertools.chain(rows, [summary]))
 
@@ -311,25 +306,17 @@ def dataset_build(args):
             )
         iterations[row.index] = row
     # A proof's result is its last source_after, once an iteration adopted a
-    # checked candidate or repair: only that lowers score_after. An adopted
-    # result verified, and adoption keeps the statement, so the result must
-    # be admissible against its seed.
-    results = {}
-    for proof_id, iterations in runs.items():
-        if any(row.score_after < row.score_before for row in iterations.values()):
-            last = iterations[max(iterations)]
-            result = ProofRecord.from_source(last.source_after, id=proof_id)
-            adopted = CandidateResult(last.source_after, VerdictStatus.VALID, last.score_after)
-            if proof_id in seeds and not admissible(adopted, seeds[proof_id].statement):
-                raise MalformedInput(
-                    f"proof {proof_id!r}: its result's statement differs from its seed's"
-                )
-            results[proof_id] = result
+    # checked candidate or repair: only that lowers score_after.
+    results = {
+        proof_id: ProofRecord.from_source(iterations[max(iterations)].source_after, id=proof_id)
+        for proof_id, iterations in runs.items()
+        if any(row.score_after < row.score_before for row in iterations.values())
+    }
     ancestry = by_id(args.ancestry, "ancestry record") if args.ancestry else {}
     pairs = training_data.build_expit_dataset(
         list(seeds.values()), results, ancestry, origin_iteration=args.iteration
     )
-    _write_rows(args.output, map(asdict, pairs))
+    _write_rows(args.output, pairs)
 
 
 def dataset_filter_trivial(args):
@@ -339,7 +326,7 @@ def dataset_filter_trivial(args):
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
     kept, discarded = training_data.filter_trivial(_read(_rows(args.input)), verifier)
-    _write_rows(args.output, (r.to_json() for r in kept))
+    _write_rows(args.output, kept)
     print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 
 
@@ -367,7 +354,7 @@ def reward(args):
         for row in _trace_rows(_rows(args.input), named=True)
         if row.candidates  # a skipped iteration sampled nothing
     ]
-    _write_rows(args.output, map(asdict, groups))
+    _write_rows(args.output, groups)
 
 
 def report(args):
@@ -386,7 +373,7 @@ def report(args):
                     record = from_json(ProofRecord, row, "corpus record", index=i)
                     score = lexer.proof_length(record.full_source)
                 scores.append(score)
-            table = [reports.corpus_stats(scores).as_row()]
+            table = [asdict(reports.corpus_stats(scores))]  # a dict, as --csv needs
         elif args.kind == "atk":
             if not args.ks:
                 raise ConfigError("--kind atk needs at least one -k")
@@ -396,8 +383,7 @@ def report(args):
             table = [reports.repair_accounting(_trace_rows(rows))]
         else:
             timings = _read(rows, reports.SpeedupRow, "speedup record")
-            rep = reports.speedup_report(map(astuple, timings))
-            table = rep.as_rows() + [{"over_1.1x": rep.over_1_1, "over_1.5x": rep.over_1_5}]
+            table = reports.speedup_report(map(astuple, timings))
     except (ValueError, ArithmeticError) as exc:  # a malformed row, or one out of float range
         raise MalformedInput(f"bad report input: {exc}") from None
     if args.csv:

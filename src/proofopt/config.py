@@ -56,13 +56,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, raw) -> "RunConfig":
-        cfg = from_json(cls, raw, "run config", ConfigError, strict=True)
-        cfg.check()
-        return cfg
+        return from_json(cls, raw, "run config", ConfigError, strict=True)
 
-    def check(self) -> None:
-        """Raise ConfigError for a value out of range. The CLI runs it again
-        after its command-line overrides."""
+    def __post_init__(self):
         if self.parallel_workers < 1:
             raise ConfigError("parallel_workers must be at least 1")
         if self.repair_budget < 0:

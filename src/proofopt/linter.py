@@ -52,7 +52,7 @@ def lint_once(record: ProofRecord, memo: VerdictMemo) -> tuple[ProofRecord, int]
         raise NotValidInput(f"proof {record.id!r} does not verify before linting")
     spans = []
     for diag in verdict.diagnostics:
-        m = _NOOP_DIAGNOSTIC.search(diag.message)
+        m = _NOOP_DIAGNOSTIC.search(diag.message.partition("\n")[0])  # not in a goal below
         if m:
             spans.append((diag.line, diag.column, m.group("tactic")))
     if not spans:

@@ -12,6 +12,7 @@ import random
 import re
 import threading
 from dataclasses import dataclass, field
+from enum import Enum
 
 from . import lexer
 from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus, judge
@@ -90,9 +91,15 @@ class MockVerifier(Verifier):
         return found
 
 
+class SimplifierMode(str, Enum):
+    ECHO = "echo"
+    DROP_LINES = "drop_lines"
+    CONSTANT = "constant"
+
+
 @dataclass
 class SimplifierOptions:
-    mode: str = "echo"
+    mode: SimplifierMode = SimplifierMode.ECHO
     seed: int = 0
     proof_body: str = "rfl"
     drop_probability: float = 0.35
@@ -130,9 +137,9 @@ class MockSimplifier(Simplifier):
     def _candidate(self, head, proof, temperature, index) -> str:
         lines = proof.strip("\n").splitlines()
         opts = self.options
-        if opts.mode == "constant":
+        if opts.mode is SimplifierMode.CONSTANT:
             return head + ":= by\n  " + opts.proof_body
-        if opts.mode == "drop_lines":
+        if opts.mode is SimplifierMode.DROP_LINES:
             rng = _seeded_rng(opts.seed, head, proof, temperature, index)
             kept = [l for l in lines if not (l.strip() and rng.random() < opts.drop_probability)]
             if not kept:
@@ -141,9 +148,15 @@ class MockSimplifier(Simplifier):
         return head + ":= by\n" + "\n".join(lines)
 
 
+class RepairerMode(str, Enum):
+    DELETE_FLAGGED = "delete_flagged"
+    SHORTER = "shorter"
+    LONGER = "longer"
+
+
 @dataclass
 class RepairerOptions:
-    mode: str = "delete_flagged"
+    mode: RepairerMode = RepairerMode.DELETE_FLAGGED
     proof_body: str = "rfl"
     padding: int = 8
 
@@ -161,9 +174,9 @@ class MockRepairer(Repairer):
         self.options = from_json(RepairerOptions, cfg.options, "mock options", ConfigError)
 
     def _repair(self, statement, failed_proof, error_report):
-        if self.options.mode == "shorter":
+        if self.options.mode is RepairerMode.SHORTER:
             fixed = statement + " := by\n  " + self.options.proof_body
-        elif self.options.mode == "longer":
+        elif self.options.mode is RepairerMode.LONGER:
             pad = "\n".join("  skip" for _ in range(self.options.padding))
             fixed = statement + " := by\n" + failed_proof.rstrip("\n") + "\n" + pad
         else:

@@ -50,13 +50,6 @@ class ProofRecord:
             raise MalformedInput(f"record {id!r}: source has no '{PROOF_DELIMITER}' delimiter")
         return cls(id=id, statement=head.rstrip(), proof=tail.strip("\n"), source_tag=source_tag)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj) -> "ProofRecord":
-        return from_json(cls, obj, "proof record")
-
 
 def read_jsonl(stream) -> list[dict]:
     """Parse a JSONL stream, skipping blank lines."""
@@ -170,5 +163,7 @@ def from_json(cls, obj, what: str, error=MalformedInput, strict=False, index=Non
 
 
 def write_jsonl(stream, objects) -> None:
+    """Write each object as one JSON line, a dataclass at any depth as asdict
+    gives it: the one row serialiser, whose lines from_json reads back."""
     for obj in objects:
-        stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        stream.write(json.dumps(obj, ensure_ascii=False, default=asdict) + "\n")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .backends import VerdictStatus
 from .errors import EmptyDataset, InvalidK
@@ -52,9 +52,6 @@ class CorpusStats:
     max: int
     mean: float
 
-    def as_row(self) -> dict:
-        return asdict(self)
-
 
 def corpus_stats(scores) -> CorpusStats:
     """Five-number summary plus mean. Quartiles use linear interpolation
@@ -98,36 +95,22 @@ def atk_table(per_proof_samples: list[SampleSet], ks: list[int]) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
-    entries: tuple[tuple[float, float, float], ...]  # (time_orig, time_new, ratio)
-    over_1_1: int
-    over_1_5: int
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {"time_orig": o, "time_new": n, "ratio": r} for o, n, r in self.entries
-        ]
-
-
-def speedup_report(timings) -> SpeedupReport:
-    """Per-proof speedup ratios with counts above the 1.1x and 1.5x bars."""
-    entries = []
+def speedup_report(timings) -> list[dict]:
+    """Per-proof speedup rows, (time_orig, time_new, ratio), followed by one
+    row of the counts above the 1.1x and 1.5x bars."""
+    rows = []
     for time_orig, time_new in timings:
         if time_orig <= 0 or time_new <= 0:
             raise ValueError("timings must be positive")
         ratio = time_orig / time_new
         if not math.isfinite(ratio):
             raise ValueError(f"speedup ratio {ratio} is not finite")
-        entries.append((time_orig, time_new, ratio))
-    if not entries:
+        rows.append({"time_orig": time_orig, "time_new": time_new, "ratio": ratio})
+    if not rows:
         raise EmptyDataset("no timings")
-    ratios = [r for _, _, r in entries]
-    return SpeedupReport(
-        entries=tuple(entries),
-        over_1_1=sum(r > 1.1 for r in ratios),
-        over_1_5=sum(r > 1.5 for r in ratios),
-    )
+    ratios = [row["ratio"] for row in rows]
+    return rows + [{"over_1.1x": sum(r > 1.1 for r in ratios),
+                    "over_1.5x": sum(r > 1.5 for r in ratios)}]
 
 
 def repair_accounting(iterations: list[IterationRecord]) -> dict:

@@ -13,7 +13,7 @@ checker again.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import lexer
 from .backends import (
@@ -72,9 +72,6 @@ class IterationRecord:
     note: str = ""
     repair: RepairStage | None = None
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ShorteningTrace:
@@ -86,9 +83,6 @@ class ShorteningTrace:
     def final_source(self) -> str | None:
         return self.iterations[-1].source_after if self.iterations else None
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def map_in_order(fn, items: list, width: int) -> list:
     """fn over items on a pool of width threads, never more than there are
@@ -99,14 +93,21 @@ def map_in_order(fn, items: list, width: int) -> list:
         return list(pool.map(fn, items))
 
 
+def same_statement(statement: str, other: str) -> bool:
+    """Whether two statements have the same lexer.tokens: comments and
+    layout aside, they state the same theorem. The statement clause of
+    admissible, and dataset build's check of a result and an ancestor."""
+    return lexer.tokens(statement) == lexer.tokens(other)
+
+
 def admissible(entry: CandidateResult, statement: str) -> bool:
     """Whether entry may replace an incumbent proving statement, the one rule
-    of adoption, the repair lint gate, reward and dataset build: it verifies,
-    has a score, splits at ':= by' (a term-mode proof cannot become the next
-    record), and its statement has the incumbent's tokens (lexer.tokens)."""
+    of adoption, the repair lint gate and reward: it verifies, has a score,
+    splits at ':= by' (a term-mode proof cannot become the next record), and
+    its statement is the incumbent's (same_statement)."""
     head, delimiter, _ = entry.text.partition(PROOF_DELIMITER)
     scored = entry.status is VerdictStatus.VALID and entry.score is not None
-    return scored and bool(delimiter) and lexer.tokens(head) == lexer.tokens(statement)
+    return scored and bool(delimiter) and same_statement(head, statement)
 
 
 def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:

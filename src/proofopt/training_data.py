@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 from . import lexer, prompting
 from .backends import VerdictMemo, VerdictStatus, Verifier
-from .errors import ZeroOriginal
+from .errors import MalformedInput, ZeroOriginal
 from .records import ProofRecord
-from .shortener import CandidateResult, admissible, map_in_order
+from .shortener import CandidateResult, admissible, map_in_order, same_statement
 
 LENGTH_RATIO = 0.8
 
@@ -35,8 +35,8 @@ AUTO_MACRO = """macro "AUTO" : tactic =>
        try aesop))"""
 
 
-# The row of dataset build and dataset emit-sft: asdict writes it and
-# records.from_json reads it back.
+# The row of dataset build and dataset emit-sft: records.write_jsonl writes
+# it and records.from_json reads it back.
 @dataclass(frozen=True)
 class SimplificationPair:
     input: ProofRecord
@@ -62,15 +62,24 @@ def build_expit_dataset(
     length filter, plus a transitive pair against the original ancestor when
     the input was itself the product of an earlier round. results and
     ancestry are keyed by seed id; a seed without a result makes no pair.
+    A seed's result and ancestor must prove its statement (same_statement):
+    either one that does not is MalformedInput.
     """
     ancestry = ancestry or {}
     pairs = []
     for proof in seed_proofs:
         best = results.get(proof.id)
-        if best is None or not passes_length_filter(proof, best):
+        if best is None:
+            continue
+        ancestor = ancestry.get(proof.id)
+        for what, other in (("result", best), ("ancestor", ancestor)):
+            if other is not None and not same_statement(other.statement, proof.statement):
+                raise MalformedInput(
+                    f"proof {proof.id!r}: its {what}'s statement differs from its seed's"
+                )
+        if not passes_length_filter(proof, best):
             continue
         pairs.append(SimplificationPair(proof, best, origin_iteration))
-        ancestor = ancestry.get(proof.id)
         if ancestor is not None and ancestor.proof != proof.proof:
             if passes_length_filter(ancestor, best):
                 pairs.append(SimplificationPair(ancestor, best, origin_iteration, transitive=True))
@@ -96,7 +105,7 @@ def filter_trivial(
     return kept, discarded
 
 
-# A reward row, written by asdict.
+# A reward row, written by records.write_jsonl.
 @dataclass
 class RewardEntry:
     reward: float

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from decimal import Decimal, getcontext
 
 import pytest
@@ -223,8 +224,8 @@ def test_criterion_shortening_invariants():
         assert saw_all_invalid > 0  # the corpus must actually exercise the branch
 
         again = _run_corpus(corpus, seed=11)
-        first = json.dumps([t.to_json() for t in traces], sort_keys=True)
-        second = json.dumps([t.to_json() for t in again], sort_keys=True)
+        first = json.dumps([asdict(t) for t in traces], sort_keys=True)
+        second = json.dumps([asdict(t) for t in again], sort_keys=True)
         assert first == second
 
         # a simplifier that rewrites statements: the rewrites are valid and

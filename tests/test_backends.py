@@ -68,7 +68,10 @@ def test_parse_diagnostics():
     out = "foo.lean:3:7: error: unknown identifier 'zz'\nnoise\nfoo.lean:1:0: warning: hm"
     diags = parse_diagnostics(out)
     assert [(d.severity, d.line, d.column) for d in diags] == [("error", 3, 7), ("warning", 1, 0)]
-    assert diags[0].message == "unknown identifier 'zz'"
+    # a line that starts no message continues the one before it
+    assert diags[0].message == "unknown identifier 'zz'\nnoise"
+    # lines before the first message, and a message's trailing blank lines, are dropped
+    assert parse_diagnostics("lake: building\n" + out + "\n\n  \n") == diags
 
 
 def test_extract_code_block():
@@ -313,9 +316,9 @@ sys.stdout.buffer.write(f"{sys.argv[1]}:2:0: error: {last} ".encode() + b"\\xff\
 """
 
 
-def _python_checker_verifier(tmp_path) -> SubprocessVerifier:
+def _python_checker_verifier(tmp_path, checker=_ECHO_CHECKER) -> SubprocessVerifier:
     script = tmp_path / "checker.py"
-    script.write_text(_ECHO_CHECKER, encoding="utf-8")
+    script.write_text(checker, encoding="utf-8")
     command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
     return SubprocessVerifier(BackendConfig(kind="subprocess_verifier", command_template=command))
 
@@ -324,6 +327,29 @@ def test_subprocess_verifier_checker_io_is_utf8(tmp_path):
     verdict = _python_checker_verifier(tmp_path).verify("theorem t (n : ℕ) : n = n := by\n  rfl ⟨⟩")
     assert verdict.status is VerdictStatus.INVALID
     assert [d.message for d in verdict.diagnostics] == ["rfl ⟨⟩ �"]
+
+
+# Reports unsolved goals at the checked file's line 3 as Lean does, the goal
+# lines under the message's first line, and a line of its own on stderr.
+_GOALS_CHECKER = """\
+import sys
+report = f"{sys.argv[1]}:3:2: error: unsolved goals\\nx : Nat\\n⊢ x + 0 = x\\n\\n"
+sys.stdout.buffer.write(report.encode())
+sys.stderr.write("checker finished\\n")
+sys.exit(1)
+"""
+
+
+def test_subprocess_verifier_keeps_a_whole_message(tmp_path):
+    source = "theorem t (x : Nat) : x + 0 = x := by\n  skip"
+    verdict = _python_checker_verifier(tmp_path, _GOALS_CHECKER).verify(source)
+    assert verdict.status is VerdictStatus.INVALID
+    [diag] = verdict.diagnostics
+    assert (diag.line, diag.message) == (2, "unsolved goals\nx : Nat\n⊢ x + 0 = x")
+    report = format_error_report(source, verdict.diagnostics).splitlines()
+    assert report[report.index("<error>"):] == [
+        "<error>", "unsolved goals", "x : Nat", "⊢ x + 0 = x", "</error>"
+    ]
 
 
 def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_path, monkeypatch):

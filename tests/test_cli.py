@@ -13,7 +13,7 @@ from proofopt import backends, cli, prompting, shortener
 from proofopt.cli import main
 from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
 from proofopt.mocks import MockSimplifier, MockVerifier
-from proofopt.records import ProofRecord, read_jsonl
+from proofopt.records import ProofRecord, from_json, read_jsonl
 
 from conftest import CliRunner
 
@@ -87,7 +87,7 @@ def test_malformed_input_is_a_toolkit_error():
     with pytest.raises(MalformedInput, match="line 2"):
         read_jsonl(['{"id": 1}\n', '{"id"\n'])
     with pytest.raises(MalformedInput, match="proof"):
-        ProofRecord.from_json({"id": "x", "statement": "theorem x : 1 = 1"})
+        from_json(ProofRecord, {"id": "x", "statement": "theorem x : 1 = 1"}, "proof record")
 
 
 def test_lint_command(runner, tmp_path):
@@ -976,6 +976,18 @@ def test_dataset_build_rejects_an_adopted_result_that_proves_another_statement(r
     assert result.output == "error: proof 'a': its result's statement differs from its seed's\n"
 
 
+def test_dataset_build_rejects_an_ancestor_that_proves_another_statement(runner, tmp_path):
+    seed = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
+    ancestor = {"id": "a", "statement": "theorem zz : False", "proof": long_proof(30)}
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [seed])
+    results = write_jsonl_file(tmp_path, "results.jsonl", [trace_row("a", 10, 1)])
+    ancestry = write_jsonl_file(tmp_path, "ancestry.jsonl", [ancestor])
+    result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results,
+                                  "--ancestry", ancestry])
+    assert result.exit_code == 1
+    assert result.output == "error: proof 'a': its ancestor's statement differs from its seed's\n"
+
+
 def test_dataset_filter_trivial(runner, tmp_path):
     proofs = write_jsonl_file(tmp_path, "thms.jsonl", PROOFS)
     easy = write_config(tmp_path, backends={"verifier": {"kind": "mock"}})
@@ -1121,6 +1133,8 @@ WRONG_TYPES = [
     pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "options": {
         "heartbeats_per_token": "5"}}}}, 2, id="mock-option-text"),
     pytest.param("config", {"measure": "pages"}, 2, id="measure-unknown"),
+    pytest.param("mock", {"simplifier": {"mode": "strip_noops"}}, 2, id="simplifier-mode-unknown"),
+    pytest.param("mock", {"repairer": {"mode": "typo"}}, 2, id="repairer-mode-unknown"),
     pytest.param("config", {"backends": {"verifier": None}}, 2, id="backend-null"),
     pytest.param("estimate", {**SAMPLE, "scores": 5}, 1, id="estimate-scores-number"),
     pytest.param("estimate", {**SAMPLE, "scores": ["x", 2]}, 1, id="estimate-score-text"),
@@ -1177,6 +1191,10 @@ def wrong_type_argv(tmp_path, command, data) -> list[str]:
     if command == "config":
         proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
         return ["--config", write_config(tmp_path, **data), "lint", proofs]
+    if command == "mock":  # a role's mock options, read when shorten builds every backend
+        proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+        config = slotted_config(tmp_path, 1, **data)
+        return ["--config", config, "shorten", "--repair", "on", proofs]
     rows = write_jsonl_file(tmp_path, "in.jsonl", data if isinstance(data, list) else [data])
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
     results = write_jsonl_file(tmp_path, "results.jsonl", [GROUP])

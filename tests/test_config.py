@@ -1,11 +1,12 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from proofopt.config import RunConfig, parse_schedule
 from proofopt.errors import ConfigError, TemplateMissing
 from proofopt.prompting import load_template, render
-from proofopt.records import Measure, ProofRecord
+from proofopt.records import Measure, ProofRecord, from_json
 
 
 def test_parse_schedule():
@@ -146,7 +147,7 @@ def test_proof_record_round_trip():
     record = ProofRecord.from_source(source, id="t")
     # splits at the FIRST delimiter, even one buried in a binder
     assert record.statement == "theorem t (h : a"
-    again = ProofRecord.from_json(json.loads(json.dumps(record.to_json())))
+    again = from_json(ProofRecord, json.loads(json.dumps(asdict(record))), "proof record")
     assert again == ProofRecord(
         id=record.id, statement=record.statement, proof=record.proof
     )

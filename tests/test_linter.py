@@ -120,3 +120,14 @@ def test_lint_once_skips_a_diagnostic_whose_position_does_not_hold_the_tactic(li
     linted, removed = lint_once(start, VerdictMemo(StaleVerifier(mock_cfg())))
     assert removed == 0
     assert linted.full_source == start.full_source
+
+
+def test_lint_once_matches_a_do_nothing_tactic_on_a_message_first_line_only():
+    class GoalVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            message = "some note\n'skip' tactic does nothing"  # a line under the message
+            return judge([Diagnostic("warning", 2, 2, message)])
+
+    start = record("  skip\n  rfl")  # skip is at line 2, column 2
+    linted, removed = lint_once(start, VerdictMemo(GoalVerifier(mock_cfg())))
+    assert (linted, removed) == (start, 0)

@@ -86,11 +86,10 @@ def test_atk_table_rejects_oversized_k():
 
 
 def test_speedup_report():
-    rep = speedup_report([(10.0, 5.0), (10.0, 9.5), (12.0, 10.0)])
-    ratios = [r["ratio"] for r in rep.as_rows()]
+    *rows, counts = speedup_report([(10.0, 5.0), (10.0, 9.5), (12.0, 10.0)])
+    ratios = [r["ratio"] for r in rows]
     assert ratios == pytest.approx([2.0, 10 / 9.5, 1.2])
-    assert rep.over_1_1 == 2
-    assert rep.over_1_5 == 1
+    assert counts == {"over_1.1x": 2, "over_1.5x": 1}
     with pytest.raises(ValueError):
         speedup_report([(0.0, 1.0)])
     with pytest.raises(EmptyDataset):

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from proofopt.backends import Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
-from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord, from_json
+from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord, from_json, write_jsonl
+from proofopt.reports import TraceRow
 from proofopt.shortener import (
     CandidateResult,
     IterationRecord,
@@ -23,6 +26,7 @@ from proofopt.shortener import (
     shorten_iteration,
     shorten_loop,
 )
+from proofopt.training_data import SimplificationPair
 
 from conftest import mock_cfg
 
@@ -184,7 +188,7 @@ def test_loop_monotone_and_resumable():
     resumed = shorten_loop(
         start, schedule, simplifier, verifier, resume_from=trace.iterations[:2]
     )
-    assert json.dumps(resumed.to_json()) == json.dumps(trace.to_json())
+    assert json.dumps(asdict(resumed)) == json.dumps(asdict(trace))
 
 
 def test_loop_rejects_empty_schedule():
@@ -192,12 +196,28 @@ def test_loop_rejects_empty_schedule():
         shorten_loop(record("  rfl"), [], None, None)
 
 
-def test_iteration_record_round_trip():
+def _written(obj) -> str:
+    """The line that records.write_jsonl writes for obj."""
+    stream = io.StringIO()
+    write_jsonl(stream, [obj])
+    return stream.getvalue()
+
+
+def _shortened_rows():
+    """A proof record, its first iteration as a trace line writes it, that
+    iteration as a row of shorten's stdout, and a simplification pair."""
+    start = record("  a\n  b\n  c")
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=1))
-    trace = shorten_loop(record("  a\n  b\n  c"), [(3, 1.0)], simplifier, verifier)
-    itrec = trace.iterations[0]
-    assert from_json(IterationRecord, json.loads(json.dumps(itrec.to_json())), "row") == itrec
+    itrec = shorten_loop(start, [(3, 1.0)], simplifier, verifier).iterations[0]
+    result = ProofRecord.from_source(itrec.source_after, id=start.id)
+    return [start, itrec, TraceRow(**vars(itrec), proof_id=start.id),
+            SimplificationPair(start, result, iteration=1, transitive=True)]
+
+
+@pytest.mark.parametrize("obj", _shortened_rows(), ids=lambda obj: type(obj).__name__)
+def test_write_jsonl_row_round_trip(obj):
+    assert from_json(type(obj), json.loads(_written(obj)), "row") == obj
 
 
 # text that UTF-8 can hold: no lone surrogates
@@ -219,8 +239,7 @@ ITERATIONS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(ITERATIONS)
 def test_iteration_record_round_trips_with_any_repair_stage(itrec):
-    line = json.dumps(itrec.to_json(), ensure_ascii=False)
-    assert from_json(IterationRecord, json.loads(line), "row") == itrec
+    assert from_json(IterationRecord, json.loads(_written(itrec)), "row") == itrec
 
 
 def test_repair_stage_guard_rejects_longer():
@@ -458,7 +477,7 @@ def test_repair_stage_folds_in_input_order():
 
     concurrent = _repair_scenario(SlowFirstRepairer(mock_cfg()), max_parallel=2)
     assert [it.repair for it in concurrent.iterations] == stages
-    assert json.dumps(concurrent.to_json()) == json.dumps(serial.to_json())
+    assert json.dumps(asdict(concurrent)) == json.dumps(asdict(serial))
 
 
 def test_repair_stage_repairs_concurrently():
@@ -777,7 +796,7 @@ def test_memo_delivers_a_failed_check_to_every_waiter():
     assert verifier.calls == 2
 
 
-# sha256 of json.dumps(trace.to_json()) for each _memo_scenario, recorded
+# sha256 of json.dumps(asdict(trace)) for each _memo_scenario, recorded
 # before checks were remembered. None of these loops samples a failed text
 # twice, so deduplication before repair leaves them alone too.
 MOCK_TRACE_DIGESTS = {
@@ -793,5 +812,5 @@ MOCK_TRACE_DIGESTS = {
 @pytest.mark.parametrize("mode,seed,measure", list(MOCK_TRACE_DIGESTS))
 def test_memo_leaves_mock_traces_unchanged(mode, seed, measure):
     trace, _ = _memo_scenario(mode, seed, Measure(measure))
-    blob = json.dumps(trace.to_json()).encode()
+    blob = json.dumps(asdict(trace)).encode()
     assert hashlib.sha256(blob).hexdigest() == MOCK_TRACE_DIGESTS[(mode, seed, measure)]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from proofopt.backends import (
 )
 from proofopt.errors import ZeroOriginal
 from proofopt.cli import main
-from proofopt.records import ProofRecord, read_jsonl, write_jsonl
+from proofopt.records import ProofRecord, from_json, read_jsonl, write_jsonl
 from proofopt.mocks import MockSimplifier
 from proofopt.shortener import CandidateResult, _adopt
 from proofopt.training_data import (
@@ -35,7 +36,9 @@ from lexer_oracle import reference_proof_length
 
 
 def rec(id, proof):
-    return ProofRecord(id=id, statement=f"theorem {id} : 1 = 1", proof=proof)
+    """A record of theorem id; a result id' proves the statement of its seed id."""
+    theorem = id.rstrip("'")
+    return ProofRecord(id=id, statement=f"theorem {theorem} : 1 = 1", proof=proof)
 
 
 def proof_of_length(id, n):
@@ -233,7 +236,7 @@ def shorten_rows(tmp_path, seeds, config) -> str:
     """The file of a seeded mock shorten run's output over seeds, repair on."""
     (tmp_path / "config.json").write_text(json.dumps(config))
     with open(tmp_path / "seeds.jsonl", "w") as handle:
-        write_jsonl(handle, [s.to_json() for s in seeds])
+        write_jsonl(handle, seeds)
     run_cli(["--config", str(tmp_path / "config.json"), "shorten", str(tmp_path / "seeds.jsonl"),
              "--repair", "on", "-o", str(tmp_path / "out.jsonl")])
     return str(tmp_path / "out.jsonl")
@@ -301,9 +304,10 @@ def test_dataset_build_over_shorten_output_pairs_each_adopted_result_that_passes
                 seed.full_source
             ):
                 expected[seed.id] = final
-    got = {p["input"]["id"]: ProofRecord.from_json(p["output"]).full_source for p in pairs}
+    got = {p["input"]["id"]: from_json(ProofRecord, p["output"], "pair output").full_source
+           for p in pairs}
     assert got == expected
-    seed_rows = {s.id: s.to_json() for s in seeds}
+    seed_rows = {s.id: asdict(s) for s in seeds}
     assert all(p["input"] == seed_rows[p["input"]["id"]] for p in pairs)
     # some adopted results miss the filter, and some proofs adopted nothing,
     # among them one shortened only by a repair
