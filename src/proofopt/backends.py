@@ -95,14 +95,16 @@ _DIAGNOSTIC = re.compile(
 LINT_DIRECTIVE = "set_option linter.unusedTactic true in\n"
 HEARTBEAT_DIRECTIVE = "set_option Elab.async false in\n#count_heartbeats in\n"
 SORRY_WARNING = "declaration uses 'sorry'"
+SORRY_TOKENS = frozenset({"sorry", "admit"})  # what Lean passes with SORRY_WARNING alone
 _HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
 
 
-def parse_diagnostics(output: str) -> tuple[Diagnostic, ...]:
+def parse_diagnostics(output: str, offset: int = 0) -> tuple[Diagnostic, ...]:
     """The checker messages in output. A message starts at a line
     'file:line:col: severity: text', and each later line that starts none
     continues it, as the goals under Lean's 'unsolved goals' do; a message's
-    trailing blank lines are dropped, and so is every line before the first."""
+    trailing blank lines are dropped, and so is every line before the first.
+    A message's line is its file line less offset, and 1 where that is less."""
     found = []  # (match, the message's lines)
     for text in output.splitlines():
         if m := _DIAGNOSTIC.match(text):
@@ -110,7 +112,7 @@ def parse_diagnostics(output: str) -> tuple[Diagnostic, ...]:
         elif found:
             found[-1][1].append(text)
     return tuple(
-        Diagnostic(m["severity"], int(m["line"]), int(m["column"]),
+        Diagnostic(m["severity"], max(1, int(m["line"]) - offset), int(m["column"]),
                    re.sub(r"\n\s*\Z", "", "\n".join(lines)))
         for m, lines in found
     )
@@ -281,8 +283,8 @@ class SubprocessVerifier(Verifier):
     stdout and stderr are parsed apart, so a stderr line never continues a
     stdout message. Diagnostics come back at lines of the source: the
     checker reports lines of the file, so the lines of the prepended
-    directives are subtracted, and a line inside the directives is
-    reported as line 1.
+    directives are subtracted, and a line inside the directives, or line 0,
+    is reported as line 1.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -322,9 +324,8 @@ class SubprocessVerifier(Verifier):
                 return Verdict(VerdictStatus.CRASH, (Diagnostic("error", 1, 0, str(exc)),))
         finally:
             os.unlink(path)
-        diagnostics = tuple(
-            replace(d, line=max(1, d.line - offset))
-            for d in parse_diagnostics(proc.stdout) + parse_diagnostics(proc.stderr)
+        diagnostics = (
+            parse_diagnostics(proc.stdout, offset) + parse_diagnostics(proc.stderr, offset)
         )
         if proc.returncode != 0 and not diagnostics:
             crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)

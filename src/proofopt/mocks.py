@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import lexer
-from .backends import SORRY_WARNING, BackendConfig, Diagnostic, Verdict, VerdictStatus, judge
-from .backends import Repairer, Simplifier, Verifier
+from .backends import SORRY_TOKENS, SORRY_WARNING, BackendConfig, Diagnostic, Verdict, judge
+from .backends import Repairer, Simplifier, Verifier, VerdictStatus
 from .errors import ConfigError, NoProofDelimiter
 from .records import from_json
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"
-_SORRY_TOKENS = frozenset({"sorry", "admit"})
 
 
 @dataclass
@@ -66,7 +65,7 @@ class MockVerifier(Verifier):
             diagnostics.append(Diagnostic("error", line, col, message))
         if opts.require_token and opts.require_token not in flat:
             diagnostics.append(Diagnostic("error", 1, 0, f"missing '{opts.require_token}'"))
-        if not _SORRY_TOKENS.isdisjoint(flat):
+        if not SORRY_TOKENS.isdisjoint(flat):
             diagnostics.append(Diagnostic("warning", 1, 0, SORRY_WARNING))
         diagnostics.extend(self._lint_diagnostics(source))
         heartbeats = len(flat) * opts.heartbeats_per_token if want_heartbeats else None

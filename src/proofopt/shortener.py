@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from . import lexer
 from .backends import (
+    SORRY_TOKENS,
     Repairer,
     Simplifier,
     VerdictMemo,
@@ -103,11 +104,16 @@ def same_statement(statement: str, other: str) -> bool:
 def admissible(entry: CandidateResult, statement: str) -> bool:
     """Whether entry may replace an incumbent proving statement, the one rule
     of adoption, the repair lint gate and reward: it verifies, has a score,
-    splits at ':= by' (a term-mode proof cannot become the next record), and
-    its statement is the incumbent's (same_statement)."""
-    head, delimiter, _ = entry.text.partition(PROOF_DELIMITER)
+    splits at ':= by' (a term-mode proof cannot become the next record), its
+    statement is the incumbent's (same_statement), and its body holds no
+    sorry or admit token (lexer.tokens: a comment or sorry_lemma is none),
+    which a checker may pass without its warning."""
+    head, delimiter, body = entry.text.partition(PROOF_DELIMITER)
     scored = entry.status is VerdictStatus.VALID and entry.score is not None
-    return scored and bool(delimiter) and same_statement(head, statement)
+    if not (scored and delimiter and same_statement(head, statement)):
+        return False
+    # the body is lexed only when it holds the text
+    return not any(t in body for t in SORRY_TOKENS) or SORRY_TOKENS.isdisjoint(lexer.tokens(body))
 
 
 def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:
@@ -120,11 +126,12 @@ def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> i
     return adopted
 
 
-def _adopt_into(itrec: IterationRecord, entries: list[CandidateResult]) -> int | None:
-    """Apply the acceptance rule against itrec's incumbent, still its
-    source_after: the winner's score and normalised text become itrec's
-    score_after and source_after. Returns the winner's index, or None."""
-    statement = ProofRecord.from_source(itrec.source_after).statement
+def _adopt_into(
+    itrec: IterationRecord, entries: list[CandidateResult], statement: str
+) -> int | None:
+    """Apply the acceptance rule against itrec's incumbent, a proof of
+    statement still in its source_after: the winner's score and normalised
+    text become itrec's score_after and source_after. Returns its index, or None."""
     adopted = _adopt(itrec.score_after, entries, statement)
     if adopted is not None:
         winner = entries[adopted]
@@ -171,7 +178,7 @@ def shorten_iteration(
     unique = list(dict.fromkeys(raw))
     checked = dict(zip(unique, map_in_order(scored, unique, verifier.cfg.max_parallel)))
     itrec.candidates = [CandidateResult(text, *checked[text]) for text in raw]
-    itrec.adopted = _adopt_into(itrec, itrec.candidates)
+    itrec.adopted = _adopt_into(itrec, itrec.candidates, record.statement)
     return itrec
 
 
@@ -182,8 +189,9 @@ def _repair_stage(
     verifier: VerdictMemo,
     budget: int,
 ) -> RepairStage:
-    """Repair the failed candidates of itrec, the iteration from record, and
-    adopt a fix into itrec by the acceptance rule. Returns the stage's record.
+    """Repair the failed candidates of itrec, the iteration from record, as
+    proofs of record's statement, and adopt a fix into itrec by the
+    acceptance rule. Returns the stage's record.
 
     Failed texts are repaired concurrently, as many at once as the verifier
     admits checks; their results are folded in input order, so the stage's
@@ -212,13 +220,10 @@ def _repair_stage(
             diagnostics = verifier.verify(text).diagnostics
         report = format_error_report(text, diagnostics) or "proof failed to verify"
         report, truncated = truncate_error_report(report, REPAIR_REPORT_LIMIT)
-        try:
-            failed_record = ProofRecord.from_source(text, id=record.id)
-            statement, failed_proof = failed_record.statement, failed_record.proof
-        except ValueError:
-            statement, failed_proof = record.statement, text
+        _, delimiter, body = text.partition(PROOF_DELIMITER)
+        failed_proof = body.strip("\n") if delimiter else text
         fixes = []
-        for fix in repairer.repair(statement, failed_proof, report):
+        for fix in repairer.repair(record.statement, failed_proof, report):
             # this check is also the first lint round's
             verdict, raw_score = verifier.check(fix)
             entry = RepairEntry(verdict.status, raw_score if verdict.ok else None)
@@ -253,7 +258,7 @@ def _repair_stage(
         for i, linted in zip(batch, map_in_order(lint, [fixes[i] for i in batch], width)):
             fixes[i] = linted
             stage.candidates[i].linted_score = linted.score
-    stage.adopted = _adopt_into(itrec, fixes)
+    stage.adopted = _adopt_into(itrec, fixes, record.statement)
     return stage
 
 

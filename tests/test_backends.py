@@ -352,6 +352,16 @@ def test_subprocess_verifier_keeps_a_whole_message(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("want_heartbeats", [False, True])
+def test_subprocess_verifier_reads_a_message_at_line_0_as_line_1(tmp_path, want_heartbeats):
+    checker = "import sys\nprint(sys.argv[1] + ':0:0: error: boom')\n"
+    verifier = _python_checker_verifier(tmp_path, checker)
+    verdict = verifier.verify("theorem t : 1 = 1 := by\n  rfl", want_heartbeats)
+    assert verdict.status is VerdictStatus.INVALID
+    assert [(d.line, d.message) for d in verdict.diagnostics] == [(1, "boom")]
+    assert parse_diagnostics("f.lean:0:0: error: boom")[0].line == 1
+
+
 def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_path, monkeypatch):
     checked_dir = tmp_path / "checked"
     checked_dir.mkdir()

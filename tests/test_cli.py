@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -121,6 +122,24 @@ def test_lint_writes_a_record_that_does_not_verify_unchanged_with_a_note(
     assert [row["proof"] for row in rows] == ["  norm_num", "  rfl\n  skip", "  norm_num"]
     assert rows[1]["note"] == shortener.SKIPPED_NOTE
     assert "note" not in rows[0] and "note" not in rows[2]
+
+
+@pytest.mark.parametrize("line", [0, 1])
+def test_a_checker_error_at_line_0_skips_the_record_as_one_at_line_1(runner, tmp_path, line):
+    """A checker message at line 0 reads as line 1, an error like any
+    other, so the record is skipped and neither command fails."""
+    script = tmp_path / "checker.py"
+    script.write_text(f"import sys\nprint(sys.argv[1] + ':{line}:0: error: boom')\n")
+    checker = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "subprocess_verifier", "command_template": checker},
+        "simplifier": {"kind": "mock"},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    for command in ("shorten", "lint"):
+        result = runner.invoke(main, ["--config", config, command, proofs])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output.splitlines()[0])["note"] == shortener.SKIPPED_NOTE
 
 
 def test_lint_needs_verifier_config(runner, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import shlex
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofopt.backends import Verdict, VerdictStatus
+from proofopt.backends import BackendConfig, SubprocessVerifier, Verdict, VerdictStatus
 from proofopt.errors import BackendUnavailable
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
@@ -26,7 +27,7 @@ from proofopt.shortener import (
     shorten_iteration,
     shorten_loop,
 )
-from proofopt.training_data import SimplificationPair
+from proofopt.training_data import SimplificationPair, compute_rewards
 
 from conftest import mock_cfg
 
@@ -332,6 +333,76 @@ def test_repair_stage_repairs_a_failed_candidate_without_a_tactic_block(text):
     assert asked == [(start.statement, text)]
     assert trace.iterations[0].repair.adopted == 0
     assert trace.final_source == f"{start.statement} := by\n  rfl"
+
+
+def test_repair_stage_asks_for_a_fix_of_the_incumbents_statement():
+    """A failed candidate that rewrote the statement is repaired as a proof
+    of the statement being shortened, so its fix can be adopted."""
+    asked = []
+
+    class SpyRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report):
+            asked.append((statement, failed_proof))
+            return super()._repair(statement, failed_proof, error_report)
+
+    class RewritingSimplifier(MockSimplifier):
+        def _simplify(self, source, k, temperature):
+            return ["theorem t : True := by\n  zeta"] * k
+
+    start = record("  norm_num\n  ring")
+    verifier = MockVerifier(mock_cfg(fail_token="zeta"))
+    repairer = SpyRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
+    trace = shorten_loop(start, [(2, 1.0)], RewritingSimplifier(mock_cfg()), verifier,
+                         repairer=repairer)
+    assert [c.status for c in trace.iterations[0].candidates] == [VerdictStatus.INVALID] * 2
+    assert asked == [(start.statement, "  zeta")]
+    assert trace.iterations[0].repair.adopted == 0
+    assert trace.final_source == f"{start.statement} := by\n  rfl"
+
+
+# A checker that gives no sorry warning: it passes every file but one that
+# holds zeta.
+_SILENT_CHECKER = """\
+import sys
+if "zeta" in open(sys.argv[1], encoding="utf-8").read():
+    print(sys.argv[1] + ":2:2: error: unknown identifier 'zeta'")
+"""
+
+
+@pytest.mark.parametrize("body,sound", [
+    ("sorry", False),
+    ("admit", False),
+    ("exact (sorry)", False),
+    ("exact sorry_lemma -- no sorry here", True),
+    ("/- admit -/ rfl", True),
+], ids=["sorry", "admit", "nested", "name-and-comment", "block-comment"])
+def test_a_proof_holding_a_sorry_or_admit_token_is_never_admissible(tmp_path, body, sound):
+    """However the checker judges it, a sorry or admit token keeps a
+    candidate from adoption and reward, and a fix from linting."""
+    script = tmp_path / "checker.py"
+    script.write_text(_SILENT_CHECKER, encoding="utf-8")
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    verifier = SubprocessVerifier(
+        BackendConfig(kind="subprocess_verifier", command_template=command)
+    )
+    start = record("  norm_num\n  ring\n  simp\n  linarith\n  omega")
+
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body=body))
+    itrec = shorten_loop(start, [(1, 1.0)], simplifier, verifier).iterations[0]
+    [candidate] = itrec.candidates
+    assert candidate.status is VerdictStatus.VALID and candidate.score < itrec.score_before
+    assert (itrec.adopted == 0) is sound
+    [entry] = compute_rewards(itrec.score_before, itrec.candidates, start.statement).entries
+    assert (entry.reward > 0) is sound
+
+    failing = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
+    repairer = MockRepairer(mock_cfg(mode="shorter", proof_body=body))
+    trace = shorten_loop(start, [(1, 1.0)], failing, verifier, repairer=repairer)
+    stage = trace.iterations[0].repair
+    [fix] = stage.candidates
+    assert fix.status is VerdictStatus.VALID
+    assert (fix.linted_score is not None) is sound
+    assert (stage.adopted == 0) is sound
 
 
 def test_repair_stage_repairs_each_failed_text_once():
