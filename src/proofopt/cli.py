@@ -166,7 +166,8 @@ def length(args):
 def lint(args):
     """Remove do-nothing tactics from each proof until a fixpoint.
 
-    A proof that does not verify is written unchanged, with a note."""
+    A proof that lint leaves unchanged is written as it was read, one that
+    does not verify with a note; an edited one is split back into a record."""
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
     records = _read(_rows(args.input))
@@ -175,8 +176,10 @@ def lint(args):
         memo = VerdictMemo(verifier)
         # lint_fixpoint's first check is this one again, a memo hit
         ok = memo.verify(record.full_source).ok
-        linted = lint_fixpoint(record, memo) if ok else record
-        row = {**asdict(linted), "length": lexer.proof_length(linted.full_source)}
+        linted = lint_fixpoint(record.full_source, memo) if ok else record.full_source
+        if linted != record.full_source:
+            record = ProofRecord.from_source(linted, id=record.id, source_tag=record.source_tag)
+        row = {**asdict(record), "length": lexer.proof_length(record.full_source)}
         return row if ok else {**row, "note": SKIPPED_NOTE}
 
     _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))

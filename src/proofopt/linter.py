@@ -1,5 +1,7 @@
 """Dead-tactic removal driven by the checker's unused-tactic diagnostics,
-checked through the caller's VerdictMemo."""
+checked through the caller's VerdictMemo. A proof goes in and comes out
+as a text: an edit deletes spans from the text's lines and rejoins them,
+and a round that removes nothing returns the text it was given."""
 
 from __future__ import annotations
 
@@ -7,7 +9,6 @@ import re
 
 from .backends import VerdictMemo
 from .errors import NotValidInput
-from .records import ProofRecord
 
 _NOOP_DIAGNOSTIC = re.compile(r"'(?P<tactic>[^']+)' tactic does nothing")
 
@@ -42,35 +43,28 @@ def _delete_span(lines: list[str], line_no: int, column: int, tactic: str) -> bo
     return True
 
 
-def lint_once(record: ProofRecord, memo: VerdictMemo) -> tuple[ProofRecord, int]:
+def lint_once(source: str, memo: VerdictMemo) -> tuple[str, int]:
     """One lint round: collect do-nothing diagnostics and delete each span.
+    Returns the edited text, or source itself when nothing was removed, and
+    the count removed.
 
     The edited proof is not guaranteed valid; the fixpoint loop re-verifies.
     """
-    verdict = memo.verify(record.full_source)
+    verdict = memo.verify(source)
     if not verdict.ok:
-        raise NotValidInput(f"proof {record.id!r} does not verify before linting")
+        raise NotValidInput("proof does not verify before linting")
     spans = []
     for diag in verdict.diagnostics:
         m = _NOOP_DIAGNOSTIC.search(diag.message.partition("\n")[0])  # not in a goal below
         if m:
             spans.append((diag.line, diag.column, m.group("tactic")))
-    if not spans:
-        return record, 0
     # Delete right-to-left, bottom-to-top so earlier spans stay addressable.
-    spans.sort(reverse=True)
-    lines = record.full_source.splitlines()
-    removed = 0
-    for line_no, column, tactic in spans:
-        if _delete_span(lines, line_no, column, tactic):
-            removed += 1
-    edited = ProofRecord.from_source(
-        "\n".join(lines), id=record.id, source_tag=record.source_tag
-    )
-    return edited, removed
+    lines = source.splitlines()
+    removed = sum(_delete_span(lines, *span) for span in sorted(spans, reverse=True))
+    return ("\n".join(lines) if removed else source), removed
 
 
-def lint_fixpoint(record: ProofRecord, memo: VerdictMemo) -> ProofRecord:
+def lint_fixpoint(source: str, memo: VerdictMemo) -> str:
     """Repeat lint rounds until nothing is removed, at most MAX_ROUNDS.
 
     Each round makes one check: the check of a round's edit decides whether
@@ -78,10 +72,9 @@ def lint_fixpoint(record: ProofRecord, memo: VerdictMemo) -> ProofRecord:
     round's edits break the proof, that whole round is reverted and the loop
     stops, so the result always verifies.
     """
-    current = record
     for _ in range(MAX_ROUNDS):
-        edited, removed = lint_once(current, memo)
-        if removed == 0 or not memo.verify(edited.full_source).ok:
+        edited, removed = lint_once(source, memo)
+        if removed == 0 or not memo.verify(edited).ok:
             break
-        current = edited
-    return current
+        source = edited
+    return source

@@ -29,7 +29,9 @@ class ProofRecord:
     """A theorem statement plus proof body, the unit of every pipeline.
 
     ``statement`` holds everything up to (but not including) the ``:= by``
-    delimiter; ``proof`` holds the body after it.
+    delimiter; ``proof`` holds the body after it. ``full_source`` starts the
+    delimiter's own line when the statement's last line holds a ``--``
+    comment, which would otherwise swallow it.
     """
 
     id: str
@@ -39,7 +41,8 @@ class ProofRecord:
 
     @property
     def full_source(self) -> str:
-        return f"{self.statement} {PROOF_DELIMITER}\n{self.proof}"
+        gap = "\n" if "--" in self.statement.rpartition("\n")[2] else " "
+        return f"{self.statement}{gap}{PROOF_DELIMITER}\n{self.proof}"
 
     @classmethod
     def from_source(cls, source: str, id: str = "", source_tag: str = "") -> "ProofRecord":

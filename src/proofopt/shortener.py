@@ -130,13 +130,13 @@ def _adopt_into(
     itrec: IterationRecord, entries: list[CandidateResult], statement: str
 ) -> int | None:
     """Apply the acceptance rule against itrec's incumbent, a proof of
-    statement still in its source_after: the winner's score and normalised
-    text become itrec's score_after and source_after. Returns its index, or None."""
+    statement still in its source_after: the winner's score and text, the
+    text its check saw, become itrec's score_after and source_after.
+    Returns its index, or None."""
     adopted = _adopt(itrec.score_after, entries, statement)
     if adopted is not None:
         winner = entries[adopted]
-        itrec.score_after = winner.score
-        itrec.source_after = ProofRecord.from_source(winner.text).full_source
+        itrec.score_after, itrec.source_after = winner.score, winner.text
     return adopted
 
 
@@ -147,13 +147,16 @@ def shorten_iteration(
     verifier: VerdictMemo,
     temperature: float | None = None,
     index: int = 0,
+    source: str | None = None,
 ) -> IterationRecord:
-    """One best-of-k round from record. Every check and score goes through
-    the proof's memo, which carries the measure. The round's source_after is
-    the record's text unless a candidate passes the acceptance rule."""
+    """One best-of-k round from source, an incumbent proof of record's
+    statement (record's own text by default). Every check and score goes
+    through the proof's memo, which carries the measure. The round's
+    source_after is source unless a candidate passes the acceptance rule."""
     if temperature is None:
         temperature = simplifier.cfg.temperature
-    verdict, score_before = verifier.check(record.full_source)
+    source = record.full_source if source is None else source
+    verdict, score_before = verifier.check(source)
     itrec = IterationRecord(
         index=index,
         k_requested=k,
@@ -162,7 +165,7 @@ def shorten_iteration(
         adopted=None,
         score_before=score_before or 0,
         score_after=score_before or 0,
-        source_after=record.full_source,
+        source_after=source,
     )
     if score_before is None or not verdict.ok:
         itrec.note = SKIPPED_NOTE
@@ -172,7 +175,7 @@ def shorten_iteration(
         verdict, score = verifier.check(text)
         return verdict.status, score if verdict.ok else None
 
-    raw = simplifier.simplify(record.full_source, k, temperature=temperature)
+    raw = simplifier.simplify(source, k, temperature=temperature)
     # Identical candidate texts are verified once; @k accounting still uses
     # the requested k.
     unique = list(dict.fromkeys(raw))
@@ -189,8 +192,8 @@ def _repair_stage(
     verifier: VerdictMemo,
     budget: int,
 ) -> RepairStage:
-    """Repair the failed candidates of itrec, the iteration from record, as
-    proofs of record's statement, and adopt a fix into itrec by the
+    """Repair the failed candidates of itrec, an iteration of record's loop,
+    as proofs of record's statement, and adopt a fix into itrec by the
     acceptance rule. Returns the stage's record.
 
     Failed texts are repaired concurrently, as many at once as the verifier
@@ -228,15 +231,15 @@ def _repair_stage(
             verdict, raw_score = verifier.check(fix)
             entry = RepairEntry(verdict.status, raw_score if verdict.ok else None)
             if admissible(CandidateResult(fix, verdict.status, raw_score), record.statement):
-                edit, _ = lint_once(ProofRecord.from_source(fix, id=record.id), verifier)
-                entry.linted_score = verifier.score_bound(edit.full_source)
+                edit, _ = lint_once(fix, verifier)
+                entry.linted_score = verifier.score_bound(edit)
             fixes.append((entry, CandidateResult(fix, verdict.status, entry.linted_score)))
         return truncated, fixes
 
     def lint(fix: CandidateResult) -> CandidateResult:
-        linted = lint_fixpoint(ProofRecord.from_source(fix.text, id=record.id), verifier)
-        _, score = verifier.check(linted.full_source)
-        return CandidateResult(linted.full_source, fix.status, score)
+        linted = lint_fixpoint(fix.text, verifier)
+        _, score = verifier.check(linted)
+        return CandidateResult(linted, fix.status, score)
 
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
@@ -278,9 +281,9 @@ def shorten_loop(
     ``schedule`` is a list of (k, temperature) pairs. ``on_iteration`` is
     called with each finished IterationRecord, which is how partial traces
     get persisted. ``resume_from`` holds iterations already finished, kept
-    as they are. Every iteration starts from ProofRecord.from_source of the
-    last source_after, or of the input for the first, so a resumed run goes
-    on as an uninterrupted one. The loop builds one VerdictMemo for this
+    as they are. Every iteration starts from the last source_after, the text
+    its check saw, or from the input's text for the first, so a resumed run
+    goes on as an uninterrupted one. The loop builds one VerdictMemo for this
     proof, which carries the measure: every check and score below goes
     through it.
     """
@@ -291,15 +294,14 @@ def shorten_loop(
     trace.iterations.extend(resume_from or [])
     for index in range(len(trace.iterations), len(schedule)):
         k, temperature = schedule[index]
-        current = ProofRecord.from_source(trace.final_source or record.full_source, id=record.id)
         itrec = shorten_iteration(
-            current, k, simplifier, memo, temperature=temperature, index=index
+            record, k, simplifier, memo, temperature, index, source=trace.final_source
         )
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
         )
         if repairer is not None and no_valid:
-            itrec.repair = _repair_stage(current, itrec, repairer, memo, repair_budget)
+            itrec.repair = _repair_stage(record, itrec, repairer, memo, repair_budget)
         trace.iterations.append(itrec)
         if on_iteration is not None:
             on_iteration(itrec)

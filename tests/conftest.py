@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import socket
 import sys
 import threading
@@ -163,3 +164,20 @@ def dead_url(no_proxy_env):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         yield f"http://127.0.0.1:{sock.getsockname()[1]}/v1/chat/completions"
+
+
+# A checker that reads `--` to the end of a line as a comment, as Lean does,
+# and rejects a file with no ':= by' outside its comments.
+COMMENT_CHECKER = """\
+import re, sys
+text = re.sub("--.*", "", open(sys.argv[1], encoding="utf-8").read())
+if ":= by" not in text:
+    print(sys.argv[1] + ":1:0: error: expected ':='")
+"""
+
+
+def python_checker(tmp_path, script: str) -> str:
+    """A command_template that runs script, written under tmp_path, on {file}."""
+    path = tmp_path / "checker.py"
+    path.write_text(script, encoding="utf-8")
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(path))} {{file}}"

@@ -253,11 +253,11 @@ def test_criterion_linter():
             for _ in range(rng.randint(1, 6)):
                 lines.insert(rng.randrange(len(lines) + 1), "  " + rng.choice(noops))
             record = ProofRecord(id=f"l{i}", statement=f"theorem l{i} : 1 = 1", proof="\n".join(lines))
-            linted = lint_fixpoint(record, VerdictMemo(verifier))
-            tokens = {t for line in lexer.lex(linted.proof) for t in line}
+            linted = lint_fixpoint(record.full_source, VerdictMemo(verifier))
+            tokens = {t for line in lexer.lex(linted) for t in line}
             assert not tokens & set(noops)
-            assert lint_fixpoint(linted, VerdictMemo(verifier)).full_source == linted.full_source
-            assert lexer.proof_length(linted.full_source) <= lexer.proof_length(record.full_source)
+            assert lint_fixpoint(linted, VerdictMemo(verifier)) == linted
+            assert lexer.proof_length(linted) <= lexer.proof_length(record.full_source)
 
 
 # --- 6. repair guard ----------------------------------------------------------

@@ -30,7 +30,7 @@ from proofopt.backends import (
 from proofopt.errors import BackendUnavailable, ConfigError
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
-from proofopt.records import ProofRecord, from_json
+from proofopt.records import from_json
 
 from conftest import HANG_UP, choices, mock_cfg
 
@@ -374,8 +374,8 @@ def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_pa
 
 def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):
     verifier = _line_checker_verifier(tmp_path)
-    start = ProofRecord(id="t", statement="theorem t : 1 = 1", proof="  skip\n  rfl")
-    assert lint_fixpoint(start, VerdictMemo(verifier)).proof == "  rfl"
+    start = "theorem t : 1 = 1 := by\n  skip\n  rfl"
+    assert lint_fixpoint(start, VerdictMemo(verifier)) == "theorem t : 1 = 1 := by\n  rfl"
 
 
 @pytest.fixture

@@ -87,3 +87,5 @@ def test_bench_tracer_records_spans_of_a_mock_repair(tmp_path):
     names = {span.name for span in tracer.spans}
     expected = {"backends.repair", "shortener.repair", "linter.lint_fixpoint", "linter.lint_once"}
     assert expected <= names
+    # the fix's skip: _lint_once_info reads the count from lint_once's (text, removed)
+    assert sum(s.info["removed"] for s in tracer.spans if s.name == "linter.lint_once") >= 1

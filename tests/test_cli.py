@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -16,7 +17,7 @@ from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
 from proofopt.mocks import MockSimplifier, MockVerifier
 from proofopt.records import ProofRecord, from_json, read_jsonl
 
-from conftest import CliRunner
+from conftest import COMMENT_CHECKER, DATA_DIR, CliRunner, python_checker
 
 
 @pytest.fixture
@@ -140,6 +141,22 @@ def test_a_checker_error_at_line_0_skips_the_record_as_one_at_line_1(runner, tmp
         result = runner.invoke(main, ["--config", config, command, proofs])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output.splitlines()[0])["note"] == shortener.SKIPPED_NOTE
+
+
+def test_a_statement_ending_in_a_line_comment_renders_to_a_text_that_verifies(runner, tmp_path):
+    """The delimiter starts its own line after a `--` comment, so a checker
+    that reads the comment to the end of its line sees it."""
+    row = {"id": "t", "statement": "theorem t : 1 = 1 -- from a .lean file", "proof": "  rfl"}
+    record = ProofRecord(**row)
+    assert ProofRecord.from_source(record.full_source, id="t") == record
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "subprocess_verifier",
+                     "command_template": python_checker(tmp_path, COMMENT_CHECKER)},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    result = runner.invoke(main, ["--config", config, "lint", proofs])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {**row, "source_tag": "", "length": 1}
 
 
 def test_lint_needs_verifier_config(runner, tmp_path):
@@ -377,7 +394,7 @@ def test_every_check_goes_through_a_verdict_memo(runner, tmp_path, monkeypatch, 
         return verifier_verify(self, source, *args, **kwargs)
 
     def counted_fixpoint(*args, **kwargs):
-        fixpoints.append(args[0].id)
+        fixpoints.append(args[0])
         return lint_fixpoint(*args, **kwargs)
 
     monkeypatch.setattr(backends.VerdictMemo, "verify", through_memo)
@@ -428,10 +445,9 @@ def test_shorten_resume_after_interrupt(runner, tmp_path):
 
 
 def test_shorten_resume_of_an_unnormalised_record_is_byte_identical(runner, tmp_path):
-    """Every iteration, the first too, starts from the incumbent as
-    `statement := by\nproof`, so a resume checks and records the same text
-    as an uninterrupted run, though the input has a trailing space and a
-    leading blank line."""
+    """Every iteration starts from the incumbent's text as it was checked,
+    the first from the input's, trailing space and leading blank line kept,
+    so a resume checks and records the same text as an uninterrupted run."""
     config = write_config(
         tmp_path,
         backends={
@@ -449,7 +465,7 @@ def test_shorten_resume_of_an_unnormalised_record_is_byte_identical(runner, tmp_
     trace_file = workdir / "traces" / "a.jsonl"
     uninterrupted = trace_file.read_bytes()
     first, _ = uninterrupted.splitlines(keepends=True)
-    assert json.loads(first)["source_after"] == "theorem a : 1 = 1 := by\n  norm_num\n  rfl"
+    assert json.loads(first)["source_after"] == "theorem a : 1 = 1  := by\n\n  norm_num\n  rfl"
 
     trace_file.write_bytes(first)
     resumed = runner.invoke(main, args)
@@ -1615,3 +1631,110 @@ def test_an_output_to_a_named_pipe_reaches_its_reader(tmp_path):
     assert out.returncode == 0, out.stderr
     reader.join(10)
     assert [json.loads(line)["k"] for line in got[0].splitlines()] == [1]
+
+
+def mock_comparison(runner, tmp_path, drop_probability, mode) -> dict[str, bytes]:
+    """The outputs of one configuration of the mock comparison: the 13
+    fixtures, each given a `key` line that the verifier requires and two
+    `skip` lines that it flags, through `shorten --workdir` (schedule 4x3,
+    repair at budget 3, config seed 5; only a `shorter` repairer's fixes,
+    `key`, `skip` and `rfl`, can verify), its rerun over the same workdir,
+    `reward`, `report --kind repair`, `dataset build` and `lint`. Each
+    command's stdout, the two shorten runs' followed by their trace files."""
+    rows = []
+    for path in sorted(DATA_DIR.glob("*.lean")):
+        record = ProofRecord.from_source(path.read_text(encoding="utf-8"), id=path.stem)
+        proof = f"  key\n{record.proof}\n  skip\n  skip"
+        rows.append({"id": record.id, "statement": record.statement, "proof": proof})
+    seeds = write_jsonl_file(tmp_path, "seeds.jsonl", rows)
+    config = write_config(
+        tmp_path, seed=5, schedule="4x3", repair=True, repair_budget=3, backends={
+            "verifier": {"kind": "mock",
+                         "options": {"require_token": "key", "noop_tactics": ["skip"]}},
+            "simplifier": {"kind": "mock", "options": {"mode": "drop_lines",
+                                                       "drop_probability": drop_probability}},
+            "repairer": {"kind": "mock",
+                         "options": {"mode": mode, "proof_body": "key\n  skip\n  rfl"}},
+        },
+    )
+    workdir = tmp_path / "wd"
+    results = tmp_path / "results.jsonl"
+
+    def run(*args) -> bytes:
+        result = runner.invoke(main, ["--config", config, *args])
+        assert result.exit_code == 0, result.output
+        return result.output.encode()
+
+    outputs = {}
+    for name in ("shorten", "rerun"):
+        stdout = run("--workdir", str(workdir), "shorten", seeds)
+        traces = sorted((workdir / "traces").iterdir())
+        outputs[name] = stdout + b"".join(path.read_bytes() for path in traces)
+    results.write_bytes(stdout)
+    outputs["reward"] = run("reward", str(results))
+    outputs["report"] = run("report", "--kind", "repair", str(results))
+    outputs["dataset build"] = run("dataset", "build", "--seeds", seeds, "--results", str(results))
+    outputs["lint"] = run("lint", seeds)
+    return outputs
+
+
+# sha256 of each output of mock_comparison, by (drop probability, repairer
+# mode). An edit that claims to leave every command's output as it was
+# keeps these.
+MOCK_COMPARISON_DIGESTS = {
+    (0.5, "delete_flagged"): {
+        "shorten": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
+        "rerun": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
+        "reward": "5e6da81468b5f5f3e91d6bca7a210b73b651b11a3330d1fc02fa139be92b562f",
+        "report": "9b05e9906dfb7804c78dfb1db0a76c64181439d8d65e0526edc64b51edbb6a5e",
+        "dataset build": "a41c0c3c34178082a03eb9eac930be273d84d49131c45a9689afe7571533af5c",
+        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+    },
+    (0.5, "shorter"): {
+        "shorten": "ec64cb08ea26d4334b723d1fb9142337acc542cae7ab51b2ada8b483b09b6dc8",
+        "rerun": "ec64cb08ea26d4334b723d1fb9142337acc542cae7ab51b2ada8b483b09b6dc8",
+        "reward": "edfaeba0f23a9ab399e68e7303c362ab23b8ba896c35228286f70ee41f6d5cee",
+        "report": "a23bfa70e89167c8eb2277567fdb32ba4390ac73baf1d68fc51d2dc1afe40ba3",
+        "dataset build": "890196ed87cd5dbdbd9f7fcec24f63407b24f94d08e11ab40f7f15c79e4ecaf9",
+        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+    },
+    (0.5, "longer"): {
+        "shorten": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
+        "rerun": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
+        "reward": "5e6da81468b5f5f3e91d6bca7a210b73b651b11a3330d1fc02fa139be92b562f",
+        "report": "9b05e9906dfb7804c78dfb1db0a76c64181439d8d65e0526edc64b51edbb6a5e",
+        "dataset build": "a41c0c3c34178082a03eb9eac930be273d84d49131c45a9689afe7571533af5c",
+        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+    },
+    (0.75, "delete_flagged"): {
+        "shorten": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
+        "rerun": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
+        "reward": "32301bce15348a1a186e850e0006a62e771799d1414c9d34e2896f60acf6fc1c",
+        "report": "123c7139dbd93da8be307f2e125fb07cbebdd02347a305bc08dce21c402dc65d",
+        "dataset build": "47b01031a0922c7c716946a3483cf93d9d3630f1ba100b3c6848903e133dd30b",
+        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+    },
+    (0.75, "shorter"): {
+        "shorten": "a1f61ae4a5b8967ad7c068c848fc734e1ace54982ff876a7d1c69a480e6c5c3a",
+        "rerun": "a1f61ae4a5b8967ad7c068c848fc734e1ace54982ff876a7d1c69a480e6c5c3a",
+        "reward": "038ee27dd692a5913bc9dd0c80f2943a309a03b7a0e3440e58ee47319c02f5be",
+        "report": "a3ef3141628aa8228d621d15fb4a994d21edc11e0e51576caa2b998be3cea964",
+        "dataset build": "b19ef2dc75ef7a73f824a1b11efedcf74d816b678432466b7f995a5aa7207857",
+        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+    },
+    (0.75, "longer"): {
+        "shorten": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
+        "rerun": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
+        "reward": "32301bce15348a1a186e850e0006a62e771799d1414c9d34e2896f60acf6fc1c",
+        "report": "123c7139dbd93da8be307f2e125fb07cbebdd02347a305bc08dce21c402dc65d",
+        "dataset build": "47b01031a0922c7c716946a3483cf93d9d3630f1ba100b3c6848903e133dd30b",
+        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+    },
+}
+
+
+@pytest.mark.parametrize("drop_probability,mode", list(MOCK_COMPARISON_DIGESTS))
+def test_mock_comparison_outputs_keep_their_digests(runner, tmp_path, drop_probability, mode):
+    outputs = mock_comparison(runner, tmp_path, drop_probability, mode)
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in outputs.items()}
+    assert digests == MOCK_COMPARISON_DIGESTS[(drop_probability, mode)]

@@ -5,7 +5,6 @@ from proofopt.backends import Diagnostic, VerdictMemo, judge
 from proofopt.errors import NotValidInput
 from proofopt.linter import lint_fixpoint, lint_once
 from proofopt.mocks import MockVerifier
-from proofopt.records import ProofRecord
 
 from conftest import mock_cfg
 
@@ -15,88 +14,88 @@ def make_verifier(**options):
     return MockVerifier(mock_cfg(**options))
 
 
-def record(proof: str) -> ProofRecord:
-    return ProofRecord(id="t", statement="theorem t : 1 = 1", proof=proof)
+def source(proof: str) -> str:
+    return f"theorem t : 1 = 1 := by\n{proof}"
 
 
 def test_removes_flagged_tactic_lines():
     verifier = make_verifier()
-    linted, removed = lint_once(record("  skip\n  rfl"), VerdictMemo(verifier))
+    linted, removed = lint_once(source("  skip\n  rfl"), VerdictMemo(verifier))
     assert removed == 1
-    assert linted.proof == "  rfl"
+    assert linted == source("  rfl")
 
 
 def test_removes_multiple_per_round():
     verifier = make_verifier()
-    linted, removed = lint_once(record("  skip\n  rfl\n  ring_nf"), VerdictMemo(verifier))
+    linted, removed = lint_once(source("  skip\n  rfl\n  ring_nf"), VerdictMemo(verifier))
     assert removed == 2
-    assert linted.proof == "  rfl"
+    assert linted == source("  rfl")
 
 
 def test_combinator_removed_with_tactic():
     verifier = make_verifier()
-    linted, _ = lint_once(record("  rfl <;> skip"), VerdictMemo(verifier))
-    assert linted.proof == "  rfl"
-    linted, _ = lint_once(record("  skip <;> rfl"), VerdictMemo(verifier))
-    assert "<;>" not in linted.proof
-    assert "rfl" in linted.proof
+    linted, _ = lint_once(source("  rfl <;> skip"), VerdictMemo(verifier))
+    assert linted == source("  rfl")
+    linted, _ = lint_once(source("  skip <;> rfl"), VerdictMemo(verifier))
+    assert "<;>" not in linted
+    assert "rfl" in linted
 
 
 def test_rejects_invalid_input():
     verifier = make_verifier()
     with pytest.raises(NotValidInput):
-        lint_once(record("  FAIL"), VerdictMemo(verifier))
+        lint_once(source("  FAIL"), VerdictMemo(verifier))
 
 
 def test_fixpoint_removes_everything_flagged():
     verifier = make_verifier()
-    start = record("  skip\n  skip <;> skip\n  rfl\n  ring_nf")
+    start = source("  skip\n  skip <;> skip\n  rfl\n  ring_nf")
     linted = lint_fixpoint(start, VerdictMemo(verifier))
-    assert "skip" not in linted.proof
-    assert "ring_nf" not in linted.proof
-    assert verifier.verify(linted.full_source).ok
+    assert "skip" not in linted
+    assert "ring_nf" not in linted
+    assert verifier.verify(linted).ok
 
 
 def test_fixpoint_idempotent():
     verifier = make_verifier()
-    once = lint_fixpoint(record("  skip\n  rfl"), VerdictMemo(verifier))
+    once = lint_fixpoint(source("  skip\n  rfl"), VerdictMemo(verifier))
     twice = lint_fixpoint(once, VerdictMemo(verifier))
-    assert once.full_source == twice.full_source
+    assert once == twice
 
 
 def test_fixpoint_never_lengthens():
     verifier = make_verifier()
-    start = record("  skip\n  rfl <;> skip\n  ring_nf")
+    start = source("  skip\n  rfl <;> skip\n  ring_nf")
     linted = lint_fixpoint(start, VerdictMemo(verifier))
-    assert lexer.proof_length(linted.full_source) <= lexer.proof_length(start.full_source)
+    assert lexer.proof_length(linted) <= lexer.proof_length(start)
 
 
 def test_fixpoint_reverts_breaking_round():
     # the flagged tactic is also required for validity, so its removal breaks
     # the proof and the round must roll back
     verifier = make_verifier(noop_tactics=["rfl"], require_token="rfl")
-    start = record("  rfl")
+    start = source("  rfl")
     linted = lint_fixpoint(start, VerdictMemo(verifier))
-    assert linted.proof == "  rfl"
-    assert verifier.verify(linted.full_source).ok
+    assert linted == start
+    assert verifier.verify(linted).ok
 
 
 def test_fixpoint_one_check_per_round():
     # first check flags `skip`; the edit's check finds nothing left to remove
     verifier = make_verifier()
-    linted = lint_fixpoint(record("  skip\n  rfl"), VerdictMemo(verifier))
-    assert linted.proof == "  rfl"
+    linted = lint_fixpoint(source("  skip\n  rfl"), VerdictMemo(verifier))
+    assert linted == source("  rfl")
     assert verifier.calls == 2
     # a breaking round is rolled back after its single check
     verifier = make_verifier(noop_tactics=["rfl"], require_token="rfl")
-    lint_fixpoint(record("  rfl"), VerdictMemo(verifier))
+    lint_fixpoint(source("  rfl"), VerdictMemo(verifier))
     assert verifier.calls == 2
 
 
 def test_fixpoint_round_bound():
     verifier = make_verifier()
     calls_before = verifier.calls
-    lint_fixpoint(record("  rfl"), VerdictMemo(verifier))
+    lint_fixpoint(source("  rfl"), VerdictMemo(verifier))
     # nothing flagged: a single lint round, no re-verification needed
     assert verifier.calls - calls_before == 1
 
@@ -116,10 +115,9 @@ def test_lint_once_skips_a_diagnostic_whose_position_does_not_hold_the_tactic(li
         def _verify(self, source, want_heartbeats):
             return judge([Diagnostic("warning", line, column, "'skip' tactic does nothing")])
 
-    start = record("  skip\n  rfl")  # skip is at line 2, column 2
+    start = source("  skip\n  rfl")  # skip is at line 2, column 2
     linted, removed = lint_once(start, VerdictMemo(StaleVerifier(mock_cfg())))
-    assert removed == 0
-    assert linted.full_source == start.full_source
+    assert (linted, removed) == (start, 0)
 
 
 def test_lint_once_matches_a_do_nothing_tactic_on_a_message_first_line_only():
@@ -128,6 +126,6 @@ def test_lint_once_matches_a_do_nothing_tactic_on_a_message_first_line_only():
             message = "some note\n'skip' tactic does nothing"  # a line under the message
             return judge([Diagnostic("warning", 2, 2, message)])
 
-    start = record("  skip\n  rfl")  # skip is at line 2, column 2
+    start = source("  skip\n  rfl")  # skip is at line 2, column 2
     linted, removed = lint_once(start, VerdictMemo(GoalVerifier(mock_cfg())))
     assert (linted, removed) == (start, 0)

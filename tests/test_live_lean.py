@@ -57,10 +57,17 @@ def test_heartbeats_are_counted(lean):
 
 
 def test_a_skip_before_rfl_is_flagged_and_linted_away(lean):
-    start = ProofRecord(id="t", statement="theorem t : 1 = 1", proof="  skip\n  rfl")
-    verdict = lean.verify(start.full_source)
+    start = "theorem t : 1 = 1 := by\n  skip\n  rfl"
+    verdict = lean.verify(start)
     assert verdict.ok, verdict.diagnostics
     assert any("'skip' tactic does nothing" in d.message for d in verdict.diagnostics), (
         verdict.diagnostics
     )
-    assert lint_fixpoint(start, VerdictMemo(lean)).proof == "  rfl"
+    assert lint_fixpoint(start, VerdictMemo(lean)) == "theorem t : 1 = 1 := by\n  rfl"
+
+
+def test_a_statement_ending_in_a_line_comment_renders_to_a_proof_lean_accepts(lean):
+    record = ProofRecord(id="t", statement="theorem t : 1 = 1 -- from a .lean file", proof="  rfl")
+    assert record.full_source == "theorem t : 1 = 1 -- from a .lean file\n:= by\n  rfl"
+    verdict = lean.verify(record.full_source)
+    assert verdict.status is VerdictStatus.VALID, verdict.diagnostics

@@ -29,7 +29,7 @@ from proofopt.shortener import (
 )
 from proofopt.training_data import SimplificationPair, compute_rewards
 
-from conftest import mock_cfg
+from conftest import COMMENT_CHECKER, mock_cfg, python_checker
 
 
 def record(proof: str, id: str = "t") -> ProofRecord:
@@ -405,6 +405,72 @@ def test_a_proof_holding_a_sorry_or_admit_token_is_never_admissible(tmp_path, bo
     assert (stage.adopted == 0) is sound
 
 
+class ListingVerifier(MockVerifier):
+    """A MockVerifier that lists each text it checks in ``checked``."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.checked = []
+
+    def _verify(self, source, want_heartbeats):
+        self.checked.append(source)
+        return super()._verify(source, want_heartbeats)
+
+
+class FixedTextSimplifier(MockSimplifier):
+    """Samples options["text"] k times, whatever the source."""
+
+    def _simplify(self, source, k, temperature):
+        return [self.cfg.options["text"]] * k
+
+
+def test_the_adopted_text_is_the_text_its_check_saw(tmp_path):
+    """A winner whose statement ends in a line comment is adopted as it was
+    checked, and the next iteration starts from that valid text."""
+    winner = "theorem t : 1 = 1 -- shortened\n:= by\n  rfl"
+    command = python_checker(tmp_path, COMMENT_CHECKER)
+    verifier = SubprocessVerifier(
+        BackendConfig(kind="subprocess_verifier", command_template=command)
+    )
+    start = record("  norm_num\n  ring\n  rfl")
+    simplifier = FixedTextSimplifier(mock_cfg(text=winner))
+    first, second = shorten_loop(start, [(1, 1.0), (1, 1.0)], simplifier, verifier).iterations
+    assert first.adopted == 0 and first.source_after == winner
+    assert second.note == "" and second.score_before == first.score_after == 1
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_a_one_line_winner_is_checked_once(measure):
+    """The next iteration starts from the winner's own text, a memo hit."""
+    winner = "theorem t : 1 = 1 := by rfl"
+    verifier = ListingVerifier(mock_cfg())
+    start = record("  norm_num\n  rfl")
+    simplifier = FixedTextSimplifier(mock_cfg(text=winner))
+    trace = shorten_loop(start, [(2, 1.0), (2, 1.0)], simplifier, verifier, measure)
+    first, second = trace.iterations
+    assert first.source_after == winner
+    assert verifier.checked == [start.full_source, winner]
+    assert second.score_before == first.score_after < first.score_before
+
+
+def test_a_one_line_fix_is_checked_once():
+    """A fix's own check is its first lint round's, whatever its layout."""
+    fix = "theorem t : 1 = 1 := by rfl"
+
+    class OneLineRepairer(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report):
+            return [fix]
+
+    verifier = ListingVerifier(mock_cfg(fail_token="zeta"))
+    start = record("  norm_num\n  ring")
+    failing = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
+    trace = shorten_loop(start, [(1, 1.0)], failing, verifier,
+                         repairer=OneLineRepairer(mock_cfg()))
+    [itrec] = trace.iterations
+    assert itrec.repair.adopted == 0 and itrec.source_after == fix
+    assert verifier.checked == [start.full_source, "theorem t : 1 = 1 := by\n  zeta", fix]
+
+
 def test_repair_stage_repairs_each_failed_text_once():
     repaired = []
 
@@ -607,7 +673,7 @@ def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):
         for fix in fixes_of[(failed_record.statement, failed_record.proof)]:
             verdict, _ = memo.check(fix)
             if verdict.ok and PROOF_DELIMITER in fix:
-                fixed = lint_fixpoint(ProofRecord.from_source(fix), memo).full_source
+                fixed = lint_fixpoint(fix, memo)
                 linted.append((memo.check(fixed)[1], fixed))
             else:
                 linted.append((None, None))
@@ -616,7 +682,7 @@ def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):
     if not below:
         return None, itrec.score_before, source
     score, i = min(below)
-    return i, score, ProofRecord.from_source(linted[i][1]).full_source
+    return i, score, linted[i][1]
 
 
 EAGER_SCENARIOS = [
