@@ -30,8 +30,8 @@ from .errors import NoProofDelimiter
 # min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
 from .estimators import min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
-from .records import Measure, ProofRecord, from_json, read_jsonl, write_jsonl
-from .shortener import SKIPPED_NOTE, IterationRecord, ShorteningTrace, map_in_order, shorten_loop
+from .records import PROOF_DELIMITER, Measure, ProofRecord, from_json, read_jsonl, write_jsonl
+from .shortener import SKIPPED_NOTE, IterationRecord, map_in_order, same_statement, shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -94,8 +94,7 @@ def _write_rows(name: str, rows) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    overrides = {"seed": args.seed, "parallel_workers": args.workers, "workdir": args.workdir}
-    # replace builds a new config, so RunConfig checks the overridden values
+    overrides = {"seed": args.seed, "workdir": args.workdir}
     cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     cfg.apply_seed()
     return cfg
@@ -190,11 +189,12 @@ def _trace_path(workdir: Path, proof_id: str) -> Path:
     return workdir / "traces" / f"{safe}.jsonl"
 
 
-def _load_partial(path: Path, schedule):
-    """The iterations persisted at path that the schedule would make: each
-    kept record's index, k and temperature are those of its position. The
-    file is cut back to the records kept, so that the next record appended
-    starts a line."""
+def _load_partial(path: Path, schedule, statement: str):
+    """The iterations persisted at path that the schedule would make for a
+    proof of statement: each kept record's index, k and temperature are
+    those of its position, and its source_after states statement
+    (same_statement). The file is cut back to the records kept, so that the
+    next record appended starts a line."""
     if not path.exists():
         return None
     done = []
@@ -210,6 +210,8 @@ def _load_partial(path: Path, schedule):
             k, temperature = schedule[len(done)]
             if (itrec.index, itrec.k_requested, itrec.temperature) != (len(done), k, temperature):
                 break  # made under another schedule
+            if not same_statement(itrec.source_after.partition(PROOF_DELIMITER)[0], statement):
+                break  # made for another statement
             done.append(itrec)
             kept += len(line)
         handle.truncate(kept)
@@ -244,12 +246,12 @@ def shorten(args):
     verifier = make_verifier(cfg.backend("verifier"))
     simplifier = make_simplifier(simplifier_cfg)
 
-    def run_one(record: ProofRecord) -> ShorteningTrace:
+    def run_one(record: ProofRecord) -> list[IterationRecord]:
         sink = None
         resume = None
         if workdir:
             path = _trace_path(workdir, record.id)
-            resume = _writing(path, _load_partial, path, schedule)
+            resume = _writing(path, _load_partial, path, schedule, record.statement)
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
 
             def sink(itrec):
@@ -270,8 +272,8 @@ def shorten(args):
     slots = [verifier, simplifier] + ([repairer] if repairer else [])
     traces = map_in_order(run_one, records, sum(backend.cfg.max_parallel for backend in slots))
 
-    befores = [trace.iterations[0].score_before for trace in traces]
-    afters = [trace.iterations[-1].score_after for trace in traces]
+    befores = [iterations[0].score_before for iterations in traces]
+    afters = [iterations[-1].score_after for iterations in traces]
     reductions = [1 - a / b for a, b in zip(afters, befores) if b > 0]
     summary = {
         "summary": {
@@ -282,8 +284,8 @@ def shorten(args):
             "mean_reduction": sum(reductions) / len(reductions) if reductions else 0.0,
         }
     }
-    rows = ({"proof_id": trace.proof_id, **asdict(itrec)}
-            for trace in traces for itrec in trace.iterations)
+    rows = ({"proof_id": record.id, **asdict(itrec)}
+            for record, iterations in zip(records, traces) for itrec in iterations)
     _write_rows(args.output, itertools.chain(rows, [summary]))
 
 
@@ -403,8 +405,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=_readable_file)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int,
-                        help="deprecated and ignored: each backend's max_parallel sets the width")
+    parser.add_argument("--workers", type=int, help="sets nothing, accepted because bench/run.py"
+                        " passes it: each backend's max_parallel sets the width")
     parser.add_argument("--workdir", type=_dir_path)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 

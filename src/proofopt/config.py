@@ -40,7 +40,6 @@ class RunConfig:
     backends: dict[str, BackendConfig] = field(default_factory=dict)
     schedule: str = "4x2"
     measure: Measure = Measure.TOKEN_LENGTH
-    parallel_workers: int = 1  # deprecated: range-checked, then read by nothing
     seed: int = 0
     workdir: str = ""  # none when empty
     repair: bool = False
@@ -59,8 +58,6 @@ class RunConfig:
         return from_json(cls, raw, "run config", ConfigError, strict=True)
 
     def __post_init__(self):
-        if self.parallel_workers < 1:
-            raise ConfigError("parallel_workers must be at least 1")
         if self.repair_budget < 0:
             raise ConfigError("repair_budget must not be negative")
 

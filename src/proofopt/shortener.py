@@ -74,17 +74,6 @@ class IterationRecord:
     repair: RepairStage | None = None
 
 
-@dataclass
-class ShorteningTrace:
-    proof_id: str
-    measure: str
-    iterations: list[IterationRecord] = field(default_factory=list)
-
-    @property
-    def final_source(self) -> str | None:
-        return self.iterations[-1].source_after if self.iterations else None
-
-
 def map_in_order(fn, items: list, width: int) -> list:
     """fn over items on a pool of width threads, never more than there are
     items, with the results in input order. No items start no pool."""
@@ -275,8 +264,9 @@ def shorten_loop(
     repair_budget: int = 4,
     on_iteration=None,
     resume_from: list[IterationRecord] | None = None,
-) -> ShorteningTrace:
-    """Run the whole shortening schedule for one proof.
+) -> list[IterationRecord]:
+    """Run the whole shortening schedule for one proof; returns its
+    iterations, the resumed ones first.
 
     ``schedule`` is a list of (k, temperature) pairs. ``on_iteration`` is
     called with each finished IterationRecord, which is how partial traces
@@ -290,19 +280,17 @@ def shorten_loop(
     if not schedule:
         raise ValueError("schedule must be nonempty")
     memo = VerdictMemo(verifier, measure)
-    trace = ShorteningTrace(proof_id=record.id, measure=measure.value)
-    trace.iterations.extend(resume_from or [])
-    for index in range(len(trace.iterations), len(schedule)):
+    iterations = list(resume_from or [])
+    for index in range(len(iterations), len(schedule)):
         k, temperature = schedule[index]
-        itrec = shorten_iteration(
-            record, k, simplifier, memo, temperature, index, source=trace.final_source
-        )
+        source = iterations[-1].source_after if iterations else None
+        itrec = shorten_iteration(record, k, simplifier, memo, temperature, index, source=source)
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
         )
         if repairer is not None and no_valid:
             itrec.repair = _repair_stage(record, itrec, repairer, memo, repair_budget)
-        trace.iterations.append(itrec)
+        iterations.append(itrec)
         if on_iteration is not None:
             on_iteration(itrec)
-    return trace
+    return iterations

@@ -209,34 +209,34 @@ def test_criterion_shortening_invariants():
         traces = _run_corpus(corpus, seed=11)
         verifier = MockVerifier(mock_cfg(require_token="anchor"))
         saw_all_invalid = 0
-        for record, trace in zip(corpus, traces):
+        for record, iterations in zip(corpus, traces):
             previous = record.full_source
             scores = []
-            for itrec in trace.iterations:
+            for itrec in iterations:
                 scores.append(itrec.score_before)
                 if itrec.candidates and all(c.status != "valid" for c in itrec.candidates):
                     saw_all_invalid += 1
                     assert itrec.source_after == previous
                 previous = itrec.source_after
-            scores.append(trace.iterations[-1].score_after)
+            scores.append(iterations[-1].score_after)
             assert scores == sorted(scores, reverse=True)
-            assert verifier.verify(trace.final_source).ok
+            assert verifier.verify(iterations[-1].source_after).ok
         assert saw_all_invalid > 0  # the corpus must actually exercise the branch
 
         again = _run_corpus(corpus, seed=11)
-        first = json.dumps([asdict(t) for t in traces], sort_keys=True)
-        second = json.dumps([asdict(t) for t in again], sort_keys=True)
+        first = json.dumps([list(map(asdict, t)) for t in traces], sort_keys=True)
+        second = json.dumps([list(map(asdict, t)) for t in again], sort_keys=True)
         assert first == second
 
         # a simplifier that rewrites statements: the rewrites are valid and
         # shortest, but every proof keeps its statement
         rewritten = _run_corpus(corpus, seed=11, simplifier_cls=StatementRewritingSimplifier)
-        for record, trace in zip(corpus, rewritten):
-            for itrec in trace.iterations:
+        for record, iterations in zip(corpus, rewritten):
+            for itrec in iterations:
                 assert ProofRecord.from_source(itrec.source_after).statement == record.statement
                 assert all(c.status == "valid" and c.score == 1 for c in itrec.candidates[::3])
-            assert verifier.verify(trace.final_source).ok
-        assert any(it.adopted is not None for t in rewritten for it in t.iterations)
+            assert verifier.verify(iterations[-1].source_after).ok
+        assert any(it.adopted is not None for t in rewritten for it in t)
 
 
 # --- 5. linter ----------------------------------------------------------------
@@ -272,22 +272,22 @@ def _repair_run(repairer_options, size=30):
     for i in range(size):
         proof = "\n".join("  norm_num" for _ in range(rng.randint(3, 8)))
         record = ProofRecord(id=f"r{i}", statement=f"theorem r{i} : 1 = 1", proof=proof)
-        trace = shorten_loop(record, [(3, 1.0)], simplifier, verifier, repairer=repairer)
-        stage = trace.iterations[0].repair
+        iterations = shorten_loop(record, [(3, 1.0)], simplifier, verifier, repairer=repairer)
+        stage = iterations[0].repair
         assert stage is not None and stage.attempted > 0
-        stages.append((record, trace, stage))
+        stages.append((record, iterations, stage))
     return stages
 
 
 def test_criterion_repair_guard():
     with criterion("repair guard: longer repairs 0% adopted, shorter 100%"):
-        for record, trace, stage in _repair_run({"mode": "longer", "padding": 12}):
+        for record, iterations, stage in _repair_run({"mode": "longer", "padding": 12}):
             assert stage.adopted is None
-            assert trace.final_source == record.full_source
-        for record, trace, stage in _repair_run({"mode": "shorter", "proof_body": "rfl"}):
+            assert iterations[-1].source_after == record.full_source
+        for record, iterations, stage in _repair_run({"mode": "shorter", "proof_body": "rfl"}):
             assert stage.adopted is not None
-            assert trace.iterations[0].score_after < trace.iterations[0].score_before
-            assert trace.final_source.endswith("rfl")
+            assert iterations[0].score_after < iterations[0].score_before
+            assert iterations[-1].source_after.endswith("rfl")
 
 
 # --- 7. expert-iteration dataset ----------------------------------------------

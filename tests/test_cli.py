@@ -542,6 +542,34 @@ def test_shorten_resume_under_a_changed_schedule_redoes_the_iterations_that_diff
     assert lines[0] == (tmp_path / "fresh" / "traces" / "p1.jsonl").read_text().splitlines()[0]
 
 
+def test_shorten_resume_under_a_changed_statement_redoes_the_proof(runner, tmp_path):
+    """A persisted iteration is kept only while its source_after states the
+    input's statement; the trace is cut from the first one that does not."""
+    config = write_config(tmp_path)
+
+    def run(workdir, statement):
+        row = {"id": "p", "statement": statement, "proof": "  norm_num\n  ring\n  skip"}
+        proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+        args = ["--config", config, "--workdir", str(tmp_path / workdir), "shorten", proofs]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    trace_file = tmp_path / "wd" / "traces" / "p.jsonl"
+    run("wd", "theorem p : 1 = 1")
+    resumed = run("wd", "theorem p : 2 = 2")
+    assert "1 = 1" not in resumed
+    assert resumed == run("fresh", "theorem p : 2 = 2")
+    fresh = (tmp_path / "fresh" / "traces" / "p.jsonl").read_text()
+    assert trace_file.read_text() == fresh
+    # an iteration of another statement after one of this statement is redone
+    first, second = fresh.splitlines(keepends=True)
+    other = {**json.loads(second), "source_after": "theorem p : 3 = 3 := by\n  rfl"}
+    trace_file.write_text(first + json.dumps(other) + "\n")
+    assert run("wd", "theorem p : 2 = 2") == resumed
+    assert trace_file.read_text() == fresh
+
+
 def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
     config = write_config(
         tmp_path,
@@ -559,17 +587,19 @@ def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
 
 
 def test_unknown_run_config_key_exit_code(runner, tmp_path):
-    config = write_config(tmp_path, repair_budjet=1)
+    """A misspelt key, or parallel_workers, which set nothing and is gone."""
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
-    result = runner.invoke(main, ["--config", config, "shorten", proofs])
-    assert result.exit_code == 2
-    assert "repair_budjet" in result.output
+    for key in ("repair_budjet", "parallel_workers"):
+        config = write_config(tmp_path, **{key: 2})
+        result = runner.invoke(main, ["--config", config, "shorten", proofs])
+        assert result.exit_code == 2
+        assert result.output == f"error: run config has unknown keys: ['{key}']\n"
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"parallel_workers": "x"},
+        {"seed": "x"},
         {"backends": {"verifier": {"kind": "mock", "timeout": "abc"}}},
         {"backends": {"verifier": {"kind": "mock", "retries": 0}}},
     ],
@@ -628,14 +658,17 @@ def test_lint_takes_no_rounds_option(runner, tmp_path):
     assert runner.invoke(main, ["--config", config, "lint", "--rounds", "0", proofs]).exit_code == 2
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_flag_below_one_exit_code(runner, tmp_path, workers):
-    """--workers is checked as parallel_workers in the config is."""
+@pytest.mark.parametrize("workers", ["0", "7"])
+def test_workers_flag_sets_nothing(runner, tmp_path, workers):
+    """--workers is accepted and sets nothing: each backend's max_parallel
+    sets the width."""
     config = write_config(tmp_path)
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    plain = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert plain.exit_code == 0, plain.output
     result = runner.invoke(main, ["--config", config, "--workers", workers, "shorten", proofs])
-    assert result.exit_code == 2
-    assert result.output == "error: parallel_workers must be at least 1\n"
+    assert result.exit_code == 0, result.output
+    assert result.output == plain.output
 
 
 def test_shorten_toolkit_error_exits_without_traceback(runner, tmp_path, monkeypatch, dead_url):
@@ -1158,7 +1191,6 @@ GROUP = trace_row("a", 10, 4)  # a row of shorten's output, read by reward and d
 # (command, config overrides or the one input row it reads, exit code): a value
 # of the wrong JSON type is never coerced. Configs exit 2, input rows exit 1.
 WRONG_TYPES = [
-    pytest.param("config", {"parallel_workers": 2.7}, 2, id="workers-float"),
     pytest.param("config", {"seed": True}, 2, id="seed-bool"),
     pytest.param("config", {"repair_budget": "3"}, 2, id="repair-budget-text"),
     pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "max_parallel": True}}}, 2,

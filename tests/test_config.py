@@ -32,7 +32,6 @@ def test_runconfig_load(tmp_path):
                 "backends": {"verifier": {"kind": "mock"}},
                 "schedule": "8x3",
                 "measure": "heartbeats",
-                "parallel_workers": 2,
                 "seed": 5,
             }
         )
@@ -52,15 +51,12 @@ def test_runconfig_rejects_bad_json(tmp_path):
         RunConfig.load(path)
     with pytest.raises(ConfigError):
         RunConfig.from_json({"measure": "pages"})
-    with pytest.raises(ConfigError):
-        RunConfig.from_json({"parallel_workers": 0})
 
 
 @pytest.mark.parametrize(
     "raw",
     [
         [1, 2],
-        {"parallel_workers": "x"},
         {"seed": None},
         {"schedule": 4},
         {"workdir": ["a"]},
@@ -75,7 +71,7 @@ def test_runconfig_rejects_bad_json(tmp_path):
         {"backends": {"verifier": {"kind": "mock", "temperature": float("-inf")}}},
         {"backends": {"verifier": {"kind": "mock", "timeout": 1e10}}},
     ],
-    ids=["top-level-list", "workers-text", "seed-null", "schedule-number", "workdir-list",
+    ids=["top-level-list", "seed-null", "schedule-number", "workdir-list",
          "negative-repair-budget", "backends-list", "backend-text", "timeout-text",
          "max-parallel-float", "options-list", "timeout-nan", "timeout-infinite",
          "temperature-infinite", "timeout-over-the-wait-limit"],

@@ -138,8 +138,8 @@ def test_repair_accounting_counts_no_attempts_for_skipped_iterations():
     start = ProofRecord(id="p", statement="theorem p : 1 = 1", proof="  FAIL")
     simplifier = MockSimplifier(mock_cfg(mode="constant"))
     skipped = shorten_loop(start, [(4, 1.0), (4, 1.0)], simplifier, MockVerifier(mock_cfg()))
-    assert all(it.note.startswith("skipped") for it in skipped.iterations)
-    row = repair_accounting(skipped.iterations + [_iteration_with_repair()])
+    assert all(it.note.startswith("skipped") for it in skipped)
+    row = repair_accounting(skipped + [_iteration_with_repair()])
     assert row["simplify_attempted"] == 4
 
 

@@ -113,16 +113,16 @@ def test_loop_adopts_only_a_candidate_that_proves_the_incumbents_statement(state
 
     start = ProofRecord(id="foo", statement="theorem foo (x : Nat) : x + 0 = x",
                         proof="  induction x\n  rfl\n  simp")
-    trace = shorten_loop(start, [(2, 1.0)], RewritingSimplifier(mock_cfg()),
+    iterations = shorten_loop(start, [(2, 1.0)], RewritingSimplifier(mock_cfg()),
                          MockVerifier(mock_cfg()))
-    itrec = trace.iterations[0]
+    itrec = iterations[0]
     assert [c.status for c in itrec.candidates] == [VerdictStatus.VALID] * 2
     assert itrec.candidates[0].score < itrec.score_before
     assert itrec.adopted == adopted
     if adopted is None:
-        assert trace.final_source == start.full_source
+        assert iterations[-1].source_after == start.full_source
     else:
-        assert trace.final_source == f"{statement} := by\n  trivial"
+        assert iterations[-1].source_after == f"{statement} := by\n  trivial"
 
 
 def test_iteration_survives_a_candidate_without_a_proof_body():
@@ -178,18 +178,18 @@ def test_loop_monotone_and_resumable():
     start = record("  have h : 1 = 1 := rfl\n  norm_num\n  ring\n  exact h", id="mono")
 
     seen = []
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start, schedule, simplifier, verifier, on_iteration=lambda it: seen.append(it)
     )
-    scores = [it.score_before for it in trace.iterations] + [trace.iterations[-1].score_after]
+    scores = [it.score_before for it in iterations] + [iterations[-1].score_after]
     assert scores == sorted(scores, reverse=True)
     assert len(seen) == len(schedule)
 
     # replaying a prefix must give a byte-identical remainder
     resumed = shorten_loop(
-        start, schedule, simplifier, verifier, resume_from=trace.iterations[:2]
+        start, schedule, simplifier, verifier, resume_from=iterations[:2]
     )
-    assert json.dumps(asdict(resumed)) == json.dumps(asdict(trace))
+    assert json.dumps(list(map(asdict, resumed))) == json.dumps(list(map(asdict, iterations)))
 
 
 def test_loop_rejects_empty_schedule():
@@ -210,7 +210,7 @@ def _shortened_rows():
     start = record("  a\n  b\n  c")
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=1))
-    itrec = shorten_loop(start, [(3, 1.0)], simplifier, verifier).iterations[0]
+    itrec = shorten_loop(start, [(3, 1.0)], simplifier, verifier)[0]
     result = ProofRecord.from_source(itrec.source_after, id=start.id)
     return [start, itrec, TraceRow(**vars(itrec), proof_id=start.id),
             SimplificationPair(start, result, iteration=1, transitive=True)]
@@ -248,14 +248,14 @@ def test_repair_stage_guard_rejects_longer():
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
     repairer = MockRepairer(mock_cfg(mode="longer", padding=6))
     start = record("  norm_num\n  ring")
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start, [(2, 1.0)], simplifier, verifier, repairer=repairer, repair_budget=2
     )
-    stage = trace.iterations[0].repair
+    stage = iterations[0].repair
     assert stage is not None
     assert stage.attempted > 0
     assert stage.adopted is None
-    assert trace.final_source == start.full_source
+    assert iterations[-1].source_after == start.full_source
 
 
 def test_repair_stage_adopts_shorter():
@@ -263,15 +263,15 @@ def test_repair_stage_adopts_shorter():
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
     repairer = MockRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
     start = record("  norm_num\n  ring\n  simp")
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start, [(2, 1.0)], simplifier, verifier, repairer=repairer, repair_budget=1
     )
-    stage = trace.iterations[0].repair
+    stage = iterations[0].repair
     assert stage.valid > 0
     assert stage.adopted is not None
-    assert trace.final_source.endswith("rfl")
-    assert trace.iterations[0].score_after == 1
-    assert verifier.verify(trace.final_source).ok
+    assert iterations[-1].source_after.endswith("rfl")
+    assert iterations[0].score_after == 1
+    assert verifier.verify(iterations[-1].source_after).ok
 
 
 def test_repair_stage_never_adopts_a_term_mode_fix():
@@ -282,14 +282,14 @@ def test_repair_stage_never_adopts_a_term_mode_fix():
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
     start = record("  norm_num\n  ring")
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start, [(2, 1.0)], simplifier, verifier, repairer=TermModeRepairer(mock_cfg())
     )
-    stage = trace.iterations[0].repair
+    stage = iterations[0].repair
     assert stage.candidates == [RepairEntry(VerdictStatus.VALID, 1, None)]
     assert stage.valid == 1
     assert stage.adopted is None
-    assert trace.final_source == start.full_source
+    assert iterations[-1].source_after == start.full_source
 
 
 def test_repair_stage_never_lints_or_adopts_a_fix_that_rewrites_the_statement():
@@ -300,13 +300,13 @@ def test_repair_stage_never_lints_or_adopts_a_fix_that_rewrites_the_statement():
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
     start = record("  norm_num\n  ring")
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start, [(2, 1.0)], simplifier, verifier, repairer=RewritingRepairer(mock_cfg())
     )
-    stage = trace.iterations[0].repair
+    stage = iterations[0].repair
     assert stage.candidates == [RepairEntry(VerdictStatus.VALID, 1, None)]
     assert stage.adopted is None
-    assert trace.final_source == start.full_source
+    assert iterations[-1].source_after == start.full_source
 
 
 @pytest.mark.parametrize("text", ["zeta", "theorem t : 1 = 1 := zeta"], ids=["bare", "term"])
@@ -327,12 +327,12 @@ def test_repair_stage_repairs_a_failed_candidate_without_a_tactic_block(text):
     start = record("  norm_num\n  ring")
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     repairer = SpyRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
-    trace = shorten_loop(start, [(2, 1.0)], FixedSimplifier(mock_cfg()), verifier,
+    iterations = shorten_loop(start, [(2, 1.0)], FixedSimplifier(mock_cfg()), verifier,
                          repairer=repairer)
-    assert [c.status for c in trace.iterations[0].candidates] == [VerdictStatus.INVALID] * 2
+    assert [c.status for c in iterations[0].candidates] == [VerdictStatus.INVALID] * 2
     assert asked == [(start.statement, text)]
-    assert trace.iterations[0].repair.adopted == 0
-    assert trace.final_source == f"{start.statement} := by\n  rfl"
+    assert iterations[0].repair.adopted == 0
+    assert iterations[-1].source_after == f"{start.statement} := by\n  rfl"
 
 
 def test_repair_stage_asks_for_a_fix_of_the_incumbents_statement():
@@ -352,12 +352,12 @@ def test_repair_stage_asks_for_a_fix_of_the_incumbents_statement():
     start = record("  norm_num\n  ring")
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     repairer = SpyRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
-    trace = shorten_loop(start, [(2, 1.0)], RewritingSimplifier(mock_cfg()), verifier,
+    iterations = shorten_loop(start, [(2, 1.0)], RewritingSimplifier(mock_cfg()), verifier,
                          repairer=repairer)
-    assert [c.status for c in trace.iterations[0].candidates] == [VerdictStatus.INVALID] * 2
+    assert [c.status for c in iterations[0].candidates] == [VerdictStatus.INVALID] * 2
     assert asked == [(start.statement, "  zeta")]
-    assert trace.iterations[0].repair.adopted == 0
-    assert trace.final_source == f"{start.statement} := by\n  rfl"
+    assert iterations[0].repair.adopted == 0
+    assert iterations[-1].source_after == f"{start.statement} := by\n  rfl"
 
 
 # A checker that gives no sorry warning: it passes every file but one that
@@ -388,7 +388,7 @@ def test_a_proof_holding_a_sorry_or_admit_token_is_never_admissible(tmp_path, bo
     start = record("  norm_num\n  ring\n  simp\n  linarith\n  omega")
 
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body=body))
-    itrec = shorten_loop(start, [(1, 1.0)], simplifier, verifier).iterations[0]
+    itrec = shorten_loop(start, [(1, 1.0)], simplifier, verifier)[0]
     [candidate] = itrec.candidates
     assert candidate.status is VerdictStatus.VALID and candidate.score < itrec.score_before
     assert (itrec.adopted == 0) is sound
@@ -397,8 +397,8 @@ def test_a_proof_holding_a_sorry_or_admit_token_is_never_admissible(tmp_path, bo
 
     failing = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
     repairer = MockRepairer(mock_cfg(mode="shorter", proof_body=body))
-    trace = shorten_loop(start, [(1, 1.0)], failing, verifier, repairer=repairer)
-    stage = trace.iterations[0].repair
+    iterations = shorten_loop(start, [(1, 1.0)], failing, verifier, repairer=repairer)
+    stage = iterations[0].repair
     [fix] = stage.candidates
     assert fix.status is VerdictStatus.VALID
     assert (fix.linted_score is not None) is sound
@@ -434,7 +434,7 @@ def test_the_adopted_text_is_the_text_its_check_saw(tmp_path):
     )
     start = record("  norm_num\n  ring\n  rfl")
     simplifier = FixedTextSimplifier(mock_cfg(text=winner))
-    first, second = shorten_loop(start, [(1, 1.0), (1, 1.0)], simplifier, verifier).iterations
+    first, second = shorten_loop(start, [(1, 1.0), (1, 1.0)], simplifier, verifier)
     assert first.adopted == 0 and first.source_after == winner
     assert second.note == "" and second.score_before == first.score_after == 1
 
@@ -446,8 +446,8 @@ def test_a_one_line_winner_is_checked_once(measure):
     verifier = ListingVerifier(mock_cfg())
     start = record("  norm_num\n  rfl")
     simplifier = FixedTextSimplifier(mock_cfg(text=winner))
-    trace = shorten_loop(start, [(2, 1.0), (2, 1.0)], simplifier, verifier, measure)
-    first, second = trace.iterations
+    iterations = shorten_loop(start, [(2, 1.0), (2, 1.0)], simplifier, verifier, measure)
+    first, second = iterations
     assert first.source_after == winner
     assert verifier.checked == [start.full_source, winner]
     assert second.score_before == first.score_after < first.score_before
@@ -464,9 +464,9 @@ def test_a_one_line_fix_is_checked_once():
     verifier = ListingVerifier(mock_cfg(fail_token="zeta"))
     start = record("  norm_num\n  ring")
     failing = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
-    trace = shorten_loop(start, [(1, 1.0)], failing, verifier,
+    iterations = shorten_loop(start, [(1, 1.0)], failing, verifier,
                          repairer=OneLineRepairer(mock_cfg()))
-    [itrec] = trace.iterations
+    [itrec] = iterations
     assert itrec.repair.adopted == 0 and itrec.source_after == fix
     assert verifier.checked == [start.full_source, "theorem t : 1 = 1 := by\n  zeta", fix]
 
@@ -482,7 +482,7 @@ def test_repair_stage_repairs_each_failed_text_once():
     verifier = MockVerifier(mock_cfg(fail_token="zeta"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="zeta"))
     repairer = SpyRepairer(mock_cfg(mode="longer", padding=1))
-    trace = shorten_loop(
+    iterations = shorten_loop(
         record("  norm_num\n  ring"),
         [(4, 1.0)],
         simplifier,
@@ -490,9 +490,9 @@ def test_repair_stage_repairs_each_failed_text_once():
         repairer=repairer,
         repair_budget=4,
     )
-    assert len(trace.iterations[0].candidates) == 4
+    assert len(iterations[0].candidates) == 4
     assert repaired == ["  zeta"]
-    assert trace.iterations[0].repair.attempted == 1
+    assert iterations[0].repair.attempted == 1
 
 
 def test_repair_stage_does_not_recheck_a_timed_out_candidate():
@@ -511,15 +511,15 @@ def test_repair_stage_does_not_recheck_a_timed_out_candidate():
     verifier = SpyVerifier(mock_cfg(timeout_token="slow"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="slow"))
     repairer = SpyRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
-    trace = shorten_loop(
+    iterations = shorten_loop(
         record("  norm_num\n  ring"), [(2, 1.0)], simplifier, verifier, repairer=repairer,
         repair_budget=2,
     )
-    timed_out = trace.iterations[0].candidates[0]
+    timed_out = iterations[0].candidates[0]
     assert timed_out.status is VerdictStatus.TIMEOUT
     assert checked.count(timed_out.text) == 1
     assert reports == ["proof failed to verify"]
-    assert trace.iterations[0].repair.adopted == 0
+    assert iterations[0].repair.adopted == 0
     assert verifier.calls == 3  # the incumbent, the timed-out candidate and the fix
 
 
@@ -535,10 +535,10 @@ def test_acceptance_rule_recomputed_from_traces(measure):
     iteration_adoptions = repair_adoptions = 0
     for mode in ("shorter", "longer", "delete_flagged"):
         for seed in range(8):
-            trace, verifier = _memo_scenario(mode, seed, measure)
+            iterations, verifier = _memo_scenario(mode, seed, measure)
             rescore = VerdictMemo(verifier, measure)
             source = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF).full_source
-            for it in trace.iterations:
+            for it in iterations:
                 assert it.score_before == rescore.check(source)[1]
                 entries = [
                     (c.status is VerdictStatus.VALID and c.score is not None
@@ -598,11 +598,11 @@ def _repair_scenario(repairer, max_parallel, schedule=((4, 1.0), (4, 0.8)), budg
 
 def test_repair_stage_folds_in_input_order():
     serial = _repair_scenario(KeyRepairer(mock_cfg()), max_parallel=1)
-    stages = [it.repair for it in serial.iterations]
+    stages = [it.repair for it in serial]
     assert stages[0] is not None and len({c.linted_score for c in stages[0].candidates}) == 3
     firsts = {
         ProofRecord.from_source(it.candidates[0].text, id="o").proof
-        for it in serial.iterations
+        for it in serial
         if it.repair is not None
     }
 
@@ -613,8 +613,8 @@ def test_repair_stage_folds_in_input_order():
             return super()._repair(statement, failed_proof, error_report)
 
     concurrent = _repair_scenario(SlowFirstRepairer(mock_cfg()), max_parallel=2)
-    assert [it.repair for it in concurrent.iterations] == stages
-    assert json.dumps(asdict(concurrent)) == json.dumps(asdict(serial))
+    assert [it.repair for it in concurrent] == stages
+    assert json.dumps(list(map(asdict, concurrent))) == json.dumps(list(map(asdict, serial)))
 
 
 def test_repair_stage_repairs_concurrently():
@@ -625,20 +625,20 @@ def test_repair_stage_repairs_concurrently():
             barrier.wait()  # breaks unless a second repair is in flight
             return super()._repair(statement, failed_proof, error_report)
 
-    trace = _repair_scenario(
+    iterations = _repair_scenario(
         MeetingRepairer(mock_cfg()), max_parallel=2, schedule=[(4, 1.0)], budget=2
     )
-    assert trace.iterations[0].repair.attempted == 2
+    assert iterations[0].repair.attempted == 2
 
 
 def test_repair_not_triggered_when_any_candidate_valid():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     repairer = MockRepairer(mock_cfg(mode="shorter"))
-    trace = shorten_loop(
+    iterations = shorten_loop(
         record("  norm_num\n  ring"), [(2, 1.0)], simplifier, verifier, repairer=repairer
     )
-    assert trace.iterations[0].repair is None
+    assert iterations[0].repair is None
 
 
 class RecordingRepairer(MockRepairer):
@@ -715,12 +715,12 @@ def test_repair_stage_adopts_as_eager_linting_would(measure):
         verifier_cfg = mock_cfg(**verifier_options)
         repairer = RecordingRepairer(inner)
         start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
-        trace = shorten_loop(
+        iterations = shorten_loop(
             start, [(4, 1.0), (4, 0.8), (4, 0.5)], MockSimplifier(mock_cfg(**simplifier_options)),
             MockVerifier(verifier_cfg), measure, repairer=repairer, repair_budget=3,
         )
         source, stages, adopted = start.full_source, 0, 0
-        for it in trace.iterations:
+        for it in iterations:
             if it.repair is not None:
                 expected = _eager_repair(it, source, repairer.fixes, verifier_cfg, measure, 3)
                 assert (it.repair.adopted, it.score_after, it.source_after) == expected
@@ -745,12 +745,12 @@ def _bounded_fixes_scenario(measure):
     bodies = ["  skip\n  a\n  b\n  c", "  skip\n  a", "  skip\n  a\n  b",
               "  skip\n  skip\n  a\n  b\n  c\n  d"]
     start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start, [(2, 1.0)], MockSimplifier(mock_cfg(mode="constant", proof_body="FAIL")),
         SpyVerifier(mock_cfg(noop_tactics=["skip"])), measure,
         repairer=BodiesRepairer(mock_cfg(bodies=bodies)),
     )
-    itrec = trace.iterations[0]
+    itrec = iterations[0]
     known = {start.full_source, *(c.text for c in itrec.candidates)}
     known.update(f"{start.statement} := by\n{body}" for body in bodies)
     return itrec, [text for text in checked if text not in known]
@@ -798,7 +798,7 @@ def _memo_scenario(mode, seed, measure):
     simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=seed, drop_probability=0.6))
     repairer = MockRepairer(mock_cfg(mode=mode, proof_body="key\n  skip\n  ring", padding=2))
     start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
-    trace = shorten_loop(
+    iterations = shorten_loop(
         start,
         [(4, 1.0), (4, 0.8), (4, 0.5)],
         simplifier,
@@ -807,7 +807,7 @@ def _memo_scenario(mode, seed, measure):
         repairer=repairer,
         repair_budget=3,
     )
-    return trace, verifier
+    return iterations, verifier
 
 
 @pytest.mark.parametrize("measure", list(Measure))
@@ -820,8 +820,8 @@ def test_memo_checks_each_key_once(monkeypatch, measure):
         return original(self, source)
 
     monkeypatch.setattr(VerdictMemo, "verify", recording)
-    trace, verifier = _memo_scenario("shorter", 12, measure)
-    assert any(it.repair is not None and it.repair.adopted is not None for it in trace.iterations)
+    iterations, verifier = _memo_scenario("shorter", 12, measure)
+    assert any(it.repair is not None and it.repair.adopted is not None for it in iterations)
     assert verifier.calls == len(set(texts))
     assert len(texts) > len(set(texts))  # repeats were asked for and answered
 
@@ -933,8 +933,8 @@ def test_memo_delivers_a_failed_check_to_every_waiter():
     assert verifier.calls == 2
 
 
-# sha256 of json.dumps(asdict(trace)) for each _memo_scenario, recorded
-# before checks were remembered. None of these loops samples a failed text
+# sha256 of the JSON of {"proof_id", "measure", "iterations"} for each
+# _memo_scenario, recorded before checks were remembered. None of these loops samples a failed text
 # twice, so deduplication before repair leaves them alone too.
 MOCK_TRACE_DIGESTS = {
     ("shorter", 12, "length"): "0e9da659942e23db351dae9209e53f07c283bf9d41ffc605cffc31af30a64514",
@@ -948,6 +948,7 @@ MOCK_TRACE_DIGESTS = {
 
 @pytest.mark.parametrize("mode,seed,measure", list(MOCK_TRACE_DIGESTS))
 def test_memo_leaves_mock_traces_unchanged(mode, seed, measure):
-    trace, _ = _memo_scenario(mode, seed, Measure(measure))
-    blob = json.dumps(asdict(trace)).encode()
+    iterations, _ = _memo_scenario(mode, seed, Measure(measure))
+    trace = {"proof_id": "g", "measure": measure, "iterations": list(map(asdict, iterations))}
+    blob = json.dumps(trace).encode()
     assert hashlib.sha256(blob).hexdigest() == MOCK_TRACE_DIGESTS[(mode, seed, measure)]
