@@ -177,7 +177,7 @@ def lint(args):
         ok = memo.verify(record.full_source).ok
         linted = lint_fixpoint(record.full_source, memo) if ok else record.full_source
         if linted != record.full_source:
-            record = ProofRecord.from_source(linted, id=record.id, source_tag=record.source_tag)
+            record = ProofRecord.from_source(linted, id=record.id)
         row = {**asdict(record), "length": lexer.proof_length(record.full_source)}
         return row if ok else {**row, "note": SKIPPED_NOTE}
 
@@ -310,10 +310,10 @@ def dataset_build(args):
                 f"{args.results}: proof {row.proof_id!r} iteration {row.index} is given twice"
             )
         iterations[row.index] = row
-    # A proof's result is its last source_after, once an iteration adopted a
-    # checked candidate or repair: only that lowers score_after.
+    # A proof's result is its last source_after, the text its check saw, once
+    # an iteration adopted a checked candidate or repair: only that lowers score_after.
     results = {
-        proof_id: ProofRecord.from_source(iterations[max(iterations)].source_after, id=proof_id)
+        proof_id: iterations[max(iterations)].source_after
         for proof_id, iterations in runs.items()
         if any(row.score_after < row.score_before for row in iterations.values())
     }

@@ -28,6 +28,12 @@ _TOKEN_CHARS = "_.'"
 _BLOCK_COMMENT = re.compile(r" */-.*-/", re.DOTALL)
 _LINE_COMMENT = re.compile(r" *--.*")
 
+# The pieces of a text as Lean reads it: outside a comment a string literal,
+# a line comment, a block comment's opening, or a run of other text; inside
+# a block comment an opening, a closing, or a run of other text.
+_LEAN_CODE = re.compile(r'"(?:\\.|[^"\\])*"?|--[^\n]*|/-|[^"/-]+|.', re.DOTALL)
+_LEAN_COMMENT = re.compile(r"/-|-/|[^/-]+|.", re.DOTALL)
+
 # Emitted by the CLI when the delimiter is missing, mirroring the checker
 # pipeline's conventional failure value.
 SENTINEL_LENGTH = 10**9
@@ -54,6 +60,21 @@ def strip_comments(text: str) -> str:
     """
     text = _BLOCK_COMMENT.sub("", text)
     return _LINE_COMMENT.sub("", text)
+
+
+def strip_lean_comments(text: str) -> str:
+    """Blank comments as Lean reads them, which is not the metric's rule
+    (strip_comments): block comments nest, a line comment runs to the end of
+    its line, and a string literal holds no comment."""
+    kept, depth, at = [], 0, 0
+    while at < len(text):
+        piece = (_LEAN_COMMENT if depth else _LEAN_CODE).match(text, at).group()
+        at += len(piece)
+        if depth or piece == "/-":
+            depth += (piece == "/-") - (piece == "-/")
+            piece = " "
+        kept.append("" if piece.startswith("--") else piece)
+    return "".join(kept)
 
 
 def lex(text: str) -> list[list[str]]:
@@ -90,9 +111,11 @@ def lex(text: str) -> list[list[str]]:
     return lines
 
 
-def tokens(text: str) -> list[str]:
-    """The tokens of text without its comments, in order, empty ones dropped."""
-    return [token for line in lex(strip_comments(text)) for token in line if token]
+def tokens(text: str, lean: bool = False) -> list[str]:
+    """The tokens of text without its comments, in order, empty ones dropped:
+    the comments strip_comments deletes, or with lean those Lean reads."""
+    text = strip_lean_comments(text) if lean else strip_comments(text)
+    return [token for line in lex(text) for token in line if token]
 
 
 def proof_length(statement_and_proof: str) -> int:

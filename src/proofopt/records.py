@@ -37,7 +37,6 @@ class ProofRecord:
     id: str
     statement: str
     proof: str
-    source_tag: str = ""
 
     @property
     def full_source(self) -> str:
@@ -45,13 +44,13 @@ class ProofRecord:
         return f"{self.statement}{gap}{PROOF_DELIMITER}\n{self.proof}"
 
     @classmethod
-    def from_source(cls, source: str, id: str = "", source_tag: str = "") -> "ProofRecord":
+    def from_source(cls, source: str, id: str = "") -> "ProofRecord":
         """Split a statement-plus-proof text at the first ':= by'; a text
         without one is MalformedInput, a ValueError."""
         head, sep, tail = source.partition(PROOF_DELIMITER)
         if not sep:
             raise MalformedInput(f"record {id!r}: source has no '{PROOF_DELIMITER}' delimiter")
-        return cls(id=id, statement=head.rstrip(), proof=tail.strip("\n"), source_tag=source_tag)
+        return cls(id=id, statement=head.rstrip(), proof=tail.strip("\n"))
 
 
 def read_jsonl(stream) -> list[dict]:

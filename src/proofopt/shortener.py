@@ -84,25 +84,29 @@ def map_in_order(fn, items: list, width: int) -> list:
 
 
 def same_statement(statement: str, other: str) -> bool:
-    """Whether two statements have the same lexer.tokens: comments and
-    layout aside, they state the same theorem. The statement clause of
-    admissible, and dataset build's check of a result and an ancestor."""
-    return lexer.tokens(statement) == lexer.tokens(other)
+    """Whether two statements have the same lexer.tokens as Lean reads them:
+    comments and layout aside, they state the same theorem. The statement
+    clause of admissible, and dataset build's check of a result and an
+    ancestor."""
+    return lexer.tokens(statement, lean=True) == lexer.tokens(other, lean=True)
 
 
 def admissible(entry: CandidateResult, statement: str) -> bool:
     """Whether entry may replace an incumbent proving statement, the one rule
     of adoption, the repair lint gate and reward: it verifies, has a score,
     splits at ':= by' (a term-mode proof cannot become the next record), its
-    statement is the incumbent's (same_statement), and its body holds no
-    sorry or admit token (lexer.tokens: a comment or sorry_lemma is none),
-    which a checker may pass without its warning."""
+    statement is the incumbent's (same_statement), its body holds no sorry
+    or admit token as Lean reads it (a comment or sorry_lemma is none),
+    which a checker may pass without its warning, and the metric reads a
+    body holding '/-' as Lean does (the same lexer.tokens either way)."""
     head, delimiter, body = entry.text.partition(PROOF_DELIMITER)
     scored = entry.status is VerdictStatus.VALID and entry.score is not None
     if not (scored and delimiter and same_statement(head, statement)):
         return False
-    # the body is lexed only when it holds the text
-    return not any(t in body for t in SORRY_TOKENS) or SORRY_TOKENS.isdisjoint(lexer.tokens(body))
+    if not any(t in body for t in ("/-", *SORRY_TOKENS)):
+        return True  # the body is lexed only when it holds the text sought
+    read = lexer.tokens(body, lean=True)
+    return SORRY_TOKENS.isdisjoint(read) and ("/-" not in body or lexer.tokens(body) == read)
 
 
 def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:

@@ -3,7 +3,7 @@ and group-relative reward computation for an external trainer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lexer, prompting
 from .backends import VerdictMemo, VerdictStatus, Verifier
@@ -35,35 +35,36 @@ AUTO_MACRO = """macro "AUTO" : tactic =>
        try aesop))"""
 
 
-# The row of dataset build and dataset emit-sft: records.write_jsonl writes
-# it and records.from_json reads it back.
+# The row of dataset build and dataset emit-sft, written by records.write_jsonl
+# and read by records.from_json: input is the seed's (or its ancestor's) text
+# and output the text shorten adopted, each verbatim as a checker saw it.
 @dataclass(frozen=True)
 class SimplificationPair:
-    input: ProofRecord
-    output: ProofRecord
+    id: str
+    input: str
+    output: str
     iteration: int = 0
     transitive: bool = False
 
 
-def passes_length_filter(input_proof: ProofRecord, output_proof: ProofRecord) -> bool:
-    """Inclusive ratio check: the output must be at most 80% of the input."""
-    len_in = lexer.proof_length(input_proof.full_source)
-    len_out = lexer.proof_length(output_proof.full_source)
-    return len_out <= LENGTH_RATIO * len_in
+def passes_length_filter(source: str, shorter: str) -> bool:
+    """Inclusive ratio check: shorter must be at most 80% of source's length."""
+    return lexer.proof_length(shorter) <= LENGTH_RATIO * lexer.proof_length(source)
 
 
 def build_expit_dataset(
     seed_proofs: list[ProofRecord],
-    results: dict[str, ProofRecord],
+    results: dict[str, str],
     ancestry: dict[str, ProofRecord] | None = None,
     origin_iteration: int = 0,
 ) -> list[SimplificationPair]:
     """Emit (input, output) pairs for seeds whose verified result passed the
     length filter, plus a transitive pair against the original ancestor when
-    the input was itself the product of an earlier round. results and
-    ancestry are keyed by seed id; a seed without a result makes no pair.
-    A seed's result and ancestor must prove its statement (same_statement):
-    either one that does not is MalformedInput.
+    the input was itself the product of an earlier round. results holds each
+    seed's adopted text and ancestry its ancestor, both keyed by seed id; a
+    seed without a result makes no pair. A seed's result and ancestor must
+    prove its statement (same_statement): either one that does not is
+    MalformedInput, and so is a result without ':= by'.
     """
     ancestry = ancestry or {}
     pairs = []
@@ -72,17 +73,18 @@ def build_expit_dataset(
         if best is None:
             continue
         ancestor = ancestry.get(proof.id)
-        for what, other in (("result", best), ("ancestor", ancestor)):
+        result = ProofRecord.from_source(best, proof.id)  # read for its statement alone
+        for what, other in (("result", result), ("ancestor", ancestor)):
             if other is not None and not same_statement(other.statement, proof.statement):
                 raise MalformedInput(
                     f"proof {proof.id!r}: its {what}'s statement differs from its seed's"
                 )
-        if not passes_length_filter(proof, best):
+        if not passes_length_filter(proof.full_source, best):
             continue
-        pairs.append(SimplificationPair(proof, best, origin_iteration))
-        if ancestor is not None and ancestor.proof != proof.proof:
-            if passes_length_filter(ancestor, best):
-                pairs.append(SimplificationPair(ancestor, best, origin_iteration, transitive=True))
+        pairs.append(SimplificationPair(proof.id, proof.full_source, best, origin_iteration))
+        earlier = ancestor.full_source if ancestor and ancestor.proof != proof.proof else None
+        if earlier and passes_length_filter(earlier, best):
+            pairs.append(SimplificationPair(proof.id, earlier, best, origin_iteration, True))
     return pairs
 
 
@@ -95,7 +97,8 @@ def filter_trivial(
     kept: not provable within budget."""
 
     def trivial(theorem: ProofRecord) -> bool:
-        probe = f"{AUTO_MACRO}\n\n{theorem.statement} := by\n  AUTO"
+        # full_source starts a line with ':= by' after a statement's '--' comment
+        probe = f"{AUTO_MACRO}\n\n{replace(theorem, proof='  AUTO').full_source}"
         return VerdictMemo(verifier).verify(probe).ok
 
     kept, discarded = [], []
@@ -159,23 +162,18 @@ def compute_rewards(
 
 
 def emit_sft_records(pairs: list[SimplificationPair]):
-    """Yield JSON-ready supervised records, one per pair.
-
-    Sources are carried verbatim in the metadata so a consumer can recover
-    both sides without re-parsing the prompt.
-    """
+    """Yield JSON-ready supervised records, one per pair: the prompt holds its
+    input and the completion fences its output, and the metadata carries
+    both verbatim, so a consumer need not re-parse the prompt."""
     for pair in pairs:
-        prompt = prompting.render("simplify", statement=pair.input.full_source)
-        completion = f"```lean4\n{pair.output.full_source}\n```"
         yield {
-            "prompt": prompt,
-            "completion": completion,
+            "prompt": prompting.render("simplify", statement=pair.input),
+            "completion": f"```lean4\n{pair.output}\n```",
             "meta": {
-                "input_id": pair.input.id,
-                "output_id": pair.output.id,
+                "id": pair.id,
                 "iteration": pair.iteration,
                 "transitive": pair.transitive,
-                "input_source": pair.input.full_source,
-                "output_source": pair.output.full_source,
+                "input_source": pair.input,
+                "output_source": pair.output,
             },
         }

@@ -302,8 +302,7 @@ def test_criterion_expit_dataset():
             seed = ProofRecord(id=f"d{i}", statement=f"theorem d{i} : 1 = 1", proof=long)
             seeds.append(seed)
             short = "\n".join("  rfl" for _ in range(rng.randint(1, 30)))
-            best = ProofRecord(id=f"d{i}'", statement=seed.statement, proof=short)
-            results[seed.id] = best
+            results[seed.id] = f"{seed.statement} := by\n{short}"
             if rng.random() < 0.4:
                 ancestry[seed.id] = ProofRecord(
                     id=f"d{i}~", statement=seed.statement, proof=long + "\n  ring\n  ring"
@@ -311,17 +310,19 @@ def test_criterion_expit_dataset():
         pairs = build_expit_dataset(seeds, results, ancestry)
 
         for pair in pairs:
-            len_in = reference_proof_length(pair.input.full_source)
-            len_out = reference_proof_length(pair.output.full_source)
+            len_in = reference_proof_length(pair.input)
+            len_out = reference_proof_length(pair.output)
             assert len_out <= LENGTH_RATIO * len_in
-            assert results[pair.output.id.rstrip("'")] is pair.output
+            assert pair.output == results[pair.id]
+            source = ancestry[pair.id] if pair.transitive else seeds[int(pair.id[1:])]
+            assert pair.input == source.full_source
 
-        direct = {p.input.id for p in pairs if not p.transitive}
-        transitive = {p.input.id.rstrip("~") for p in pairs if p.transitive}
+        direct = {p.id for p in pairs if not p.transitive}
+        transitive = {p.id for p in pairs if p.transitive}
         for seed in seeds:
             best = results[seed.id]
             qualifies = (
-                reference_proof_length(best.full_source)
+                reference_proof_length(best)
                 <= LENGTH_RATIO * reference_proof_length(seed.full_source)
             )
             assert (seed.id in direct) == qualifies
@@ -329,17 +330,18 @@ def test_criterion_expit_dataset():
             expect_transitive = (
                 qualifies
                 and ancestor is not None
-                and reference_proof_length(best.full_source)
+                and reference_proof_length(best)
                 <= LENGTH_RATIO * reference_proof_length(ancestor.full_source)
             )
             assert (seed.id in transitive) == expect_transitive
 
         for pair, record in zip(pairs, emit_sft_records(pairs)):
             serialized = json.loads(json.dumps(record, ensure_ascii=False))
-            assert serialized["meta"]["input_source"] == pair.input.full_source
-            assert serialized["meta"]["output_source"] == pair.output.full_source
-            assert extract_code_block(serialized["completion"]) == pair.output.full_source
-            assert pair.input.full_source in serialized["prompt"]
+            assert serialized["meta"]["id"] == pair.id
+            assert serialized["meta"]["input_source"] == pair.input
+            assert serialized["meta"]["output_source"] == pair.output
+            assert extract_code_block(serialized["completion"]) == pair.output
+            assert pair.input in serialized["prompt"]
 
 
 # --- 8. reward groups ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -156,7 +157,7 @@ def test_a_statement_ending_in_a_line_comment_renders_to_a_text_that_verifies(ru
     proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
     result = runner.invoke(main, ["--config", config, "lint", proofs])
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output) == {**row, "source_tag": "", "length": 1}
+    assert json.loads(result.output) == {**row, "length": 1}
 
 
 def test_lint_needs_verifier_config(runner, tmp_path):
@@ -989,9 +990,9 @@ def test_dataset_pipeline(runner, tmp_path):
     assert build.exit_code == 0, build.output
     pairs = [json.loads(line) for line in build.output.splitlines()]
     assert len(pairs) == 1  # b misses the ratio gate
-    assert pairs[0]["input"]["id"] == "a"
-    assert pairs[0]["output"] == {"id": "a", "statement": "theorem a : 1 = 1",
-                                  "proof": long_proof(4), "source_tag": ""}
+    # the seed's text, and the adopted source_after as it was checked
+    assert pairs[0] == {"id": "a", "input": f"theorem a : 1 = 1 := by\n{long_proof(10)}",
+                        "output": rows[0]["source_after"], "iteration": 0, "transitive": False}
 
     # the earlier round's seeds are the ancestry: a's ancestor makes a transitive pair
     earlier = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(30)}
@@ -999,16 +1000,18 @@ def test_dataset_pipeline(runner, tmp_path):
     argv = ["dataset", "build", "--seeds", seeds, "--results", results, "--ancestry", ancestry]
     transitive = [json.loads(line) for line in runner.invoke(main, argv).output.splitlines()]
     assert transitive[0] == pairs[0]
-    assert transitive[1] == {"input": {**earlier, "source_tag": ""}, "output": pairs[0]["output"],
-                             "iteration": 0, "transitive": True}
+    assert transitive[1] == {"id": "a", "input": ProofRecord(**earlier).full_source,
+                             "output": pairs[0]["output"], "iteration": 0, "transitive": True}
 
     pairs_file = tmp_path / "pairs.jsonl"
     pairs_file.write_text(build.output)
     sft = runner.invoke(main, ["dataset", "emit-sft", str(pairs_file)])
     assert sft.exit_code == 0
     record = json.loads(sft.output.splitlines()[0])
-    assert long_proof(10) in record["meta"]["input_source"]
-    assert record["completion"].startswith("```lean4")
+    assert record["meta"] == {"id": "a", "iteration": 0, "transitive": False,
+                              "input_source": pairs[0]["input"],
+                              "output_source": pairs[0]["output"]}
+    assert record["completion"] == f"```lean4\n{pairs[0]['output']}\n```"
 
 
 def test_dataset_build_requires_verdict(runner, tmp_path):
@@ -1179,7 +1182,8 @@ def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missin
 
 SEED = {"id": "a", "statement": "theorem a : 1 = 1", "proof": long_proof(10)}
 SAMPLE = {"id": "s", "original": 9, "scores": [1, 2], "valid": [True, False]}
-PAIR = {"input": SEED, "output": {**SEED, "proof": long_proof(4)}, "iteration": 0,
+PAIR = {"id": "a", "input": ProofRecord(**SEED).full_source,
+        "output": ProofRecord(**{**SEED, "proof": long_proof(4)}).full_source, "iteration": 0,
         "transitive": False}
 MOCK_VERIFIER = {"kind": "mock", "options": {"noop_tactics": ["skip"]}}
 TRUE_CHECKER = {"kind": "subprocess_verifier", "command_template": "true {file}"}
@@ -1228,7 +1232,6 @@ WRONG_TYPES = [
                  id="build-valid-text"),
     pytest.param("length", {**SEED, "proof": None}, 1, id="length-proof-null"),
     pytest.param("length", {**SEED, "statement": 5}, 1, id="length-statement-number"),
-    pytest.param("length", {**SEED, "source_tag": 1}, 1, id="length-source-tag-number"),
     pytest.param("length", {**SEED, "id": None}, 1, id="length-id-null"),
     pytest.param("speedup", {"time_orig": "1", "time_new": 2}, 1, id="speedup-time-text"),
     pytest.param("speedup", {"time_orig": 1, "time_new": True}, 1, id="speedup-time-bool"),
@@ -1565,8 +1568,7 @@ def output_argv(tmp_path, command) -> list[str]:
     samples = write_jsonl_file(tmp_path, "samples.jsonl", SAMPLES)
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", [SEED])
     results = write_jsonl_file(tmp_path, "results.jsonl", [GROUP])
-    pairs = write_jsonl_file(tmp_path, "pairs.jsonl",
-                             [{"input": SEED, "output": {**SEED, "proof": long_proof(4)}}])
+    pairs = write_jsonl_file(tmp_path, "pairs.jsonl", [PAIR])
     return {
         "lint": [*config, "lint", proofs],
         "shorten": [*config, "shorten", proofs],
@@ -1719,48 +1721,48 @@ MOCK_COMPARISON_DIGESTS = {
         "rerun": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
         "reward": "5e6da81468b5f5f3e91d6bca7a210b73b651b11a3330d1fc02fa139be92b562f",
         "report": "9b05e9906dfb7804c78dfb1db0a76c64181439d8d65e0526edc64b51edbb6a5e",
-        "dataset build": "a41c0c3c34178082a03eb9eac930be273d84d49131c45a9689afe7571533af5c",
-        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+        "dataset build": "790fb6778e949b93205cf435b371a7b4daa0dcd0e738c2a18f9d9d8fbbe04cee",
+        "lint": "6e2347c17f480cfee2d86d85ab7e0349988daa418c52acaf34118524073bfa47",
     },
     (0.5, "shorter"): {
         "shorten": "ec64cb08ea26d4334b723d1fb9142337acc542cae7ab51b2ada8b483b09b6dc8",
         "rerun": "ec64cb08ea26d4334b723d1fb9142337acc542cae7ab51b2ada8b483b09b6dc8",
         "reward": "edfaeba0f23a9ab399e68e7303c362ab23b8ba896c35228286f70ee41f6d5cee",
         "report": "a23bfa70e89167c8eb2277567fdb32ba4390ac73baf1d68fc51d2dc1afe40ba3",
-        "dataset build": "890196ed87cd5dbdbd9f7fcec24f63407b24f94d08e11ab40f7f15c79e4ecaf9",
-        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+        "dataset build": "0118cb82abd8f9fa6f77835d4a9c02f251ae85793b715dab79d5744b7c48ac1d",
+        "lint": "6e2347c17f480cfee2d86d85ab7e0349988daa418c52acaf34118524073bfa47",
     },
     (0.5, "longer"): {
         "shorten": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
         "rerun": "ad4d7325e27b8a2aa4185c48b5cdd8e202613815580f6f45f050cd59a7f9230b",
         "reward": "5e6da81468b5f5f3e91d6bca7a210b73b651b11a3330d1fc02fa139be92b562f",
         "report": "9b05e9906dfb7804c78dfb1db0a76c64181439d8d65e0526edc64b51edbb6a5e",
-        "dataset build": "a41c0c3c34178082a03eb9eac930be273d84d49131c45a9689afe7571533af5c",
-        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+        "dataset build": "790fb6778e949b93205cf435b371a7b4daa0dcd0e738c2a18f9d9d8fbbe04cee",
+        "lint": "6e2347c17f480cfee2d86d85ab7e0349988daa418c52acaf34118524073bfa47",
     },
     (0.75, "delete_flagged"): {
         "shorten": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
         "rerun": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
         "reward": "32301bce15348a1a186e850e0006a62e771799d1414c9d34e2896f60acf6fc1c",
         "report": "123c7139dbd93da8be307f2e125fb07cbebdd02347a305bc08dce21c402dc65d",
-        "dataset build": "47b01031a0922c7c716946a3483cf93d9d3630f1ba100b3c6848903e133dd30b",
-        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+        "dataset build": "0b087e0db71fbb0d29c47e4a6905fb1952fa6afe4cdcd03d25fea373c0b18810",
+        "lint": "6e2347c17f480cfee2d86d85ab7e0349988daa418c52acaf34118524073bfa47",
     },
     (0.75, "shorter"): {
         "shorten": "a1f61ae4a5b8967ad7c068c848fc734e1ace54982ff876a7d1c69a480e6c5c3a",
         "rerun": "a1f61ae4a5b8967ad7c068c848fc734e1ace54982ff876a7d1c69a480e6c5c3a",
         "reward": "038ee27dd692a5913bc9dd0c80f2943a309a03b7a0e3440e58ee47319c02f5be",
         "report": "a3ef3141628aa8228d621d15fb4a994d21edc11e0e51576caa2b998be3cea964",
-        "dataset build": "b19ef2dc75ef7a73f824a1b11efedcf74d816b678432466b7f995a5aa7207857",
-        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+        "dataset build": "1c372ce4d4ec07b8161d1426c41082eaa4f320d3786bb900d3b39380b52d55d2",
+        "lint": "6e2347c17f480cfee2d86d85ab7e0349988daa418c52acaf34118524073bfa47",
     },
     (0.75, "longer"): {
         "shorten": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
         "rerun": "8a9646956ff1b1f0bf624c540e6938d4bf679a177588039130e738ddaefe2367",
         "reward": "32301bce15348a1a186e850e0006a62e771799d1414c9d34e2896f60acf6fc1c",
         "report": "123c7139dbd93da8be307f2e125fb07cbebdd02347a305bc08dce21c402dc65d",
-        "dataset build": "47b01031a0922c7c716946a3483cf93d9d3630f1ba100b3c6848903e133dd30b",
-        "lint": "dc7fdf47b79847504d6bd8e9efbcce26bf630703793cf14f17fddb58841a0311",
+        "dataset build": "0b087e0db71fbb0d29c47e4a6905fb1952fa6afe4cdcd03d25fea373c0b18810",
+        "lint": "6e2347c17f480cfee2d86d85ab7e0349988daa418c52acaf34118524073bfa47",
     },
 }
 
@@ -1770,3 +1772,44 @@ def test_mock_comparison_outputs_keep_their_digests(runner, tmp_path, drop_proba
     outputs = mock_comparison(runner, tmp_path, drop_probability, mode)
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in outputs.items()}
     assert digests == MOCK_COMPARISON_DIGESTS[(drop_probability, mode)]
+
+
+@pytest.mark.parametrize("drop_probability,mode", list(MOCK_COMPARISON_DIGESTS))
+def test_every_training_text_is_a_text_that_shorten_checked(
+    runner, tmp_path, monkeypatch, drop_probability, mode
+):
+    """Each dataset build pair's input and output, and each emit-sft row's
+    fenced completion and meta sources, is verbatim a text that the mock
+    comparison's shorten runs gave their verifier."""
+    checked, shortening = set(), []
+    verify, shorten = MockVerifier._verify, cli.shorten
+
+    def spy(self, source, want_heartbeats):
+        if shortening:
+            checked.add(source)
+        return verify(self, source, want_heartbeats)
+
+    @functools.wraps(shorten)
+    def spied_shorten(args):
+        shortening.append(True)
+        try:
+            return shorten(args)
+        finally:
+            shortening.clear()
+
+    monkeypatch.setattr(MockVerifier, "_verify", spy)
+    monkeypatch.setattr(cli, "shorten", spied_shorten)
+    build = mock_comparison(runner, tmp_path, drop_probability, mode)["dataset build"]
+    pairs = [json.loads(line) for line in build.decode().splitlines()]
+    assert pairs and all({p["input"], p["output"]} <= checked for p in pairs)
+    (tmp_path / "pairs.jsonl").write_bytes(build)
+    sft = runner.invoke(main, ["dataset", "emit-sft", str(tmp_path / "pairs.jsonl")])
+    assert sft.exit_code == 0, sft.output
+    rows = [json.loads(line) for line in sft.output.splitlines()]
+    assert len(rows) == len(pairs)
+    for row in rows:
+        fence, completion = "```lean4\n", row["completion"]
+        assert completion.startswith(fence) and completion.endswith("\n```")
+        meta = row["meta"]
+        texts = {completion[len(fence):-len("\n```")], meta["input_source"], meta["output_source"]}
+        assert texts <= checked

@@ -59,6 +59,24 @@ def test_line_comment_removal():
     assert lexer.strip_comments("rfl -- done") == "rfl"
 
 
+@pytest.mark.parametrize("text,lean,metric", [
+    ("/- a -/ rfl /- b -/", ["rfl"], []),
+    ("/- a /- nested -/ still a comment -/ rfl", ["rfl"], ["rfl"]),
+    ("/- a /- nested -/ -/ x /- b -/", ["x"], []),
+    ("rfl -- done\nsimp", ["rfl", "simp"], ["rfl", "simp"]),
+    ("/- -- -/ rfl", ["rfl"], ["rfl"]),
+    ('"/- -/" rfl', ['"', "/", "-", "-", "/", '"', "rfl"], ['"', '"', "rfl"]),
+    ('"a -- b" rfl', ['"', "a", "-", "-", "b", '"', "rfl"], ['"', "a"]),
+    ("a/- -/b", ["a", "b"], ["ab"]),
+], ids=["two-blocks", "nested", "nested-then-block", "line", "line-in-block", "string-block",
+        "string-line", "block-splits-a-token"])
+def test_tokens_read_comments_as_lean_does_only_when_asked(text, lean, metric):
+    """Lean's comments nest, and a string literal holds none; the metric's
+    greedy rule is kept for lexer.tokens without lean."""
+    assert lexer.tokens(text, lean=True) == lean
+    assert lexer.tokens(text) == metric
+
+
 def test_operator_merge():
     assert lexer.lex("a <;> b") == [["a", "<;>", "b"]]
     assert lexer.lex("x := y") == [["x", ":=", "y"]]

@@ -1,6 +1,7 @@
 """The README's examples hold. Its fenced snippets are extracted and run: a
 plain doctest of README.md would read each closing fence as expected output."""
 
+import dataclasses
 import doctest
 import json
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 from proofopt import cli
 from proofopt.config import RunConfig
+from proofopt.training_data import SimplificationPair
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -57,3 +59,8 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
                 Path(value).touch()
     for argv in commands:
         assert callable(cli._parser().parse_args(argv).run), argv
+
+
+def test_readme_lists_the_keys_of_a_simplification_pair():
+    [keys] = re.findall(r"`SimplificationPair`'s fields are its JSON keys \(([^)]*)\)", README)
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(SimplificationPair)]

@@ -211,9 +211,8 @@ def _shortened_rows():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="drop_lines", seed=1))
     itrec = shorten_loop(start, [(3, 1.0)], simplifier, verifier)[0]
-    result = ProofRecord.from_source(itrec.source_after, id=start.id)
-    return [start, itrec, TraceRow(**vars(itrec), proof_id=start.id),
-            SimplificationPair(start, result, iteration=1, transitive=True)]
+    pair = SimplificationPair(start.id, start.full_source, itrec.source_after, 1, True)
+    return [start, itrec, TraceRow(**vars(itrec), proof_id=start.id), pair]
 
 
 @pytest.mark.parametrize("obj", _shortened_rows(), ids=lambda obj: type(obj).__name__)

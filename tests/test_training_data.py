@@ -1,25 +1,28 @@
 import json
 import math
 import random
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from proofopt import lexer, training_data
 from proofopt.backends import (
+    SORRY_TOKENS,
+    SORRY_WARNING,
     BackendConfig,
     Diagnostic,
+    SubprocessVerifier,
     Verdict,
     VerdictStatus,
     Verifier,
     extract_code_block,
+    judge,
 )
 from proofopt.errors import ZeroOriginal
 from proofopt.cli import main
-from proofopt.records import ProofRecord, from_json, read_jsonl, write_jsonl
+from proofopt.records import PROOF_DELIMITER, ProofRecord, read_jsonl, write_jsonl
 from proofopt.mocks import MockSimplifier
-from proofopt.shortener import CandidateResult, _adopt
+from proofopt.shortener import CandidateResult, _adopt, admissible, same_statement
 from proofopt.training_data import (
     AUTO_MACRO,
     LENGTH_RATIO,
@@ -31,7 +34,7 @@ from proofopt.training_data import (
     passes_length_filter,
 )
 
-from conftest import CliRunner
+from conftest import COMMENT_CHECKER, CliRunner, python_checker
 from lexer_oracle import reference_proof_length
 
 
@@ -46,31 +49,29 @@ def proof_of_length(id, n):
 
 
 def test_length_filter_boundary_is_inclusive():
-    x = proof_of_length("x", 10)
-    assert lexer.proof_length(x.full_source) == 10
-    assert passes_length_filter(x, proof_of_length("y", 8))
-    assert not passes_length_filter(x, proof_of_length("y", 9))
+    x = proof_of_length("x", 10).full_source
+    assert lexer.proof_length(x) == 10
+    assert passes_length_filter(x, proof_of_length("y", 8).full_source)
+    assert not passes_length_filter(x, proof_of_length("y", 9).full_source)
 
 
 def test_build_dataset_filters_and_pairs():
     seeds = [proof_of_length("a", 10), proof_of_length("b", 10), proof_of_length("c", 10)]
     results = {
-        "a": proof_of_length("a'", 4),
-        "b": proof_of_length("b'", 9),  # misses the ratio, dropped
+        "a": proof_of_length("a'", 4).full_source,
+        "b": proof_of_length("b'", 9).full_source,  # misses the ratio, dropped
     }  # c has no result: nothing was adopted for it
     pairs = build_expit_dataset(seeds, results)
-    assert [(p.input.id, p.output.id) for p in pairs] == [("a", "a'")]
-    assert not pairs[0].transitive
+    assert pairs == [SimplificationPair("a", seeds[0].full_source, results["a"])]
 
 
 def test_build_dataset_transitive_pairs():
     seed = proof_of_length("a", 10)
     ancestor = proof_of_length("a", 30)
-    best = proof_of_length("a'", 4)
+    best = proof_of_length("a'", 4).full_source
     pairs = build_expit_dataset([seed], {"a": best}, {"a": ancestor})
     assert len(pairs) == 2
-    assert pairs[1].transitive
-    assert pairs[1].input is ancestor
+    assert pairs[1] == SimplificationPair("a", ancestor.full_source, best, transitive=True)
     # no transitive pair when the "ancestor" is just the seed itself
     pairs = build_expit_dataset([seed], {"a": best}, {"a": seed})
     assert len(pairs) == 1
@@ -79,9 +80,9 @@ def test_build_dataset_transitive_pairs():
 def test_build_dataset_transitive_pair_also_ratio_checked():
     seed = proof_of_length("a", 10)
     ancestor = proof_of_length("a", 11)
-    best = proof_of_length("a'", 9)  # 9 <= 0.8*11 fails, 9 <= 0.8*10 fails too
+    best = proof_of_length("a'", 9).full_source  # 9 <= 0.8*11 fails, 9 <= 0.8*10 fails too
     assert build_expit_dataset([seed], {"a": best}, {"a": ancestor}) == []
-    best = proof_of_length("a'", 8)  # passes both
+    best = proof_of_length("a'", 8).full_source  # passes both
     assert len(build_expit_dataset([seed], {"a": best}, {"a": ancestor})) == 2
 
 
@@ -115,6 +116,18 @@ def test_filter_trivial():
     for probe in verifier.probes:
         assert probe.startswith(AUTO_MACRO)
         assert probe.rstrip().endswith("AUTO")
+
+
+def test_filter_trivial_probes_a_statement_that_ends_in_a_line_comment(tmp_path):
+    """The probe is the theorem's full_source with the proof AUTO, so the
+    ':= by' after a statement whose last line holds a '--' comment starts
+    its own line, and a checker that reads the comment as Lean does sees it."""
+    checker = python_checker(tmp_path, COMMENT_CHECKER)
+    verifier = SubprocessVerifier(BackendConfig(kind="subprocess_verifier",
+                                                command_template=checker))
+    theorems = [ProofRecord("a", "theorem a : 1 = 1 -- easy", "  rfl"),
+                ProofRecord("b", "theorem b : 1 = 1", "  rfl")]
+    assert filter_trivial(theorems, verifier) == ([], theorems)
 
 
 STATEMENT = "theorem x : 1 = 1"
@@ -180,18 +193,19 @@ def test_rewards_random_groups_sum_to_zero():
 
 def test_emit_sft_round_trip():
     pair = SimplificationPair(
-        input=proof_of_length("a", 10),
-        output=proof_of_length("b", 4),
+        id="a",
+        input=proof_of_length("a", 10).full_source,
+        output=proof_of_length("a'", 4).full_source + "\n\n",  # trailing blank lines kept
         iteration=2,
         transitive=True,
     )
     (record,) = list(emit_sft_records([pair]))
-    assert pair.input.full_source in record["prompt"]
-    assert extract_code_block(record["completion"]) == pair.output.full_source
+    assert pair.input in record["prompt"]
+    assert record["completion"] == f"```lean4\n{pair.output}\n```"
+    assert extract_code_block(record["completion"]) == pair.output.strip("\n")
     meta = json.loads(json.dumps(record["meta"]))
-    assert meta["input_source"] == pair.input.full_source
-    assert meta["output_source"] == pair.output.full_source
-    assert meta["iteration"] == 2 and meta["transitive"]
+    assert meta == {"id": "a", "iteration": 2, "transitive": True,
+                    "input_source": pair.input, "output_source": pair.output}
 
 
 def test_ratio_constant():
@@ -304,11 +318,9 @@ def test_dataset_build_over_shorten_output_pairs_each_adopted_result_that_passes
                 seed.full_source
             ):
                 expected[seed.id] = final
-    got = {p["input"]["id"]: from_json(ProofRecord, p["output"], "pair output").full_source
-           for p in pairs}
-    assert got == expected
-    seed_rows = {s.id: asdict(s) for s in seeds}
-    assert all(p["input"] == seed_rows[p["input"]["id"]] for p in pairs)
+    assert {p["id"]: p["output"] for p in pairs} == expected
+    seed_texts = {s.id: s.full_source for s in seeds}
+    assert all(p["input"] == seed_texts[p["id"]] for p in pairs)
     # some adopted results miss the filter, and some proofs adopted nothing,
     # among them one shortened only by a repair
     assert set(expected) < adopted < {s.id for s in seeds}
@@ -362,3 +374,62 @@ def test_candidates_that_hold_sorry_earn_nothing_and_pair_nothing(tmp_path):
     pairs = run_cli(["dataset", "build", "--seeds", str(tmp_path / "seeds.jsonl"),
                      "--results", out])
     assert pairs == []
+
+
+# --- the known ways to fool adoption ------------------------------------------
+
+CHEAT_STATEMENT = "theorem t (P : Prop) (hp : P) : P"
+CHEAT_SEED = ProofRecord("t", CHEAT_STATEMENT, "  have h1 : P := hp\n  have h2 : P := h1\n  exact h2")
+HONEST = f"{CHEAT_STATEMENT} := by\n  have h : P := hp\n  exact h"
+SORRY_WARNED = (Diagnostic("warning", 1, 0, SORRY_WARNING),)
+
+
+def _body(entry: CandidateResult) -> str:
+    return entry.text.partition(PROOF_DELIMITER)[2]
+
+
+# Each rule of admissible that a row names, as the test that it refuses the row.
+RULES = {
+    "verdict": lambda c: c.status is not VerdictStatus.VALID,
+    "same_statement": lambda c: not same_statement(c.text.partition(PROOF_DELIMITER)[0],
+                                                   CHEAT_STATEMENT),
+    "sorry token": lambda c: not SORRY_TOKENS.isdisjoint(lexer.tokens(_body(c), lean=True)),
+    "metric reads as Lean": lambda c: lexer.tokens(_body(c)) != lexer.tokens(_body(c), lean=True),
+}
+
+
+@pytest.mark.parametrize("text,diagnostics,rule", [
+    ("theorem t (P : Prop) (hp : P) : True := by\n  trivial", (), "same_statement"),
+    # Lean reads True ∨ P, which simp proves
+    ("theorem t (P : Prop) (hp : P) : /- -/ True ∨ /- -/ P := by\n  simp", (), "same_statement"),
+    (f"{CHEAT_STATEMENT} := by\n  sorry", SORRY_WARNED, "verdict"),
+    (f"{CHEAT_STATEMENT} := by\n  sorry", (), "sorry token"),
+    (f"{CHEAT_STATEMENT} := by\n  admit", SORRY_WARNED, "verdict"),
+    (f"{CHEAT_STATEMENT} := by\n  admit", (), "sorry token"),
+    # the metric's greedy rule deletes the tactic that Lean reads: 0 tokens
+    (f"{CHEAT_STATEMENT} := by\n  /- -/ exact hp /- -/", (), "metric reads as Lean"),
+    (f"{CHEAT_STATEMENT} := by\n  /- -/ sorry /- -/", (), "sorry token"),
+    # Lean reads no ':= by' outside the comment
+    (f"{CHEAT_STATEMENT} -- := by\n  exact hp", (Diagnostic("error", 2, 2, "expected ':='"),),
+     "verdict"),
+], ids=["rewritten-statement", "comment-hidden-statement", "sorry-warned", "sorry-silent",
+        "admit-warned", "admit-silent", "comment-wrapped-body", "comment-wrapped-sorry",
+        "line-comment-swallows-delimiter"])
+def test_a_known_cheat_is_never_adopted_rewarded_or_paired(text, diagnostics, rule):
+    """The checker's verdict on each row comes from its diagnostics, and the
+    metric scores it below the honest candidate beside it, so only a rule of
+    admissible, the one the row names among them, keeps it from adoption,
+    reward and a pair."""
+    status = judge(diagnostics).status
+    cheat = CandidateResult(text, status, lexer.proof_length(text))
+    honest = CandidateResult(HONEST, VerdictStatus.VALID, lexer.proof_length(HONEST))
+    assert RULES[rule](cheat) and cheat.score < honest.score
+    assert not admissible(cheat, CHEAT_STATEMENT)
+    original = lexer.proof_length(CHEAT_SEED.full_source)
+    assert _adopt(original, [cheat], CHEAT_STATEMENT) is None
+    adopted = _adopt(original, [cheat, honest], CHEAT_STATEMENT)
+    assert adopted == 1
+    group = compute_rewards(original, [cheat, honest], CHEAT_STATEMENT)
+    assert [e.reward > 0 for e in group.entries] == [False, True]
+    [pair] = build_expit_dataset([CHEAT_SEED], {"t": [cheat, honest][adopted].text})
+    assert pair.output == HONEST
