@@ -59,6 +59,17 @@ class Verdict:
         return self.status is VerdictStatus.VALID
 
 
+@dataclass
+class CandidateResult:
+    """A checked text as a trace stores it: its status, and its score under
+    the measure of the VerdictMemo that checked it, which only a VALID text
+    has. A trace row read back may hold any pair of the two."""
+
+    text: str
+    status: VerdictStatus
+    score: int | None = None
+
+
 # The longest timeout, in seconds, that every wait takes: subprocess.run's poll()
 # counts milliseconds in a C int, a lock or socket takes threading.TIMEOUT_MAX.
 _TIMEOUT_MAX = min(2**31 // 1000, int(threading.TIMEOUT_MAX))
@@ -256,15 +267,17 @@ class VerdictMemo:
         with self._lock:
             del self._verdicts[source]
 
-    def check(self, text: str) -> tuple[Verdict, int | None]:
-        """Verdict and score of a statement-plus-proof under the memo's measure."""
+    def check(self, text: str) -> CandidateResult:
+        """The check result of a statement-plus-proof: its status, and its
+        score under the memo's measure when it verifies."""
         verdict = self.verify(text)
-        if self.want_heartbeats:
-            return verdict, verdict.heartbeats
+        if not verdict.ok:
+            return CandidateResult(text, verdict.status)
         try:
-            return verdict, lexer.proof_length(text)
+            score = verdict.heartbeats if self.want_heartbeats else lexer.proof_length(text)
         except NoProofDelimiter:  # a completion that holds no proof body has no length
-            return verdict, None
+            score = None
+        return CandidateResult(text, verdict.status, score)
 
     def score_bound(self, text: str) -> int:
         """The least score a check of text can give: its length under the

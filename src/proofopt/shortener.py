@@ -13,11 +13,12 @@ checker again.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import lexer
 from .backends import (
     SORRY_TOKENS,
+    CandidateResult,
     Repairer,
     Simplifier,
     VerdictMemo,
@@ -31,13 +32,6 @@ from .records import PROOF_DELIMITER, Measure, ProofRecord
 
 REPAIR_REPORT_LIMIT = 6000
 SKIPPED_NOTE = "skipped: input does not verify"
-
-
-@dataclass
-class CandidateResult:
-    text: str
-    status: VerdictStatus
-    score: int | None = None
 
 
 @dataclass
@@ -134,59 +128,43 @@ def _adopt_into(
 
 
 def shorten_iteration(
-    record: ProofRecord,
+    source: str,
+    statement: str,
     k: int,
     simplifier: Simplifier,
-    verifier: VerdictMemo,
-    temperature: float | None = None,
-    index: int = 0,
-    source: str | None = None,
+    memo: VerdictMemo,
+    temperature: float,
+    index: int,
 ) -> IterationRecord:
-    """One best-of-k round from source, an incumbent proof of record's
-    statement (record's own text by default). Every check and score goes
-    through the proof's memo, which carries the measure. The round's
-    source_after is source unless a candidate passes the acceptance rule."""
-    if temperature is None:
-        temperature = simplifier.cfg.temperature
-    source = record.full_source if source is None else source
-    verdict, score_before = verifier.check(source)
-    itrec = IterationRecord(
-        index=index,
-        k_requested=k,
-        temperature=temperature,
-        candidates=[],
-        adopted=None,
-        score_before=score_before or 0,
-        score_after=score_before or 0,
-        source_after=source,
-    )
-    if score_before is None or not verdict.ok:
+    """One best-of-k round from source, an incumbent proof of statement.
+    Every check and score goes through the proof's memo, which carries the
+    measure, and each candidate is stored as its check came back. The
+    round's source_after is source unless a candidate passes the acceptance
+    rule; a source without a score is skipped, with score 0."""
+    score = memo.check(source).score
+    itrec = IterationRecord(index, k, temperature, [], None, score or 0, score or 0, source)
+    if score is None:
         itrec.note = SKIPPED_NOTE
         return itrec
-
-    def scored(text: str) -> tuple[VerdictStatus, int | None]:
-        verdict, score = verifier.check(text)
-        return verdict.status, score if verdict.ok else None
-
     raw = simplifier.simplify(source, k, temperature=temperature)
-    # Identical candidate texts are verified once; @k accounting still uses
-    # the requested k.
+    # Identical candidate texts are verified once, and share one result;
+    # @k accounting still uses the requested k.
     unique = list(dict.fromkeys(raw))
-    checked = dict(zip(unique, map_in_order(scored, unique, verifier.cfg.max_parallel)))
-    itrec.candidates = [CandidateResult(text, *checked[text]) for text in raw]
-    itrec.adopted = _adopt_into(itrec, itrec.candidates, record.statement)
+    checked = dict(zip(unique, map_in_order(memo.check, unique, memo.cfg.max_parallel)))
+    itrec.candidates = [checked[text] for text in raw]
+    itrec.adopted = _adopt_into(itrec, itrec.candidates, statement)
     return itrec
 
 
 def _repair_stage(
-    record: ProofRecord,
+    statement: str,
     itrec: IterationRecord,
     repairer: Repairer,
-    verifier: VerdictMemo,
+    memo: VerdictMemo,
     budget: int,
 ) -> RepairStage:
-    """Repair the failed candidates of itrec, an iteration of record's loop,
-    as proofs of record's statement, and adopt a fix into itrec by the
+    """Repair the failed candidates of itrec, an iteration of a proof of
+    statement, as proofs of statement, and adopt a fix into itrec by the
     acceptance rule. Returns the stage's record.
 
     Failed texts are repaired concurrently, as many at once as the verifier
@@ -213,33 +191,31 @@ def _repair_stage(
         # check; a timeout or a crash was dropped and is not checked again.
         diagnostics = ()
         if status is VerdictStatus.INVALID:
-            diagnostics = verifier.verify(text).diagnostics
+            diagnostics = memo.verify(text).diagnostics
         report = format_error_report(text, diagnostics) or "proof failed to verify"
         report, truncated = truncate_error_report(report, REPAIR_REPORT_LIMIT)
         _, delimiter, body = text.partition(PROOF_DELIMITER)
         failed_proof = body.strip("\n") if delimiter else text
         fixes = []
-        for fix in repairer.repair(record.statement, failed_proof, report):
-            # this check is also the first lint round's
-            verdict, raw_score = verifier.check(fix)
-            entry = RepairEntry(verdict.status, raw_score if verdict.ok else None)
-            if admissible(CandidateResult(fix, verdict.status, raw_score), record.statement):
-                edit, _ = lint_once(fix, verifier)
-                entry.linted_score = verifier.score_bound(edit)
-            fixes.append((entry, CandidateResult(fix, verdict.status, entry.linted_score)))
+        for fix in repairer.repair(statement, failed_proof, report):
+            result = memo.check(fix)  # this check is also the first lint round's
+            entry = RepairEntry(result.status, result.score)
+            if admissible(result, statement):
+                edit, _ = lint_once(fix, memo)
+                entry.linted_score = memo.score_bound(edit)
+            # until it is linted, a fix stands in at its bound
+            fixes.append((entry, replace(result, score=entry.linted_score)))
         return truncated, fixes
 
     def lint(fix: CandidateResult) -> CandidateResult:
-        linted = lint_fixpoint(fix.text, verifier)
-        _, score = verifier.check(linted)
-        return CandidateResult(linted, fix.status, score)
+        return memo.check(lint_fixpoint(fix.text, memo))
 
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
     failed = list(dict.fromkeys(failed))[:budget]
     stage = RepairStage()
     fixes = []
-    width = verifier.cfg.max_parallel
+    width = memo.cfg.max_parallel
     for truncated, repaired in map_in_order(repair_one, failed, width):
         stage.truncated_reports += int(truncated)
         for entry, fix in repaired:
@@ -248,13 +224,13 @@ def _repair_stage(
             stage.candidates.append(entry)
             fixes.append(fix)
     unlinted = [i for i, fix in enumerate(fixes) if fix.score is not None]
-    while (winner := _adopt(itrec.score_after, fixes, record.statement)) in unlinted:
+    while (winner := _adopt(itrec.score_after, fixes, statement)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
         for i, linted in zip(batch, map_in_order(lint, [fixes[i] for i in batch], width)):
             fixes[i] = linted
             stage.candidates[i].linted_score = linted.score
-    stage.adopted = _adopt_into(itrec, fixes, record.statement)
+    stage.adopted = _adopt_into(itrec, fixes, statement)
     return stage
 
 
@@ -287,13 +263,13 @@ def shorten_loop(
     iterations = list(resume_from or [])
     for index in range(len(iterations), len(schedule)):
         k, temperature = schedule[index]
-        source = iterations[-1].source_after if iterations else None
-        itrec = shorten_iteration(record, k, simplifier, memo, temperature, index, source=source)
+        source = iterations[-1].source_after if iterations else record.full_source
+        itrec = shorten_iteration(source, record.statement, k, simplifier, memo, temperature, index)
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
         )
         if repairer is not None and no_valid:
-            itrec.repair = _repair_stage(record, itrec, repairer, memo, repair_budget)
+            itrec.repair = _repair_stage(record.statement, itrec, repairer, memo, repair_budget)
         iterations.append(itrec)
         if on_iteration is not None:
             on_iteration(itrec)

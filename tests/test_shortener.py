@@ -36,14 +36,19 @@ def record(proof: str, id: str = "t") -> ProofRecord:
     return ProofRecord(id=id, statement="theorem t : 1 = 1", proof=proof)
 
 
+def first_iteration(start: ProofRecord, k: int, simplifier, memo) -> IterationRecord:
+    """The first iteration of start's loop, from its own text."""
+    return shorten_iteration(start.full_source, start.statement, k, simplifier, memo, 1.0, 0)
+
+
 def test_memo_scores_by_measure():
     verifier = MockVerifier(mock_cfg(heartbeats_per_token=5, noop_tactics=["simp"]))
     source = "t := by\n  rfl\n  simp"
-    assert VerdictMemo(verifier).check(source)[1] == 2
-    verdict, score = VerdictMemo(verifier, Measure.HEARTBEATS).check(source)
-    assert score == 10
+    assert VerdictMemo(verifier).check(source) == CandidateResult(source, VerdictStatus.VALID, 2)
+    memo = VerdictMemo(verifier, Measure.HEARTBEATS)
+    assert memo.check(source).score == 10
     # every check is linted, whatever the measure
-    assert [d.message for d in verdict.diagnostics] == ["'simp' tactic does nothing"]
+    assert [d.message for d in memo.verify(source).diagnostics] == ["'simp' tactic does nothing"]
     assert verifier.calls == 2
 
 
@@ -51,7 +56,7 @@ def test_iteration_adopts_strictly_shorter():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring\n  rfl")
-    itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier))
+    itrec = first_iteration(start, 3, simplifier, VerdictMemo(verifier))
     assert itrec.adopted == 0  # tie-break picks the lowest index
     assert itrec.source_after == "theorem t : 1 = 1 := by\n  rfl"
     assert itrec.score_after < itrec.score_before
@@ -62,7 +67,7 @@ def test_iteration_keeps_input_when_no_improvement():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="echo"))
     start = record("  rfl")
-    itrec = shorten_iteration(start, 4, simplifier, VerdictMemo(verifier))
+    itrec = first_iteration(start, 4, simplifier, VerdictMemo(verifier))
     assert itrec.adopted is None
     assert itrec.source_after == start.full_source
     assert itrec.score_after == itrec.score_before
@@ -72,7 +77,7 @@ def test_iteration_ignores_invalid_candidates():
     verifier = MockVerifier(mock_cfg(fail_token="rfl"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
+    itrec = first_iteration(start, 2, simplifier, VerdictMemo(verifier))
     assert itrec.adopted is None
     assert itrec.source_after == start.full_source
     assert all(c.status is VerdictStatus.INVALID for c in itrec.candidates)
@@ -88,7 +93,7 @@ class TermModeSimplifier(MockSimplifier):
 def test_iteration_never_adopts_a_term_mode_candidate():
     start = record("  skip\n  rfl")
     simplifier = TermModeSimplifier(mock_cfg())
-    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
+    itrec = first_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
     # it verifies and scores lower, through the lexer's ':=' fallback
     assert itrec.candidates[0].status is VerdictStatus.VALID
     assert itrec.candidates[0].score < itrec.score_before
@@ -132,7 +137,7 @@ def test_iteration_survives_a_candidate_without_a_proof_body():
 
     start = record("  skip\n  rfl")
     simplifier = BareSimplifier(mock_cfg())
-    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
+    itrec = first_iteration(start, 2, simplifier, VerdictMemo(MockVerifier(mock_cfg())))
     assert [c.status for c in itrec.candidates] == [VerdictStatus.INVALID] * 2
     assert [c.score for c in itrec.candidates] == [None, None]
     assert itrec.source_after == start.full_source
@@ -142,7 +147,7 @@ def test_iteration_skips_nonverifying_input():
     verifier = MockVerifier(mock_cfg(fail_token="FAIL"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  FAIL")
-    itrec = shorten_iteration(start, 2, simplifier, VerdictMemo(verifier))
+    itrec = first_iteration(start, 2, simplifier, VerdictMemo(verifier))
     assert itrec.note == "skipped: input does not verify"
     assert itrec.candidates == []
     assert itrec.source_after == start.full_source
@@ -153,7 +158,7 @@ def test_duplicate_candidates_verified_once():
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
     calls_before = verifier.calls
-    itrec = shorten_iteration(start, 16, simplifier, VerdictMemo(verifier))
+    itrec = first_iteration(start, 16, simplifier, VerdictMemo(verifier))
     # precondition check plus one verification for the single unique text
     assert verifier.calls - calls_before == 2
     assert len(itrec.candidates) == 16
@@ -164,7 +169,7 @@ def test_heartbeats_incumbent_scored_and_checked_once():
     verifier = MockVerifier(mock_cfg(heartbeats_per_token=10))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    itrec = shorten_iteration(start, 3, simplifier, VerdictMemo(verifier, Measure.HEARTBEATS))
+    itrec = first_iteration(start, 3, simplifier, VerdictMemo(verifier, Measure.HEARTBEATS))
     # one heartbeats check of the incumbent, one of the single unique candidate
     assert verifier.calls == 2
     assert itrec.score_before == 20
@@ -538,7 +543,7 @@ def test_acceptance_rule_recomputed_from_traces(measure):
             rescore = VerdictMemo(verifier, measure)
             source = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF).full_source
             for it in iterations:
-                assert it.score_before == rescore.check(source)[1]
+                assert it.score_before == rescore.check(source).score
                 entries = [
                     (c.status is VerdictStatus.VALID and c.score is not None
                      and PROOF_DELIMITER in c.text, c.score)
@@ -561,7 +566,7 @@ def test_acceptance_rule_recomputed_from_traces(measure):
                         score = it.repair.candidates[it.repair.adopted].linted_score
                         after = it.source_after  # the linted text is not in the trace
                 assert (it.score_after, it.source_after) == (score, after)
-                assert rescore.check(it.source_after)[1] == it.score_after
+                assert rescore.check(it.source_after).score == it.score_after
                 source = it.source_after
     assert iteration_adoptions and repair_adoptions
 
@@ -670,10 +675,9 @@ def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):
     for text in list(dict.fromkeys(failed))[:budget]:
         failed_record = ProofRecord.from_source(text)
         for fix in fixes_of[(failed_record.statement, failed_record.proof)]:
-            verdict, _ = memo.check(fix)
-            if verdict.ok and PROOF_DELIMITER in fix:
+            if memo.check(fix).status is VerdictStatus.VALID and PROOF_DELIMITER in fix:
                 fixed = lint_fixpoint(fix, memo)
-                linted.append((memo.check(fixed)[1], fixed))
+                linted.append((memo.check(fixed).score, fixed))
             else:
                 linted.append((None, None))
     below = [(score, i) for i, (score, _) in enumerate(linted)
