@@ -28,10 +28,13 @@ _TOKEN_CHARS = "_.'"
 _BLOCK_COMMENT = re.compile(r" */-.*-/", re.DOTALL)
 _LINE_COMMENT = re.compile(r" *--.*")
 
-# The pieces of a text as Lean reads it: outside a comment a string literal,
-# a line comment, a block comment's opening, or a run of other text; inside
-# a block comment an opening, a closing, or a run of other text.
-_LEAN_CODE = re.compile(r'"(?:\\.|[^"\\])*"?|--[^\n]*|/-|[^"/-]+|.', re.DOTALL)
+# The pieces of a text as Lean reads it: outside a comment a char literal
+# (a ' that follows no identifier character), a string literal, a line
+# comment, a block comment's opening, or a run of other text; inside a block
+# comment an opening, a closing, or a run of other text.
+_LEAN_CODE = re.compile(
+    r"""(?<![\w'])'(?:\\.|[^\\])'|"(?:\\.|[^"\\])*"?|--[^\n]*|/-|[^"'/-]+|.""", re.DOTALL
+)
 _LEAN_COMMENT = re.compile(r"/-|-/|[^/-]+|.", re.DOTALL)
 
 # Emitted by the CLI when the delimiter is missing, mirroring the checker
@@ -65,7 +68,7 @@ def strip_comments(text: str) -> str:
 def strip_lean_comments(text: str) -> str:
     """Blank comments as Lean reads them, which is not the metric's rule
     (strip_comments): block comments nest, a line comment runs to the end of
-    its line, and a string literal holds no comment."""
+    its line, and a string or char literal holds no comment."""
     kept, depth, at = [], 0, 0
     while at < len(text):
         piece = (_LEAN_COMMENT if depth else _LEAN_CODE).match(text, at).group()

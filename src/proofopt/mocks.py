@@ -33,9 +33,9 @@ class VerifierOptions:
 
 
 class MockVerifier(Verifier):
-    """Deterministic verifier for tests, by the rules of its options. A
-    sorry or admit token adds the warning that Lean gives such a
-    declaration. backends.judge turns the diagnostics into the verdict, as
+    """Deterministic verifier for tests, by the rules of its options. A sorry
+    or admit token, as Lean reads it, adds the warning that Lean gives such
+    a declaration. backends.judge turns the diagnostics into the verdict, as
     it does for the subprocess verifier.
 
     ``calls`` counts the checks made, under a lock, so it is exact when
@@ -52,7 +52,7 @@ class MockVerifier(Verifier):
         with self._calls_lock:
             self.calls += 1
         try:
-            flat = lexer.tokens(lexer.strip_statement(source))
+            flat = lexer.tokens(lexer.strip_statement(source), lean=True)
         except NoProofDelimiter:
             return judge((Diagnostic("error", 1, 0, "no proof body"),))
         opts = self.options

@@ -85,22 +85,31 @@ def same_statement(statement: str, other: str) -> bool:
     return lexer.tokens(statement, lean=True) == lexer.tokens(other, lean=True)
 
 
+def admissible_text(text: str, statement: str) -> bool:
+    """admissible's clauses on text alone, which dataset build also asks of
+    a result: it splits at a ':= by' that Lean reads (a term-mode proof
+    cannot become the next record, and a comment can swallow the
+    delimiter), its statement is the incumbent's (same_statement), its body
+    holds no sorry or admit token as Lean reads it (a comment or sorry_lemma
+    is none), which a checker may pass without its warning, and the metric
+    reads a body holding '/-' or '--' as Lean does (the same lexer.tokens
+    either way)."""
+    head, delimiter, body = text.partition(PROOF_DELIMITER)
+    read_head = lexer.strip_lean_comments(head + delimiter)
+    if not (delimiter and read_head.endswith(delimiter) and same_statement(head, statement)):
+        return False
+    if not any(t in body for t in ("/-", "--", *SORRY_TOKENS)):
+        return True  # the body is lexed only when it holds the text sought
+    read = lexer.tokens(body, lean=True)
+    return SORRY_TOKENS.isdisjoint(read) and lexer.tokens(body) == read
+
+
 def admissible(entry: CandidateResult, statement: str) -> bool:
     """Whether entry may replace an incumbent proving statement, the one rule
     of adoption, the repair lint gate and reward: it verifies, has a score,
-    splits at ':= by' (a term-mode proof cannot become the next record), its
-    statement is the incumbent's (same_statement), its body holds no sorry
-    or admit token as Lean reads it (a comment or sorry_lemma is none),
-    which a checker may pass without its warning, and the metric reads a
-    body holding '/-' as Lean does (the same lexer.tokens either way)."""
-    head, delimiter, body = entry.text.partition(PROOF_DELIMITER)
+    and its text passes admissible_text."""
     scored = entry.status is VerdictStatus.VALID and entry.score is not None
-    if not (scored and delimiter and same_statement(head, statement)):
-        return False
-    if not any(t in body for t in ("/-", *SORRY_TOKENS)):
-        return True  # the body is lexed only when it holds the text sought
-    read = lexer.tokens(body, lean=True)
-    return SORRY_TOKENS.isdisjoint(read) and ("/-" not in body or lexer.tokens(body) == read)
+    return scored and admissible_text(entry.text, statement)
 
 
 def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:

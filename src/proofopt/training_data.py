@@ -9,7 +9,7 @@ from . import lexer, prompting
 from .backends import VerdictMemo, VerdictStatus, Verifier
 from .errors import MalformedInput, ZeroOriginal
 from .records import ProofRecord
-from .shortener import CandidateResult, admissible, map_in_order, same_statement
+from .shortener import CandidateResult, admissible, admissible_text, map_in_order, same_statement
 
 LENGTH_RATIO = 0.8
 
@@ -62,9 +62,9 @@ def build_expit_dataset(
     length filter, plus a transitive pair against the original ancestor when
     the input was itself the product of an earlier round. results holds each
     seed's adopted text and ancestry its ancestor, both keyed by seed id; a
-    seed without a result makes no pair. A seed's result and ancestor must
-    prove its statement (same_statement): either one that does not is
-    MalformedInput, and so is a result without ':= by'.
+    seed without a result makes no pair. A seed's result must pass
+    admissible_text against its statement and its ancestor prove it
+    (same_statement): either one that does not is MalformedInput.
     """
     ancestry = ancestry or {}
     pairs = []
@@ -72,13 +72,15 @@ def build_expit_dataset(
         best = results.get(proof.id)
         if best is None:
             continue
+        if not admissible_text(best, proof.statement):
+            raise MalformedInput(
+                f"proof {proof.id!r}: its result is not an admissible proof of its seed's statement"
+            )
         ancestor = ancestry.get(proof.id)
-        result = ProofRecord.from_source(best, proof.id)  # read for its statement alone
-        for what, other in (("result", result), ("ancestor", ancestor)):
-            if other is not None and not same_statement(other.statement, proof.statement):
-                raise MalformedInput(
-                    f"proof {proof.id!r}: its {what}'s statement differs from its seed's"
-                )
+        if ancestor is not None and not same_statement(ancestor.statement, proof.statement):
+            raise MalformedInput(
+                f"proof {proof.id!r}: its ancestor's statement differs from its seed's"
+            )
         if not passes_length_filter(proof.full_source, best):
             continue
         pairs.append(SimplificationPair(proof.id, proof.full_source, best, origin_iteration))

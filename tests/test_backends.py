@@ -142,6 +142,13 @@ def test_mock_verifier_rejects_a_sorry(token):
     ]
 
 
+def test_mock_verifier_reads_a_sorry_as_lean_does():
+    """Lean reads the sorry between two block comments, which the metric's
+    greedy rule deletes with them."""
+    verdict = MockVerifier(mock_cfg()).verify("theorem a : 1 = 1 := by\n  /- -/ sorry /- -/")
+    assert verdict.status is VerdictStatus.INVALID
+
+
 def test_mock_verifier_require_token():
     verifier = MockVerifier(mock_cfg(require_token="rfl"))
     assert verifier.verify("t := by\n  rfl").ok

@@ -1034,7 +1034,9 @@ def test_dataset_build_rejects_an_adopted_result_without_a_tactic_block(runner, 
     results = write_jsonl_file(tmp_path, "results.jsonl", [row])
     result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
     assert result.exit_code == 1
-    assert result.output == "error: record 'a': source has no ':= by' delimiter\n"
+    assert result.output == (
+        "error: proof 'a': its result is not an admissible proof of its seed's statement\n"
+    )
 
 
 def test_dataset_build_rejects_an_adopted_result_that_proves_another_statement(runner, tmp_path):
@@ -1044,7 +1046,9 @@ def test_dataset_build_rejects_an_adopted_result_that_proves_another_statement(r
     results = write_jsonl_file(tmp_path, "results.jsonl", [row])
     result = runner.invoke(main, ["dataset", "build", "--seeds", seeds, "--results", results])
     assert result.exit_code == 1
-    assert result.output == "error: proof 'a': its result's statement differs from its seed's\n"
+    assert result.output == (
+        "error: proof 'a': its result is not an admissible proof of its seed's statement\n"
+    )
 
 
 def test_dataset_build_rejects_an_ancestor_that_proves_another_statement(runner, tmp_path):

@@ -68,11 +68,21 @@ def test_line_comment_removal():
     ('"/- -/" rfl', ['"', "/", "-", "-", "/", '"', "rfl"], ['"', '"', "rfl"]),
     ('"a -- b" rfl', ['"', "a", "-", "-", "b", '"', "rfl"], ['"', "a"]),
     ("a/- -/b", ["a", "b"], ["ab"]),
+    # a ' after an identifier character is part of the identifier
+    ("h'", ["h'"], ["h'"]),
+    ("f''", ["f''"], ["f''"]),
+    ("h'x'", ["h'x'"], ["h'x'"]),
+    ('h\'"--x"', ["h'", '"', "-", "-", "x", '"'], ["h'", '"']),
+    # elsewhere it opens a char literal, which holds no string
+    ('\'"\' "/-" x "-/"', ["'", '"', "'", '"', "/", "-", '"', "x", '"', "-", "/", '"'],
+     ["'", '"', "'", '"', '"']),
+    ("'\"' x -- c", ["'", '"', "'", "x"], ["'", '"', "'", "x"]),
 ], ids=["two-blocks", "nested", "nested-then-block", "line", "line-in-block", "string-block",
-        "string-line", "block-splits-a-token"])
+        "string-line", "block-splits-a-token", "prime", "primes", "primes-in-name",
+        "prime-then-string", "char-quote-then-string-block", "char-quote-then-line"])
 def test_tokens_read_comments_as_lean_does_only_when_asked(text, lean, metric):
-    """Lean's comments nest, and a string literal holds none; the metric's
-    greedy rule is kept for lexer.tokens without lean."""
+    """Lean's comments nest, and a string or char literal holds none; the
+    metric's greedy rule is kept for lexer.tokens without lean."""
     assert lexer.tokens(text, lean=True) == lean
     assert lexer.tokens(text) == metric
 

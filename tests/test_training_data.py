@@ -18,7 +18,7 @@ from proofopt.backends import (
     extract_code_block,
     judge,
 )
-from proofopt.errors import ZeroOriginal
+from proofopt.errors import MalformedInput, ZeroOriginal
 from proofopt.cli import main
 from proofopt.records import PROOF_DELIMITER, ProofRecord, read_jsonl, write_jsonl
 from proofopt.mocks import MockSimplifier
@@ -379,8 +379,14 @@ def test_candidates_that_hold_sorry_earn_nothing_and_pair_nothing(tmp_path):
 # --- the known ways to fool adoption ------------------------------------------
 
 CHEAT_STATEMENT = "theorem t (P : Prop) (hp : P) : P"
-CHEAT_SEED = ProofRecord("t", CHEAT_STATEMENT, "  have h1 : P := hp\n  have h2 : P := h1\n  exact h2")
-HONEST = f"{CHEAT_STATEMENT} := by\n  have h : P := hp\n  exact h"
+CHEAT_SEED = ProofRecord("t", CHEAT_STATEMENT, "  have h1 : P := hp\n  have h2 : P := h1\n"
+                         "  have h3 : P := h2\n  exact h3")
+HONEST = f"{CHEAT_STATEMENT} := by\n  have h : P := hp\n  have g : P := h\n  exact g"
+# Bodies that Lean accepts, that the metric scores below HONEST, and that
+# fooled admissible's reader: a string holding '--', and a char literal
+# holding '"'.
+LINE_COMMENT_IN_STRING = '  have _h : "--" = "--" := rfl; exact hp'
+STRING_QUOTE_IN_CHAR = '  have := (\'"\', "/-")\n  exact hp -- -/'
 SORRY_WARNED = (Diagnostic("warning", 1, 0, SORRY_WARNING),)
 
 
@@ -409,17 +415,24 @@ RULES = {
     # the metric's greedy rule deletes the tactic that Lean reads: 0 tokens
     (f"{CHEAT_STATEMENT} := by\n  /- -/ exact hp /- -/", (), "metric reads as Lean"),
     (f"{CHEAT_STATEMENT} := by\n  /- -/ sorry /- -/", (), "sorry token"),
+    # the metric deletes the rest of the line from the '--' in the string
+    (f"{CHEAT_STATEMENT} := by\n{LINE_COMMENT_IN_STRING}", (), "metric reads as Lean"),
+    # read as a string from the char literal's '"', "/-" opened a comment
+    (f"{CHEAT_STATEMENT} := by\n{STRING_QUOTE_IN_CHAR}", (), "metric reads as Lean"),
+    (f"{CHEAT_STATEMENT} := by\n  have a := '\"'\n  have b := \"/-\"\n  sorry\n  have c := \"-/\"",
+     (), "sorry token"),
     # Lean reads no ':= by' outside the comment
     (f"{CHEAT_STATEMENT} -- := by\n  exact hp", (Diagnostic("error", 2, 2, "expected ':='"),),
      "verdict"),
 ], ids=["rewritten-statement", "comment-hidden-statement", "sorry-warned", "sorry-silent",
         "admit-warned", "admit-silent", "comment-wrapped-body", "comment-wrapped-sorry",
+        "line-comment-in-string", "string-quote-in-char", "string-quote-in-char-sorry",
         "line-comment-swallows-delimiter"])
 def test_a_known_cheat_is_never_adopted_rewarded_or_paired(text, diagnostics, rule):
     """The checker's verdict on each row comes from its diagnostics, and the
     metric scores it below the honest candidate beside it, so only a rule of
     admissible, the one the row names among them, keeps it from adoption,
-    reward and a pair."""
+    reward and a pair. Its text alone is no result dataset build pairs."""
     status = judge(diagnostics).status
     cheat = CandidateResult(text, status, lexer.proof_length(text))
     honest = CandidateResult(HONEST, VerdictStatus.VALID, lexer.proof_length(HONEST))
@@ -433,3 +446,49 @@ def test_a_known_cheat_is_never_adopted_rewarded_or_paired(text, diagnostics, ru
     assert [e.reward > 0 for e in group.entries] == [False, True]
     [pair] = build_expit_dataset([CHEAT_SEED], {"t": [cheat, honest][adopted].text})
     assert pair.output == HONEST
+    with pytest.raises(MalformedInput, match="not an admissible proof"):
+        build_expit_dataset([CHEAT_SEED], {"t": cheat.text})
+
+
+# A checker that reads comments as Lean does: it fails a file only when no
+# ':= by' is left outside them.
+LEAN_READING_CHECKER = f"""\
+import sys
+sys.path.insert(0, {str(Path(lexer.__file__).parents[1])!r})
+from proofopt import lexer
+if ":= by" not in lexer.strip_lean_comments(open(sys.argv[1], encoding="utf-8").read()):
+    print(sys.argv[1] + ":1:0: error: expected ':='")
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "  /- -/ exact hp /- -/", LINE_COMMENT_IN_STRING, STRING_QUOTE_IN_CHAR,
+], ids=["comment-wrapped-body", "line-comment-in-string", "string-quote-in-char"])
+def test_a_cheat_that_the_checker_passes_is_never_adopted_rewarded_or_paired_by_the_cli(
+    tmp_path, body
+):
+    """shorten samples only the cheat, which verifies and scores below the
+    seed, and adopts nothing; reward pays it nothing and dataset build makes
+    no pair."""
+    config = {"backends": {
+        "verifier": {"kind": "subprocess_verifier",
+                     "command_template": python_checker(tmp_path, LEAN_READING_CHECKER)},
+        "simplifier": {"kind": "mock", "options": {"mode": "constant", "proof_body": body[2:]}},
+    }, "schedule": "2x2"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    seeds = tmp_path / "seeds.jsonl"
+    with open(seeds, "w") as handle:
+        write_jsonl(handle, [CHEAT_SEED])
+    out = tmp_path / "out.jsonl"
+    run_cli(["--config", str(tmp_path / "config.json"), "shorten", str(seeds), "-o", str(out)])
+    rows = [row for row in read_jsonl(out.read_text().splitlines()) if "summary" not in row]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["source_after"] == CHEAT_SEED.full_source and row["adopted"] is None
+        assert row["score_after"] == row["score_before"]
+        for candidate in row["candidates"]:
+            assert candidate["text"] == f"{CHEAT_STATEMENT} := by\n{body}"
+            assert candidate["status"] == "valid" and candidate["score"] < row["score_before"]
+    groups = run_cli(["reward", str(out)])
+    assert [e["reward"] for g in groups for e in g["entries"]] == [0.0] * 4
+    assert run_cli(["dataset", "build", "--seeds", str(seeds), "--results", str(out)]) == []
