@@ -151,7 +151,16 @@ def shorten_iteration(
     round's source_after is source unless a candidate passes the acceptance
     rule; a source without a score is skipped, with score 0."""
     score = memo.check(source).score
-    itrec = IterationRecord(index, k, temperature, [], None, score or 0, score or 0, source)
+    itrec = IterationRecord(
+        index=index,
+        k_requested=k,
+        temperature=temperature,
+        candidates=[],
+        adopted=None,
+        score_before=score or 0,
+        score_after=score or 0,
+        source_after=source,
+    )
     if score is None:
         itrec.note = SKIPPED_NOTE
         return itrec

@@ -432,7 +432,7 @@ def test_a_known_cheat_is_never_adopted_rewarded_or_paired(text, diagnostics, ru
     """The checker's verdict on each row comes from its diagnostics, and the
     metric scores it below the honest candidate beside it, so only a rule of
     admissible, the one the row names among them, keeps it from adoption,
-    reward and a pair. Its text alone is no result dataset build pairs."""
+    reward and a pair; and dataset build refuses its text as a result."""
     status = judge(diagnostics).status
     cheat = CandidateResult(text, status, lexer.proof_length(text))
     honest = CandidateResult(HONEST, VerdictStatus.VALID, lexer.proof_length(HONEST))
