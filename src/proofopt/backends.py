@@ -141,13 +141,6 @@ def extract_code_block(completion: str) -> str | None:
     return block if block.strip() else None
 
 
-def truncate_error_report(report: str, limit: int) -> tuple[str, bool]:
-    """Trim a long error report from the tail to fit a prompt budget."""
-    if len(report) <= limit:
-        return report, False
-    return report[:limit], True
-
-
 def format_error_report(source: str, diagnostics) -> str:
     """Render checker diagnostics with <error></error> markers at the
     offending source lines."""

@@ -30,8 +30,8 @@ from .errors import NoProofDelimiter
 # min_at_k and red_at_k stay importable here: bench/tracing.py wraps them in this module.
 from .estimators import min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
-from .records import PROOF_DELIMITER, Measure, ProofRecord, from_json, read_jsonl, write_jsonl
-from .shortener import SKIPPED_NOTE, IterationRecord, map_in_order, same_statement, shorten_loop
+from .records import Measure, ProofRecord, from_json, read_jsonl, write_jsonl
+from .shortener import SKIPPED_NOTE, IterationRecord, map_in_order, shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -189,12 +189,11 @@ def _trace_path(workdir: Path, proof_id: str) -> Path:
     return workdir / "traces" / f"{safe}.jsonl"
 
 
-def _load_partial(path: Path, schedule, statement: str):
-    """The iterations persisted at path that the schedule would make for a
-    proof of statement: each kept record's index, k and temperature are
-    those of its position, and its source_after states statement
-    (same_statement). The file is cut back to the records kept, so that the
-    next record appended starts a line."""
+def _load_partial(path: Path, schedule):
+    """The iterations persisted at path that the schedule would make: each
+    kept record's index, k and temperature are those of its position. The
+    file is cut back to the records kept, so that the next record appended
+    starts a line."""
     if not path.exists():
         return None
     done = []
@@ -210,8 +209,6 @@ def _load_partial(path: Path, schedule, statement: str):
             k, temperature = schedule[len(done)]
             if (itrec.index, itrec.k_requested, itrec.temperature) != (len(done), k, temperature):
                 break  # made under another schedule
-            if not same_statement(itrec.source_after.partition(PROOF_DELIMITER)[0], statement):
-                break  # made for another statement
             done.append(itrec)
             kept += len(line)
         handle.truncate(kept)
@@ -240,8 +237,8 @@ def shorten(args):
                     f"proof ids {owners[path]!r} and {record.id!r} share the trace file {path}"
                 )
             owners[path] = record.id
-        traces = workdir / "traces"
-        _writing(traces, traces.mkdir, parents=True, exist_ok=True)
+        for folder in (workdir / "traces", workdir / "inputs"):
+            _writing(folder, folder.mkdir, parents=True, exist_ok=True)
     repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
     verifier = make_verifier(cfg.backend("verifier"))
     simplifier = make_simplifier(simplifier_cfg)
@@ -251,8 +248,16 @@ def shorten(args):
         resume = None
         if workdir:
             path = _trace_path(workdir, record.id)
-            resume = _writing(path, _load_partial, path, schedule, record.statement)
+            # inputs/ names the input and measure that made the trace; a trace
+            # without a match is redone, and the file is written once it is cut
+            made = workdir / "inputs" / f"{path.name.removesuffix('.jsonl')}.json"
+            provenance = json.dumps({"full_source": record.full_source,
+                                     "measure": cfg.measure.value})
+            same = made.exists() and _writing(made, made.read_bytes) == provenance.encode()
+            resume = _writing(path, _load_partial, path, schedule) if same else None
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
+            if not same:
+                _writing(made, made.write_text, provenance, encoding="utf-8")
 
             def sink(itrec):
                 write_jsonl(handle, [itrec])

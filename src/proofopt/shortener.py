@@ -25,7 +25,6 @@ from .backends import (
     VerdictStatus,
     Verifier,
     format_error_report,
-    truncate_error_report,
 )
 from .linter import lint_fixpoint, lint_once
 from .records import PROOF_DELIMITER, Measure, ProofRecord
@@ -203,7 +202,7 @@ def _repair_stage(
     removal that leaves another tactic unused. Under heartbeats every bound
     is 0, and every fix is linted in one concurrent batch."""
 
-    def repair_one(failed: tuple[str, VerdictStatus]) -> tuple[bool, list]:
+    def repair_one(failed: tuple[str, VerdictStatus]) -> tuple[bool, list[CandidateResult]]:
         text, status = failed
         # The memo keeps an invalid text's verdict, so its diagnostics cost no
         # check; a timeout or a crash was dropped and is not checked again.
@@ -211,19 +210,16 @@ def _repair_stage(
         if status is VerdictStatus.INVALID:
             diagnostics = memo.verify(text).diagnostics
         report = format_error_report(text, diagnostics) or "proof failed to verify"
-        report, truncated = truncate_error_report(report, REPAIR_REPORT_LIMIT)
         _, delimiter, body = text.partition(PROOF_DELIMITER)
         failed_proof = body.strip("\n") if delimiter else text
-        fixes = []
-        for fix in repairer.repair(statement, failed_proof, report):
-            result = memo.check(fix)  # this check is also the first lint round's
-            entry = RepairEntry(result.status, result.score)
-            if admissible(result, statement):
-                edit, _ = lint_once(fix, memo)
-                entry.linted_score = memo.score_bound(edit)
-            # until it is linted, a fix stands in at its bound
-            fixes.append((entry, replace(result, score=entry.linted_score)))
-        return truncated, fixes
+        fixes = repairer.repair(statement, failed_proof, report[:REPAIR_REPORT_LIMIT])
+        return len(report) > REPAIR_REPORT_LIMIT, [memo.check(fix) for fix in fixes]
+
+    def bound(fix: CandidateResult) -> int | None:
+        if not admissible(fix, statement):
+            return None
+        # the fix's own check was its first lint round's, so this is a memo hit
+        return memo.score_bound(lint_once(fix.text, memo)[0])
 
     def lint(fix: CandidateResult) -> CandidateResult:
         return memo.check(lint_fixpoint(fix.text, memo))
@@ -231,25 +227,24 @@ def _repair_stage(
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
     failed = list(dict.fromkeys(failed))[:budget]
-    stage = RepairStage()
-    fixes = []
     width = memo.cfg.max_parallel
-    for truncated, repaired in map_in_order(repair_one, failed, width):
-        stage.truncated_reports += int(truncated)
-        for entry, fix in repaired:
-            stage.attempted += 1
-            stage.valid += fix.status is VerdictStatus.VALID
-            stage.candidates.append(entry)
-            fixes.append(fix)
+    repaired = map_in_order(repair_one, failed, width)
+    checked = [fix for _, fixes in repaired for fix in fixes]
+    # until it is linted, a fix stands in at its bound
+    fixes = [replace(fix, score=bound(fix)) for fix in checked]
     unlinted = [i for i, fix in enumerate(fixes) if fix.score is not None]
     while (winner := _adopt(itrec.score_after, fixes, statement)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
         for i, linted in zip(batch, map_in_order(lint, [fixes[i] for i in batch], width)):
             fixes[i] = linted
-            stage.candidates[i].linted_score = linted.score
-    stage.adopted = _adopt_into(itrec, fixes, statement)
-    return stage
+    return RepairStage(
+        attempted=len(checked),
+        valid=sum(c.status is VerdictStatus.VALID for c in checked),
+        truncated_reports=sum(truncated for truncated, _ in repaired),
+        candidates=[RepairEntry(c.status, c.score, f.score) for c, f in zip(checked, fixes)],
+        adopted=_adopt_into(itrec, fixes, statement),
+    )
 
 
 def shorten_loop(

@@ -25,7 +25,6 @@ from proofopt.backends import (
     make_simplifier,
     make_verifier,
     parse_diagnostics,
-    truncate_error_report,
 )
 from proofopt.errors import BackendUnavailable, ConfigError
 from proofopt.linter import lint_fixpoint
@@ -79,11 +78,6 @@ def test_extract_code_block():
     assert extract_code_block("```lean\na\nb\n```") == "a\nb"
     assert extract_code_block("no fence") is None
     assert extract_code_block("```lean4\n\n```") is None
-
-
-def test_truncate_error_report():
-    assert truncate_error_report("abc", 10) == ("abc", False)
-    assert truncate_error_report("abcdef", 4) == ("abcd", True)
 
 
 def test_format_error_report_marks_lines():

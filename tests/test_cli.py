@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import threading
@@ -544,8 +545,8 @@ def test_shorten_resume_under_a_changed_schedule_redoes_the_iterations_that_diff
 
 
 def test_shorten_resume_under_a_changed_statement_redoes_the_proof(runner, tmp_path):
-    """A persisted iteration is kept only while its source_after states the
-    input's statement; the trace is cut from the first one that does not."""
+    """A changed statement changes the input's full_source, so its trace is
+    redone from the start."""
     config = write_config(tmp_path)
 
     def run(workdir, statement):
@@ -563,12 +564,50 @@ def test_shorten_resume_under_a_changed_statement_redoes_the_proof(runner, tmp_p
     assert resumed == run("fresh", "theorem p : 2 = 2")
     fresh = (tmp_path / "fresh" / "traces" / "p.jsonl").read_text()
     assert trace_file.read_text() == fresh
-    # an iteration of another statement after one of this statement is redone
-    first, second = fresh.splitlines(keepends=True)
-    other = {**json.loads(second), "source_after": "theorem p : 3 = 3 := by\n  rfl"}
-    trace_file.write_text(first + json.dumps(other) + "\n")
-    assert run("wd", "theorem p : 2 = 2") == resumed
-    assert trace_file.read_text() == fresh
+
+
+RESUMED_ROW = {"id": "p", "statement": "theorem p : 1 = 1",
+               "proof": "  simp\n  linarith\n  omega\n  decide"}
+
+
+def _shorten_in(runner, tmp_path, workdir, row, *flags) -> str:
+    """shorten's output for row alone, on the 2x2 schedule, in workdir."""
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    args = ["--config", write_config(tmp_path), "--workdir", str(tmp_path / workdir),
+            "shorten", "--schedule", "2x2", *flags, proofs]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+@pytest.mark.parametrize("first,flags", [
+    ({"proof": "  norm_num\n  ring\n  skip"}, []),
+    ({}, ["--measure", "heartbeats"]),
+], ids=["proof", "measure"])
+def test_shorten_resume_redoes_a_proof_whose_input_or_measure_changed(
+    runner, tmp_path, first, flags
+):
+    """A trace is resumed only by a run of the input and measure that made
+    it, which inputs/<id>.json names; otherwise it is redone from the start."""
+    _shorten_in(runner, tmp_path, "wd", {**RESUMED_ROW, **first})
+    resumed = _shorten_in(runner, tmp_path, "wd", RESUMED_ROW, *flags)
+    assert resumed == _shorten_in(runner, tmp_path, "fresh", RESUMED_ROW, *flags)
+    for name in ("traces/p.jsonl", "inputs/p.json"):
+        assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
+    made = json.loads((tmp_path / "wd" / "inputs" / "p.json").read_text())
+    measure = "heartbeats" if flags else "length"
+    assert made == {"full_source": ProofRecord(**RESUMED_ROW).full_source, "measure": measure}
+
+
+def test_shorten_resume_without_inputs_redoes_the_proof(runner, tmp_path):
+    """A workdir without inputs/, as a run that did not write it leaves one,
+    cannot tell what made its traces, so each proof is redone."""
+    _shorten_in(runner, tmp_path, "wd", {**RESUMED_ROW, "proof": "  norm_num\n  ring\n  skip"})
+    shutil.rmtree(tmp_path / "wd" / "inputs", ignore_errors=True)
+    resumed = _shorten_in(runner, tmp_path, "wd", RESUMED_ROW)
+    assert resumed == _shorten_in(runner, tmp_path, "fresh", RESUMED_ROW)
+    for name in ("traces/p.jsonl", "inputs/p.json"):
+        assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
 
 
 def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):

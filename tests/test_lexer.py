@@ -59,6 +59,11 @@ def test_line_comment_removal():
     assert lexer.strip_comments("rfl -- done") == "rfl"
 
 
+# how the lexer splits the char literals '\x41' and '\u{41}'
+HEX = ["'", "\\", "x41'"]
+UNI = ["'", "\\", "u", "{", "41", "}", "'"]
+
+
 @pytest.mark.parametrize("text,lean,metric", [
     ("/- a -/ rfl /- b -/", ["rfl"], []),
     ("/- a /- nested -/ still a comment -/ rfl", ["rfl"], ["rfl"]),
@@ -77,9 +82,22 @@ def test_line_comment_removal():
     ('\'"\' "/-" x "-/"', ["'", '"', "'", '"', "/", "-", '"', "x", '"', "-", "/", '"'],
      ["'", '"', "'", '"', '"']),
     ("'\"' x -- c", ["'", '"', "'", "x"], ["'", '"', "'", "x"]),
+    # an escaped char literal holds only hex digits and braces, so it hides
+    # nothing that follows it
+    ('\'\\x41\' "/-" x', [*HEX, '"', "/", "-", '"', "x"], [*HEX, '"', "/", "-", '"', "x"]),
+    ("'\\x41' sorry", [*HEX, "sorry"], [*HEX, "sorry"]),
+    ("'\\x41' -- c\nx", [*HEX, "x"], [*HEX, "x"]),
+    ("'\\x41' /- c -/ x", [*HEX, "x"], [*HEX, "x"]),
+    ('\'\\u{41}\' "/-" x', [*UNI, '"', "/", "-", '"', "x"], [*UNI, '"', "/", "-", '"', "x"]),
+    ("'\\u{41}' sorry", [*UNI, "sorry"], [*UNI, "sorry"]),
+    ("'\\u{41}' -- c\nx", [*UNI, "x"], [*UNI, "x"]),
+    ("'\\u{41}' /- c -/ x", [*UNI, "x"], [*UNI, "x"]),
 ], ids=["two-blocks", "nested", "nested-then-block", "line", "line-in-block", "string-block",
         "string-line", "block-splits-a-token", "prime", "primes", "primes-in-name",
-        "prime-then-string", "char-quote-then-string-block", "char-quote-then-line"])
+        "prime-then-string", "char-quote-then-string-block", "char-quote-then-line",
+        "hex-char-then-string-block", "hex-char-then-sorry", "hex-char-then-line",
+        "hex-char-then-block", "unicode-char-then-string-block", "unicode-char-then-sorry",
+        "unicode-char-then-line", "unicode-char-then-block"])
 def test_tokens_read_comments_as_lean_does_only_when_asked(text, lean, metric):
     """Lean's comments nest, and a string or char literal holds none; the
     metric's greedy rule is kept for lexer.tokens without lean."""

@@ -12,13 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofopt.backends import BackendConfig, SubprocessVerifier, Verdict, VerdictStatus
+from proofopt.backends import (
+    BackendConfig,
+    SubprocessVerifier,
+    Verdict,
+    VerdictStatus,
+    format_error_report,
+)
 from proofopt.errors import BackendUnavailable
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import PROOF_DELIMITER, Measure, ProofRecord, from_json, write_jsonl
 from proofopt.reports import TraceRow
 from proofopt.shortener import (
+    REPAIR_REPORT_LIMIT,
     CandidateResult,
     IterationRecord,
     RepairEntry,
@@ -733,6 +740,68 @@ def test_repair_stage_adopts_as_eager_linting_would(measure):
         repaired.append((stages, adopted))
     assert sum(s for s, _ in repaired) > 20 and sum(a for _, a in repaired) > 10
     assert repaired[-1][1] > 0  # a fix whose first edit failed its check was adopted
+
+
+# per measure, the checks of each EAGER_SCENARIOS loop, in order
+EAGER_CHECKS = {
+    Measure.TOKEN_LENGTH: [11, 12, 9, 9, 8, 13, 12, 16, 22, 19, 11, 11, 9, 11, 8, 7],
+    Measure.HEARTBEATS: [11, 12, 9, 9, 8, 13, 12, 16, 22, 19, 11, 11, 9, 13, 10, 8],
+}
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_repair_stage_check_counts_over_the_eager_scenarios(measure):
+    """The checks that each EAGER_SCENARIOS loop makes, run as
+    test_repair_stage_adopts_as_eager_linting_would runs it."""
+    calls = []
+    for verifier_options, simplifier_options, repairer in EAGER_SCENARIOS:
+        verifier = MockVerifier(mock_cfg(**verifier_options))
+        start = ProofRecord(id="g", statement="theorem g : 1 = 1", proof=MEMO_PROOF)
+        shorten_loop(
+            start, [(4, 1.0), (4, 0.8), (4, 0.5)], MockSimplifier(mock_cfg(**simplifier_options)),
+            verifier, measure, repairer=repairer, repair_budget=3,
+        )
+        calls.append(verifier.calls)
+    assert calls == EAGER_CHECKS[measure]
+
+
+def test_repair_stage_cuts_a_report_over_the_limit_and_counts_it():
+    """The repairer is sent the first REPAIR_REPORT_LIMIT characters of a
+    failed text's report; a report over the limit counts in
+    truncated_reports, one at or under it arrives whole."""
+    verifier = MockVerifier(mock_cfg())
+    start = record("  norm_num\n  ring")
+
+    def report(text: str) -> str:
+        return format_error_report(text, verifier.verify(text).diagnostics)
+
+    def failing(length: int) -> str:
+        """A failed proof of start's statement whose report has length characters."""
+        text = f"{start.statement} := by\n  FAIL\n  -- "
+        return text + "x" * (length - len(report(text)))
+
+    lengths = [REPAIR_REPORT_LIMIT + 1, REPAIR_REPORT_LIMIT, 100]
+    texts = [failing(length) for length in lengths]
+    assert [len(report(text)) for text in texts] == lengths
+    sent = {}
+
+    class ReportRecorder(MockRepairer):
+        def _repair(self, statement, failed_proof, error_report):
+            sent[failed_proof] = error_report
+            return super()._repair(statement, failed_proof, error_report)
+
+    class Failing(MockSimplifier):
+        def _simplify(self, source, k, temperature):
+            return texts
+
+    iterations = shorten_loop(
+        start, [(3, 1.0)], Failing(mock_cfg()), verifier, repairer=ReportRecorder(mock_cfg())
+    )
+    assert sent == {
+        ProofRecord.from_source(text).proof: report(text)[:REPAIR_REPORT_LIMIT] for text in texts
+    }
+    assert len(sent[ProofRecord.from_source(texts[0]).proof]) == REPAIR_REPORT_LIMIT
+    assert iterations[0].repair.truncated_reports == 1
 
 
 def _bounded_fixes_scenario(measure):
