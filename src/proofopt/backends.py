@@ -97,6 +97,8 @@ class BackendConfig:
             raise ConfigError("retries must be at least 1")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
+        if self.options and self.kind != "mock":
+            raise ConfigError(f"options are read only by kind 'mock', not {self.kind!r}")
 
 
 # The line that starts a checker message: file:line:column: severity: message.

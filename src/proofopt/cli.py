@@ -94,10 +94,7 @@ def _write_rows(name: str, rows) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    overrides = {"seed": args.seed, "workdir": args.workdir}
-    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
-    cfg.apply_seed()
-    return cfg
+    return replace(cfg, workdir=args.workdir) if args.workdir is not None else cfg
 
 
 def _read_text(name: str, read):
@@ -409,7 +406,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="proofopt", description="Proof shortening toolkit.", allow_abbrev=False
     )
     parser.add_argument("--config", type=_readable_file)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--workers", type=int, help="sets nothing, accepted because bench/run.py"
                         " passes it: each backend's max_parallel sets the width")
     parser.add_argument("--workdir", type=_dir_path)

@@ -1,4 +1,4 @@
-"""Run configuration: backend wiring, schedule, seeding, and workdir."""
+"""Run configuration: backend wiring, schedule and workdir."""
 
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ class RunConfig:
     backends: dict[str, BackendConfig] = field(default_factory=dict)
     schedule: str = "4x2"
     measure: Measure = Measure.TOKEN_LENGTH
-    seed: int = 0
     workdir: str = ""  # none when empty
     repair: bool = False
     repair_budget: int = 4
@@ -65,10 +64,4 @@ class RunConfig:
         if name not in self.backends:
             raise ConfigError(f"no backend named {name!r} in config")
         return self.backends[name]
-
-    def apply_seed(self) -> None:
-        """Push the run seed into mock backends that did not set their own."""
-        for cfg in self.backends.values():
-            if cfg.kind == "mock" and "seed" not in cfg.options:
-                cfg.options["seed"] = self.seed
 

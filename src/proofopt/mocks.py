@@ -1,9 +1,8 @@
 """Deterministic backends for tests and dry runs: each subclasses its role's
 backend and overrides the call that would reach a checker or a model. The
 factories import this module only for a config of kind ``mock``. Each mock
-reads BackendConfig.options as its options dataclass, ignoring keys that
-name no option, such as the run seed that RunConfig.apply_seed gives every
-mock."""
+reads BackendConfig.options as its options dataclass, the only place its
+settings come from; a key that names no option is a configuration error."""
 
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from . import lexer
 from .backends import SORRY_TOKENS, SORRY_WARNING, BackendConfig, Diagnostic, Verdict, judge
 from .backends import Repairer, Simplifier, Verifier, VerdictStatus
 from .errors import ConfigError, NoProofDelimiter
-from .records import from_json
+from .records import ProofRecord, from_json
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"
 
@@ -44,7 +43,7 @@ class MockVerifier(Verifier):
 
     def __init__(self, cfg: BackendConfig):
         super().__init__(cfg)
-        self.options = from_json(VerifierOptions, cfg.options, "mock options", ConfigError)
+        self.options = from_json(VerifierOptions, cfg.options, "mock options", ConfigError, strict=True)
         self.calls = 0
         self._calls_lock = threading.Lock()
 
@@ -116,13 +115,13 @@ class MockSimplifier(Simplifier):
       drop_lines    per-candidate seeded random deletion of proof lines
       echo          return the input unchanged
       constant      always return options.proof_body as the proof
-    The seeded modes derive their randomness from (seed, source, temperature,
-    candidate index) only, so runs and resumed runs agree.
+    The seeded modes derive their randomness from (options.seed, source,
+    temperature, candidate index) only, so runs and resumed runs agree.
     """
 
     def __init__(self, cfg: BackendConfig):
         super().__init__(cfg)
-        self.options = from_json(SimplifierOptions, cfg.options, "mock options", ConfigError)
+        self.options = from_json(SimplifierOptions, cfg.options, "mock options", ConfigError, strict=True)
 
     def _simplify(self, source, k, temperature):
         head, sep, proof = source.partition(":= by")
@@ -170,19 +169,18 @@ class MockRepairer(Repairer):
 
     def __init__(self, cfg: BackendConfig):
         super().__init__(cfg)
-        self.options = from_json(RepairerOptions, cfg.options, "mock options", ConfigError)
+        self.options = from_json(RepairerOptions, cfg.options, "mock options", ConfigError, strict=True)
 
     def _repair(self, statement, failed_proof, error_report):
         if self.options.mode is RepairerMode.SHORTER:
-            fixed = statement + " := by\n  " + self.options.proof_body
+            body = "  " + self.options.proof_body
         elif self.options.mode is RepairerMode.LONGER:
             pad = "\n".join("  skip" for _ in range(self.options.padding))
-            fixed = statement + " := by\n" + failed_proof.rstrip("\n") + "\n" + pad
+            body = failed_proof.rstrip("\n") + "\n" + pad
         else:
             flagged = self._flagged_lines(error_report)
-            kept = [l for l in failed_proof.splitlines() if l not in flagged]
-            fixed = statement + " := by\n" + "\n".join(kept)
-        return [fixed]
+            body = "\n".join(l for l in failed_proof.splitlines() if l not in flagged)
+        return [ProofRecord("", statement, body).full_source]
 
     @staticmethod
     def _flagged_lines(error_report: str) -> set[str]:

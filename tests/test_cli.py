@@ -31,11 +31,10 @@ def write_config(tmp_path, **overrides) -> str:
     cfg = {
         "backends": {
             "verifier": {"kind": "mock", "options": {"noop_tactics": ["skip"]}},
-            "simplifier": {"kind": "mock", "options": {"mode": "drop_lines"}},
+            "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 3}},
             "repairer": {"kind": "mock", "options": {"mode": "delete_flagged"}},
         },
         "schedule": "4x2",
-        "seed": 3,
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -197,7 +196,7 @@ def slotted_config(tmp_path, max_parallel, **options) -> str:
     role's mock options from options when given."""
     defaults = {
         "verifier": {"noop_tactics": ["skip"]},
-        "simplifier": {"mode": "drop_lines"},
+        "simplifier": {"mode": "drop_lines", "seed": 3},
         "repairer": {"mode": "delete_flagged"},
     }
     backends = {
@@ -214,7 +213,7 @@ def test_shorten_worker_pool_same_output(runner, tmp_path):
     # candidates that drop the line `key` fail, so some iterations repair
     options = {
         "verifier": {"require_token": "key", "noop_tactics": ["skip"]},
-        "simplifier": {"mode": "drop_lines", "drop_probability": 0.85},
+        "simplifier": {"mode": "drop_lines", "drop_probability": 0.85, "seed": 3},
         "repairer": {"mode": "shorter", "proof_body": "key\n  skip\n  ring"},
     }
     runs = []
@@ -410,20 +409,22 @@ def test_every_check_goes_through_a_verdict_memo(runner, tmp_path, monkeypatch, 
 
 
 def test_shorten_respects_schedule_and_seed_flags(runner, tmp_path):
-    config = write_config(tmp_path)
+    """--schedule sets the iterations; the simplifier's seed option sets its
+    samples, so one seed gives the same output twice and two seeds differ."""
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
-    short = runner.invoke(
-        main, ["--config", config, "--seed", "9", "shorten", "--schedule", "2x1", proofs]
-    )
+
+    def shorten(seed):
+        config = slotted_config(tmp_path, 4, simplifier={"mode": "drop_lines", "seed": seed})
+        return runner.invoke(main, ["--config", config, "shorten", "--schedule", "2x1", proofs])
+
+    short = shorten(9)
     assert short.exit_code == 0
     rows = [json.loads(line) for line in short.output.splitlines()]
     iterations = [r for r in rows if "summary" not in r]
     assert len(iterations) == 2  # one iteration per proof
     assert all(r["k_requested"] == 2 for r in iterations)
-    other_seed = runner.invoke(
-        main, ["--config", config, "--seed", "10", "shorten", "--schedule", "2x1", proofs]
-    )
-    assert other_seed.output != short.output
+    assert shorten(9).output == short.output
+    assert shorten(10).output != short.output
 
 
 def test_shorten_resume_after_interrupt(runner, tmp_path):
@@ -627,23 +628,37 @@ def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
 
 
 def test_unknown_run_config_key_exit_code(runner, tmp_path):
-    """A misspelt key, or parallel_workers, which set nothing and is gone."""
+    """A misspelt key, or parallel_workers or seed, which are gone: a mock's
+    seed is one of its options."""
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
-    for key in ("repair_budjet", "parallel_workers"):
+    for key in ("repair_budjet", "parallel_workers", "seed"):
         config = write_config(tmp_path, **{key: 2})
         result = runner.invoke(main, ["--config", config, "shorten", proofs])
         assert result.exit_code == 2
         assert result.output == f"error: run config has unknown keys: ['{key}']\n"
 
 
+@pytest.mark.parametrize("role,typo", [("verifier", "fail_tokn"),
+                                       ("simplifier", "drop_probabilty"),
+                                       ("repairer", "paddding")])
+def test_a_misspelt_mock_option_exits_with_one_error_line_naming_it(runner, tmp_path, role, typo):
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    config = slotted_config(tmp_path, 1, **{role: {typo: 2}})
+    result = runner.invoke(main, ["--config", config, "shorten", "--repair", "on", proofs])
+    assert result.exit_code == 2
+    assert result.output == f"error: mock options has unknown keys: ['{typo}']\n"
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"seed": "x"},
+        {"repair_budget": "x"},
         {"backends": {"verifier": {"kind": "mock", "timeout": "abc"}}},
         {"backends": {"verifier": {"kind": "mock", "retries": 0}}},
+        {"backends": {"verifier": {"kind": "mock"},
+                      "simplifier": {"kind": "http_simplifier", "options": {"seed": 3}}}},
     ],
-    ids=["run-config", "backend-config", "retries-below-one"],
+    ids=["run-config", "backend-config", "retries-below-one", "options-on-a-real-kind"],
 )
 def test_config_value_of_the_wrong_type_exit_code(runner, tmp_path, overrides):
     config = write_config(tmp_path, **overrides)
@@ -1238,7 +1253,7 @@ GROUP = trace_row("a", 10, 4)  # a row of shorten's output, read by reward and d
 # (command, config overrides or the one input row it reads, exit code): a value
 # of the wrong JSON type is never coerced. Configs exit 2, input rows exit 1.
 WRONG_TYPES = [
-    pytest.param("config", {"seed": True}, 2, id="seed-bool"),
+    pytest.param("config", {"repair_budget": True}, 2, id="repair-budget-bool"),
     pytest.param("config", {"repair_budget": "3"}, 2, id="repair-budget-text"),
     pytest.param("config", {"backends": {"verifier": {**MOCK_VERIFIER, "max_parallel": True}}}, 2,
                  id="max-parallel-bool"),
@@ -1560,9 +1575,10 @@ def test_report_empty_input(runner, tmp_path):
         ["--config", "/does/not/exist.json", "length"],
         ["lint", "/does/not/exist.jsonl"],
         ["report", "{samples}", "--kind", "atk", "-k", "1", "--gnuplot", "{gnuplot}"],
+        ["--seed", "3", "length", "{proofs}"],
     ],
     ids=["unknown-option", "unknown-command", "bad-choice", "missing-k", "missing-config",
-         "missing-input", "gnuplot-without-csv"],
+         "missing-input", "gnuplot-without-csv", "seed-flag"],
 )
 def test_usage_error_exits_2(runner, tmp_path, argv):
     files = {
@@ -1714,7 +1730,7 @@ def mock_comparison(runner, tmp_path, drop_probability, mode) -> dict[str, bytes
     """The outputs of one configuration of the mock comparison: the 13
     fixtures, each given a `key` line that the verifier requires and two
     `skip` lines that it flags, through `shorten --workdir` (schedule 4x3,
-    repair at budget 3, config seed 5; only a `shorter` repairer's fixes,
+    repair at budget 3, simplifier seed 5; only a `shorter` repairer's fixes,
     `key`, `skip` and `rfl`, can verify), its rerun over the same workdir,
     `reward`, `report --kind repair`, `dataset build` and `lint`. Each
     command's stdout, the two shorten runs' followed by their trace files."""
@@ -1725,10 +1741,10 @@ def mock_comparison(runner, tmp_path, drop_probability, mode) -> dict[str, bytes
         rows.append({"id": record.id, "statement": record.statement, "proof": proof})
     seeds = write_jsonl_file(tmp_path, "seeds.jsonl", rows)
     config = write_config(
-        tmp_path, seed=5, schedule="4x3", repair=True, repair_budget=3, backends={
+        tmp_path, schedule="4x3", repair=True, repair_budget=3, backends={
             "verifier": {"kind": "mock",
                          "options": {"require_token": "key", "noop_tactics": ["skip"]}},
-            "simplifier": {"kind": "mock", "options": {"mode": "drop_lines",
+            "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 5,
                                                        "drop_probability": drop_probability}},
             "repairer": {"kind": "mock",
                          "options": {"mode": mode, "proof_body": "key\n  skip\n  rfl"}},

@@ -32,7 +32,6 @@ def test_runconfig_load(tmp_path):
                 "backends": {"verifier": {"kind": "mock"}},
                 "schedule": "8x3",
                 "measure": "heartbeats",
-                "seed": 5,
             }
         )
     )
@@ -57,7 +56,7 @@ def test_runconfig_rejects_bad_json(tmp_path):
     "raw",
     [
         [1, 2],
-        {"seed": None},
+        {"repair_budget": None},
         {"schedule": 4},
         {"workdir": ["a"]},
         {"repair_budget": -1},
@@ -71,7 +70,7 @@ def test_runconfig_rejects_bad_json(tmp_path):
         {"backends": {"verifier": {"kind": "mock", "temperature": float("-inf")}}},
         {"backends": {"verifier": {"kind": "mock", "timeout": 1e10}}},
     ],
-    ids=["top-level-list", "seed-null", "schedule-number", "workdir-list",
+    ids=["top-level-list", "repair-budget-null", "schedule-number", "workdir-list",
          "negative-repair-budget", "backends-list", "backend-text", "timeout-text",
          "max-parallel-float", "options-list", "timeout-nan", "timeout-infinite",
          "temperature-infinite", "timeout-over-the-wait-limit"],
@@ -97,23 +96,6 @@ def test_runconfig_repair_flag():
 def test_runconfig_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="repair_budjet"):
         RunConfig.from_json({"repair_budjet": 1})
-
-
-def test_apply_seed_only_fills_gaps():
-    cfg = RunConfig.from_json(
-        {
-            "backends": {
-                "a": {"kind": "mock"},
-                "b": {"kind": "mock", "options": {"seed": 99}},
-                "c": {"kind": "http_simplifier", "endpoint_url": "http://x"},
-            },
-            "seed": 5,
-        }
-    )
-    cfg.apply_seed()
-    assert cfg.backends["a"].options["seed"] == 5
-    assert cfg.backends["b"].options["seed"] == 99
-    assert "seed" not in cfg.backends["c"].options
 
 
 def test_templates_ship_with_package():

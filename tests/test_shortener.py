@@ -285,6 +285,20 @@ def test_repair_stage_adopts_shorter():
     assert verifier.verify(iterations[-1].source_after).ok
 
 
+def test_a_mock_fix_of_a_statement_ending_in_a_line_comment_is_adopted():
+    """The mock repairer joins statement and body as full_source does, so a
+    trailing `--` comment does not swallow the fix's `:= by`."""
+    verifier = MockVerifier(mock_cfg())
+    simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="FAIL"))
+    repairer = MockRepairer(mock_cfg(mode="shorter", proof_body="rfl"))
+    statement = "theorem t : 1 = 1 -- c"
+    start = ProofRecord("t", statement, "  norm_num\n  ring\n  simp")
+    [iteration] = shorten_loop(start, [(2, 1.0)], simplifier, verifier, repairer=repairer)
+    assert iteration.repair.adopted is not None
+    assert (iteration.score_before, iteration.score_after) == (3, 1)
+    assert iteration.source_after == ProofRecord("t", statement, "  rfl").full_source
+
+
 def test_repair_stage_never_adopts_a_term_mode_fix():
     class TermModeRepairer(MockRepairer):
         def _repair(self, statement, failed_proof, error_report):
@@ -429,10 +443,15 @@ class ListingVerifier(MockVerifier):
 
 
 class FixedTextSimplifier(MockSimplifier):
-    """Samples options["text"] k times, whatever the source."""
+    """Samples options["text"] k times, whatever the source; the key is taken
+    out before the mock reads the rest."""
+
+    def __init__(self, cfg):
+        self.text = cfg.options.pop("text")
+        super().__init__(cfg)
 
     def _simplify(self, source, k, temperature):
-        return [self.cfg.options["text"]] * k
+        return [self.text] * k
 
 
 def test_the_adopted_text_is_the_text_its_check_saw(tmp_path):
@@ -667,10 +686,15 @@ class RecordingRepairer(MockRepairer):
 
 
 class BodiesRepairer(MockRepairer):
-    """Returns one fix per proof body in options["bodies"]."""
+    """Returns one fix per proof body in options["bodies"]; the key is taken
+    out before the mock reads the rest."""
+
+    def __init__(self, cfg):
+        self.bodies = cfg.options.pop("bodies")
+        super().__init__(cfg)
 
     def _repair(self, statement, failed_proof, error_report):
-        return [statement + " := by\n" + body for body in self.cfg.options["bodies"]]
+        return [statement + " := by\n" + body for body in self.bodies]
 
 
 def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):

@@ -218,12 +218,12 @@ SHORTEN_CONFIG = {
     "backends": {
         "verifier": {"kind": "mock",
                      "options": {"noop_tactics": ["skip"], "require_token": "norm_num"}},
-        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "drop_probability": 0.6}},
+        "simplifier": {"kind": "mock",
+                       "options": {"mode": "drop_lines", "drop_probability": 0.6, "seed": 5}},
         "repairer": {"kind": "mock",
                      "options": {"mode": "shorter", "proof_body": "norm_num\n  skip"}},
     },
     "schedule": "3x3",
-    "seed": 5,
 }
 
 
