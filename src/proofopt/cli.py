@@ -118,20 +118,27 @@ def _read(rows: list, cls=ProofRecord, what: str = "proof record") -> list:
     return [from_json(cls, row, what, index=i) for i, row in enumerate(rows)]
 
 
-def _trace_rows(rows: list, named: bool = False) -> list:
-    """The iteration rows among rows, shorten's output, each read as
-    reports.TraceRow and named in an error by its index; the summary row
-    that ends the output is skipped. With named, a row without a proof_id
-    is an input error."""
+def _trace_rows(name: str, rows: list, named: bool = False) -> list:
+    """The iteration rows among rows, shorten's output read from the file
+    name, each read as reports.TraceRow and named in an error by its index;
+    the summary row that ends the output is skipped. A proof's iteration
+    given twice is an input error; rows without a proof_id, a trace file's,
+    are not compared. With named, a row without a proof_id is one too."""
     from . import reports
 
-    out = []
+    out, seen = [], set()
     for i, row in enumerate(rows):
         if isinstance(row, dict) and "summary" in row:
             continue
-        out.append(from_json(reports.TraceRow, row, "trace row", index=i))
-        if named and out[-1].proof_id is None:
+        trace = from_json(reports.TraceRow, row, "trace row", index=i)
+        if named and trace.proof_id is None:
             raise MalformedInput(f"trace row {i} has no proof_id")
+        if trace.proof_id is not None and (trace.proof_id, trace.index) in seen:
+            raise MalformedInput(
+                f"{name}: proof {trace.proof_id!r} iteration {trace.index} is given twice"
+            )
+        seen.add((trace.proof_id, trace.index))
+        out.append(trace)
     return out
 
 
@@ -165,8 +172,8 @@ def lint(args):
     A proof that lint leaves unchanged is written as it was read, one that
     does not verify with a note; an edited one is split back into a record."""
     cfg = _load_config(args)
-    verifier = make_verifier(cfg.backend("verifier"))
     records = _read(_rows(args.input))
+    verifier = make_verifier(cfg.backend("verifier"))
 
     def lint_one(record: ProofRecord) -> dict:
         memo = VerdictMemo(verifier)
@@ -305,13 +312,8 @@ def dataset_build(args):
 
     seeds = by_id(args.seeds, "proof record")
     runs = {}  # proof id -> iteration index -> row
-    for row in _trace_rows(_rows(args.results), named=True):
-        iterations = runs.setdefault(row.proof_id, {})
-        if row.index in iterations:
-            raise MalformedInput(
-                f"{args.results}: proof {row.proof_id!r} iteration {row.index} is given twice"
-            )
-        iterations[row.index] = row
+    for row in _trace_rows(args.results, _rows(args.results), named=True):
+        runs.setdefault(row.proof_id, {})[row.index] = row
     # A proof's result is its last source_after, the text its check saw, once
     # an iteration adopted a checked candidate or repair: only that lowers score_after.
     results = {
@@ -358,7 +360,7 @@ def reward(args):
             positive_shortening=not args.literal_sign,
             group_id=f"{row.proof_id}#{row.index}",
         )
-        for row in _trace_rows(_rows(args.input), named=True)
+        for row in _trace_rows(args.input, _rows(args.input), named=True)
         if row.candidates  # a skipped iteration sampled nothing
     ]
     _write_rows(args.output, groups)
@@ -387,7 +389,7 @@ def report(args):
             samples = [row.samples for row in _read(rows, reports.SampleRow, "sample record")]
             table = reports.atk_table(samples, sorted(args.ks))
         elif args.kind == "repair":
-            table = [reports.repair_accounting(_trace_rows(rows))]
+            table = [reports.repair_accounting(_trace_rows(args.input, rows))]
         else:
             timings = _read(rows, reports.SpeedupRow, "speedup record")
             table = reports.speedup_report(map(astuple, timings))

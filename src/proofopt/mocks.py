@@ -17,7 +17,7 @@ from . import lexer
 from .backends import SORRY_TOKENS, SORRY_WARNING, BackendConfig, Diagnostic, Verdict, judge
 from .backends import Repairer, Simplifier, Verifier, VerdictStatus
 from .errors import ConfigError, NoProofDelimiter
-from .records import ProofRecord, from_json
+from .records import ProofRecord, from_json, split_source
 
 _NOOP_MESSAGE = "'{}' tactic does nothing"
 
@@ -124,26 +124,24 @@ class MockSimplifier(Simplifier):
         self.options = from_json(SimplifierOptions, cfg.options, "mock options", ConfigError, strict=True)
 
     def _simplify(self, source, k, temperature):
-        head, sep, proof = source.partition(":= by")
-        if not sep:
+        split = split_source(source)
+        if split is None:
             return []
         out = []
         for index in range(k):
-            out.append(self._candidate(head, proof, temperature, index))
+            out.append(self._candidate(*split, temperature, index))
         return out
 
     def _candidate(self, head, proof, temperature, index) -> str:
         lines = proof.strip("\n").splitlines()
         opts = self.options
         if opts.mode is SimplifierMode.CONSTANT:
-            return head + ":= by\n  " + opts.proof_body
-        if opts.mode is SimplifierMode.DROP_LINES:
+            lines = ["  " + opts.proof_body]
+        elif opts.mode is SimplifierMode.DROP_LINES:
             rng = _seeded_rng(opts.seed, head, proof, temperature, index)
             kept = [l for l in lines if not (l.strip() and rng.random() < opts.drop_probability)]
-            if not kept:
-                kept = lines[:1]
-            return head + ":= by\n" + "\n".join(kept)
-        return head + ":= by\n" + "\n".join(lines)
+            lines = kept or lines[:1]
+        return ProofRecord("", head.rstrip(), "\n".join(lines)).full_source
 
 
 class RepairerMode(str, Enum):

@@ -11,6 +11,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 
+from . import lexer
 from .errors import MalformedInput
 
 
@@ -24,6 +25,18 @@ class Measure(str, Enum):
 PROOF_DELIMITER = ":= by"
 
 
+def split_source(text: str) -> tuple[str, str] | None:
+    """(head, tail) of text around its first ':= by', raw, when Lean reads
+    that delimiter as code; None when text has none, or its first lies in a
+    comment or a string. The one place a proof text's statement ends. The
+    '--' appended before stripping tells code from an unclosed string:
+    after code it is a comment and dropped, inside a string it is kept."""
+    head, delimiter, tail = text.partition(PROOF_DELIMITER)
+    if delimiter and lexer.strip_lean_comments(head + delimiter + "--").endswith(delimiter):
+        return head, tail
+    return None
+
+
 @dataclass
 class ProofRecord:
     """A theorem statement plus proof body, the unit of every pipeline.
@@ -31,12 +44,22 @@ class ProofRecord:
     ``statement`` holds everything up to (but not including) the ``:= by``
     delimiter; ``proof`` holds the body after it. ``full_source`` starts the
     delimiter's own line when the statement's last line holds a ``--``
-    comment, which would otherwise swallow it.
+    comment, which would otherwise swallow it. A statement whose
+    full_source split_source would split elsewhere (one holding ':= by', or
+    a comment or string it does not close) is a ValueError.
     """
 
     id: str
     statement: str
     proof: str
+
+    def __post_init__(self):
+        split = split_source(self.full_source)
+        if split is None or not split[0].startswith(self.statement):
+            raise ValueError(
+                f"statement {self.statement!r:.60} holds '{PROOF_DELIMITER}',"
+                " or a comment or string it does not close"
+            )
 
     @property
     def full_source(self) -> str:
@@ -45,12 +68,12 @@ class ProofRecord:
 
     @classmethod
     def from_source(cls, source: str, id: str = "") -> "ProofRecord":
-        """Split a statement-plus-proof text at the first ':= by'; a text
-        without one is MalformedInput, a ValueError."""
-        head, sep, tail = source.partition(PROOF_DELIMITER)
-        if not sep:
+        """Split a statement-plus-proof text by split_source; a text that
+        does not split is MalformedInput, a ValueError."""
+        split = split_source(source)
+        if split is None:
             raise MalformedInput(f"record {id!r}: source has no '{PROOF_DELIMITER}' delimiter")
-        return cls(id=id, statement=head.rstrip(), proof=tail.strip("\n"))
+        return cls(id=id, statement=split[0].rstrip(), proof=split[1].strip("\n"))
 
 
 def read_jsonl(stream) -> list[dict]:
@@ -140,9 +163,10 @@ def from_json(cls, obj, what: str, error=MalformedInput, strict=False, index=Non
     and only the hint says what it may hold: ``bool = None`` is never null.
     A field named id, a string or an integer, is stored as a string and
     names the row in every later error, as ``what 'id'``; until then an
-    error names it ``what index`` when an index is given. A ValueError from
-    ``__post_init__`` is raised as error too. With strict, a key that names
-    no field is an error, at every level; without it, such keys are ignored."""
+    error names it ``what index`` when an index is given. A ValueError or
+    an error from ``__post_init__`` is raised as error too, named. With
+    strict, a key that names no field is an error, at every level; without
+    it, such keys are ignored."""
     name = what if index is None else f"{what} {index}"
     if not isinstance(obj, dict):
         raise error(f"{name} must be a JSON object, not {obj!r:.60}")
@@ -160,7 +184,7 @@ def from_json(cls, obj, what: str, error=MalformedInput, strict=False, index=Non
             raise error(f"{name} missing field {key!r}")
     try:
         return cls(**values)
-    except ValueError as exc:
+    except (ValueError, error) as exc:
         raise error(f"{name}: {exc}") from None
 
 

@@ -27,7 +27,7 @@ from .backends import (
     format_error_report,
 )
 from .linter import lint_fixpoint, lint_once
-from .records import PROOF_DELIMITER, Measure, ProofRecord
+from .records import Measure, ProofRecord, split_source
 
 REPAIR_REPORT_LIMIT = 6000
 SKIPPED_NOTE = "skipped: input does not verify"
@@ -86,17 +86,17 @@ def same_statement(statement: str, other: str) -> bool:
 
 def admissible_text(text: str, statement: str) -> bool:
     """admissible's clauses on text alone, which dataset build also asks of
-    a result: it splits at a ':= by' that Lean reads (a term-mode proof
-    cannot become the next record, and a comment can swallow the
-    delimiter), its statement is the incumbent's (same_statement), its body
-    holds no sorry or admit token as Lean reads it (a comment or sorry_lemma
-    is none), which a checker may pass without its warning, and the metric
-    reads a body holding '/-' or '--' as Lean does (the same lexer.tokens
-    either way)."""
-    head, delimiter, body = text.partition(PROOF_DELIMITER)
-    read_head = lexer.strip_lean_comments(head + delimiter)
-    if not (delimiter and read_head.endswith(delimiter) and same_statement(head, statement)):
+    a result: it splits by split_source, the rule of every record (a
+    term-mode proof cannot become the next record, and a comment can
+    swallow the delimiter), its statement is the incumbent's
+    (same_statement), its body holds no sorry or admit token as Lean reads
+    it (a comment or sorry_lemma is none), which a checker may pass without
+    its warning, and the metric reads a body holding '/-' or '--' as Lean
+    does (the same lexer.tokens either way)."""
+    split = split_source(text)
+    if split is None or not same_statement(split[0], statement):
         return False
+    body = split[1]
     if not any(t in body for t in ("/-", "--", *SORRY_TOKENS)):
         return True  # the body is lexed only when it holds the text sought
     read = lexer.tokens(body, lean=True)
@@ -210,8 +210,8 @@ def _repair_stage(
         if status is VerdictStatus.INVALID:
             diagnostics = memo.verify(text).diagnostics
         report = format_error_report(text, diagnostics) or "proof failed to verify"
-        _, delimiter, body = text.partition(PROOF_DELIMITER)
-        failed_proof = body.strip("\n") if delimiter else text
+        split = split_source(text)
+        failed_proof = split[1].strip("\n") if split else text
         fixes = repairer.repair(statement, failed_proof, report[:REPAIR_REPORT_LIMIT])
         return len(report) > REPAIR_REPORT_LIMIT, [memo.check(fix) for fix in fixes]
 

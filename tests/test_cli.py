@@ -669,6 +669,28 @@ def test_config_value_of_the_wrong_type_exit_code(runner, tmp_path, overrides):
 
 
 @pytest.mark.parametrize(
+    "role,value,message",
+    [
+        ("verifier", {"timeout": 0},
+         f"timeout must be positive and at most {backends._TIMEOUT_MAX} seconds"),
+        ("simplifier", {"max_parallel": 0}, "max_parallel must be at least 1"),
+        ("repairer", {"retries": 0}, "retries must be at least 1"),
+        ("simplifier", {"top_p": 0}, "top_p must be in (0, 1]"),
+        ("simplifier", {"kind": "http_simplifier", "options": {"seed": 3}},
+         "options are read only by kind 'mock', not 'http_simplifier'"),
+    ],
+    ids=["timeout", "max_parallel", "retries", "top_p", "options"],
+)
+def test_a_backend_config_error_names_its_role(runner, tmp_path, role, value, message):
+    roles = {name: {"kind": "mock"} for name in ("verifier", "simplifier", "repairer")}
+    config = write_config(tmp_path, backends={**roles, role: {**roles[role], **value}})
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "lint", proofs])
+    assert result.exit_code == 2
+    assert result.output == f"error: run config backends {role}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "flags,overrides",
     [(["--schedule", "2x1@1.2.3"], {}), (["--schedule", "2x1@."], {}), ([], {"schedule": "2x1@1..5"})],
     ids=["flag-two-points", "flag-point-only", "config-double-point"],
@@ -1218,6 +1240,26 @@ def test_dataset_build_refuses_an_id_given_twice(runner, tmp_path, option):
     assert line.startswith("error: ") and "'a'" in line and option.strip("-") + ".jsonl" in line
 
 
+@pytest.mark.parametrize("argv", [["reward"], ["report", "--kind", "repair"]],
+                         ids=["reward", "report-repair"])
+def test_a_proof_iteration_given_twice_in_shorten_output_is_refused(runner, tmp_path, argv):
+    rows = write_jsonl_file(tmp_path, "rows.jsonl", [trace_row("a", 10, 4)] * 2)
+    result = runner.invoke(main, [*argv, rows])
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"{rows}: proof 'a' iteration 0 is given twice")
+
+
+def test_report_repair_does_not_compare_the_rows_of_trace_files(runner, tmp_path):
+    """A trace file's rows carry no proof_id, and the traces of two proofs
+    may be read together: their iterations are not compared."""
+    row = trace_row("a", 10, 4)
+    del row["proof_id"]
+    rows = write_jsonl_file(tmp_path, "rows.jsonl", [row] * 2)
+    result = runner.invoke(main, ["report", rows, "--kind", "repair"])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("missing", ["proof", "id"])
 def test_dataset_build_rejects_a_malformed_ancestry_row(runner, tmp_path, missing):
     """The second row of --ancestry, and then of --seeds, lacks a field: the
@@ -1676,6 +1718,37 @@ def test_an_unwritable_output_fails_before_the_command_does_any_work(
     assert output.is_file()
     if "--config" in argv:
         assert sum(v.calls for v in verifiers) > 0
+
+
+@pytest.mark.parametrize("statement", [
+    "theorem t : 1 = 1 -- was := by simp",
+    "theorem t (h : 1 = 1 := by simp) : 1 = 1",
+], ids=["comment", "autoparam"])
+@pytest.mark.parametrize("command", ["shorten", "lint", "dataset build"])
+def test_a_statement_holding_the_delimiter_is_refused_at_read(
+    runner, tmp_path, monkeypatch, command, statement
+):
+    """Its text would split inside the statement (or not at all, where the
+    first ':= by' is a comment's), so the record is refused before any check."""
+    verifiers = []
+
+    def counted(cfg):
+        verifiers.append(MockVerifier(cfg))
+        return verifiers[-1]
+
+    monkeypatch.setattr(cli, "make_verifier", counted)
+    config = write_config(tmp_path)
+    rows = write_jsonl_file(tmp_path, "in.jsonl",
+                            [{"id": "t", "statement": statement, "proof": "  skip\n  rfl"}])
+    results = write_jsonl_file(tmp_path, "results.jsonl", [trace_row("t", 10, 4)])
+    argv = {"shorten": ["--config", config, "shorten", rows],
+            "lint": ["--config", config, "lint", rows],
+            "dataset build": ["dataset", "build", "--seeds", rows, "--results", results]}[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.output == (f"error: proof record 't': statement {statement!r} holds ':= by',"
+                             " or a comment or string it does not close\n")
+    assert sum(v.calls for v in verifiers) == 0
 
 
 def test_a_backend_outage_removes_only_the_output_file_the_command_created(

@@ -1,0 +1,114 @@
+"""The statement boundary: records.split_source is the one place a proof text
+is split, and a record whose text would split elsewhere is refused."""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import proofopt
+from proofopt import lexer
+from proofopt.records import PROOF_DELIMITER, ProofRecord, split_source
+
+from conftest import DATA_DIR, read_fixture
+
+# Pieces that open, close or hide a delimiter as Lean reads a text.
+TEXTS = st.lists(
+    st.sampled_from([PROOF_DELIMITER, "--", "/-", "-/", '"', "'", "\n", " ", "a", ":", "="]),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TEXTS)
+def test_split_source_cuts_where_the_metric_does(text):
+    split = split_source(text)
+    if split is not None:
+        assert lexer.strip_statement(text) == split[1].strip()
+
+
+@settings(max_examples=500, deadline=None)
+@given(TEXTS, TEXTS)
+def test_an_accepted_record_round_trips_through_its_full_source(statement, proof):
+    """A record in from_source's form (no trailing blanks in the statement,
+    no blank lines around the proof) that is accepted reads back as itself,
+    and the metric measures its proof."""
+    try:
+        record = ProofRecord("t", statement.rstrip(), proof.strip("\n"))
+    except ValueError:
+        return
+    assert ProofRecord.from_source(record.full_source, id="t") == record
+    assert lexer.strip_statement(record.full_source) == record.proof.strip()
+
+
+@pytest.mark.parametrize("record", [
+    ProofRecord("c", "theorem c : 1 = 1 -- ends in a comment", "  rfl"),
+    ProofRecord("s", 'theorem s : "--" = "--"', "  rfl"),
+    ProofRecord("b", "theorem b /- a -/ : 1 = 1", "  norm_num\n  rfl"),
+    *(ProofRecord.from_source(read_fixture(path.name), id=path.stem)
+      for path in sorted(DATA_DIR.glob("*.lean"))),
+], ids=lambda record: record.id)
+def test_a_record_round_trips_through_from_source(record):
+    """Among the fixtures is putnam_1990_a1_orig, whose statement ends in
+    ':=\\n  by', so its first ':= by' is a have's and the metric cuts there too."""
+    assert ProofRecord.from_source(record.full_source, id=record.id) == record
+    assert lexer.strip_statement(record.full_source) == record.proof.strip()
+
+
+@pytest.mark.parametrize("statement", [
+    "theorem t : 1 = 1 -- was := by simp",
+    "theorem t (h : 1 = 1 := by simp) : 1 = 1",
+    "theorem t /- := by -/ : 1 = 1",
+    "theorem t : 1 = 1 /- unclosed",
+    'theorem t : "unclosed = 1',
+], ids=["line-comment", "autoparam", "block-comment", "unclosed-comment", "unclosed-string"])
+def test_a_statement_whose_text_splits_elsewhere_is_refused(statement):
+    with pytest.raises(ValueError, match="holds ':= by', or a comment or string"):
+        ProofRecord("t", statement, "  rfl")
+
+
+@pytest.mark.parametrize("text", [
+    "theorem t : 1 = 1 -- := by\n:= by\n  rfl",
+    "theorem t /- := by -/ : 1 = 1 := by\n  rfl",
+    'theorem t : "a := by" = "b" := by\n  rfl',
+    "theorem t : 1 = 1 := rfl",
+], ids=["line-comment", "block-comment", "string", "term-mode"])
+def test_split_source_refuses_a_first_delimiter_that_lean_does_not_read(text):
+    assert split_source(text) is None
+
+
+def _docstrings(tree) -> set[int]:
+    """The ids of the docstring constants of tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(proofopt.__file__).parent.glob("*.py")
+           if p.name not in ("records.py", "lexer.py")),
+    ids=lambda path: path.name,
+)
+def test_only_records_and_lexer_split_or_join_a_proof_text(path):
+    """No other module names PROOF_DELIMITER or spells ':= by' outside a
+    docstring: each split goes through records.split_source and each join
+    through ProofRecord.full_source."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = _docstrings(tree)
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "PROOF_DELIMITER")
+        or (isinstance(node, ast.Attribute) and node.attr == "PROOF_DELIMITER")
+        or (isinstance(node, ast.alias) and node.name == "PROOF_DELIMITER")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and PROOF_DELIMITER in node.value and id(node) not in docstrings)
+    ]
+    assert uses == [], f"{path.name} splits or joins a proof text on lines {uses}"

@@ -334,10 +334,15 @@ def test_repair_stage_never_lints_or_adopts_a_fix_that_rewrites_the_statement():
     assert iterations[-1].source_after == start.full_source
 
 
-@pytest.mark.parametrize("text", ["zeta", "theorem t : 1 = 1 := zeta"], ids=["bare", "term"])
+@pytest.mark.parametrize(
+    "text",
+    ["zeta", "theorem t : 1 = 1 := zeta", "theorem t : 1 = 1 -- := by zeta\n:= by\n  zeta"],
+    ids=["bare", "term", "hidden"],
+)
 def test_repair_stage_repairs_a_failed_candidate_without_a_tactic_block(text):
-    """A failed candidate that does not split at ':= by' is repaired with
-    the record's statement and its whole text as the failed proof."""
+    """A failed candidate that does not split (records.split_source: no
+    ':= by', or a first one in a comment) is repaired with the record's
+    statement and its whole text as the failed proof."""
     asked = []
 
     class SpyRepairer(MockRepairer):
