@@ -1,4 +1,5 @@
-"""Verifier, simplifier, and repairer backends, one class per role.
+"""Verifier, simplifier, and repairer backends, one class per role, and
+admissible, the one acceptance rule that adoption, lint and reward ask.
 
 The make_* factories build a role's backend from its config's kind: a
 subprocess checker, a chat-completion endpoint, or for kind mock the
@@ -23,7 +24,7 @@ from urllib.parse import unquote, urlsplit
 
 from . import lexer, prompting
 from .errors import BackendUnavailable, ConfigError, NoProofDelimiter
-from .records import Measure, from_json
+from .records import Measure, from_json, split_source
 
 API_KEY_ENV = "PROOFOPT_API_KEY"
 
@@ -110,6 +111,41 @@ HEARTBEAT_DIRECTIVE = "set_option Elab.async false in\n#count_heartbeats in\n"
 SORRY_WARNING = "declaration uses 'sorry'"
 SORRY_TOKENS = frozenset({"sorry", "admit"})  # what Lean passes with SORRY_WARNING alone
 _HEARTBEAT_COUNT = re.compile(r"used\s+(\d+)\s+heartbeats", re.IGNORECASE)
+
+
+def same_statement(statement: str, other: str) -> bool:
+    """Whether two statements have the same lexer.tokens as Lean reads them:
+    comments and layout aside, they state the same theorem. The statement
+    clause of admissible, and dataset build's check of a result and an
+    ancestor."""
+    return lexer.tokens(statement, lean=True) == lexer.tokens(other, lean=True)
+
+
+def admissible_text(text: str, statement: str) -> bool:
+    """admissible's clauses on text alone, which dataset build also asks of
+    a result: it splits by split_source, the rule of every record (a
+    term-mode proof cannot become the next record, and a comment can
+    swallow the delimiter), its statement is the incumbent's
+    (same_statement), its body holds no sorry or admit token as Lean reads
+    it (a comment or sorry_lemma is none), which a checker may pass without
+    its warning, and the metric reads a body holding '/-' or '--' as Lean
+    does (the same lexer.tokens either way)."""
+    split = split_source(text)
+    if split is None or not same_statement(split[0], statement):
+        return False
+    body = split[1]
+    if not any(t in body for t in ("/-", "--", *SORRY_TOKENS)):
+        return True  # the body is lexed only when it holds the text sought
+    read = lexer.tokens(body, lean=True)
+    return SORRY_TOKENS.isdisjoint(read) and lexer.tokens(body) == read
+
+
+def admissible(entry: CandidateResult, statement: str) -> bool:
+    """Whether entry may replace an incumbent proving statement, the one rule
+    of adoption, the repair lint gate, lint rounds and reward: it verifies,
+    has a score, and its text passes admissible_text."""
+    scored = entry.status is VerdictStatus.VALID and entry.score is not None
+    return scored and admissible_text(entry.text, statement)
 
 
 def parse_diagnostics(output: str, offset: int = 0) -> tuple[Diagnostic, ...]:

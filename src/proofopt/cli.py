@@ -177,13 +177,12 @@ def lint(args):
 
     def lint_one(record: ProofRecord) -> dict:
         memo = VerdictMemo(verifier)
-        # lint_fixpoint's first check is this one again, a memo hit
-        ok = memo.verify(record.full_source).ok
-        linted = lint_fixpoint(record.full_source, memo) if ok else record.full_source
+        linted = lint_fixpoint(record.full_source, memo, record.statement)
         if linted != record.full_source:
             record = ProofRecord.from_source(linted, id=record.id)
         row = {**asdict(record), "length": lexer.proof_length(record.full_source)}
-        return row if ok else {**row, "note": SKIPPED_NOTE}
+        # lint_fixpoint checked the text it returns: a memo hit unless it timed out or crashed
+        return row if memo.verify(linted).ok else {**row, "note": SKIPPED_NOTE}
 
     _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
 

@@ -25,10 +25,6 @@ class BackendUnavailable(ProofOptError):
     """A remote backend could not be reached after the configured retries."""
 
 
-class NotValidInput(ProofOptError):
-    """An operation that requires a valid proof was given an invalid one."""
-
-
 class TemplateMissing(ProofOptError):
     """No prompt template is registered under the requested id."""
 

@@ -29,11 +29,14 @@ _BLOCK_COMMENT = re.compile(r" */-.*-/", re.DOTALL)
 _LINE_COMMENT = re.compile(r" *--.*")
 
 # The pieces of a text as Lean reads it: outside a comment a char literal
-# (a ' that follows no identifier character), a string literal, a line
-# comment, a block comment's opening, or a run of other text; inside a block
-# comment an opening, a closing, or a run of other text.
+# (a ' that follows no identifier character), a string literal, a raw string
+# (an r that follows none, then n #s and a ", closed by a " and n #s), a
+# «»-quoted name, a line comment, a block comment's opening, or a run of
+# other text, where an unclosed string, raw string or name runs to the end of
+# the text; inside a block comment an opening, a closing, or a run of other text.
 _LEAN_CODE = re.compile(
-    r"""(?<![\w'])'(?:\\.|[^\\])'|"(?:\\.|[^"\\])*"?|--[^\n]*|/-|[^"'/-]+|.""", re.DOTALL
+    r"""(?<![\w'])'(?:\\.|[^\\])'|"(?:\\.|[^"\\])*"?|(?<![\w'])r(#*)"(?:.*?"\1|.*)|«[^»]*»?"""
+    r"""|--[^\n]*|/-|(?:[^"'/r«-]+|r(?![#"]))+|.""", re.DOTALL
 )
 _LEAN_COMMENT = re.compile(r"/-|-/|[^/-]+|.", re.DOTALL)
 

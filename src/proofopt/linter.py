@@ -1,14 +1,15 @@
 """Dead-tactic removal driven by the checker's unused-tactic diagnostics,
-checked through the caller's VerdictMemo. A proof goes in and comes out
-as a text: an edit deletes spans from the text's lines and rejoins them,
-and a round that removes nothing returns the text it was given."""
+checked through the caller's VerdictMemo and kept by backends.admissible.
+A proof goes in and comes out as a text: an edit deletes spans from its
+body's lines and rejoins them, and a round that removes nothing returns
+the text it was given."""
 
 from __future__ import annotations
 
 import re
 
-from .backends import VerdictMemo
-from .errors import NotValidInput
+from .backends import VerdictMemo, admissible
+from .records import split_source
 
 _NOOP_DIAGNOSTIC = re.compile(r"'(?P<tactic>[^']+)' tactic does nothing")
 
@@ -46,17 +47,17 @@ def _delete_span(lines: list[str], line_no: int, column: int, tactic: str) -> bo
 def lint_once(source: str, memo: VerdictMemo) -> tuple[str, int]:
     """One lint round: collect do-nothing diagnostics and delete each span.
     Returns the edited text, or source itself when nothing was removed, and
-    the count removed.
-
-    The edited proof is not guaranteed valid; the fixpoint loop re-verifies.
+    the count removed. A round never edits a statement: it ignores each
+    diagnostic before split_source's delimiter, and returns a text that
+    split_source refuses unchecked. The fixpoint loop judges the edit.
     """
-    verdict = memo.verify(source)
-    if not verdict.ok:
-        raise NotValidInput("proof does not verify before linting")
+    if (split := split_source(source)) is None:
+        return source, 0
+    *above, last = split[0].split("\n")  # the delimiter is at (len(above) + 1, len(last))
     spans = []
-    for diag in verdict.diagnostics:
+    for diag in memo.verify(source).diagnostics:
         m = _NOOP_DIAGNOSTIC.search(diag.message.partition("\n")[0])  # not in a goal below
-        if m:
+        if m and (diag.line, diag.column) >= (len(above) + 1, len(last)):
             spans.append((diag.line, diag.column, m.group("tactic")))
     # Delete right-to-left, bottom-to-top so earlier spans stay addressable.
     lines = source.splitlines()
@@ -64,17 +65,20 @@ def lint_once(source: str, memo: VerdictMemo) -> tuple[str, int]:
     return ("\n".join(lines) if removed else source), removed
 
 
-def lint_fixpoint(source: str, memo: VerdictMemo) -> str:
+def lint_fixpoint(source: str, memo: VerdictMemo, statement: str) -> str:
     """Repeat lint rounds until nothing is removed, at most MAX_ROUNDS.
 
-    Each round makes one check: the check of a round's edit decides whether
-    the edit is kept, and the next round's check of it is a memo hit. If a
-    round's edits break the proof, that whole round is reverted and the loop
-    stops, so the result always verifies.
+    A source that is not admissible against statement is returned as it is.
+    Each round makes one check: the rule's answer on a round's edit decides
+    whether the edit is kept, and the next round's check of it is a memo
+    hit. A round whose edit the rule refuses is reverted whole and the loop
+    stops, so the result is admissible whenever the source is.
     """
+    if not admissible(memo.check(source), statement):
+        return source
     for _ in range(MAX_ROUNDS):
         edited, removed = lint_once(source, memo)
-        if removed == 0 or not memo.verify(edited).ok:
+        if removed == 0 or not admissible(memo.check(edited), statement):
             break
         source = edited
     return source

@@ -8,9 +8,10 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .backends import VerdictStatus
+from .backends import VerdictStatus, admissible
 from .errors import EmptyDataset, InvalidK
 from .estimators import SampleSet, dataset_aggregate, effective_scores, min_at_k, red_at_k
+from .records import split_source
 from .shortener import SKIPPED_NOTE, IterationRecord
 
 
@@ -115,9 +116,10 @@ def speedup_report(timings) -> list[dict]:
 
 def repair_accounting(iterations: list[IterationRecord]) -> dict:
     """Stage counts across iterations: simplification attempts and
-    successes, repair attempts and successes, and how many repairs beat the
-    best simplification before and after linting. An iteration skipped
-    because its input does not verify made no simplification request."""
+    successes, repair attempts and successes, and how many admissible
+    repairs beat the incumbent and every admissible simplification before
+    and after linting. An iteration skipped because its input does not
+    verify made no simplification request."""
     row = {
         "simplify_attempted": 0,
         "simplify_valid": 0,
@@ -135,19 +137,14 @@ def repair_accounting(iterations: list[IterationRecord]) -> dict:
             continue
         row["repair_attempted"] += stage.attempted
         row["repair_valid"] += stage.valid
-        best = itrec.score_before
-        valid_scores = [
-            c.score
-            for c in itrec.candidates
-            if c.status is VerdictStatus.VALID and c.score is not None
-        ]
-        if valid_scores:
-            best = min(best, min(valid_scores))
+        split = split_source(itrec.source_after)  # None only in a hand-made row
+        best = min([itrec.score_before] + [c.score for c in itrec.candidates
+                                           if split and admissible(c, split[0])])
         for cand in stage.candidates:
-            if cand.score is not None and cand.score < best:
-                row["repair_shorter_before_lint"] += 1
-            if cand.linted_score is not None and cand.linted_score < best:
-                row["repair_shorter_after_lint"] += 1
+            # linted_score is set for an admissible fix only
+            if cand.linted_score is not None and cand.score is not None:
+                row["repair_shorter_before_lint"] += cand.score < best
+                row["repair_shorter_after_lint"] += cand.linted_score < best
     return row
 
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from . import lexer
 from .backends import (
-    SORRY_TOKENS,
     CandidateResult,
     Repairer,
     Simplifier,
     VerdictMemo,
     VerdictStatus,
     Verifier,
+    admissible,
     format_error_report,
 )
 from .linter import lint_fixpoint, lint_once
@@ -74,41 +73,6 @@ def map_in_order(fn, items: list, width: int) -> list:
         return []
     with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
         return list(pool.map(fn, items))
-
-
-def same_statement(statement: str, other: str) -> bool:
-    """Whether two statements have the same lexer.tokens as Lean reads them:
-    comments and layout aside, they state the same theorem. The statement
-    clause of admissible, and dataset build's check of a result and an
-    ancestor."""
-    return lexer.tokens(statement, lean=True) == lexer.tokens(other, lean=True)
-
-
-def admissible_text(text: str, statement: str) -> bool:
-    """admissible's clauses on text alone, which dataset build also asks of
-    a result: it splits by split_source, the rule of every record (a
-    term-mode proof cannot become the next record, and a comment can
-    swallow the delimiter), its statement is the incumbent's
-    (same_statement), its body holds no sorry or admit token as Lean reads
-    it (a comment or sorry_lemma is none), which a checker may pass without
-    its warning, and the metric reads a body holding '/-' or '--' as Lean
-    does (the same lexer.tokens either way)."""
-    split = split_source(text)
-    if split is None or not same_statement(split[0], statement):
-        return False
-    body = split[1]
-    if not any(t in body for t in ("/-", "--", *SORRY_TOKENS)):
-        return True  # the body is lexed only when it holds the text sought
-    read = lexer.tokens(body, lean=True)
-    return SORRY_TOKENS.isdisjoint(read) and lexer.tokens(body) == read
-
-
-def admissible(entry: CandidateResult, statement: str) -> bool:
-    """Whether entry may replace an incumbent proving statement, the one rule
-    of adoption, the repair lint gate and reward: it verifies, has a score,
-    and its text passes admissible_text."""
-    scored = entry.status is VerdictStatus.VALID and entry.score is not None
-    return scored and admissible_text(entry.text, statement)
 
 
 def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:
@@ -196,7 +160,7 @@ def _repair_stage(
     of its bound are linted to their fixpoint together. An unlinted fix is
     never adopted, and its ``linted_score`` is its bound. This adopts what
     linting every fix would whenever each lint reaches its fixpoint in one
-    round; a first edit that fails its check reverts to the fix, which
+    round; a first edit that the rule refuses reverts to the fix, which
     scores at least the bound. Lean's unused-tactic linter reports every
     unused tactic of a declaration at once, so a second round needs a
     removal that leaves another tactic unused. Under heartbeats every bound
@@ -222,7 +186,7 @@ def _repair_stage(
         return memo.score_bound(lint_once(fix.text, memo)[0])
 
     def lint(fix: CandidateResult) -> CandidateResult:
-        return memo.check(lint_fixpoint(fix.text, memo))
+        return memo.check(lint_fixpoint(fix.text, memo, statement))
 
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]

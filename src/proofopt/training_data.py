@@ -6,10 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import lexer, prompting
-from .backends import VerdictMemo, VerdictStatus, Verifier
+from .backends import CandidateResult, VerdictMemo, VerdictStatus, Verifier
+from .backends import admissible, admissible_text, same_statement
 from .errors import MalformedInput, ZeroOriginal
 from .records import ProofRecord
-from .shortener import CandidateResult, admissible, admissible_text, map_in_order, same_statement
+from .shortener import map_in_order
 
 LENGTH_RATIO = 0.8
 

@@ -16,7 +16,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from proofopt import lexer
-from proofopt.backends import VerdictMemo, VerdictStatus, extract_code_block
+from proofopt.backends import VerdictMemo, VerdictStatus, extract_code_block, same_statement
 from proofopt.estimators import (
     SampleSet,
     dataset_aggregate,
@@ -27,7 +27,7 @@ from proofopt.estimators import (
 )
 from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
-from proofopt.records import ProofRecord
+from proofopt.records import ProofRecord, split_source
 from proofopt.reports import atk_table, corpus_stats
 from proofopt.shortener import CandidateResult, shorten_loop
 from proofopt.training_data import (
@@ -252,11 +252,15 @@ def test_criterion_linter():
             lines = real[:]
             for _ in range(rng.randint(1, 6)):
                 lines.insert(rng.randrange(len(lines) + 1), "  " + rng.choice(noops))
-            record = ProofRecord(id=f"l{i}", statement=f"theorem l{i} : 1 = 1", proof="\n".join(lines))
-            linted = lint_fixpoint(record.full_source, VerdictMemo(verifier))
-            tokens = {t for line in lexer.lex(linted) for t in line}
-            assert not tokens & set(noops)
-            assert lint_fixpoint(linted, VerdictMemo(verifier)) == linted
+            # some statements bind a flagged name, which lint must leave alone
+            binder = f" ({rng.choice(noops)} : Nat)" if i % 3 == 0 else ""
+            statement = f"theorem l{i}{binder} : 1 = 1"
+            record = ProofRecord(id=f"l{i}", statement=statement, proof="\n".join(lines))
+            linted = lint_fixpoint(record.full_source, VerdictMemo(verifier), statement)
+            head, body = split_source(linted)
+            assert same_statement(head, statement)
+            assert not set(lexer.tokens(body)) & set(noops)
+            assert lint_fixpoint(linted, VerdictMemo(verifier), statement) == linted
             assert lexer.proof_length(linted) <= lexer.proof_length(record.full_source)
 
 

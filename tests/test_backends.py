@@ -376,7 +376,9 @@ def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_pa
 def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):
     verifier = _line_checker_verifier(tmp_path)
     start = "theorem t : 1 = 1 := by\n  skip\n  rfl"
-    assert lint_fixpoint(start, VerdictMemo(verifier)) == "theorem t : 1 = 1 := by\n  rfl"
+    assert lint_fixpoint(start, VerdictMemo(verifier), "theorem t : 1 = 1") == (
+        "theorem t : 1 = 1 := by\n  rfl"
+    )
 
 
 @pytest.fixture

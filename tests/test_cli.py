@@ -126,6 +126,33 @@ def test_lint_writes_a_record_that_does_not_verify_unchanged_with_a_note(
     assert "note" not in rows[0] and "note" not in rows[2]
 
 
+def test_lint_keeps_a_statement_that_binds_a_flagged_name(runner, tmp_path):
+    """The mock flags `skip` in the statement too: lint deletes only the
+    body's, and keeps the edit because it proves the same statement."""
+    row = {"id": "a", "statement": "theorem t (skip : Nat) : 1 = 1", "proof": "  skip\n  rfl"}
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    result = runner.invoke(main, ["--config", write_config(tmp_path), "lint", proofs])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {**row, "proof": "  rfl", "length": 1}
+
+
+def test_lint_writes_a_record_that_is_not_admissible_as_read_after_one_check(
+    runner, tmp_path, monkeypatch
+):
+    """The metric reads the string's '--' as a comment, so the record
+    verifies but is not admissible: lint keeps no edit of it."""
+    checked = []
+    verify = MockVerifier._verify
+    monkeypatch.setattr(MockVerifier, "_verify", lambda self, text, *rest: (
+        checked.append(text) or verify(self, text, *rest)))
+    row = {"id": "a", "statement": "theorem a : 1 = 1", "proof": '  have := "a--b"\n  skip\n  rfl'}
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    result = runner.invoke(main, ["--config", write_config(tmp_path), "lint", proofs])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {**row, "length": 6}
+    assert checked == [ProofRecord(**row).full_source]
+
+
 @pytest.mark.parametrize("line", [0, 1])
 def test_a_checker_error_at_line_0_skips_the_record_as_one_at_line_1(runner, tmp_path, line):
     """A checker message at line 0 reads as line 1, an error like any

@@ -105,6 +105,18 @@ def test_tokens_read_comments_as_lean_does_only_when_asked(text, lean, metric):
     assert lexer.tokens(text) == metric
 
 
+@pytest.mark.parametrize("text,kept", [
+    # n #s close only with n #s, an r after an identifier character opens no
+    # raw string, and an unclosed one runs to the end of the text
+    ('r#"a"b -- c"# ++ yr"\\" -- d" -- e\nr##"f"# -- g',
+     'r#"a"b -- c"# ++ yr"\\" -- d" \nr##"f"# -- g'),
+    # a «»-quoted name holds any character, and an unclosed one runs to the end
+    ("«--» x -- c\n«/-» y «a -/ b", "«--» x \n«/-» y «a -/ b"),
+], ids=["raw-string", "quoted-name"])
+def test_strip_lean_comments_reads_a_raw_string_or_a_quoted_name_as_one_piece(text, kept):
+    assert lexer.strip_lean_comments(text) == kept
+
+
 def test_operator_merge():
     assert lexer.lex("a <;> b") == [["a", "<;>", "b"]]
     assert lexer.lex("x := y") == [["x", ":=", "y"]]

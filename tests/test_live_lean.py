@@ -63,7 +63,9 @@ def test_a_skip_before_rfl_is_flagged_and_linted_away(lean):
     assert any("'skip' tactic does nothing" in d.message for d in verdict.diagnostics), (
         verdict.diagnostics
     )
-    assert lint_fixpoint(start, VerdictMemo(lean)) == "theorem t : 1 = 1 := by\n  rfl"
+    assert lint_fixpoint(start, VerdictMemo(lean), "theorem t : 1 = 1") == (
+        "theorem t : 1 = 1 := by\n  rfl"
+    )
 
 
 def test_a_statement_ending_in_a_line_comment_renders_to_a_proof_lean_accepts(lean):

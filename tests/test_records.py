@@ -1,5 +1,6 @@
 """The statement boundary: records.split_source is the one place a proof text
-is split, and a record whose text would split elsewhere is refused."""
+is split, and a record whose text would split elsewhere is refused; and
+backends is the one place the acceptance rule is stated."""
 
 import ast
 from pathlib import Path
@@ -90,10 +91,40 @@ def _docstrings(tree) -> set[int]:
     return found
 
 
+MODULES = sorted(Path(proofopt.__file__).parent.glob("*.py"))
+
+
+def _names(node) -> set[str]:
+    """The names that node binds or reads: a name, an attribute, an import,
+    a definition or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.alias)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {getattr(node, "id", None), getattr(node, "attr", None)} - {None}
+
+
 @pytest.mark.parametrize(
-    "path",
-    sorted(p for p in Path(proofopt.__file__).parent.glob("*.py")
-           if p.name not in ("records.py", "lexer.py")),
+    "path", [p for p in MODULES if p.name != "backends.py"], ids=lambda path: path.name
+)
+def test_only_backends_states_the_acceptance_rule(path):
+    """No other module defines admissible, admissible_text or same_statement,
+    and none names SORRY_TOKENS but mocks, which models the checker's sorry
+    warning: the rule's clauses are written once, and every asker imports
+    them from backends."""
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign)
+    rule = {"admissible", "admissible_text", "same_statement"}
+    uses = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, defines) and _names(node) & rule)
+        or (path.name != "mocks.py" and "SORRY_TOKENS" in _names(node))
+    ]
+    assert uses == [], f"{path.name} states a clause of the rule on lines {uses}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("records.py", "lexer.py")],
     ids=lambda path: path.name,
 )
 def test_only_records_and_lexer_split_or_join_a_proof_text(path):

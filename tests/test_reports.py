@@ -1,5 +1,6 @@
 import csv
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -102,7 +103,7 @@ def _iteration_with_repair():
         k_requested=4,
         temperature=1.0,
         candidates=[
-            CandidateResult(text="a", status=VerdictStatus.VALID, score=9),
+            CandidateResult(text="t := by a", status=VerdictStatus.VALID, score=9),
             CandidateResult(text="b", status=VerdictStatus.INVALID),
             CandidateResult(text="c", status=VerdictStatus.INVALID),
             CandidateResult(text="d", status=VerdictStatus.TIMEOUT),
@@ -132,6 +133,22 @@ def test_repair_accounting():
     # the best simplification scored 9; the repair hit 8 raw and 7 linted
     assert row["repair_shorter_before_lint"] == 1
     assert row["repair_shorter_after_lint"] == 1
+
+
+@pytest.mark.parametrize("candidate,fix,shorter", [
+    # a valid candidate that rewrites the statement is no bar to a repair
+    (CandidateResult("s := by x", VerdictStatus.VALID, 5), RepairEntry(VerdictStatus.VALID, 8, 7),
+     (1, 1)),
+    # a valid fix that is not admissible has no linted_score and beats nothing
+    (CandidateResult("t := by x", VerdictStatus.VALID, 10), RepairEntry(VerdictStatus.VALID, 3),
+     (0, 0)),
+], ids=["rewritten-statement", "fix-not-admissible"])
+def test_repair_accounting_counts_by_the_acceptance_rule(candidate, fix, shorter):
+    itrec = replace(_iteration_with_repair(), candidates=[candidate], adopted=None, score_after=12,
+                    source_after="t := by a")
+    itrec.repair = replace(itrec.repair, candidates=[fix], adopted=None)
+    row = repair_accounting([itrec])
+    assert (row["repair_shorter_before_lint"], row["repair_shorter_after_lint"]) == shorter
 
 
 def test_repair_accounting_counts_no_attempts_for_skipped_iterations():

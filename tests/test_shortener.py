@@ -712,7 +712,7 @@ def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):
         failed_record = ProofRecord.from_source(text)
         for fix in fixes_of[(failed_record.statement, failed_record.proof)]:
             if memo.check(fix).status is VerdictStatus.VALID and PROOF_DELIMITER in fix:
-                fixed = lint_fixpoint(fix, memo)
+                fixed = lint_fixpoint(fix, memo, ProofRecord.from_source(source).statement)
                 linted.append((memo.check(fixed).score, fixed))
             else:
                 linted.append((None, None))

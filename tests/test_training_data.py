@@ -10,19 +10,22 @@ from proofopt.backends import (
     SORRY_TOKENS,
     SORRY_WARNING,
     BackendConfig,
+    CandidateResult,
     Diagnostic,
     SubprocessVerifier,
     Verdict,
     VerdictStatus,
     Verifier,
+    admissible,
     extract_code_block,
     judge,
+    same_statement,
 )
 from proofopt.errors import MalformedInput, ZeroOriginal
 from proofopt.cli import main
 from proofopt.records import PROOF_DELIMITER, ProofRecord, read_jsonl, write_jsonl
 from proofopt.mocks import MockSimplifier
-from proofopt.shortener import CandidateResult, _adopt, admissible, same_statement
+from proofopt.shortener import _adopt
 from proofopt.training_data import (
     AUTO_MACRO,
     LENGTH_RATIO,
@@ -383,10 +386,12 @@ CHEAT_SEED = ProofRecord("t", CHEAT_STATEMENT, "  have h1 : P := hp\n  have h2 :
                          "  have h3 : P := h2\n  exact h3")
 HONEST = f"{CHEAT_STATEMENT} := by\n  have h : P := hp\n  have g : P := h\n  exact g"
 # Bodies that Lean accepts, that the metric scores below HONEST, and that
-# fooled admissible's reader: a string holding '--', and a char literal
-# holding '"'.
+# fooled admissible's reader: a string holding '--', a char literal holding
+# '"', a raw string holding '"' and '--', and a «»-quoted name holding '--'.
 LINE_COMMENT_IN_STRING = '  have _h : "--" = "--" := rfl; exact hp'
 STRING_QUOTE_IN_CHAR = '  have := (\'"\', "/-")\n  exact hp -- -/'
+LINE_COMMENT_IN_RAW_STRING = '  have _s : String := r#" " -- "# ; exact hp'
+LINE_COMMENT_IN_QUOTED_NAME = "  have «--» : True := trivial ; exact hp"
 SORRY_WARNED = (Diagnostic("warning", 1, 0, SORRY_WARNING),)
 
 
@@ -419,6 +424,11 @@ RULES = {
     (f"{CHEAT_STATEMENT} := by\n{LINE_COMMENT_IN_STRING}", (), "metric reads as Lean"),
     # read as a string from the char literal's '"', "/-" opened a comment
     (f"{CHEAT_STATEMENT} := by\n{STRING_QUOTE_IN_CHAR}", (), "metric reads as Lean"),
+    # Lean reads one raw string, then code; read as a string and then a
+    # comment, the body scored as the metric scores it
+    (f"{CHEAT_STATEMENT} := by\n{LINE_COMMENT_IN_RAW_STRING}", (), "metric reads as Lean"),
+    # Lean reads one name, then code
+    (f"{CHEAT_STATEMENT} := by\n{LINE_COMMENT_IN_QUOTED_NAME}", (), "metric reads as Lean"),
     (f"{CHEAT_STATEMENT} := by\n  have a := '\"'\n  have b := \"/-\"\n  sorry\n  have c := \"-/\"",
      (), "sorry token"),
     # Lean reads no ':= by' outside the comment
@@ -426,7 +436,8 @@ RULES = {
      "verdict"),
 ], ids=["rewritten-statement", "comment-hidden-statement", "sorry-warned", "sorry-silent",
         "admit-warned", "admit-silent", "comment-wrapped-body", "comment-wrapped-sorry",
-        "line-comment-in-string", "string-quote-in-char", "string-quote-in-char-sorry",
+        "line-comment-in-string", "string-quote-in-char", "line-comment-in-raw-string",
+        "line-comment-in-quoted-name", "string-quote-in-char-sorry",
         "line-comment-swallows-delimiter"])
 def test_a_known_cheat_is_never_adopted_rewarded_or_paired(text, diagnostics, rule):
     """The checker's verdict on each row comes from its diagnostics, and the
