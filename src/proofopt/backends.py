@@ -9,10 +9,12 @@ max_parallel admission, so callers may fan out freely.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
 import threading
@@ -71,7 +73,7 @@ class CandidateResult:
     score: int | None = None
 
 
-# The longest timeout, in seconds, that every wait takes: subprocess.run's poll()
+# The longest timeout, in seconds, that every wait takes: Popen.communicate's poll()
 # counts milliseconds in a C int, a lock or socket takes threading.TIMEOUT_MAX.
 _TIMEOUT_MAX = min(2**31 // 1000, int(threading.TIMEOUT_MAX))
 
@@ -328,7 +330,8 @@ class SubprocessVerifier(Verifier):
     stdout message. Diagnostics come back at lines of the source: the
     checker reports lines of the file, so the lines of the prepended
     directives are subtracted, and a line inside the directives, or line 0,
-    is reported as line 1.
+    is reported as line 1. The checker runs in its own session, and a
+    timeout or an interrupt kills its whole process group, children too.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -358,23 +361,28 @@ class SubprocessVerifier(Verifier):
                 for part in self._argv
             ]
             try:
-                proc = subprocess.run(
-                    command, capture_output=True, timeout=self.cfg.timeout,
-                    encoding="utf-8", errors="replace",
+                proc = subprocess.Popen(
+                    command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    encoding="utf-8", errors="replace", start_new_session=True,
                 )
-            except subprocess.TimeoutExpired:
-                return Verdict(VerdictStatus.TIMEOUT)
             except OSError as exc:
                 return Verdict(VerdictStatus.CRASH, (Diagnostic("error", 1, 0, str(exc)),))
+            try:
+                stdout, stderr = proc.communicate(timeout=self.cfg.timeout)
+            except BaseException as exc:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    return Verdict(VerdictStatus.TIMEOUT)
+                raise
         finally:
             os.unlink(path)
-        diagnostics = (
-            parse_diagnostics(proc.stdout, offset) + parse_diagnostics(proc.stderr, offset)
-        )
+        diagnostics = parse_diagnostics(stdout, offset) + parse_diagnostics(stderr, offset)
         if proc.returncode != 0 and not diagnostics:
-            crash_info = (Diagnostic("error", 1, 0, proc.stderr.strip() or "checker died"),)
+            crash_info = (Diagnostic("error", 1, 0, stderr.strip() or "checker died"),)
             return Verdict(VerdictStatus.CRASH, crash_info)
-        heartbeats = self._parse_heartbeats(proc.stdout) if want_heartbeats else None
+        heartbeats = self._parse_heartbeats(stdout) if want_heartbeats else None
         return judge(diagnostics, proc.returncode == 0, heartbeats)
 
     @staticmethod

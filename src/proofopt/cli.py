@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 from . import lexer
-from .backends import VerdictMemo, make_repairer, make_simplifier, make_verifier
+from .backends import VerdictMemo, VerdictStatus, make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
 from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
 from .errors import NoProofDelimiter
@@ -176,13 +176,11 @@ def lint(args):
     verifier = make_verifier(cfg.backend("verifier"))
 
     def lint_one(record: ProofRecord) -> dict:
-        memo = VerdictMemo(verifier)
-        linted = lint_fixpoint(record.full_source, memo, record.statement)
-        if linted != record.full_source:
-            record = ProofRecord.from_source(linted, id=record.id)
+        linted = lint_fixpoint(record.full_source, VerdictMemo(verifier), record.statement)
+        if linted.text != record.full_source:
+            record = ProofRecord.from_source(linted.text, id=record.id)
         row = {**asdict(record), "length": lexer.proof_length(record.full_source)}
-        # lint_fixpoint checked the text it returns: a memo hit unless it timed out or crashed
-        return row if memo.verify(linted).ok else {**row, "note": SKIPPED_NOTE}
+        return row if linted.status is VerdictStatus.VALID else {**row, "note": SKIPPED_NOTE}
 
     _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
 
@@ -381,7 +379,7 @@ def report(args):
                     record = from_json(ProofRecord, row, "corpus record", index=i)
                     score = lexer.proof_length(record.full_source)
                 scores.append(score)
-            table = [asdict(reports.corpus_stats(scores))]  # a dict, as --csv needs
+            table = [reports.corpus_stats(scores)]
         elif args.kind == "atk":
             if not args.ks:
                 raise ConfigError("--kind atk needs at least one -k")

@@ -1,14 +1,14 @@
 """Dead-tactic removal driven by the checker's unused-tactic diagnostics,
 checked through the caller's VerdictMemo and kept by backends.admissible.
-A proof goes in and comes out as a text: an edit deletes spans from its
-body's lines and rejoins them, and a round that removes nothing returns
-the text it was given."""
+A proof goes in as a text and comes out as the check result of the text
+kept: an edit deletes spans from its body's lines and rejoins them, and a
+round that removes nothing returns the text it was given."""
 
 from __future__ import annotations
 
 import re
 
-from .backends import VerdictMemo, admissible
+from .backends import CandidateResult, VerdictMemo, admissible
 from .records import split_source
 
 _NOOP_DIAGNOSTIC = re.compile(r"'(?P<tactic>[^']+)' tactic does nothing")
@@ -65,20 +65,21 @@ def lint_once(source: str, memo: VerdictMemo) -> tuple[str, int]:
     return ("\n".join(lines) if removed else source), removed
 
 
-def lint_fixpoint(source: str, memo: VerdictMemo, statement: str) -> str:
-    """Repeat lint rounds until nothing is removed, at most MAX_ROUNDS.
+def lint_fixpoint(source: str, memo: VerdictMemo, statement: str) -> CandidateResult:
+    """Repeat lint rounds until nothing is removed, at most MAX_ROUNDS, and
+    return memo.check's result for the text kept.
 
-    A source that is not admissible against statement is returned as it is.
+    A source that is not admissible against statement is kept as it is.
     Each round makes one check: the rule's answer on a round's edit decides
     whether the edit is kept, and the next round's check of it is a memo
     hit. A round whose edit the rule refuses is reverted whole and the loop
     stops, so the result is admissible whenever the source is.
     """
-    if not admissible(memo.check(source), statement):
-        return source
+    if not admissible(kept := memo.check(source), statement):
+        return kept
     for _ in range(MAX_ROUNDS):
-        edited, removed = lint_once(source, memo)
-        if removed == 0 or not admissible(memo.check(edited), statement):
+        edited, removed = lint_once(kept.text, memo)
+        if removed == 0 or not admissible(result := memo.check(edited), statement):
             break
-        source = edited
-    return source
+        kept = result
+    return kept

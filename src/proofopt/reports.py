@@ -43,20 +43,10 @@ class TraceRow(IterationRecord):  # an iteration row of shorten's output
     proof_id: str = None  # absent from a trace file's rows
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n: int
-    min: int
-    q1: float
-    median: float
-    q3: float
-    max: int
-    mean: float
-
-
-def corpus_stats(scores) -> CorpusStats:
-    """Five-number summary plus mean. Quartiles use linear interpolation
-    between closest ranks; that convention is part of the output contract."""
+def corpus_stats(scores: list) -> dict:
+    """The report's row: count, five-number summary and mean, with min and
+    max the scores as given. Quartiles use linear interpolation between
+    closest ranks; that convention is part of the output contract."""
     values = [float(s) for s in scores]
     if not values:
         raise EmptyDataset("no scores")
@@ -66,15 +56,8 @@ def corpus_stats(scores) -> CorpusStats:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     if not all(map(math.isfinite, (q1, median, q3))):  # scores near the float range overflow
         raise ValueError("quartiles of the scores overflow a float")
-    return CorpusStats(
-        n=len(values),
-        min=int(min(values)),
-        q1=q1,
-        median=median,
-        q3=q3,
-        max=int(max(values)),
-        mean=statistics.fmean(values),
-    )
+    return {"n": len(values), "min": min(scores), "q1": q1, "median": median, "q3": q3,
+            "max": max(scores), "mean": statistics.fmean(values)}
 
 
 def atk_table(per_proof_samples: list[SampleSet], ks: list[int]) -> list[dict]:

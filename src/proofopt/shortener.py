@@ -185,9 +185,6 @@ def _repair_stage(
         # the fix's own check was its first lint round's, so this is a memo hit
         return memo.score_bound(lint_once(fix.text, memo)[0])
 
-    def lint(fix: CandidateResult) -> CandidateResult:
-        return memo.check(lint_fixpoint(fix.text, memo, statement))
-
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
     failed = list(dict.fromkeys(failed))[:budget]
@@ -200,8 +197,9 @@ def _repair_stage(
     while (winner := _adopt(itrec.score_after, fixes, statement)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
-        for i, linted in zip(batch, map_in_order(lint, [fixes[i] for i in batch], width)):
-            fixes[i] = linted
+        linted = map_in_order(lambda i: lint_fixpoint(fixes[i].text, memo, statement), batch, width)
+        for i, fix in zip(batch, linted):
+            fixes[i] = fix
     return RepairStage(
         attempted=len(checked),
         valid=sum(c.status is VerdictStatus.VALID for c in checked),

@@ -256,11 +256,13 @@ def test_criterion_linter():
             binder = f" ({rng.choice(noops)} : Nat)" if i % 3 == 0 else ""
             statement = f"theorem l{i}{binder} : 1 = 1"
             record = ProofRecord(id=f"l{i}", statement=statement, proof="\n".join(lines))
-            linted = lint_fixpoint(record.full_source, VerdictMemo(verifier), statement)
+            result = lint_fixpoint(record.full_source, memo := VerdictMemo(verifier), statement)
+            assert result == memo.check(result.text)
+            linted = result.text
             head, body = split_source(linted)
             assert same_statement(head, statement)
             assert not set(lexer.tokens(body)) & set(noops)
-            assert lint_fixpoint(linted, VerdictMemo(verifier), statement) == linted
+            assert lint_fixpoint(linted, VerdictMemo(verifier), statement).text == linted
             assert lexer.proof_length(linted) <= lexer.proof_length(record.full_source)
 
 
@@ -410,11 +412,11 @@ def test_criterion_report_identities():
             scores = [rng.randint(1, 2000) for _ in range(rng.randint(1, 80))]
             stats = corpus_stats(scores)
             ordered = sorted(scores)
-            for value, q in ((stats.q1, 0.25), (stats.median, 0.5), (stats.q3, 0.75)):
+            for value, q in ((stats["q1"], 0.25), (stats["median"], 0.5), (stats["q3"], 0.75)):
                 pos = q * (len(ordered) - 1)
                 lo = int(pos)
                 hi = min(lo + 1, len(ordered) - 1)
                 want = ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
                 assert value == pytest.approx(want, abs=1e-9)
-            assert stats.min == ordered[0] and stats.max == ordered[-1]
-            assert stats.mean == pytest.approx(sum(scores) / len(scores))
+            assert stats["min"] == ordered[0] and stats["max"] == ordered[-1]
+            assert stats["mean"] == pytest.approx(sum(scores) / len(scores))

@@ -1,10 +1,14 @@
+import contextlib
 import json
 import os
 import shlex
+import signal
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -241,6 +245,69 @@ def test_subprocess_verifier_timeout(tmp_path):
     assert verifier.verify("t := by rfl").status is VerdictStatus.TIMEOUT
 
 
+def _running(pid: int) -> bool:
+    """Whether pid is a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _ends(pid: int) -> bool:
+    """Whether pid stops running within 5 s; SIGKILLed if it does not."""
+    deadline = time.monotonic() + 5
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not _running(pid):
+        return True
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    return False
+
+
+def _sleeper_verifier(pidfile, timeout) -> SubprocessVerifier:
+    """A checker whose shell starts a sleep in the background, writes its
+    pid to pidfile and waits for it."""
+    template = f"sh -c 'sleep 6 & echo $! > {pidfile}; wait' {{file}}"
+    return SubprocessVerifier(
+        BackendConfig(kind="subprocess_verifier", command_template=template, timeout=timeout)
+    )
+
+
+def test_a_timed_out_check_kills_its_checkers_whole_process_group(tmp_path):
+    pidfile = tmp_path / "sleep.pid"
+    verdict = _sleeper_verifier(pidfile, 0.5).verify("t := by rfl")
+    assert verdict.status is VerdictStatus.TIMEOUT
+    assert _ends(int(pidfile.read_text()))
+
+
+def test_an_interrupted_check_kills_its_checkers_group_and_removes_its_file(
+    tmp_path, monkeypatch
+):
+    checked_dir = tmp_path / "checked"
+    checked_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(checked_dir))
+    pidfile = tmp_path / "sleep.pid"
+    communicate = subprocess.Popen.communicate
+    interrupted = []
+
+    def interrupt_once(proc, *args, **kwargs):
+        if interrupted:
+            return communicate(proc, *args, **kwargs)
+        interrupted.append(proc.pid)
+        deadline = time.monotonic() + 5
+        while not (pidfile.exists() and pidfile.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupt_once)
+    with pytest.raises(KeyboardInterrupt):
+        _sleeper_verifier(pidfile, 30).verify("t := by rfl")
+    assert _ends(int(pidfile.read_text())) and not _running(interrupted[0])
+    assert list(checked_dir.iterdir()) == []
+
+
 def test_subprocess_verifier_crash(tmp_path):
     command = _fake_checker(tmp_path, 'echo "segfault" >&2\nexit 139\n')
     verifier = SubprocessVerifier(
@@ -376,7 +443,7 @@ def test_subprocess_verifier_leaves_no_file_for_a_source_that_is_not_utf8(tmp_pa
 def test_lint_fixpoint_on_subprocess_verifier_removes_skip(tmp_path):
     verifier = _line_checker_verifier(tmp_path)
     start = "theorem t : 1 = 1 := by\n  skip\n  rfl"
-    assert lint_fixpoint(start, VerdictMemo(verifier), "theorem t : 1 = 1") == (
+    assert lint_fixpoint(start, VerdictMemo(verifier), "theorem t : 1 = 1").text == (
         "theorem t : 1 = 1 := by\n  rfl"
     )
 

@@ -153,6 +153,23 @@ def test_lint_writes_a_record_that_is_not_admissible_as_read_after_one_check(
     assert checked == [ProofRecord(**row).full_source]
 
 
+def test_lint_checks_a_timed_out_record_once(runner, tmp_path, monkeypatch):
+    """The memo keeps no timeout, so the note comes from the check result
+    lint_fixpoint returns, not from a second check."""
+    checked = []
+    verify = MockVerifier._verify
+    monkeypatch.setattr(MockVerifier, "_verify", lambda self, text, *rest: (
+        checked.append(text) or verify(self, text, *rest)))
+    verifier = {"kind": "mock", "options": {"noop_tactics": ["skip"], "timeout_token": "slow"}}
+    config = write_config(tmp_path, backends={"verifier": verifier})
+    row = {"id": "a", "statement": "theorem a : 1 = 1", "proof": "  slow\n  skip"}
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
+    result = runner.invoke(main, ["--config", config, "lint", proofs])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {**row, "length": 2, "note": shortener.SKIPPED_NOTE}
+    assert checked == [ProofRecord(**row).full_source]
+
+
 @pytest.mark.parametrize("line", [0, 1])
 def test_a_checker_error_at_line_0_skips_the_record_as_one_at_line_1(runner, tmp_path, line):
     """A checker message at line 0 reads as line 1, an error like any

@@ -50,7 +50,7 @@ def test_rejects_invalid_input():
     # an invalid text comes back unchanged after its one check
     verifier = make_verifier()
     start = source("  skip\n  FAIL")
-    assert lint_fixpoint(start, VerdictMemo(verifier), STATEMENT) == start
+    assert lint_fixpoint(start, VerdictMemo(verifier), STATEMENT).text == start
     assert verifier.calls == 1
 
 
@@ -73,7 +73,7 @@ def test_fixpoint_reverts_a_round_whose_edit_is_not_admissible():
     # as a comment: the edit verifies, but the rule refuses it
     verifier = make_verifier()
     start = source('  have := "-skip-"\n  rfl')
-    assert lint_fixpoint(start, VerdictMemo(verifier), STATEMENT) == start
+    assert lint_fixpoint(start, VerdictMemo(verifier), STATEMENT).text == start
     assert verifier.calls == 2
 
 
@@ -85,13 +85,13 @@ def test_fixpoint_does_not_keep_an_edit_without_a_heartbeat_count():
 
     start = source("  skip\n  rfl")
     memo = VerdictMemo(CountsOnlyItsInput(mock_cfg(noop_tactics=["skip"])), Measure.HEARTBEATS)
-    assert lint_fixpoint(start, memo, STATEMENT) == start
+    assert lint_fixpoint(start, memo, STATEMENT).text == start
 
 
 def test_fixpoint_removes_everything_flagged():
     verifier = make_verifier()
     start = source("  skip\n  skip <;> skip\n  rfl\n  ring_nf")
-    linted = lint_fixpoint(start, VerdictMemo(verifier), STATEMENT)
+    linted = lint_fixpoint(start, VerdictMemo(verifier), STATEMENT).text
     assert "skip" not in linted
     assert "ring_nf" not in linted
     assert verifier.verify(linted).ok
@@ -99,15 +99,15 @@ def test_fixpoint_removes_everything_flagged():
 
 def test_fixpoint_idempotent():
     verifier = make_verifier()
-    once = lint_fixpoint(source("  skip\n  rfl"), VerdictMemo(verifier), STATEMENT)
-    twice = lint_fixpoint(once, VerdictMemo(verifier), STATEMENT)
+    once = lint_fixpoint(source("  skip\n  rfl"), VerdictMemo(verifier), STATEMENT).text
+    twice = lint_fixpoint(once, VerdictMemo(verifier), STATEMENT).text
     assert once == twice
 
 
 def test_fixpoint_never_lengthens():
     verifier = make_verifier()
     start = source("  skip\n  rfl <;> skip\n  ring_nf")
-    linted = lint_fixpoint(start, VerdictMemo(verifier), STATEMENT)
+    linted = lint_fixpoint(start, VerdictMemo(verifier), STATEMENT).text
     assert lexer.proof_length(linted) <= lexer.proof_length(start)
 
 
@@ -116,7 +116,7 @@ def test_fixpoint_reverts_breaking_round():
     # the proof and the round must roll back
     verifier = make_verifier(noop_tactics=["rfl"], require_token="rfl")
     start = source("  rfl")
-    linted = lint_fixpoint(start, VerdictMemo(verifier), STATEMENT)
+    linted = lint_fixpoint(start, VerdictMemo(verifier), STATEMENT).text
     assert linted == start
     assert verifier.verify(linted).ok
 
@@ -124,7 +124,7 @@ def test_fixpoint_reverts_breaking_round():
 def test_fixpoint_one_check_per_round():
     # first check flags `skip`; the edit's check finds nothing left to remove
     verifier = make_verifier()
-    linted = lint_fixpoint(source("  skip\n  rfl"), VerdictMemo(verifier), STATEMENT)
+    linted = lint_fixpoint(source("  skip\n  rfl"), VerdictMemo(verifier), STATEMENT).text
     assert linted == source("  rfl")
     assert verifier.calls == 2
     # a breaking round is rolled back after its single check

@@ -63,7 +63,7 @@ def test_a_skip_before_rfl_is_flagged_and_linted_away(lean):
     assert any("'skip' tactic does nothing" in d.message for d in verdict.diagnostics), (
         verdict.diagnostics
     )
-    assert lint_fixpoint(start, VerdictMemo(lean), "theorem t : 1 = 1") == (
+    assert lint_fixpoint(start, VerdictMemo(lean), "theorem t : 1 = 1").text == (
         "theorem t : 1 = 1 := by\n  rfl"
     )
 

@@ -143,3 +143,18 @@ def test_only_records_and_lexer_split_or_join_a_proof_text(path):
             and PROOF_DELIMITER in node.value and id(node) not in docstrings)
     ]
     assert uses == [], f"{path.name} splits or joins a proof text on lines {uses}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "backends.py"], ids=lambda path: path.name
+)
+def test_only_backends_imports_subprocess(path):
+    """No other module imports subprocess: a checker is started, waited for
+    and killed with its process group in one place, SubprocessVerifier."""
+    imports = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "subprocess" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "subprocess")
+    ]
+    assert imports == [], f"{path.name} imports subprocess on lines {imports}"

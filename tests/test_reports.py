@@ -47,12 +47,19 @@ def test_corpus_stats_against_sort_oracle():
         scores = [rng.randint(1, 500) for _ in range(rng.randint(1, 60))]
         stats = corpus_stats(scores)
         q1, median, q3 = sorted_quartiles(scores)
-        assert stats.n == len(scores)
-        assert stats.min == min(scores) and stats.max == max(scores)
-        assert stats.q1 == pytest.approx(q1)
-        assert stats.median == pytest.approx(median)
-        assert stats.q3 == pytest.approx(q3)
-        assert stats.mean == pytest.approx(sum(scores) / len(scores))
+        assert stats["n"] == len(scores)
+        assert stats["min"] == min(scores) and stats["max"] == max(scores)
+        assert stats["q1"] == pytest.approx(q1)
+        assert stats["median"] == pytest.approx(median)
+        assert stats["q3"] == pytest.approx(q3)
+        assert stats["mean"] == pytest.approx(sum(scores) / len(scores))
+
+
+def test_corpus_stats_min_and_max_are_the_scores_as_given():
+    # a max below the report's own q3 would be a truncated score
+    stats = corpus_stats([2.5, 3.5])
+    assert (stats["min"], stats["q3"], stats["max"]) == (2.5, 3.25, 3.5)
+    assert list(stats) == ["n", "min", "q1", "median", "q3", "max", "mean"]
 
 
 def test_corpus_stats_empty():

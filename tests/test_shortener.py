@@ -713,7 +713,7 @@ def _eager_repair(itrec, source, fixes_of, verifier_cfg, measure, budget):
         for fix in fixes_of[(failed_record.statement, failed_record.proof)]:
             if memo.check(fix).status is VerdictStatus.VALID and PROOF_DELIMITER in fix:
                 fixed = lint_fixpoint(fix, memo, ProofRecord.from_source(source).statement)
-                linted.append((memo.check(fixed).score, fixed))
+                linted.append((fixed.score, fixed.text))
             else:
                 linted.append((None, None))
     below = [(score, i) for i, (score, _) in enumerate(linted)
