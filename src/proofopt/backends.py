@@ -319,6 +319,32 @@ class VerdictMemo:
         return 0 if self.want_heartbeats else lexer.proof_length(text)
 
 
+_checker_groups: set[int] = set()  # the process group of each running checker
+_stopping = threading.Event()  # set by a signal: each check from then on raises
+
+
+def _kill_checkers_first(signum, frame):
+    """SIGKILL each running checker's group, which a signal sent to this
+    process's group misses, then do what the signal's default does."""
+    _stopping.set()
+    for pgid in _checker_groups.copy():
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+    if signum == signal.SIGINT:
+        raise KeyboardInterrupt
+    signal.signal(signum, signal.SIG_DFL)
+    signal.raise_signal(signum)
+
+
+def kill_checkers_on_signals() -> None:
+    """Install _kill_checkers_first for each of SIGINT, SIGTERM and SIGHUP
+    that has its default handler: from such a signal on, every check of a
+    SubprocessVerifier raises KeyboardInterrupt. Call from the main thread."""
+    for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(signum) in (signal.SIG_DFL, signal.default_int_handler):
+            signal.signal(signum, _kill_checkers_first)
+
+
 class SubprocessVerifier(Verifier):
     """Runs a checker command on a temp file holding the source.
 
@@ -331,7 +357,8 @@ class SubprocessVerifier(Verifier):
     checker reports lines of the file, so the lines of the prepended
     directives are subtracted, and a line inside the directives, or line 0,
     is reported as line 1. The checker runs in its own session, and a
-    timeout or an interrupt kills its whole process group, children too.
+    timeout, an exception while waiting, or a signal that
+    kill_checkers_on_signals handles kills its whole process group.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -367,15 +394,22 @@ class SubprocessVerifier(Verifier):
                 )
             except OSError as exc:
                 return Verdict(VerdictStatus.CRASH, (Diagnostic("error", 1, 0, str(exc)),))
-            try:
-                stdout, stderr = proc.communicate(timeout=self.cfg.timeout)
-            except BaseException as exc:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                if isinstance(exc, subprocess.TimeoutExpired):
-                    return Verdict(VerdictStatus.TIMEOUT)
-                raise
+            _checker_groups.add(proc.pid)
+            with proc:
+                try:
+                    if not _stopping.is_set():  # read once the group is listed: none escapes
+                        stdout, stderr = proc.communicate(timeout=self.cfg.timeout)
+                    if _stopping.is_set():  # a signal ended the check: no verdict, not a crash
+                        raise KeyboardInterrupt
+                except BaseException as exc:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()  # a process that left the group may hold the pipes open
+                    if isinstance(exc, subprocess.TimeoutExpired):
+                        return Verdict(VerdictStatus.TIMEOUT)
+                    raise
+                finally:
+                    _checker_groups.discard(proc.pid)
         finally:
             os.unlink(path)
         diagnostics = parse_diagnostics(stdout, offset) + parse_diagnostics(stderr, offset)

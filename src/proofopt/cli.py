@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
-from . import lexer
+from . import backends, lexer
 from .backends import VerdictMemo, VerdictStatus, make_repairer, make_simplifier, make_verifier
 from .config import RunConfig, parse_schedule
 from .errors import BackendUnavailable, ConfigError, MalformedInput, ProofOptError
@@ -475,6 +475,7 @@ def main(argv=None, standalone_mode=True) -> None:
     if getattr(args, "output", "-") != "-":
         outputs.append(args.output)
     created = []
+    backends.kill_checkers_on_signals()  # checkers run in their own sessions
     try:
         _claim(outputs, created)
         args.run(args)

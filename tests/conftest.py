@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import signal
 import socket
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -181,3 +184,34 @@ def python_checker(tmp_path, script: str) -> str:
     path = tmp_path / "checker.py"
     path.write_text(script, encoding="utf-8")
     return f"{shlex.quote(sys.executable)} {shlex.quote(str(path))} {{file}}"
+
+
+def pid_in(pidfile: Path) -> int:
+    """The pid a checker writes to pidfile, waited for up to 5 s."""
+    deadline = time.monotonic() + 5
+    while not (pidfile.exists() and pidfile.read_text().strip()):
+        assert time.monotonic() < deadline, f"{pidfile} was not written"
+        time.sleep(0.05)
+    return int(pidfile.read_text())
+
+
+def running(pid: int) -> bool:
+    """Whether pid is a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def ends(pid: int) -> bool:
+    """Whether pid stops running within 5 s; SIGKILLed if it does not, so
+    that a test leaves nothing running."""
+    deadline = time.monotonic() + 5
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not running(pid):
+        return True
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    return False

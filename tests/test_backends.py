@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import shlex
+import shutil
 import signal
 import stat
 import subprocess
@@ -35,7 +36,7 @@ from proofopt.linter import lint_fixpoint
 from proofopt.mocks import MockRepairer, MockSimplifier, MockVerifier
 from proofopt.records import from_json
 
-from conftest import HANG_UP, choices, mock_cfg
+from conftest import HANG_UP, choices, ends, mock_cfg, pid_in, running
 
 
 def test_config_validation():
@@ -245,31 +246,10 @@ def test_subprocess_verifier_timeout(tmp_path):
     assert verifier.verify("t := by rfl").status is VerdictStatus.TIMEOUT
 
 
-def _running(pid: int) -> bool:
-    """Whether pid is a process that is neither gone nor a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def _ends(pid: int) -> bool:
-    """Whether pid stops running within 5 s; SIGKILLed if it does not."""
-    deadline = time.monotonic() + 5
-    while _running(pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if not _running(pid):
-        return True
-    with contextlib.suppress(ProcessLookupError):
-        os.kill(pid, signal.SIGKILL)
-    return False
-
-
-def _sleeper_verifier(pidfile, timeout) -> SubprocessVerifier:
-    """A checker whose shell starts a sleep in the background, writes its
-    pid to pidfile and waits for it."""
-    template = f"sh -c 'sleep 6 & echo $! > {pidfile}; wait' {{file}}"
+def _sleeper_verifier(pidfile, timeout, sleep="sleep 6") -> SubprocessVerifier:
+    """A checker whose shell starts sleep in the background, writes its pid
+    to pidfile and waits for it."""
+    template = f"sh -c '{sleep} & echo $! > {pidfile}; wait' {{file}}"
     return SubprocessVerifier(
         BackendConfig(kind="subprocess_verifier", command_template=template, timeout=timeout)
     )
@@ -277,9 +257,24 @@ def _sleeper_verifier(pidfile, timeout) -> SubprocessVerifier:
 
 def test_a_timed_out_check_kills_its_checkers_whole_process_group(tmp_path):
     pidfile = tmp_path / "sleep.pid"
-    verdict = _sleeper_verifier(pidfile, 0.5).verify("t := by rfl")
+    verdict = _sleeper_verifier(pidfile, 1).verify("t := by rfl")
     assert verdict.status is VerdictStatus.TIMEOUT
-    assert _ends(int(pidfile.read_text()))
+    assert ends(pid_in(pidfile))
+
+
+@pytest.mark.skipif(shutil.which("setsid") is None, reason="needs setsid(1)")
+def test_a_timed_out_check_returns_while_a_process_outside_its_group_holds_the_pipes(tmp_path):
+    """A process the checker started in a new session escapes the group
+    kill and keeps the output pipes open; the check still ends on time."""
+    pidfile = tmp_path / "sleep.pid"
+    start = time.monotonic()
+    try:
+        verdict = _sleeper_verifier(pidfile, 0.5, "setsid sleep 6").verify("t := by rfl")
+        assert verdict.status is VerdictStatus.TIMEOUT
+        assert time.monotonic() - start < 3
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid_in(pidfile), signal.SIGKILL)
 
 
 def test_an_interrupted_check_kills_its_checkers_group_and_removes_its_file(
@@ -289,22 +284,17 @@ def test_an_interrupted_check_kills_its_checkers_group_and_removes_its_file(
     checked_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(checked_dir))
     pidfile = tmp_path / "sleep.pid"
-    communicate = subprocess.Popen.communicate
     interrupted = []
 
-    def interrupt_once(proc, *args, **kwargs):
-        if interrupted:
-            return communicate(proc, *args, **kwargs)
+    def interrupt(proc, *args, **kwargs):
         interrupted.append(proc.pid)
-        deadline = time.monotonic() + 5
-        while not (pidfile.exists() and pidfile.read_text()) and time.monotonic() < deadline:
-            time.sleep(0.05)
+        pid_in(pidfile)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupt_once)
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupt)
     with pytest.raises(KeyboardInterrupt):
         _sleeper_verifier(pidfile, 30).verify("t := by rfl")
-    assert _ends(int(pidfile.read_text())) and not _running(interrupted[0])
+    assert ends(pid_in(pidfile)) and not running(interrupted[0])
     assert list(checked_dir.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ from proofopt.errors import MalformedInput, ProofOptError, TemplateMissing
 from proofopt.mocks import MockSimplifier, MockVerifier
 from proofopt.records import ProofRecord, from_json, read_jsonl
 
-from conftest import COMMENT_CHECKER, DATA_DIR, CliRunner, python_checker
+from conftest import COMMENT_CHECKER, DATA_DIR, CliRunner, ends, pid_in, python_checker
 
 
 @pytest.fixture
@@ -168,6 +169,82 @@ def test_lint_checks_a_timed_out_record_once(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == {**row, "length": 2, "note": shortener.SKIPPED_NOTE}
     assert checked == [ProofRecord(**row).full_source]
+
+
+def _cli_process(argv) -> subprocess.Popen:
+    """`python -m proofopt.cli argv`, its stderr piped, with the default
+    handlers of the signals the CLI handles, which a job started in the
+    background may have inherited as ignored."""
+    src = Path(backends.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+
+    def default_handlers():
+        for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+            signal.signal(signum, signal.SIG_DFL)
+
+    return subprocess.Popen(
+        [sys.executable, "-m", "proofopt.cli", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, preexec_fn=default_handlers,
+    )
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM, signal.SIGHUP], ids=lambda signum: signum.name
+)
+def test_a_signal_to_lint_kills_its_running_checker(tmp_path, signum):
+    """A checker runs in its own session, which a signal sent to the CLI's
+    group misses: the CLI kills the checker's group itself and then ends as
+    the signal's default would, without waiting out the check."""
+    pidfile = tmp_path / "sleep.pid"
+    template = f"sh -c 'sleep 30 & echo $! > {pidfile}; wait' {{file}}"
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "subprocess_verifier", "command_template": template, "timeout": 60},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    proc = _cli_process(["--config", config, "lint", proofs])
+    try:
+        pid_in(pidfile)
+        proc.send_signal(signum)
+        stderr = proc.communicate(timeout=10)[1].decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        ended = ends(pid_in(pidfile))
+    assert proc.returncode == -signum, stderr
+    assert ended
+
+
+def test_an_interrupted_shorten_starts_no_further_check(tmp_path):
+    """After a Ctrl-C, a proof's loop stops at its next check, not at the
+    end of its schedule: the first check passes at once, every later one
+    writes its pid and sleeps."""
+    marker, pidfile = tmp_path / "checked", tmp_path / "sleep.pid"
+    checker = python_checker(tmp_path, f"""\
+import os, time
+if os.path.exists({str(marker)!r}):
+    open({str(pidfile)!r}, "w").write(str(os.getpid()))
+    time.sleep(30)
+open({str(marker)!r}, "w").close()
+""")
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "subprocess_verifier", "command_template": checker, "timeout": 60},
+        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 3}},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    proc = _cli_process(["--config", config, "--workdir", str(tmp_path / "w"), "shorten", proofs])
+    try:
+        pid_in(pidfile)
+        start = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        stderr = proc.communicate(timeout=20)[1].decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        ended = ends(pid_in(pidfile))
+    assert proc.returncode == -signal.SIGINT, stderr
+    assert time.monotonic() - start < 10 and ended
+    trace = tmp_path / "w" / "traces" / "p1.jsonl"  # a killed check is no crash verdict
+    assert not trace.exists() or '"crash"' not in trace.read_text()
 
 
 @pytest.mark.parametrize("line", [0, 1])
