@@ -4,12 +4,14 @@ admissible, the one acceptance rule that adoption, lint and reward ask.
 The make_* factories build a role's backend from its config's kind: a
 subprocess checker, a chat-completion endpoint, or for kind mock the
 deterministic mocks of proofopt.mocks. Every backend enforces its own
-max_parallel admission, so callers may fan out freely.
+max_parallel admission, so callers may fan out freely, and owns a pool of
+as many threads for callers that fan out a batch (map).
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import os
 import re
@@ -19,7 +21,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, make_dataclass, replace
 from enum import Enum
 from urllib.parse import unquote, urlsplit
@@ -236,11 +238,32 @@ class _Admission:
         return False
 
 
-class Verifier:
+class _Backend:
+    """A backend's config, its admission of max_parallel calls at once, and
+    its pool of as many threads, each started when first needed."""
+
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
         self.admission = _Admission(cfg.max_parallel)
+        self.pool = ThreadPoolExecutor(cfg.max_parallel)
 
+    def map(self, fn, items: list) -> list:
+        """fn over items on the pool, with the results in input order. Each
+        call runs in a copy of its caller's context and must not itself call
+        this backend's map. A failure cancels the calls not yet started."""
+        futures = [self.pool.submit(contextvars.copy_context().run, fn, x) for x in items]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def close(self) -> None:
+        """Wait for the pool's calls, then stop its threads."""
+        self.pool.shutdown()
+
+
+class Verifier(_Backend):
     def verify(self, source: str, want_heartbeats: bool = False) -> Verdict:
         """Check a source with the unused-tactic linter on. The lint option
         only adds warnings, so it never changes a verdict's status. A
@@ -299,6 +322,12 @@ class VerdictMemo:
     def _forget(self, source: str) -> None:
         with self._lock:
             del self._verdicts[source]
+
+    def check_all(self, texts: list[str]) -> list[CandidateResult]:
+        """check of each text on the verifier's pool, in input order. A pool
+        call takes its text's entry only once it runs, so it never waits on
+        an owner still queued behind it."""
+        return self.verifier.map(self.check, texts)
 
     def check(self, text: str) -> CandidateResult:
         """The check result of a statement-plus-proof: its status, and its
@@ -425,13 +454,12 @@ class SubprocessVerifier(Verifier):
         return int(m.group(1)) if m else None
 
 
-class Generator:
+class Generator(_Backend):
     """Shared machinery for simplifier and repairer backends."""
 
     def __init__(self, cfg: BackendConfig, client: HttpCompletionClient | None = None):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.client = client
-        self.admission = _Admission(cfg.max_parallel)
         # counted under a lock: the repair stage calls one repairer from several threads
         self.dropped_completions = 0
         self._dropped_lock = threading.Lock()

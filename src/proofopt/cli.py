@@ -273,10 +273,14 @@ def shorten(args):
             if workdir:
                 handle.close()
 
-    # A proof mostly waits on one backend at a time, so one proof per backend
-    # slot keeps every slot busy; admission alone limits the calls in flight.
-    slots = [verifier, simplifier] + ([repairer] if repairer else [])
-    traces = map_in_order(run_one, records, sum(backend.cfg.max_parallel for backend in slots))
+    # Every proof runs at once, each on a thread of its own: admission alone
+    # limits the calls in flight, and each backend's pool its fan-out.
+    try:
+        traces = map_in_order(run_one, records, len(records))
+    finally:
+        for backend in (verifier, simplifier, repairer):
+            if backend:
+                backend.close()
 
     befores = [iterations[0].score_before for iterations in traces]
     afters = [iterations[-1].score_after for iterations in traces]

@@ -131,7 +131,7 @@ def shorten_iteration(
     # Identical candidate texts are verified once, and share one result;
     # @k accounting still uses the requested k.
     unique = list(dict.fromkeys(raw))
-    checked = dict(zip(unique, map_in_order(memo.check, unique, memo.cfg.max_parallel)))
+    checked = dict(zip(unique, memo.check_all(unique)))
     itrec.candidates = [checked[text] for text in raw]
     itrec.adopted = _adopt_into(itrec, itrec.candidates, statement)
     return itrec
@@ -148,9 +148,9 @@ def _repair_stage(
     statement, as proofs of statement, and adopt a fix into itrec by the
     acceptance rule. Returns the stage's record.
 
-    Failed texts are repaired concurrently, as many at once as the verifier
-    admits checks; their results are folded in input order, so the stage's
-    record does not depend on which repair finished first.
+    Failed texts are repaired on the repairer's pool and their fixes checked
+    on the verifier's; results are folded in input order, so the stage's
+    record does not depend on which call finished first.
 
     A fix is judged by the acceptance rule on its linted text and score, and
     only the lowest can win, so fixes are linted best-first. An admissible
@@ -164,20 +164,19 @@ def _repair_stage(
     scores at least the bound. Lean's unused-tactic linter reports every
     unused tactic of a declaration at once, so a second round needs a
     removal that leaves another tactic unused. Under heartbeats every bound
-    is 0, and every fix is linted in one concurrent batch."""
+    is 0, and every fix is linted in one batch. Lint runs on the calling
+    thread."""
 
-    def repair_one(failed: tuple[str, VerdictStatus]) -> tuple[bool, list[CandidateResult]]:
-        text, status = failed
+    def request(text: str, status: VerdictStatus) -> tuple[str, str]:
+        """The failed proof of a failed text, and its error report."""
         # The memo keeps an invalid text's verdict, so its diagnostics cost no
         # check; a timeout or a crash was dropped and is not checked again.
         diagnostics = ()
         if status is VerdictStatus.INVALID:
             diagnostics = memo.verify(text).diagnostics
-        report = format_error_report(text, diagnostics) or "proof failed to verify"
         split = split_source(text)
         failed_proof = split[1].strip("\n") if split else text
-        fixes = repairer.repair(statement, failed_proof, report[:REPAIR_REPORT_LIMIT])
-        return len(report) > REPAIR_REPORT_LIMIT, [memo.check(fix) for fix in fixes]
+        return failed_proof, format_error_report(text, diagnostics) or "proof failed to verify"
 
     def bound(fix: CandidateResult) -> int | None:
         if not admissible(fix, statement):
@@ -187,23 +186,23 @@ def _repair_stage(
 
     # A text sampled more than once is repaired once, in first-seen order.
     failed = [(c.text, c.status) for c in itrec.candidates if c.status is not VerdictStatus.VALID]
-    failed = list(dict.fromkeys(failed))[:budget]
-    width = memo.cfg.max_parallel
-    repaired = map_in_order(repair_one, failed, width)
-    checked = [fix for _, fixes in repaired for fix in fixes]
+    requests = [request(*entry) for entry in list(dict.fromkeys(failed))[:budget]]
+    repaired = repairer.map(
+        lambda req: repairer.repair(statement, req[0], req[1][:REPAIR_REPORT_LIMIT]), requests
+    )
+    checked = memo.check_all([fix for fixes in repaired for fix in fixes])
     # until it is linted, a fix stands in at its bound
     fixes = [replace(fix, score=bound(fix)) for fix in checked]
     unlinted = [i for i, fix in enumerate(fixes) if fix.score is not None]
     while (winner := _adopt(itrec.score_after, fixes, statement)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
-        linted = map_in_order(lambda i: lint_fixpoint(fixes[i].text, memo, statement), batch, width)
-        for i, fix in zip(batch, linted):
-            fixes[i] = fix
+        for i in batch:
+            fixes[i] = lint_fixpoint(fixes[i].text, memo, statement)
     return RepairStage(
         attempted=len(checked),
         valid=sum(c.status is VerdictStatus.VALID for c in checked),
-        truncated_reports=sum(truncated for truncated, _ in repaired),
+        truncated_reports=sum(len(report) > REPAIR_REPORT_LIMIT for _, report in requests),
         candidates=[RepairEntry(c.status, c.score, f.score) for c, f in zip(checked, fixes)],
         adopted=_adopt_into(itrec, fixes, statement),
     )
@@ -230,7 +229,8 @@ def shorten_loop(
     its check saw, or from the input's text for the first, so a resumed run
     goes on as an uninterrupted one. The loop builds one VerdictMemo for this
     proof, which carries the measure: every check and score below goes
-    through it.
+    through it. Once an iteration is skipped, each later one is written as
+    skipped, as its row was, without a check.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -238,8 +238,13 @@ def shorten_loop(
     iterations = list(resume_from or [])
     for index in range(len(iterations), len(schedule)):
         k, temperature = schedule[index]
-        source = iterations[-1].source_after if iterations else record.full_source
-        itrec = shorten_iteration(source, record.statement, k, simplifier, memo, temperature, index)
+        if iterations and iterations[-1].note == SKIPPED_NOTE:
+            itrec = replace(iterations[-1], index=index, k_requested=k, temperature=temperature)
+        else:
+            source = iterations[-1].source_after if iterations else record.full_source
+            itrec = shorten_iteration(
+                source, record.statement, k, simplifier, memo, temperature, index
+            )
         no_valid = itrec.candidates and all(
             c.status is not VerdictStatus.VALID for c in itrec.candidates
         )

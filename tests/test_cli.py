@@ -401,13 +401,15 @@ def test_shorten_checks_one_proof_while_another_waits_on_its_generator(
 
 
 @pytest.mark.parametrize(
-    "records,max_parallel,repair,widest",
-    [(6, 1, "off", 2), (6, 1, "on", 3), (3, 4, "off", 3)],
+    "records,max_parallel,repair",
+    [(6, 1, "off"), (6, 1, "on"), (3, 4, "off")],
     ids=["6-records-1+1", "6-records-1+1+1", "3-records-4+4"],
 )
 def test_shorten_runs_as_many_proofs_as_slots_or_records(
-    runner, tmp_path, monkeypatch, records, max_parallel, repair, widest
+    runner, tmp_path, monkeypatch, records, max_parallel, repair
 ):
+    """Every proof starts at once, however few slots its backends have:
+    admission, not the proof pool, limits the calls in flight."""
     config = slotted_config(tmp_path, max_parallel)
     proofs = write_jsonl_file(tmp_path, "in.jsonl", MORE_PROOFS[:records])
     lock = threading.Lock()
@@ -429,7 +431,45 @@ def test_shorten_runs_as_many_proofs_as_slots_or_records(
     monkeypatch.setattr(cli, "shorten_loop", counted)
     result = runner.invoke(main, ["--config", config, "shorten", "--repair", repair, proofs])
     assert result.exit_code == 0, result.output
-    assert peak == widest
+    assert peak == records
+
+
+def test_shorten_threads_are_one_per_record_and_each_backends_pool(
+    runner, tmp_path, monkeypatch
+):
+    """A repairing run over 12 records with max_parallel 2 lives on the main
+    thread, one thread per proof and at most 2 pool threads per backend; no
+    pool thread outlives the command."""
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [
+        {"id": f"q{i}", "statement": f"theorem q{i} : {i} = {i}",
+         "proof": "\n".join(f"  {t}" for t in TACTICS[i % 3:] + TACTICS[:i // 2])}
+        for i in range(1, 13)
+    ])
+    # candidates that drop the line `key` fail, so iterations repair
+    config = slotted_config(tmp_path, 2, **{
+        "verifier": {"require_token": "key", "noop_tactics": ["skip"]},
+        "simplifier": {"mode": "drop_lines", "drop_probability": 0.85, "seed": 3},
+        "repairer": {"mode": "shorter", "proof_body": "key\n  skip\n  ring"},
+    })
+    start = threading.active_count()
+    peak = 0
+    verify, repair = backends.Verifier.verify, backends.Repairer.repair
+
+    def counted(call):
+        def wrapper(*args, **kwargs):
+            nonlocal peak
+            peak = max(peak, threading.active_count())
+            time.sleep(0.01)  # time for the other proofs to start their calls
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(backends.Verifier, "verify", counted(verify))
+    monkeypatch.setattr(backends.Repairer, "repair", counted(repair))
+    result = runner.invoke(main, ["--config", config, "shorten", "--repair", "on", proofs])
+    assert result.exit_code == 0, result.output
+    assert '"repair": {' in result.output  # the repair stage ran
+    assert start + 12 < peak <= start + 12 + 2 * 3
+    assert threading.active_count() == start
 
 
 class SlowVerifier(MockVerifier):
@@ -594,6 +634,45 @@ def test_shorten_resume_of_an_unnormalised_record_is_byte_identical(runner, tmp_
     trace_file.write_bytes(first)
     resumed = runner.invoke(main, args)
     assert resumed.exit_code == 0, resumed.output
+    assert resumed.output == full.output
+    assert trace_file.read_bytes() == uninterrupted
+
+
+def test_a_skipped_proof_is_checked_once_and_resumes_without_a_check(
+    runner, tmp_path, monkeypatch
+):
+    """An input whose check times out is checked once: each later row of its
+    schedule is written as skipped without a check, and so is each row that
+    a resume adds, so the resumed trace is byte-identical."""
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "mock", "options": {"timeout_token": "slow"}},
+        "simplifier": {"kind": "mock"},
+    }, schedule="2x4")
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [
+        {"id": "a", "statement": "theorem a : 1 = 1", "proof": "  slow\n  skip"}
+    ])
+    verifiers = []
+
+    def counting(cfg):
+        verifiers.append(MockVerifier(cfg))
+        return verifiers[-1]
+
+    monkeypatch.setattr("proofopt.cli.make_verifier", counting)
+    workdir = tmp_path / "wd"
+    args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0, full.output
+    assert verifiers[0].calls == 1
+    trace_file = workdir / "traces" / "a.jsonl"
+    uninterrupted = trace_file.read_bytes()
+    lines = uninterrupted.splitlines(keepends=True)
+    assert [json.loads(line)["index"] for line in lines] == [0, 1, 2, 3]
+    assert all(json.loads(line)["note"] == cli.SKIPPED_NOTE for line in lines)
+
+    trace_file.write_bytes(b"".join(lines[:2]))
+    resumed = runner.invoke(main, args)
+    assert resumed.exit_code == 0, resumed.output
+    assert verifiers[1].calls == 0
     assert resumed.output == full.output
     assert trace_file.read_bytes() == uninterrupted
 

@@ -158,3 +158,26 @@ def test_only_backends_imports_subprocess(path):
         or (isinstance(node, ast.ImportFrom) and node.module == "subprocess")
     ]
     assert imports == [], f"{path.name} imports subprocess on lines {imports}"
+
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "backends.py"], ids=lambda path: path.name
+)
+def test_only_backends_and_map_in_order_start_a_thread_pool(path):
+    """ThreadPoolExecutor(...) is called only in backends, whose pools fan
+    out a proof's calls, and in shortener.map_in_order, which the CLI runs
+    its records on; shortener never calls map_in_order, so a proof's calls
+    fan out on its backends' pools alone."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called, allowed = {"ThreadPoolExecutor"}, set()
+    if path.name == "shortener.py":
+        called.add("map_in_order")
+        (pool,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "map_in_order"]
+        allowed = {id(node) for node in ast.walk(pool)}
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func) & called and id(node) not in allowed
+    ]
+    assert calls == [], f"{path.name} starts a pool on lines {calls}"

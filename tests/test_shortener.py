@@ -927,6 +927,25 @@ def test_memo_checks_each_key_once(monkeypatch, measure):
     assert len(texts) > len(set(texts))  # repeats were asked for and answered
 
 
+def test_check_all_checks_on_the_verifiers_pool_in_input_order():
+    class ThreadNamingVerifier(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            threads.add(threading.current_thread())
+            return super()._verify(source, want_heartbeats)
+
+    threads = set()
+    verifier = ThreadNamingVerifier(mock_cfg(max_parallel=1))
+    texts = ["t := by rfl", "t := by FAIL", "t := by rfl"]
+    results = VerdictMemo(verifier).check_all(texts)
+    assert [r.text for r in results] == texts
+    assert [r.status for r in results] == [
+        VerdictStatus.VALID, VerdictStatus.INVALID, VerdictStatus.VALID
+    ]
+    assert verifier.calls == 2  # the repeat, queued behind its first check, is a hit
+    assert len(threads) == 1 and threading.main_thread() not in threads
+    verifier.close()
+
+
 def test_memo_asks_again_after_timeout():
     class FlakyVerifier(MockVerifier):
         def _verify(self, source, want_heartbeats):
