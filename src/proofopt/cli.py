@@ -273,10 +273,13 @@ def shorten(args):
             if workdir:
                 handle.close()
 
-    # Every proof runs at once, each on a thread of its own: admission alone
-    # limits the calls in flight, and each backend's pool its fan-out.
+    # Up to four proofs per backend slot run at once, each on a thread of its
+    # own and holding its trace file open: enough that admission, not the
+    # proof pool, limits the calls in flight, while threads and open files
+    # stay bounded however long the input. Each backend's pool is its fan-out.
+    slots = [verifier, simplifier] + ([repairer] if repairer else [])
     try:
-        traces = map_in_order(run_one, records, len(records))
+        traces = map_in_order(run_one, records, 4 * sum(b.cfg.max_parallel for b in slots))
     finally:
         for backend in (verifier, simplifier, repairer):
             if backend:

@@ -164,8 +164,7 @@ def _repair_stage(
     scores at least the bound. Lean's unused-tactic linter reports every
     unused tactic of a declaration at once, so a second round needs a
     removal that leaves another tactic unused. Under heartbeats every bound
-    is 0, and every fix is linted in one batch. Lint runs on the calling
-    thread."""
+    is 0, and every fix is linted in one batch, on the verifier's pool."""
 
     def request(text: str, status: VerdictStatus) -> tuple[str, str]:
         """The failed proof of a failed text, and its error report."""
@@ -197,8 +196,9 @@ def _repair_stage(
     while (winner := _adopt(itrec.score_after, fixes, statement)) in unlinted:
         batch = [i for i in unlinted if fixes[i].score == fixes[winner].score]
         unlinted = [i for i in unlinted if i not in batch]
-        for i in batch:
-            fixes[i] = lint_fixpoint(fixes[i].text, memo, statement)
+        linted = memo.verifier.map(lambda i: lint_fixpoint(fixes[i].text, memo, statement), batch)
+        for i, fix in zip(batch, linted):
+            fixes[i] = fix
     return RepairStage(
         attempted=len(checked),
         valid=sum(c.status is VerdictStatus.VALID for c in checked),
@@ -229,8 +229,10 @@ def shorten_loop(
     its check saw, or from the input's text for the first, so a resumed run
     goes on as an uninterrupted one. The loop builds one VerdictMemo for this
     proof, which carries the measure: every check and score below goes
-    through it. Once an iteration is skipped, each later one is written as
-    skipped, as its row was, without a check.
+    through it. A proof whose every iteration so far was skipped never
+    verified: each later iteration is written as skipped, as its row was,
+    without a check. After a proof has verified, a skipped iteration (its
+    incumbent's check timed out or crashed) is checked again at the next.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -238,7 +240,7 @@ def shorten_loop(
     iterations = list(resume_from or [])
     for index in range(len(iterations), len(schedule)):
         k, temperature = schedule[index]
-        if iterations and iterations[-1].note == SKIPPED_NOTE:
+        if iterations and all(itrec.note == SKIPPED_NOTE for itrec in iterations):
             itrec = replace(iterations[-1], index=index, k_requested=k, temperature=temperature)
         else:
             source = iterations[-1].source_after if iterations else record.full_source

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import shlex
 import shutil
 import signal
@@ -305,11 +306,16 @@ def test_shorten_deterministic(runner, tmp_path):
 
 
 TACTICS = ["skip", "norm_num", "key", "ring", "skip", "simp", "rfl"]
-MORE_PROOFS = [
-    {"id": f"q{i}", "statement": f"theorem q{i} : {i} = {i}",
-     "proof": "\n".join(f"  {t}" for t in TACTICS[i % 3:] + TACTICS[:i // 2])}
-    for i in range(1, 7)
-]
+def numbered_proofs(count: int) -> list[dict]:
+    """count input rows q1, q2, ..., each proof a different mix of TACTICS."""
+    return [
+        {"id": f"q{i}", "statement": f"theorem q{i} : {i} = {i}",
+         "proof": "\n".join(f"  {t}" for t in TACTICS[i % 3:] + TACTICS[:i // 2])}
+        for i in range(1, count + 1)
+    ]
+
+
+MORE_PROOFS = numbered_proofs(6)
 
 
 def slotted_config(tmp_path, max_parallel, **options) -> str:
@@ -401,17 +407,17 @@ def test_shorten_checks_one_proof_while_another_waits_on_its_generator(
 
 
 @pytest.mark.parametrize(
-    "records,max_parallel,repair",
-    [(6, 1, "off"), (6, 1, "on"), (3, 4, "off")],
-    ids=["6-records-1+1", "6-records-1+1+1", "3-records-4+4"],
+    "records,max_parallel,repair,widest",
+    [(6, 1, "off", 6), (6, 1, "on", 6), (3, 4, "off", 3), (12, 1, "off", 8)],
+    ids=["6-records-1+1", "6-records-1+1+1", "3-records-4+4", "12-records-1+1"],
 )
 def test_shorten_runs_as_many_proofs_as_slots_or_records(
-    runner, tmp_path, monkeypatch, records, max_parallel, repair
+    runner, tmp_path, monkeypatch, records, max_parallel, repair, widest
 ):
-    """Every proof starts at once, however few slots its backends have:
-    admission, not the proof pool, limits the calls in flight."""
+    """Up to four proofs per backend slot start at once: admission, not the
+    proof pool, limits the calls in flight, and a longer input waits."""
     config = slotted_config(tmp_path, max_parallel)
-    proofs = write_jsonl_file(tmp_path, "in.jsonl", MORE_PROOFS[:records])
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", numbered_proofs(records))
     lock = threading.Lock()
     running = peak = 0
     loop = cli.shorten_loop
@@ -431,7 +437,7 @@ def test_shorten_runs_as_many_proofs_as_slots_or_records(
     monkeypatch.setattr(cli, "shorten_loop", counted)
     result = runner.invoke(main, ["--config", config, "shorten", "--repair", repair, proofs])
     assert result.exit_code == 0, result.output
-    assert peak == records
+    assert peak == widest
 
 
 def test_shorten_threads_are_one_per_record_and_each_backends_pool(
@@ -440,11 +446,7 @@ def test_shorten_threads_are_one_per_record_and_each_backends_pool(
     """A repairing run over 12 records with max_parallel 2 lives on the main
     thread, one thread per proof and at most 2 pool threads per backend; no
     pool thread outlives the command."""
-    proofs = write_jsonl_file(tmp_path, "in.jsonl", [
-        {"id": f"q{i}", "statement": f"theorem q{i} : {i} = {i}",
-         "proof": "\n".join(f"  {t}" for t in TACTICS[i % 3:] + TACTICS[:i // 2])}
-        for i in range(1, 13)
-    ])
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", numbered_proofs(12))
     # candidates that drop the line `key` fail, so iterations repair
     config = slotted_config(tmp_path, 2, **{
         "verifier": {"require_token": "key", "noop_tactics": ["skip"]},
@@ -470,6 +472,28 @@ def test_shorten_threads_are_one_per_record_and_each_backends_pool(
     assert '"repair": {' in result.output  # the repair stage ran
     assert start + 12 < peak <= start + 12 + 2 * 3
     assert threading.active_count() == start
+
+
+def test_shorten_holds_open_files_for_only_the_proofs_it_runs(tmp_path):
+    """Each running proof holds its trace file open, so a workdir run over
+    more records than the process may open files still ends cleanly."""
+    limit = 32
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", numbered_proofs(4 * limit))
+    config = slotted_config(tmp_path, 1)
+    src = Path(backends.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+
+    def few_files():
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "proofopt.cli", "--config", config,
+         "--workdir", str(tmp_path / "wd"), "shorten", proofs],
+        capture_output=True, text=True, env=env, preexec_fn=few_files, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert len(list((tmp_path / "wd" / "traces").iterdir())) == 4 * limit
 
 
 class SlowVerifier(MockVerifier):
@@ -675,6 +699,35 @@ def test_a_skipped_proof_is_checked_once_and_resumes_without_a_check(
     assert verifiers[1].calls == 0
     assert resumed.output == full.output
     assert trace_file.read_bytes() == uninterrupted
+
+
+def test_a_skip_after_the_proof_verified_is_checked_again(runner, tmp_path, monkeypatch):
+    """A resumed proof whose persisted incumbent times out once on its
+    recheck writes that row as skipped, then checks the incumbent again at
+    the next iteration: it verified before, so its last row keeps a score
+    and the summary counts no made-up reduction."""
+    config = write_config(tmp_path, schedule="2x3")
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    workdir = tmp_path / "wd"
+    args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
+    assert runner.invoke(main, args).exit_code == 0
+    trace_file = workdir / "traces" / "p1.jsonl"
+    trace_file.write_bytes(trace_file.read_bytes().splitlines(keepends=True)[0])
+
+    class TimesOutOnce(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            if self.calls == 0:
+                self.calls += 1
+                return backends.Verdict(backends.VerdictStatus.TIMEOUT)
+            return super()._verify(source, want_heartbeats)
+
+    monkeypatch.setattr("proofopt.cli.make_verifier", TimesOutOnce)
+    resumed = runner.invoke(main, args)
+    assert resumed.exit_code == 0, resumed.output
+    *rows, summary = [json.loads(line) for line in resumed.output.splitlines()]
+    assert [row["note"] for row in rows] == ["", cli.SKIPPED_NOTE, ""]
+    assert rows[2]["score_before"] == rows[0]["score_after"] > 0
+    assert summary["summary"]["mean_reduction"] < 1
 
 
 def test_shorten_resume_after_torn_write(runner, tmp_path):

@@ -834,13 +834,14 @@ def test_repair_stage_cuts_a_report_over_the_limit_and_counts_it():
 
 
 def _bounded_fixes_scenario(measure):
-    """Four valid fixes whose first lint edits keep 3, 1, 2 and 4 tokens, and
-    the texts the verifier was asked to check."""
+    """Four valid fixes whose first lint edits keep 3, 1, 2 and 4 tokens, the
+    lint edits the verifier was asked to check, and the threads that checked
+    them."""
     checked = []
 
     class SpyVerifier(MockVerifier):
         def _verify(self, source, want_heartbeats):
-            checked.append(source)
+            checked.append((source, threading.current_thread()))
             return super()._verify(source, want_heartbeats)
 
     bodies = ["  skip\n  a\n  b\n  c", "  skip\n  a", "  skip\n  a\n  b",
@@ -854,11 +855,12 @@ def _bounded_fixes_scenario(measure):
     itrec = iterations[0]
     known = {start.full_source, *(c.text for c in itrec.candidates)}
     known.update(f"{start.statement} := by\n{body}" for body in bodies)
-    return itrec, [text for text in checked if text not in known]
+    edits = [(text, thread) for text, thread in checked if text not in known]
+    return itrec, [text for text, _ in edits], {thread for _, thread in edits}
 
 
 def test_repair_stage_lints_only_the_fix_that_can_win():
-    itrec, edits = _bounded_fixes_scenario(Measure.TOKEN_LENGTH)
+    itrec, edits, _ = _bounded_fixes_scenario(Measure.TOKEN_LENGTH)
     assert edits == ["theorem g : 1 = 1 := by\n  a"]
     assert itrec.repair.adopted == 1
     assert itrec.score_after == 1
@@ -866,8 +868,9 @@ def test_repair_stage_lints_only_the_fix_that_can_win():
 
 
 def test_repair_stage_lints_every_fix_under_heartbeats():
-    itrec, edits = _bounded_fixes_scenario(Measure.HEARTBEATS)
+    itrec, edits, threads = _bounded_fixes_scenario(Measure.HEARTBEATS)
     assert len(edits) == 4
+    assert threading.current_thread() not in threads  # linted on the verifier's pool
     assert itrec.repair.adopted == 1
     assert [c.linted_score for c in itrec.repair.candidates] == [300, 100, 200, 400]
 
