@@ -295,7 +295,6 @@ class VerdictMemo:
 
     def __init__(self, verifier: Verifier, measure: Measure = Measure.TOKEN_LENGTH):
         self.verifier = verifier
-        self.cfg = verifier.cfg
         self.want_heartbeats = measure is Measure.HEARTBEATS
         self._lock = threading.Lock()
         self._verdicts: dict[str, Future] = {}

@@ -182,7 +182,10 @@ def lint(args):
         row = {**asdict(record), "length": lexer.proof_length(record.full_source)}
         return row if linted.status is VerdictStatus.VALID else {**row, "note": SKIPPED_NOTE}
 
-    _write_rows(args.output, map_in_order(lint_one, records, verifier.cfg.max_parallel))
+    try:
+        _write_rows(args.output, verifier.map(lint_one, records))
+    finally:
+        verifier.close()
 
 
 def _trace_path(workdir: Path, proof_id: str) -> Path:
@@ -338,7 +341,10 @@ def dataset_filter_trivial(args):
 
     cfg = _load_config(args)
     verifier = make_verifier(cfg.backend("verifier"))
-    kept, discarded = training_data.filter_trivial(_read(_rows(args.input)), verifier)
+    try:
+        kept, discarded = training_data.filter_trivial(_read(_rows(args.input)), verifier)
+    finally:
+        verifier.close()
     _write_rows(args.output, kept)
     print(f"kept {len(kept)} discarded {len(discarded)}", file=sys.stderr)
 

@@ -101,6 +101,7 @@ def _adopt_into(
 
 def shorten_iteration(
     source: str,
+    score: int,
     statement: str,
     k: int,
     simplifier: Simplifier,
@@ -108,25 +109,13 @@ def shorten_iteration(
     temperature: float,
     index: int,
 ) -> IterationRecord:
-    """One best-of-k round from source, an incumbent proof of statement.
-    Every check and score goes through the proof's memo, which carries the
+    """One best-of-k round from source, an incumbent proof of statement
+    whose check scored score; the incumbent is not checked again. Every
+    check and score goes through the proof's memo, which carries the
     measure, and each candidate is stored as its check came back. The
     round's source_after is source unless a candidate passes the acceptance
-    rule; a source without a score is skipped, with score 0."""
-    score = memo.check(source).score
-    itrec = IterationRecord(
-        index=index,
-        k_requested=k,
-        temperature=temperature,
-        candidates=[],
-        adopted=None,
-        score_before=score or 0,
-        score_after=score or 0,
-        source_after=source,
-    )
-    if score is None:
-        itrec.note = SKIPPED_NOTE
-        return itrec
+    rule."""
+    itrec = IterationRecord(index, k, temperature, [], None, score, score, source)
     raw = simplifier.simplify(source, k, temperature=temperature)
     # Identical candidate texts are verified once, and share one result;
     # @k accounting still uses the requested k.
@@ -225,33 +214,36 @@ def shorten_loop(
     ``schedule`` is a list of (k, temperature) pairs. ``on_iteration`` is
     called with each finished IterationRecord, which is how partial traces
     get persisted. ``resume_from`` holds iterations already finished, kept
-    as they are. Every iteration starts from the last source_after, the text
-    its check saw, or from the input's text for the first, so a resumed run
-    goes on as an uninterrupted one. The loop builds one VerdictMemo for this
-    proof, which carries the measure: every check and score below goes
-    through it. A proof whose every iteration so far was skipped never
-    verified: each later iteration is written as skipped, as its row was,
-    without a check. After a proof has verified, a skipped iteration (its
-    incumbent's check timed out or crashed) is checked again at the next.
+    as they are. The input's text is checked once, here; after that each
+    iteration starts from the row before's source_after and score_after,
+    the text and score its check saw, and a resumed run from its last row
+    not skipped, so it checks no incumbent and goes on as an uninterrupted
+    run would. The loop builds one VerdictMemo for this proof, which
+    carries the measure: every check and score below goes through it. An
+    input without a score (it does not verify) is skipped: every row, a
+    resumed run's too, is written as skipped, with score 0, without a check.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
     memo = VerdictMemo(verifier, measure)
     iterations = list(resume_from or [])
+    source, score = record.full_source, None
+    if verified := [itrec for itrec in iterations if itrec.note != SKIPPED_NOTE]:
+        source, score = verified[-1].source_after, verified[-1].score_after
+    elif not iterations:
+        score = memo.check(source).score
     for index in range(len(iterations), len(schedule)):
         k, temperature = schedule[index]
-        if iterations and all(itrec.note == SKIPPED_NOTE for itrec in iterations):
-            itrec = replace(iterations[-1], index=index, k_requested=k, temperature=temperature)
+        if score is None:
+            itrec = IterationRecord(index, k, temperature, [], None, 0, 0, source, SKIPPED_NOTE)
         else:
-            source = iterations[-1].source_after if iterations else record.full_source
             itrec = shorten_iteration(
-                source, record.statement, k, simplifier, memo, temperature, index
+                source, score, record.statement, k, simplifier, memo, temperature, index
             )
-        no_valid = itrec.candidates and all(
-            c.status is not VerdictStatus.VALID for c in itrec.candidates
-        )
-        if repairer is not None and no_valid:
-            itrec.repair = _repair_stage(record.statement, itrec, repairer, memo, repair_budget)
+            valid = [c.status is VerdictStatus.VALID for c in itrec.candidates]
+            if repairer is not None and valid and not any(valid):
+                itrec.repair = _repair_stage(record.statement, itrec, repairer, memo, repair_budget)
+            source, score = itrec.source_after, itrec.score_after
         iterations.append(itrec)
         if on_iteration is not None:
             on_iteration(itrec)

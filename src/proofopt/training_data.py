@@ -10,7 +10,6 @@ from .backends import CandidateResult, VerdictMemo, VerdictStatus, Verifier
 from .backends import admissible, admissible_text, same_statement
 from .errors import MalformedInput, ZeroOriginal
 from .records import ProofRecord
-from .shortener import map_in_order
 
 LENGTH_RATIO = 0.8
 
@@ -95,9 +94,9 @@ def filter_trivial(
     theorems: list[ProofRecord], verifier: Verifier
 ) -> tuple[list[ProofRecord], list[ProofRecord]]:
     """Partition theorems, each in input order, by whether the automation
-    cascade alone proves them, checking as many at once as the verifier
-    admits, each through its own VerdictMemo. Timeouts and crashes count as
-    kept: not provable within budget."""
+    cascade alone proves them, each through its own VerdictMemo on the
+    verifier's pool. Timeouts and crashes count as kept: not provable
+    within budget."""
 
     def trivial(theorem: ProofRecord) -> bool:
         # full_source starts a line with ':= by' after a statement's '--' comment
@@ -105,7 +104,7 @@ def filter_trivial(
         return VerdictMemo(verifier).verify(probe).ok
 
     kept, discarded = [], []
-    proven = map_in_order(trivial, theorems, verifier.cfg.max_parallel)
+    proven = verifier.map(trivial, theorems)
     for theorem, proved in zip(theorems, proven):
         (discarded if proved else kept).append(theorem)
     return kept, discarded

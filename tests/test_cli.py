@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -538,10 +539,10 @@ def test_lint_and_filter_trivial_of_an_empty_input_start_no_pool(
     config = slotted_config(tmp_path, 2)
     empty = write_jsonl_file(tmp_path, "empty.jsonl", [])
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pool thread was started")
 
-    monkeypatch.setattr(shortener, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(ThreadPoolExecutor, "_adjust_thread_count", no_thread)
     result = runner.invoke(main, ["--config", config, *command, empty])
     assert result.exit_code == 0, result.output
     assert not [line for line in result.output.splitlines() if line.startswith("{")]
@@ -701,16 +702,19 @@ def test_a_skipped_proof_is_checked_once_and_resumes_without_a_check(
     assert trace_file.read_bytes() == uninterrupted
 
 
-def test_a_skip_after_the_proof_verified_is_checked_again(runner, tmp_path, monkeypatch):
-    """A resumed proof whose persisted incumbent times out once on its
-    recheck writes that row as skipped, then checks the incumbent again at
-    the next iteration: it verified before, so its last row keeps a score
-    and the summary counts no made-up reduction."""
-    config = write_config(tmp_path, schedule="2x3")
+def test_a_resume_whose_first_check_times_out_sums_up_as_an_uninterrupted_run(
+    runner, tmp_path, monkeypatch
+):
+    """A resumed proof starts from its last row's incumbent and score, not
+    from a check of it: a first check that times out costs a candidate, not
+    the incumbent, so no row is skipped and the summary counts no made-up
+    reduction."""
+    config = write_config(tmp_path, schedule="2x2")
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
     workdir = tmp_path / "wd"
     args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
-    assert runner.invoke(main, args).exit_code == 0
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0, full.output
     trace_file = workdir / "traces" / "p1.jsonl"
     trace_file.write_bytes(trace_file.read_bytes().splitlines(keepends=True)[0])
 
@@ -725,9 +729,47 @@ def test_a_skip_after_the_proof_verified_is_checked_again(runner, tmp_path, monk
     resumed = runner.invoke(main, args)
     assert resumed.exit_code == 0, resumed.output
     *rows, summary = [json.loads(line) for line in resumed.output.splitlines()]
-    assert [row["note"] for row in rows] == ["", cli.SKIPPED_NOTE, ""]
-    assert rows[2]["score_before"] == rows[0]["score_after"] > 0
-    assert summary["summary"]["mean_reduction"] < 1
+    assert [row["note"] for row in rows] == ["", ""]
+    assert rows[1]["score_before"] == rows[0]["score_after"] > 0
+    assert summary == json.loads(full.output.splitlines()[-1])
+    assert summary["summary"]["mean_reduction"] == 0.0
+
+
+def test_a_resume_makes_no_check_of_its_incumbent(runner, tmp_path, monkeypatch):
+    """A resumed run checks only the candidates of the rows it adds, each
+    once, and writes what the uninterrupted run wrote."""
+    # under seed 6 no later candidate is the first row's incumbent
+    config = write_config(tmp_path, schedule="4x3", backends={
+        "verifier": {"kind": "mock", "options": {"noop_tactics": ["skip"]}},
+        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 6}},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    checked = []
+
+    class Recording(MockVerifier):
+        def _verify(self, source, want_heartbeats):
+            checked.append(source)
+            return super()._verify(source, want_heartbeats)
+
+    monkeypatch.setattr("proofopt.cli.make_verifier", Recording)
+    workdir = tmp_path / "wd"
+    args = ["--config", config, "--workdir", str(workdir), "shorten", proofs]
+    full = runner.invoke(main, args)
+    assert full.exit_code == 0, full.output
+    trace_file = workdir / "traces" / "p1.jsonl"
+    uninterrupted = trace_file.read_bytes()
+    lines = uninterrupted.splitlines(keepends=True)
+    trace_file.write_bytes(lines[0])
+
+    checked.clear()
+    resumed = runner.invoke(main, args)
+    assert resumed.exit_code == 0, resumed.output
+    incumbent = json.loads(lines[0])["source_after"]
+    candidates = {c["text"] for line in lines[1:] for c in json.loads(line)["candidates"]}
+    assert incumbent not in candidates
+    assert sorted(checked) == sorted(candidates)
+    assert resumed.output == full.output
+    assert trace_file.read_bytes() == uninterrupted
 
 
 def test_shorten_resume_after_torn_write(runner, tmp_path):

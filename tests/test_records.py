@@ -166,18 +166,22 @@ def test_only_backends_imports_subprocess(path):
 )
 def test_only_backends_and_map_in_order_start_a_thread_pool(path):
     """ThreadPoolExecutor(...) is called only in backends, whose pools fan
-    out a proof's calls, and in shortener.map_in_order, which the CLI runs
-    its records on; shortener never calls map_in_order, so a proof's calls
-    fan out on its backends' pools alone."""
+    out every command's checks and calls, and in shortener.map_in_order,
+    the proof pool, which only cli.shorten calls to run its records on. So
+    a proof's calls, and lint's and filter-trivial's records, fan out on
+    their backends' pools alone."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    called, allowed = {"ThreadPoolExecutor"}, set()
-    if path.name == "shortener.py":
-        called.add("map_in_order")
-        (pool,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "map_in_order"]
-        allowed = {id(node) for node in ast.walk(pool)}
-    calls = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _names(node.func) & called and id(node) not in allowed
-    ]
-    assert calls == [], f"{path.name} starts a pool on lines {calls}"
+    homes = {"ThreadPoolExecutor": ("shortener.py", "map_in_order"),
+             "map_in_order": ("cli.py", "shorten")}
+    calls = []
+    for called, (module, function) in homes.items():
+        allowed = set()
+        if path.name == module:
+            (home,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+            allowed = {id(node) for node in ast.walk(home)}
+        calls += [
+            f"{called} on line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and called in _names(node.func) and id(node) not in allowed
+        ]
+    assert calls == [], f"{path.name} calls {calls}"

@@ -44,8 +44,10 @@ def record(proof: str, id: str = "t") -> ProofRecord:
 
 
 def first_iteration(start: ProofRecord, k: int, simplifier, memo) -> IterationRecord:
-    """The first iteration of start's loop, from its own text."""
-    return shorten_iteration(start.full_source, start.statement, k, simplifier, memo, 1.0, 0)
+    """The first iteration of start's loop, from its own text, scored as
+    shorten_loop scores it."""
+    score = memo.check(start.full_source).score
+    return shorten_iteration(start.full_source, score, start.statement, k, simplifier, memo, 1.0, 0)
 
 
 def test_memo_scores_by_measure():
@@ -151,36 +153,47 @@ def test_iteration_survives_a_candidate_without_a_proof_body():
 
 
 def test_iteration_skips_nonverifying_input():
+    """An input that does not verify is checked once, and every row of the
+    schedule is written as skipped, with score 0, from the input's text."""
     verifier = MockVerifier(mock_cfg(fail_token="FAIL"))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  FAIL")
-    itrec = first_iteration(start, 2, simplifier, VerdictMemo(verifier))
-    assert itrec.note == "skipped: input does not verify"
-    assert itrec.candidates == []
-    assert itrec.source_after == start.full_source
+    iterations = shorten_loop(start, [(2, 1.0), (2, 0.5)], simplifier, verifier)
+    assert verifier.calls == 1
+    assert [itrec.index for itrec in iterations] == [0, 1]
+    assert [itrec.temperature for itrec in iterations] == [1.0, 0.5]
+    for itrec in iterations:
+        assert itrec.note == "skipped: input does not verify"
+        assert itrec.candidates == []
+        assert (itrec.score_before, itrec.score_after) == (0, 0)
+        assert itrec.source_after == start.full_source
 
 
 def test_duplicate_candidates_verified_once():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    calls_before = verifier.calls
-    itrec = first_iteration(start, 16, simplifier, VerdictMemo(verifier))
-    # precondition check plus one verification for the single unique text
-    assert verifier.calls - calls_before == 2
+    itrec = shorten_iteration(
+        start.full_source, 2, start.statement, 16, simplifier, VerdictMemo(verifier), 1.0, 0
+    )
+    # no check of the incumbent, whose score is given; one of the single unique text
+    assert verifier.calls == 1
     assert len(itrec.candidates) == 16
     assert itrec.k_requested == 16
+    assert itrec.score_before == 2
 
 
 def test_heartbeats_incumbent_scored_and_checked_once():
     verifier = MockVerifier(mock_cfg(heartbeats_per_token=10))
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
     start = record("  norm_num\n  ring")
-    itrec = first_iteration(start, 3, simplifier, VerdictMemo(verifier, Measure.HEARTBEATS))
-    # one heartbeats check of the incumbent, one of the single unique candidate
+    iterations = shorten_loop(
+        start, [(3, 1.0), (3, 1.0)], simplifier, verifier, Measure.HEARTBEATS
+    )
+    # one heartbeats check of the input, one of the single unique candidate;
+    # the second row starts from the first's score, and its candidate is a hit
     assert verifier.calls == 2
-    assert itrec.score_before == 20
-    assert itrec.score_after == 10
+    assert [(it.score_before, it.score_after) for it in iterations] == [(20, 10), (10, 10)]
 
 
 def test_loop_monotone_and_resumable():
@@ -959,7 +972,6 @@ def test_memo_asks_again_after_timeout():
 
     verifier = FlakyVerifier(mock_cfg())
     memo = VerdictMemo(verifier)
-    assert memo.cfg is verifier.cfg
     assert memo.verify("t := by rfl").status is VerdictStatus.TIMEOUT
     assert memo.verify("t := by rfl").ok
     assert memo.verify("t := by rfl").ok
