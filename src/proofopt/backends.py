@@ -285,7 +285,10 @@ class VerdictMemo:
     (``check``), and keys on the source alone. Each text has one Future:
     the first caller registers it and runs the check, and a concurrent
     caller for the same text waits on it and gets the same verdict, so
-    concurrent requests never check one text twice. Only VALID and INVALID
+    concurrent requests never check one text twice; a call of check on the
+    verifier's pool (``verifier.map(memo.check, texts)``) registers its
+    text's Future only once it runs, so it never waits on an owner still
+    queued behind it. Only VALID and INVALID
     verdicts are kept; a timeout, a crash or an exception is delivered to
     everyone waiting and its entry dropped, so the text is checked again
     when next asked for. A hit neither calls the verifier nor takes one of
@@ -321,12 +324,6 @@ class VerdictMemo:
     def _forget(self, source: str) -> None:
         with self._lock:
             del self._verdicts[source]
-
-    def check_all(self, texts: list[str]) -> list[CandidateResult]:
-        """check of each text on the verifier's pool, in input order. A pool
-        call takes its text's entry only once it runs, so it never waits on
-        an owner still queued behind it."""
-        return self.verifier.map(self.check, texts)
 
     def check(self, text: str) -> CandidateResult:
         """The check result of a statement-plus-proof: its status, and its
@@ -444,13 +441,17 @@ class SubprocessVerifier(Verifier):
         if proc.returncode != 0 and not diagnostics:
             crash_info = (Diagnostic("error", 1, 0, stderr.strip() or "checker died"),)
             return Verdict(VerdictStatus.CRASH, crash_info)
-        heartbeats = self._parse_heartbeats(stdout) if want_heartbeats else None
+        heartbeats = self._parse_heartbeats(stdout, offset) if want_heartbeats else None
         return judge(diagnostics, proc.returncode == 0, heartbeats)
 
     @staticmethod
-    def _parse_heartbeats(stdout: str) -> int | None:
-        m = _HEARTBEAT_COUNT.search(stdout)
-        return int(m.group(1)) if m else None
+    def _parse_heartbeats(stdout: str, offset: int) -> int | None:
+        """The count of the first 'used N heartbeats' message at a directive
+        line, one of the file's first offset lines: never one the source logs."""
+        for diag in parse_diagnostics(stdout):
+            if diag.line <= offset and (m := _HEARTBEAT_COUNT.search(diag.message)):
+                return int(m.group(1))
+        return None
 
 
 class Generator(_Backend):

@@ -17,8 +17,7 @@ import argparse
 import itertools
 import json
 import sys
-# ThreadPoolExecutor stays importable here: bench/tracing.py patches it in this module.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .errors import NoProofDelimiter
 from .estimators import min_at_k, red_at_k  # noqa: F401
 from .linter import lint_fixpoint
 from .records import Measure, ProofRecord, from_json, read_jsonl, write_jsonl
-from .shortener import SKIPPED_NOTE, IterationRecord, map_in_order, shorten_loop
+from .shortener import SKIPPED_NOTE, IterationRecord, shorten_loop
 
 
 def _readable_file(name: str) -> str:
@@ -282,7 +281,8 @@ def shorten(args):
     # stay bounded however long the input. Each backend's pool is its fan-out.
     slots = [verifier, simplifier] + ([repairer] if repairer else [])
     try:
-        traces = map_in_order(run_one, records, 4 * sum(b.cfg.max_parallel for b in slots))
+        with ThreadPoolExecutor(4 * sum(b.cfg.max_parallel for b in slots)) as pool:
+            traces = list(pool.map(run_one, records))
     finally:
         for backend in (verifier, simplifier, repairer):
             if backend:

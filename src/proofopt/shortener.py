@@ -12,7 +12,8 @@ checker again.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor stays importable here: bench/tracing.py patches it in this module.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 
 from .backends import (
@@ -66,15 +67,6 @@ class IterationRecord:
     repair: RepairStage | None = None
 
 
-def map_in_order(fn, items: list, width: int) -> list:
-    """fn over items on a pool of width threads, never more than there are
-    items, with the results in input order. No items start no pool."""
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=min(width, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _adopt(best_score: int, entries: list[CandidateResult], statement: str) -> int | None:
     """The acceptance rule: the index of the lowest-scored admissible entry
     scoring strictly below best_score, the lowest index among ties; or None."""
@@ -110,17 +102,19 @@ def shorten_iteration(
     index: int,
 ) -> IterationRecord:
     """One best-of-k round from source, an incumbent proof of statement
-    whose check scored score; the incumbent is not checked again. Every
-    check and score goes through the proof's memo, which carries the
-    measure, and each candidate is stored as its check came back. The
-    round's source_after is source unless a candidate passes the acceptance
-    rule."""
+    whose check scored score; the incumbent is not checked again, and a
+    candidate equal to it takes that carried result. Every other check and
+    score goes through the proof's memo, which carries the measure, on the
+    verifier's pool, and each candidate is stored as its check came back.
+    The round's source_after is source unless a candidate passes the
+    acceptance rule."""
     itrec = IterationRecord(index, k, temperature, [], None, score, score, source)
     raw = simplifier.simplify(source, k, temperature=temperature)
     # Identical candidate texts are verified once, and share one result;
     # @k accounting still uses the requested k.
-    unique = list(dict.fromkeys(raw))
-    checked = dict(zip(unique, memo.check_all(unique)))
+    unique = [text for text in dict.fromkeys(raw) if text != source]
+    checked = dict(zip(unique, memo.verifier.map(memo.check, unique)))
+    checked[source] = CandidateResult(source, VerdictStatus.VALID, score)
     itrec.candidates = [checked[text] for text in raw]
     itrec.adopted = _adopt_into(itrec, itrec.candidates, statement)
     return itrec
@@ -178,7 +172,7 @@ def _repair_stage(
     repaired = repairer.map(
         lambda req: repairer.repair(statement, req[0], req[1][:REPAIR_REPORT_LIMIT]), requests
     )
-    checked = memo.check_all([fix for fixes in repaired for fix in fixes])
+    checked = memo.verifier.map(memo.check, [fix for fixes in repaired for fix in fixes])
     # until it is linted, a fix stands in at its bound
     fixes = [replace(fix, score=bound(fix)) for fix in checked]
     unlinted = [i for i, fix in enumerate(fixes) if fix.score is not None]

@@ -131,6 +131,13 @@ def no_proxy_env(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
 
 
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        """Say nothing when a client hangs up; report anything else."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 @pytest.fixture
 def endpoint(no_proxy_env):
     """A chat-completion endpoint on 127.0.0.1 that answers from a script.
@@ -140,7 +147,7 @@ def endpoint(no_proxy_env):
     the last one for every later request; ``requests`` records what
     arrived; ``drop_after_reply`` closes each connection after its reply.
     """
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EndpointHandler)
+    server = _QuietServer(("127.0.0.1", 0), _EndpointHandler)
     server.daemon_threads = True
     server.lock = threading.Lock()
     server.requests = []

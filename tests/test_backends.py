@@ -311,7 +311,8 @@ def test_subprocess_verifier_crash(tmp_path):
 def test_subprocess_verifier_heartbeats_and_lint_wrappers(tmp_path):
     command = _fake_checker(
         tmp_path,
-        'if grep -q count_heartbeats "$1"; then echo "used 4200 heartbeats"; fi\nexit 0\n',
+        'if grep -q count_heartbeats "$1"; then echo "$1:2:0: info: used 4200 heartbeats"; fi\n'
+        "exit 0\n",
     )
     verifier = SubprocessVerifier(
         BackendConfig(kind="subprocess_verifier", command_template=f"{command} {{file}}")
@@ -361,8 +362,24 @@ def test_subprocess_verifier_heartbeats_ignore_digits_in_path(tmp_path, monkeypa
     monkeypatch.setattr(tempfile, "tempdir", str(digit_dir))
     verifier = _line_checker_verifier(tmp_path)
     assert verifier.verify("t := by rfl", want_heartbeats=True).heartbeats == 4711
-    assert SubprocessVerifier._parse_heartbeats("used 12 HEARTBEATS") == 12
-    assert SubprocessVerifier._parse_heartbeats("/tmp/x9.lean:1:0: info: done") is None
+    parse = SubprocessVerifier._parse_heartbeats
+    assert parse("/tmp/x9.lean:2:0: info: used 12 HEARTBEATS", 2) == 12
+    assert parse("/tmp/x9.lean:1:0: info: done", 2) is None
+
+
+def test_subprocess_verifier_heartbeats_come_from_a_directive_line(tmp_path):
+    """A body line that logs 'Used 1 heartbeats' while it elaborates, before
+    the count of the directive, does not set the verdict's count."""
+    command = _fake_checker(tmp_path, """\
+echo "$1:5:2: info: Used 1 heartbeats"
+echo "$1:2:0: info: Used 4711 heartbeats, which is less than the current maximum of 200000"
+exit 0
+""")
+    verifier = SubprocessVerifier(
+        BackendConfig(kind="subprocess_verifier", command_template=f"{command} {{file}}")
+    )
+    source = 'theorem t : 1 = 1 := by\n  trace "Used 1 heartbeats"\n  rfl'
+    assert verifier.verify(source, want_heartbeats=True).heartbeats == 4711
 
 
 # Echoes the checked file's last line in an error diagnostic, as UTF-8 with a

@@ -735,13 +735,18 @@ def test_a_resume_whose_first_check_times_out_sums_up_as_an_uninterrupted_run(
     assert summary["summary"]["mean_reduction"] == 0.0
 
 
-def test_a_resume_makes_no_check_of_its_incumbent(runner, tmp_path, monkeypatch):
-    """A resumed run checks only the candidates of the rows it adds, each
-    once, and writes what the uninterrupted run wrote."""
-    # under seed 6 no later candidate is the first row's incumbent
+# under seed 6 no later candidate is the first row's incumbent; under seed 3
+# the incumbent is 3 of the later rows' candidates
+@pytest.mark.parametrize("seed,incumbent_sampled", [(6, False), (3, True)])
+def test_a_resume_makes_no_check_of_its_incumbent(
+    runner, tmp_path, monkeypatch, seed, incumbent_sampled
+):
+    """A resumed run checks only the candidates of the rows it adds other
+    than its incumbent, each once, and writes what the uninterrupted run
+    wrote."""
     config = write_config(tmp_path, schedule="4x3", backends={
         "verifier": {"kind": "mock", "options": {"noop_tactics": ["skip"]}},
-        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 6}},
+        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": seed}},
     })
     proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
     checked = []
@@ -766,8 +771,8 @@ def test_a_resume_makes_no_check_of_its_incumbent(runner, tmp_path, monkeypatch)
     assert resumed.exit_code == 0, resumed.output
     incumbent = json.loads(lines[0])["source_after"]
     candidates = {c["text"] for line in lines[1:] for c in json.loads(line)["candidates"]}
-    assert incumbent not in candidates
-    assert sorted(checked) == sorted(candidates)
+    assert (incumbent in candidates) == incumbent_sampled
+    assert sorted(checked) == sorted(candidates - {incumbent})
     assert resumed.output == full.output
     assert trace_file.read_bytes() == uninterrupted
 

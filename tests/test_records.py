@@ -164,24 +164,20 @@ def test_only_backends_imports_subprocess(path):
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "backends.py"], ids=lambda path: path.name
 )
-def test_only_backends_and_map_in_order_start_a_thread_pool(path):
+def test_only_backends_and_cli_shorten_start_a_thread_pool(path):
     """ThreadPoolExecutor(...) is called only in backends, whose pools fan
-    out every command's checks and calls, and in shortener.map_in_order,
-    the proof pool, which only cli.shorten calls to run its records on. So
-    a proof's calls, and lint's and filter-trivial's records, fan out on
-    their backends' pools alone."""
+    out every command's checks and calls, and in cli.shorten, whose proof
+    pool runs its records. So a proof's calls, and lint's and
+    filter-trivial's records, fan out on their backends' pools alone."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    homes = {"ThreadPoolExecutor": ("shortener.py", "map_in_order"),
-             "map_in_order": ("cli.py", "shorten")}
-    calls = []
-    for called, (module, function) in homes.items():
-        allowed = set()
-        if path.name == module:
-            (home,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
-            allowed = {id(node) for node in ast.walk(home)}
-        calls += [
-            f"{called} on line {node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and called in _names(node.func) and id(node) not in allowed
-        ]
-    assert calls == [], f"{path.name} calls {calls}"
+    allowed = set()
+    if path.name == "cli.py":
+        (home,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "shorten"]
+        allowed = {id(node) for node in ast.walk(home)}
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "ThreadPoolExecutor" in _names(node.func)
+        and id(node) not in allowed
+    ]
+    assert calls == [], f"{path.name} calls ThreadPoolExecutor on lines {calls}"

@@ -943,7 +943,7 @@ def test_memo_checks_each_key_once(monkeypatch, measure):
     assert len(texts) > len(set(texts))  # repeats were asked for and answered
 
 
-def test_check_all_checks_on_the_verifiers_pool_in_input_order():
+def test_memo_checks_on_the_verifiers_pool_in_input_order():
     class ThreadNamingVerifier(MockVerifier):
         def _verify(self, source, want_heartbeats):
             threads.add(threading.current_thread())
@@ -952,7 +952,8 @@ def test_check_all_checks_on_the_verifiers_pool_in_input_order():
     threads = set()
     verifier = ThreadNamingVerifier(mock_cfg(max_parallel=1))
     texts = ["t := by rfl", "t := by FAIL", "t := by rfl"]
-    results = VerdictMemo(verifier).check_all(texts)
+    memo = VerdictMemo(verifier)
+    results = verifier.map(memo.check, texts)
     assert [r.text for r in results] == texts
     assert [r.status for r in results] == [
         VerdictStatus.VALID, VerdictStatus.INVALID, VerdictStatus.VALID

@@ -406,6 +406,11 @@ RULES = {
                                                    CHEAT_STATEMENT),
     "sorry token": lambda c: not SORRY_TOKENS.isdisjoint(lexer.tokens(_body(c), lean=True)),
     "metric reads as Lean": lambda c: lexer.tokens(_body(c)) != lexer.tokens(_body(c), lean=True),
+    # the open clauses, which admissible does not state yet
+    "no new axiom": lambda c: "native_decide" in lexer.tokens(_body(c), lean=True),
+    "no declaration after the theorem": lambda c: any(
+        line[:1].strip() for line in _body(c).splitlines()
+    ),
 }
 
 
@@ -434,11 +439,19 @@ RULES = {
     # Lean reads no ':= by' outside the comment
     (f"{CHEAT_STATEMENT} -- := by\n  exact hp", (Diagnostic("error", 2, 2, "expected ':='"),),
      "verdict"),
+    # Lean accepts the proof, which depends on Lean.ofReduceBool
+    pytest.param(f"{CHEAT_STATEMENT} := by\n  have := (by native_decide : 1 = 1)\n  exact hp",
+                 (), "no new axiom", marks=pytest.mark.xfail(
+                     strict=True, reason="open clause: no axiom beyond the incumbent's")),
+    # a top-level command after the proof changes every later declaration
+    pytest.param(f"{CHEAT_STATEMENT} := by\n  exact hp\nattribute [simp] Nat.add_comm",
+                 (), "no declaration after the theorem", marks=pytest.mark.xfail(
+                     strict=True, reason="open clause: no new top-level declaration")),
 ], ids=["rewritten-statement", "comment-hidden-statement", "sorry-warned", "sorry-silent",
         "admit-warned", "admit-silent", "comment-wrapped-body", "comment-wrapped-sorry",
         "line-comment-in-string", "string-quote-in-char", "line-comment-in-raw-string",
         "line-comment-in-quoted-name", "string-quote-in-char-sorry",
-        "line-comment-swallows-delimiter"])
+        "line-comment-swallows-delimiter", "native-decide-axiom", "trailing-declaration"])
 def test_a_known_cheat_is_never_adopted_rewarded_or_paired(text, diagnostics, rule):
     """The checker's verdict on each row comes from its diagnostics, and the
     metric scores it below the honest candidate beside it, so only a rule of
