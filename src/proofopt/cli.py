@@ -117,6 +117,17 @@ def _read(rows: list, cls=ProofRecord, what: str = "proof record") -> list:
     return [from_json(cls, row, what, index=i) for i, row in enumerate(rows)]
 
 
+def _by_id(name: str, what: str = "proof record") -> dict[str, ProofRecord]:
+    """The records of the file name by id, in order; an id given twice is an
+    input error."""
+    out = {}
+    for record in _read(_rows(name), what=what):
+        if record.id in out:
+            raise MalformedInput(f"{name}: id {record.id!r} is given twice")
+        out[record.id] = record
+    return out
+
+
 def _trace_rows(name: str, rows: list, named: bool = False) -> list:
     """The iteration rows among rows, shorten's output read from the file
     name, each read as reports.TraceRow and named in an error by its index;
@@ -227,7 +238,7 @@ def shorten(args):
         cfg.repair = args.repair == "on"
     simplifier_cfg = cfg.backend("simplifier")
     schedule = parse_schedule(args.schedule or cfg.schedule, simplifier_cfg.temperature)
-    records = _read(_rows(args.input))
+    records = list(_by_id(args.input).values())
     if not records:
         raise ConfigError("empty input")
     workdir = Path(cfg.workdir) if cfg.workdir else None
@@ -242,6 +253,9 @@ def shorten(args):
             owners[path] = record.id
         for folder in (workdir / "traces", workdir / "inputs"):
             _writing(folder, folder.mkdir, parents=True, exist_ok=True)
+    # the config of each backend the run builds, but for max_parallel, which sets only the width
+    built = {role: {k: v for k, v in asdict(cfg.backend(role)).items() if k != "max_parallel"}
+             for role in ["verifier", "simplifier"] + ["repairer"] * cfg.repair}
     repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
     verifier = make_verifier(cfg.backend("verifier"))
     simplifier = make_simplifier(simplifier_cfg)
@@ -251,11 +265,12 @@ def shorten(args):
         resume = None
         if workdir:
             path = _trace_path(workdir, record.id)
-            # inputs/ names the input and measure that made the trace; a trace
-            # without a match is redone, and the file is written once it is cut
+            # inputs/ names the input, measure and backend configs that made the
+            # trace; a trace without a match is redone, and the file is written once it is cut
             made = workdir / "inputs" / f"{path.name.removesuffix('.jsonl')}.json"
             provenance = json.dumps({"full_source": record.full_source,
-                                     "measure": cfg.measure.value})
+                                     "measure": cfg.measure.value, "backends": built},
+                                    sort_keys=True)
             same = made.exists() and _writing(made, made.read_bytes) == provenance.encode()
             resume = _writing(path, _load_partial, path, schedule) if same else None
             handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
@@ -309,15 +324,7 @@ def dataset_build(args):
     """Pair seed proofs with the shortenings that shorten adopted for them."""
     from . import training_data
 
-    def by_id(name: str, what: str) -> dict[str, ProofRecord]:
-        out = {}
-        for record in _read(_rows(name), what=what):
-            if record.id in out:
-                raise MalformedInput(f"{name}: id {record.id!r} is given twice")
-            out[record.id] = record
-        return out
-
-    seeds = by_id(args.seeds, "proof record")
+    seeds = _by_id(args.seeds)
     runs = {}  # proof id -> iteration index -> row
     for row in _trace_rows(args.results, _rows(args.results), named=True):
         runs.setdefault(row.proof_id, {})[row.index] = row
@@ -328,7 +335,7 @@ def dataset_build(args):
         for proof_id, iterations in runs.items()
         if any(row.score_after < row.score_before for row in iterations.values())
     }
-    ancestry = by_id(args.ancestry, "ancestry record") if args.ancestry else {}
+    ancestry = _by_id(args.ancestry, "ancestry record") if args.ancestry else {}
     pairs = training_data.build_expit_dataset(
         list(seeds.values()), results, ancestry, origin_iteration=args.iteration
     )

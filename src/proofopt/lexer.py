@@ -22,8 +22,8 @@ OPERATORS = (
 
 _SPACED = tuple((" ".join(op), op) for op in OPERATORS)
 
-# Characters that extend the current token (besides alphanumerics).
-_TOKEN_CHARS = "_.'"
+# lex's token: a str pattern's \w is str.isalnum() plus _, at every code point.
+_TOKEN = re.compile(r"[\w.']+|[^ ]")
 
 _BLOCK_COMMENT = re.compile(r" */-.*-/", re.DOTALL)
 _LINE_COMMENT = re.compile(r" *--.*")
@@ -86,30 +86,14 @@ def strip_lean_comments(text: str) -> str:
 def lex(text: str) -> list[list[str]]:
     """Tokenize into lines of tokens.
 
-    Alphanumerics plus ``_ . '`` accumulate into a token; a space flushes it;
-    any other character flushes and is emitted on its own. Spaced spellings
+    A line's tokens are the matches of _TOKEN: a run of alphanumerics and
+    ``_ . '``, or any one other character but a space. Spaced spellings
     of the operator table are then merged, in table order, on the joined
     line. An empty line yields a single empty token.
     """
     lines: list[list[str]] = []
     for raw in text.splitlines():
-        tokens: list[str] = []
-        current = ""
-        for ch in raw:
-            if ch == " ":
-                if current:
-                    tokens.append(current)
-                    current = ""
-            elif ch.isalnum() or ch in _TOKEN_CHARS:
-                current += ch
-            else:
-                if current:
-                    tokens.append(current)
-                    current = ""
-                tokens.append(ch)
-        if current:
-            tokens.append(current)
-        joined = " ".join(tokens)
+        joined = " ".join(_TOKEN.findall(raw))
         for spaced, compact in _SPACED:
             if spaced in joined:
                 joined = joined.replace(spaced, compact)

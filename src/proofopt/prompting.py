@@ -7,6 +7,7 @@ braces.
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -15,6 +16,7 @@ from .errors import TemplateMissing
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 
+@functools.cache  # a read that raises is not kept, so an unknown id raises at every call
 def load_template(template_id: str) -> str:
     try:
         return (resources.files("proofopt") / "prompts" / f"{template_id}.txt").read_text(

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -173,20 +174,24 @@ def test_lint_checks_a_timed_out_record_once(runner, tmp_path, monkeypatch):
     assert checked == [ProofRecord(**row).full_source]
 
 
+def _cli_env() -> dict:
+    """This environment, with the package's source first on PYTHONPATH."""
+    src = Path(backends.__file__).parents[1]
+    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+
+
 def _cli_process(argv) -> subprocess.Popen:
     """`python -m proofopt.cli argv`, its stderr piped, with the default
     handlers of the signals the CLI handles, which a job started in the
     background may have inherited as ignored."""
-    src = Path(backends.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
-
     def default_handlers():
         for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
             signal.signal(signum, signal.SIG_DFL)
 
     return subprocess.Popen(
         [sys.executable, "-m", "proofopt.cli", *argv],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, preexec_fn=default_handlers,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_cli_env(),
+        preexec_fn=default_handlers,
     )
 
 
@@ -871,10 +876,11 @@ RESUMED_ROW = {"id": "p", "statement": "theorem p : 1 = 1",
                "proof": "  simp\n  linarith\n  omega\n  decide"}
 
 
-def _shorten_in(runner, tmp_path, workdir, row, *flags) -> str:
-    """shorten's output for row alone, on the 2x2 schedule, in workdir."""
+def _shorten_in(runner, tmp_path, workdir, row, *flags, **config) -> str:
+    """shorten's output for row alone, on the 2x2 schedule, in workdir, under
+    write_config's config with the overrides config."""
     proofs = write_jsonl_file(tmp_path, "in.jsonl", [row])
-    args = ["--config", write_config(tmp_path), "--workdir", str(tmp_path / workdir),
+    args = ["--config", write_config(tmp_path, **config), "--workdir", str(tmp_path / workdir),
             "shorten", "--schedule", "2x2", *flags, proofs]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -897,7 +903,34 @@ def test_shorten_resume_redoes_a_proof_whose_input_or_measure_changed(
         assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
     made = json.loads((tmp_path / "wd" / "inputs" / "p.json").read_text())
     measure = "heartbeats" if flags else "length"
-    assert made == {"full_source": ProofRecord(**RESUMED_ROW).full_source, "measure": measure}
+    raw = json.loads(Path(write_config(tmp_path)).read_text())["backends"]
+    built = {role: {k: v for k, v in asdict(backends.BackendConfig(**raw[role])).items()
+                    if k != "max_parallel"} for role in ("verifier", "simplifier")}
+    assert made == {"full_source": ProofRecord(**RESUMED_ROW).full_source, "measure": measure,
+                    "backends": built}
+
+
+@pytest.mark.parametrize("changed,resumed", [
+    ({"simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 4}}}, False),
+    ({"simplifier": {"kind": "mock", "max_parallel": 1,
+                     "options": {"mode": "drop_lines", "seed": 3}}}, True),
+], ids=["seed", "max-parallel"])
+def test_shorten_resume_redoes_a_proof_whose_backend_config_changed(
+    runner, tmp_path, monkeypatch, changed, resumed
+):
+    """inputs/<id>.json holds the config of each backend the run builds, but
+    for max_parallel: a changed mock seed redoes the proof as a fresh run
+    with that seed does, and a changed width alone resumes it."""
+    first = _shorten_in(runner, tmp_path, "wd", RESUMED_ROW)
+    raw = json.loads(Path(write_config(tmp_path)).read_text())["backends"]
+    calls = []
+    simplify = MockSimplifier._simplify
+    monkeypatch.setattr(MockSimplifier, "_simplify", lambda *a: calls.append(a) or simplify(*a))
+    rerun = _shorten_in(runner, tmp_path, "wd", RESUMED_ROW, backends={**raw, **changed})
+    assert bool(calls) is not resumed and (rerun == first) is resumed
+    assert rerun == _shorten_in(runner, tmp_path, "fresh", RESUMED_ROW, backends={**raw, **changed})
+    for name in ("traces/p.jsonl", "inputs/p.json"):
+        assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
 
 
 def test_shorten_resume_without_inputs_redoes_the_proof(runner, tmp_path):
@@ -909,6 +942,69 @@ def test_shorten_resume_without_inputs_redoes_the_proof(runner, tmp_path):
     assert resumed == _shorten_in(runner, tmp_path, "fresh", RESUMED_ROW)
     for name in ("traces/p.jsonl", "inputs/p.json"):
         assert (tmp_path / "wd" / name).read_text() == (tmp_path / "fresh" / name).read_text()
+
+
+# Runs the CLI on argv[3:] with MockVerifier killing its own process at the
+# argv[1]th check (never for 0), and writes the checks started to argv[2].
+KILL_AT_CHECK = """\
+import os, signal, sys, threading
+from proofopt import cli
+from proofopt.mocks import MockVerifier
+
+nth, count_file = int(sys.argv[1]), sys.argv[2]
+calls, lock, verify = [0], threading.Lock(), MockVerifier._verify
+
+def killing(self, *args):
+    with lock:
+        calls[0] += 1
+        if calls[0] == nth:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return verify(self, *args)
+
+MockVerifier._verify = killing
+try:
+    cli.main(sys.argv[3:])
+finally:
+    with open(count_file, "w") as handle:
+        handle.write(str(calls[0]))
+"""
+
+
+def test_shorten_resumes_byte_for_byte_after_a_kill_at_any_check(tmp_path):
+    """A run SIGKILLed at its Nth check, then rerun, prints what an
+    uninterrupted run prints and leaves the same workdir files, for every N
+    up to the uninterrupted run's check count; some iterations repair."""
+    names = ["mathd_algebra_338_orig", "putnam_1990_a1_orig", "extracted_len158"]
+    records = [ProofRecord.from_source((DATA_DIR / f"{name}.lean").read_text(), id=name)
+               for name in names]
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [asdict(record) for record in records])
+    # a candidate that drops every norm_num line fails, and the repairer runs
+    config = slotted_config(tmp_path, 2, verifier={"require_token": "norm_num"},
+                            simplifier={"mode": "drop_lines", "drop_probability": 0.7, "seed": 3})
+    wrapper, count = tmp_path / "kill_at_check.py", tmp_path / "count"
+    wrapper.write_text(KILL_AT_CHECK)
+
+    def run(nth: int, workdir: str) -> subprocess.CompletedProcess:
+        argv = [sys.executable, str(wrapper), str(nth), str(count), "--config", config,
+                "--workdir", str(tmp_path / workdir), "shorten", "--schedule", "2x4",
+                "--repair", "on", proofs]
+        return subprocess.run(argv, capture_output=True, env=_cli_env(), timeout=60)
+
+    def files(workdir: str) -> dict:
+        root = tmp_path / workdir
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    full = run(0, "full")
+    assert full.returncode == 0, full.stderr
+    assert sum(1 for line in full.stdout.splitlines() if json.loads(line).get("repair")) >= 2
+    checks = int(count.read_text())
+    assert checks >= 10
+    for nth in range(1, checks + 1):
+        workdir = f"killed{nth}"
+        assert run(nth, workdir).returncode == -signal.SIGKILL
+        resumed = run(0, workdir)
+        assert (resumed.returncode, resumed.stdout) == (0, full.stdout), (nth, resumed.stderr)
+        assert files(workdir) == files("full"), nth
 
 
 def test_shorten_schedule_uses_the_simplifier_temperature(runner, tmp_path):
@@ -1004,8 +1100,18 @@ def test_malformed_schedule_temperature_exit_code(runner, tmp_path, flags, overr
     assert len(result.output.splitlines()) == 1
 
 
-@pytest.mark.parametrize("ids", [["a b", "a_b"], ["p1", "p1"]], ids=["same-name", "repeated"])
-def test_shorten_ids_sharing_a_trace_file_exit_code(runner, tmp_path, monkeypatch, ids):
+@pytest.mark.parametrize("ids,workdir,error", [
+    (["a b", "a_b"], True, "ids 'a b' and 'a_b' share the trace file"),
+    (["a", "a"], True, "in.jsonl: id 'a' is given twice"),
+    (["a", "a"], False, "in.jsonl: id 'a' is given twice"),
+], ids=["same-name", "repeated", "repeated-no-workdir"])
+def test_shorten_ids_sharing_a_trace_file_exit_code(
+    runner, tmp_path, monkeypatch, ids, workdir, error
+):
+    """Distinct ids that share a trace file, and an id given twice, with or
+    without --workdir, exit 1 with one error line before any backend is
+    built: a repeated id's output would hold a proof's iterations twice,
+    which reward and report refuse."""
     def unbuilt(cfg):
         raise AssertionError("a backend was built")
 
@@ -1014,19 +1120,12 @@ def test_shorten_ids_sharing_a_trace_file_exit_code(runner, tmp_path, monkeypatc
     config = write_config(tmp_path, repair=True)
     rows = [dict(PROOFS[0], id=ids[0]), dict(PROOFS[1], id=ids[1])]
     proofs = write_jsonl_file(tmp_path, "in.jsonl", rows)
-    workdir = tmp_path / "wd"
-    result = runner.invoke(main, ["--config", config, "--workdir", str(workdir), "shorten", proofs])
+    flags = ["--workdir", str(tmp_path / "wd")] if workdir else []
+    result = runner.invoke(main, ["--config", config, *flags, "shorten", proofs])
     assert result.exit_code == 1, result.output
     assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
-    assert f"{ids[0]!r} and {ids[1]!r}" in result.output
-    assert not (workdir / "traces").exists()
-
-
-def test_shorten_same_ids_without_workdir(runner, tmp_path):
-    config = write_config(tmp_path)
-    proofs = write_jsonl_file(tmp_path, "in.jsonl", [PROOFS[0], PROOFS[0]])
-    result = runner.invoke(main, ["--config", config, "shorten", proofs])
-    assert result.exit_code == 0, result.output
+    assert error in result.output
+    assert not (tmp_path / "wd" / "traces").exists()
 
 
 def test_lint_takes_no_rounds_option(runner, tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from proofopt import prompting
 from proofopt.config import RunConfig, parse_schedule
 from proofopt.errors import ConfigError, TemplateMissing
 from proofopt.prompting import load_template, render
@@ -106,6 +107,22 @@ def test_templates_ship_with_package():
         assert name in repair
     with pytest.raises(TemplateMissing):
         load_template("does_not_exist")
+
+
+def test_a_template_is_read_once_per_process(monkeypatch):
+    """A second render of a template opens no file; an unknown id is looked
+    up, and raises, at every call."""
+    fields = {"formal_statement": "s", "lean_proof": "p", "error_message_for_prev_round": "e"}
+    first = render("repair", **fields)
+    opened = []
+    files = prompting.resources.files
+    monkeypatch.setattr(prompting.resources, "files", lambda *a: opened.append(a) or files(*a))
+    assert render("repair", **fields) == first
+    assert opened == []
+    for calls in (1, 2):
+        with pytest.raises(TemplateMissing):
+            load_template("does_not_exist")
+        assert len(opened) == calls
 
 
 def test_render_literal_braces_survive():

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,25 @@ def test_token_characters():
     assert lexer.lex("h1.mp h₂' foo_bar") == [["h1.mp", "h₂'", "foo_bar"]]
 
 
+def test_a_token_character_is_an_alphanumeric_or_one_of_three_at_every_code_point():
+    """lex's token pattern rests on a str pattern's \\w being str.isalnum()
+    plus _; each code point between two letters is one token with them
+    exactly when it is such a character, as the reference's loop reads it."""
+    points = [chr(c) for c in range(sys.maxunicode + 1)]
+    token_char = re.compile(r"[\w.']")
+    assert [ch for ch in points if token_char.fullmatch(ch)] == [
+        ch for ch in points if ch.isalnum() or ch in "_.'"
+    ]
+    # one line of "a{ch}b" groups; a line break or a space is no group
+    kept = [ch for ch in points if ch != " " and ch.splitlines() == [ch]]
+    expected = [
+        token
+        for ch in kept
+        for token in ([f"a{ch}b"] if ch.isalnum() or ch in "_.'" else ["a", ch, "b"])
+    ]
+    assert lexer.lex(" ".join(f"a{ch}b" for ch in kept)) == [expected]
+
+
 def test_empty_line_counts_one_token():
     assert lexer.lex("a\n\nb") == [["a"], [""], ["b"]]
 
@@ -169,7 +191,11 @@ def _mutate(text: str, rng) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=" \nabrfl:=<;>-/.('⁻¹?_х", max_size=200))
+# besides the metric's own characters: a tab, no-break and ideographic spaces,
+# a combining accent, an Arabic-Indic digit, a superscript, a fraction, a Roman
+# numeral, a mathematical letter, guillemets and a double quote
+@given(st.text(alphabet=" \nabrfl:=<;>-/.('⁻¹?_х\t\u00a0\u3000\u0301\u0663²½ⅻ𝔸«»\"",
+               max_size=200))
 def test_property_matches_reference(snippet):
     try:
         ours = lexer.proof_length(snippet)

@@ -1,6 +1,7 @@
 """The README's examples hold. Its fenced snippets are extracted and run: a
 plain doctest of README.md would read each closing fence as expected output."""
 
+import ast
 import dataclasses
 import doctest
 import json
@@ -8,11 +9,14 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from proofopt import cli
 from proofopt.config import RunConfig
 from proofopt.training_data import SimplificationPair
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def snippets(language: str) -> list[str]:
@@ -64,3 +68,16 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
 def test_readme_lists_the_keys_of_a_simplification_pair():
     [keys] = re.findall(r"`SimplificationPair`'s fields are its JSON keys \(([^)]*)\)", README)
     assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(SimplificationPair)]
+
+
+def test_every_module_parses_as_the_oldest_python_the_readme_names():
+    """The README's Python 3.10+ is pyproject.toml's requires-python, and
+    every module parses under 3.10's grammar, which rejects except*."""
+    assert "Python 3.10+." in README
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
