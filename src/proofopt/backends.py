@@ -3,9 +3,9 @@ admissible, the one acceptance rule that adoption, lint and reward ask.
 
 The make_* factories build a role's backend from its config's kind: a
 subprocess checker, a chat-completion endpoint, or for kind mock the
-deterministic mocks of proofopt.mocks. Every backend enforces its own
-max_parallel admission, so callers may fan out freely, and owns a pool of
-as many threads for callers that fan out a batch (map).
+deterministic mocks of proofopt.mocks. Every backend call runs on the
+backend's own pool of max_parallel threads, so callers may fan out freely:
+a call waits in the pool's queue for a thread, and map fans out a batch.
 """
 
 from __future__ import annotations
@@ -215,37 +215,26 @@ def judge(diagnostics, clean_exit: bool = True, heartbeats: int | None = None) -
     return Verdict(status, tuple(diagnostics), heartbeats)
 
 
-class _Admission:
-    """Counting gate that also records the highest concurrency it saw."""
-
-    def __init__(self, limit: int):
-        self._sem = threading.BoundedSemaphore(limit)
-        self._lock = threading.Lock()
-        self._inflight = 0
-        self.max_observed = 0
-
-    def __enter__(self):
-        self._sem.acquire()
-        with self._lock:
-            self._inflight += 1
-            self.max_observed = max(self.max_observed, self._inflight)
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._inflight -= 1
-        self._sem.release()
-        return False
-
-
 class _Backend:
-    """A backend's config, its admission of max_parallel calls at once, and
-    its pool of as many threads, each started when first needed."""
+    """A backend's config and its pool of max_parallel threads, each started
+    when first needed: every call of the backend runs on one of them, so no
+    more than max_parallel run at once."""
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
-        self.admission = _Admission(cfg.max_parallel)
-        self.pool = ThreadPoolExecutor(cfg.max_parallel)
+        self._worker = threading.local()  # .marked on this backend's pool threads
+        self.pool = ThreadPoolExecutor(cfg.max_parallel, initializer=self._mark_worker)
+
+    def _mark_worker(self) -> None:
+        self._worker.marked = True
+
+    def call(self, fn, *args):
+        """fn(*args) on a pool thread: directly when the caller is one, else
+        submitted in a copy of the caller's context, waiting in the pool's
+        queue for a thread."""
+        if getattr(self._worker, "marked", False):
+            return fn(*args)
+        return self.pool.submit(contextvars.copy_context().run, fn, *args).result()
 
     def map(self, fn, items: list) -> list:
         """fn over items on the pool, with the results in input order. Each
@@ -259,7 +248,7 @@ class _Backend:
                 future.cancel()
 
     def close(self) -> None:
-        """Wait for the pool's calls, then stop its threads."""
+        """Wait for the pool's calls, then stop its threads; no call may follow."""
         self.pool.shutdown()
 
 
@@ -268,11 +257,14 @@ class Verifier(_Backend):
         """Check a source with the unused-tactic linter on. The lint option
         only adds warnings, so it never changes a verdict's status. A
         subclass checks in _verify(source, want_heartbeats); the verdict
-        carries the wall time of that call, measured inside admission."""
-        with self.admission:
-            start = time.monotonic()
-            verdict = self._verify(source, want_heartbeats)
-            return replace(verdict, wall_time=time.monotonic() - start)
+        carries the wall time of that call, measured on the pool thread, so
+        the wait for a thread is not part of it."""
+        return self.call(self._timed_verify, source, want_heartbeats)
+
+    def _timed_verify(self, source: str, want_heartbeats: bool) -> Verdict:
+        start = time.monotonic()
+        verdict = self._verify(source, want_heartbeats)
+        return replace(verdict, wall_time=time.monotonic() - start)
 
 
 class VerdictMemo:
@@ -282,18 +274,18 @@ class VerdictMemo:
     memos, one per proof in shorten and one per record in lint and
     filter-trivial. It is the one holder of the measure: it asks for
     heartbeats on every check or on none, scores under the measure
-    (``check``), and keys on the source alone. Each text has one Future:
-    the first caller registers it and runs the check, and a concurrent
-    caller for the same text waits on it and gets the same verdict, so
-    concurrent requests never check one text twice; a call of check on the
-    verifier's pool (``verifier.map(memo.check, texts)``) registers its
-    text's Future only once it runs, so it never waits on an owner still
-    queued behind it. Only VALID and INVALID
-    verdicts are kept; a timeout, a crash or an exception is delivered to
-    everyone waiting and its entry dropped, so the text is checked again
-    when next asked for. A hit neither calls the verifier nor takes one of
-    its admission slots. Every proof has its own statement, so checks never
-    repeat across proofs and one memo per proof needs no size limit.
+    (``check``), and keys on the source alone. Each text has one Future,
+    which only a thread of the verifier's pool registers, once it runs: it
+    then checks the text, and a concurrent caller for the same text waits
+    on it and gets the same verdict, so concurrent requests never check one
+    text twice, and a pool thread never waits on a check still queued
+    behind it. Only VALID and INVALID verdicts are kept; a timeout, a crash
+    or an exception is delivered to everyone waiting and its entry dropped,
+    so the text is checked again when next asked for. A hit, or a wait on a
+    check in flight, is answered on the caller's thread: it neither calls
+    the verifier nor takes one of its pool threads. Every proof has its own
+    statement, so checks never repeat across proofs and one memo per proof
+    needs no size limit.
     """
 
     def __init__(self, verifier: Verifier, measure: Measure = Measure.TOKEN_LENGTH):
@@ -305,20 +297,25 @@ class VerdictMemo:
     def verify(self, source: str) -> Verdict:
         with self._lock:
             future = self._verdicts.get(source)
-            owner = future is None
-            if owner:
-                future = self._verdicts[source] = Future()
-        if not owner:
+        return self.verifier.call(self._check_once, source) if future is None else future.result()
+
+    def _check_once(self, source: str) -> Verdict:
+        """verify on a pool thread: the text's verdict, checked here unless
+        another thread registered its Future first."""
+        mine = Future()
+        with self._lock:
+            future = self._verdicts.setdefault(source, mine)
+        if future is not mine:
             return future.result()
         try:
             verdict = self.verifier.verify(source, self.want_heartbeats)
         except BaseException as exc:
             self._forget(source)
-            future.set_exception(exc)
+            mine.set_exception(exc)
             raise
         if verdict.status not in (VerdictStatus.VALID, VerdictStatus.INVALID):
             self._forget(source)
-        future.set_result(verdict)
+        mine.set_result(verdict)
         return verdict
 
     def _forget(self, source: str) -> None:
@@ -482,8 +479,7 @@ class Simplifier(Generator):
         """Request k candidate rewrites of a statement-plus-proof."""
         if k < 1:
             raise ValueError("k must be positive")
-        with self.admission:
-            return self._simplify(source, k, temperature)
+        return self.call(self._simplify, source, k, temperature)
 
     def _simplify(self, source, k, temperature) -> list[str]:
         return self._sample(prompting.render("simplify", statement=source), k, temperature)
@@ -494,8 +490,7 @@ class Repairer(Generator):
         """One completion, at the backend's temperature, fixing failed_proof."""
         if not error_report:
             raise ValueError("repair needs a nonempty error report")
-        with self.admission:
-            return self._repair(statement, failed_proof, error_report)
+        return self.call(self._repair, statement, failed_proof, error_report)
 
     def _repair(self, statement, failed_proof, error_report) -> list[str]:
         prompt = prompting.render(

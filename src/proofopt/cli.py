@@ -291,9 +291,9 @@ def shorten(args):
                 handle.close()
 
     # Up to four proofs per backend slot run at once, each on a thread of its
-    # own and holding its trace file open: enough that admission, not the
-    # proof pool, limits the calls in flight, while threads and open files
-    # stay bounded however long the input. Each backend's pool is its fan-out.
+    # own and holding its trace file open: enough that the backends' pools,
+    # on which every backend call runs, not the proof pool, limit the calls in
+    # flight, while threads and open files stay bounded however long the input.
     slots = [verifier, simplifier] + ([repairer] if repairer else [])
     try:
         with ThreadPoolExecutor(4 * sum(b.cfg.max_parallel for b in slots)) as pool:

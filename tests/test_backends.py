@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import shlex
@@ -748,19 +749,63 @@ def test_generator_counts_dropped_completions_exactly():
 
 
 def test_admission_limits_concurrency():
+    """Twelve threads calling verify, a map batch and a check made inside a
+    pool task together never run more than max_parallel checks at once."""
     verifier = MockVerifier(mock_cfg(max_parallel=3))
     barrier = threading.Barrier(3, timeout=5)
-
+    lock = threading.Lock()
+    running = peak = 0
     original = verifier._verify
 
     def slow_verify(source, want_heartbeats):
-        barrier.wait()
-        return original(source, want_heartbeats)
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        try:
+            barrier.wait()
+            return original(source, want_heartbeats)
+        finally:
+            with lock:
+                running -= 1
 
     verifier._verify = slow_verify
-    with ThreadPoolExecutor(max_workers=12) as pool:
-        list(pool.map(lambda i: verifier.verify("t := by rfl"), range(12)))
-    assert verifier.admission.max_observed == 3
+    check = functools.partial(verifier.verify, "t := by rfl")
+    with ThreadPoolExecutor(max_workers=14) as pool:
+        direct = [pool.submit(check) for _ in range(12)]
+        batch = pool.submit(verifier.map, lambda i: check(), range(5))
+        nested = pool.submit(verifier.call, check)
+        assert all(f.result(timeout=30).ok for f in direct)
+        assert all(v.ok for v in batch.result(timeout=30))
+        assert nested.result(timeout=30).ok
+    assert verifier.calls == 18
+    assert peak == 3
+    verifier.close()
+
+
+def test_verdict_wall_time_leaves_out_the_wait_for_a_pool_thread():
+    """A check queued behind a held one carries the time of its own check,
+    not of its wait for the pool's one thread."""
+    verifier = MockVerifier(mock_cfg(max_parallel=1))
+    started, release = threading.Event(), threading.Event()
+    original = verifier._verify
+
+    def held_or_quick(source, want_heartbeats):
+        if "held" in source:
+            started.set()
+            assert release.wait(5)
+        return original(source, want_heartbeats)
+
+    verifier._verify = held_or_quick
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        held = pool.submit(verifier.verify, "t := by\n  held")
+        assert started.wait(5)
+        queued = pool.submit(verifier.verify, "t := by rfl")
+        time.sleep(0.5)
+        release.set()
+        assert held.result(timeout=10).wall_time >= 0.5
+        assert 0 < queued.result(timeout=10).wall_time < 0.25
+    verifier.close()
 
 
 def test_api_key_not_read_from_config():

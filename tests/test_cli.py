@@ -1,4 +1,5 @@
 import argparse
+import contextvars
 import functools
 import hashlib
 import json
@@ -420,8 +421,8 @@ def test_shorten_checks_one_proof_while_another_waits_on_its_generator(
 def test_shorten_runs_as_many_proofs_as_slots_or_records(
     runner, tmp_path, monkeypatch, records, max_parallel, repair, widest
 ):
-    """Up to four proofs per backend slot start at once: admission, not the
-    proof pool, limits the calls in flight, and a longer input waits."""
+    """Up to four proofs per backend slot start at once: the backends' pools,
+    not the proof pool, limit the calls in flight, and a longer input waits."""
     config = slotted_config(tmp_path, max_parallel)
     proofs = write_jsonl_file(tmp_path, "in.jsonl", numbered_proofs(records))
     lock = threading.Lock()
@@ -503,10 +504,23 @@ def test_shorten_holds_open_files_for_only_the_proofs_it_runs(tmp_path):
 
 
 class SlowVerifier(MockVerifier):
-    """Takes 50 ms a check, and proves no odd-numbered theorem by automation."""
+    """Takes 50 ms a check, and proves no odd-numbered theorem by automation.
+    peak is the most checks that ran at once."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.running = self.peak = 0
+        self._running_lock = threading.Lock()
 
     def _verify(self, source, want_heartbeats):
-        time.sleep(0.05)
+        with self._running_lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        try:
+            time.sleep(0.05)
+        finally:
+            with self._running_lock:
+                self.running -= 1
         if "AUTO" in source and int(source.split("theorem q")[1][0]) % 2:
             return backends.Verdict(backends.VerdictStatus.INVALID)
         return super()._verify(source, want_heartbeats)
@@ -532,7 +546,7 @@ def test_lint_and_filter_trivial_use_every_verifier_slot(
     monkeypatch.setattr("proofopt.cli.make_verifier", slow)
     result = runner.invoke(main, ["--config", config, *command, proofs])
     assert result.exit_code == 0, result.output
-    assert verifiers[0].admission.max_observed == 2
+    assert verifiers[0].peak == 2
     rows = [json.loads(line) for line in result.output.splitlines() if line.startswith("{")]
     assert [row["id"] for row in rows] == ids  # in input order
 
@@ -568,21 +582,23 @@ def test_every_check_goes_through_a_verdict_memo(runner, tmp_path, monkeypatch, 
         "simplifier": {"mode": "drop_lines", "drop_probability": 0.85},
         "repairer": {"mode": "shorter", "proof_body": "key\n  skip\n  ring"},
     })
-    in_memo = threading.local()
+    # a context variable, not a thread-local: a miss is checked on a pool
+    # thread, in a copy of the memo caller's context
+    in_memo = contextvars.ContextVar("in_memo", default=False)
     checks, stray, fixpoints = [], [], []
     memo_verify = backends.VerdictMemo.verify
     verifier_verify = backends.Verifier.verify
     lint_fixpoint = shortener.lint_fixpoint
 
     def through_memo(self, source):
-        in_memo.on = True
+        token = in_memo.set(True)
         try:
             return memo_verify(self, source)
         finally:
-            in_memo.on = False
+            in_memo.reset(token)
 
     def check(self, source, *args, **kwargs):
-        (checks if getattr(in_memo, "on", False) else stray).append(source)
+        (checks if in_memo.get() else stray).append(source)
         return verifier_verify(self, source, *args, **kwargs)
 
     def counted_fixpoint(*args, **kwargs):

@@ -181,3 +181,16 @@ def test_only_backends_and_cli_shorten_start_a_thread_pool(path):
         and id(node) not in allowed
     ]
     assert calls == [], f"{path.name} calls ThreadPoolExecutor on lines {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_builds_a_semaphore(path):
+    """A backend's pool of max_parallel threads is the one bound on its
+    calls in flight: no module builds a second bound from a semaphore."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names(node.func) & {"Semaphore", "BoundedSemaphore"}
+    ]
+    assert calls == [], f"{path.name} builds a semaphore on lines {calls}"

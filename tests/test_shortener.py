@@ -679,6 +679,27 @@ def test_repair_stage_repairs_concurrently():
     assert iterations[0].repair.attempted == 2
 
 
+def test_one_thread_pools_finish_a_check_batch_and_a_lint_batch():
+    """With max_parallel 1, a batch of memo checks on the verifier's pool and
+    a repair stage that lints its fixes there both return: a pool thread
+    never waits for a call queued behind it."""
+    verifier = MockVerifier(mock_cfg(max_parallel=1))
+    memo = VerdictMemo(verifier)
+    texts = ["t := by rfl", "t := by FAIL", "t := by rfl"]
+    pool = ThreadPoolExecutor(max_workers=2)
+    try:
+        batch = pool.submit(verifier.map, memo.check, texts)
+        stage = pool.submit(_repair_scenario, KeyRepairer(mock_cfg(max_parallel=1)), 1)
+        assert [r.status for r in batch.result(timeout=30)] == [
+            VerdictStatus.VALID, VerdictStatus.INVALID, VerdictStatus.VALID
+        ]
+        repair = stage.result(timeout=30)[0].repair
+        assert len({c.linted_score for c in repair.candidates}) == 3  # its fixes were linted
+    finally:
+        pool.shutdown(wait=False)
+    verifier.close()
+
+
 def test_repair_not_triggered_when_any_candidate_valid():
     verifier = MockVerifier(mock_cfg())
     simplifier = MockSimplifier(mock_cfg(mode="constant", proof_body="rfl"))
@@ -1067,6 +1088,28 @@ def test_memo_delivers_a_failed_check_to_every_waiter():
     verifier.error = None
     assert memo.verify("t := by rfl").ok  # the failure was not kept
     assert verifier.calls == 2
+
+
+def test_memo_hit_takes_no_pool_thread():
+    """With the verifier's one pool thread held by a check, a text already
+    checked is answered at once: a hit never queues for the pool."""
+    verifier = BlockedVerifier(mock_cfg(max_parallel=1))
+    memo = VerdictMemo(verifier)
+    verifier.release.set()
+    assert memo.verify("t := by rfl").ok
+    verifier.started.clear()
+    verifier.release.clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        held = pool.submit(memo.verify, "t := by simp")
+        assert verifier.started.wait(5)
+        hit = pool.submit(memo.verify, "t := by rfl")
+        try:
+            assert hit.result(timeout=1).ok
+        finally:
+            verifier.release.set()
+        assert held.result(timeout=5).ok
+    assert verifier.calls == 2
+    verifier.close()
 
 
 # sha256 of the JSON of {"proof_id", "measure", "iterations"} for each
