@@ -347,24 +347,32 @@ _stopping = threading.Event()  # set by a signal: each check from then on raises
 
 def _kill_checkers_first(signum, frame):
     """SIGKILL each running checker's group, which a signal sent to this
-    process's group misses, then do what the signal's default does."""
+    process's group misses, then raise KeyboardInterrupt in the main thread,
+    holding signum for a SIGTERM or SIGHUP, so that every cleanup runs."""
     _stopping.set()
     for pgid in _checker_groups.copy():
         with contextlib.suppress(ProcessLookupError):
             os.killpg(pgid, signal.SIGKILL)
-    if signum == signal.SIGINT:
-        raise KeyboardInterrupt
-    signal.signal(signum, signal.SIG_DFL)
-    signal.raise_signal(signum)
+    raise KeyboardInterrupt if signum == signal.SIGINT else KeyboardInterrupt(signum)
 
 
-def kill_checkers_on_signals() -> None:
-    """Install _kill_checkers_first for each of SIGINT, SIGTERM and SIGHUP
-    that has its default handler: from such a signal on, every check of a
-    SubprocessVerifier raises KeyboardInterrupt. Call from the main thread."""
+@contextlib.contextmanager
+def kill_checkers_on_signals():
+    """Within the context, _kill_checkers_first handles each of SIGINT,
+    SIGTERM and SIGHUP that has its default handler: from such a signal on,
+    every check of a SubprocessVerifier raises KeyboardInterrupt. A SIGTERM
+    or SIGHUP then ends the process by its default at the context's end, as
+    a Ctrl-C ends the interpreter. Enter from the main thread."""
     for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
         if signal.getsignal(signum) in (signal.SIG_DFL, signal.default_int_handler):
             signal.signal(signum, _kill_checkers_first)
+    try:
+        yield
+    except KeyboardInterrupt as exc:
+        for signum in exc.args:  # a SIGTERM or SIGHUP; a Ctrl-C holds none
+            signal.signal(signum, signal.SIG_DFL)
+            signal.raise_signal(signum)
+        raise
 
 
 class SubprocessVerifier(Verifier):

@@ -14,12 +14,14 @@ reach stdout, -o and trace files through one writer, records.write_jsonl.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
+from tempfile import TemporaryDirectory
+from urllib.parse import quote
 
 from . import backends, lexer
 from .backends import VerdictMemo, VerdictStatus, make_repairer, make_simplifier, make_verifier
@@ -199,7 +201,8 @@ def lint(args):
 
 
 def _trace_path(workdir: Path, proof_id: str) -> Path:
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in proof_id)
+    # a character but a letter, a digit, -, _ or . is %XX-escaped, % too: no two ids share a file
+    safe = "".join(c if c.isalnum() or c in "-_." else quote(c, safe="") for c in proof_id)
     return workdir / "traces" / f"{safe}.jsonl"
 
 
@@ -241,83 +244,70 @@ def shorten(args):
     records = list(_by_id(args.input).values())
     if not records:
         raise ConfigError("empty input")
-    workdir = Path(cfg.workdir) if cfg.workdir else None
-    if workdir:
-        owners = {}
-        for record in records:
-            path = _trace_path(workdir, record.id)
-            if path in owners:
-                raise MalformedInput(
-                    f"proof ids {owners[path]!r} and {record.id!r} share the trace file {path}"
-                )
-            owners[path] = record.id
+    # rows are kept only in trace files: without --workdir, in a temporary directory
+    with (nullcontext(cfg.workdir) if cfg.workdir
+          else _writing("a temporary directory", TemporaryDirectory)) as root:
+        workdir = Path(root)
         for folder in (workdir / "traces", workdir / "inputs"):
             _writing(folder, folder.mkdir, parents=True, exist_ok=True)
-    # the config of each backend the run builds, but for max_parallel, which sets only the width
-    built = {role: {k: v for k, v in asdict(cfg.backend(role)).items() if k != "max_parallel"}
-             for role in ["verifier", "simplifier"] + ["repairer"] * cfg.repair}
-    repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
-    verifier = make_verifier(cfg.backend("verifier"))
-    simplifier = make_simplifier(simplifier_cfg)
+        # the config of each backend the run builds, but for max_parallel, which sets only the width
+        built = {role: {k: v for k, v in asdict(cfg.backend(role)).items() if k != "max_parallel"}
+                 for role in ["verifier", "simplifier"] + ["repairer"] * cfg.repair}
+        repairer = make_repairer(cfg.backend("repairer")) if cfg.repair else None
+        verifier = make_verifier(cfg.backend("verifier"))
+        simplifier = make_simplifier(simplifier_cfg)
 
-    def run_one(record: ProofRecord) -> list[IterationRecord]:
-        sink = None
-        resume = None
-        if workdir:
+        def run_one(record: ProofRecord) -> tuple[int, int]:
             path = _trace_path(workdir, record.id)
             # inputs/ names the input, measure and backend configs that made the
             # trace; a trace without a match is redone, and the file is written once it is cut
             made = workdir / "inputs" / f"{path.name.removesuffix('.jsonl')}.json"
             provenance = json.dumps({"full_source": record.full_source,
                                      "measure": cfg.measure.value, "backends": built},
-                                    sort_keys=True)
-            same = made.exists() and _writing(made, made.read_bytes) == provenance.encode()
+                                    sort_keys=True).encode()
+            same = _writing(made, lambda: made.exists() and made.read_bytes() == provenance)
             resume = _writing(path, _load_partial, path, schedule) if same else None
-            handle = _writing(path, path.open, "a" if resume else "w", encoding="utf-8")
-            if not same:
-                _writing(made, made.write_text, provenance, encoding="utf-8")
+            with _writing(path, path.open, "a" if resume else "w", encoding="utf-8") as handle:
+                if not same:
+                    _writing(made, made.write_bytes, provenance)
 
-            def sink(itrec):
-                write_jsonl(handle, [itrec])
-                handle.flush()
+                def sink(itrec):
+                    write_jsonl(handle, [itrec])
+                    handle.flush()
 
+                iterations = shorten_loop(
+                    record, schedule, simplifier, verifier, cfg.measure, repairer=repairer,
+                    repair_budget=cfg.repair_budget, on_iteration=sink, resume_from=resume,
+                )
+            return iterations[0].score_before, iterations[-1].score_after
+
+        # Up to four proofs per backend slot run at once, each on a thread of its
+        # own and holding its trace file open: enough that the backends' pools,
+        # on which every backend call runs, not the proof pool, limit the calls in
+        # flight, while threads and open files stay bounded however long the input.
+        slots = [verifier, simplifier] + ([repairer] if repairer else [])
         try:
-            return shorten_loop(
-                record, schedule, simplifier, verifier, cfg.measure, repairer=repairer,
-                repair_budget=cfg.repair_budget, on_iteration=sink, resume_from=resume,
-            )
+            with ThreadPoolExecutor(4 * sum(b.cfg.max_parallel for b in slots)) as pool:
+                befores, afters = zip(*pool.map(run_one, records))
         finally:
-            if workdir:
-                handle.close()
-
-    # Up to four proofs per backend slot run at once, each on a thread of its
-    # own and holding its trace file open: enough that the backends' pools,
-    # on which every backend call runs, not the proof pool, limit the calls in
-    # flight, while threads and open files stay bounded however long the input.
-    slots = [verifier, simplifier] + ([repairer] if repairer else [])
-    try:
-        with ThreadPoolExecutor(4 * sum(b.cfg.max_parallel for b in slots)) as pool:
-            traces = list(pool.map(run_one, records))
-    finally:
-        for backend in (verifier, simplifier, repairer):
-            if backend:
+            for backend in slots:
                 backend.close()
 
-    befores = [iterations[0].score_before for iterations in traces]
-    afters = [iterations[-1].score_after for iterations in traces]
-    reductions = [1 - a / b for a, b in zip(afters, befores) if b > 0]
-    summary = {
-        "summary": {
-            "count": len(traces),
-            "measure": cfg.measure.value,
-            "mean_before": sum(befores) / len(befores),
-            "mean_after": sum(afters) / len(afters),
+        reductions = [1 - a / b for a, b in zip(afters, befores) if b > 0]
+        summary = {"summary": {
+            "count": len(records), "measure": cfg.measure.value,
+            "mean_before": sum(befores) / len(befores), "mean_after": sum(afters) / len(afters),
             "mean_reduction": sum(reductions) / len(reductions) if reductions else 0.0,
-        }
-    }
-    rows = ({"proof_id": record.id, **asdict(itrec)}
-            for record, iterations in zip(records, traces) for itrec in iterations)
-    _write_rows(args.output, itertools.chain(rows, [summary]))
+        }}
+
+        def rows():  # each proof's rows, read back as a resume reads them; then the summary
+            for record in records:
+                path = _trace_path(workdir, record.id)
+                for itrec in _writing(path, _load_partial, path, schedule):
+                    yield {"proof_id": record.id, **asdict(itrec)}
+            yield summary
+
+        _write_rows(args.output, rows())
 
 
 def dataset_build(args):
@@ -495,25 +485,25 @@ def main(argv=None, standalone_mode=True) -> None:
     if getattr(args, "output", "-") != "-":
         outputs.append(args.output)
     created = []
-    backends.kill_checkers_on_signals()  # checkers run in their own sessions
-    try:
-        _claim(outputs, created)
-        args.run(args)
-        created.clear()  # the command finished: the files it created stay
-    except ProofOptError as exc:
-        code, message = 1, str(exc)
-        if isinstance(exc, ConfigError):
-            code = 2
-        elif isinstance(exc, BackendUnavailable):
-            code, message = 3, f"backend outage, partial traces persisted: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(code) from None
-    except BrokenPipeError:  # the reader of stdout left, as `| head` does: stop quietly
-        sys.stdout = None  # nothing is left to flush at exit
-        raise SystemExit(1) from None
-    finally:
-        for path in created:
-            path.unlink(missing_ok=True)
+    with backends.kill_checkers_on_signals():  # checkers run in their own sessions
+        try:
+            _claim(outputs, created)
+            args.run(args)
+            created.clear()  # the command finished: the files it created stay
+        except ProofOptError as exc:
+            code, message = 1, str(exc)
+            if isinstance(exc, ConfigError):
+                code = 2
+            elif isinstance(exc, BackendUnavailable):
+                code, message = 3, f"backend outage, partial traces persisted: {exc}"
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(code) from None
+        except BrokenPipeError:  # the reader of stdout left, as `| head` does: stop quietly
+            sys.stdout = None  # nothing is left to flush at exit
+            raise SystemExit(1) from None
+        finally:
+            for path in created:
+                path.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -181,17 +183,19 @@ def _cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
 
 
-def _cli_process(argv) -> subprocess.Popen:
+def _cli_process(argv, tmpdir=None) -> subprocess.Popen:
     """`python -m proofopt.cli argv`, its stderr piped, with the default
     handlers of the signals the CLI handles, which a job started in the
-    background may have inherited as ignored."""
+    background may have inherited as ignored; tmpdir, when given, is its
+    TMPDIR."""
     def default_handlers():
         for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
             signal.signal(signum, signal.SIG_DFL)
 
+    env = {**_cli_env(), **({"TMPDIR": str(tmpdir)} if tmpdir else {})}
     return subprocess.Popen(
         [sys.executable, "-m", "proofopt.cli", *argv],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_cli_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
         preexec_fn=default_handlers,
     )
 
@@ -220,6 +224,37 @@ def test_a_signal_to_lint_kills_its_running_checker(tmp_path, signum):
         ended = ends(pid_in(pidfile))
     assert proc.returncode == -signum, stderr
     assert ended
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM, signal.SIGHUP], ids=lambda signum: signum.name
+)
+def test_a_signal_to_shorten_cleans_up_and_ends_by_that_signal(tmp_path, signum):
+    """A Ctrl-C, SIGTERM or SIGHUP mid-check kills the checker's group, and
+    before the CLI ends as the signal's default would, it removes the
+    check's file, the temporary directory that holds the traces of a run
+    without --workdir, and the -o file the command claimed."""
+    pidfile, scratch, output = tmp_path / "sleep.pid", tmp_path / "tmp", tmp_path / "out.jsonl"
+    scratch.mkdir()
+    template = f"sh -c 'sleep 30 & echo $! > {pidfile}; wait' {{file}}"
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "subprocess_verifier", "command_template": template, "timeout": 60},
+        "simplifier": {"kind": "mock", "options": {"mode": "drop_lines", "seed": 3}},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS[:1])
+    proc = _cli_process(["--config", config, "shorten", proofs, "-o", str(output)], scratch)
+    try:
+        pid_in(pidfile)
+        proc.send_signal(signum)
+        stderr = proc.communicate(timeout=10)[1].decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        ended = ends(pid_in(pidfile))
+    assert proc.returncode == -signum, stderr
+    assert ended
+    assert list(scratch.iterdir()) == []
+    assert not output.exists()
 
 
 def test_an_interrupted_shorten_starts_no_further_check(tmp_path):
@@ -1117,17 +1152,15 @@ def test_malformed_schedule_temperature_exit_code(runner, tmp_path, flags, overr
 
 
 @pytest.mark.parametrize("ids,workdir,error", [
-    (["a b", "a_b"], True, "ids 'a b' and 'a_b' share the trace file"),
     (["a", "a"], True, "in.jsonl: id 'a' is given twice"),
     (["a", "a"], False, "in.jsonl: id 'a' is given twice"),
-], ids=["same-name", "repeated", "repeated-no-workdir"])
+], ids=["repeated", "repeated-no-workdir"])
 def test_shorten_ids_sharing_a_trace_file_exit_code(
     runner, tmp_path, monkeypatch, ids, workdir, error
 ):
-    """Distinct ids that share a trace file, and an id given twice, with or
-    without --workdir, exit 1 with one error line before any backend is
-    built: a repeated id's output would hold a proof's iterations twice,
-    which reward and report refuse."""
+    """An id given twice, with or without --workdir, exits 1 with one error
+    line before any backend is built: a repeated id's output would hold a
+    proof's iterations twice, which reward and report refuse."""
     def unbuilt(cfg):
         raise AssertionError("a backend was built")
 
@@ -1142,6 +1175,132 @@ def test_shorten_ids_sharing_a_trace_file_exit_code(
     assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
     assert error in result.output
     assert not (tmp_path / "wd" / "traces").exists()
+
+
+def test_distinct_ids_get_their_own_trace_files_and_resume(runner, tmp_path, monkeypatch):
+    """A character other than a letter, a digit, -, _ or . is written as its
+    UTF-8 %XX escapes, % among them, so no two ids share a trace file; a
+    rerun resumes each proof from its own file and makes no backend call."""
+    ids = ["a b", "a_b", "a%20b", "é/x"]
+    config = write_config(tmp_path)
+    rows = [dict(PROOFS[i % 2], id=proof_id) for i, proof_id in enumerate(ids)]
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", rows)
+    argv = ["--config", config, "--workdir", str(tmp_path / "wd"), "shorten", proofs]
+    first = runner.invoke(main, argv)
+    assert first.exit_code == 0, first.output
+    traces = tmp_path / "wd" / "traces"
+    names = ["a%20b.jsonl", "a_b.jsonl", "a%2520b.jsonl", "é%2Fx.jsonl"]
+    assert sorted(path.name for path in traces.iterdir()) == sorted(names)
+    for proof_id, name in zip(ids, names):
+        assert cli._trace_path(tmp_path / "wd", proof_id) == traces / name
+        assert (tmp_path / "wd" / "inputs" / name.replace(".jsonl", ".json")).exists()
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a resumed run made a backend call")
+
+    monkeypatch.setattr(MockSimplifier, "_simplify", no_call)
+    monkeypatch.setattr(MockVerifier, "_verify", no_call)
+    again = runner.invoke(main, argv)
+    assert again.exit_code == 0, again.output
+    assert again.output == first.output
+
+
+@pytest.mark.parametrize("workdir", [True, False], ids=["workdir", "no-workdir"])
+def test_an_id_whose_trace_name_is_too_long_exits_with_one_error_line(
+    runner, tmp_path, workdir
+):
+    """100 slashes escape to a 300-byte file name, longer than a file system
+    allows, with or without --workdir."""
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", [dict(PROOFS[0], id="/" * 100)])
+    flags = ["--workdir", str(tmp_path / "wd")] if workdir else []
+    result = runner.invoke(main, ["--config", config, *flags, "shorten", proofs])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: cannot write ")
+    assert len(result.output.splitlines()) == 1
+
+
+def test_shorten_without_workdir_writes_what_a_workdir_run_does(runner, tmp_path, monkeypatch):
+    """Both runs keep their rows only in trace files: without --workdir in a
+    temporary directory, which the command removes."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    # candidates that drop the line `key` fail, so iterations repair
+    config = slotted_config(tmp_path, 2, **{
+        "verifier": {"require_token": "key", "noop_tactics": ["skip"]},
+        "simplifier": {"mode": "drop_lines", "drop_probability": 0.85, "seed": 3},
+        "repairer": {"mode": "shorter", "proof_body": "key\n  skip\n  ring"},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS + MORE_PROOFS)
+    plain = runner.invoke(main, ["--config", config, "shorten", "--repair", "on", proofs])
+    assert plain.exit_code == 0, plain.output
+    assert list(scratch.iterdir()) == []
+    argv = ["--config", config, "--workdir", str(tmp_path / "wd"), "shorten", "--repair", "on"]
+    kept = runner.invoke(main, [*argv, proofs])
+    assert kept.exit_code == 0, kept.output
+    assert plain.output == kept.output
+    assert '"repair": {' in plain.output and len(plain.output.splitlines()) == 8 * 2 + 1
+
+
+def test_shorten_without_workdir_removes_its_traces_after_an_outage(
+    runner, tmp_path, monkeypatch, dead_url
+):
+    monkeypatch.setattr(backends.time, "sleep", lambda s: None)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    config = write_config(tmp_path, backends={
+        "verifier": {"kind": "mock"},
+        "simplifier": {"kind": "http_simplifier", "endpoint_url": dead_url, "retries": 2},
+    })
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 3, result.output
+    assert list(scratch.iterdir()) == []
+
+
+def test_shorten_without_a_writable_temporary_directory_exits_with_one_error_line(
+    runner, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    config = write_config(tmp_path)
+    proofs = write_jsonl_file(tmp_path, "in.jsonl", PROOFS)
+    result = runner.invoke(main, ["--config", config, "shorten", proofs])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: cannot write ")
+    assert len(result.output.splitlines()) == 1
+
+
+def _peak_bytes(runner, tmp_path, config, count: int, workdir: bool) -> int:
+    """The tracemalloc peak of a shorten run over count records, the
+    fixtures cycled under distinct ids, its output written to a file."""
+    fixtures = sorted(DATA_DIR.glob("*.lean"))
+    rows = [asdict(ProofRecord.from_source(fixtures[i % len(fixtures)].read_text(), id=f"r{i}"))
+            for i in range(count)]
+    proofs = write_jsonl_file(tmp_path, f"in{count}.jsonl", rows)
+    flags = ["--workdir", str(tmp_path / f"wd{count}")] if workdir else []
+    argv = ["--config", config, *flags, "shorten", "--schedule", "32x2", proofs,
+            "-o", str(tmp_path / f"out{count}.jsonl")]
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+@pytest.mark.parametrize("workdir", [True, False], ids=["workdir", "no-workdir"])
+def test_shorten_holds_only_the_rows_of_the_proofs_in_flight(runner, tmp_path, workdir):
+    """Rows are read back from the trace files one proof at a time, so four
+    times the records cost far less than four times the memory: what grows
+    is the parsed input, and the summary's two scores a proof."""
+    config = slotted_config(tmp_path, 1)
+    small = _peak_bytes(runner, tmp_path, config, 16, workdir)
+    large = _peak_bytes(runner, tmp_path, config, 64, workdir)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_lint_takes_no_rounds_option(runner, tmp_path):
